@@ -52,14 +52,24 @@ def bench_batched(n_faces=20000, seed=0):
         )
 
 
+# A solve that exhausts STEP_BUDGET or outlives TIMEOUT_S is reported as
+# "stalled" rather than left to run for an hour.
+STEP_BUDGET = 250
+TIMEOUT_S = 600.0
+
 _SOLVE_SNIPPET = """
 import time
-from polyforge import build_metric, solve_path
+from polyforge import SolverOptions, build_metric, solve_path
 from polyforge.catalog import doubly_covered_polygon
+from polyforge.errors import SolverAbort
 metric = build_metric(doubly_covered_polygon({n}))
 t0 = time.perf_counter()
-solve_path(metric)
-print(time.perf_counter() - t0)
+try:
+    solve_path(metric, SolverOptions(max_steps={max_steps}))
+except SolverAbort:
+    print("stalled")
+else:
+    print(f"{{time.perf_counter() - t0:.3f}}")
 """
 
 
@@ -74,14 +84,18 @@ def bench_end_to_end(n=24):
     print(f"\nfull solve, doubly covered {n}-gon (one run each, seconds):")
     for name in names:
         env = dict(os.environ, POLYFORGE_KERNELS=name)
-        out = subprocess.run(
-            [sys.executable, "-c", _SOLVE_SNIPPET.format(n=n)],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        print(f"{name:<10} {float(out.stdout.strip()):>12.3f}")
+        try:
+            out = subprocess.run(
+                [sys.executable, "-c", _SOLVE_SNIPPET.format(n=n, max_steps=STEP_BUDGET)],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=TIMEOUT_S,
+            ).stdout.strip()
+        except subprocess.TimeoutExpired:
+            out = "stalled"
+        print(f"{name:<10} {out:>12}")
 
 
 def backends():

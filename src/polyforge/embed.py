@@ -18,6 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import lsqr
 
 from .errors import EmbedError
 from .triangulation import merge_regions
@@ -209,35 +211,34 @@ def _diameter(verts):
 
 
 def _polish(mesh, verts, diam, iters):
-    """Gauss-Newton sweeps on the squared edge-length residuals."""
-    edges = []
-    for f, s in _canonical_edges(mesh):
-        i, j = mesh.edge_endpoints(f, s)
-        edges.append((i, j, float(mesh.ell[f, s])))
-    n = len(verts)
+    """Gauss-Newton sweeps on the edge-length residuals.
+
+    The edge-length Jacobian has two 3-blocks per row, so it is built as
+    CSR and each sweep solves it with LSQR; started from zero, LSQR
+    converges to the minimum-norm least-squares step."""
+    edges = np.array(mesh.edges(), dtype=np.int64)
+    f, s = edges[:, 0], edges[:, 1]
+    i = mesh.vert[f, (s + 1) % 3]
+    j = mesh.vert[f, (s + 2) % 3]
+    length = mesh.ell[f, s]
+    m, n = len(edges), len(verts)
+    xyz = np.arange(3)
+    indptr = np.arange(0, 6 * m + 1, 6)
+    indices = np.concatenate([3 * i[:, None] + xyz, 3 * j[:, None] + xyz], axis=1).ravel()
     v = verts.copy()
     for _ in range(iters):
-        res = np.empty(len(edges))
-        jac = np.zeros((len(edges), 3 * n))
-        for row, (i, j, length) in enumerate(edges):
-            d = v[i] - v[j]
-            dist = float(np.linalg.norm(d))
-            res[row] = dist - length
-            u = d / dist
-            jac[row, 3 * i : 3 * i + 3] = u
-            jac[row, 3 * j : 3 * j + 3] = -u
+        d = v[i] - v[j]
+        dist = np.linalg.norm(d, axis=1)
+        res = dist - length
         if float(np.abs(res).max()) < 1e-12 * diam:
             break
-        delta, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+        u = d / dist[:, None]
+        jac = sparse.csr_matrix(
+            (np.concatenate([u, -u], axis=1).ravel(), indices, indptr), shape=(m, 3 * n)
+        )
+        delta = lsqr(jac, -res, atol=0.0, btol=0.0)[0]
         v += delta.reshape(n, 3)
     return v
-
-
-def _canonical_edges(mesh):
-    for f in range(mesh.n_faces):
-        for s in range(3):
-            if (f, s) <= mesh.neighbor(f, s):
-                yield (f, s)
 
 
 def _signed_volume(verts, faces):

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import jacobian
 from .errors import (
@@ -40,20 +41,29 @@ _REJECTABLE = (
     np.linalg.LinAlgError,
 )
 
+# Linear algebra.  d(kappa)/d(r) is the Hessian of the dual volume:
+# symmetric and indefinite (one positive eigenvalue), so every solve goes
+# through one LU factor per assembled Jacobian (JacobianFactor).  The
+# factor made at acceptance is kept on the state and serves the next
+# predictor; each Newton iterate factors its own J once.
+#
 # Flat-limit endgame.  Degenerate (2-dimensional) limits break Newton in
 # two independent ways, handled separately:
 #
 #  * curvature noise: a kappa evaluation carries error of order
-#    eps * sigma_max(J) * |r|, and sigma_max blows up approaching a flat
-#    body.  The Newton tolerance is floored at FLOOR_C times that level
-#    (always, not just in the endgame), and the path may terminate once
-#    the target itself drops below the floor -- the best representable
+#    eps * |J| * |r|, and |J| blows up approaching a flat body.  The
+#    scale is ||J||_inf, the largest absolute row sum: for a symmetric J
+#    it bounds sigma_max(J) from above, at the cost of one pass over J.
+#    The Newton tolerance is floored at FLOOR_C times that level (always,
+#    not just in the endgame), and the path may terminate once the
+#    target itself drops below the floor -- the best representable
 #    approximation of the flat body.
 #  * kernel collapse: cond(J) grows like 1/t^2 along the path itself,
-#    not because a step was too large.  Once the accepted state is
-#    beyond COND_ENDGAME, rejecting cannot help; Newton switches to a
-#    truncated pseudo-inverse so the emerging kernel directions are
-#    frozen instead of amplified.
+#    not because a step was too large.  Once LAPACK's condition estimate
+#    at the accepted state is beyond COND_ENDGAME, rejecting cannot
+#    help; Newton switches to a truncated pseudo-inverse (the solver's
+#    only SVD) so the emerging kernel directions are frozen instead of
+#    amplified.
 #
 # Nondegenerate paths trip neither mechanism.
 COND_ENDGAME = 1e12
@@ -62,15 +72,47 @@ FLOOR_C = 64.0
 _EPS = float(np.finfo(np.float64).eps)
 
 
+@dataclass(frozen=True)
+class JacobianFactor:
+    """LU factor of one curvature Jacobian (LAPACK getrf) and the two
+    numbers the solver reads off it: LAPACK's 1-norm condition estimate
+    (gecon, within a factor n of the 2-norm condition number) and the
+    noise scale ||J||_inf."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+    cond: float  # inf for an exactly singular J
+    norm_inf: float
+
+    @classmethod
+    def of(cls, J):
+        norm_inf = _norm_inf(J)
+        if not math.isfinite(norm_inf):
+            raise np.linalg.LinAlgError("curvature Jacobian is not finite")
+        lu, piv, _ = lapack.dgetrf(J)
+        rcond, _ = lapack.dgecon(lu, _norm_inf(J.T))
+        cond = 1.0 / rcond if rcond > 0.0 else math.inf
+        return cls(lu=lu, piv=piv, cond=cond, norm_inf=norm_inf)
+
+    def solve(self, rhs):
+        x, _ = lapack.dgetrs(self.lu, self.piv, rhs)
+        return x
+
+
 def _truncated_solve(J, rhs):
-    """Least-squares solve dropping the near-kernel; returns (x, sigma_max)."""
+    """Least-squares solve dropping the near-kernel."""
     u, sigma, vt = np.linalg.svd(J)
     inv = np.where(sigma > SIGMA_TRUNC * sigma[0], 1.0 / sigma, 0.0)
-    return vt.T @ (inv * (u.T @ rhs)), float(sigma[0])
+    return vt.T @ (inv * (u.T @ rhs))
 
 
-def _kappa_floor(sigma_max, r):
-    return FLOOR_C * _EPS * sigma_max * max(1.0, float(np.abs(r).max()))
+def _norm_inf(J):
+    return float(np.abs(J).sum(axis=1).max())
+
+
+def _kappa_floor(scale, r):
+    """Curvature noise level for a Jacobian of size ``scale`` (||J||_inf)."""
+    return FLOOR_C * _EPS * scale * max(1.0, float(np.abs(r).max()))
 
 
 @dataclass
@@ -82,7 +124,7 @@ class SolverOptions:
     max_newton: int = 8
     max_steps: int = 100000
     growth: float = 1.5
-    sigma_ratio_min: float = 1e-12
+    sigma_ratio_min: float = 1e-12  # least reciprocal condition estimate Newton accepts
     radius_cap: float = 2.0  # * initial radius
     seed_doublings: int = 60
     flip_flat_tol: float | None = None  # debug: flips must occur this close to pi
@@ -124,14 +166,15 @@ class ContinuationState:
     P: GeneralizedPolytope
     J: np.ndarray | None
     newton_tol: float
+    factor: JacobianFactor | None = None  # LU of J, reused by the next predictor
     flips: int = 0
     newton_total: int = 0
     steps_accepted: int = 0
     steps_rejected: int = 0
     records: list = field(default_factory=list)
     events: list = field(default_factory=list)
-    last_cond: float = float("nan")
-    last_sigma_max: float = float("nan")
+    last_cond: float = float("nan")  # condition estimate of J
+    last_sigma_max: float = float("nan")  # noise scale ||J||_inf >= sigma_max(J)
     floor_stop: bool = False  # terminated at the precision floor (flat limit)
 
     def dump(self, reason=""):
@@ -214,16 +257,15 @@ def step(state: ContinuationState, t_new: float, opts: SolverOptions) -> StepRes
         buffer.append(FlipEvent(t=t_new, edge=tuple(sorted((i, j))), theta=theta))
 
     endgame = not math.isfinite(state.last_cond) or state.last_cond > COND_ENDGAME
-    sigma_ref = state.last_sigma_max
+    scale = state.last_sigma_max
 
     try:
         if state.J is None:
             raise StepReductionError("no Jacobian available at the current state")
         if endgame:
-            delta, sigma_ref = _truncated_solve(state.J, state.kappa1)
-            r = r - dt * delta
+            r = r - dt * _truncated_solve(state.J, state.kappa1)
         else:
-            r = r - dt * np.linalg.solve(state.J, state.kappa1)
+            r = r - dt * state.factor.solve(state.kappa1)
 
         iters = 0
         while True:
@@ -236,28 +278,29 @@ def step(state: ContinuationState, t_new: float, opts: SolverOptions) -> StepRes
             )
             residual = P.kappa - target
             # Curvature evaluations carry noise of order
-            # eps * sigma_max * |r|; asking Newton for better than that
-            # livelocks near flat limits, where sigma_max blows up.
+            # eps * ||J||_inf * |r|; asking Newton for better than that
+            # livelocks near flat limits, where ||J|| blows up.
             tol = state.newton_tol
-            if math.isfinite(sigma_ref):
-                tol = max(tol, _kappa_floor(sigma_ref, r))
+            if math.isfinite(scale):
+                tol = max(tol, _kappa_floor(scale, r))
             if float(np.abs(residual).max()) <= tol:
                 break
             if iters >= opts.max_newton:
                 return _reject(state, f"no convergence in {opts.max_newton} iterations")
             J = jacobian.assemble(P)
             if endgame:
-                delta, sigma_ref = _truncated_solve(J, residual)
-                r = r - delta
+                scale = _norm_inf(J)
+                r = r - _truncated_solve(J, residual)
             else:
-                u, sigma, vt = np.linalg.svd(J)
-                if sigma[-1] < opts.sigma_ratio_min * sigma[0]:
+                factor = JacobianFactor.of(J)
+                if 1.0 / factor.cond < opts.sigma_ratio_min:
                     return _reject(state, "curvature Jacobian is numerically singular")
-                r = r - vt.T @ ((u.T @ residual) / sigma)
+                r = r - factor.solve(residual)
     except _REJECTABLE as exc:
         return _reject(state, f"{type(exc).__name__}: {exc}")
 
-    # Invariants at the accepted state.
+    # Invariants at the accepted state, all with the Newton tolerance as
+    # slack, so that they share its noise floor.
     kappa = P.kappa
     slack = tol
     if np.any(kappa < -slack) or np.any(kappa > state.metric.deficits + slack):
@@ -265,21 +308,19 @@ def step(state: ContinuationState, t_new: float, opts: SolverOptions) -> StepRes
     if float(np.abs(r).max()) > opts.radius_cap * state.r_init:
         return _reject(state, "radii escaped the initial bound")
     rep = P.curvature_report()
-    if np.any(rep.theta > math.pi + 1e-9):
+    if np.any(rep.theta > math.pi + max(1e-9, slack)):
         return _reject(state, "edge dihedral exceeded pi")
     prev_total = float(state.P.kappa.sum())
     if float(kappa.sum()) > prev_total + 1e-12 + 2 * kappa.size * slack:
         return _reject(state, "spherical section area decreased")
 
     try:
-        state.J = jacobian.assemble(P)
-        u, sigma, vt = np.linalg.svd(state.J)
-        state.last_cond = float(sigma[0] / sigma[-1])
-        state.last_sigma_max = float(sigma[0])
+        _set_jacobian(state, jacobian.assemble(P))
     except _REJECTABLE:
         # Keep the accepted state but mark the Jacobian unusable; only
         # happens at extremely flat final states.
         state.J = None
+        state.factor = None
         state.last_cond = float("inf")
 
     state.mesh = mesh
@@ -301,6 +342,15 @@ def step(state: ContinuationState, t_new: float, opts: SolverOptions) -> StepRes
     if opts.progress is not None:
         opts.progress(record)
     return StepResult(accepted=True, newton_iters=iters, flips=flips_here)
+
+
+def _set_jacobian(state, J):
+    """Factor J once and keep it, with its condition and noise scale."""
+    factor = JacobianFactor.of(J)
+    state.J = J
+    state.factor = factor
+    state.last_cond = factor.cond
+    state.last_sigma_max = factor.norm_inf
 
 
 def _reject(state, reason):
@@ -350,13 +400,11 @@ def start_state(metric: PolyhedralMetric, opts: SolverOptions | None = None):
         kappa1=kappa1,
         r_init=radius,
         P=P,
-        J=jacobian.assemble(P),
+        J=None,
         newton_tol=opts.newton_tol * max(1.0, float(np.abs(kappa1).max())),
         flips=initial_flips,
     )
-    u, sigma, vt = np.linalg.svd(state.J)
-    state.last_cond = float(sigma[0] / sigma[-1])
-    state.last_sigma_max = float(sigma[0])
+    _set_jacobian(state, jacobian.assemble(P))
     record = {
         "t": 1.0,
         "kappa_inf": float(np.abs(kappa1).max()),

@@ -110,13 +110,12 @@ class CornerMesh:
         return int(self.adj_face[f, s]), int(self.adj_side[f, s])
 
     def edges(self):
-        """Canonical (f, s) handle per undirected edge."""
-        out = []
-        for f in range(self.n_faces):
-            for s in range(3):
-                if (f, s) <= self.neighbor(f, s):
-                    out.append((f, s))
-        return out
+        """Canonical (f, s) handle per undirected edge: the side that
+        precedes its neighbor (g, s2) in (face, side) order, listed in that
+        order."""
+        corner = 3 * np.arange(self.n_faces)[:, None] + np.arange(3)
+        f, s = np.nonzero(corner <= 3 * self.adj_face + self.adj_side)
+        return list(zip(f.tolist(), s.tolist()))
 
     def edge_endpoints(self, f, s):
         return int(self.vert[f, (s + 1) % 3]), int(self.vert[f, (s + 2) % 3])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from polyforge import catalog, embed
+from polyforge import build_metric, catalog, embed, hull, solve_path
 from polyforge.errors import EmbedError
 from polyforge.polytope import GeneralizedPolytope
 from polyforge.triangulation import CornerMesh
@@ -176,3 +176,38 @@ def test_json_export(tetra_embedded):
     assert len(doc["faces"]) == 4
     assert doc["degenerate"] is False
     assert doc["volume"] == pytest.approx(math.sqrt(2.0) / 12.0, rel=1e-6)
+
+
+def _dense_polish(mesh, verts, diam, iters):
+    """Reference Gauss-Newton polish: dense Jacobian, LAPACK lstsq."""
+    edges = [(*mesh.edge_endpoints(f, s), float(mesh.ell[f, s])) for f, s in mesh.edges()]
+    n = len(verts)
+    v = verts.copy()
+    for _ in range(iters):
+        res = np.empty(len(edges))
+        jac = np.zeros((len(edges), 3 * n))
+        for row, (i, j, length) in enumerate(edges):
+            d = v[i] - v[j]
+            dist = float(np.linalg.norm(d))
+            res[row] = dist - length
+            jac[row, 3 * i : 3 * i + 3] = d / dist
+            jac[row, 3 * j : 3 * j + 3] = -d / dist
+        if float(np.abs(res).max()) < 1e-12 * diam:
+            break
+        delta, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+        v += delta.reshape(n, 3)
+    return v
+
+
+def test_sparse_polish_matches_dense_lstsq():
+    dev, _, _ = hull.random_sphere_development(40, seed=3)
+    P = solve_path(build_metric(dev)).polytope
+    rough = embed.place_faces(P, polish_iters=0)
+    diam = rough.diameter
+    # push the averaged placements off so that every sweep has work to do
+    rng = np.random.default_rng(0)
+    start = rough.vertices + 1e-6 * diam * rng.standard_normal(rough.vertices.shape)
+    polished = embed._polish(P.mesh, start, diam, 3)
+    assert np.abs(polished - start).max() > 1e-7 * diam
+    reference = _dense_polish(P.mesh, start, diam, 3)
+    assert np.abs(polished - reference).max() <= 1e-12 * diam

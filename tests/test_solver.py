@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from polyforge import catalog, hull
+from polyforge import catalog, embed, hull, jacobian
 from polyforge.errors import SolverAbort
 from polyforge.jacobian import assemble
 from polyforge.polytope import GeneralizedPolytope
 from polyforge.solver import (
+    JacobianFactor,
     SolverOptions,
     choose_initial_radius,
     solve_path,
@@ -155,3 +156,72 @@ def test_twisted_polygon_converges():
     assert not result.state.floor_stop
     kappa = result.polytope.kappa
     assert float(np.abs(kappa).max()) <= 1e-7
+
+
+@pytest.mark.parametrize("n", [10, 12, 16])
+def test_doubly_covered_polygon_reaches_flat_limit(n):
+    # the dihedral check shares the Newton tolerance's noise floor, so
+    # the last bits of a Newton update near the flat body cannot stall it
+    metric = build_metric(catalog.doubly_covered_polygon(n))
+    result = solve_path(metric, SolverOptions(max_steps=250))
+    assert embed.place_faces(result.polytope).degenerate
+
+
+def _svd_solve(J, rhs):
+    u, sigma, vt = np.linalg.svd(J)
+    return vt.T @ ((u.T @ rhs) / sigma)
+
+
+def _check_factor(J, rhs):
+    """The LU factor against the SVD of the same Jacobian."""
+    n = len(rhs)
+    factor = JacobianFactor.of(J)
+    sigma = np.linalg.svd(J, compute_uv=False)
+    kappa2 = sigma[0] / sigma[-1]
+    x_lu, x_svd = factor.solve(rhs), _svd_solve(J, rhs)
+    # both solve the same system; the solutions themselves can only agree
+    # to about cond * eps, so compare them directly only where that is small
+    assert np.linalg.norm(J @ (x_lu - x_svd)) <= 1e-10 * np.linalg.norm(rhs)
+    if kappa2 <= 1e5:
+        assert np.linalg.norm(x_lu - x_svd) <= 1e-10 * np.linalg.norm(x_svd)
+    # ||J||_inf bounds sigma_max from both sides for a symmetric J
+    assert sigma[0] <= factor.norm_inf <= math.sqrt(n) * sigma[0]
+    assert kappa2 / n <= factor.cond <= n * kappa2
+    return kappa2
+
+
+def test_lu_matches_svd_on_hull():
+    dev, _, _ = hull.random_sphere_development(40, seed=3)
+    state = start_state(build_metric(dev))
+    assert _check_factor(state.J, state.kappa1) <= 1e5
+    np.testing.assert_array_equal(
+        state.factor.solve(state.kappa1), JacobianFactor.of(state.J).solve(state.kappa1)
+    )
+    assert state.last_cond == state.factor.cond
+    assert state.last_sigma_max == state.factor.norm_inf
+
+
+def test_lu_matches_svd_along_cube_path(cube_path):
+    kappa1 = cube_path.result.kappa1
+    conds = []
+    for t, mesh, r in cube_path.samples:
+        P = GeneralizedPolytope(mesh, r, deficits=cube_path.metric.deficits, validate=False)
+        conds.append(_check_factor(assemble(P), kappa1))
+    assert min(conds) <= 1e5 < max(conds)
+
+
+def test_singular_jacobian_rejects(cube_metric, monkeypatch):
+    opts = SolverOptions()
+    state = start_state(cube_metric, opts)
+    honest = jacobian.assemble
+
+    def singular(P):
+        J = honest(P)
+        J[-1] = J[0]
+        return J
+
+    monkeypatch.setattr(jacobian, "assemble", singular)
+    result = step(state, 1.0 - opts.dt_init, opts)
+    assert not result.accepted
+    assert result.reason.startswith("curvature Jacobian is numerically singular")
+    assert state.t == 1.0

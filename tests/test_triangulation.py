@@ -62,6 +62,24 @@ def test_rhombus_flip_diagonal():
     mesh.validate()
 
 
+def test_edges_match_corner_walk():
+    # reference: one handle per edge, the side that precedes its twin
+    meshes = [mesh_of(make()) for make in catalog.NAMED.values()]
+    twisted = mesh_of(catalog.twisted_double_polygon(6))
+    weighted_delaunay(twisted, np.ones(twisted.n_vertices))
+    for mesh in meshes + [twisted]:
+        walk = [
+            (f, s)
+            for f in range(mesh.n_faces)
+            for s in range(3)
+            if (f, s) <= mesh.neighbor(f, s)
+        ]
+        edges = mesh.edges()
+        assert edges == walk
+        assert len(edges) == mesh.n_edges
+        assert all(type(f) is int and type(s) is int for f, s in edges)
+
+
 def test_flip_preserves_cone_angles():
     mesh = mesh_of(catalog.cube())
     before = mesh.cone_angles()
