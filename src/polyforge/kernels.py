@@ -1,9 +1,6 @@
-"""Vectorized NumPy backend for the numeric hot loops.
+"""Vectorized NumPy kernels for the numeric hot loops.
 
-The compiled backend in ``_core.pyx`` implements the same three entry
-points with identical semantics; this module is the reference.  All
-functions are pure and operate on plain ndarrays so the two backends can
-be diffed directly.
+All functions are pure and operate on plain ndarrays.
 
 Conventions (shared with the rest of the package):
 
@@ -22,6 +19,23 @@ BACKEND = "numpy"
 # Faces whose squared altitude (or base height) falls below this fraction
 # of the squared data scale are flagged for high-precision recomputation.
 REFINE_REL = 1e-8
+
+# Cyclic successors (k+1)%3 and (k+2)%3: the tail and head corner of side
+# k, and the factor rows of cross-product component k,
+# (a x b)[k] = a[k+1] b[k+2] - a[k+2] b[k+1].
+_NEXT = np.array([1, 2, 0])
+_NEXT2 = np.array([2, 0, 1])
+
+# The six frame dihedrals of a pyramid, each the angle between w1 - p and
+# w2 - p after removing the component along q - p, with points numbered
+# base corner 0, 1, 2 and apex 3.  Columns 0-2 are alpha along base side s
+# (p, q = its tail and head, w1 = apex, w2 = corner s); columns 3-5 are
+# omega along the apex edge to corner c (p = apex, q = corner c, w1, w2 =
+# the next two corners).
+_DIH_P = np.array([1, 2, 0, 3, 3, 3])
+_DIH_Q = np.array([2, 0, 1, 0, 1, 2])
+_DIH_W1 = np.array([3, 3, 3, 1, 2, 0])
+_DIH_W2 = np.array([0, 1, 2, 2, 0, 1])
 
 
 def _angle_opp(a, b, c):
@@ -42,17 +56,16 @@ def _angle_opp(a, b, c):
     return np.where(bad, np.nan, ang)
 
 
+def _dot3(u, v):
+    """Dot product over the leading axis of length 3, summed left to right
+    as ``np.sum`` reduces a row of three."""
+    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
+
+
 def tri_angles(ell):
     """Corner angles of each face: out[f, c] is the angle at corner c."""
     ell = np.asarray(ell, dtype=np.float64)
-    a = ell[:, 0]
-    b = ell[:, 1]
-    c = ell[:, 2]
-    out = np.empty_like(ell)
-    out[:, 0] = _angle_opp(a, b, c)
-    out[:, 1] = _angle_opp(b, c, a)
-    out[:, 2] = _angle_opp(c, a, b)
-    return out
+    return _angle_opp(ell, ell[:, _NEXT], ell[:, _NEXT2])
 
 
 def face_pyramids(ell, rad):
@@ -111,66 +124,47 @@ def face_pyramids(ell, rad):
 
     alt = np.sqrt(np.maximum(alt2, 0.0))
 
-    gamma = tri_angles(ell)
-
-    # Intrinsic slant angles per side, from the side's flat triangle
+    # All twelve Euclidean angles in one call: the base angles gamma, then
+    # the intrinsic slant angles per side from the side's flat triangle
     # (r_tail, r_head, ell).  Computing them from lengths keeps the two
     # faces sharing an edge bit-for-bit consistent.
-    idx_t = np.array([1, 2, 0])
-    idx_h = np.array([2, 0, 1])
-    r_t = rad[:, idx_t]
-    r_h = rad[:, idx_h]
-    rho_t = _angle_opp(r_h, r_t, ell)
-    rho_h = _angle_opp(r_t, r_h, ell)
-    phi = _angle_opp(ell, r_t, r_h)
+    ell_t, ell_h = ell[:, _NEXT], ell[:, _NEXT2]
+    r_t, r_h = rad[:, _NEXT], rad[:, _NEXT2]
+    ang = _angle_opp(
+        np.concatenate([ell, r_h, r_t, ell], axis=1),
+        np.concatenate([ell_t, r_t, r_h, r_t], axis=1),
+        np.concatenate([ell_h, ell, ell, r_h], axis=1),
+    )
 
-    # Dihedral angles need the spatial frame.
-    base = np.zeros((nf, 3, 3))
-    base[:, 1, 0] = l2
-    base[:, 2, 0] = x2
-    base[:, 2, 1] = y2
-    apex = np.stack([xa, ya, alt], axis=1)
-
-    alpha = np.empty((nf, 3))
-    omega = np.empty((nf, 3))
+    # Dihedral angles need the spatial frame: pts[k, i, f] is coordinate
+    # k of point i (base corners 0, 1, 2 and the apex 3) of face f.
+    pts = np.zeros((3, 4, nf))
+    pts[0, 1] = l2
+    pts[0, 2] = x2
+    pts[1, 2] = y2
+    pts[0, 3] = xa
+    pts[1, 3] = ya
+    pts[2, 3] = alt
+    p = pts[:, _DIH_P]
     with np.errstate(invalid="ignore", divide="ignore"):
-        for s in range(3):
-            t = (s + 1) % 3
-            h = (s + 2) % 3
-            pt = base[:, t]
-            edge = base[:, h] - pt
-            edge /= np.linalg.norm(edge, axis=1, keepdims=True)
-            wing_b = base[:, s] - pt
-            wing_a = apex - pt
-            wing_b -= np.sum(wing_b * edge, axis=1, keepdims=True) * edge
-            wing_a -= np.sum(wing_a * edge, axis=1, keepdims=True) * edge
-            cross = np.cross(wing_a, wing_b)
-            alpha[:, s] = np.arctan2(
-                np.linalg.norm(cross, axis=1), np.sum(wing_a * wing_b, axis=1)
-            )
-        for c in range(3):
-            u = (c + 1) % 3
-            v = (c + 2) % 3
-            edge = base[:, c] - apex
-            edge /= np.linalg.norm(edge, axis=1, keepdims=True)
-            wing_u = base[:, u] - apex
-            wing_v = base[:, v] - apex
-            wing_u -= np.sum(wing_u * edge, axis=1, keepdims=True) * edge
-            wing_v -= np.sum(wing_v * edge, axis=1, keepdims=True) * edge
-            cross = np.cross(wing_u, wing_v)
-            omega[:, c] = np.arctan2(
-                np.linalg.norm(cross, axis=1), np.sum(wing_u * wing_v, axis=1)
-            )
+        edge = pts[:, _DIH_Q] - p
+        edge /= np.sqrt(_dot3(edge, edge))
+        wing1 = pts[:, _DIH_W1] - p
+        wing2 = pts[:, _DIH_W2] - p
+        wing1 -= _dot3(wing1, edge) * edge
+        wing2 -= _dot3(wing2, edge) * edge
+        cross = wing1[_NEXT] * wing2[_NEXT2] - wing1[_NEXT2] * wing2[_NEXT]
+        dih = np.arctan2(np.sqrt(_dot3(cross, cross)), _dot3(wing1, wing2))
 
     return {
         "ok": ok,
         "alt2": alt2,
-        "gamma": gamma,
-        "rho_t": rho_t,
-        "rho_h": rho_h,
-        "phi": phi,
-        "alpha": alpha,
-        "omega": omega,
+        "gamma": ang[:, 0:3].copy(),
+        "rho_t": ang[:, 3:6].copy(),
+        "rho_h": ang[:, 6:9].copy(),
+        "phi": ang[:, 9:12].copy(),
+        "alpha": dih[0:3].T.copy(),
+        "omega": dih[3:6].T.copy(),
     }
 
 

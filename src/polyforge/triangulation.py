@@ -435,12 +435,6 @@ def _quad_extension_probe(mesh, q, f, s):
     return ext_value(quad.pi, quad.pj, quad.pl, q[i], q[j], q[l], c)
 
 
-def on_flip_theta(callback):
-    """Adapt a callback expecting (mesh, f, s, theta=None) — placeholder
-    kept for API symmetry; the solver wires its own closure."""
-    return callback
-
-
 # -- tesselation extraction ----------------------------------------------
 
 

@@ -1,29 +1,12 @@
-"""Backend equivalence for the numeric kernels.
-
-The compiled extension and the pure-NumPy reference implement the same
-four entry points; everything downstream assumes they are
-interchangeable, so these tests diff them directly on random batches and
-on crafted degenerate rows.  When the extension is not built the
-equivalence tests skip and only the dispatch machinery is checked.
-"""
+"""The batched NumPy kernels against loops, closed forms and a 50-digit
+pyramid solve, on random batches and on crafted degenerate rows."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from polyforge import kernels
-from polyforge.kernels import _numpy
-
-try:
-    from polyforge.kernels import _core
-except ImportError:
-    _core = None
-
-needs_core = pytest.mark.skipif(_core is None, reason="compiled extension not built")
+from polyforge import kernels, polytope
 
 
 def _pyramid_batch(rng, n):
@@ -50,49 +33,45 @@ def _pyramid_batch(rng, n):
     return ell, rad, apex[:, 2]
 
 
-@needs_core
-def test_backend_constants_match():
-    assert _core.BACKEND == "compiled"
-    assert _numpy.BACKEND == "numpy"
-    assert _core.REFINE_REL == _numpy.REFINE_REL == 1e-8
-
-
-@needs_core
-def test_tri_angles_backends_agree():
+def test_tri_angles_nan_rows_pi_sum_and_law_of_cosines():
     rng = np.random.default_rng(7)
     a = rng.uniform(0.5, 2.0, 300)
     b = rng.uniform(0.5, 2.0, 300)
     # Mix of valid triangles and rows violating the triangle inequality.
     c = np.where(rng.random(300) < 0.8, rng.uniform(0.2, 1.0, 300) * (a + b), a + b + 0.5)
     ell = np.stack([a, b, c], axis=1)
-    out_np = _numpy.tri_angles(ell)
-    out_c = _core.tri_angles(ell)
-    assert np.array_equal(np.isnan(out_np), np.isnan(out_c))
-    good = ~np.isnan(out_np)
-    np.testing.assert_allclose(out_c[good], out_np[good], rtol=1e-13, atol=1e-13)
+    out = kernels.tri_angles(ell)
+    invalid = (a >= b + c) | (b >= c + a) | (c >= a + b)
+    assert invalid.any() and not invalid.all()
+    assert np.array_equal(np.isnan(out), np.repeat(invalid[:, None], 3, axis=1))
     # Valid rows sum to pi; spot-check against the law of cosines.
-    full = ~np.isnan(out_np).any(axis=1)
-    np.testing.assert_allclose(out_np[full].sum(axis=1), math.pi, atol=1e-10)
+    full = ~invalid
+    np.testing.assert_allclose(out[full].sum(axis=1), math.pi, atol=1e-10)
     i = np.flatnonzero(full)[0]
     expect = math.acos((b[i] ** 2 + c[i] ** 2 - a[i] ** 2) / (2 * b[i] * c[i]))
-    assert out_np[i, 0] == pytest.approx(expect, abs=1e-12)
+    assert out[i, 0] == pytest.approx(expect, abs=1e-12)
 
 
-@needs_core
-def test_face_pyramids_backends_agree():
+def test_face_pyramids_solve_random_pyramids():
     rng = np.random.default_rng(11)
     ell, rad, alt = _pyramid_batch(rng, 400)
-    out_np = _numpy.face_pyramids(ell, rad)
-    out_c = _core.face_pyramids(ell, rad)
-    assert np.array_equal(out_np["ok"], out_c["ok"])
-    assert np.all(out_np["ok"] == 1)
-    np.testing.assert_allclose(out_np["alt2"], alt * alt, rtol=1e-8)
-    for key in ("alt2", "gamma", "rho_t", "rho_h", "phi", "alpha", "omega"):
-        np.testing.assert_allclose(out_c[key], out_np[key], rtol=1e-11, atol=1e-11)
+    out = kernels.face_pyramids(ell, rad)
+    assert np.all(out["ok"] == 1)
+    np.testing.assert_allclose(out["alt2"], alt * alt, rtol=1e-8)
 
 
-@needs_core
-def test_face_pyramid_flags_agree_on_degenerate_rows():
+def test_face_pyramids_match_high_precision_solve():
+    rng = np.random.default_rng(13)
+    ell, rad, _ = _pyramid_batch(rng, 60)
+    out = kernels.face_pyramids(ell, rad)
+    for f in range(len(ell)):
+        row = polytope._refine_pyramid(ell[f], rad[f])
+        assert out["alt2"][f] == pytest.approx(row["alt2"], rel=1e-12)
+        for key in ("gamma", "rho_t", "rho_h", "phi", "alpha", "omega"):
+            np.testing.assert_allclose(out[key][f], row[key], rtol=0, atol=1e-12)
+
+
+def test_face_pyramid_flags_on_degenerate_rows():
     circ = 1.0 / math.sqrt(3.0)  # circumradius of the unit equilateral base
     ell = np.array(
         [
@@ -110,11 +89,9 @@ def test_face_pyramid_flags_agree_on_degenerate_rows():
             [1.5, 1.5, 1.5],
         ]
     )
-    out_np = _numpy.face_pyramids(ell, rad)
-    out_c = _core.face_pyramids(ell, rad)
-    assert out_np["ok"].tolist() == [1, 0, -1, 0]
-    assert np.array_equal(out_np["ok"], out_c["ok"])
-    assert out_c["alt2"][0] == pytest.approx(out_np["alt2"][0], rel=1e-12)
+    out = kernels.face_pyramids(ell, rad)
+    assert out["ok"].tolist() == [1, 0, -1, 0]
+    assert out["alt2"][0] == pytest.approx(1.0 - circ**2, rel=1e-12)
 
 
 def _quad_batch(rng, n):
@@ -130,8 +107,7 @@ def _quad_batch(rng, n):
     return d, l_ik, l_jk, l_il, l_jl
 
 
-@needs_core
-def test_edge_badness_backends_agree():
+def test_edge_badness_nan_on_unresolvable_rows():
     rng = np.random.default_rng(23)
     n = 500
     d, l_ik, l_jk, l_il, l_jl = _quad_batch(rng, n)
@@ -141,69 +117,19 @@ def test_edge_badness_backends_agree():
     l_ik[dead] = 0.3
     l_jk[dead] = d[dead] + 5.0
     q = rng.uniform(0.0, 1.0, (4, n))
-    out_np = _numpy.edge_badness(d, l_ik, l_jk, l_il, l_jl, *q)
-    out_c = _core.edge_badness(d, l_ik, l_jk, l_il, l_jl, *q)
-    assert np.array_equal(np.isnan(out_np), np.isnan(out_c))
-    assert np.isnan(out_np[dead]).all()
-    good = ~np.isnan(out_np)
-    assert good.sum() == n - len(dead)
-    np.testing.assert_allclose(out_c[good], out_np[good], rtol=1e-11, atol=1e-12)
+    out = kernels.edge_badness(d, l_ik, l_jk, l_il, l_jl, *q)
+    assert np.isnan(out[dead]).all()
+    assert (~np.isnan(out)).sum() == n - len(dead)
 
 
-@needs_core
-def test_scatter_add_backends_agree():
+def test_scatter_add_matches_dense_loop():
     rng = np.random.default_rng(3)
     n = 7
     rows = rng.integers(0, n, 60)
     cols = rng.integers(0, n, 60)
     vals = rng.normal(size=60)
-    out_np = _numpy.scatter_add(n, rows, cols, vals)
-    out_c = _core.scatter_add(n, rows, cols, vals)
+    out = kernels.scatter_add(n, rows, cols, vals)
     dense = np.zeros((n, n))
     for r, c, v in zip(rows, cols, vals):
         dense[r, c] += v
-    np.testing.assert_allclose(out_np, dense, atol=1e-14)
-    np.testing.assert_allclose(out_c, out_np, atol=1e-14)
-
-
-def test_dispatch_exports_selected_backend():
-    assert kernels.BACKEND in ("compiled", "numpy")
-    if kernels.BACKEND == "numpy":
-        assert kernels.face_pyramids is _numpy.face_pyramids
-    else:
-        assert _core is not None
-        assert kernels.face_pyramids is _core.face_pyramids
-    assert kernels.REFINE_REL == _numpy.REFINE_REL
-
-
-def _probe_backend(value):
-    env = dict(os.environ)
-    if value is None:
-        env.pop("POLYFORGE_KERNELS", None)
-    else:
-        env["POLYFORGE_KERNELS"] = value
-    return subprocess.run(
-        [sys.executable, "-c", "import polyforge.kernels as k; print(k.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-def test_env_var_forces_python_backend():
-    proc = _probe_backend("python")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "numpy"
-
-
-@needs_core
-def test_env_var_forces_compiled_backend():
-    proc = _probe_backend("compiled")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "compiled"
-
-
-def test_env_var_rejects_unknown_value():
-    proc = _probe_backend("turbo")
-    assert proc.returncode != 0
-    assert "unknown POLYFORGE_KERNELS" in proc.stderr
+    np.testing.assert_allclose(out, dense, atol=1e-14)
