@@ -50,7 +50,7 @@ def _setup_logging(level_name):
 def _load_metric(path):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"forge: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_SCHEMA) from exc
     try:
@@ -95,22 +95,15 @@ def run_pipeline(
     metric,
     kappa_stop=1e-9,
     merge_coplanar=False,
-    dt_init=1.0 / 64.0,
     max_steps=100000,
     progress=None,
-    seed_face=0,
 ) -> PipelineResult:
     """Solve the curvature path, embed the result and locate the apex."""
     opts = solver.SolverOptions(
-        kappa_stop=kappa_stop,
-        dt_init=dt_init,
-        max_steps=max_steps,
-        progress=progress,
+        kappa_stop=kappa_stop, max_steps=max_steps, progress=progress
     )
     result = solver.solve_path(metric, opts)
-    embedded = embed.place_faces(
-        result.polytope, seed_face=seed_face, merge_coplanar=merge_coplanar
-    )
+    embedded = embed.place_faces(result.polytope, merge_coplanar=merge_coplanar)
     apex = embed.solve_apex(embedded.vertices, result.kappa1)
     embedded.apex = apex.point
     return PipelineResult(
@@ -155,7 +148,8 @@ def cmd_solve(args):
     if args.progress:
         progress_file = open(args.progress, "w")
 
-        def progress(record):
+        def progress(state):
+            record = state.records[-1]
             progress_file.write(json.dumps(record, sort_keys=True) + "\n")
             progress_file.flush()
             log.info(
@@ -168,7 +162,6 @@ def cmd_solve(args):
             metric,
             kappa_stop=args.kappa_stop,
             merge_coplanar=args.merge_coplanar,
-            dt_init=args.dt0,
             max_steps=args.max_steps,
             progress=progress,
         )
@@ -260,7 +253,6 @@ def make_parser():
     p.add_argument("--report", default="report.json")
     p.add_argument("--progress", default=None, help="JSONL step stream")
     p.add_argument("--kappa-stop", type=float, default=1e-9)
-    p.add_argument("--dt0", type=float, default=1.0 / 64.0)
     p.add_argument("--max-steps", type=int, default=100000)
     p.add_argument("--merge-coplanar", action="store_true")
     p.set_defaults(func=cmd_solve)

@@ -274,7 +274,7 @@ class ApexSolve:
     iterations: int
 
 
-def solve_apex(points, weights, tol=APEX_TOL, max_iter=APEX_MAX_ITER) -> ApexSolve:
+def solve_apex(points, weights) -> ApexSolve:
     """Weighted Fermat point: minimize sum_i w_i |p_i - a|.
 
     Damped Weiszfeld iteration with a Newton finish.  The residual is the
@@ -296,7 +296,7 @@ def solve_apex(points, weights, tol=APEX_TOL, max_iter=APEX_MAX_ITER) -> ApexSol
 
     it = 0
     res, d, u = residual_at(a)
-    while res > tol and it < max_iter:
+    while res > APEX_TOL and it < APEX_MAX_ITER:
         it += 1
         coef = w / d
         a_new = (coef[:, None] * pts).sum(axis=0) / coef.sum()

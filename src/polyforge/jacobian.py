@@ -26,13 +26,14 @@ ARPACK for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
 from .errors import StepReductionError
-from .trig import SIN_FLOOR
+
+# Sines below this value make the cotangent weights meaningless in double
+# precision; the solver retries with a smaller deformation step.
+SIN_FLOOR = 1e-10
 
 
 def assemble(P) -> np.ndarray:
@@ -56,8 +57,7 @@ def assemble(P) -> np.ndarray:
 
     sin_own, sin_opp = np.sin(a_own), np.sin(a_opp)
     sin_t, sin_h = np.sin(rho_t), np.sin(rho_h)
-    floor = SIN_FLOOR
-    if min(sin_own.min(), sin_opp.min(), sin_t.min(), sin_h.min()) < floor:
+    if min(sin_own.min(), sin_opp.min(), sin_t.min(), sin_h.min()) < SIN_FLOOR:
         raise StepReductionError(
             "a dihedral or slant angle is too close to 0 or pi to differentiate"
         )
@@ -69,28 +69,3 @@ def assemble(P) -> np.ndarray:
     cols = np.concatenate([head, tail])
     vals = np.concatenate([w, -w * np.cos(phi)])
     return kernels.scatter_add(n, rows, cols, vals)
-
-
-@dataclass
-class RankProfile:
-    rank: int
-    corank: int
-    kernel: np.ndarray  # (n, corank) orthonormal
-    sigma: np.ndarray  # singular values, descending
-
-
-def rank_profile(J, tol=1e-6) -> RankProfile:
-    """Rank / kernel split of a (near-)symmetric matrix.
-
-    Singular values below ``tol`` times the largest count as zero.
-    """
-    J = np.asarray(J, dtype=float)
-    n = J.shape[0]
-    if n < 3:
-        raise ValueError("rank profile needs at least 3 vertices")
-    sym = 0.5 * (J + J.T)
-    u, sigma, vt = np.linalg.svd(sym)
-    cut = tol * sigma[0]
-    corank = int(np.sum(sigma < cut))
-    kernel = vt[n - corank :].T if corank else np.zeros((n, 0))
-    return RankProfile(rank=n - corank, corank=corank, kernel=kernel, sigma=sigma)

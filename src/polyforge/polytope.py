@@ -2,7 +2,7 @@
 faces of a geodesic triangulation.
 
 Given radii r (apex distances per vertex), each face carries a pyramid
-whose existence is governed by the sign of a Cayley–Menger determinant.
+whose existence is governed by the sign of its squared altitude.
 The fast kernels solve all pyramids in double precision and flag faces
 whose altitude is too small to trust; those rows are redone with mpmath
 (50 digits), which keeps the late, nearly flat stages of a deformation
@@ -23,35 +23,12 @@ from .triangulation import BAD_TOL, CornerMesh, badness_scan
 
 THETA_TOL = 1e-9
 
-# Pyramids reproduce the input radii to this relative accuracy.
-RADIUS_ROUNDTRIP_REL = 1e-12
-
 _REFINE_DPS = 50
 
 
-def cayley_menger(l_ij, l_ik, l_jk, q_i, q_j, q_k):
-    """Cayley–Menger determinant of the apex simplex (288 times the
-    squared volume of the pyramid); positive iff the pyramid exists."""
-    m = np.array(
-        [
-            [0.0, 1.0, 1.0, 1.0, 1.0],
-            [1.0, 0.0, q_i, q_j, q_k],
-            [1.0, q_i, 0.0, l_ij**2, l_ik**2],
-            [1.0, q_j, l_ij**2, 0.0, l_jk**2],
-            [1.0, q_k, l_ik**2, l_jk**2, 0.0],
-        ]
-    )
-    return float(np.linalg.det(m))
-
-
-def cayley_menger_face(lengths, radii):
-    """Same, with the (side-opposite-corner) length convention."""
-    l0, l1, l2 = lengths
-    q0, q1, q2 = (x * x for x in radii)
-    return cayley_menger(l2, l1, l0, q0, q1, q2)
-
-
 def _mp_angle_opp(a, b, c):
+    """The half-angle formula of ``kernels._angle_opp`` at mpmath precision,
+    for the rows the double-precision kernel cannot resolve."""
     sa = (b + c - a) / 2
     sb = (c + a - b) / 2
     sc = (a + b - c) / 2
@@ -191,40 +168,6 @@ def solve_pyramids(ell, rad) -> PyramidBatch:
 
 
 @dataclass
-class PyramidGeometry:
-    """One pyramid: altitude plus every angle of its vertex figures."""
-
-    lengths: tuple
-    radii: tuple
-    altitude: float
-    gamma: np.ndarray  # base angle per corner
-    rho_t: np.ndarray  # slant/base angle at the tail of side s
-    rho_h: np.ndarray  # ... and at the head
-    phi: np.ndarray  # apex angle over side s
-    alpha: np.ndarray  # dihedral along base side s
-    omega: np.ndarray  # dihedral along the apex edge to corner c
-
-
-def solve_pyramid(lengths, radii) -> PyramidGeometry:
-    """Solve a single pyramid from base side lengths (side s opposite
-    corner s) and apex distances."""
-    batch = solve_pyramids(
-        np.asarray(lengths, dtype=float)[None, :], np.asarray(radii, dtype=float)[None, :]
-    )
-    return PyramidGeometry(
-        lengths=tuple(float(x) for x in lengths),
-        radii=tuple(float(x) for x in radii),
-        altitude=float(batch.altitude[0]),
-        gamma=batch.gamma[0],
-        rho_t=batch.rho_t[0],
-        rho_h=batch.rho_h[0],
-        phi=batch.phi[0],
-        alpha=batch.alpha[0],
-        omega=batch.omega[0],
-    )
-
-
-@dataclass
 class CurvatureReport:
     """Curvatures and dihedrals of a generalized polytope."""
 
@@ -296,8 +239,3 @@ class GeneralizedPolytope:
     @property
     def kappa(self):
         return self.curvature_report().kappa
-
-    def solid_angle_excess(self):
-        """Spherical area of each face's apex figure (angle sum - pi)."""
-        pyr = self.pyramids
-        return pyr.omega.sum(axis=1) - math.pi

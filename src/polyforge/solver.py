@@ -71,6 +71,16 @@ SIGMA_TRUNC = 1e-13
 FLOOR_C = 64.0
 _EPS = float(np.finfo(np.float64).eps)
 
+# Step control.
+NEWTON_TOL = 1e-10  # * max(1, |kappa(1)|_inf)
+MAX_NEWTON = 8  # Newton iterations per step before it is rejected
+RCOND_MIN = 1e-12  # least reciprocal condition estimate Newton accepts
+DT_INIT = 1.0 / 64.0
+DT_MIN = 1e-12
+GROWTH = 1.5  # step growth after an easy step (<= 3 Newton iterations)
+RADIUS_CAP = 2.0  # radii may grow to this times the initial radius
+SEED_DOUBLINGS = 60  # tries of the equal starting radius
+
 
 @dataclass(frozen=True)
 class JacobianFactor:
@@ -118,19 +128,8 @@ def _kappa_floor(scale, r):
 @dataclass
 class SolverOptions:
     kappa_stop: float = 1e-9  # stop at t where |kappa| = this * |kappa(1)|
-    newton_tol: float = 1e-10  # * max(1, |kappa(1)|_inf)
-    dt_init: float = 1.0 / 64.0
-    dt_min: float = 1e-12
-    max_newton: int = 8
     max_steps: int = 100000
-    growth: float = 1.5
-    sigma_ratio_min: float = 1e-12  # least reciprocal condition estimate Newton accepts
-    radius_cap: float = 2.0  # * initial radius
-    seed_doublings: int = 60
-    flip_flat_tol: float | None = None  # debug: flips must occur this close to pi
-    debug: bool = False
-    progress: object = None  # callable(dict) per accepted step
-    observer: object = None  # callable(state) at t=1 and after each accepted step
+    progress: object = None  # callable(state) at t=1 and after each accepted step
 
     def __post_init__(self):
         if not (0.0 < self.kappa_stop < 1e-3):
@@ -193,7 +192,7 @@ class ContinuationState:
         }
 
 
-def choose_initial_radius(metric: PolyhedralMetric, mesh: CornerMesh, opts=None):
+def choose_initial_radius(metric: PolyhedralMetric, mesh: CornerMesh):
     """Double an equal radius until the generalized polytope exists and
     sits strictly inside the admissible cone:
 
@@ -201,10 +200,9 @@ def choose_initial_radius(metric: PolyhedralMetric, mesh: CornerMesh, opts=None)
       (b) 0 < kappa_i < delta_i at every vertex,
       (c) every vertex sees total curvature > 2*pi at the others.
     """
-    opts = opts or SolverOptions()
     radius = float(mesh.ell.max())
     n = mesh.n_vertices
-    for _ in range(opts.seed_doublings):
+    for _ in range(SEED_DOUBLINGS):
         try:
             P = GeneralizedPolytope(
                 mesh, np.full(n, radius), deficits=metric.deficits, validate=False
@@ -222,7 +220,7 @@ def choose_initial_radius(metric: PolyhedralMetric, mesh: CornerMesh, opts=None)
             return radius, P
         radius *= 2.0
     raise SolverAbort(
-        f"no valid starting radius after {opts.seed_doublings} doublings"
+        f"no valid starting radius after {SEED_DOUBLINGS} doublings"
     )
 
 
@@ -234,7 +232,7 @@ def _edge_theta(mesh, r, f, s):
     return float(batch.alpha[0, s] + batch.alpha[1, s2])
 
 
-def step(state: ContinuationState, t_new: float, opts: SolverOptions) -> StepResult:
+def step(state: ContinuationState, t_new: float) -> StepResult:
     """One predictor/corrector step from state.t down to t_new.
 
     Mutates the state only on acceptance.
@@ -248,11 +246,6 @@ def step(state: ContinuationState, t_new: float, opts: SolverOptions) -> StepRes
 
     def hook(m, f, s):
         theta = _edge_theta(m, r, f, s)
-        if opts.flip_flat_tol is not None and abs(theta - math.pi) > opts.flip_flat_tol:
-            raise StepReductionError(
-                f"flip executed at theta {theta!r}, not within "
-                f"{opts.flip_flat_tol} of pi"
-            )
         i, j = m.edge_endpoints(f, s)
         buffer.append(FlipEvent(t=t_new, edge=tuple(sorted((i, j))), theta=theta))
 
@@ -270,9 +263,7 @@ def step(state: ContinuationState, t_new: float, opts: SolverOptions) -> StepRes
         iters = 0
         while True:
             iters += 1
-            flips_here += weighted_delaunay(
-                mesh, r * r, debug=opts.debug, on_flip=hook
-            )
+            flips_here += weighted_delaunay(mesh, r * r, on_flip=hook)
             P = GeneralizedPolytope(
                 mesh, r, deficits=state.metric.deficits, validate=False
             )
@@ -285,15 +276,15 @@ def step(state: ContinuationState, t_new: float, opts: SolverOptions) -> StepRes
                 tol = max(tol, _kappa_floor(scale, r))
             if float(np.abs(residual).max()) <= tol:
                 break
-            if iters >= opts.max_newton:
-                return _reject(state, f"no convergence in {opts.max_newton} iterations")
+            if iters >= MAX_NEWTON:
+                return _reject(state, f"no convergence in {MAX_NEWTON} iterations")
             J = jacobian.assemble(P)
             if endgame:
                 scale = _norm_inf(J)
                 r = r - _truncated_solve(J, residual)
             else:
                 factor = JacobianFactor.of(J)
-                if 1.0 / factor.cond < opts.sigma_ratio_min:
+                if 1.0 / factor.cond < RCOND_MIN:
                     return _reject(state, "curvature Jacobian is numerically singular")
                 r = r - factor.solve(residual)
     except _REJECTABLE as exc:
@@ -305,7 +296,7 @@ def step(state: ContinuationState, t_new: float, opts: SolverOptions) -> StepRes
     slack = tol
     if np.any(kappa < -slack) or np.any(kappa > state.metric.deficits + slack):
         return _reject(state, "curvature left the admissible band")
-    if float(np.abs(r).max()) > opts.radius_cap * state.r_init:
+    if float(np.abs(r).max()) > RADIUS_CAP * state.r_init:
         return _reject(state, "radii escaped the initial bound")
     rep = P.curvature_report()
     if np.any(rep.theta > math.pi + max(1e-9, slack)):
@@ -331,16 +322,7 @@ def step(state: ContinuationState, t_new: float, opts: SolverOptions) -> StepRes
     state.newton_total += iters
     state.steps_accepted += 1
     state.events.extend(buffer)
-    record = {
-        "t": t_new,
-        "kappa_inf": float(np.abs(kappa).max()),
-        "flips_so_far": state.flips,
-        "newton_iters": iters,
-        "cond": state.last_cond if math.isfinite(state.last_cond) else None,
-    }
-    state.records.append(record)
-    if opts.progress is not None:
-        opts.progress(record)
+    _record(state, iters)
     return StepResult(accepted=True, newton_iters=iters, flips=flips_here)
 
 
@@ -351,6 +333,19 @@ def _set_jacobian(state, J):
     state.factor = factor
     state.last_cond = factor.cond
     state.last_sigma_max = factor.norm_inf
+
+
+def _record(state, newton_iters):
+    """Append the progress record of the state just reached."""
+    state.records.append(
+        {
+            "t": state.t,
+            "kappa_inf": float(np.abs(state.P.kappa).max()),
+            "flips_so_far": state.flips,
+            "newton_iters": newton_iters,
+            "cond": state.last_cond if math.isfinite(state.last_cond) else None,
+        }
+    )
 
 
 def _reject(state, reason):
@@ -384,13 +379,12 @@ class SolveResult:
         return self.state.records
 
 
-def start_state(metric: PolyhedralMetric, opts: SolverOptions | None = None):
+def start_state(metric: PolyhedralMetric):
     """Delaunay-normalize the development's triangulation and pick the
     starting radius; returns the t = 1 continuation state."""
-    opts = opts or SolverOptions()
     mesh = CornerMesh.from_metric(metric)
-    initial_flips = weighted_delaunay(mesh, np.ones(mesh.n_vertices), debug=opts.debug)
-    radius, P = choose_initial_radius(metric, mesh, opts)
+    initial_flips = weighted_delaunay(mesh, np.ones(mesh.n_vertices))
+    radius, P = choose_initial_radius(metric, mesh)
     kappa1 = P.kappa.copy()
     state = ContinuationState(
         metric=metric,
@@ -401,20 +395,11 @@ def start_state(metric: PolyhedralMetric, opts: SolverOptions | None = None):
         r_init=radius,
         P=P,
         J=None,
-        newton_tol=opts.newton_tol * max(1.0, float(np.abs(kappa1).max())),
+        newton_tol=NEWTON_TOL * max(1.0, float(np.abs(kappa1).max())),
         flips=initial_flips,
     )
     _set_jacobian(state, jacobian.assemble(P))
-    record = {
-        "t": 1.0,
-        "kappa_inf": float(np.abs(kappa1).max()),
-        "flips_so_far": state.flips,
-        "newton_iters": 0,
-        "cond": state.last_cond if math.isfinite(state.last_cond) else None,
-    }
-    state.records.append(record)
-    if opts.progress is not None:
-        opts.progress(record)
+    _record(state, 0)
     return state
 
 
@@ -425,11 +410,11 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
     underflows or the step budget runs out.
     """
     opts = opts or SolverOptions()
-    state = start_state(metric, opts)
-    if opts.observer is not None:
-        opts.observer(state)
+    state = start_state(metric)
+    if opts.progress is not None:
+        opts.progress(state)
     t_stop = opts.kappa_stop
-    dt = opts.dt_init
+    dt = DT_INIT
     steps = 0
     while state.t > t_stop:
         steps += 1
@@ -443,18 +428,18 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
         if t_new < t_stop:
             t_new = t_stop
             dt_eff = state.t - t_stop
-        result = step(state, t_new, opts)
+        result = step(state, t_new)
         if result.accepted:
-            if opts.observer is not None:
-                opts.observer(state)
+            if opts.progress is not None:
+                opts.progress(state)
             if _at_floor(state):
                 state.floor_stop = True
                 break
             if result.newton_iters <= 3:
-                dt *= opts.growth
+                dt *= GROWTH
         else:
             dt = 0.5 * dt_eff
-            if dt < opts.dt_min:
+            if dt < DT_MIN:
                 if _at_floor(state):
                     state.floor_stop = True
                     break

@@ -23,12 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import trig
+from . import kernels
 from .errors import DevelopmentError, MetricError, SchemaError
 
 # Glued sides may disagree on length by at most this relative amount;
 # below it they are snapped to the common mean.
 LENGTH_SNAP_REL = 1e-12
+
+# Relative slack on the strict triangle inequality.
+DEGENERACY_TOL = 1e-14
 
 GAUSS_BONNET_TOL = 1e-9
 
@@ -115,7 +118,7 @@ def parse_development(text: str) -> Development:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
     if not isinstance(doc, dict):
@@ -140,9 +143,13 @@ def parse_development(text: str) -> Development:
         for k, x in enumerate(row):
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 _schema_fail(f"triangle {t} side {k}: not a number")
+            try:
+                x = float(x)
+            except OverflowError:  # an integer beyond the float range
+                x = math.inf
             if not math.isfinite(x) or x <= 0.0:
                 _schema_fail(f"triangle {t} side {k}: must be positive and finite")
-            sides[t, k] = float(x)
+            sides[t, k] = x
 
     pairs = []
     for g, pair in enumerate(glus):
@@ -201,7 +208,7 @@ def parse_development(text: str) -> Development:
     for t in range(nf):
         a, b, c = sides[t]
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            if y + z - x <= trig.DEGENERACY_TOL * scale:
+            if y + z - x <= DEGENERACY_TOL * scale:
                 violations.append(f"triangle {t}: sides {tuple(sides[t])} degenerate")
                 break
 
@@ -240,13 +247,14 @@ def build_metric(dev: Development) -> PolyhedralMetric:
         )
 
     members = [[] for _ in range(n)]
-    angles = np.zeros(n)
     for t in range(nf):
-        tri = trig.euclidean_angles(*dev.sides[t])
         for c in range(3):
-            v = corner_vertex[t, c]
-            members[v].append((t, c))
-            angles[v] += tri.as_tuple()[c]
+            members[corner_vertex[t, c]].append((t, c))
+    # A triangle that fails the triangle inequality (possible only in a
+    # Development built without parse_development) has NaN angles, which
+    # fail the deficit band below.
+    angles = np.zeros(n)
+    np.add.at(angles, corner_vertex.ravel(), kernels.tri_angles(dev.sides).ravel())
 
     deficits = 2.0 * math.pi - angles
     bad = [

@@ -154,7 +154,7 @@ class CornerMesh:
         ang = kernels.tri_angles(self.ell)
         assert np.isfinite(ang).all(), "degenerate face"
 
-    # -- serialization (debugging aid) ----------------------------------
+    # -- serialization (for solver state dumps) ---------------------------
 
     def to_json(self, indent=None):
         return json.dumps(
@@ -166,11 +166,6 @@ class CornerMesh:
             },
             indent=indent,
         )
-
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        return cls(doc["vert"], doc["ell"], doc["adj_face"], doc["adj_side"])
 
     # -- geometry -----------------------------------------------------
 
@@ -324,12 +319,6 @@ def edge_badness_one(mesh, q, f, s):
     return float(q[l]) - ext
 
 
-def edge_is_bad(mesh, q, f, s, scale=None):
-    if scale is None:
-        scale = max(1.0, float(np.abs(q).max()))
-    return edge_badness_one(mesh, q, f, s) > BAD_TOL * scale
-
-
 def badness_scan(mesh, q):
     """Badness for every canonical edge, batched.
 
@@ -362,7 +351,7 @@ def badness_scan(mesh, q):
 # -- the flip algorithm --------------------------------------------------
 
 
-def weighted_delaunay(mesh, q, max_flips=None, debug=False, on_flip=None):
+def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
     """Flip bad edges (FIFO) until none are left; returns the flip count.
 
     ``on_flip(mesh, f, s)`` is invoked just before each flip.  Raises
@@ -400,8 +389,6 @@ def weighted_delaunay(mesh, q, max_flips=None, debug=False, on_flip=None):
                 )
             continue
 
-        if debug:
-            before = _quad_extension_probe(mesh, q, f, s)
         if on_flip is not None:
             # The flip is now guaranteed to execute; hooks see the mesh
             # in its pre-flip state.
@@ -411,28 +398,11 @@ def weighted_delaunay(mesh, q, max_flips=None, debug=False, on_flip=None):
         stalled = 0
         if flips > max_flips:
             raise InadmissibleWeightsError(f"flip budget {max_flips} exhausted")
-        if debug:
-            after = _quad_extension_probe(mesh, q, f, 0)
-            assert after >= before - 1e-12 * scale, (
-                "flip decreased the piecewise quadratic extension"
-            )
         # The new diagonal is side 0 of both rewritten faces; its four
         # neighbors are the quad's outer sides.
         for cand in ((f, 1), (f, 2), (g, 1), (g, 2)):
             queue.append(cand)
     return flips
-
-
-def _quad_extension_probe(mesh, q, f, s):
-    """Extension value at the centroid of the quad around side (f, s)."""
-    quad = mesh.develop_quad(f, s)
-    i, j, k, l = quad.labels
-    c = 0.25 * (quad.pi + quad.pj + quad.pk + quad.pl)
-    # The centroid lies on the k side or the l side of the diagonal;
-    # evaluate the extension of the triangle that contains it.
-    if c[1] >= 0.0:
-        return ext_value(quad.pi, quad.pj, quad.pk, q[i], q[j], q[k], c)
-    return ext_value(quad.pi, quad.pj, quad.pl, q[i], q[j], q[l], c)
 
 
 # -- tesselation extraction ----------------------------------------------

@@ -58,11 +58,11 @@ def run_path(metric, name="", points=None, corner_point=None, **kw):
 
     samples = []
 
-    def observer(state):
+    def sample(state):
         samples.append((state.t, state.mesh.copy(), state.r.copy()))
 
     t0 = time.perf_counter()
-    result = solve_path(metric, SolverOptions(observer=observer, **kw))
+    result = solve_path(metric, SolverOptions(progress=sample, **kw))
     return PathRun(
         name=name,
         metric=metric,

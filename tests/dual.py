@@ -15,7 +15,10 @@ are meaningful (obtuse feet) and flow through all formulas unchanged.
 The generalized polytope with radii r dualizes to h = 1/r with the same
 fan; its curvature Jacobian equals the Hessian of the dual's volume,
 which the tests exercise as a cross-check between two independently
-coded routes.
+coded routes.  The rank profile at the end splits such a Hessian into
+its rank and its kernel (the apex translations at closure).
+
+This module is a test oracle: nothing in the package imports it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .errors import StepReductionError, TriangleError
+from polyforge import kernels
+from polyforge.errors import StepReductionError, TriangleError
 
 SIN_FLOOR = 1e-12
 
@@ -330,3 +333,28 @@ def link_projection(dual: DualPolyhedron, ring: LinkRing):
         M[t, head] += 1.0 / sp
         M[t, i] += -cp / sp
     return M
+
+
+@dataclass
+class RankProfile:
+    rank: int
+    corank: int
+    kernel: np.ndarray  # (n, corank) orthonormal
+    sigma: np.ndarray  # singular values, descending
+
+
+def rank_profile(J, tol=1e-6) -> RankProfile:
+    """Rank / kernel split of a (near-)symmetric matrix.
+
+    Singular values below ``tol`` times the largest count as zero.
+    """
+    J = np.asarray(J, dtype=float)
+    n = J.shape[0]
+    if n < 3:
+        raise ValueError("rank profile needs at least 3 vertices")
+    sym = 0.5 * (J + J.T)
+    u, sigma, vt = np.linalg.svd(sym)
+    cut = tol * sigma[0]
+    corank = int(np.sum(sigma < cut))
+    kernel = vt[n - corank :].T if corank else np.zeros((n, 0))
+    return RankProfile(rank=n - corank, corank=corank, kernel=kernel, sigma=sigma)

@@ -41,6 +41,13 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_validate_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"triangles": "\xe9"}')
+    assert main(["validate", str(bad)]) == 1
+    assert "forge: cannot read" in capsys.readouterr().err
+
+
 def test_validate_unglued_side(tmp_path, capsys):
     doc = {
         "triangles": [{"sides": [1.0, 1.0, 1.0]}, {"sides": [1.0, 1.0, 1.0]}],

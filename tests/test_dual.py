@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from polyforge import catalog
-from polyforge.dual import (
+from dual import (
     DualPolyhedron,
     decompose,
     dualize,
@@ -18,6 +17,7 @@ from polyforge.dual import (
     mixed_volume,
     volume_hessian,
 )
+from polyforge import catalog
 from polyforge.errors import TriangleError
 from polyforge.jacobian import assemble
 from polyforge.polytope import GeneralizedPolytope
@@ -205,7 +205,7 @@ def test_link_ring_missing_vertex():
 
 
 def test_link_projection_matches_edge_chain(tetra_dual):
-    from polyforge.dual import _edge_chain
+    from dual import _edge_chain
 
     _, dual = tetra_dual
     _, h_rev = _edge_chain(

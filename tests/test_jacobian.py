@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dual import rank_profile
 from polyforge import catalog
-from polyforge.jacobian import assemble, rank_profile
+from polyforge.jacobian import assemble
 from polyforge.polytope import GeneralizedPolytope
 from polyforge.triangulation import CornerMesh
 

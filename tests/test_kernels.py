@@ -50,6 +50,17 @@ def test_tri_angles_nan_rows_pi_sum_and_law_of_cosines():
     i = np.flatnonzero(full)[0]
     expect = math.acos((b[i] ** 2 + c[i] ** 2 - a[i] ** 2) / (2 * b[i] * c[i]))
     assert out[i, 0] == pytest.approx(expect, abs=1e-12)
+    # Exact rows: near-degenerate, equilateral and 3-4-5; then a flat
+    # triangle, a negative side and a zero side, which have no angles.
+    thin, equi, right, *invalid = kernels.tri_angles(
+        [[1.0, 1.0, 1.9], [2.5, 2.5, 2.5], [5.0, 4.0, 3.0],
+         [1.0, 1.0, 2.0], [1.0, -1.0, 1.0], [0.0, 1.0, 1.0]]
+    )
+    assert abs(thin.sum() - math.pi) <= 1e-12
+    np.testing.assert_allclose(equi, math.pi / 3, rtol=0, atol=1e-15)
+    assert right[0] == pytest.approx(math.pi / 2, abs=1e-14)
+    assert math.sin(right[1]) == pytest.approx(4.0 / 5.0, abs=1e-14)
+    assert np.isnan(invalid).all()
 
 
 def test_face_pyramids_solve_random_pyramids():

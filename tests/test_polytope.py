@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from polyforge import catalog
 from polyforge.errors import PyramidError
-from polyforge.polytope import (
-    GeneralizedPolytope,
-    cayley_menger,
-    cayley_menger_face,
-    solve_pyramid,
-    solve_pyramids,
-)
+from polyforge.polytope import GeneralizedPolytope, solve_pyramids
 from polyforge.triangulation import CornerMesh
 
 TETRA_EDGE = 2.0 * math.sqrt(2.0)
@@ -21,34 +15,12 @@ TETRA_CIRCUM = math.sqrt(3.0)
 TETRA_DIHEDRAL = math.acos(1.0 / 3.0)
 
 
-# -- Cayley-Menger ----------------------------------------------------------
-
-
-def test_cayley_menger_regular_tetrahedron():
-    # unit base, unit apex distances: 288 * (sqrt(2)/12)^2 = 4
-    assert cayley_menger(1, 1, 1, 1, 1, 1) == pytest.approx(4.0, rel=1e-12)
-
-
-def test_cayley_menger_sign_flip_at_circumradius():
-    # apex over the circumcenter of a unit equilateral base goes flat at
-    # q = 1/3
-    assert cayley_menger(1, 1, 1, 1 / 3 + 1e-3, 1 / 3 + 1e-3, 1 / 3 + 1e-3) > 0
-    assert cayley_menger(1, 1, 1, 1 / 3 - 1e-3, 1 / 3 - 1e-3, 1 / 3 - 1e-3) < 0
-    assert cayley_menger(1, 1, 1, 1 / 3, 1 / 3, 1 / 3) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cayley_menger_face_convention():
-    assert cayley_menger_face((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)) == pytest.approx(
-        4.0, rel=1e-12
-    )
-
-
 # -- single pyramids ----------------------------------------------------------
 
 
 def test_unit_regular_pyramid_angles():
-    geom = solve_pyramid((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
-    assert geom.altitude**2 == pytest.approx(2.0 / 3.0, rel=1e-12)
+    geom = solve_pyramids(np.ones((1, 3)), np.ones((1, 3)))
+    assert geom.altitude[0] ** 2 == pytest.approx(2.0 / 3.0, rel=1e-12)
     np.testing.assert_allclose(geom.gamma, math.pi / 3.0, atol=1e-12)
     np.testing.assert_allclose(geom.phi, math.pi / 3.0, atol=1e-12)
     np.testing.assert_allclose(geom.rho_t, math.pi / 3.0, atol=1e-12)
@@ -58,14 +30,14 @@ def test_unit_regular_pyramid_angles():
 
 
 def test_apex_triangle_angle_sums():
-    geom = solve_pyramid((1.3, 0.9, 1.1), (1.2, 1.0, 1.4))
+    geom = solve_pyramids(np.array([[1.3, 0.9, 1.1]]), np.array([[1.2, 1.0, 1.4]]))
     sums = geom.phi + geom.rho_t + geom.rho_h
     np.testing.assert_allclose(sums, math.pi, atol=1e-12)
 
 
 def test_no_pyramid_below_circumradius():
     with pytest.raises(PyramidError, match="no apex pyramid"):
-        solve_pyramid((1.0, 1.0, 1.0), (0.5, 0.5, 0.5))
+        solve_pyramids(np.ones((1, 3)), np.full((1, 3), 0.5))
 
 
 def test_near_flat_pyramid_refined():
@@ -116,16 +88,16 @@ def test_pyramid_matches_explicit_coordinates(data):
         np.linalg.norm(base[1] - base[0]),
     ]
     radii = np.linalg.norm(base - apex, axis=1)
-    geom = solve_pyramid(lengths, radii)
-    assert geom.altitude == pytest.approx(apex[2], rel=1e-8, abs=1e-10)
+    geom = solve_pyramids(np.array([lengths]), radii[None, :])
+    assert geom.altitude[0] == pytest.approx(apex[2], rel=1e-8, abs=1e-10)
     for s in range(3):
         t, h = (s + 1) % 3, (s + 2) % 3
         want = _dihedral(base[t], base[h], base[s], apex)
-        assert geom.alpha[s] == pytest.approx(want, abs=1e-8)
+        assert geom.alpha[0, s] == pytest.approx(want, abs=1e-8)
     for c in range(3):
         u, v = (c + 1) % 3, (c + 2) % 3
         want = _dihedral(apex, base[c], base[u], base[v])
-        assert geom.omega[c] == pytest.approx(want, abs=1e-8)
+        assert geom.omega[0, c] == pytest.approx(want, abs=1e-8)
 
 
 # -- generalized polytopes ----------------------------------------------------
@@ -165,7 +137,8 @@ def test_cube_at_circumradius_closes_up(cube_metric):
 def test_solid_angle_excess_balance():
     for r in (TETRA_CIRCUM, 1.5 * TETRA_CIRCUM, 3.0 * TETRA_CIRCUM):
         P = tetra_polytope(r)
-        lhs = P.solid_angle_excess().sum()
+        # spherical area of each face's apex figure: angle sum - pi
+        lhs = (P.pyramids.omega.sum(axis=1) - math.pi).sum()
         rhs = 4.0 * math.pi - P.kappa.sum()
         assert lhs == pytest.approx(rhs, abs=1e-9)
 

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from polyforge import catalog, embed, hull, jacobian
-from polyforge.errors import SolverAbort
+from polyforge import catalog, embed, hull, jacobian, solver
+from polyforge.errors import SolverAbort, StepReductionError
 from polyforge.jacobian import assemble
 from polyforge.polytope import GeneralizedPolytope
 from polyforge.solver import (
@@ -77,11 +77,11 @@ def test_cube_path_never_flips(cube_path):
     assert cube_path.result.events == []
 
 
-def test_step_rejection_rolls_back(cube_metric):
-    opts = SolverOptions(max_newton=1)
-    state = start_state(cube_metric, opts)
+def test_step_rejection_rolls_back(cube_metric, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_NEWTON", 1)
+    state = start_state(cube_metric)
     r_before = state.r.copy()
-    result = step(state, 0.5, opts)
+    result = step(state, 0.5)
     assert not result.accepted
     assert result.reason
     assert state.t == 1.0
@@ -91,7 +91,9 @@ def test_step_rejection_rolls_back(cube_metric):
 
 def test_progress_callback_sees_every_record(tetra_metric):
     seen = []
-    result = solve_path(tetra_metric, SolverOptions(progress=seen.append))
+    result = solve_path(
+        tetra_metric, SolverOptions(progress=lambda state: seen.append(state.records[-1]))
+    )
     assert seen == result.records
     assert {"t", "kappa_inf", "flips_so_far", "newton_iters", "cond"} <= set(
         seen[0]
@@ -105,12 +107,23 @@ def test_observer_sampling_matches_steps(tetra_path):
     assert tetra_path.samples[-1][0] == state.t
 
 
-def test_flips_fire_on_flat_edges():
+def test_flips_fire_on_flat_edges(monkeypatch):
     # this hull's deformation crosses triangulation walls; every flip
-    # must happen with the edge dihedral at pi
+    # must happen with the edge dihedral at pi.  A step's flips fire at its
+    # predicted radii, past the wall (by 2e-3 here), so steps whose flips
+    # fire more than 1e-5 from pi are rejected and retried smaller.
+    honest = solver._edge_theta
+
+    def near_pi(mesh, r, f, s):
+        theta = honest(mesh, r, f, s)
+        if abs(theta - math.pi) > 1e-5:
+            raise StepReductionError(f"flip executed at theta {theta!r}")
+        return theta
+
+    monkeypatch.setattr(solver, "_edge_theta", near_pi)
     dev, _, _ = hull.random_sphere_development(6, seed=2)
     metric = build_metric(dev)
-    result = solve_path(metric, SolverOptions(flip_flat_tol=1e-5))
+    result = solve_path(metric)
     assert len(result.events) >= 1
     for event in result.events:
         assert abs(event.theta - math.pi) <= 1e-5
@@ -211,8 +224,7 @@ def test_lu_matches_svd_along_cube_path(cube_path):
 
 
 def test_singular_jacobian_rejects(cube_metric, monkeypatch):
-    opts = SolverOptions()
-    state = start_state(cube_metric, opts)
+    state = start_state(cube_metric)
     honest = jacobian.assemble
 
     def singular(P):
@@ -221,7 +233,7 @@ def test_singular_jacobian_rejects(cube_metric, monkeypatch):
         return J
 
     monkeypatch.setattr(jacobian, "assemble", singular)
-    result = step(state, 1.0 - opts.dt_init, opts)
+    result = step(state, 1.0 - solver.DT_INIT)
     assert not result.accepted
     assert result.reason.startswith("curvature Jacobian is numerically singular")
     assert state.t == 1.0

@@ -6,6 +6,7 @@ import pytest
 
 from polyforge import catalog, surface
 from polyforge.errors import DevelopmentError, MetricError, SchemaError
+from polyforge.surface import Development
 
 
 def test_tetrahedron_metric(tetra_metric):
@@ -29,12 +30,14 @@ def test_doubly_covered_triangle_metric():
     a, b, c = 1.0, 1.1, 1.5
     metric = surface.build_metric(catalog.doubly_covered_triangle(a, b, c))
     assert metric.n_vertices == 3
-    from polyforge.trig import euclidean_angles
-
-    ang = euclidean_angles(a, b, c)
+    # law of cosines: the angle opposite each side, counted twice
+    ang = [
+        math.acos((y * y + z * z - x * x) / (2 * y * z))
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
+    ]
     np.testing.assert_allclose(
         np.sort(metric.deficits),
-        np.sort(2 * math.pi - 2 * np.array(ang.as_tuple())),
+        np.sort(2 * math.pi - 2 * np.array(ang)),
         atol=1e-12,
     )
 
@@ -86,6 +89,18 @@ def _doubled_triangle_doc():
         "triangles": [{"sides": [1.0, 1.0, 1.0]}, {"sides": [1.0, 1.0, 1.0]}],
         "gluings": [[[0, 0], [1, 0]], [[0, 1], [1, 2]], [[0, 2], [1, 1]]],
     }
+
+
+def test_side_beyond_float_range_is_schema_error():
+    doc = json.dumps(_doubled_triangle_doc()).replace("1.0", "1" + "0" * 400, 1)
+    with pytest.raises(SchemaError, match="positive and finite"):
+        surface.parse_development(doc)
+
+
+def test_json_beyond_parser_limits_is_schema_error():
+    for text in ("1" * 5000, "[" * 100000):  # too many digits, too deep
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            surface.parse_development(text)
 
 
 def test_unmatched_side_reported():
@@ -152,6 +167,18 @@ def _flat_apex_bipyramid():
         gluings.append([[6 + t, 2], [6 + u, 1]])  # bottom spokes
         gluings.append([[t, 0], [6 + t, 0]])  # equator
     return json.dumps({"triangles": [{"sides": s} for s in sides], "gluings": gluings})
+
+
+def test_degenerate_triangle_fails_deficit_band():
+    # a development built without parse_development skips its triangle
+    # inequality check; the NaN angles of the flat triangle (1, 1, 2) must
+    # still be refused as a metric
+    dev = Development(
+        sides=np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 2.0]]),
+        gluings=(((0, 0), (1, 0)), ((0, 1), (1, 2)), ((0, 2), (1, 1))),
+    )
+    with pytest.raises(MetricError, match="outside"):
+        surface.build_metric(dev)
 
 
 def test_nonpositive_deficit_rejected():

@@ -1,15 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from polyforge import catalog
-from polyforge.errors import FlipError, TriangleError
+from polyforge import catalog, hull
+from polyforge.errors import FlipError, InadmissibleWeightsError, TriangleError
 from polyforge.triangulation import (
+    BAD_TOL,
     CornerMesh,
     badness_scan,
     canonical_tesselation,
-    edge_is_bad,
+    edge_badness_one,
     ext_value,
     merge_regions,
     weighted_delaunay,
@@ -42,7 +44,7 @@ def test_cone_angles_match_metric(cube_metric):
 
 def test_json_roundtrip():
     mesh = mesh_of(catalog.cube())
-    again = CornerMesh.from_json(mesh.to_json())
+    again = CornerMesh(**json.loads(mesh.to_json()))
     np.testing.assert_array_equal(again.vert, mesh.vert)
     np.testing.assert_allclose(again.ell, mesh.ell)
     again.validate()
@@ -208,9 +210,9 @@ def test_rectangle_diagonal_weights():
     quad = mesh.develop_quad(0, 0)
     assert quad.diagonal == pytest.approx(2.0 * w * h / d, rel=1e-12)
     q = np.zeros(mesh.n_vertices)
-    assert not edge_is_bad(mesh, q, 0, 0)
+    assert edge_badness_one(mesh, q, 0, 0) <= BAD_TOL
     q[mesh.vert[0, 0]] = 1.0  # the right-angle corner (= both far corners)
-    assert edge_is_bad(mesh, q, 0, 0)
+    assert edge_badness_one(mesh, q, 0, 0) > BAD_TOL
 
 
 def test_polytope_weights_always_good(tetra_path):
@@ -257,6 +259,52 @@ def test_generic_weights_have_no_inessential_edges():
     weighted_delaunay(mesh, q)
     tess = canonical_tesselation(mesh, q)
     assert len(tess.inessential) == 0
+
+
+def _quad_extension_probe(mesh, q, f, s):
+    """Extension value at the centroid of the quad around side (f, s)."""
+    quad = mesh.develop_quad(f, s)
+    i, j, k, l = quad.labels
+    c = 0.25 * (quad.pi + quad.pj + quad.pk + quad.pl)
+    # The centroid lies on the k side or the l side of the diagonal;
+    # evaluate the extension of the triangle that contains it.
+    if c[1] >= 0.0:
+        return ext_value(quad.pi, quad.pj, quad.pk, q[i], q[j], q[k], c)
+    return ext_value(quad.pi, quad.pj, quad.pl, q[i], q[j], q[l], c)
+
+
+def test_flips_never_lower_the_extension():
+    # the termination argument of the flip algorithm: flipping a bad edge
+    # raises the piecewise quadratic extension of the weights over its quad
+    # (the new diagonal is side 0 of the rewritten face f)
+    flips = admissible = 0
+    for n in (12, 20, 40):
+        for seed in range(4):
+            dev, _, _ = hull.random_sphere_development(n, seed=seed)
+            mesh = mesh_of(dev)
+            rng = np.random.default_rng(100 * n + seed)
+            q = rng.uniform(0.0, 0.1, mesh.n_vertices) * float(mesh.ell.max()) ** 2
+            scale = max(1.0, float(q.max()))
+            pending = []
+
+            def check_pending():
+                f, before = pending.pop()
+                after = _quad_extension_probe(mesh, q, f, 0)
+                assert after >= before - 1e-12 * scale
+
+            def on_flip(m, f, s):
+                if pending:
+                    check_pending()
+                pending.append((f, _quad_extension_probe(m, q, f, s)))
+
+            try:
+                flips += weighted_delaunay(mesh, q, on_flip=on_flip)
+            except InadmissibleWeightsError:
+                continue  # no weighted Delaunay triangulation for these weights
+            if pending:
+                check_pending()
+            admissible += 1
+    assert admissible >= 6 and flips >= 20
 
 
 def test_flip_undone_by_delaunay(cube_metric):
