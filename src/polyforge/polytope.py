@@ -4,18 +4,39 @@ faces of a geodesic triangulation.
 Given radii r (apex distances per vertex), each face carries a pyramid
 whose existence is governed by the sign of its squared altitude.
 The fast kernels solve all pyramids in double precision and flag faces
-whose altitude is too small to trust; those rows are redone with mpmath
-(50 digits), which keeps the late, nearly flat stages of a deformation
-honest without slowing the generic case.
+whose altitude is too small to trust; those rows are redone at 50 digits,
+which keeps the late, nearly flat stages of a deformation honest without
+slowing the generic case.
+
+The refinement calls mpmath's ``libmp`` layer on raw values.  It does the
+same operations, in the same order, as the plain ``mpf`` form in
+``tests/mp_refine.py``, and so returns the same doubles to the bit.  On a
+flat limit almost every face is refined, so this path sets the pace of
+those solves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
+from mpmath import libmp
+from mpmath.libmp import (
+    from_float,
+    fzero,
+    mpf_add,
+    mpf_atan2,
+    mpf_div,
+    mpf_le,
+    mpf_mul,
+    mpf_neg,
+    mpf_shift,
+    mpf_sqrt,
+    mpf_sub,
+    to_float,
+)
 
 from . import kernels
 from .errors import PyramidError, TriangleError
@@ -23,95 +44,101 @@ from .triangulation import BAD_TOL, CornerMesh, badness_scan
 
 THETA_TOL = 1e-9
 
-_REFINE_DPS = 50
+# The refinement works on mpmath's raw libmp values (sign, mantissa,
+# exponent, bit count) at the precision and rounding that
+# ``mp.workdps(50)`` sets, which skips the mpf objects and the context.
+# Halving and doubling are exponent shifts, exact like ``/ 2`` and ``2 *``.
+# ``to_float`` rounds down unless told otherwise; ``float(mpf)`` rounds to
+# nearest, so every conversion passes ``rnd=_RND``.
+_PREC = libmp.dps_to_prec(50)  # 169 bits
+_RND = libmp.round_nearest
 
 
-def _mp_angle_opp(a, b, c):
-    """The half-angle formula of ``kernels._angle_opp`` at mpmath precision,
-    for the rows the double-precision kernel cannot resolve."""
-    sa = (b + c - a) / 2
-    sb = (c + a - b) / 2
-    sc = (a + b - c) / 2
-    s = (a + b + c) / 2
-    if sa <= 0 or sb <= 0 or sc <= 0:
+def _add(x, y):
+    return mpf_add(x, y, _PREC, _RND)
+
+
+def _sub(x, y):
+    return mpf_sub(x, y, _PREC, _RND)
+
+
+def _mul(x, y):
+    return mpf_mul(x, y, _PREC, _RND)
+
+
+def _div(x, y):
+    return mpf_div(x, y, _PREC, _RND)
+
+
+def _sqrt(x):
+    return mpf_sqrt(x, _PREC, _RND)
+
+
+def _dot(u, v):
+    return _add(_add(_mul(u[0], v[0]), _mul(u[1], v[1])), _mul(u[2], v[2]))
+
+
+def _angle_opp(a, b, c):
+    """Angle opposite side ``a`` of the triangle with sides (a, b, c), three
+    floats, by the half-angle formula of ``kernels._angle_opp`` at 50 digits;
+    returned as the nearest float."""
+    a, b, c = from_float(a), from_float(b), from_float(c)
+    ab = _add(a, b)
+    sa = mpf_shift(_sub(_add(b, c), a), -1)
+    sb = mpf_shift(_sub(_add(c, a), b), -1)
+    sc = mpf_shift(_sub(ab, c), -1)
+    s = mpf_shift(_add(ab, c), -1)
+    if mpf_le(sa, fzero) or mpf_le(sb, fzero) or mpf_le(sc, fzero):
         raise TriangleError("degenerate triangle in high-precision pyramid solve")
-    return 2 * mp.atan2(mp.sqrt(sb * sc), mp.sqrt(s * sa))
+    half = mpf_atan2(_sqrt(_mul(sb, sc)), _sqrt(_mul(s, sa)), _PREC, _RND)
+    return to_float(mpf_shift(half, 1), rnd=_RND)
 
 
-def _mp_dihedral(p, q, w1, w2):
-    """Angle between w1 - p and w2 - p after removing the q - p component."""
+# The base angles depend on the side lengths alone, which change only when
+# an edge flips, so they are also kept across calls, in bounded memory.
+# The function is pure: what the cache holds changes no result.
+_base_angle = functools.lru_cache(maxsize=1024)(_angle_opp)
 
-    def sub(u, v):
-        return [u[0] - v[0], u[1] - v[1], u[2] - v[2]]
 
-    def dot(u, v):
-        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-    e = sub(q, p)
-    en = mp.sqrt(dot(e, e))
-    e = [x / en for x in e]
-    out = []
+def _dihedral(e, w1, w2):
+    """Angle between the vectors w1 and w2 after removing their components
+    along e, for vectors of three raw values; returned as the nearest
+    float."""
+    en = _sqrt(_dot(e, e))
+    e = [_div(x, en) for x in e]
+    wings = []
     for w in (w1, w2):
-        a = sub(w, p)
-        d = dot(a, e)
-        out.append([a[0] - d * e[0], a[1] - d * e[1], a[2] - d * e[2]])
-    a, b = out
-    cx = a[1] * b[2] - a[2] * b[1]
-    cy = a[2] * b[0] - a[0] * b[2]
-    cz = a[0] * b[1] - a[1] * b[0]
-    return mp.atan2(mp.sqrt(cx * cx + cy * cy + cz * cz), dot(a, b))
+        d = _dot(w, e)
+        wings.append([_sub(w[k], _mul(d, e[k])) for k in range(3)])
+    a, b = wings
+    cross = [
+        _sub(_mul(a[1], b[2]), _mul(a[2], b[1])),
+        _sub(_mul(a[2], b[0]), _mul(a[0], b[2])),
+        _sub(_mul(a[0], b[1]), _mul(a[1], b[0])),
+    ]
+    return to_float(mpf_atan2(_sqrt(_dot(cross, cross)), _dot(a, b), _PREC, _RND), rnd=_RND)
 
 
-def _refine_pyramid(lengths, radii):
-    """Redo one pyramid at 50 digits.  Returns a dict of float rows, or
-    None when the squared altitude is non-positive (no pyramid)."""
-    with mp.workdps(_REFINE_DPS):
-        l0, l1, l2 = (mp.mpf(x) for x in lengths)
-        r0, r1, r2 = (mp.mpf(x) for x in radii)
-        q0, q1, q2 = r0 * r0, r1 * r1, r2 * r2
-        x2 = (l1 * l1 + l2 * l2 - l0 * l0) / (2 * l2)
-        y2sq = (l1 - x2) * (l1 + x2)
-        if y2sq <= 0:
-            raise TriangleError("degenerate base triangle")
-        y2 = mp.sqrt(y2sq)
-        xa = (q0 - q1 + l2 * l2) / (2 * l2)
-        ya = (q0 - q2 + l1 * l1 - 2 * xa * x2) / (2 * y2)
-        alt2 = q0 - xa * xa - ya * ya
-        if alt2 <= 0:
-            return None
-        za = mp.sqrt(alt2)
-
-        ell = [l0, l1, l2]
-        rad = [r0, r1, r2]
-        pts = [
-            [mp.mpf(0), mp.mpf(0), mp.mpf(0)],
-            [l2, mp.mpf(0), mp.mpf(0)],
-            [x2, y2, mp.mpf(0)],
-            [xa, ya, za],
-        ]
-        gamma = [
-            _mp_angle_opp(ell[c], ell[(c + 1) % 3], ell[(c + 2) % 3]) for c in range(3)
-        ]
-        rho_t, rho_h, phi, alpha, omega = [], [], [], [], []
-        for s in range(3):
-            t, h = (s + 1) % 3, (s + 2) % 3
-            rho_t.append(_mp_angle_opp(rad[h], rad[t], ell[s]))
-            rho_h.append(_mp_angle_opp(rad[t], rad[h], ell[s]))
-            phi.append(_mp_angle_opp(ell[s], rad[t], rad[h]))
-            alpha.append(_mp_dihedral(pts[t], pts[h], pts[s], pts[3]))
-        for c in range(3):
-            u, v = (c + 1) % 3, (c + 2) % 3
-            omega.append(_mp_dihedral(pts[3], pts[c], pts[u], pts[v]))
-
-        return {
-            "alt2": float(alt2),
-            "gamma": [float(x) for x in gamma],
-            "rho_t": [float(x) for x in rho_t],
-            "rho_h": [float(x) for x in rho_h],
-            "phi": [float(x) for x in phi],
-            "alpha": [float(x) for x in alpha],
-            "omega": [float(x) for x in omega],
-        }
+def _apex_frame(lengths, radii):
+    """Place one pyramid at 50 digits: base corners 0, 1, 2 in the plane
+    and the apex 3 above it, from the side lengths and apex distances (three
+    floats each).  Returns (alt2, points) as raw values, or None when the
+    squared altitude is non-positive (no pyramid)."""
+    l0, l1, l2 = (from_float(x) for x in lengths)
+    q0, q1, q2 = (_mul(r, r) for r in map(from_float, radii))
+    l1l1, l2l2 = _mul(l1, l1), _mul(l2, l2)
+    x2 = _div(_sub(_add(l1l1, l2l2), _mul(l0, l0)), mpf_shift(l2, 1))
+    y2sq = _mul(_sub(l1, x2), _add(l1, x2))
+    if mpf_le(y2sq, fzero):
+        raise TriangleError("degenerate base triangle")
+    y2 = _sqrt(y2sq)
+    xa = _div(_add(_sub(q0, q1), l2l2), mpf_shift(l2, 1))
+    ya = _div(_sub(_add(_sub(q0, q2), l1l1), _mul(mpf_shift(xa, 1), x2)), mpf_shift(y2, 1))
+    alt2 = _sub(_sub(q0, _mul(xa, xa)), _mul(ya, ya))
+    if mpf_le(alt2, fzero):
+        return None
+    points = ((fzero, fzero, fzero), (l2, fzero, fzero), (x2, y2, fzero), (xa, ya, _sqrt(alt2)))
+    return alt2, points
 
 
 @dataclass
@@ -132,29 +159,66 @@ class PyramidBatch:
         return np.sqrt(np.maximum(self.alt2, 0.0))
 
 
+def _refine_row(raw, f, ell, rad, frame, angle):
+    """Overwrite row f of the kernel output with the 50-digit pyramid with
+    side lengths ell, apex distances rad (three floats each) and the given
+    apex frame; ``angle`` evaluates ``_angle_opp``."""
+    alt2, pts = frame
+    # diff[i, j] = pts[i] - pts[j].  Each dihedral works on three of these
+    # differences; a - b and -(b - a) round alike, so one subtraction per
+    # pair serves both orders.
+    diff = {}
+    for i, j in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
+        d = [_sub(pts[i][k], pts[j][k]) for k in range(3)]
+        diff[i, j] = d
+        diff[j, i] = [mpf_neg(x) for x in d]
+    raw["alt2"][f] = to_float(alt2, rnd=_RND)
+    for c in range(3):
+        raw["gamma"][f, c] = _base_angle(ell[c], ell[(c + 1) % 3], ell[(c + 2) % 3])
+    for s in range(3):
+        t, h = (s + 1) % 3, (s + 2) % 3
+        raw["rho_t"][f, s] = angle(rad[h], rad[t], ell[s])
+        raw["rho_h"][f, s] = angle(rad[t], rad[h], ell[s])
+        raw["phi"][f, s] = angle(ell[s], rad[t], rad[h])
+        raw["alpha"][f, s] = _dihedral(diff[h, t], diff[s, t], diff[3, t])
+    for c in range(3):
+        u, v = (c + 1) % 3, (c + 2) % 3
+        raw["omega"][f, c] = _dihedral(diff[c, 3], diff[u, 3], diff[v, 3])
+
+
 def solve_pyramids(ell, rad) -> PyramidBatch:
     """Solve the pyramid over every face; raises PyramidError if any face
-    admits none."""
+    admits none.
+
+    Rows the kernel flags are redone at 50 digits in two phases.  The
+    first places the apex of every flagged row in face order, so a face
+    without a pyramid is reported before any angle is evaluated.  The
+    second evaluates the angles.  A Euclidean angle depends only on its
+    three side lengths, and the twin sides of an edge (and the mirrored
+    faces of a doubly covered surface) repeat the same triple, so each
+    distinct triple is evaluated once per call.
+    """
     ell = np.asarray(ell, dtype=float)
     rad = np.asarray(rad, dtype=float)
     raw = kernels.face_pyramids(ell, rad)
     ok = raw["ok"]
     refined = np.zeros(ell.shape[0], dtype=bool)
+    frames = {}
     dead = []
     for f in np.flatnonzero(ok != 1):
-        if ok[f] == -1:
+        lengths, radii = ell[f].tolist(), rad[f].tolist()
+        frame = None if ok[f] == -1 else _apex_frame(lengths, radii)
+        if frame is None:
             dead.append(int(f))
-            continue
-        row = _refine_pyramid(ell[f], rad[f])
-        if row is None:
-            dead.append(int(f))
-            continue
-        refined[f] = True
-        raw["alt2"][f] = row["alt2"]
-        for key in ("gamma", "rho_t", "rho_h", "phi", "alpha", "omega"):
-            raw[key][f] = row[key]
+        else:
+            frames[f] = lengths, radii, frame
     if dead:
         raise PyramidError(f"no apex pyramid over faces {dead}")
+
+    angle = functools.cache(_angle_opp)  # memo for this call only
+    for f, (lengths, radii, frame) in frames.items():
+        _refine_row(raw, f, lengths, radii, frame, angle)
+        refined[f] = True
     return PyramidBatch(
         alt2=raw["alt2"],
         gamma=raw["gamma"],
@@ -225,12 +289,9 @@ class GeneralizedPolytope:
         kappa = 2.0 * math.pi - omega_sum
 
         edges = mesh.edges()
-        theta = np.empty(len(edges))
-        height = float(np.dot(self.r, kappa))
-        for e, (f, s) in enumerate(edges):
-            g, s2 = mesh.neighbor(f, s)
-            theta[e] = pyr.alpha[f, s] + pyr.alpha[g, s2]
-            height += float(mesh.ell[f, s]) * (math.pi - theta[e])
+        f, s = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        theta = pyr.alpha[f, s] + pyr.alpha[mesh.adj_face[f, s], mesh.adj_side[f, s]]
+        height = float(np.dot(self.r, kappa) + np.dot(mesh.ell[f, s], math.pi - theta))
         self._report = CurvatureReport(
             kappa=kappa, edges=edges, theta=theta, total_height=height
         )

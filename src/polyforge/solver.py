@@ -336,14 +336,20 @@ def _set_jacobian(state, J):
 
 
 def _record(state, newton_iters):
-    """Append the progress record of the state just reached."""
+    """Append the progress record of the state just reached.
+
+    ``cond`` is rounded to 6 significant digits: LAPACK's estimate can
+    differ in its last bits between runs on the same input, and records
+    must reproduce.  Step control reads the unrounded ``last_cond``.
+    """
+    cond = state.last_cond
     state.records.append(
         {
             "t": state.t,
             "kappa_inf": float(np.abs(state.P.kappa).max()),
             "flips_so_far": state.flips,
             "newton_iters": newton_iters,
-            "cond": state.last_cond if math.isfinite(state.last_cond) else None,
+            "cond": float(f"{cond:.6g}") if math.isfinite(cond) else None,
         }
     )
 

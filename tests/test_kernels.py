@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from polyforge import kernels, polytope
+from mp_refine import _refine_pyramid
+from polyforge import kernels
 
 
 def _pyramid_batch(rng, n):
@@ -76,7 +77,7 @@ def test_face_pyramids_match_high_precision_solve():
     ell, rad, _ = _pyramid_batch(rng, 60)
     out = kernels.face_pyramids(ell, rad)
     for f in range(len(ell)):
-        row = polytope._refine_pyramid(ell[f], rad[f])
+        row = _refine_pyramid(ell[f], rad[f])
         assert out["alt2"][f] == pytest.approx(row["alt2"], rel=1e-12)
         for key in ("gamma", "rho_t", "rho_h", "phi", "alpha", "omega"):
             np.testing.assert_allclose(out[key][f], row[key], rtol=0, atol=1e-12)

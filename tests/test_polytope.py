@@ -178,6 +178,20 @@ def test_weights_are_squared_radii():
     assert P.n_vertices == 4
 
 
+def test_curvature_report_matches_edge_loop(sampled_polytopes):
+    for P in sampled_polytopes[::10]:
+        rep = P.curvature_report()
+        mesh, alpha = P.mesh, P.pyramids.alpha
+        theta, height = [], float(np.dot(P.r, rep.kappa))
+        for f, s in mesh.edges():
+            g, s2 = mesh.neighbor(f, s)
+            theta.append(alpha[f, s] + alpha[g, s2])
+            height += float(mesh.ell[f, s]) * (math.pi - theta[-1])
+        assert rep.edges == mesh.edges()
+        np.testing.assert_array_equal(rep.theta, theta)
+        assert rep.total_height == pytest.approx(height, rel=1e-12)
+
+
 def test_report_is_cached():
     P = tetra_polytope(2.0)
     assert P.curvature_report() is P.curvature_report()

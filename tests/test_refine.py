@@ -1,0 +1,225 @@
+"""The 50-digit refinement of ``polytope.solve_pyramids`` against the
+mpf-object oracle of ``tests/mp_refine.py``: every output bit for bit,
+the same exceptions, the two-phase order and the per-call angle memo."""
+
+import math
+
+import numpy as np
+import pytest
+from mp_refine import ANGLE_KEYS
+from mp_refine import solve_pyramids as oracle_solve
+
+from polyforge import build_metric, catalog, kernels, polytope, solver
+from polyforge.errors import PyramidError, TriangleError
+from polyforge.polytope import GeneralizedPolytope
+from polyforge.solver import SolverOptions, solve_path
+from polyforge.triangulation import CornerMesh
+
+KEYS = ("alt2", "refined") + ANGLE_KEYS
+
+
+def _outcome(solve, ell, rad):
+    """The arrays a batch solve returns, or its exception as (type, text)."""
+    try:
+        batch = solve(ell, rad)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return batch if isinstance(batch, dict) else vars(batch)
+
+
+def assert_matches_oracle(ell, rad):
+    """solve_pyramids and the oracle agree bit for bit (NaN == NaN) or
+    raise the same error; returns the oracle's outcome."""
+    ell, rad = np.asarray(ell, dtype=float), np.asarray(rad, dtype=float)
+    with np.errstate(all="ignore"):
+        want = _outcome(oracle_solve, ell, rad)
+        got = _outcome(polytope.solve_pyramids, ell, rad)
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    assert isinstance(got, dict), got
+    for key in KEYS:
+        assert np.array_equal(got[key], want[key], equal_nan=True), key
+    return want
+
+
+def _pyramids(rng, n, alt2_rel):
+    """(ell, rad) of n random pyramids whose squared altitude is alt2_rel
+    times the largest squared length of the row."""
+    base = np.zeros((n, 3, 3))
+    base[:, 1, 0] = rng.uniform(0.7, 2.5, n)
+    base[:, 2, 0] = rng.uniform(-1.0, 3.0, n)
+    base[:, 2, 1] = rng.uniform(0.4, 2.5, n)
+    apex = np.stack([rng.uniform(-1.0, 3.0, n), rng.uniform(-1.0, 3.0, n), np.zeros(n)], axis=1)
+    ell = np.stack(
+        [np.linalg.norm(base[:, (s + 1) % 3] - base[:, (s + 2) % 3], axis=1) for s in range(3)],
+        axis=1,
+    )
+    flat = np.linalg.norm(apex[:, None, :] - base, axis=2)
+    scale = np.maximum((ell * ell).max(axis=1), (flat * flat).max(axis=1))
+    rad = np.sqrt(flat * flat + (alt2_rel * scale)[:, None])
+    return ell, rad
+
+
+@pytest.fixture(scope="module")
+def octagon_batches():
+    """Every solve_pyramids input with a flagged row along the solve of the
+    doubly covered 8-gon."""
+    batches = []
+    original = polytope.solve_pyramids
+
+    def record(ell, rad):
+        ell, rad = np.array(ell, dtype=float), np.array(rad, dtype=float)
+        if np.any(kernels.face_pyramids(ell, rad)["ok"] != 1):
+            batches.append((ell, rad))
+        return original(ell, rad)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "solve_pyramids", record)
+        mp.setattr(solver, "solve_pyramids", record)
+        solve_path(build_metric(catalog.doubly_covered_polygon(8)), SolverOptions(max_steps=250))
+    return batches
+
+
+def test_rows_along_doubly_covered_octagon(octagon_batches):
+    outcomes = [assert_matches_oracle(ell, rad) for ell, rad in octagon_batches]
+    refined = sum(int(o["refined"].sum()) for o in outcomes if isinstance(o, dict))
+    dead = sum(isinstance(o, tuple) for o in outcomes)
+    assert len(octagon_batches) >= 50 and refined >= 500 and dead >= 1
+
+
+def test_random_near_flat_pyramids():
+    rng = np.random.default_rng(17)
+    alt2_rel = 10.0 ** rng.uniform(-16.0, -8.0, 200)
+    ell, rad = _pyramids(rng, 200, alt2_rel)
+    assert np.all(kernels.face_pyramids(ell, rad)["ok"] != 1)
+    outcomes = [assert_matches_oracle(ell[f : f + 1], rad[f : f + 1]) for f in range(200)]
+    assert sum(isinstance(o, dict) for o in outcomes) >= 150
+    live = [f for f, o in enumerate(outcomes) if isinstance(o, dict)]
+    assert_matches_oracle(ell[live], rad[live])
+
+
+def test_thin_bases_raise_the_same_triangle_error():
+    circ = 1.0 / math.sqrt(3.0)
+    ell = np.array(
+        [
+            [1.0, 1.0, 2.0],  # collinear base
+            [2.0, 1.0, 1.0],
+            [1.0, 1.0, 2.0 - 2.0**-52],  # thin, but a triangle
+            [1.0, 0.5, 0.5 + 2.0**-53],
+            [1.0, 1.0, 0.0],  # zero side: both divide by zero
+        ]
+    )
+    rad = np.full((5, 3), 1.5)
+    for f in range(5):
+        assert_matches_oracle(ell[f : f + 1], rad[f : f + 1])
+    # a thin base after a dead face and before a live flagged one
+    ell3 = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 1.0, 1.0]])
+    rad3 = np.array([[0.45] * 3, [1.5] * 3, [math.sqrt(circ**2 + 1e-10)] * 3])
+    assert assert_matches_oracle(ell3, rad3) == (TriangleError, "degenerate base triangle")
+
+
+def test_dead_rows_give_the_same_face_list():
+    circ = 1.0 / math.sqrt(3.0)
+    live = [math.sqrt(circ**2 + 1e-10)] * 3
+    below = [math.sqrt(circ**2 - 1e-10)] * 3  # refined, then no pyramid
+    far_below = [0.45] * 3  # flagged dead by the kernel
+    rad = np.array([live, below, [1.0] * 3, far_below, live, below])
+    ell = np.ones_like(rad)
+    assert kernels.face_pyramids(ell, rad)["ok"].tolist() == [0, 0, 1, -1, 0, 0]
+    want = (PyramidError, "no apex pyramid over faces [1, 3, 5]")
+    assert assert_matches_oracle(ell, rad) == want
+
+
+def test_non_finite_rows():
+    ones = [1.0, 1.0, 1.0]
+    rows = [
+        (ones, [math.nan, 0.6, 0.6]),
+        ([math.nan, 1.0, 1.0], [0.6, 0.6, 0.6]),
+        ([math.nan] * 3, [math.nan] * 3),
+        (ones, [math.inf, 0.6, 0.6]),
+        ([math.inf, 1.0, 1.0], [0.6, 0.6, 0.6]),
+        (ones, [1.0, 1.0, -math.inf]),
+    ]
+    for ell, rad in rows:
+        assert kernels.face_pyramids(np.array([ell]), np.array([rad]))["ok"][0] == 0
+        assert_matches_oracle([ell], [rad])
+    nan_row = assert_matches_oracle([ones], [[math.nan, 0.6, 0.6]])
+    assert nan_row["refined"][0] and math.isnan(nan_row["alt2"][0])
+
+
+def test_dead_face_stops_before_any_angle(monkeypatch):
+    circ = 1.0 / math.sqrt(3.0)
+    live = [math.sqrt(circ**2 + 1e-10 * k) for k in (1, 2, 3)]
+    rad = np.array([live, live[::-1], [0.45] * 3, live[1:] + live[:1], live])
+    ell = np.ones_like(rad)
+    assert kernels.face_pyramids(ell, rad)["ok"].tolist() == [0, 0, -1, 0, 0]
+    want = _outcome(oracle_solve, ell, rad)
+    assert want == (PyramidError, "no apex pyramid over faces [2]")
+
+    calls = []
+
+    def counted(name):
+        original = getattr(polytope, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("_angle_opp", "_base_angle", "_dihedral"):
+        monkeypatch.setattr(polytope, name, counted(name))
+    with pytest.raises(PyramidError) as exc:
+        polytope.solve_pyramids(ell, rad)
+    assert str(exc.value) == want[1]
+    assert calls == []
+    # the live faces alone are solved, through the same counters
+    polytope.solve_pyramids(ell[[0, 1, 3, 4]], rad[[0, 1, 3, 4]])
+    assert calls
+
+
+def test_dead_face_reported_before_a_failing_angle():
+    # At 50 digits the slant triangle (1e300, 1e300, 1) has a zero
+    # half-perimeter excess, so face 0 has an apex but no angles.  The
+    # oracle meets that error first; the two-phase solve reports face 1.
+    ell = np.ones((2, 3))
+    rad = np.array([[1e300] * 3, [0.45] * 3])
+    with np.errstate(all="ignore"):
+        assert kernels.face_pyramids(ell, rad)["ok"].tolist() == [0, -1]
+        assert _outcome(oracle_solve, ell, rad)[0] is TriangleError
+        assert _outcome(polytope.solve_pyramids, ell, rad) == (
+            PyramidError,
+            "no apex pyramid over faces [1]",
+        )
+        assert_matches_oracle(ell[:1], rad[:1])
+
+
+def test_each_distinct_angle_once_per_call(monkeypatch):
+    # the doubly covered square: mirrored faces repeat every triple
+    mesh = CornerMesh.from_development(catalog.doubly_covered_polygon(4))
+    P = GeneralizedPolytope(mesh, np.full(4, math.sqrt(1.0 + 1e-10)), validate=False)
+    ell, rad = P.mesh.ell, P.r[P.mesh.vert]
+    assert np.all(P.pyramids.refined)
+    keys = set()
+    for f in range(len(ell)):
+        l, r = ell[f].tolist(), rad[f].tolist()
+        for s in range(3):
+            t, h = (s + 1) % 3, (s + 2) % 3
+            keys |= {(r[h], r[t], l[s]), (r[t], r[h], l[s]), (l[s], r[t], r[h])}
+    evaluated = []
+    original = polytope._angle_opp
+
+    def counted(a, b, c):
+        evaluated.append((a, b, c))
+        return original(a, b, c)
+
+    monkeypatch.setattr(polytope, "_angle_opp", counted)
+    for _ in range(2):  # the memo is per call: a second call evaluates again
+        evaluated.clear()
+        batch = polytope.solve_pyramids(ell, rad)
+        assert sorted(evaluated) == sorted(keys)
+        assert 9 * len(ell) > len(keys)
+        for key in ANGLE_KEYS:
+            assert np.array_equal(getattr(batch, key), getattr(P.pyramids, key))
+    assert polytope._base_angle.cache_info().maxsize is not None

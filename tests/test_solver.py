@@ -71,6 +71,22 @@ def test_records_march_downward(cube_path):
     json.dumps(recs)
 
 
+def test_records_round_cond_to_six_digits(tetra_metric):
+    # LAPACK's estimate may change in its last bits from run to run; the
+    # record keeps 6 significant digits, step control the full estimate
+    conds = []
+    result = solve_path(
+        tetra_metric,
+        SolverOptions(progress=lambda state: conds.append(state.last_cond)),
+    )
+    recs = result.state.records
+    assert len(recs) == len(conds) > 1
+    for rec, cond in zip(recs, conds):
+        assert rec["cond"] == float(f"{cond:.6g}")
+        assert rec["cond"] == pytest.approx(cond, rel=5e-6)
+    assert any(rec["cond"] != cond for rec, cond in zip(recs, conds))
+
+
 def test_cube_path_never_flips(cube_path):
     # equal radii keep every square diagonal exactly cocircular
     assert cube_path.result.state.flips == 0
