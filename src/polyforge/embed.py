@@ -150,14 +150,7 @@ def place_faces(P, seed_face=0, merge_coplanar=False, polish_iters=3):
     np.add.at(counts, mesh.vert.ravel(), 1.0)
     verts = sums / counts[:, None]
 
-    spread = 0.0
-    for v in range(n):
-        placements = pos.reshape(-1, 3)[mesh.vert.ravel() == v]
-        for i in range(len(placements)):
-            diffs = placements[i + 1 :] - placements[i]
-            if len(diffs):
-                spread = max(spread, float(np.sqrt((diffs**2).sum(axis=1)).max()))
-
+    spread = _closure_spread(pos.reshape(-1, 3), mesh.vert.ravel())
     diam = _diameter(verts)
     if spread > CLOSURE_TOL * diam:
         raise EmbedError(
@@ -201,13 +194,43 @@ def place_faces(P, seed_face=0, merge_coplanar=False, polish_iters=3):
     )
 
 
-def _diameter(verts):
+def _closure_spread(points, labels):
+    """Largest distance between two corner placements of one vertex.
+
+    Sorting the corners by vertex puts each vertex's placements in a
+    run; pairs ``gap`` apart in the sorted order are compared at once,
+    for every gap up to the longest run.  sqrt is monotone, so the root
+    of the largest squared distance is the largest distance."""
+    order = np.argsort(labels, kind="stable")
+    p, lab = points[order], labels[order]
     best = 0.0
-    for i in range(len(verts)):
-        d = np.sqrt(((verts[i + 1 :] - verts[i]) ** 2).sum(axis=1))
-        if len(d):
-            best = max(best, float(d.max()))
-    return best
+    for gap in range(1, len(lab)):
+        same = lab[gap:] == lab[:-gap]
+        if not same.any():
+            break
+        diffs = p[gap:][same] - p[:-gap][same]
+        best = max(best, float((diffs**2).sum(axis=1).max()))
+    return math.sqrt(best)
+
+
+_DIAMETER_BLOCK = 64  # rows of the distance matrix formed at once
+
+
+def _diameter(verts):
+    """Largest vertex distance, from blocks of rows of the upper
+    triangle of the squared-distance matrix.  The squares are summed
+    x + y + z, in the order ``sum(axis=1)`` uses on a row of three."""
+    x, y, z = (np.ascontiguousarray(verts[:, k]) for k in range(3))
+    best = 0.0
+    for lo in range(0, len(verts), _DIAMETER_BLOCK):
+        hi = lo + _DIAMETER_BLOCK
+        d2 = (
+            (x[lo:] - x[lo:hi, None]) ** 2
+            + (y[lo:] - y[lo:hi, None]) ** 2
+            + (z[lo:] - z[lo:hi, None]) ** 2
+        )
+        best = max(best, float(d2.max()))
+    return math.sqrt(best)
 
 
 def _polish(mesh, verts, diam, iters):

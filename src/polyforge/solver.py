@@ -8,6 +8,11 @@ with Newton; the triangulation is re-flipped to weighted Delaunay (q =
 r^2) after every Newton update, so combinatorial surgery happens exactly
 where the deformation crosses a flat edge.  Failed steps roll back and
 halve the step size.
+
+Steps are capped at half of t, except near closure: the Hessian stays
+non-degenerate for every t > 0, so a path that has not rejected a step
+jumps from the first t <= T_JUMP straight to kappa_stop.  Paths into a
+flat limit reject steps long before T_JUMP and halve down to the end.
 """
 
 from __future__ import annotations
@@ -65,7 +70,9 @@ _REJECTABLE = (
 #    only SVD) so the emerging kernel directions are frozen instead of
 #    amplified.
 #
-# Nondegenerate paths trip neither mechanism.
+# Nondegenerate paths trip neither mechanism: they jump to kappa_stop
+# from t <= T_JUMP, while cond(J) is still far below COND_ENDGAME, so
+# only flat limits, which never jump, reach the SVD.
 COND_ENDGAME = 1e12
 SIGMA_TRUNC = 1e-13
 FLOOR_C = 64.0
@@ -80,6 +87,9 @@ DT_MIN = 1e-12
 GROWTH = 1.5  # step growth after an easy step (<= 3 Newton iterations)
 RADIUS_CAP = 2.0  # radii may grow to this times the initial radius
 SEED_DOUBLINGS = 60  # tries of the equal starting radius
+# A path without a rejected step jumps from t <= T_JUMP straight to
+# kappa_stop; any rejection returns it to halving for good.
+T_JUMP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -96,11 +106,12 @@ class JacobianFactor:
 
     @classmethod
     def of(cls, J):
-        norm_inf = _norm_inf(J)
+        A = np.abs(J)
+        norm_inf = float(A.sum(axis=1).max())
         if not math.isfinite(norm_inf):
             raise np.linalg.LinAlgError("curvature Jacobian is not finite")
         lu, piv, _ = lapack.dgetrf(J)
-        rcond, _ = lapack.dgecon(lu, _norm_inf(J.T))
+        rcond, _ = lapack.dgecon(lu, float(A.sum(axis=0).max()))  # ||J||_1
         cond = 1.0 / rcond if rcond > 0.0 else math.inf
         return cls(lu=lu, piv=piv, cond=cond, norm_inf=norm_inf)
 
@@ -431,8 +442,9 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
             )
         dt_eff = min(dt, 0.5 * state.t)
         t_new = state.t - dt_eff
-        if t_new < t_stop:
-            t_new = t_stop
+        jump = state.steps_rejected == 0 and state.t <= T_JUMP
+        if jump or t_new < t_stop:
+            t_new = t_stop  # exactly; state.t - dt_eff may miss it by an ulp
             dt_eff = state.t - t_stop
         result = step(state, t_new)
         if result.accepted:

@@ -211,3 +211,54 @@ def test_sparse_polish_matches_dense_lstsq():
     assert np.abs(polished - start).max() > 1e-7 * diam
     reference = _dense_polish(P.mesh, start, diam, 3)
     assert np.abs(polished - reference).max() <= 1e-12 * diam
+
+
+def _loop_closure_spread(points, labels):
+    """The per-vertex loop that closure_residual used to come from."""
+    spread = 0.0
+    for v in range(int(labels.max()) + 1):
+        placements = points[labels == v]
+        for i in range(len(placements)):
+            diffs = placements[i + 1 :] - placements[i]
+            if len(diffs):
+                spread = max(spread, float(np.sqrt((diffs**2).sum(axis=1)).max()))
+    return spread
+
+
+def _loop_diameter(verts):
+    best = 0.0
+    for i in range(len(verts)):
+        d = np.sqrt(((verts[i + 1 :] - verts[i]) ** 2).sum(axis=1))
+        if len(d):
+            best = max(best, float(d.max()))
+    return best
+
+
+def test_vectorized_spread_and_diameter_match_loops(all_paths, square_path, monkeypatch):
+    spreads, diameters = [], []
+    spread_of, diameter_of = embed._closure_spread, embed._diameter
+
+    def recorded_spread(points, labels):
+        spreads.append(_loop_closure_spread(points, labels))
+        return spread_of(points, labels)
+
+    def recorded_diameter(verts):
+        diameters.append(_loop_diameter(verts))
+        return diameter_of(verts)
+
+    monkeypatch.setattr(embed, "_closure_spread", recorded_spread)
+    monkeypatch.setattr(embed, "_diameter", recorded_diameter)
+    for run in all_paths + [square_path]:
+        e = embed.place_faces(run.result.polytope)
+        assert e.closure_residual == spreads.pop(), run.name
+        assert e.diameter == diameters.pop(), run.name
+    # random placements: uneven group sizes, a lone corner, repeated points,
+    # and more rows than one diameter block
+    rng = np.random.default_rng(11)
+    labels = rng.integers(0, 40, 300)
+    labels[0] = 40
+    points = rng.standard_normal((300, 3)) * np.exp(rng.uniform(-30.0, 5.0, (300, 1)))
+    points[5] = points[6]
+    assert embed._closure_spread(points, labels) == _loop_closure_spread(points, labels)
+    for verts in (points, points[:1], points[:2], points[:130]):
+        assert embed._diameter(verts) == _loop_diameter(verts)

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
+from conftest import HULL_CASES
 from polyforge import catalog, embed, hull, jacobian, solver
 from polyforge.errors import SolverAbort, StepReductionError
 from polyforge.jacobian import assemble
@@ -253,3 +255,102 @@ def test_singular_jacobian_rejects(cube_metric, monkeypatch):
     assert not result.accepted
     assert result.reason.startswith("curvature Jacobian is numerically singular")
     assert state.t == 1.0
+
+
+def test_factor_norms_are_row_and_column_sums():
+    # one |J| pass gives both norms; they must equal the row sums of |J|
+    # and of |J^T|, bit for bit, on a matrix that is not symmetric
+    rng = np.random.default_rng(7)
+    J = rng.standard_normal((50, 50)) * np.exp(rng.uniform(-10.0, 10.0, (50, 50)))
+    factor = JacobianFactor.of(J)
+    assert factor.norm_inf == float(np.abs(J).sum(axis=1).max())
+    lu, _, _ = lapack.dgetrf(J)
+    rcond, _ = lapack.dgecon(lu, float(np.abs(J.T).sum(axis=1).max()))
+    assert factor.cond == 1.0 / rcond
+
+
+def _counted_truncated_solves(monkeypatch):
+    calls = []
+    honest = solver._truncated_solve
+
+    def counted(J, rhs):
+        calls.append(len(rhs))
+        return honest(J, rhs)
+
+    monkeypatch.setattr(solver, "_truncated_solve", counted)
+    return calls
+
+
+def _hull40_metric():
+    dev, _, _ = hull.random_sphere_development(40, seed=3)
+    return build_metric(dev)
+
+
+@pytest.mark.parametrize("name", ["tetra_metric", "cube_metric", "hull40"])
+def test_clean_path_jumps_to_kappa_stop(name, request, monkeypatch):
+    metric = _hull40_metric() if name == "hull40" else request.getfixturevalue(name)
+    calls = _counted_truncated_solves(monkeypatch)
+    state = solve_path(metric).state
+    ts = [rec["t"] for rec in state.records]
+    assert state.steps_rejected == 0
+    # the first state at or below T_JUMP steps to kappa_stop exactly
+    assert ts[-1] == SolverOptions().kappa_stop
+    assert ts[-2] <= solver.T_JUMP
+    assert all(t > solver.T_JUMP for t in ts[:-2])
+    assert calls == []
+
+
+def test_rejected_jump_falls_back_to_halving(cube_metric, monkeypatch):
+    t_stop = SolverOptions().kappa_stop
+    honest = solver.step
+    attempts = []  # (t, t_new, rejected so far)
+
+    def reject_first_jump(state, t_new):
+        attempts.append((state.t, t_new, state.steps_rejected))
+        if t_new == t_stop and state.steps_rejected == 0:
+            return solver._reject(state, "forced rejection")
+        return honest(state, t_new)
+
+    monkeypatch.setattr(solver, "step", reject_first_jump)
+    state = solve_path(cube_metric).state
+    assert state.steps_rejected == 1
+    assert state.t == t_stop
+    jump = next(k for k, (_, _, rejected) in enumerate(attempts) if rejected)
+    t_jump, t_new, _ = attempts[jump - 1]
+    assert t_new == t_stop and t_jump <= solver.T_JUMP
+    after = attempts[jump:]
+    assert len(after) > 10
+    # kappa_stop is tried once more, when halving comes within a factor 2
+    # of it; every attempt before that at most halves t
+    assert [t_new for _, t_new, _ in after].count(t_stop) == 1
+    t_last, t_new_last, _ = after[-1]
+    assert t_new_last == t_stop and t_last < 2.0 * t_stop
+    for t, t_new, _ in after[:-1]:
+        assert 0.5 * t <= t_new < t
+
+
+def test_flat_limit_never_jumps(square_metric, square_path, monkeypatch):
+    # the doubled square rejects steps long before T_JUMP, so the jump
+    # rule must leave its path exactly as it is without the rule
+    assert square_path.result.state.steps_rejected > 0
+    monkeypatch.setattr(solver, "T_JUMP", 0.0)
+    result = solve_path(square_metric)
+    assert [rec["t"] for rec in result.records] == [
+        rec["t"] for rec in square_path.result.records
+    ]
+
+
+@pytest.mark.parametrize("kappa_stop", [1e-4, 1e-5, 1e-6])
+def test_jacobian_nondegenerate_near_closure(kappa_stop, tetra_metric, cube_metric):
+    # a07 checks the states a path visits at t >= 1e-6; a clean path
+    # jumps from about 1e-3 to kappa_stop and visits none in between, so
+    # check the end states of paths stopped there
+    metrics = [tetra_metric, cube_metric]
+    for n, seed in (HULL_CASES[6], HULL_CASES[-2]):
+        dev, _, _ = hull.random_sphere_development(n, seed=seed)
+        metrics.append(build_metric(dev))
+    for metric in metrics:
+        result = solve_path(metric, SolverOptions(kappa_stop=kappa_stop))
+        assert result.state.t == kappa_stop
+        sv = np.linalg.svd(assemble(result.polytope), compute_uv=False)
+        assert sv[-1] > 1e-10 * sv[0], (metric.n_vertices, kappa_stop)
