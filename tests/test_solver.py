@@ -281,14 +281,12 @@ def _counted_truncated_solves(monkeypatch):
     return calls
 
 
-def _hull40_metric():
-    dev, _, _ = hull.random_sphere_development(40, seed=3)
-    return build_metric(dev)
-
-
 @pytest.mark.parametrize("name", ["tetra_metric", "cube_metric", "hull40"])
 def test_clean_path_jumps_to_kappa_stop(name, request, monkeypatch):
-    metric = _hull40_metric() if name == "hull40" else request.getfixturevalue(name)
+    if name == "hull40":
+        metric = build_metric(hull.random_sphere_development(40, seed=3)[0])
+    else:
+        metric = request.getfixturevalue(name)
     calls = _counted_truncated_solves(monkeypatch)
     state = solve_path(metric).state
     ts = [rec["t"] for rec in state.records]
