@@ -20,8 +20,8 @@ from .errors import (
 )
 from .polytope import GeneralizedPolytope
 from .solver import SolverOptions, solve_path
-from .surface import Development, PolyhedralMetric, build_metric, load_metric, parse_development
-from .triangulation import CornerMesh, canonical_tesselation, weighted_delaunay
+from .surface import Development, PolyhedralMetric, build_metric, parse_development
+from .triangulation import CornerMesh, weighted_delaunay
 from .embed import congruence_check, place_faces, solve_apex
 
 __version__ = "0.1.0"
@@ -43,9 +43,7 @@ __all__ = [
     "SolverOptions",
     "StepReductionError",
     "build_metric",
-    "canonical_tesselation",
     "congruence_check",
-    "load_metric",
     "parse_development",
     "place_faces",
     "solve_apex",

@@ -18,12 +18,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import QhullError
 
 from . import embed, hull, solver, surface
 from .errors import (
     DevelopmentError,
     EmbedError,
     MetricError,
+    PolyforgeError,
     SchemaError,
     SolverAbort,
 )
@@ -208,7 +210,8 @@ def cmd_roundtrip(args):
             )
             metric = surface.build_metric(dev)
             break
-        except Exception as exc:  # degenerate hull: resample
+        except (ValueError, QhullError, PolyforgeError) as exc:
+            # What a degenerate sample raises; anything else is a bug.
             log.warning("resampling after degenerate hull: %s", exc)
     else:
         print("forge: could not sample a usable hull", file=sys.stderr)

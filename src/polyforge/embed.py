@@ -375,39 +375,6 @@ def congruence_check(verts_a, verts_b, allow_reflection=True):
     return best, reflected
 
 
-def apex_inside(embedded: EmbeddedPolytope, apex, tol=None):
-    """Is the apex interior?  For full-dimensional bodies: strictly below
-    every face plane.  For degenerate (flat) ones: in the relative
-    interior of the supporting polygon."""
-    verts = embedded.vertices
-    a = np.asarray(apex, dtype=float)
-    if tol is None:
-        tol = 1e-9 * max(embedded.diameter, 1.0)
-    if not embedded.degenerate:
-        sign = 1.0 if embedded.volume > 0 else -1.0
-        for i, j, k in embedded.faces:
-            nvec = np.cross(verts[j] - verts[i], verts[k] - verts[i])
-            norm = float(np.linalg.norm(nvec))
-            if norm == 0.0:
-                continue
-            if sign * float((a - verts[i]) @ nvec) / norm > -tol:
-                return False
-        return True
-    # Flat body: project onto its plane and test the polygon hull.
-    centered = verts - verts.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered)
-    plane = vt[:2]
-    p2 = centered @ plane.T
-    a2 = (a - verts.mean(axis=0)) @ plane.T
-    hull = _planar_hull(p2)
-    for idx in range(len(hull)):
-        p, q = p2[hull[idx]], p2[hull[(idx + 1) % len(hull)]]
-        e = q - p
-        if e[0] * (a2[1] - p[1]) - e[1] * (a2[0] - p[0]) <= tol:
-            return False
-    return True
-
-
 def apex_boundary_distance(embedded: EmbeddedPolytope, apex):
     """Distance from the apex to the boundary of the body.
 

@@ -174,8 +174,9 @@ def edge_badness(l_ij, l_ik, l_jk, l_il, l_jl, q_i, q_j, q_k, q_l):
     The quadrilateral around each edge is laid out with the shared
     diagonal i->j on the x-axis, k above and l below.  The returned value
     is ``q_l - ext(l)`` where ext is the quadratic that takes the values
-    q at i, j, k; positive means the edge is bad.  NaN marks edges the
-    fast path could not resolve (caller redoes them scalar-wise).
+    q at i, j, k; positive means the edge is bad.  NaN marks edges whose
+    quad has a flat triangle (k or l on the line of i->j) or whose value
+    is not finite.
     """
     l_ij = np.asarray(l_ij, dtype=np.float64)
     args = [

@@ -40,9 +40,7 @@ from mpmath.libmp import (
 
 from . import kernels
 from .errors import PyramidError, TriangleError
-from .triangulation import BAD_TOL, CornerMesh, badness_scan
-
-THETA_TOL = 1e-9
+from .triangulation import CornerMesh
 
 # The refinement works on mpmath's raw libmp values (sign, mantissa,
 # exponent, bit count) at the precision and rounding that
@@ -154,10 +152,6 @@ class PyramidBatch:
     omega: np.ndarray
     refined: np.ndarray  # bool: rows recomputed at high precision
 
-    @property
-    def altitude(self):
-        return np.sqrt(np.maximum(self.alt2, 0.0))
-
 
 def _refine_row(raw, f, ell, rad, frame, angle):
     """Overwrite row f of the kernel output with the 50-digit pyramid with
@@ -238,47 +232,24 @@ class CurvatureReport:
     kappa: np.ndarray  # 2*pi minus total apex-edge dihedral, per vertex
     edges: list  # canonical edge slots
     theta: np.ndarray  # total dihedral along each edge
-    total_height: float  # sum r*kappa + sum ell*(pi - theta)
 
 
 class GeneralizedPolytope:
     """A triangulation plus apex radii, with all pyramids solved."""
 
-    def __init__(self, mesh: CornerMesh, r, deficits=None, validate=True):
+    def __init__(self, mesh: CornerMesh, r):
         self.mesh = mesh
         self.r = np.asarray(r, dtype=float)
         if self.r.shape != (mesh.n_vertices,):
             raise ValueError("radius vector does not match the vertex count")
         if np.any(self.r <= 0.0):
             raise PyramidError("radii must be strictly positive")
-        self.deficits = None if deficits is None else np.asarray(deficits, dtype=float)
         self.pyramids = solve_pyramids(mesh.ell, self.r[mesh.vert])
         self._report = None
-        if validate:
-            self.validate()
 
     @property
     def n_vertices(self):
         return self.mesh.n_vertices
-
-    @property
-    def weights(self):
-        return self.r**2
-
-    def validate(self):
-        """Existence (already enforced), weighted-Delaunay goodness, and
-        dihedral convexity, in that order."""
-        _, vals = badness_scan(self.mesh, self.weights)
-        scale = max(1.0, float(self.weights.max()))
-        worst = float(vals.max())
-        if worst > BAD_TOL * scale:
-            raise PyramidError(
-                f"triangulation is not weighted-Delaunay for q = r^2 "
-                f"(worst margin {worst!r})"
-            )
-        rep = self.curvature_report()
-        if np.any(rep.theta > math.pi + THETA_TOL):
-            raise PyramidError("edge dihedral exceeds pi: not convex")
 
     def curvature_report(self) -> CurvatureReport:
         if self._report is not None:
@@ -291,10 +262,7 @@ class GeneralizedPolytope:
         edges = mesh.edges()
         f, s = np.array(edges, dtype=np.int64).reshape(-1, 2).T
         theta = pyr.alpha[f, s] + pyr.alpha[mesh.adj_face[f, s], mesh.adj_side[f, s]]
-        height = float(np.dot(self.r, kappa) + np.dot(mesh.ell[f, s], math.pi - theta))
-        self._report = CurvatureReport(
-            kappa=kappa, edges=edges, theta=theta, total_height=height
-        )
+        self._report = CurvatureReport(kappa=kappa, edges=edges, theta=theta)
         return self._report
 
     @property

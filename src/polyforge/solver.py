@@ -215,9 +215,7 @@ def choose_initial_radius(metric: PolyhedralMetric, mesh: CornerMesh):
     n = mesh.n_vertices
     for _ in range(SEED_DOUBLINGS):
         try:
-            P = GeneralizedPolytope(
-                mesh, np.full(n, radius), deficits=metric.deficits, validate=False
-            )
+            P = GeneralizedPolytope(mesh, np.full(n, radius))
         except _REJECTABLE:
             radius *= 2.0
             continue
@@ -275,9 +273,7 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
         while True:
             iters += 1
             flips_here += weighted_delaunay(mesh, r * r, on_flip=hook)
-            P = GeneralizedPolytope(
-                mesh, r, deficits=state.metric.deficits, validate=False
-            )
+            P = GeneralizedPolytope(mesh, r)
             residual = P.kappa - target
             # Curvature evaluations carry noise of order
             # eps * ||J||_inf * |r|; asking Newton for better than that
@@ -380,20 +376,12 @@ class SolveResult:
         return self.state.r
 
     @property
-    def mesh(self):
-        return self.state.mesh
-
-    @property
     def kappa1(self):
         return self.state.kappa1
 
     @property
     def events(self):
         return self.state.events
-
-    @property
-    def records(self):
-        return self.state.records
 
 
 def start_state(metric: PolyhedralMetric):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class PolyhedralMetric:
     corner_vertex: np.ndarray  # (F, 3) int vertex label per corner
     cone_angles: np.ndarray  # (n,) total angle at each vertex
     deficits: np.ndarray  # (n,) 2*pi - cone angle
-    orbit_members: tuple = field(repr=False)  # per vertex, tuple of (t, c)
 
     @property
     def n_vertices(self):
@@ -82,7 +81,10 @@ class PolyhedralMetric:
         return (3 * self.n_faces) // 2
 
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint sets over 0..n-1 whose representative is the smallest
+    member."""
+
     def __init__(self, n):
         self.parent = list(range(n))
 
@@ -97,8 +99,8 @@ class _UnionFind:
     def union(self, i, j):
         ri, rj = self.find(i), self.find(j)
         if ri != rj:
-            # Keep the smaller index as representative so labels come out
-            # in first-appearance order.
+            # Keep the smaller index as representative, so labels (and
+            # merged regions) come out in first-appearance order.
             if rj < ri:
                 ri, rj = rj, ri
             self.parent[rj] = ri
@@ -225,7 +227,7 @@ def build_metric(dev: Development) -> PolyhedralMetric:
     cone angle fails convexity (deficit must lie strictly in (0, 2*pi)).
     """
     nf = dev.n_faces
-    uf = _UnionFind(3 * nf)
+    uf = UnionFind(3 * nf)
     for (t, s), (t2, s2) in dev.gluings:
         # Heads match tails: side s runs corner (s+1) -> (s+2), its glued
         # partner runs the same segment backwards.
@@ -246,10 +248,6 @@ def build_metric(dev: Development) -> PolyhedralMetric:
             f"glued surface is not a sphere: V-E+F = {n - n_edges + nf}"
         )
 
-    members = [[] for _ in range(n)]
-    for t in range(nf):
-        for c in range(3):
-            members[corner_vertex[t, c]].append((t, c))
     # A triangle that fails the triangle inequality (possible only in a
     # Development built without parse_development) has NaN angles, which
     # fail the deficit band below.
@@ -275,10 +273,4 @@ def build_metric(dev: Development) -> PolyhedralMetric:
         corner_vertex=corner_vertex,
         cone_angles=angles,
         deficits=deficits,
-        orbit_members=tuple(tuple(m) for m in members),
     )
-
-
-def load_metric(text: str) -> PolyhedralMetric:
-    """Parse, validate and glue in one step."""
-    return build_metric(parse_development(text))

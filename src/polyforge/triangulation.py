@@ -17,7 +17,6 @@ terminates because each flip strictly raises the piecewise extension.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections import deque
@@ -27,18 +26,14 @@ import numpy as np
 
 from . import kernels
 from .errors import FlipError, InadmissibleWeightsError, TriangleError
-from .surface import Development, PolyhedralMetric, build_metric
+from .surface import PolyhedralMetric, UnionFind
 
-# An edge is bad when its badness exceeds BAD_TOL * max(1, |q|_inf);
-# equality within FLAT_TOL * the same scale marks it inessential.
+# An edge is bad when its badness exceeds BAD_TOL * max(1, |q|_inf).
 BAD_TOL = 1e-10
-FLAT_TOL = 1e-9
 
 # Interior angles of the developed quadrilateral must clear pi by this
 # much before a flip is executed.
 CONVEXITY_TOL = 1e-10
-
-LENGTH_AGREE_REL = 1e-12
 
 
 @dataclass
@@ -83,10 +78,6 @@ class CornerMesh:
             adj_face[t2, s2], adj_side[t2, s2] = t, s
         return cls(metric.corner_vertex.copy(), dev.sides.copy(), adj_face, adj_side)
 
-    @classmethod
-    def from_development(cls, dev: Development) -> "CornerMesh":
-        return cls.from_metric(build_metric(dev))
-
     def copy(self) -> "CornerMesh":
         return CornerMesh(
             self.vert.copy(), self.ell.copy(), self.adj_face.copy(), self.adj_side.copy()
@@ -119,40 +110,6 @@ class CornerMesh:
 
     def edge_endpoints(self, f, s):
         return int(self.vert[f, (s + 1) % 3]), int(self.vert[f, (s + 2) % 3])
-
-    def cone_angles(self):
-        """Total corner angle accumulated at each vertex."""
-        ang = kernels.tri_angles(self.ell)
-        out = np.zeros(self.n_vertices)
-        np.add.at(out, self.vert.ravel(), ang.ravel())
-        return out
-
-    # -- integrity ----------------------------------------------------
-
-    def validate(self):
-        """Check the corner-table invariants; raises AssertionError."""
-        nf = self.n_faces
-        assert self.vert.shape == (nf, 3)
-        seen = np.zeros(self.n_vertices, dtype=bool)
-        seen[self.vert.ravel()] = True
-        assert seen.all(), "vertex labels are not contiguous"
-        for f in range(nf):
-            for s in range(3):
-                g, s2 = self.neighbor(f, s)
-                assert 0 <= g < nf and 0 <= s2 < 3, "dangling adjacency"
-                assert self.neighbor(g, s2) == (f, s), "adjacency not an involution"
-                assert (g, s2) != (f, s), "side glued to itself"
-                la, lb = self.ell[f, s], self.ell[g, s2]
-                assert abs(la - lb) <= LENGTH_AGREE_REL * max(la, lb), (
-                    f"edge length mismatch at ({f}, {s})"
-                )
-                ta, ha = self.edge_endpoints(f, s)
-                tb, hb = self.edge_endpoints(g, s2)
-                assert (ta, ha) == (hb, tb), "edge direction not reversed across gluing"
-        euler = self.n_vertices - self.n_edges + nf
-        assert euler == 2, f"not a sphere: V-E+F = {euler}"
-        ang = kernels.tri_angles(self.ell)
-        assert np.isfinite(ang).all(), "degenerate face"
 
     # -- serialization (for solver state dumps) ---------------------------
 
@@ -288,50 +245,15 @@ def quad_is_strictly_convex(quad: QuadLayout) -> bool:
 # -- power-style badness -----------------------------------------------
 
 
-def ext_value(p1, p2, p3, q1, q2, q3, target):
-    """Value at ``target`` of the quadratic x -> |x - a|^2 + b that takes
-    the values q1, q2, q3 at the non-collinear points p1, p2, p3."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    p3 = np.asarray(p3, dtype=float)
-    target = np.asarray(target, dtype=float)
-    m = 2.0 * np.stack([p2 - p1, p3 - p1])
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    scale = max(float(np.abs(m).max()) ** 2, 1e-300)
-    if abs(det) <= 1e-12 * scale:
-        raise TriangleError("interpolation points are (nearly) collinear")
-    rhs = np.array(
-        [
-            p2 @ p2 - p1 @ p1 - (q2 - q1),
-            p3 @ p3 - p1 @ p1 - (q3 - q1),
-        ]
-    )
-    a = np.linalg.solve(m, rhs)
-    b = q1 - float((p1 - a) @ (p1 - a))
-    return float((target - a) @ (target - a)) + b
+def badness(mesh, q, f, s):
+    """Badness of the edges with handles (f[e], s[e]): q_l minus the
+    extension through i, j, k, from ``kernels.edge_badness``.
 
-
-def edge_badness_one(mesh, q, f, s):
-    """Badness of a single edge: q_l minus the extension through i, j, k."""
-    quad = mesh.develop_quad(f, s)
-    i, j, k, l = quad.labels
-    ext = ext_value(quad.pi, quad.pj, quad.pk, q[i], q[j], q[k], quad.pl)
-    return float(q[l]) - ext
-
-
-def badness_scan(mesh, q):
-    """Badness for every canonical edge, batched.
-
-    Returns (edges, values); entries the fast kernel could not resolve
-    are recomputed through the scalar path.
+    Raises TriangleError at the first edge whose quad has a flat
+    triangle, where the kernel returns NaN.
     """
-    edges = mesh.edges()
-    idx = np.array(edges, dtype=np.int64)
-    f, s = idx[:, 0], idx[:, 1]
     g = mesh.adj_face[f, s]
     s2 = mesh.adj_side[f, s]
-    q = np.asarray(q, dtype=float)
-
     vals = kernels.edge_badness(
         mesh.ell[f, s],
         mesh.ell[f, (s + 2) % 3],
@@ -343,9 +265,20 @@ def badness_scan(mesh, q):
         q[mesh.vert[f, s]],
         q[mesh.vert[g, s2]],
     )
-    for e in np.flatnonzero(~np.isfinite(vals)):
-        vals[e] = edge_badness_one(mesh, q, *edges[e])
-    return edges, vals
+    flat = np.flatnonzero(np.isnan(vals))
+    if flat.size:
+        e = flat[0]
+        raise TriangleError(
+            f"cannot develop quad at edge ({f[e]}, {s[e]}): flat triangle"
+        )
+    return vals
+
+
+def badness_scan(mesh, q):
+    """Badness for every canonical edge, batched; returns (edges, values)."""
+    edges = mesh.edges()
+    f, s = np.array(edges, dtype=np.int64).T
+    return edges, badness(mesh, np.asarray(q, dtype=float), f, s)
 
 
 # -- the flip algorithm --------------------------------------------------
@@ -358,7 +291,7 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
     InadmissibleWeightsError when a bad edge cannot be flipped and no
     other flip unblocks it, or when ``max_flips`` is exhausted — both
     certify that the weights are not reachable by this triangulation
-    family.
+    family.  Raises TriangleError, as ``badness`` does, on a flat quad.
     """
     q = np.asarray(q, dtype=float)
     if max_flips is None:
@@ -376,7 +309,7 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
     while queue:
         f, s = queue.popleft()
         g, s2 = mesh.neighbor(f, s)
-        if edge_badness_one(mesh, q, f, s) <= tol:
+        if badness(mesh, q, np.array([f]), np.array([s]))[0] <= tol:
             continue
         blocked = g == f or not quad_is_strictly_convex(mesh.develop_quad(f, s))
         if blocked:
@@ -427,24 +360,15 @@ def merge_regions(mesh, flat_slots):
         g, s2 = mesh.neighbor(f, s)
         flat[g, s2] = True
 
-    parent = list(range(mesh.n_faces))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    uf = UnionFind(mesh.n_faces)
     for f in range(mesh.n_faces):
         for s in range(3):
             if flat[f, s]:
-                a, b = find(f), find(int(mesh.adj_face[f, s]))
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
+                uf.union(f, int(mesh.adj_face[f, s]))
 
     members = {}
     for f in range(mesh.n_faces):
-        members.setdefault(find(f), []).append(f)
+        members.setdefault(uf.find(f), []).append(f)
 
     visited = np.zeros((mesh.n_faces, 3), dtype=bool)
     cycles_of = {root: [] for root in members}
@@ -464,7 +388,7 @@ def merge_regions(mesh, flat_slots):
                     g, u = mesh.neighbor(f, t)
                     f, t = g, (u + 1) % 3
                 f, s = f, t
-            cycles_of[find(f0)].append(tuple(cycle))
+            cycles_of[uf.find(f0)].append(tuple(cycle))
 
     out = []
     for root in sorted(members):
@@ -472,47 +396,3 @@ def merge_regions(mesh, flat_slots):
             Region(faces=tuple(sorted(members[root])), cycles=tuple(cycles_of[root]))
         )
     return out
-
-
-@dataclass(frozen=True)
-class Tesselation:
-    """Canonical form of the essential-edge decomposition."""
-
-    regions: tuple  # per region: tuple of cycles; cycle = ((vertex, nm_length), ...)
-    inessential: tuple  # canonical slots of the merged edges
-    digest: str
-
-    @property
-    def n_regions(self):
-        return len(self.regions)
-
-
-def canonical_tesselation(mesh, q):
-    """Merge faces across edges where the Delaunay inequality is tight.
-
-    All edges must already be good.  Boundary words pair the tail vertex
-    label with the edge length rounded to 1e-9, and every cycle is
-    rotated to its lexicographic minimum so that any triangulation of
-    the same tesselation hashes identically.
-    """
-    q = np.asarray(q, dtype=float)
-    scale = max(1.0, float(np.abs(q).max()))
-    edges, vals = badness_scan(mesh, q)
-    assert np.all(vals <= BAD_TOL * scale), "mesh is not weighted-Delaunay"
-
-    flat_slots = [e for e, v in zip(edges, vals) if abs(v) <= FLAT_TOL * scale]
-    regions = merge_regions(mesh, flat_slots)
-
-    def canonical_cycle(cycle):
-        word = []
-        for f, s in cycle:
-            tail = int(mesh.vert[f, (s + 1) % 3])
-            word.append((tail, int(round(mesh.ell[f, s] * 1e9))))
-        rotations = [tuple(word[r:] + word[:r]) for r in range(len(word))]
-        return min(rotations)
-
-    canon = tuple(
-        sorted(tuple(sorted(canonical_cycle(c) for c in reg.cycles)) for reg in regions)
-    )
-    digest = hashlib.sha256(repr(canon).encode()).hexdigest()
-    return Tesselation(regions=canon, inessential=tuple(flat_slots), digest=digest)

@@ -115,7 +115,7 @@ def all_paths(tetra_path, cube_path, hull_paths):
 
 @pytest.fixture(scope="session")
 def sampled_polytopes(all_paths):
-    """About a hundred valid (mesh, r, deficits) states spread over every
+    """About a hundred valid (mesh, r) states spread over every
     path; used as the random-polytope corpus."""
     from polyforge.polytope import GeneralizedPolytope
 
@@ -123,9 +123,5 @@ def sampled_polytopes(all_paths):
     for run in all_paths:
         stride = max(1, len(run.samples) // 5)
         for t, mesh, r in run.samples[::stride]:
-            out.append(
-                GeneralizedPolytope(
-                    mesh, r, deficits=run.metric.deficits, validate=False
-                )
-            )
+            out.append(GeneralizedPolytope(mesh, r))
     return out

@@ -236,9 +236,7 @@ def face_positivity(P, deficits=None):
     vanishes for any exactly-solved pyramid family.
     """
     if deficits is None:
-        deficits = P.deficits
-    if deficits is None:
-        raise ValueError("deficits required (pass them or set them on P)")
+        raise ValueError("deficits required: the metric's, or mesh_deficits(P.mesh)")
     mesh, pyr = P.mesh, P.pyramids
     dec = decompose(dualize(P))
     kappa = P.kappa

@@ -1,0 +1,218 @@
+"""Checks and reference formulas that the tests need and the pipeline does
+not: corner-table invariants, cone angles, the validated construction of
+a generalized polytope, its total height, the scalar badness formula,
+the canonical form of the essential-edge tesselation, and the
+apex-inside test.
+
+This module is a test oracle: nothing in the package imports it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from polyforge import kernels
+from polyforge.embed import EmbeddedPolytope, _planar_hull
+from polyforge.errors import PyramidError, TriangleError
+from polyforge.surface import Development, build_metric
+from polyforge.triangulation import BAD_TOL, CornerMesh, badness_scan, merge_regions
+
+# Glued sides of a valid mesh agree in length to this relative amount.
+LENGTH_AGREE_REL = 1e-12
+
+# An edge dihedral may exceed pi by this much in a convex polytope.
+THETA_TOL = 1e-9
+
+# A good edge whose badness is within FLAT_TOL * max(1, |q|_inf) of zero
+# is inessential: the faces on its two sides lie in one tesselation cell.
+FLAT_TOL = 1e-9
+
+
+# -- meshes --------------------------------------------------------------
+
+
+def mesh_of(dev: Development) -> CornerMesh:
+    """The corner table of a development's own triangulation."""
+    return CornerMesh.from_metric(build_metric(dev))
+
+
+def cone_angles(mesh):
+    """Total corner angle accumulated at each vertex."""
+    out = np.zeros(mesh.n_vertices)
+    np.add.at(out, mesh.vert.ravel(), kernels.tri_angles(mesh.ell).ravel())
+    return out
+
+
+def mesh_deficits(mesh):
+    """2*pi minus the cone angles; flips preserve them."""
+    return 2.0 * math.pi - cone_angles(mesh)
+
+
+def validate_mesh(mesh):
+    """Check the corner-table invariants; raises AssertionError."""
+    nf = mesh.n_faces
+    assert mesh.vert.shape == (nf, 3)
+    seen = np.zeros(mesh.n_vertices, dtype=bool)
+    seen[mesh.vert.ravel()] = True
+    assert seen.all(), "vertex labels are not contiguous"
+    for f in range(nf):
+        for s in range(3):
+            g, s2 = mesh.neighbor(f, s)
+            assert 0 <= g < nf and 0 <= s2 < 3, "dangling adjacency"
+            assert mesh.neighbor(g, s2) == (f, s), "adjacency not an involution"
+            assert (g, s2) != (f, s), "side glued to itself"
+            la, lb = mesh.ell[f, s], mesh.ell[g, s2]
+            assert abs(la - lb) <= LENGTH_AGREE_REL * max(la, lb), (
+                f"edge length mismatch at ({f}, {s})"
+            )
+            ta, ha = mesh.edge_endpoints(f, s)
+            tb, hb = mesh.edge_endpoints(g, s2)
+            assert (ta, ha) == (hb, tb), "edge direction not reversed across gluing"
+    euler = mesh.n_vertices - mesh.n_edges + nf
+    assert euler == 2, f"not a sphere: V-E+F = {euler}"
+    assert np.isfinite(kernels.tri_angles(mesh.ell)).all(), "degenerate face"
+
+
+# -- generalized polytopes -------------------------------------------------
+
+
+def weights(P):
+    """The weights q = r^2 for which P's triangulation is weighted-Delaunay."""
+    return P.r**2
+
+
+def validate_polytope(P):
+    """Weighted-Delaunay goodness, then dihedral convexity (existence is
+    enforced on construction); raises PyramidError, else returns P."""
+    q = weights(P)
+    _, vals = badness_scan(P.mesh, q)
+    scale = max(1.0, float(q.max()))
+    worst = float(vals.max())
+    if worst > BAD_TOL * scale:
+        raise PyramidError(
+            f"triangulation is not weighted-Delaunay for q = r^2 "
+            f"(worst margin {worst!r})"
+        )
+    if np.any(P.curvature_report().theta > math.pi + THETA_TOL):
+        raise PyramidError("edge dihedral exceeds pi: not convex")
+    return P
+
+
+def total_height(P):
+    """sum r*kappa + sum ell*(pi - theta); its gradient in r is kappa."""
+    rep = P.curvature_report()
+    f, s = np.array(rep.edges, dtype=np.int64).reshape(-1, 2).T
+    return float(np.dot(P.r, rep.kappa) + np.dot(P.mesh.ell[f, s], math.pi - rep.theta))
+
+
+# -- badness ---------------------------------------------------------------
+
+
+def ext_value(p1, p2, p3, q1, q2, q3, target):
+    """Value at ``target`` of the quadratic x -> |x - a|^2 + b that takes
+    the values q1, q2, q3 at the non-collinear points p1, p2, p3."""
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    p3 = np.asarray(p3, dtype=float)
+    target = np.asarray(target, dtype=float)
+    m = 2.0 * np.stack([p2 - p1, p3 - p1])
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    scale = max(float(np.abs(m).max()) ** 2, 1e-300)
+    if abs(det) <= 1e-12 * scale:
+        raise TriangleError("interpolation points are (nearly) collinear")
+    rhs = np.array(
+        [
+            p2 @ p2 - p1 @ p1 - (q2 - q1),
+            p3 @ p3 - p1 @ p1 - (q3 - q1),
+        ]
+    )
+    a = np.linalg.solve(m, rhs)
+    b = q1 - float((p1 - a) @ (p1 - a))
+    return float((target - a) @ (target - a)) + b
+
+
+# -- tesselations ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Tesselation:
+    """Canonical form of the essential-edge decomposition."""
+
+    regions: tuple  # per region: tuple of cycles; cycle = ((vertex, nm_length), ...)
+    inessential: tuple  # canonical slots of the merged edges
+    digest: str
+
+    @property
+    def n_regions(self):
+        return len(self.regions)
+
+
+def canonical_tesselation(mesh, q):
+    """Merge faces across edges where the Delaunay inequality is tight.
+
+    All edges must already be good.  Boundary words pair the tail vertex
+    label with the edge length rounded to 1e-9, and every cycle is
+    rotated to its lexicographic minimum so that any triangulation of
+    the same tesselation hashes identically.
+    """
+    q = np.asarray(q, dtype=float)
+    scale = max(1.0, float(np.abs(q).max()))
+    edges, vals = badness_scan(mesh, q)
+    assert np.all(vals <= BAD_TOL * scale), "mesh is not weighted-Delaunay"
+
+    flat_slots = [e for e, v in zip(edges, vals) if abs(v) <= FLAT_TOL * scale]
+    regions = merge_regions(mesh, flat_slots)
+
+    def canonical_cycle(cycle):
+        word = []
+        for f, s in cycle:
+            tail = int(mesh.vert[f, (s + 1) % 3])
+            word.append((tail, int(round(mesh.ell[f, s] * 1e9))))
+        rotations = [tuple(word[r:] + word[:r]) for r in range(len(word))]
+        return min(rotations)
+
+    canon = tuple(
+        sorted(tuple(sorted(canonical_cycle(c) for c in reg.cycles)) for reg in regions)
+    )
+    digest = hashlib.sha256(repr(canon).encode()).hexdigest()
+    return Tesselation(regions=canon, inessential=tuple(flat_slots), digest=digest)
+
+
+# -- embeddings --------------------------------------------------------------
+
+
+def apex_inside(embedded: EmbeddedPolytope, apex, tol=None):
+    """Is the apex interior?  For full-dimensional bodies: strictly below
+    every face plane.  For degenerate (flat) ones: in the relative
+    interior of the supporting polygon."""
+    verts = embedded.vertices
+    a = np.asarray(apex, dtype=float)
+    if tol is None:
+        tol = 1e-9 * max(embedded.diameter, 1.0)
+    if not embedded.degenerate:
+        sign = 1.0 if embedded.volume > 0 else -1.0
+        for i, j, k in embedded.faces:
+            nvec = np.cross(verts[j] - verts[i], verts[k] - verts[i])
+            norm = float(np.linalg.norm(nvec))
+            if norm == 0.0:
+                continue
+            if sign * float((a - verts[i]) @ nvec) / norm > -tol:
+                return False
+        return True
+    # Flat body: project onto its plane and test the polygon hull.
+    centered = verts - verts.mean(axis=0)
+    _, _, vt = np.linalg.svd(centered)
+    plane = vt[:2]
+    p2 = centered @ plane.T
+    a2 = (a - verts.mean(axis=0)) @ plane.T
+    hull = _planar_hull(p2)
+    for idx in range(len(hull)):
+        p, q = p2[hull[idx]], p2[hull[(idx + 1) % len(hull)]]
+        e = q - p
+        if e[0] * (a2[1] - p[1]) - e[1] * (a2[0] - p[0]) <= tol:
+            return False
+    return True

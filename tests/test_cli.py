@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from polyforge import catalog
+from polyforge import catalog, hull, surface
 from polyforge.cli import main
+from polyforge.errors import MetricError
 
 
 @pytest.fixture
@@ -211,6 +212,31 @@ def test_roundtrip_smoke(capsys):
 def test_roundtrip_too_few_points(capsys):
     assert main(["roundtrip", "--points", "3"]) == 2
     assert "at least 4" in capsys.readouterr().err
+
+
+def test_roundtrip_bug_is_not_resampled(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a degenerate hull")
+
+    monkeypatch.setattr(hull, "random_sphere_development", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["roundtrip", "--points", "6"])
+
+
+def test_roundtrip_resamples_bad_metric(monkeypatch, capsys):
+    real = surface.build_metric
+    calls = []
+
+    def first_fails(dev):
+        calls.append(dev)
+        if len(calls) == 1:
+            raise MetricError("degenerate sample")
+        return real(dev)
+
+    monkeypatch.setattr(surface, "build_metric", first_fails)
+    assert main(["roundtrip", "--seed", "1", "--points", "6"]) == 0
+    assert len(calls) == 2
+    assert "congruence RMS" in capsys.readouterr().out
 
 
 def test_twisted_polygon_solves(tmp_path):

@@ -17,6 +17,7 @@ from dual import (
     mixed_volume,
     volume_hessian,
 )
+from oracles import mesh_of, validate_polytope
 from polyforge import catalog
 from polyforge.errors import TriangleError
 from polyforge.jacobian import assemble
@@ -26,9 +27,9 @@ from polyforge.triangulation import CornerMesh
 
 @pytest.fixture
 def tetra_dual():
-    mesh = CornerMesh.from_development(catalog.tetrahedron())
+    mesh = mesh_of(catalog.tetrahedron())
     r = math.sqrt(3.0) * np.array([1.5, 1.62, 1.44, 1.55])
-    P = GeneralizedPolytope(mesh, r)
+    P = validate_polytope(GeneralizedPolytope(mesh, r))
     return P, dualize(P)
 
 
@@ -136,14 +137,14 @@ def test_curvature_jacobian_is_volume_hessian(tetra_dual, cube_path):
     H = volume_hessian(dual)
     assert np.abs(J - H).max() <= 1e-12 * np.abs(J).max()
     t, mesh, r = cube_path.samples[len(cube_path.samples) // 2]
-    P2 = GeneralizedPolytope(mesh, r, validate=False)
+    P2 = GeneralizedPolytope(mesh, r)
     J2, H2 = assemble(P2), volume_hessian(dualize(P2))
     assert np.abs(J2 - H2).max() <= 1e-8 * np.abs(J2).max()
 
 
 def test_flat_diagonals_have_zero_dual_length(cube_metric):
     mesh = CornerMesh.from_metric(cube_metric)
-    P = GeneralizedPolytope(mesh, np.full(8, math.sqrt(3.0) / 2.0))
+    P = validate_polytope(GeneralizedPolytope(mesh, np.full(8, math.sqrt(3.0) / 2.0)))
     dec = decompose(dualize(P))
     flat = np.isclose(dec.lstar, 0.0, atol=1e-9)
     assert flat.any()
@@ -154,7 +155,7 @@ def test_flat_diagonals_have_zero_dual_length(cube_metric):
 def test_non_delaunay_fan_rejected(cube_metric):
     mesh = CornerMesh.from_metric(cube_metric)
     mesh.flip(0, 0)
-    P = GeneralizedPolytope(mesh, np.full(8, 4.0), validate=False)
+    P = GeneralizedPolytope(mesh, np.full(8, 4.0))
     with pytest.raises(TriangleError, match="negative dual edge"):
         decompose(dualize(P))
     dec = decompose(dualize(P), check=False)
@@ -171,8 +172,8 @@ def test_arc_range_enforced(tetra_dual):
 
 def test_face_positivity_balances(tetra_path):
     t, mesh, r = tetra_path.samples[0]
-    P = GeneralizedPolytope(mesh, r, deficits=np.full(4, math.pi), validate=False)
-    positive, residual = face_positivity(P)
+    P = GeneralizedPolytope(mesh, r)
+    positive, residual = face_positivity(P, np.full(4, math.pi))
     assert positive.all()
     np.testing.assert_allclose(residual, 0.0, atol=1e-9)
 
@@ -187,7 +188,7 @@ def test_face_positivity_needs_deficits(tetra_dual):
 
 
 def test_link_ring_closes():
-    mesh = CornerMesh.from_development(catalog.cube())
+    mesh = mesh_of(catalog.cube())
     degrees = np.zeros(8, dtype=int)
     for i in range(8):
         ring = link_ring(mesh, i)
@@ -199,7 +200,7 @@ def test_link_ring_closes():
 
 
 def test_link_ring_missing_vertex():
-    mesh = CornerMesh.from_development(catalog.tetrahedron())
+    mesh = mesh_of(catalog.tetrahedron())
     with pytest.raises(ValueError):
         link_ring(mesh, 99)
 

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import apex_inside, mesh_of
 from polyforge import build_metric, catalog, embed, hull, solve_path
 from polyforge.errors import EmbedError
 from polyforge.polytope import GeneralizedPolytope
-from polyforge.triangulation import CornerMesh
 
 
 @pytest.fixture
@@ -27,7 +27,7 @@ def chord_error(mesh, verts):
 
 def test_tetra_chords_match_metric(tetra_path, tetra_embedded):
     assert tetra_embedded.n_vertices == 4
-    assert chord_error(tetra_path.result.mesh, tetra_embedded.vertices) <= 1e-7
+    assert chord_error(tetra_path.result.state.mesh, tetra_embedded.vertices) <= 1e-7
     assert tetra_embedded.closure_residual <= 1e-6 * tetra_embedded.diameter
     assert not tetra_embedded.degenerate
 
@@ -82,7 +82,7 @@ def test_cube_merges_to_six_squares(cube_path):
     assert len(e.merged_faces) == 6
     assert all(len(face) == 4 for face in e.merged_faces)
     assert e.volume == pytest.approx(1.0, rel=1e-5)
-    assert chord_error(cube_path.result.mesh, e.vertices) <= 1e-7
+    assert chord_error(cube_path.result.state.mesh, e.vertices) <= 1e-7
     # embedded quads are genuinely square
     for face in e.merged_faces:
         cycle = e.vertices[list(face)]
@@ -114,7 +114,7 @@ def test_flat_square_degenerates_cleanly(square_path):
     assert abs(e.volume) <= 1e-8 * e.diameter**3
     assert e.convexity_violation == 0.0
     apex = embed.solve_apex(e.vertices, square_path.result.kappa1)
-    assert embed.apex_inside(e, apex.point)
+    assert apex_inside(e, apex.point)
     # unit-circumradius square: the center sits one apothem from the rim
     assert embed.apex_boundary_distance(e, apex.point) == pytest.approx(
         math.sqrt(0.5), abs=1e-5
@@ -122,13 +122,13 @@ def test_flat_square_degenerates_cleanly(square_path):
 
 
 def test_apex_outside_detected(tetra_embedded):
-    assert not embed.apex_inside(tetra_embedded, np.array([10.0, 0.0, 0.0]))
+    assert not apex_inside(tetra_embedded, np.array([10.0, 0.0, 0.0]))
 
 
 def test_loop_mesh_cannot_embed():
-    mesh = CornerMesh.from_development(catalog.doubly_covered_triangle(1.9, 1.0, 1.0))
+    mesh = mesh_of(catalog.doubly_covered_triangle(1.9, 1.0, 1.0))
     mesh.flip(0, 0)
-    P = GeneralizedPolytope(mesh, np.array([1.3, 1.25, 1.35]), validate=False)
+    P = GeneralizedPolytope(mesh, np.array([1.3, 1.25, 1.35]))
     with pytest.raises(EmbedError, match="loop"):
         embed.place_faces(P)
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from dual import rank_profile
+from oracles import mesh_of, validate_polytope
 from polyforge import catalog
 from polyforge.jacobian import assemble
 from polyforge.polytope import GeneralizedPolytope
-from polyforge.triangulation import CornerMesh
 
 TETRA_CIRCUM = math.sqrt(3.0)
 
@@ -16,24 +16,24 @@ def fd_column(mesh, r, j, h):
     rp, rm = r.copy(), r.copy()
     rp[j] += h
     rm[j] -= h
-    kp = GeneralizedPolytope(mesh, rp, validate=False).kappa
-    km = GeneralizedPolytope(mesh, rm, validate=False).kappa
+    kp = GeneralizedPolytope(mesh, rp).kappa
+    km = GeneralizedPolytope(mesh, rm).kappa
     return (kp - km) / (2.0 * h)
 
 
 def test_tetra_closed_state_is_rank_one():
     # at the circumradius the curvature map degenerates to pure inflation:
     # every entry of the Jacobian is the same positive number
-    mesh = CornerMesh.from_development(catalog.tetrahedron())
-    J = assemble(GeneralizedPolytope(mesh, np.full(4, TETRA_CIRCUM)))
+    mesh = mesh_of(catalog.tetrahedron())
+    J = assemble(validate_polytope(GeneralizedPolytope(mesh, np.full(4, TETRA_CIRCUM))))
     assert J[0, 0] > 0.0
     np.testing.assert_allclose(J, J[0, 0], rtol=1e-9)
 
 
 def test_matches_finite_differences_on_tetra():
-    mesh = CornerMesh.from_development(catalog.tetrahedron())
+    mesh = mesh_of(catalog.tetrahedron())
     r = TETRA_CIRCUM * np.array([1.5, 1.62, 1.44, 1.55])
-    J = assemble(GeneralizedPolytope(mesh, r))
+    J = assemble(validate_polytope(GeneralizedPolytope(mesh, r)))
     for j in range(4):
         fd = fd_column(mesh, r, j, 1e-6 * r[j])
         np.testing.assert_allclose(J[:, j], fd, atol=1e-6)
@@ -42,10 +42,10 @@ def test_matches_finite_differences_on_tetra():
 def test_matches_finite_differences_with_loop_edge():
     # flipping the long side of a doubled obtuse triangle leaves a loop;
     # both directed copies of the loop feed the diagonal entry
-    mesh = CornerMesh.from_development(catalog.doubly_covered_triangle(1.9, 1.0, 1.0))
+    mesh = mesh_of(catalog.doubly_covered_triangle(1.9, 1.0, 1.0))
     mesh.flip(0, 0)
     r = np.array([1.3, 1.25, 1.35])
-    J = assemble(GeneralizedPolytope(mesh, r, validate=False))
+    J = assemble(GeneralizedPolytope(mesh, r))
     for j in range(3):
         fd = fd_column(mesh, r, j, 1e-7)
         np.testing.assert_allclose(J[:, j], fd, atol=1e-6)
@@ -55,7 +55,7 @@ def test_matches_finite_differences_along_paths(tetra_path, cube_path):
     rng = np.random.default_rng(11)
     for path in (tetra_path, cube_path):
         for t, mesh, r in path.samples[:: max(1, len(path.samples) // 3)]:
-            P = GeneralizedPolytope(mesh, r, validate=False)
+            P = GeneralizedPolytope(mesh, r)
             J = assemble(P)
             for j in rng.choice(len(r), size=2, replace=False):
                 fd = fd_column(mesh, r, int(j), 1e-6 * r[j])
@@ -65,14 +65,15 @@ def test_matches_finite_differences_along_paths(tetra_path, cube_path):
 def test_symmetry_is_emergent(tetra_path, cube_path, square_path):
     for path in (tetra_path, cube_path, square_path):
         for t, mesh, r in path.samples:
-            J = assemble(GeneralizedPolytope(mesh, r, validate=False))
+            J = assemble(GeneralizedPolytope(mesh, r))
             scale = max(1.0, float(np.abs(J).max()))
             assert np.abs(J - J.T).max() <= 1e-8 * scale
 
 
 def test_rank_profile_full_rank_when_inflated():
-    mesh = CornerMesh.from_development(catalog.tetrahedron())
-    J = assemble(GeneralizedPolytope(mesh, np.full(4, 2.0 * TETRA_CIRCUM)))
+    mesh = mesh_of(catalog.tetrahedron())
+    P = validate_polytope(GeneralizedPolytope(mesh, np.full(4, 2.0 * TETRA_CIRCUM)))
+    J = assemble(P)
     rp = rank_profile(J)
     assert rp.corank == 0
     assert rp.rank == 4
@@ -83,8 +84,8 @@ def test_rank_profile_full_rank_when_inflated():
 def test_rank_profile_translations_at_closure():
     # kappa = 0: the apex can translate, so the kernel is spanned by the
     # coordinates of the unit vectors from the apex to the vertices
-    mesh = CornerMesh.from_development(catalog.tetrahedron())
-    J = assemble(GeneralizedPolytope(mesh, np.full(4, TETRA_CIRCUM)))
+    mesh = mesh_of(catalog.tetrahedron())
+    J = assemble(validate_polytope(GeneralizedPolytope(mesh, np.full(4, TETRA_CIRCUM))))
     rp = rank_profile(J)
     assert rp.corank == 3
     verts = np.array(

@@ -1,6 +1,9 @@
 """The installed package is the pipeline: every module in it is loaded by
-the command line, so none serves only the tests."""
+the command line, and every function in it runs on some command-line
+input, so none serves only the tests."""
 
+import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +13,11 @@ import polyforge
 # Ready-made developments for users and tests; the solve path never needs them.
 NOT_ON_THE_PIPELINE = {"catalog"}
 
+PACKAGE = Path(polyforge.__file__).resolve().parent
+
 
 def test_cli_loads_every_module():
-    package = Path(polyforge.__file__).parent
-    modules = {p.stem for p in package.glob("*.py") if p.stem != "__init__"}
+    modules = {p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
     probe = (
         "import sys, polyforge.cli; "
         "print(' '.join(m.split('.', 1)[1] for m in sys.modules "
@@ -24,7 +28,104 @@ def test_cli_loads_every_module():
         capture_output=True,
         text=True,
         check=True,
-        cwd=package.parent,
+        cwd=PACKAGE.parent,
     )
     loaded = set(proc.stdout.split())
     assert loaded == modules - NOT_ON_THE_PIPELINE
+
+
+# Runs a small command-line corpus under sys.setprofile and prints the
+# (file, first line) of every package function that was entered.  The
+# corpus: the catalog's own command, which writes its solids, a solid with
+# a progress stream, JSON and merged OBJ output, a flat limit, a roundtrip
+# whose path flips edges, a schema-invalid and a semantically invalid
+# file, and a step budget of 1, which aborts with a state dump.
+_CORPUS = r"""
+import json, os, sys
+from pathlib import Path
+
+from polyforge import catalog, cli
+
+work = Path(sys.argv[1])
+called = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
+
+
+def solve(name, *extra):
+    return cli.main(["solve", str(work / f"{name}.json"),
+                     "--report", str(work / f"{name}.report.json"), *extra])
+
+
+sys.setprofile(profile)
+codes = [
+    catalog.main([str(work)]),
+    cli.main(["validate", str(work / "tetrahedron.json")]),
+    solve("tetrahedron", "--out", str(work / "tetra.json"),
+          "--progress", str(work / "tetra.jsonl")),
+    solve("cube", "--out", str(work / "cube.obj"), "--merge-coplanar"),
+    solve("doubled-triangle", "--out", str(work / "flat.obj")),
+]
+(work / "schema.json").write_text('{"triangles": []}')
+(work / "unglued.json").write_text(
+    '{"triangles": [{"sides": [1, 1, 1]}], "gluings": []}'
+)
+codes += [
+    cli.main(["roundtrip", "--seed", "2", "--points", "6"]),
+    cli.main(["validate", str(work / "schema.json")]),
+    cli.main(["validate", str(work / "unglued.json")]),
+    solve("cube", "--out", str(work / "abort.obj"), "--max-steps", "1"),
+]
+sys.setprofile(None)
+entered = sorted(
+    (os.path.realpath(c.co_filename), c.co_firstlineno) for c in called
+)
+print(json.dumps({"codes": codes, "entered": entered}))
+"""
+
+
+def _package_functions():
+    """(file, first line) -> module.qualname for every function and method
+    in the package sources; the first line of a decorated function is its
+    first decorator's, as in its code object."""
+    out = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[(str(path), first)] = prefix + child.name
+                visit(child, path, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, prefix + child.name + ".")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, path.stem + ".")
+    return out
+
+
+def test_cli_runs_every_function(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _CORPUS, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=PACKAGE.parent,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    # catalog, validate, 3 solves, roundtrip, bad schema, bad metric, abort
+    assert result["codes"] == [0, 0, 0, 0, 0, 0, 1, 2, 3]
+    assert (tmp_path / "cube.report.dump.json").exists()
+
+    entered = {tuple(pair) for pair in result["entered"]}
+    never = sorted(
+        name
+        for key, name in _package_functions().items()
+        if key not in entered and name.split(".", 1)[0] not in NOT_ON_THE_PIPELINE
+    )
+    assert never == []

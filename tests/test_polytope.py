@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mesh_of, total_height, validate_polytope, weights
 from polyforge import catalog
 from polyforge.errors import PyramidError
 from polyforge.polytope import GeneralizedPolytope, solve_pyramids
@@ -20,7 +21,7 @@ TETRA_DIHEDRAL = math.acos(1.0 / 3.0)
 
 def test_unit_regular_pyramid_angles():
     geom = solve_pyramids(np.ones((1, 3)), np.ones((1, 3)))
-    assert geom.altitude[0] ** 2 == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert math.sqrt(geom.alt2[0]) ** 2 == pytest.approx(2.0 / 3.0, rel=1e-12)
     np.testing.assert_allclose(geom.gamma, math.pi / 3.0, atol=1e-12)
     np.testing.assert_allclose(geom.phi, math.pi / 3.0, atol=1e-12)
     np.testing.assert_allclose(geom.rho_t, math.pi / 3.0, atol=1e-12)
@@ -89,7 +90,7 @@ def test_pyramid_matches_explicit_coordinates(data):
     ]
     radii = np.linalg.norm(base - apex, axis=1)
     geom = solve_pyramids(np.array([lengths]), radii[None, :])
-    assert geom.altitude[0] == pytest.approx(apex[2], rel=1e-8, abs=1e-10)
+    assert math.sqrt(geom.alt2[0]) == pytest.approx(apex[2], rel=1e-8, abs=1e-10)
     for s in range(3):
         t, h = (s + 1) % 3, (s + 2) % 3
         want = _dihedral(base[t], base[h], base[s], apex)
@@ -104,8 +105,8 @@ def test_pyramid_matches_explicit_coordinates(data):
 
 
 def tetra_polytope(r):
-    mesh = CornerMesh.from_development(catalog.tetrahedron())
-    return GeneralizedPolytope(mesh, np.full(4, float(r)))
+    mesh = mesh_of(catalog.tetrahedron())
+    return validate_polytope(GeneralizedPolytope(mesh, np.full(4, float(r))))
 
 
 def test_tetra_at_circumradius_closes_up():
@@ -114,7 +115,7 @@ def test_tetra_at_circumradius_closes_up():
     rep = P.curvature_report()
     np.testing.assert_allclose(rep.theta, TETRA_DIHEDRAL, atol=1e-9)
     want = 6.0 * TETRA_EDGE * (math.pi - TETRA_DIHEDRAL)
-    assert rep.total_height == pytest.approx(want, rel=1e-9)
+    assert total_height(P) == pytest.approx(want, rel=1e-9)
 
 
 def test_tetra_inflated_has_positive_curvature():
@@ -125,7 +126,7 @@ def test_tetra_inflated_has_positive_curvature():
 
 def test_cube_at_circumradius_closes_up(cube_metric):
     mesh = CornerMesh.from_metric(cube_metric)
-    P = GeneralizedPolytope(mesh, np.full(8, math.sqrt(3.0) / 2.0))
+    P = validate_polytope(GeneralizedPolytope(mesh, np.full(8, math.sqrt(3.0) / 2.0)))
     np.testing.assert_allclose(P.kappa, 0.0, atol=1e-9)
     rep = P.curvature_report()
     # 12 cube edges at pi/2, 6 face diagonals exactly flat
@@ -144,16 +145,16 @@ def test_solid_angle_excess_balance():
 
 
 def test_total_height_gradient_is_kappa():
-    mesh = CornerMesh.from_development(catalog.tetrahedron())
+    mesh = mesh_of(catalog.tetrahedron())
     r0 = TETRA_CIRCUM * np.array([1.25, 1.31, 1.22, 1.27])
-    kappa = GeneralizedPolytope(mesh, r0).kappa
+    kappa = validate_polytope(GeneralizedPolytope(mesh, r0)).kappa
     h = 1e-6
     for i in range(4):
         rp, rm = r0.copy(), r0.copy()
         rp[i] += h
         rm[i] -= h
-        hp = GeneralizedPolytope(mesh, rp).curvature_report().total_height
-        hm = GeneralizedPolytope(mesh, rm).curvature_report().total_height
+        hp = total_height(validate_polytope(GeneralizedPolytope(mesh, rp)))
+        hm = total_height(validate_polytope(GeneralizedPolytope(mesh, rm)))
         assert (hp - hm) / (2.0 * h) == pytest.approx(kappa[i], abs=1e-6)
 
 
@@ -161,11 +162,11 @@ def test_rejects_non_delaunay_triangulation(cube_metric):
     mesh = CornerMesh.from_metric(cube_metric)
     mesh.flip(0, 0)  # flipping a strictly good edge leaves a bad diagonal
     with pytest.raises(PyramidError, match="weighted-Delaunay"):
-        GeneralizedPolytope(mesh, np.full(8, 4.0))
+        validate_polytope(GeneralizedPolytope(mesh, np.full(8, 4.0)))
 
 
 def test_rejects_bad_radii():
-    mesh = CornerMesh.from_development(catalog.tetrahedron())
+    mesh = mesh_of(catalog.tetrahedron())
     with pytest.raises(ValueError):
         GeneralizedPolytope(mesh, np.ones(3))
     with pytest.raises(PyramidError):
@@ -174,7 +175,7 @@ def test_rejects_bad_radii():
 
 def test_weights_are_squared_radii():
     P = tetra_polytope(2.0)
-    np.testing.assert_allclose(P.weights, 4.0)
+    np.testing.assert_allclose(weights(P), 4.0)
     assert P.n_vertices == 4
 
 
@@ -189,7 +190,7 @@ def test_curvature_report_matches_edge_loop(sampled_polytopes):
             height += float(mesh.ell[f, s]) * (math.pi - theta[-1])
         assert rep.edges == mesh.edges()
         np.testing.assert_array_equal(rep.theta, theta)
-        assert rep.total_height == pytest.approx(height, rel=1e-12)
+        assert total_height(P) == pytest.approx(height, rel=1e-12)
 
 
 def test_report_is_cached():

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from mp_refine import ANGLE_KEYS
 from mp_refine import solve_pyramids as oracle_solve
+from oracles import mesh_of
 
 from polyforge import build_metric, catalog, kernels, polytope, solver
 from polyforge.errors import PyramidError, TriangleError
 from polyforge.polytope import GeneralizedPolytope
 from polyforge.solver import SolverOptions, solve_path
-from polyforge.triangulation import CornerMesh
 
 KEYS = ("alt2", "refined") + ANGLE_KEYS
 
@@ -197,8 +197,8 @@ def test_dead_face_reported_before_a_failing_angle():
 
 def test_each_distinct_angle_once_per_call(monkeypatch):
     # the doubly covered square: mirrored faces repeat every triple
-    mesh = CornerMesh.from_development(catalog.doubly_covered_polygon(4))
-    P = GeneralizedPolytope(mesh, np.full(4, math.sqrt(1.0 + 1e-10)), validate=False)
+    mesh = mesh_of(catalog.doubly_covered_polygon(4))
+    P = GeneralizedPolytope(mesh, np.full(4, math.sqrt(1.0 + 1e-10)))
     ell, rad = P.mesh.ell, P.r[P.mesh.vert]
     assert np.all(P.pyramids.refined)
     keys = set()

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import lapack
 
 from conftest import HULL_CASES
+from oracles import validate_polytope
 from polyforge import catalog, embed, hull, jacobian, solver
 from polyforge.errors import SolverAbort, StepReductionError
 from polyforge.jacobian import assemble
@@ -63,7 +64,7 @@ def test_tetra_path_reaches_circumradius(tetra_path):
 
 
 def test_records_march_downward(cube_path):
-    recs = cube_path.result.records
+    recs = cube_path.result.state.records
     ts = [rec["t"] for rec in recs]
     assert ts[0] == 1.0
     assert all(b < a for a, b in zip(ts, ts[1:]))
@@ -112,7 +113,7 @@ def test_progress_callback_sees_every_record(tetra_metric):
     result = solve_path(
         tetra_metric, SolverOptions(progress=lambda state: seen.append(state.records[-1]))
     )
-    assert seen == result.records
+    assert seen == result.state.records
     assert {"t", "kappa_inf", "flips_so_far", "newton_iters", "cond"} <= set(
         seen[0]
     )
@@ -156,10 +157,10 @@ def test_jacobian_continuous_across_cocircular_wall(cube_metric):
     edges, vals = badness_scan(mesh1, np.ones(8))
     diag = next(e for e, v in zip(edges, vals) if abs(v) <= 1e-9)
     r = np.full(8, 1.02 * math.sqrt(3.0) / 2.0)
-    J1 = assemble(GeneralizedPolytope(mesh1, r))
+    J1 = assemble(validate_polytope(GeneralizedPolytope(mesh1, r)))
     mesh2 = mesh1.copy()
     mesh2.flip(*diag)
-    J2 = assemble(GeneralizedPolytope(mesh2, r, validate=False))
+    J2 = assemble(GeneralizedPolytope(mesh2, r))
     assert np.abs(J1 - J2).max() <= 1e-6 * np.abs(J1).max()
 
 
@@ -236,7 +237,7 @@ def test_lu_matches_svd_along_cube_path(cube_path):
     kappa1 = cube_path.result.kappa1
     conds = []
     for t, mesh, r in cube_path.samples:
-        P = GeneralizedPolytope(mesh, r, deficits=cube_path.metric.deficits, validate=False)
+        P = GeneralizedPolytope(mesh, r)
         conds.append(_check_factor(assemble(P), kappa1))
     assert min(conds) <= 1e5 < max(conds)
 
@@ -333,8 +334,8 @@ def test_flat_limit_never_jumps(square_metric, square_path, monkeypatch):
     assert square_path.result.state.steps_rejected > 0
     monkeypatch.setattr(solver, "T_JUMP", 0.0)
     result = solve_path(square_metric)
-    assert [rec["t"] for rec in result.records] == [
-        rec["t"] for rec in square_path.result.records
+    assert [rec["t"] for rec in result.state.records] == [
+        rec["t"] for rec in square_path.result.state.records
     ]
 
 

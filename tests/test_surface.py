@@ -54,12 +54,6 @@ def test_json_roundtrip(tetra_metric):
     assert again.gluings == dev.gluings
 
 
-def test_load_metric_convenience():
-    text = catalog.cube().to_json()
-    m = surface.load_metric(text)
-    assert m.n_vertices == 8
-
-
 def test_malformed_json():
     with pytest.raises(SchemaError):
         surface.parse_development("{not json")
@@ -186,14 +180,3 @@ def test_nonpositive_deficit_rejected():
     with pytest.raises(MetricError) as err:
         surface.build_metric(dev)
     assert "deficit" in str(err.value).lower() or "cone" in str(err.value).lower()
-
-
-def test_orbit_members_cover_all_corners(cube_metric):
-    seen = set()
-    for members in cube_metric.orbit_members:
-        seen.update(members)
-    assert len(seen) == 3 * cube_metric.n_faces
-    # corner_vertex agrees with the orbit lists
-    for label, members in enumerate(cube_metric.orbit_members):
-        for t, c in members:
-            assert cube_metric.corner_vertex[t, c] == label

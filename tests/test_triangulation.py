@@ -4,22 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from oracles import canonical_tesselation, cone_angles, ext_value, mesh_of, validate_mesh
 from polyforge import catalog, hull
 from polyforge.errors import FlipError, InadmissibleWeightsError, TriangleError
 from polyforge.triangulation import (
     BAD_TOL,
     CornerMesh,
+    badness,
     badness_scan,
-    canonical_tesselation,
-    edge_badness_one,
-    ext_value,
     merge_regions,
     weighted_delaunay,
 )
-
-
-def mesh_of(dev):
-    return CornerMesh.from_development(dev)
 
 
 # -- structural ------------------------------------------------------------
@@ -27,7 +22,7 @@ def mesh_of(dev):
 
 def test_validate_catalog_meshes():
     for make in catalog.NAMED.values():
-        mesh_of(make()).validate()
+        validate_mesh(mesh_of(make()))
 
 
 def test_edge_count_and_euler(cube_metric):
@@ -39,7 +34,7 @@ def test_edge_count_and_euler(cube_metric):
 
 def test_cone_angles_match_metric(cube_metric):
     mesh = CornerMesh.from_metric(cube_metric)
-    np.testing.assert_allclose(mesh.cone_angles(), cube_metric.cone_angles, atol=1e-12)
+    np.testing.assert_allclose(cone_angles(mesh), cube_metric.cone_angles, atol=1e-12)
 
 
 def test_json_roundtrip():
@@ -47,7 +42,7 @@ def test_json_roundtrip():
     again = CornerMesh(**json.loads(mesh.to_json()))
     np.testing.assert_array_equal(again.vert, mesh.vert)
     np.testing.assert_allclose(again.ell, mesh.ell)
-    again.validate()
+    validate_mesh(again)
 
 
 # -- quad development and flips ---------------------------------------------
@@ -61,7 +56,7 @@ def test_rhombus_flip_diagonal():
     assert quad.diagonal == pytest.approx(math.sqrt(3.0), rel=1e-14)
     new_len = mesh.flip(0, 0)
     assert new_len == pytest.approx(math.sqrt(3.0), rel=1e-14)
-    mesh.validate()
+    validate_mesh(mesh)
 
 
 def test_edges_match_corner_walk():
@@ -84,7 +79,7 @@ def test_edges_match_corner_walk():
 
 def test_flip_preserves_cone_angles():
     mesh = mesh_of(catalog.cube())
-    before = mesh.cone_angles()
+    before = cone_angles(mesh)
     flipped = 0
     for f, s in mesh.edges():
         work = mesh.copy()
@@ -92,8 +87,8 @@ def test_flip_preserves_cone_angles():
             work.flip(f, s)
         except FlipError:
             continue
-        work.validate()
-        np.testing.assert_allclose(work.cone_angles(), before, atol=1e-10)
+        validate_mesh(work)
+        np.testing.assert_allclose(cone_angles(work), before, atol=1e-10)
         flipped += 1
     assert flipped > 0
 
@@ -103,7 +98,7 @@ def test_flip_twice_restores_lengths():
     orig = np.sort(mesh.ell.ravel())
     mesh.flip(0, 0)
     mesh.flip(0, 0)  # the new diagonal is side 0 of the rewritten face
-    mesh.validate()
+    validate_mesh(mesh)
     np.testing.assert_allclose(np.sort(mesh.ell.ravel()), orig, atol=1e-12)
 
 
@@ -121,7 +116,7 @@ def test_flip_obtuse_double_creates_loop():
     mesh = mesh_of(catalog.doubly_covered_triangle(1.9, 1.0, 1.0))
     assert mesh.ell[0, 0] == pytest.approx(1.9)
     mesh.flip(0, 0)
-    mesh.validate()
+    validate_mesh(mesh)
     i, j = mesh.edge_endpoints(0, 0)
     assert i == j  # loop
     # the loop edge still develops (the face is laid out twice)
@@ -157,7 +152,7 @@ def test_flip_refuses_nonconvex_quad():
 def test_randomized_flips_keep_metric():
     rng = np.random.default_rng(4)
     mesh = mesh_of(catalog.cube())
-    angles = mesh.cone_angles()
+    angles = cone_angles(mesh)
     for _ in range(200):
         f = int(rng.integers(mesh.n_faces))
         s = int(rng.integers(3))
@@ -165,8 +160,8 @@ def test_randomized_flips_keep_metric():
             mesh.flip(f, s)
         except FlipError:
             continue
-    mesh.validate()
-    np.testing.assert_allclose(mesh.cone_angles(), angles, atol=1e-9)
+    validate_mesh(mesh)
+    np.testing.assert_allclose(cone_angles(mesh), angles, atol=1e-9)
 
 
 # -- badness ----------------------------------------------------------------
@@ -209,10 +204,22 @@ def test_rectangle_diagonal_weights():
     mesh = mesh_of(catalog.doubly_covered_triangle(d, h, w))
     quad = mesh.develop_quad(0, 0)
     assert quad.diagonal == pytest.approx(2.0 * w * h / d, rel=1e-12)
+    one = np.array([0])  # edge (0, 0) alone, as the flip loop rechecks it
     q = np.zeros(mesh.n_vertices)
-    assert edge_badness_one(mesh, q, 0, 0) <= BAD_TOL
+    assert badness(mesh, q, one, one)[0] <= BAD_TOL
     q[mesh.vert[0, 0]] = 1.0  # the right-angle corner (= both far corners)
-    assert edge_badness_one(mesh, q, 0, 0) > BAD_TOL
+    assert badness(mesh, q, one, one)[0] > BAD_TOL
+
+
+def test_flat_quad_raises():
+    # sides (2, 1, 1): the far corner of each copy lies on the long side,
+    # so the quad around it has flat triangles and no badness
+    mesh = mesh_of(catalog.doubly_covered_triangle(1.9, 1.0, 1.0))
+    mesh.ell[:] = (2.0, 1.0, 1.0)
+    with pytest.raises(TriangleError, match="flat triangle"):
+        badness_scan(mesh, np.ones(mesh.n_vertices))
+    with pytest.raises(TriangleError, match="flat triangle"):
+        weighted_delaunay(mesh, np.ones(mesh.n_vertices))
 
 
 def test_polytope_weights_always_good(tetra_path):
@@ -342,7 +349,7 @@ def _scrambled(mesh, seed):
             done += 1
         except FlipError:
             continue
-    work.validate()
+    validate_mesh(work)
     return work, done
 
 
