@@ -25,7 +25,6 @@ from .errors import EmbedError
 from .triangulation import merge_regions
 
 CLOSURE_TOL = 1e-6  # * diameter
-CONVEXITY_TOL = 1e-7  # * diameter
 DEGENERATE_VOL_TOL = 1e-8  # * diameter^3
 MERGE_TOL = 1e-6  # |pi - theta| below this merges the faces
 APEX_TOL = 1e-9  # * total weight
@@ -40,7 +39,6 @@ class EmbeddedPolytope:
     diameter: float
     volume: float  # signed; positive for outward orientation
     degenerate: bool
-    convexity_violation: float
     seed_face: int
     merged_faces: tuple | None = None  # polygons after coplanar merging
     apex: np.ndarray | None = None  # set once solve_apex has run
@@ -162,7 +160,6 @@ def place_faces(P, seed_face=0, merge_coplanar=False, polish_iters=3):
     faces = tuple(tuple(int(v) for v in mesh.vert[f]) for f in range(nf))
     volume = _signed_volume(verts, faces)
     degenerate = abs(volume) <= DEGENERATE_VOL_TOL * diam**3
-    violation = _convexity_violation(verts, faces, degenerate)
 
     merged = None
     if merge_coplanar:
@@ -188,7 +185,6 @@ def place_faces(P, seed_face=0, merge_coplanar=False, polish_iters=3):
         diameter=diam,
         volume=volume,
         degenerate=degenerate,
-        convexity_violation=violation,
         seed_face=f0,
         merged_faces=merged,
     )
@@ -265,29 +261,11 @@ def _polish(mesh, verts, diam, iters):
 
 
 def _signed_volume(verts, faces):
-    c = verts.mean(axis=0)
-    total = 0.0
-    for i, j, k in faces:
-        total += float(np.linalg.det(np.stack([verts[i] - c, verts[j] - c, verts[k] - c])))
-    return total / 6.0
-
-
-def _convexity_violation(verts, faces, degenerate):
-    """Worst signed distance of any vertex above any face plane."""
-    worst = -np.inf
-    for i, j, k in faces:
-        nvec = np.cross(verts[j] - verts[i], verts[k] - verts[i])
-        norm = float(np.linalg.norm(nvec))
-        if norm == 0.0:
-            continue
-        nvec = nvec / norm
-        d = (verts - verts[i]) @ nvec
-        worst = max(worst, float(d.max()))
-    if degenerate:
-        # Flat bodies have every vertex on every plane; the sign test is
-        # meaningless, closure already vouches for them.
-        return 0.0
-    return worst
+    """Six times the volume is the sum of one determinant per face, taken
+    about the centroid.  The determinants are summed in face order, as
+    ``cumsum`` does; ``np.sum`` would pair them up instead."""
+    corners = verts[np.array(faces)] - verts.mean(axis=0)
+    return float(np.cumsum(np.linalg.det(corners))[-1]) / 6.0
 
 
 @dataclass

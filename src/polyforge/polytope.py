@@ -8,11 +8,15 @@ whose altitude is too small to trust; those rows are redone at 50 digits,
 which keeps the late, nearly flat stages of a deformation honest without
 slowing the generic case.
 
-The refinement calls mpmath's ``libmp`` layer on raw values.  It does the
-same operations, in the same order, as the plain ``mpf`` form in
-``tests/mp_refine.py``, and so returns the same doubles to the bit.  On a
-flat limit almost every face is refined, so this path sets the pace of
-those solves.
+The refinement calls mpmath's ``libmp`` layer on raw values.  It places
+the apex and computes the face angles with the same operations, in the
+same order, as the plain ``mpf`` form in ``tests/mp_refine.py``.  The
+dihedrals it takes from the squared edge lengths and the volume, where the
+oracle takes them from coordinates, so they do not share the order of
+operations; that the doubles still agree bit for bit is a checked fact,
+not a property of the construction, and the tests check it.  On a flat
+limit almost every face is refined, so this path sets the pace of those
+solves.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from mpmath.libmp import (
     mpf_div,
     mpf_le,
     mpf_mul,
-    mpf_neg,
     mpf_shift,
     mpf_sqrt,
     mpf_sub,
@@ -72,10 +75,6 @@ def _sqrt(x):
     return mpf_sqrt(x, _PREC, _RND)
 
 
-def _dot(u, v):
-    return _add(_add(_mul(u[0], v[0]), _mul(u[1], v[1])), _mul(u[2], v[2]))
-
-
 def _angle_opp(a, b, c):
     """Angle opposite side ``a`` of the triangle with sides (a, b, c), three
     floats, by the half-angle formula of ``kernels._angle_opp`` at 50 digits;
@@ -98,23 +97,23 @@ def _angle_opp(a, b, c):
 _base_angle = functools.lru_cache(maxsize=1024)(_angle_opp)
 
 
-def _dihedral(e, w1, w2):
-    """Angle between the vectors w1 and w2 after removing their components
-    along e, for vectors of three raw values; returned as the nearest
-    float."""
-    en = _sqrt(_dot(e, e))
-    e = [_div(x, en) for x in e]
-    wings = []
-    for w in (w1, w2):
-        d = _dot(w, e)
-        wings.append([_sub(w[k], _mul(d, e[k])) for k in range(3)])
-    a, b = wings
-    cross = [
-        _sub(_mul(a[1], b[2]), _mul(a[2], b[1])),
-        _sub(_mul(a[2], b[0]), _mul(a[0], b[2])),
-        _sub(_mul(a[0], b[1]), _mul(a[1], b[0])),
-    ]
-    return to_float(mpf_atan2(_sqrt(_dot(cross, cross)), _dot(a, b), _PREC, _RND), rnd=_RND)
+def _dihedral(d2, p, q, w1, w2, sine):
+    """Dihedral angle of a tetrahedron along its edge p -> q, between the
+    faces (p, q, w1) and (p, q, w2); returned as the nearest float.
+
+    ``d2[a][b]`` is the squared length of edge ab as a raw value, and
+    ``sine`` is |pq| * 6V, V the volume.  With e = q - p, a = w1 - p and
+    b = w2 - p, twice a dot product about p is a sum of three squared
+    lengths, 2 a.b = d2[p][w1] + d2[p][w2] - d2[w1][w2].  The projections
+    of a and b off e have the dot product a.b - (a.e)(b.e)/|e|^2 and a
+    cross product of length 6V/|e|; 4 |e|^2 times each is the atan2 pair
+    below, so the angle needs no frame, division or square root."""
+    dp = d2[p]
+    ww = _sub(_add(dp[w1], dp[w2]), d2[w1][w2])
+    qw1 = _sub(_add(dp[q], dp[w1]), d2[q][w1])
+    qw2 = _sub(_add(dp[q], dp[w2]), d2[q][w2])
+    x = _sub(mpf_shift(_mul(dp[q], ww), 1), _mul(qw1, qw2))
+    return to_float(mpf_atan2(mpf_shift(sine, 2), x, _PREC, _RND), rnd=_RND)
 
 
 def _apex_frame(lengths, radii):
@@ -156,16 +155,21 @@ class PyramidBatch:
 def _refine_row(raw, f, ell, rad, frame, angle):
     """Overwrite row f of the kernel output with the 50-digit pyramid with
     side lengths ell, apex distances rad (three floats each) and the given
-    apex frame; ``angle`` evaluates ``_angle_opp``."""
+    apex frame; ``angle`` evaluates ``_angle_opp``.
+
+    The base corners are 0, 1, 2 and the apex is 3.  The dihedrals come
+    from the squared edge lengths, which are exact at this precision, and
+    from six times the volume, base side l2 times base height y2 times apex
+    height, which all six share."""
     alt2, pts = frame
-    # diff[i, j] = pts[i] - pts[j].  Each dihedral works on three of these
-    # differences; a - b and -(b - a) round alike, so one subtraction per
-    # pair serves both orders.
-    diff = {}
-    for i, j in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
-        d = [_sub(pts[i][k], pts[j][k]) for k in range(3)]
-        diff[i, j] = d
-        diff[j, i] = [mpf_neg(x) for x in d]
+    six_v = _mul(_mul(pts[1][0], pts[2][1]), pts[3][2])
+    lengths = [from_float(x) for x in ell]
+    radii = [from_float(x) for x in rad]
+    d2 = [[None] * 4 for _ in range(4)]
+    for s in range(3):
+        t, h = (s + 1) % 3, (s + 2) % 3
+        d2[t][h] = d2[h][t] = _mul(lengths[s], lengths[s])
+        d2[s][3] = d2[3][s] = _mul(radii[s], radii[s])
     raw["alt2"][f] = to_float(alt2, rnd=_RND)
     for c in range(3):
         raw["gamma"][f, c] = _base_angle(ell[c], ell[(c + 1) % 3], ell[(c + 2) % 3])
@@ -174,10 +178,10 @@ def _refine_row(raw, f, ell, rad, frame, angle):
         raw["rho_t"][f, s] = angle(rad[h], rad[t], ell[s])
         raw["rho_h"][f, s] = angle(rad[t], rad[h], ell[s])
         raw["phi"][f, s] = angle(ell[s], rad[t], rad[h])
-        raw["alpha"][f, s] = _dihedral(diff[h, t], diff[s, t], diff[3, t])
+        raw["alpha"][f, s] = _dihedral(d2, t, h, s, 3, _mul(lengths[s], six_v))
     for c in range(3):
         u, v = (c + 1) % 3, (c + 2) % 3
-        raw["omega"][f, c] = _dihedral(diff[c, 3], diff[u, 3], diff[v, 3])
+        raw["omega"][f, c] = _dihedral(d2, 3, c, u, v, _mul(radii[c], six_v))
 
 
 def solve_pyramids(ell, rad) -> PyramidBatch:

@@ -2,9 +2,10 @@
 
 This is the straightforward form of ``polytope``'s high-precision path:
 every quantity an ``mpf`` under ``mp.workdps(50)``, every operator the
-overloaded one.  ``polytope`` runs the same operations in the same order
-on mpmath's raw ``libmp`` layer, so the two must agree bit for bit; the
-tests hold the package to that.
+overloaded one, every dihedral from explicit coordinates.  ``polytope``
+works on mpmath's raw ``libmp`` layer and takes the dihedrals from
+squared edge lengths instead, so the two agree bit for bit by test, not
+by construction; the tests hold the package to that.
 
 This module is a test oracle: nothing in the package imports it.
 """

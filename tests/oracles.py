@@ -1,8 +1,8 @@
 """Checks and reference formulas that the tests need and the pipeline does
 not: corner-table invariants, cone angles, the validated construction of
 a generalized polytope, its total height, the scalar badness formula,
-the canonical form of the essential-edge tesselation, and the
-apex-inside test.
+the canonical form of the essential-edge tesselation, the convexity
+check of an embedding and the apex-inside test.
 
 This module is a test oracle: nothing in the package imports it.
 """
@@ -183,6 +183,24 @@ def canonical_tesselation(mesh, q):
 
 
 # -- embeddings --------------------------------------------------------------
+
+
+def convexity_violation(embedded: EmbeddedPolytope):
+    """Worst signed distance of any vertex above any face plane.  A flat
+    body has every vertex on every plane, where the sign test means
+    nothing; closure already vouches for it, so it scores 0.0."""
+    if embedded.degenerate:
+        return 0.0
+    verts = embedded.vertices
+    worst = -np.inf
+    for i, j, k in embedded.faces:
+        nvec = np.cross(verts[j] - verts[i], verts[k] - verts[i])
+        norm = float(np.linalg.norm(nvec))
+        if norm == 0.0:
+            continue
+        d = (verts - verts[i]) @ (nvec / norm)
+        worst = max(worst, float(d.max()))
+    return worst
 
 
 def apex_inside(embedded: EmbeddedPolytope, apex, tol=None):

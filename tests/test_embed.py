@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import apex_inside, mesh_of
+from oracles import apex_inside, convexity_violation, mesh_of
 from polyforge import build_metric, catalog, embed, hull, solve_path
 from polyforge.errors import EmbedError
 from polyforge.polytope import GeneralizedPolytope
@@ -35,7 +35,7 @@ def test_tetra_chords_match_metric(tetra_path, tetra_embedded):
 def test_tetra_volume_and_convexity(tetra_embedded):
     # unit-edge regular tetrahedron
     assert tetra_embedded.volume == pytest.approx(math.sqrt(2.0) / 12.0, rel=1e-6)
-    assert tetra_embedded.convexity_violation <= 1e-7 * tetra_embedded.diameter
+    assert convexity_violation(tetra_embedded) <= 1e-7 * tetra_embedded.diameter
 
 
 def test_tetra_apex_is_centroid(tetra_path, tetra_embedded):
@@ -112,7 +112,7 @@ def test_flat_square_degenerates_cleanly(square_path):
     e = embed.place_faces(square_path.result.polytope)
     assert e.degenerate
     assert abs(e.volume) <= 1e-8 * e.diameter**3
-    assert e.convexity_violation == 0.0
+    assert convexity_violation(e) == 0.0
     apex = embed.solve_apex(e.vertices, square_path.result.kappa1)
     assert apex_inside(e, apex.point)
     # unit-circumradius square: the center sits one apothem from the rim
@@ -262,3 +262,24 @@ def test_vectorized_spread_and_diameter_match_loops(all_paths, square_path, monk
     assert embed._closure_spread(points, labels) == _loop_closure_spread(points, labels)
     for verts in (points, points[:1], points[:2], points[:130]):
         assert embed._diameter(verts) == _loop_diameter(verts)
+
+
+def _loop_signed_volume(verts, faces):
+    """The per-face loop that volume used to come from."""
+    c = verts.mean(axis=0)
+    total = 0.0
+    for i, j, k in faces:
+        total += float(np.linalg.det(np.stack([verts[i] - c, verts[j] - c, verts[k] - c])))
+    return total / 6.0
+
+
+def test_vectorized_signed_volume_matches_loop(all_paths, square_path):
+    for run in all_paths + [square_path]:
+        e = embed.place_faces(run.result.polytope)
+        assert e.volume == _loop_signed_volume(e.vertices, e.faces), run.name
+    # random triangles over random points, at many magnitudes and both signs
+    rng = np.random.default_rng(5)
+    verts = rng.standard_normal((640, 3)) * np.exp(rng.uniform(-30.0, 5.0, (640, 1)))
+    faces = [tuple(int(v) for v in row) for row in rng.integers(0, 640, (1276, 3))]
+    for m in (1, 2, 37, 1276):
+        assert embed._signed_volume(verts, faces[:m]) == _loop_signed_volume(verts, faces[:m])

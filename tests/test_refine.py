@@ -223,3 +223,24 @@ def test_each_distinct_angle_once_per_call(monkeypatch):
         for key in ANGLE_KEYS:
             assert np.array_equal(getattr(batch, key), getattr(P.pyramids, key))
     assert polytope._base_angle.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_dihedrals_from_squared_lengths_match_the_frame_oracle(scale):
+    # The package takes the dihedrals from squared edge lengths, the oracle
+    # from coordinates: different operations, so agreement is checked, not
+    # built in.  Below alt2_rel of about 1e-16 the rounding of the radii
+    # sets the altitude, and some rows have no pyramid at all.
+    rng = np.random.default_rng(23)
+    alt2_rel = 10.0 ** rng.uniform(-30.0, -9.0, 300)
+    ell, rad = _pyramids(rng, 300, alt2_rel)
+    ell, rad = ell * scale, rad * scale
+    assert np.all(kernels.face_pyramids(ell, rad)["ok"] != 1)
+    outcomes = [assert_matches_oracle(ell[f : f + 1], rad[f : f + 1]) for f in range(300)]
+    live = [f for f, o in enumerate(outcomes) if isinstance(o, dict)]
+    assert len(live) >= 180
+    want = assert_matches_oracle(ell[live], rad[live])
+    # a nearly flat pyramid folds its lateral face back over the base
+    # (alpha near 0) unless the apex lies beyond that side (alpha near pi)
+    outside = (want["alpha"] > math.pi / 2).any(axis=1)
+    assert outside.sum() >= len(live) // 2 and (~outside).sum() >= 10
