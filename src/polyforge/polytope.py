@@ -9,14 +9,15 @@ which keeps the late, nearly flat stages of a deformation honest without
 slowing the generic case.
 
 The refinement calls mpmath's ``libmp`` layer on raw values.  It places
-the apex and computes the face angles with the same operations, in the
-same order, as the plain ``mpf`` form in ``tests/mp_refine.py``.  The
-dihedrals it takes from the squared edge lengths and the volume, where the
-oracle takes them from coordinates, so they do not share the order of
-operations; that the doubles still agree bit for bit is a checked fact,
-not a property of the construction, and the tests check it.  On a flat
-limit almost every face is refined, so this path sets the pace of those
-solves.
+the apex with the same operations, in the same order, as the plain ``mpf``
+form in ``tests/mp_refine.py``.  The angles and the dihedrals it computes
+differently: all three angles of a triangle from one Heron root, where the
+oracle takes each angle by its own half-angle formula, and the dihedrals
+from the squared edge lengths and the volume, where the oracle takes them
+from coordinates.  So they do not share the oracle's order of operations;
+that the doubles still agree bit for bit is a checked fact, not a
+property of the construction, and the tests check it.  On a flat limit
+almost every face is refined, so this path sets the pace of those solves.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from mpmath.libmp import (
     mpf_div,
     mpf_le,
     mpf_mul,
+    mpf_pi,
     mpf_shift,
     mpf_sqrt,
     mpf_sub,
@@ -75,26 +77,47 @@ def _sqrt(x):
     return mpf_sqrt(x, _PREC, _RND)
 
 
-def _angle_opp(a, b, c):
-    """Angle opposite side ``a`` of the triangle with sides (a, b, c), three
-    floats, by the half-angle formula of ``kernels._angle_opp`` at 50 digits;
-    returned as the nearest float."""
-    a, b, c = from_float(a), from_float(b), from_float(c)
+_HALF_PI = mpf_shift(mpf_pi(_PREC, _RND), -1)
+
+
+def _tri_angles(sides, raws):
+    """The three angles of the triangle with the given sides, as nearest
+    floats, the k-th opposite sides[k]; ``sides`` are three floats and
+    ``raws`` the same three as raw values.
+
+    The half-angle formula of ``kernels._angle_opp``, tan(A/2) =
+    sqrt(sb sc / (s sa)), is atan2(K, s sa) with Heron's root K =
+    sqrt(s sa sb sc), so one root serves all three angles.  The sums s, sa,
+    sb and sc are exact at this precision unless one side is more than
+    about 2^110 times another.  The angle opposite the longest side is at
+    least pi/3, so it is pi minus the other two without losing digits.
+    The oracle evaluates each angle by its own half-angle formula; that
+    the doubles agree is checked by test."""
+    a, b, c = raws
     ab = _add(a, b)
-    sa = mpf_shift(_sub(_add(b, c), a), -1)
-    sb = mpf_shift(_sub(_add(c, a), b), -1)
-    sc = mpf_shift(_sub(ab, c), -1)
-    s = mpf_shift(_add(ab, c), -1)
-    if mpf_le(sa, fzero) or mpf_le(sb, fzero) or mpf_le(sc, fzero):
+    excess = (
+        mpf_shift(_sub(_add(b, c), a), -1),
+        mpf_shift(_sub(_add(c, a), b), -1),
+        mpf_shift(_sub(ab, c), -1),
+    )
+    if any(mpf_le(x, fzero) for x in excess):
         raise TriangleError("degenerate triangle in high-precision pyramid solve")
-    half = mpf_atan2(_sqrt(_mul(sb, sc)), _sqrt(_mul(s, sa)), _PREC, _RND)
-    return to_float(mpf_shift(half, 1), rnd=_RND)
+    s = mpf_shift(_add(ab, c), -1)
+    area = _sqrt(_mul(_mul(s, excess[0]), _mul(excess[1], excess[2])))
+    x, y, z = sides
+    longest = 0 if x >= y and x >= z else 1 if y >= z else 2
+    i, j = (longest + 1) % 3, (longest + 2) % 3
+    half = [None] * 3
+    half[i] = mpf_atan2(area, _mul(s, excess[i]), _PREC, _RND)
+    half[j] = mpf_atan2(area, _mul(s, excess[j]), _PREC, _RND)
+    half[longest] = _sub(_HALF_PI, _add(half[i], half[j]))
+    return tuple(to_float(mpf_shift(h, 1), rnd=_RND) for h in half)
 
 
 # The base angles depend on the side lengths alone, which change only when
 # an edge flips, so they are also kept across calls, in bounded memory.
 # The function is pure: what the cache holds changes no result.
-_base_angle = functools.lru_cache(maxsize=1024)(_angle_opp)
+_base_angles = functools.lru_cache(maxsize=1024)(_tri_angles)
 
 
 def _dihedral(d2, p, q, w1, w2, sine):
@@ -118,13 +141,16 @@ def _dihedral(d2, p, q, w1, w2, sine):
 
 def _apex_frame(lengths, radii):
     """Place one pyramid at 50 digits: base corners 0, 1, 2 in the plane
-    and the apex 3 above it, from the side lengths and apex distances (three
-    floats each).  Returns (alt2, points) as raw values, or None when the
-    squared altitude is non-positive (no pyramid)."""
-    l0, l1, l2 = (from_float(x) for x in lengths)
-    q0, q1, q2 = (_mul(r, r) for r in map(from_float, radii))
-    l1l1, l2l2 = _mul(l1, l1), _mul(l2, l2)
-    x2 = _div(_sub(_add(l1l1, l2l2), _mul(l0, l0)), mpf_shift(l2, 1))
+    and the apex 3 above it, from the side lengths and apex distances (two
+    lists of three floats).  Returns (alt2, points, sides, squares) as raw
+    values, where ``sides`` holds the six inputs, lengths first, and
+    ``squares`` their squares; or None when the squared altitude is
+    non-positive (no pyramid)."""
+    sides = [from_float(x) for x in lengths + radii]
+    squares = [_mul(x, x) for x in sides]
+    l0, l1, l2 = sides[:3]
+    l0l0, l1l1, l2l2, q0, q1, q2 = squares
+    x2 = _div(_sub(_add(l1l1, l2l2), l0l0), mpf_shift(l2, 1))
     y2sq = _mul(_sub(l1, x2), _add(l1, x2))
     if mpf_le(y2sq, fzero):
         raise TriangleError("degenerate base triangle")
@@ -135,7 +161,7 @@ def _apex_frame(lengths, radii):
     if mpf_le(alt2, fzero):
         return None
     points = ((fzero, fzero, fzero), (l2, fzero, fzero), (x2, y2, fzero), (xa, ya, _sqrt(alt2)))
-    return alt2, points
+    return alt2, points, sides, squares
 
 
 @dataclass
@@ -152,32 +178,39 @@ class PyramidBatch:
     refined: np.ndarray  # bool: rows recomputed at high precision
 
 
-def _refine_row(raw, f, ell, rad, frame, angle):
+def _refine_row(raw, f, ell, rad, frame, memo):
     """Overwrite row f of the kernel output with the 50-digit pyramid with
     side lengths ell, apex distances rad (three floats each) and the given
-    apex frame; ``angle`` evaluates ``_angle_opp``.
+    apex frame.  ``memo`` holds the angles of the lateral triangles met so
+    far, keyed by (shorter radius, longer radius, base side).
 
     The base corners are 0, 1, 2 and the apex is 3.  The dihedrals come
     from the squared edge lengths, which are exact at this precision, and
     from six times the volume, base side l2 times base height y2 times apex
     height, which all six share."""
-    alt2, pts = frame
+    alt2, pts, sides, squares = frame
+    lengths, radii = sides[:3], sides[3:]
     six_v = _mul(_mul(pts[1][0], pts[2][1]), pts[3][2])
-    lengths = [from_float(x) for x in ell]
-    radii = [from_float(x) for x in rad]
     d2 = [[None] * 4 for _ in range(4)]
     for s in range(3):
         t, h = (s + 1) % 3, (s + 2) % 3
-        d2[t][h] = d2[h][t] = _mul(lengths[s], lengths[s])
-        d2[s][3] = d2[3][s] = _mul(radii[s], radii[s])
+        d2[t][h] = d2[h][t] = squares[s]
+        d2[s][3] = d2[3][s] = squares[3 + s]
     raw["alt2"][f] = to_float(alt2, rnd=_RND)
-    for c in range(3):
-        raw["gamma"][f, c] = _base_angle(ell[c], ell[(c + 1) % 3], ell[(c + 2) % 3])
+    raw["gamma"][f] = _base_angles(tuple(ell), tuple(lengths))
     for s in range(3):
         t, h = (s + 1) % 3, (s + 2) % 3
-        raw["rho_t"][f, s] = angle(rad[h], rad[t], ell[s])
-        raw["rho_h"][f, s] = angle(rad[t], rad[h], ell[s])
-        raw["phi"][f, s] = angle(ell[s], rad[t], rad[h])
+        # The twin side of an edge swaps tail and head, so the key orders
+        # the radii and both sides share one entry.
+        lo, hi = (h, t) if rad[h] < rad[t] else (t, h)
+        key = (rad[lo], rad[hi], ell[s])
+        angles = memo.get(key)
+        if angles is None:
+            angles = memo[key] = _tri_angles(key, (radii[lo], radii[hi], lengths[s]))
+        at_lo, at_hi, phi = angles
+        # rho_t lies opposite the head's radius, rho_h opposite the tail's
+        raw["rho_t"][f, s], raw["rho_h"][f, s] = (at_hi, at_lo) if lo == t else (at_lo, at_hi)
+        raw["phi"][f, s] = phi
         raw["alpha"][f, s] = _dihedral(d2, t, h, s, 3, _mul(lengths[s], six_v))
     for c in range(3):
         u, v = (c + 1) % 3, (c + 2) % 3
@@ -193,8 +226,8 @@ def solve_pyramids(ell, rad) -> PyramidBatch:
     without a pyramid is reported before any angle is evaluated.  The
     second evaluates the angles.  A Euclidean angle depends only on its
     three side lengths, and the twin sides of an edge (and the mirrored
-    faces of a doubly covered surface) repeat the same triple, so each
-    distinct triple is evaluated once per call.
+    faces of a doubly covered surface) repeat the same lateral triangle,
+    so each distinct lateral triangle is evaluated once per call.
     """
     ell = np.asarray(ell, dtype=float)
     rad = np.asarray(rad, dtype=float)
@@ -213,9 +246,9 @@ def solve_pyramids(ell, rad) -> PyramidBatch:
     if dead:
         raise PyramidError(f"no apex pyramid over faces {dead}")
 
-    angle = functools.cache(_angle_opp)  # memo for this call only
+    memo = {}  # lateral triangles, for this call only
     for f, (lengths, radii, frame) in frames.items():
-        _refine_row(raw, f, lengths, radii, frame, angle)
+        _refine_row(raw, f, lengths, radii, frame, memo)
         refined[f] = True
     return PyramidBatch(
         alt2=raw["alt2"],

@@ -292,6 +292,11 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
     other flip unblocks it, or when ``max_flips`` is exhausted — both
     certify that the weights are not reachable by this triangulation
     family.  Raises TriangleError, as ``badness`` does, on a flat quad.
+
+    The badness of (f, s) reads only the rows of f and of its neighbour
+    across s, and a flip writes only the rows of its two faces and points
+    outer sides at them.  So while neither face has been flipped, an
+    edge's verdict is the one the initial scan gave it.
     """
     q = np.asarray(q, dtype=float)
     if max_flips is None:
@@ -303,13 +308,19 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
     if np.all(vals <= tol):
         return 0
 
+    scanned = dict(zip(edges, (vals > tol).tolist()))
+    rewritten = set()
     queue = deque(edges)
     flips = 0
     stalled = 0
     while queue:
         f, s = queue.popleft()
         g, s2 = mesh.neighbor(f, s)
-        if badness(mesh, q, np.array([f]), np.array([s]))[0] <= tol:
+        if f in rewritten or g in rewritten:
+            bad = badness(mesh, q, np.array([f]), np.array([s]))[0] > tol
+        else:
+            bad = scanned[f, s]
+        if not bad:
             continue
         blocked = g == f or not quad_is_strictly_convex(mesh.develop_quad(f, s))
         if blocked:
@@ -327,6 +338,7 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
             # in its pre-flip state.
             on_flip(mesh, f, s)
         mesh.flip(f, s)
+        rewritten.update((f, g))
         flips += 1
         stalled = 0
         if flips > max_flips:

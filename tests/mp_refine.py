@@ -2,10 +2,12 @@
 
 This is the straightforward form of ``polytope``'s high-precision path:
 every quantity an ``mpf`` under ``mp.workdps(50)``, every operator the
-overloaded one, every dihedral from explicit coordinates.  ``polytope``
-works on mpmath's raw ``libmp`` layer and takes the dihedrals from
-squared edge lengths instead, so the two agree bit for bit by test, not
-by construction; the tests hold the package to that.
+overloaded one, every angle by its own half-angle formula, every
+dihedral from explicit coordinates.  ``polytope`` works on mpmath's raw
+``libmp`` layer, takes all three angles of a triangle from one Heron
+root and the dihedrals from squared edge lengths instead, so the two
+agree bit for bit by test, not by construction; the tests hold the
+package to that.
 
 This module is a test oracle: nothing in the package imports it.
 """

@@ -1,8 +1,9 @@
 """Checks and reference formulas that the tests need and the pipeline does
 not: corner-table invariants, cone angles, the validated construction of
 a generalized polytope, its total height, the scalar badness formula,
-the canonical form of the essential-edge tesselation, the convexity
-check of an embedding and the apex-inside test.
+the flip loop that rechecks every edge, the canonical form of the
+essential-edge tesselation, the convexity check of an embedding and the
+apex-inside test.
 
 This module is a test oracle: nothing in the package imports it.
 """
@@ -11,15 +12,23 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from polyforge import kernels
 from polyforge.embed import EmbeddedPolytope, _planar_hull
-from polyforge.errors import PyramidError, TriangleError
+from polyforge.errors import InadmissibleWeightsError, PyramidError, TriangleError
 from polyforge.surface import Development, build_metric
-from polyforge.triangulation import BAD_TOL, CornerMesh, badness_scan, merge_regions
+from polyforge.triangulation import (
+    BAD_TOL,
+    CornerMesh,
+    badness,
+    badness_scan,
+    merge_regions,
+    quad_is_strictly_convex,
+)
 
 # Glued sides of a valid mesh agree in length to this relative amount.
 LENGTH_AGREE_REL = 1e-12
@@ -110,6 +119,49 @@ def total_height(P):
 
 
 # -- badness ---------------------------------------------------------------
+
+
+def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
+    """``triangulation.weighted_delaunay`` as it was before it kept the
+    initial scan's verdicts: every popped edge is rechecked on its own."""
+    q = np.asarray(q, dtype=float)
+    if max_flips is None:
+        max_flips = 100 * mesh.n_edges**2
+    scale = max(1.0, float(np.abs(q).max()))
+    tol = BAD_TOL * scale
+
+    edges, vals = badness_scan(mesh, q)
+    if np.all(vals <= tol):
+        return 0
+
+    queue = deque(edges)
+    flips = 0
+    stalled = 0
+    while queue:
+        f, s = queue.popleft()
+        g, s2 = mesh.neighbor(f, s)
+        if badness(mesh, q, np.array([f]), np.array([s]))[0] <= tol:
+            continue
+        blocked = g == f or not quad_is_strictly_convex(mesh.develop_quad(f, s))
+        if blocked:
+            queue.append((f, s))
+            stalled += 1
+            if stalled > len(queue) + 1:
+                raise InadmissibleWeightsError(
+                    f"bad edge ({f}, {s}) cannot be flipped and no flip unblocks it"
+                )
+            continue
+
+        if on_flip is not None:
+            on_flip(mesh, f, s)
+        mesh.flip(f, s)
+        flips += 1
+        stalled = 0
+        if flips > max_flips:
+            raise InadmissibleWeightsError(f"flip budget {max_flips} exhausted")
+        for cand in ((f, 1), (f, 2), (g, 1), (g, 2)):
+            queue.append(cand)
+    return flips
 
 
 def ext_value(p1, p2, p3, q1, q2, q3, target):

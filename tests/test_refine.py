@@ -1,13 +1,16 @@
 """The 50-digit refinement of ``polytope.solve_pyramids`` against the
 mpf-object oracle of ``tests/mp_refine.py``: every output bit for bit,
-the same exceptions, the two-phase order and the per-call angle memo."""
+the same exceptions, the two-phase order, the per-call triangle memo,
+and the triangle angles one at a time."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from mp_refine import ANGLE_KEYS
+from mp_refine import ANGLE_KEYS, _mp_angle_opp
 from mp_refine import solve_pyramids as oracle_solve
+from mpmath import libmp
 from oracles import mesh_of
 
 from polyforge import build_metric, catalog, kernels, polytope, solver
@@ -168,7 +171,7 @@ def test_dead_face_stops_before_any_angle(monkeypatch):
 
         return wrapper
 
-    for name in ("_angle_opp", "_base_angle", "_dihedral"):
+    for name in ("_tri_angles", "_base_angles", "_dihedral"):
         monkeypatch.setattr(polytope, name, counted(name))
     with pytest.raises(PyramidError) as exc:
         polytope.solve_pyramids(ell, rad)
@@ -196,9 +199,13 @@ def test_dead_face_reported_before_a_failing_angle():
 
 
 def test_each_distinct_angle_once_per_call(monkeypatch):
-    # the doubly covered square: mirrored faces repeat every triple
+    # The doubly covered square: the twin sides of an edge and the mirrored
+    # faces repeat every lateral triangle (r_t, r_h, ell), and a twin lists
+    # its radii the other way round.  The radii differ, so a memo keyed on
+    # their order would evaluate a triangle twice.
     mesh = mesh_of(catalog.doubly_covered_polygon(4))
-    P = GeneralizedPolytope(mesh, np.full(4, math.sqrt(1.0 + 1e-10)))
+    radii = np.sqrt(1.0 + 1e-10 * np.arange(1.0, 5.0))
+    P = GeneralizedPolytope(mesh, radii)
     ell, rad = P.mesh.ell, P.r[P.mesh.vert]
     assert np.all(P.pyramids.refined)
     keys = set()
@@ -206,23 +213,109 @@ def test_each_distinct_angle_once_per_call(monkeypatch):
         l, r = ell[f].tolist(), rad[f].tolist()
         for s in range(3):
             t, h = (s + 1) % 3, (s + 2) % 3
-            keys |= {(r[h], r[t], l[s]), (r[t], r[h], l[s]), (l[s], r[t], r[h])}
+            keys.add((min(r[t], r[h]), max(r[t], r[h]), l[s]))
     evaluated = []
-    original = polytope._angle_opp
+    original = polytope._tri_angles
 
-    def counted(a, b, c):
-        evaluated.append((a, b, c))
-        return original(a, b, c)
+    def counted(sides, raws):
+        evaluated.append(sides)
+        return original(sides, raws)
 
-    monkeypatch.setattr(polytope, "_angle_opp", counted)
+    monkeypatch.setattr(polytope, "_tri_angles", counted)
     for _ in range(2):  # the memo is per call: a second call evaluates again
         evaluated.clear()
         batch = polytope.solve_pyramids(ell, rad)
         assert sorted(evaluated) == sorted(keys)
-        assert 9 * len(ell) > len(keys)
+        assert 3 * len(ell) > len(keys) > 1
         for key in ANGLE_KEYS:
             assert np.array_equal(getattr(batch, key), getattr(P.pyramids, key))
-    assert polytope._base_angle.cache_info().maxsize is not None
+    assert polytope._base_angles.cache_info().maxsize is not None
+
+
+def _angle_outcomes(sides):
+    """All three angles of the triangle with the given float sides, the
+    k-th opposite sides[k], from ``polytope._tri_angles`` and from the
+    oracle's half-angle formula, one angle at a time; either may be the
+    error raised, as (type, text)."""
+
+    def package():
+        return polytope._tri_angles(sides, tuple(libmp.from_float(x) for x in sides))
+
+    def oracle():
+        with mpmath.workdps(50):
+            a, b, c = (mpmath.mpf(x) for x in sides)
+            return tuple(float(_mp_angle_opp(*abc)) for abc in ((a, b, c), (b, c, a), (c, a, b)))
+
+    out = []
+    for solve in package, oracle:
+        try:
+            out.append(solve())
+        except TriangleError as exc:
+            out.append((TriangleError, str(exc)))
+    return out
+
+
+def _triangles(rng, n):
+    """n random triangles of each kind as (n, 3) side arrays, in random
+    order within each row: generic, needles (shortest side about 1e-12 of
+    the others), nearly degenerate obtuse (the longest side short of the
+    other two by about 1e-15 of it) and ties for the longest side."""
+    pts = rng.uniform(-1.0, 1.0, (n, 3, 2))
+    generic = np.linalg.norm(pts - np.roll(pts, 1, axis=1), axis=2)
+    long_ = rng.uniform(0.5, 2.0, n)
+    short = long_ * 10.0 ** rng.uniform(-12.5, -11.5, n)
+    needles = np.stack([long_, long_ + short * rng.uniform(-0.99, 0.99, n), short], axis=1)
+    b, c = rng.uniform(0.2, 2.0, n), rng.uniform(0.2, 2.0, n)
+    obtuse = np.stack([(b + c) * (1.0 - 10.0 ** rng.uniform(-15.5, -14.5, n)), b, c], axis=1)
+    tied = np.stack([long_, long_, long_ * rng.uniform(0.0, 1.0, n)], axis=1)
+    tied[: n // 4, 2] = long_[: n // 4]  # equilateral
+    tied[n // 4 : n // 2, 2] = short[n // 4 : n // 2]  # tied needles
+    rows = np.concatenate([generic, needles, obtuse, tied])
+    return rng.permuted(rows, axis=1)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_triangle_angles_match_the_half_angle_oracle(scale):
+    # _tri_angles takes one Heron root for all three angles and the angle
+    # at the longest side as pi minus the other two; the oracle takes each
+    # angle by its own half-angle formula, so agreement is checked, not
+    # built in.
+    rng = np.random.default_rng(29)
+    rows = _triangles(rng, 120) * scale
+    angles = []
+    for sides in rows.tolist():
+        got, want = _angle_outcomes(tuple(sides))
+        assert got == want, sides
+        angles.append(want)
+    angles = np.array(angles)
+    assert np.allclose(angles.sum(axis=1), math.pi, rtol=1e-15)
+    assert angles.min() < 1e-11 and angles.max() > math.pi - 1e-6
+
+
+def test_triangle_angles_of_degenerate_and_non_finite_sides():
+    nan, inf = math.nan, math.inf
+    ulp = 2.0**-52
+    cases = [
+        (2.0, 1.0, 1.0),
+        (2.0 - ulp, 1.0, 1.0),
+        (2.0, 1.0, 1.0 - ulp / 2),
+        (1.0, 0.0, 1.0),
+        (-1.0, 5.0, 5.0),
+        (1e300, 1e300, 1.0),
+        (nan, 1.0, 1.0),
+        (inf, 1.0, 1.0),
+        (inf, inf, 1.0),
+        (inf, inf, inf),
+        (-inf, 1.0, 1.0),
+    ]
+    for sides in cases:
+        for k in range(3):
+            rotated = sides[k:] + sides[:k]
+            got, want = _angle_outcomes(rotated)
+            if isinstance(want[0], type):
+                assert got == want
+            else:
+                assert np.array_equal(got, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])

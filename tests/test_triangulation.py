@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import canonical_tesselation, cone_angles, ext_value, mesh_of, validate_mesh
 from polyforge import catalog, hull
 from polyforge.errors import FlipError, InadmissibleWeightsError, TriangleError
@@ -351,6 +352,50 @@ def _scrambled(mesh, seed):
             continue
     validate_mesh(work)
     return work, done
+
+
+def _flip_trace(flip_loop, mesh, q, **kw):
+    """What a flip loop did: its flip count or InadmissibleWeightsError
+    message, every on_flip call with the mesh it saw, and the final mesh."""
+    hooks = []
+
+    def on_flip(m, f, s):
+        hooks.append((f, s, m.to_json()))
+
+    try:
+        out = flip_loop(mesh, q, on_flip=on_flip, **kw)
+    except InadmissibleWeightsError as exc:
+        out = str(exc)
+    return out, hooks, mesh.to_json()
+
+
+def test_flip_loop_matches_the_recheck_every_edge_reference():
+    # The loop takes an edge's verdict from the initial scan until a flip
+    # rewrites one of its faces; the reference rechecks every popped edge.
+    # Scrambled meshes need many flips; random weights on the hulls' own
+    # meshes mostly block a bad edge for good; a small budget runs out.
+    flips, outcomes = 0, set()
+    for n in (20, 40):
+        for seed in range(3):
+            dev, _, _ = hull.random_sphere_development(n, seed=seed)
+            base = mesh_of(dev)
+            rng = np.random.default_rng(100 * n + seed)
+            scrambled, _ = _scrambled(base, seed)
+            for mesh, spread, budget in (
+                (scrambled, 0.02, None),
+                (scrambled, 0.05, None),
+                (scrambled, 0.02, 5),
+                (base, 0.5, None),
+            ):
+                q = rng.uniform(0.0, spread, base.n_vertices) * float(base.ell.max()) ** 2
+                want = _flip_trace(oracles.weighted_delaunay, mesh.copy(), q, max_flips=budget)
+                got = _flip_trace(weighted_delaunay, mesh.copy(), q, max_flips=budget)
+                assert got == want
+                flips += len(want[1])
+                outcomes.add(want[0] if isinstance(want[0], int) else want[0].split()[0])
+    assert flips >= 300
+    assert {"bad", "flip"} <= outcomes  # blocked for good, budget exhausted
+    assert any(isinstance(o, int) and o > 10 for o in outcomes)
 
 
 def test_canonical_tesselation_start_independent(cube_metric):
