@@ -39,7 +39,6 @@ class EmbeddedPolytope:
     diameter: float
     volume: float  # signed; positive for outward orientation
     degenerate: bool
-    seed_face: int
     merged_faces: tuple | None = None  # polygons after coplanar merging
     apex: np.ndarray | None = None  # set once solve_apex has run
 
@@ -76,19 +75,16 @@ def place_faces(P, seed_face=0, merge_coplanar=False, polish_iters=3):
     up to CLOSURE_TOL, or when the final mesh still carries a loop.
     """
     mesh = P.mesh
-    rep = P.curvature_report()
-    for f, s in rep.edges:
-        i, j = mesh.edge_endpoints(f, s)
-        if i == j:
-            raise EmbedError(
-                f"final mesh has a geodesic loop at vertex {i}; "
-                "curvature is not small enough"
-            )
-
-    theta = {}
-    for (f, s), th in zip(rep.edges, rep.theta):
-        theta[(f, s)] = th
-        theta[mesh.neighbor(f, s)] = th
+    theta = P.curvature_report().theta
+    # Side s runs from corner (s+1)%3 to corner (s+2)%3.  The first loop
+    # slot in (f, s) order is its edge's canonical slot.
+    tail = mesh.vert[:, [1, 2, 0]]
+    loop = tail == mesh.vert[:, [2, 0, 1]]
+    if loop.any():
+        raise EmbedError(
+            f"final mesh has a geodesic loop at vertex {tail[loop][0]}; "
+            "curvature is not small enough"
+        )
 
     nf = mesh.n_faces
     # Per-face corner positions and outward normal.
@@ -121,7 +117,7 @@ def place_faces(P, seed_face=0, merge_coplanar=False, polish_iters=3):
             w_in = d - a
             w_in = _unit(w_in - (w_in @ u) * u)  # into f, perpendicular to the edge
             n_f = normal[f]
-            psi = math.pi - theta[(f, s)]
+            psi = math.pi - theta[f, s]
             w_out = -w_in * math.cos(psi) - n_f * math.sin(psi)
             n_g = n_f * math.cos(psi) - w_in * math.sin(psi)
 
@@ -163,11 +159,7 @@ def place_faces(P, seed_face=0, merge_coplanar=False, polish_iters=3):
 
     merged = None
     if merge_coplanar:
-        flat = [
-            (f, s)
-            for (f, s), th in zip(rep.edges, rep.theta)
-            if abs(math.pi - th) <= MERGE_TOL
-        ]
+        flat = np.argwhere(np.abs(math.pi - theta) <= MERGE_TOL)
         merged = []
         for region in merge_regions(mesh, flat):
             if len(region.cycles) != 1:
@@ -185,7 +177,6 @@ def place_faces(P, seed_face=0, merge_coplanar=False, polish_iters=3):
         diameter=diam,
         volume=volume,
         degenerate=degenerate,
-        seed_face=f0,
         merged_faces=merged,
     )
 
@@ -235,12 +226,11 @@ def _polish(mesh, verts, diam, iters):
     The edge-length Jacobian has two 3-blocks per row, so it is built as
     CSR and each sweep solves it with LSQR; started from zero, LSQR
     converges to the minimum-norm least-squares step."""
-    edges = np.array(mesh.edges(), dtype=np.int64)
-    f, s = edges[:, 0], edges[:, 1]
+    f, s = mesh.edges()
     i = mesh.vert[f, (s + 1) % 3]
     j = mesh.vert[f, (s + 2) % 3]
     length = mesh.ell[f, s]
-    m, n = len(edges), len(verts)
+    m, n = len(f), len(verts)
     xyz = np.arange(3)
     indptr = np.arange(0, 6 * m + 1, 6)
     indices = np.concatenate([3 * i[:, None] + xyz, 3 * j[:, None] + xyz], axis=1).ravel()
@@ -356,20 +346,23 @@ def congruence_check(verts_a, verts_b, allow_reflection=True):
 def apex_boundary_distance(embedded: EmbeddedPolytope, apex):
     """Distance from the apex to the boundary of the body.
 
-    For full-dimensional bodies: the least distance to a face plane.  For
-    flat ones: the in-plane distance to the polygon's boundary.
+    For full-dimensional bodies: the least distance to a face plane,
+    skipping faces of zero area.  For flat ones: the in-plane distance to
+    the polygon's boundary.
+
+    The face normals' norms and dot products are stacked (1, 3) @ (3, 1)
+    products, which give the bits of ``np.linalg.norm`` and ``@`` on single
+    3-vectors; an einsum or a row sum need not.
     """
     verts = embedded.vertices
     a = np.asarray(apex, dtype=float)
     if not embedded.degenerate:
-        best = np.inf
-        for i, j, k in embedded.faces:
-            nvec = np.cross(verts[j] - verts[i], verts[k] - verts[i])
-            norm = float(np.linalg.norm(nvec))
-            if norm == 0.0:
-                continue
-            best = min(best, abs(float((a - verts[i]) @ nvec)) / norm)
-        return best
+        vi, vj, vk = np.moveaxis(verts[np.array(embedded.faces)], 1, 0)
+        nv = np.cross(vj - vi, vk - vi)
+        norm = np.sqrt((nv[:, None, :] @ nv[:, :, None])[:, 0, 0])
+        height = np.abs(((a - vi)[:, None, :] @ nv[:, :, None])[:, 0, 0])
+        keep = norm != 0.0
+        return float((height[keep] / norm[keep]).min(initial=np.inf))
     centered = verts - verts.mean(axis=0)
     _, _, vt = np.linalg.svd(centered)
     plane = vt[:2]

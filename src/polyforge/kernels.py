@@ -82,7 +82,6 @@ def face_pyramids(ell, rad):
       ok      (F,) int8: 1 solved, 0 needs high-precision refinement,
               -1 no such pyramid (negative squared altitude or bad base).
       alt2    (F,) squared apex altitude over the base plane.
-      gamma   (F, 3) base angles per corner.
       rho_t   (F, 3) base-edge/apex angle at the tail corner of side s.
       rho_h   (F, 3) same at the head corner.
       phi     (F, 3) apex angle subtended by side s.
@@ -124,16 +123,15 @@ def face_pyramids(ell, rad):
 
     alt = np.sqrt(np.maximum(alt2, 0.0))
 
-    # All twelve Euclidean angles in one call: the base angles gamma, then
-    # the intrinsic slant angles per side from the side's flat triangle
-    # (r_tail, r_head, ell).  Computing them from lengths keeps the two
-    # faces sharing an edge bit-for-bit consistent.
-    ell_t, ell_h = ell[:, _NEXT], ell[:, _NEXT2]
+    # All nine Euclidean angles in one call: the intrinsic slant angles per
+    # side from the side's flat triangle (r_tail, r_head, ell).  Computing
+    # them from lengths keeps the two faces sharing an edge bit-for-bit
+    # consistent.
     r_t, r_h = rad[:, _NEXT], rad[:, _NEXT2]
     ang = _angle_opp(
-        np.concatenate([ell, r_h, r_t, ell], axis=1),
-        np.concatenate([ell_t, r_t, r_h, r_t], axis=1),
-        np.concatenate([ell_h, ell, ell, r_h], axis=1),
+        np.concatenate([r_h, r_t, ell], axis=1),
+        np.concatenate([r_t, r_h, r_t], axis=1),
+        np.concatenate([ell, ell, r_h], axis=1),
     )
 
     # Dihedral angles need the spatial frame: pts[k, i, f] is coordinate
@@ -159,10 +157,9 @@ def face_pyramids(ell, rad):
     return {
         "ok": ok,
         "alt2": alt2,
-        "gamma": ang[:, 0:3].copy(),
-        "rho_t": ang[:, 3:6].copy(),
-        "rho_h": ang[:, 6:9].copy(),
-        "phi": ang[:, 9:12].copy(),
+        "rho_t": ang[:, 0:3].copy(),
+        "rho_h": ang[:, 3:6].copy(),
+        "phi": ang[:, 6:9].copy(),
         "alpha": dih[0:3].T.copy(),
         "omega": dih[3:6].T.copy(),
     }

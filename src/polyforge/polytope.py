@@ -22,7 +22,6 @@ almost every face is refined, so this path sets the pace of those solves.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -114,12 +113,6 @@ def _tri_angles(sides, raws):
     return tuple(to_float(mpf_shift(h, 1), rnd=_RND) for h in half)
 
 
-# The base angles depend on the side lengths alone, which change only when
-# an edge flips, so they are also kept across calls, in bounded memory.
-# The function is pure: what the cache holds changes no result.
-_base_angles = functools.lru_cache(maxsize=1024)(_tri_angles)
-
-
 def _dihedral(d2, p, q, w1, w2, sine):
     """Dihedral angle of a tetrahedron along its edge p -> q, between the
     faces (p, q, w1) and (p, q, w2); returned as the nearest float.
@@ -169,7 +162,6 @@ class PyramidBatch:
     """Per-face pyramid data; arrays indexed like the mesh faces."""
 
     alt2: np.ndarray
-    gamma: np.ndarray
     rho_t: np.ndarray
     rho_h: np.ndarray
     phi: np.ndarray
@@ -197,7 +189,6 @@ def _refine_row(raw, f, ell, rad, frame, memo):
         d2[t][h] = d2[h][t] = squares[s]
         d2[s][3] = d2[3][s] = squares[3 + s]
     raw["alt2"][f] = to_float(alt2, rnd=_RND)
-    raw["gamma"][f] = _base_angles(tuple(ell), tuple(lengths))
     for s in range(3):
         t, h = (s + 1) % 3, (s + 2) % 3
         # The twin side of an edge swaps tail and head, so the key orders
@@ -252,7 +243,6 @@ def solve_pyramids(ell, rad) -> PyramidBatch:
         refined[f] = True
     return PyramidBatch(
         alt2=raw["alt2"],
-        gamma=raw["gamma"],
         rho_t=raw["rho_t"],
         rho_h=raw["rho_h"],
         phi=raw["phi"],
@@ -264,11 +254,15 @@ def solve_pyramids(ell, rad) -> PyramidBatch:
 
 @dataclass
 class CurvatureReport:
-    """Curvatures and dihedrals of a generalized polytope."""
+    """Curvatures and dihedrals of a generalized polytope.
+
+    ``theta`` is indexed like the mesh's side slots: ``theta[f, s]`` is the
+    total dihedral along the edge of side (f, s), the sum of the two
+    pyramids' base dihedrals there.  IEEE addition commutes, so both slots
+    of an edge hold the same double."""
 
     kappa: np.ndarray  # 2*pi minus total apex-edge dihedral, per vertex
-    edges: list  # canonical edge slots
-    theta: np.ndarray  # total dihedral along each edge
+    theta: np.ndarray  # (F, 3) total dihedral along the edge of each side
 
 
 class GeneralizedPolytope:
@@ -296,10 +290,8 @@ class GeneralizedPolytope:
         np.add.at(omega_sum, mesh.vert.ravel(), pyr.omega.ravel())
         kappa = 2.0 * math.pi - omega_sum
 
-        edges = mesh.edges()
-        f, s = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-        theta = pyr.alpha[f, s] + pyr.alpha[mesh.adj_face[f, s], mesh.adj_side[f, s]]
-        self._report = CurvatureReport(kappa=kappa, edges=edges, theta=theta)
+        theta = pyr.alpha + pyr.alpha[mesh.adj_face, mesh.adj_side]
+        self._report = CurvatureReport(kappa=kappa, theta=theta)
         return self._report
 
     @property

@@ -162,7 +162,6 @@ class StepResult:
     accepted: bool
     reason: str = ""
     newton_iters: int = 0
-    flips: int = 0
 
 
 @dataclass
@@ -178,7 +177,6 @@ class ContinuationState:
     newton_tol: float
     factor: JacobianFactor | None = None  # LU of J, reused by the next predictor
     flips: int = 0
-    newton_total: int = 0
     steps_accepted: int = 0
     steps_rejected: int = 0
     records: list = field(default_factory=list)
@@ -326,11 +324,10 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
     state.t = t_new
     state.P = P
     state.flips += flips_here
-    state.newton_total += iters
     state.steps_accepted += 1
     state.events.extend(buffer)
     _record(state, iters)
-    return StepResult(accepted=True, newton_iters=iters, flips=flips_here)
+    return StepResult(accepted=True, newton_iters=iters)
 
 
 def _set_jacobian(state, J):

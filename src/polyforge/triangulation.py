@@ -49,7 +49,6 @@ class QuadLayout:
     pj: np.ndarray
     pk: np.ndarray
     pl: np.ndarray
-    slots: tuple  # ((f, s), (g, s2))
 
     @property
     def diagonal(self):
@@ -101,12 +100,11 @@ class CornerMesh:
         return int(self.adj_face[f, s]), int(self.adj_side[f, s])
 
     def edges(self):
-        """Canonical (f, s) handle per undirected edge: the side that
-        precedes its neighbor (g, s2) in (face, side) order, listed in that
-        order."""
+        """Canonical handles of the undirected edges as two int arrays
+        (f, s): per edge, the side that precedes its neighbor (g, s2) in
+        (face, side) order, listed in that order."""
         corner = 3 * np.arange(self.n_faces)[:, None] + np.arange(3)
-        f, s = np.nonzero(corner <= 3 * self.adj_face + self.adj_side)
-        return list(zip(f.tolist(), s.tolist()))
+        return np.nonzero(corner <= 3 * self.adj_face + self.adj_side)
 
     def edge_endpoints(self, f, s):
         return int(self.vert[f, (s + 1) % 3]), int(self.vert[f, (s + 2) % 3])
@@ -161,7 +159,6 @@ class CornerMesh:
             pj=np.array([lij, 0.0]),
             pk=third_point(lik, ljk, +1.0),
             pl=third_point(lil, ljl, -1.0),
-            slots=((f, s), (g, s2)),
         )
 
     def flip(self, f, s):
@@ -275,10 +272,10 @@ def badness(mesh, q, f, s):
 
 
 def badness_scan(mesh, q):
-    """Badness for every canonical edge, batched; returns (edges, values)."""
-    edges = mesh.edges()
-    f, s = np.array(edges, dtype=np.int64).T
-    return edges, badness(mesh, np.asarray(q, dtype=float), f, s)
+    """Badness for every canonical edge, batched; returns ((f, s), values)
+    with (f, s) the index arrays of ``mesh.edges()``."""
+    f, s = mesh.edges()
+    return (f, s), badness(mesh, np.asarray(q, dtype=float), f, s)
 
 
 # -- the flip algorithm --------------------------------------------------
@@ -304,10 +301,11 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
     scale = max(1.0, float(np.abs(q).max()))
     tol = BAD_TOL * scale
 
-    edges, vals = badness_scan(mesh, q)
+    (f, s), vals = badness_scan(mesh, q)
     if np.all(vals <= tol):
         return 0
 
+    edges = list(zip(f.tolist(), s.tolist()))
     scanned = dict(zip(edges, (vals > tol).tolist()))
     rewritten = set()
     queue = deque(edges)

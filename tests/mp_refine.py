@@ -22,7 +22,7 @@ from polyforge.errors import PyramidError, TriangleError
 
 _REFINE_DPS = 50
 
-ANGLE_KEYS = ("gamma", "rho_t", "rho_h", "phi", "alpha", "omega")
+ANGLE_KEYS = ("rho_t", "rho_h", "phi", "alpha", "omega")
 
 
 def _mp_angle_opp(a, b, c):
@@ -88,9 +88,6 @@ def _refine_pyramid(lengths, radii):
             [x2, y2, mp.mpf(0)],
             [xa, ya, za],
         ]
-        gamma = [
-            _mp_angle_opp(ell[c], ell[(c + 1) % 3], ell[(c + 2) % 3]) for c in range(3)
-        ]
         rho_t, rho_h, phi, alpha, omega = [], [], [], [], []
         for s in range(3):
             t, h = (s + 1) % 3, (s + 2) % 3
@@ -104,7 +101,6 @@ def _refine_pyramid(lengths, radii):
 
         return {
             "alt2": float(alt2),
-            "gamma": [float(x) for x in gamma],
             "rho_t": [float(x) for x in rho_t],
             "rho_h": [float(x) for x in rho_h],
             "phi": [float(x) for x in phi],

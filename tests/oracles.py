@@ -2,8 +2,8 @@
 not: corner-table invariants, cone angles, the validated construction of
 a generalized polytope, its total height, the scalar badness formula,
 the flip loop that rechecks every edge, the canonical form of the
-essential-edge tesselation, the convexity check of an embedding and the
-apex-inside test.
+essential-edge tesselation, the convexity check of an embedding, the
+per-face apex distance and the apex-inside test.
 
 This module is a test oracle: nothing in the package imports it.
 """
@@ -114,8 +114,8 @@ def validate_polytope(P):
 def total_height(P):
     """sum r*kappa + sum ell*(pi - theta); its gradient in r is kappa."""
     rep = P.curvature_report()
-    f, s = np.array(rep.edges, dtype=np.int64).reshape(-1, 2).T
-    return float(np.dot(P.r, rep.kappa) + np.dot(P.mesh.ell[f, s], math.pi - rep.theta))
+    f, s = P.mesh.edges()
+    return float(np.dot(P.r, rep.kappa) + np.dot(P.mesh.ell[f, s], math.pi - rep.theta[f, s]))
 
 
 # -- badness ---------------------------------------------------------------
@@ -130,11 +130,11 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
     scale = max(1.0, float(np.abs(q).max()))
     tol = BAD_TOL * scale
 
-    edges, vals = badness_scan(mesh, q)
+    (f, s), vals = badness_scan(mesh, q)
     if np.all(vals <= tol):
         return 0
 
-    queue = deque(edges)
+    queue = deque(zip(f.tolist(), s.tolist()))
     flips = 0
     stalled = 0
     while queue:
@@ -213,10 +213,11 @@ def canonical_tesselation(mesh, q):
     """
     q = np.asarray(q, dtype=float)
     scale = max(1.0, float(np.abs(q).max()))
-    edges, vals = badness_scan(mesh, q)
+    (f, s), vals = badness_scan(mesh, q)
     assert np.all(vals <= BAD_TOL * scale), "mesh is not weighted-Delaunay"
 
-    flat_slots = [e for e, v in zip(edges, vals) if abs(v) <= FLAT_TOL * scale]
+    flat = np.abs(vals) <= FLAT_TOL * scale
+    flat_slots = list(zip(f[flat].tolist(), s[flat].tolist()))
     regions = merge_regions(mesh, flat_slots)
 
     def canonical_cycle(cycle):
@@ -253,6 +254,21 @@ def convexity_violation(embedded: EmbeddedPolytope):
         d = (verts - verts[i]) @ (nvec / norm)
         worst = max(worst, float(d.max()))
     return worst
+
+
+def apex_boundary_distance(embedded: EmbeddedPolytope, apex):
+    """``embed.apex_boundary_distance`` of a full-dimensional body as it was
+    before it was vectorized: one face at a time, zero-area faces skipped."""
+    verts = embedded.vertices
+    a = np.asarray(apex, dtype=float)
+    best = np.inf
+    for i, j, k in embedded.faces:
+        nvec = np.cross(verts[j] - verts[i], verts[k] - verts[i])
+        norm = float(np.linalg.norm(nvec))
+        if norm == 0.0:
+            continue
+        best = min(best, abs(float((a - verts[i]) @ nvec)) / norm)
+    return best
 
 
 def apex_inside(embedded: EmbeddedPolytope, apex, tol=None):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import apex_inside, convexity_violation, mesh_of
 from polyforge import build_metric, catalog, embed, hull, solve_path
 from polyforge.errors import EmbedError
@@ -121,6 +122,38 @@ def test_flat_square_degenerates_cleanly(square_path):
     )
 
 
+def _hull_body(points, faces):
+    return embed.EmbeddedPolytope(
+        vertices=points, faces=tuple(map(tuple, faces)), closure_residual=0.0,
+        diameter=2.0, volume=1.0, degenerate=False,
+    )
+
+
+def test_apex_distance_matches_face_loop(all_paths):
+    # the stacked products reproduce the per-face loop's bits; an einsum
+    # or a row sum differs in the last digit on some of these hulls
+    for n in (5, 8, 20, 40, 160, 320, 640):
+        for seed in (1, 2, 3):
+            _, points, faces = hull.random_sphere_development(n, seed=[seed, n])
+            body = _hull_body(points, faces)
+            for apex in (points.mean(axis=0), embed.solve_apex(points, np.ones(n)).point):
+                assert embed.apex_boundary_distance(body, apex) == oracles.apex_boundary_distance(
+                    body, apex
+                ), (n, seed)
+    for run in all_paths:
+        e = embed.place_faces(run.result.polytope)
+        apex = embed.solve_apex(e.vertices, run.result.kappa1).point
+        assert embed.apex_boundary_distance(e, apex) == oracles.apex_boundary_distance(e, apex)
+    # zero-area faces are skipped; with nothing left the distance is inf
+    _, points, faces = hull.random_sphere_development(8, seed=1)
+    flat = [(0, 0, 1), (2, 3, 2)]
+    body = _hull_body(points, np.concatenate([flat, faces]))
+    assert embed.apex_boundary_distance(body, points[0]) == oracles.apex_boundary_distance(
+        body, points[0]
+    )
+    assert embed.apex_boundary_distance(_hull_body(points, flat), points[0]) == math.inf
+
+
 def test_apex_outside_detected(tetra_embedded):
     assert not apex_inside(tetra_embedded, np.array([10.0, 0.0, 0.0]))
 
@@ -129,7 +162,10 @@ def test_loop_mesh_cannot_embed():
     mesh = mesh_of(catalog.doubly_covered_triangle(1.9, 1.0, 1.0))
     mesh.flip(0, 0)
     P = GeneralizedPolytope(mesh, np.array([1.3, 1.25, 1.35]))
-    with pytest.raises(EmbedError, match="loop"):
+    with pytest.raises(
+        EmbedError,
+        match=r"^final mesh has a geodesic loop at vertex 0; curvature is not small enough$",
+    ):
         embed.place_faces(P)
 
 
@@ -180,7 +216,9 @@ def test_json_export(tetra_embedded):
 
 def _dense_polish(mesh, verts, diam, iters):
     """Reference Gauss-Newton polish: dense Jacobian, LAPACK lstsq."""
-    edges = [(*mesh.edge_endpoints(f, s), float(mesh.ell[f, s])) for f, s in mesh.edges()]
+    edges = [
+        (*mesh.edge_endpoints(f, s), float(mesh.ell[f, s])) for f, s in zip(*mesh.edges())
+    ]
     n = len(verts)
     v = verts.copy()
     for _ in range(iters):

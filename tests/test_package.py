@@ -3,12 +3,15 @@ the command line, and every function in it runs on some command-line
 input, so none serves only the tests."""
 
 import ast
+import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import polyforge
+from polyforge import catalog, cli, kernels, solver
 
 # Ready-made developments for users and tests; the solve path never needs them.
 NOT_ON_THE_PIPELINE = {"catalog"}
@@ -129,3 +132,47 @@ def test_cli_runs_every_function(tmp_path):
         if key not in entered and name.split(".", 1)[0] not in NOT_ON_THE_PIPELINE
     )
     assert never == []
+
+
+def _load_tracing():
+    """``perfbench/tracing.py``, loaded from its file without installing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_resolve(tmp_path):
+    # The traced benchmark patches these names and reads these result
+    # fields; the tests under tests/ do not run it, so a rename would
+    # break only the benchmark.
+    tracing = _load_tracing()
+    for owner, attr, name, _ in tracing.TARGETS:
+        assert callable(getattr(owner, attr, None)), name
+    assert isinstance(kernels.BACKEND, str)
+    assert {"accepted", "newton_iters", "reason"} <= {
+        f.name for f in dataclasses.fields(solver.StepResult)
+    }
+
+    src = tmp_path / "tetrahedron.json"
+    src.write_text(catalog.tetrahedron().to_json())
+    argv = ["solve", str(src), "--out", str(tmp_path / "t.obj"),
+            "--report", str(tmp_path / "t.report.json")]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.case(0):
+            code = cli.main(argv)
+    finally:
+        tracer.restore()
+    assert code == 0
+    # the counters read StepResult, PyramidBatch.refined and ApexSolve
+    counts = tracer.counts
+    assert counts["solver.steps_accepted"] > 0 and counts["solver.newton_iters"] > 0
+    assert counts["polytope.rows"] > 0
+    assert "embed.apex_iters" in counts
+    # every package target ran under its wrapper (numpy.linalg's depend on
+    # the solve's path)
+    spans = {span[0] for span in tracer.spans}
+    assert {name for _, _, name, _ in tracing.TARGETS if not name.startswith("linalg.")} <= spans

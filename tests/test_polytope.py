@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import mesh_of, total_height, validate_polytope, weights
-from polyforge import catalog
+from polyforge import catalog, kernels
 from polyforge.errors import PyramidError
 from polyforge.polytope import GeneralizedPolytope, solve_pyramids
 from polyforge.triangulation import CornerMesh
@@ -22,7 +22,7 @@ TETRA_DIHEDRAL = math.acos(1.0 / 3.0)
 def test_unit_regular_pyramid_angles():
     geom = solve_pyramids(np.ones((1, 3)), np.ones((1, 3)))
     assert math.sqrt(geom.alt2[0]) ** 2 == pytest.approx(2.0 / 3.0, rel=1e-12)
-    np.testing.assert_allclose(geom.gamma, math.pi / 3.0, atol=1e-12)
+    np.testing.assert_allclose(kernels.tri_angles(np.ones((1, 3))), math.pi / 3.0, atol=1e-12)
     np.testing.assert_allclose(geom.phi, math.pi / 3.0, atol=1e-12)
     np.testing.assert_allclose(geom.rho_t, math.pi / 3.0, atol=1e-12)
     np.testing.assert_allclose(geom.rho_h, math.pi / 3.0, atol=1e-12)
@@ -128,10 +128,10 @@ def test_cube_at_circumradius_closes_up(cube_metric):
     mesh = CornerMesh.from_metric(cube_metric)
     P = validate_polytope(GeneralizedPolytope(mesh, np.full(8, math.sqrt(3.0) / 2.0)))
     np.testing.assert_allclose(P.kappa, 0.0, atol=1e-9)
-    rep = P.curvature_report()
+    theta = P.curvature_report().theta[mesh.edges()]
     # 12 cube edges at pi/2, 6 face diagonals exactly flat
-    sharp = np.isclose(rep.theta, math.pi / 2.0, atol=1e-9).sum()
-    flat = np.isclose(rep.theta, math.pi, atol=1e-9).sum()
+    sharp = np.isclose(theta, math.pi / 2.0, atol=1e-9).sum()
+    flat = np.isclose(theta, math.pi, atol=1e-9).sum()
     assert (sharp, flat) == (12, 6)
 
 
@@ -183,14 +183,21 @@ def test_curvature_report_matches_edge_loop(sampled_polytopes):
     for P in sampled_polytopes[::10]:
         rep = P.curvature_report()
         mesh, alpha = P.mesh, P.pyramids.alpha
-        theta, height = [], float(np.dot(P.r, rep.kappa))
-        for f, s in mesh.edges():
+        theta = np.full((mesh.n_faces, 3), np.nan)
+        height = float(np.dot(P.r, rep.kappa))
+        for f, s in zip(*mesh.edges()):
             g, s2 = mesh.neighbor(f, s)
-            theta.append(alpha[f, s] + alpha[g, s2])
-            height += float(mesh.ell[f, s]) * (math.pi - theta[-1])
-        assert rep.edges == mesh.edges()
+            theta[f, s] = theta[g, s2] = alpha[f, s] + alpha[g, s2]
+            height += float(mesh.ell[f, s]) * (math.pi - theta[f, s])
+        assert rep.theta.shape == (mesh.n_faces, 3)
         np.testing.assert_array_equal(rep.theta, theta)
         assert total_height(P) == pytest.approx(height, rel=1e-12)
+
+
+def test_twin_slots_share_theta(sampled_polytopes):
+    for P in sampled_polytopes:
+        theta, mesh = P.curvature_report().theta, P.mesh
+        np.testing.assert_array_equal(theta, theta[mesh.adj_face, mesh.adj_side])
 
 
 def test_report_is_cached():

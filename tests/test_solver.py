@@ -154,8 +154,8 @@ def test_jacobian_continuous_across_cocircular_wall(cube_metric):
     # two triangulations of the same slightly inflated cube, differing by
     # one flat diagonal, give the same curvature Jacobian
     mesh1 = CornerMesh.from_metric(cube_metric)
-    edges, vals = badness_scan(mesh1, np.ones(8))
-    diag = next(e for e, v in zip(edges, vals) if abs(v) <= 1e-9)
+    (f, s), vals = badness_scan(mesh1, np.ones(8))
+    diag = next((fe, se) for fe, se, v in zip(f, s, vals) if abs(v) <= 1e-9)
     r = np.full(8, 1.02 * math.sqrt(3.0) / 2.0)
     J1 = assemble(validate_polytope(GeneralizedPolytope(mesh1, r)))
     mesh2 = mesh1.copy()

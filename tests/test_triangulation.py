@@ -72,17 +72,17 @@ def test_edges_match_corner_walk():
             for s in range(3)
             if (f, s) <= mesh.neighbor(f, s)
         ]
-        edges = mesh.edges()
-        assert edges == walk
-        assert len(edges) == mesh.n_edges
-        assert all(type(f) is int and type(s) is int for f, s in edges)
+        f, s = mesh.edges()
+        assert list(zip(f.tolist(), s.tolist())) == walk
+        assert len(f) == len(s) == mesh.n_edges
+        assert f.dtype.kind == s.dtype.kind == "i"
 
 
 def test_flip_preserves_cone_angles():
     mesh = mesh_of(catalog.cube())
     before = cone_angles(mesh)
     flipped = 0
-    for f, s in mesh.edges():
+    for f, s in zip(*mesh.edges()):
         work = mesh.copy()
         try:
             work.flip(f, s)
@@ -185,8 +185,8 @@ def test_badness_against_scalar_path():
     mesh = mesh_of(catalog.cube())
     for _ in range(20):
         q = rng.uniform(0.5, 3.0, size=mesh.n_vertices)
-        edges, vals = badness_scan(mesh, q)
-        for (f, s), v in zip(edges, vals):
+        (fs, ss), vals = badness_scan(mesh, q)
+        for f, s, v in zip(fs, ss, vals):
             quad = mesh.develop_quad(f, s)
             i, j, k, l = quad.labels
             oracle = float(q[l]) - ext_value(
@@ -226,7 +226,7 @@ def test_flat_quad_raises():
 def test_polytope_weights_always_good(tetra_path):
     # q = r^2 of a valid generalized polytope leaves every edge good
     t, mesh, r = tetra_path.samples[0]
-    edges, vals = badness_scan(mesh, r * r)
+    _, vals = badness_scan(mesh, r * r)
     assert vals.max() <= 1e-10 * max(1.0, float((r * r).max()))
 
 
@@ -242,11 +242,9 @@ def test_cube_equal_weights_diagonals_inessential(cube_metric):
     mesh = CornerMesh.from_metric(cube_metric)
     q = np.ones(8)
     assert weighted_delaunay(mesh, q) == 0
-    edges, vals = badness_scan(mesh, q)
-    flat = [e for e, v in zip(edges, vals) if abs(v) <= 1e-9]
-    sharp = [e for e, v in zip(edges, vals) if v < -1e-9]
-    assert len(flat) == 6  # one cocircular diagonal per square face
-    assert len(sharp) == 12  # the cube edges
+    _, vals = badness_scan(mesh, q)
+    assert np.sum(np.abs(vals) <= 1e-9) == 6  # one cocircular diagonal per square face
+    assert np.sum(vals < -1e-9) == 12  # the cube edges
     tess = canonical_tesselation(mesh, q)
     assert tess.n_regions == 6
 
@@ -321,7 +319,7 @@ def test_flip_undone_by_delaunay(cube_metric):
     q = np.ones(8)
     mesh = CornerMesh.from_metric(cube_metric)
     want = canonical_tesselation(mesh, q).digest
-    for f, s in mesh.edges():
+    for f, s in zip(*mesh.edges()):
         work = mesh.copy()
         try:
             work.flip(f, s)
@@ -413,9 +411,9 @@ def test_canonical_tesselation_start_independent(cube_metric):
 def test_merge_regions_boundary_cycles(cube_metric):
     mesh = CornerMesh.from_metric(cube_metric)
     q = np.ones(8)
-    edges, vals = badness_scan(mesh, q)
-    flat = [e for e, v in zip(edges, vals) if abs(v) <= 1e-9]
-    regions = merge_regions(mesh, flat)
+    (f, s), vals = badness_scan(mesh, q)
+    flat = np.abs(vals) <= 1e-9
+    regions = merge_regions(mesh, zip(f[flat], s[flat]))
     assert len(regions) == 6
     for reg in regions:
         assert len(reg.faces) == 2  # two triangles per square
