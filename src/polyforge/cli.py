@@ -95,9 +95,9 @@ class PipelineResult:
 
 def run_pipeline(
     metric,
-    kappa_stop=1e-9,
+    kappa_stop=solver.SolverOptions.kappa_stop,
     merge_coplanar=False,
-    max_steps=100000,
+    max_steps=solver.SolverOptions.max_steps,
     progress=None,
 ) -> PipelineResult:
     """Solve the curvature path, embed the result and locate the apex."""
@@ -238,6 +238,7 @@ def cmd_roundtrip(args):
 
 
 def make_parser():
+    defaults = solver.SolverOptions  # its class attributes are the defaults
     parser = argparse.ArgumentParser(
         prog="forge",
         description="Reconstruct convex polytopes from developments "
@@ -255,15 +256,15 @@ def make_parser():
     p.add_argument("--out", default="mesh.obj", help="mesh output (.obj or .json)")
     p.add_argument("--report", default="report.json")
     p.add_argument("--progress", default=None, help="JSONL step stream")
-    p.add_argument("--kappa-stop", type=float, default=1e-9)
-    p.add_argument("--max-steps", type=int, default=100000)
+    p.add_argument("--kappa-stop", type=float, default=defaults.kappa_stop)
+    p.add_argument("--max-steps", type=int, default=defaults.max_steps)
     p.add_argument("--merge-coplanar", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("roundtrip", help="hull -> development -> solve -> compare")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points", type=int, default=8)
-    p.add_argument("--kappa-stop", type=float, default=1e-9)
+    p.add_argument("--kappa-stop", type=float, default=defaults.kappa_stop)
     p.set_defaults(func=cmd_roundtrip)
     return parser
 

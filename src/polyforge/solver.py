@@ -53,7 +53,7 @@ _REJECTABLE = (
 # predictor; each Newton iterate factors its own J once.
 #
 # Flat-limit endgame.  Degenerate (2-dimensional) limits break Newton in
-# two independent ways, handled separately:
+# two independent ways:
 #
 #  * curvature noise: a kappa evaluation carries error of order
 #    eps * |J| * |r|, and |J| blows up approaching a flat body.  The
@@ -64,17 +64,18 @@ _REJECTABLE = (
 #    target itself drops below the floor -- the best representable
 #    approximation of the flat body.
 #  * kernel collapse: cond(J) grows like 1/t^2 along the path itself,
-#    not because a step was too large.  Once LAPACK's condition estimate
-#    at the accepted state is beyond COND_ENDGAME, rejecting cannot
-#    help; Newton switches to a truncated pseudo-inverse (the solver's
-#    only SVD) so the emerging kernel directions are frozen instead of
-#    amplified.
+#    not because a step was too large.  Exactly two singular values
+#    collapse: the in-plane translations of the apex, which leave the
+#    flat body where it is.  Once the accepted state's own J fails
+#    RCOND_MIN, rejecting cannot help, so that endgame waives the bound
+#    and rejects only an exactly singular J; it also reads the noise
+#    scale off each iterate's J.  The LU solve is kept: off the
+#    two-dimensional gauge it agrees with a truncated pseudo-inverse, and
+#    along it it only slides the apex within the plane of the body.
 #
 # Nondegenerate paths trip neither mechanism: they jump to kappa_stop
-# from t <= T_JUMP, while cond(J) is still far below COND_ENDGAME, so
-# only flat limits, which never jump, reach the SVD.
-COND_ENDGAME = 1e12
-SIGMA_TRUNC = 1e-13
+# from t <= T_JUMP, while J is still far from failing RCOND_MIN, so only
+# flat limits, which never jump, reach the endgame.
 FLOOR_C = 64.0
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -97,7 +98,8 @@ class JacobianFactor:
     """LU factor of one curvature Jacobian (LAPACK getrf) and the two
     numbers the solver reads off it: LAPACK's 1-norm condition estimate
     (gecon, within a factor n of the 2-norm condition number) and the
-    noise scale ||J||_inf."""
+    noise scale ||J||_inf.  The solver's only linear algebra: it serves
+    every predictor and corrector, in the flat-limit endgame too."""
 
     lu: np.ndarray
     piv: np.ndarray
@@ -118,17 +120,6 @@ class JacobianFactor:
     def solve(self, rhs):
         x, _ = lapack.dgetrs(self.lu, self.piv, rhs)
         return x
-
-
-def _truncated_solve(J, rhs):
-    """Least-squares solve dropping the near-kernel."""
-    u, sigma, vt = np.linalg.svd(J)
-    inv = np.where(sigma > SIGMA_TRUNC * sigma[0], 1.0 / sigma, 0.0)
-    return vt.T @ (inv * (u.T @ rhs))
-
-
-def _norm_inf(J):
-    return float(np.abs(J).sum(axis=1).max())
 
 
 def _kappa_floor(scale, r):
@@ -173,16 +164,16 @@ class ContinuationState:
     kappa1: np.ndarray
     r_init: float
     P: GeneralizedPolytope
-    J: np.ndarray | None
+    # LU of the curvature Jacobian at r: serves the next predictor, and its
+    # cond and norm_inf drive the endgame, the records and the floor stop.
+    # None once assembling or factoring it failed at acceptance.
+    factor: JacobianFactor | None
     newton_tol: float
-    factor: JacobianFactor | None = None  # LU of J, reused by the next predictor
     flips: int = 0
     steps_accepted: int = 0
     steps_rejected: int = 0
     records: list = field(default_factory=list)
     events: list = field(default_factory=list)
-    last_cond: float = float("nan")  # condition estimate of J
-    last_sigma_max: float = float("nan")  # noise scale ||J||_inf >= sigma_max(J)
     floor_stop: bool = False  # terminated at the precision floor (flat limit)
 
     def dump(self, reason=""):
@@ -256,16 +247,15 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
         i, j = m.edge_endpoints(f, s)
         buffer.append(FlipEvent(t=t_new, edge=tuple(sorted((i, j))), theta=theta))
 
-    endgame = not math.isfinite(state.last_cond) or state.last_cond > COND_ENDGAME
-    scale = state.last_sigma_max
-
     try:
-        if state.J is None:
+        factor = state.factor
+        if factor is None:
             raise StepReductionError("no Jacobian available at the current state")
-        if endgame:
-            r = r - dt * _truncated_solve(state.J, state.kappa1)
-        else:
-            r = r - dt * state.factor.solve(state.kappa1)
+        if factor.cond == math.inf:  # a zero pivot: the solve is inf or NaN
+            return _reject(state, "curvature Jacobian is numerically singular")
+        endgame = 1.0 / factor.cond < RCOND_MIN
+        scale = factor.norm_inf
+        r = r - dt * factor.solve(state.kappa1)
 
         iters = 0
         while True:
@@ -276,22 +266,17 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
             # Curvature evaluations carry noise of order
             # eps * ||J||_inf * |r|; asking Newton for better than that
             # livelocks near flat limits, where ||J|| blows up.
-            tol = state.newton_tol
-            if math.isfinite(scale):
-                tol = max(tol, _kappa_floor(scale, r))
+            tol = max(state.newton_tol, _kappa_floor(scale, r))
             if float(np.abs(residual).max()) <= tol:
                 break
             if iters >= MAX_NEWTON:
                 return _reject(state, f"no convergence in {MAX_NEWTON} iterations")
-            J = jacobian.assemble(P)
+            factor = JacobianFactor.of(jacobian.assemble(P))
+            if factor.cond == math.inf or (not endgame and 1.0 / factor.cond < RCOND_MIN):
+                return _reject(state, "curvature Jacobian is numerically singular")
             if endgame:
-                scale = _norm_inf(J)
-                r = r - _truncated_solve(J, residual)
-            else:
-                factor = JacobianFactor.of(J)
-                if 1.0 / factor.cond < RCOND_MIN:
-                    return _reject(state, "curvature Jacobian is numerically singular")
-                r = r - factor.solve(residual)
+                scale = factor.norm_inf
+            r = r - factor.solve(residual)
     except _REJECTABLE as exc:
         return _reject(state, f"{type(exc).__name__}: {exc}")
 
@@ -311,13 +296,11 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
         return _reject(state, "spherical section area decreased")
 
     try:
-        _set_jacobian(state, jacobian.assemble(P))
+        state.factor = JacobianFactor.of(jacobian.assemble(P))
     except _REJECTABLE:
-        # Keep the accepted state but mark the Jacobian unusable; only
-        # happens at extremely flat final states.
-        state.J = None
+        # Keep the accepted state but mark the Jacobian unusable: the next
+        # step rejects, and the state is never at the floor.
         state.factor = None
-        state.last_cond = float("inf")
 
     state.mesh = mesh
     state.r = r
@@ -330,23 +313,14 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
     return StepResult(accepted=True, newton_iters=iters)
 
 
-def _set_jacobian(state, J):
-    """Factor J once and keep it, with its condition and noise scale."""
-    factor = JacobianFactor.of(J)
-    state.J = J
-    state.factor = factor
-    state.last_cond = factor.cond
-    state.last_sigma_max = factor.norm_inf
-
-
 def _record(state, newton_iters):
     """Append the progress record of the state just reached.
 
     ``cond`` is rounded to 6 significant digits: LAPACK's estimate can
     differ in its last bits between runs on the same input, and records
-    must reproduce.  Step control reads the unrounded ``last_cond``.
+    must reproduce.  Step control reads the unrounded ``factor.cond``.
     """
-    cond = state.last_cond
+    cond = math.inf if state.factor is None else state.factor.cond
     state.records.append(
         {
             "t": state.t,
@@ -396,11 +370,10 @@ def start_state(metric: PolyhedralMetric):
         kappa1=kappa1,
         r_init=radius,
         P=P,
-        J=None,
+        factor=JacobianFactor.of(jacobian.assemble(P)),
         newton_tol=NEWTON_TOL * max(1.0, float(np.abs(kappa1).max())),
         flips=initial_flips,
     )
-    _set_jacobian(state, jacobian.assemble(P))
     _record(state, 0)
     return state
 
@@ -456,8 +429,10 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
 def _at_floor(state):
     """True when the state's curvature is below what double-precision
     radii can express; only reachable near flat limits, where the row
-    norms of the curvature Jacobian blow up."""
-    if not math.isfinite(state.last_sigma_max):
+    norms of the curvature Jacobian blow up.  A state without a usable
+    Jacobian (``factor`` None) has no noise scale and is never at the
+    floor."""
+    if state.factor is None:
         return False
-    floor = _kappa_floor(state.last_sigma_max, state.r)
+    floor = _kappa_floor(state.factor.norm_inf, state.r)
     return float(np.abs(state.P.kappa).max()) <= floor

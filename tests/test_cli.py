@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from polyforge import catalog, hull, surface
-from polyforge.cli import main
+from polyforge.cli import main, make_parser
+from polyforge.solver import SolverOptions
 from polyforge.errors import MetricError
 
 
@@ -199,6 +200,14 @@ def test_solve_bad_kappa_stop(tetra_file, tmp_path, capsys):
     )
     assert code == 2
     assert "kappa_stop" in capsys.readouterr().err
+
+
+def test_option_defaults_are_the_solver_defaults():
+    opts = SolverOptions()
+    solve = make_parser().parse_args(["solve", "in.json"])
+    roundtrip = make_parser().parse_args(["roundtrip"])
+    assert (solve.kappa_stop, solve.max_steps) == (opts.kappa_stop, opts.max_steps)
+    assert roundtrip.kappa_stop == opts.kappa_stop
 
 
 def test_roundtrip_smoke(capsys):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -80,7 +81,7 @@ def test_records_round_cond_to_six_digits(tetra_metric):
     conds = []
     result = solve_path(
         tetra_metric,
-        SolverOptions(progress=lambda state: conds.append(state.last_cond)),
+        SolverOptions(progress=lambda state: conds.append(state.factor.cond)),
     )
     recs = result.state.records
     assert len(recs) == len(conds) > 1
@@ -199,9 +200,12 @@ def test_doubly_covered_polygon_reaches_flat_limit(n):
     assert embed.place_faces(result.polytope).degenerate
 
 
-def _svd_solve(J, rhs):
+def _svd_solve(J, rhs, drop=0):
+    """Solve through the SVD of J, dropping its ``drop`` smallest singular
+    values (a truncated pseudo-inverse when drop > 0)."""
     u, sigma, vt = np.linalg.svd(J)
-    return vt.T @ ((u.T @ rhs) / sigma)
+    keep = len(sigma) - drop
+    return vt[:keep].T @ ((u[:, :keep].T @ rhs) / sigma[:keep])
 
 
 def _check_factor(J, rhs):
@@ -225,12 +229,13 @@ def _check_factor(J, rhs):
 def test_lu_matches_svd_on_hull():
     dev, _, _ = hull.random_sphere_development(40, seed=3)
     state = start_state(build_metric(dev))
-    assert _check_factor(state.J, state.kappa1) <= 1e5
-    np.testing.assert_array_equal(
-        state.factor.solve(state.kappa1), JacobianFactor.of(state.J).solve(state.kappa1)
-    )
-    assert state.last_cond == state.factor.cond
-    assert state.last_sigma_max == state.factor.norm_inf
+    J = assemble(state.P)
+    assert _check_factor(J, state.kappa1) <= 1e5
+    # the state keeps the factor of exactly that matrix
+    factor = JacobianFactor.of(J)
+    np.testing.assert_array_equal(state.factor.lu, factor.lu)
+    np.testing.assert_array_equal(state.factor.piv, factor.piv)
+    assert (state.factor.cond, state.factor.norm_inf) == (factor.cond, factor.norm_inf)
 
 
 def test_lu_matches_svd_along_cube_path(cube_path):
@@ -270,25 +275,12 @@ def test_factor_norms_are_row_and_column_sums():
     assert factor.cond == 1.0 / rcond
 
 
-def _counted_truncated_solves(monkeypatch):
-    calls = []
-    honest = solver._truncated_solve
-
-    def counted(J, rhs):
-        calls.append(len(rhs))
-        return honest(J, rhs)
-
-    monkeypatch.setattr(solver, "_truncated_solve", counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", ["tetra_metric", "cube_metric", "hull40"])
-def test_clean_path_jumps_to_kappa_stop(name, request, monkeypatch):
+def test_clean_path_jumps_to_kappa_stop(name, request):
     if name == "hull40":
         metric = build_metric(hull.random_sphere_development(40, seed=3)[0])
     else:
         metric = request.getfixturevalue(name)
-    calls = _counted_truncated_solves(monkeypatch)
     state = solve_path(metric).state
     ts = [rec["t"] for rec in state.records]
     assert state.steps_rejected == 0
@@ -296,7 +288,117 @@ def test_clean_path_jumps_to_kappa_stop(name, request, monkeypatch):
     assert ts[-1] == SolverOptions().kappa_stop
     assert ts[-2] <= solver.T_JUMP
     assert all(t > solver.T_JUMP for t in ts[:-2])
-    assert calls == []
+    # no accepted state fails RCOND_MIN, so the endgame is never entered
+    assert all(rec["cond"] <= 1.0 / solver.RCOND_MIN for rec in state.records)
+
+
+def test_flat_endgame_solves_with_lu(square_metric, monkeypatch):
+    # The doubled square's path enters the endgame; Newton keeps solving
+    # with the LU factor there, which off the two collapsing directions
+    # (the in-plane apex translations) agrees with a truncated SVD solve.
+    endgame = []  # (factor, J) of every accepted state failing RCOND_MIN
+
+    def collect(state):
+        if 1.0 / state.factor.cond < solver.RCOND_MIN:
+            endgame.append((state.factor, assemble(state.P)))
+
+    honest_svd = np.linalg.svd
+    svd_calls = []
+
+    def counted_svd(*args, **kw):
+        svd_calls.append(1)
+        return honest_svd(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    result = solve_path(square_metric, SolverOptions(progress=collect))
+    monkeypatch.undo()
+    assert svd_calls == []
+    assert any(rec["cond"] > 1.0 / solver.RCOND_MIN for rec in result.state.records)
+    assert endgame
+
+    kappa1 = result.kappa1
+    for factor, J in endgame:
+        _, _, vt = np.linalg.svd(J)
+        gauge = vt[-2:]
+        x_lu = factor.solve(kappa1)
+        x_lu = x_lu - gauge.T @ (gauge @ x_lu)
+        x_svd = _svd_solve(J, kappa1, drop=2)
+        assert np.linalg.norm(x_lu - x_svd) <= 1e-10 * np.linalg.norm(x_svd)
+    # exactly two singular values collapse at the flat limit
+    sv = np.linalg.svd(endgame[-1][1], compute_uv=False)
+    assert sv[-2] / sv[0] < 1e-9 < 1e-3 < sv[-3] / sv[0]
+
+
+class _Endgame(Exception):
+    pass
+
+
+def _endgame_state(metric):
+    """The first accepted state of the path whose own J fails RCOND_MIN."""
+
+    def stop(state):
+        if 1.0 / state.factor.cond < solver.RCOND_MIN:
+            raise _Endgame(state)
+
+    with pytest.raises(_Endgame) as caught:
+        solve_path(metric, SolverOptions(progress=stop))
+    return caught.value.args[0]
+
+
+def test_singular_jacobian_rejects_in_endgame(square_metric, monkeypatch):
+    # the endgame waives RCOND_MIN but not an exactly singular J, whose
+    # LU solve would be inf or NaN
+    state = _endgame_state(square_metric)
+    t = state.t
+    monkeypatch.setattr(jacobian, "assemble", lambda P: np.zeros((P.n_vertices,) * 2))
+    result = step(state, 0.9 * t)
+    assert not result.accepted
+    assert result.reason == "curvature Jacobian is numerically singular"
+    # the predictor checks the accepted state's factor the same way
+    state.factor = JacobianFactor.of(np.zeros((len(state.r),) * 2))
+    result = step(state, 0.9 * t)
+    assert result.reason == "curvature Jacobian is numerically singular"
+    assert state.t == t
+
+
+def test_unusable_jacobian_at_acceptance(cube_metric, monkeypatch):
+    """A Jacobian that cannot be assembled at an accepted state keeps the
+    state, leaves it without a factor, and makes the next step reject.
+
+    Such a state is never at the floor.  Before the factor became the
+    state's one Jacobian field, the floor check kept using the previous
+    state's ||J||_inf here."""
+    state = start_state(cube_metric)
+    t_new = 1.0 - solver.DT_INIT
+    honest = jacobian.assemble
+    calls = []
+
+    def counted(P):
+        calls.append(None)
+        return honest(P)
+
+    monkeypatch.setattr(jacobian, "assemble", counted)
+    assert step(copy.deepcopy(state), t_new).accepted
+    acceptance = len(calls)  # the last assembly of an accepted step
+    calls.clear()
+
+    def fail_at_acceptance(P):
+        calls.append(None)
+        if len(calls) == acceptance:
+            raise StepReductionError("forced at acceptance")
+        return honest(P)
+
+    monkeypatch.setattr(jacobian, "assemble", fail_at_acceptance)
+    assert step(state, t_new).accepted
+    assert len(calls) == acceptance
+    assert state.t == t_new
+    assert state.factor is None
+    assert state.records[-1]["cond"] is None
+    assert not solver._at_floor(state)
+    monkeypatch.setattr(jacobian, "assemble", honest)
+    result = step(state, 0.5 * t_new)
+    assert not result.accepted
+    assert result.reason.endswith("no Jacobian available at the current state")
 
 
 def test_rejected_jump_falls_back_to_halving(cube_metric, monkeypatch):
