@@ -15,20 +15,39 @@ result is *not* imposed; it emerges from the analytic form, so the tests
 can use it as a cross-check.
 
 The matrix is the Hessian of the dual volume: symmetric, with one
-positive eigenvalue and n - 1 negative ones away from the flat limits,
-and about seven nonzeros per row.  The solver needs solves with it, not
-its spectrum, so it factors each assembled matrix once by dense LU
-(``solver.JacobianFactor``), and LAPACK gecon reads the condition
-estimate off the same factor.  Per start-state J of a random hull, on
-one BLAS thread, that takes 0.02 ms at n = 20, 0.35 ms at n = 160 and
-13 ms at n = 640.  SuperLU (``splu``) with the Higham-Tisseur estimate
-``onenormest`` takes 0.27, 1.2 and 3.8 ms: sparse wins from n of about
-320 on, dense below it, and a solve factors small matrices far more
-often than large ones.  One sparse path waits until its small-n overhead
-is gone (ROADMAP item 3).
+positive eigenvalue and n - 1 negative ones away from the flat limits.
+It couples only vertices that share an edge, about seven nonzeros per
+row, so it is stored by band, never as an n x n array.  ``band_order`` numbers
+the vertices once per solve in reverse Cuthill-McKee order (Cuthill and
+McKee, 1969; George, 1971), which keeps the two ends of every edge close
+in the order.  ``assemble`` scatters the contributions of J, permuted to
+that order, straight into LAPACK band storage (``BandJacobian``).  It
+reads the half-bandwidth k, the largest |pos(i) - pos(j)| over the
+edges, off the current triangulation on every call, because flips along
+the path may widen the band.  The solver factors it by banded LU with
+partial pivoting (``solver.JacobianFactor``: gbtrf, then gbcon for the
+condition estimate).  That is getrf on the permuted J, since no pivot
+can come from outside the band.  Per start-state J of a random hull
+(seed [1, n]) and of the twisted 24-gon, a factor with its condition
+estimate and both norms takes, best of 5 on one BLAS thread of a 2-vCPU
+Xeon host:
+
+    n      dense getrf + gecon   band gbtrf + gbcon   k
+    20     0.030 ms              0.019 ms             10
+    48     0.061 ms              0.047 ms             43  (twisted 24-gon)
+    160    0.36 ms               0.11 ms              33
+    320    2.5 ms                0.52 ms              45
+    640    13.5 ms               1.0 ms               64
+    1280   74 ms                 4.6 ms               96
+    2560   390 ms                25 ms                136
+
+At n <= 48 the two cost about the same, even where the band is nearly
+full, as on the twisted polygons.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,37 +58,85 @@ from .errors import StepReductionError
 # precision; the solver retries with a smaller deformation step.
 SIN_FLOOR = 1e-10
 
+# Tail and head corner of each face side.
+_NEXT = np.array([1, 2, 0])
+_NEXT2 = np.array([2, 0, 1])
 
-def assemble(P) -> np.ndarray:
-    """Dense d(kappa)/d(r) matrix of a generalized polytope."""
+
+@dataclass(frozen=True)
+class BandJacobian:
+    """d(kappa)/d(r) permuted to a vertex order, in the band storage of
+    LAPACK gbtrf: ``ab[2k + p - q, q]`` holds J[order[p], order[q]] for
+    |p - q| <= k, and the first k rows are zero room for the fill-in of
+    the LU factor."""
+
+    ab: np.ndarray  # (3k + 1, n), Fortran order
+    k: int  # half-bandwidth; the pattern is symmetric, so kl = ku = k
+    order: np.ndarray  # order[p] is the vertex at position p
+
+
+def band_order(mesh):
+    """Reverse Cuthill-McKee order of the mesh's vertices.
+
+    Breadth-first search over the edge graph from a vertex of least
+    degree, visiting each vertex's neighbors by increasing degree (ties
+    by label), then reversed.  Deterministic; any permutation gives the
+    same solves, the order only sets the band width of J."""
+    n = mesh.n_vertices
+    key = np.unique(mesh.vert[:, _NEXT] * n + mesh.vert[:, _NEXT2])
+    a, b = np.divmod(key, n)
+    keep = a != b  # a loop couples a vertex only to itself
+    a, b = a[keep], b[keep]
+    deg = np.bincount(a, minlength=n)
+    nbrs = b[np.lexsort((b, deg[b], a))].tolist()
+    first = np.concatenate([[0], np.cumsum(deg)]).tolist()
+    seen = [False] * n
+    order = []
+    for root in np.lexsort((np.arange(n), deg)).tolist():
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        front = len(order) - 1
+        while front < len(order):
+            v = order[front]
+            front += 1
+            for w in nbrs[first[v] : first[v + 1]]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+    return np.array(order[::-1], dtype=np.intp)
+
+
+def assemble(P, order) -> BandJacobian:
+    """d(kappa)/d(r) of a generalized polytope, permuted to ``order``."""
     mesh, pyr = P.mesh, P.pyramids
     n = P.n_vertices
 
-    fidx = np.repeat(np.arange(mesh.n_faces), 3)
-    sidx = np.tile(np.arange(3), mesh.n_faces)
-    g = mesh.adj_face[fidx, sidx]
-    s2 = mesh.adj_side[fidx, sidx]
-
-    tail = mesh.vert[fidx, (sidx + 1) % 3]
-    head = mesh.vert[fidx, (sidx + 2) % 3]
-    a_own = pyr.alpha[fidx, sidx]
-    a_opp = pyr.alpha[g, s2]
-    rho_t = pyr.rho_t[fidx, sidx]
-    rho_h = pyr.rho_h[fidx, sidx]
-    phi = pyr.phi[fidx, sidx]
-    ell = mesh.ell[fidx, sidx]
-
+    # One entry per face side, in (face, side) order.
+    a_own = pyr.alpha.ravel()
+    a_opp = pyr.alpha[mesh.adj_face, mesh.adj_side].ravel()
     sin_own, sin_opp = np.sin(a_own), np.sin(a_opp)
-    sin_t, sin_h = np.sin(rho_t), np.sin(rho_h)
+    sin_t, sin_h = np.sin(pyr.rho_t.ravel()), np.sin(pyr.rho_h.ravel())
     if min(sin_own.min(), sin_opp.min(), sin_t.min(), sin_h.min()) < SIN_FLOOR:
         raise StepReductionError(
             "a dihedral or slant angle is too close to 0 or pi to differentiate"
         )
 
     cot_sum = np.sin(a_own + a_opp) / (sin_own * sin_opp)
-    w = cot_sum / (ell * sin_t * sin_h)
+    w = cot_sum / (mesh.ell.ravel() * sin_t * sin_h)
 
-    rows = np.concatenate([tail, tail])
-    cols = np.concatenate([head, tail])
-    vals = np.concatenate([w, -w * np.cos(phi)])
-    return kernels.scatter_add(n, rows, cols, vals)
+    # Positions p of the tails and q of the heads.  Off-diagonal
+    # contributions come first, then the diagonal ones: every entry sums
+    # its duplicates in this order, the order of np.add.at into a dense J.
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    at = pos[mesh.vert]
+    p, q = at[:, _NEXT].ravel(), at[:, _NEXT2].ravel()
+    d = p - q
+    k = int(d.max())  # every side has a twin, so this is max |p - q|
+    ldab = 3 * k + 1
+    index = np.concatenate([d + ldab * q, ldab * p]) + 2 * k
+    vals = np.concatenate([w, -w * np.cos(pyr.phi.ravel())])
+    ab = kernels.scatter_add(ldab * n, index, vals).reshape(n, ldab).T
+    return BandJacobian(ab=ab, k=k, order=order)

@@ -198,8 +198,8 @@ def edge_badness(l_ij, l_ik, l_jk, l_il, l_jl, q_i, q_j, q_k, q_l):
     return np.where(bad_rows, np.nan, out)
 
 
-def scatter_add(n, rows, cols, vals):
-    """Dense (n, n) matrix accumulated from duplicate-index triplets."""
-    out = np.zeros((n, n))
-    np.add.at(out, (np.asarray(rows), np.asarray(cols)), np.asarray(vals))
-    return out
+def scatter_add(size, index, vals):
+    """Flat buffer of ``size`` zeros with each ``vals[m]`` added at
+    ``index[m]``; duplicates are summed in input order, as ``np.add.at``
+    sums them."""
+    return np.bincount(index, weights=vals, minlength=size)

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from polyforge import kernels
 from polyforge.errors import StepReductionError, TriangleError
 
 SIN_FLOOR = 1e-12
@@ -224,7 +223,9 @@ def volume_hessian(dual: DualPolyhedron, decomp: DualDecomposition | None = None
     rows = np.concatenate([tail, tail])
     cols = np.concatenate([head, tail])
     vals = np.concatenate([off, diag])
-    return kernels.scatter_add(dual.n_vertices, rows, cols, vals)
+    out = np.zeros((dual.n_vertices, dual.n_vertices))
+    np.add.at(out, (rows, cols), vals)
+    return out
 
 
 def face_positivity(P, deficits=None):

