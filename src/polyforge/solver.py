@@ -457,8 +457,10 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
 
 def _at_floor(state):
     """True when the state's curvature is below what double-precision
-    radii can express; only reachable near flat limits, where the row
-    norms of the curvature Jacobian blow up.  A state without a usable
+    radii can express.  Flat limits reach it, where the row norms of the
+    curvature Jacobian blow up, and so can a large hull whose jump to
+    kappa_stop is rejected: the random hull n = 2560 (seed [1, 2560])
+    halves down to it and stops at t = 4.2e-9.  A state without a usable
     Jacobian (``factor`` None) has no noise scale and is never at the
     floor."""
     if state.factor is None:

@@ -251,6 +251,89 @@ def test_sparse_polish_matches_dense_lstsq():
     assert np.abs(polished - reference).max() <= 1e-12 * diam
 
 
+_POLISH_CASES = {
+    "hull160-seed1": lambda: hull.random_sphere_development(160, seed=1)[0],
+    "hull160-seed2": lambda: hull.random_sphere_development(160, seed=2)[0],
+    "hull160-seed3": lambda: hull.random_sphere_development(160, seed=3)[0],
+    "cube": catalog.cube,
+    "twisted24": lambda: catalog.twisted_double_polygon(24),
+    "doubled12": lambda: catalog.doubly_covered_polygon(12),
+    "doubled345": lambda: catalog.doubly_covered_triangle(3.0, 4.0, 5.0),
+}
+
+
+def _perturbed_start(dev):
+    """A solved body's averaged placements, pushed off by 1e-6 diameter."""
+    P = solve_path(build_metric(dev)).polytope
+    rough = embed.place_faces(P, polish_iters=0)
+    rng = np.random.default_rng(0)
+    noise = 1e-6 * rough.diameter * rng.standard_normal(rough.vertices.shape)
+    return P.mesh, rough, noise
+
+
+@pytest.mark.parametrize("name", sorted(_POLISH_CASES))
+def test_band_polish_matches_dense_oracle(name):
+    mesh, rough, noise = _perturbed_start(_POLISH_CASES[name]())
+    diam = rough.diameter
+    start = rough.vertices + noise
+    polished = embed._polish(mesh, start, diam, 3)
+    assert np.abs(polished - _dense_polish(mesh, start, diam, 3)).max() <= 1e-12 * diam
+    assert chord_error(mesh, polished) < 1e-12 * diam
+
+
+def _rigid_motions(v):
+    """Orthonormal columns spanning the translations and the rotations
+    about the centroid of the points v, flattened as v.ravel()."""
+    w = v - v.mean(axis=0)
+    cols = [np.tile(e, (len(v), 1)) for e in np.eye(3)]
+    cols += [np.cross(e, w) for e in np.eye(3)]
+    q, _ = np.linalg.qr(np.stack([c.ravel() for c in cols], axis=1))
+    return q
+
+
+def test_polish_steps_have_no_rigid_component(monkeypatch):
+    mesh, rough, noise = _perturbed_start(hull.random_sphere_development(160, seed=[1, 160])[0])
+    steps = []
+    drop_rigid = embed._drop_rigid
+
+    def recorded(v, delta):
+        step = drop_rigid(v, delta)
+        steps.append((v.copy(), step))
+        return step
+
+    monkeypatch.setattr(embed, "_drop_rigid", recorded)
+    embed._polish(mesh, rough.vertices + noise, rough.diameter, 3)
+    assert steps
+    eps = np.finfo(np.float64).eps
+    for v, step in steps:
+        rigid = np.linalg.norm(_rigid_motions(v).T @ step.ravel())
+        assert rigid <= 10.0 * eps * np.linalg.norm(step)
+
+
+def test_polish_keeps_flat_body_flat():
+    mesh, rough, noise = _perturbed_start(catalog.doubly_covered_polygon(12))
+    diam = rough.diameter
+    _, _, vt = np.linalg.svd(rough.vertices - rough.vertices.mean(axis=0))
+    start = rough.vertices + (noise @ vt.T)[:, :2] @ vt[:2]  # in-plane only
+
+    def out_of_plane(verts):
+        return float(np.ptp(verts @ vt[2]))
+
+    polished = embed._polish(mesh, start, diam, 3)
+    assert np.abs(polished - start).max() > 1e-7 * diam
+    assert chord_error(mesh, polished) < 1e-12 * diam
+    assert abs(embed._signed_volume(polished, rough.faces)) <= embed.DEGENERATE_VOL_TOL * diam**3
+    assert out_of_plane(polished) - out_of_plane(start) <= 1e-12 * diam
+
+
+def test_polish_factor_failure_raises(cube_path, monkeypatch):
+    # J^T J is singular along the rigid motions: without the damping the
+    # band Cholesky breaks down, and that is an error, not a fallback
+    monkeypatch.setattr(embed, "_MU2_C", 0.0)
+    with pytest.raises(EmbedError, match=r"^polish normal matrix is not positive definite"):
+        embed.place_faces(cube_path.result.polytope)
+
+
 def _loop_closure_spread(points, labels):
     """The per-vertex loop that closure_residual used to come from."""
     spread = 0.0

@@ -37,6 +37,21 @@ def test_cli_loads_every_module():
     assert loaded == modules - NOT_ON_THE_PIPELINE
 
 
+def test_cli_does_not_load_sparse_linalg():
+    # The polish factors its normal equations by banded Cholesky, so the
+    # package needs no iterative sparse solver.  scipy.spatial loads
+    # scipy.sparse itself, so only the linalg subpackage is checked.
+    probe = "import sys, polyforge.cli; print('scipy.sparse.linalg' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=PACKAGE.parent,
+    )
+    assert proc.stdout.split() == ["False"]
+
+
 # Runs a small command-line corpus under sys.setprofile and prints the
 # (file, first line) of every package function that was entered.  The
 # corpus: the catalog's own command, which writes its solids, a solid with
