@@ -18,12 +18,20 @@ from coordinates.  So they do not share the oracle's order of operations;
 that the doubles still agree bit for bit is a checked fact, not a
 property of the construction, and the tests check it.  On a flat limit
 almost every face is refined, so this path sets the pace of those solves.
+
+Congruent flagged rows are solved once per call.  Each face of a doubly
+covered surface has a mirrored twin with the same side lengths and apex
+distances in another corner order; the first row of each such class is
+placed and refined, and every later one copies its doubles through the
+corner map.  The oracle solves every row on its own, so here too the
+bit-for-bit agreement of the copies is checked by test, not built in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from mpmath import libmp
@@ -208,6 +216,20 @@ def _refine_row(raw, f, ell, rad, frame, memo):
         raw["omega"][f, c] = _dihedral(d2, 3, c, u, v, _mul(radii[c], six_v))
 
 
+# The six corner maps of a triangle, rotations first: read through map p,
+# a row's corner k is its corner p[k], and so is its side k.  Each getter
+# reads the six inputs (lengths, then apex distances) in that order.
+_CORNER_MAPS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2))
+_CORNER_GETTERS = tuple(itemgetter(*p, *(3 + c for c in p)) for p in _CORNER_MAPS)
+
+
+def _congruence_key(inputs):
+    """(key, m) for one pyramid's six inputs: the key is the least of
+    their six corner orders, m the index in ``_CORNER_MAPS`` of the map
+    that gives it.  Two rows with the same key are congruent pyramids."""
+    return min((get(inputs), m) for m, get in enumerate(_CORNER_GETTERS))
+
+
 def solve_pyramids(ell, rad) -> PyramidBatch:
     """Solve the pyramid over every face; raises PyramidError if any face
     admits none.
@@ -216,24 +238,49 @@ def solve_pyramids(ell, rad) -> PyramidBatch:
     first places the apex of every flagged row in face order, so a face
     without a pyramid is reported before any angle is evaluated.  The
     second evaluates the angles.  A Euclidean angle depends only on its
-    three side lengths, and the twin sides of an edge (and the mirrored
-    faces of a doubly covered surface) repeat the same lateral triangle,
-    so each distinct lateral triangle is evaluated once per call.
+    three side lengths, and the twin sides of an edge repeat the same
+    lateral triangle, so each distinct lateral triangle is evaluated once
+    per call.
+
+    A whole pyramid depends only on its six inputs up to the order of its
+    corners, and the mirrored faces of a doubly covered surface repeat
+    every flagged row in another corner order.  So the flagged rows fall
+    into congruence classes, keyed by ``_congruence_key``, and each class
+    is solved once per call, at its first row in face order.  Every later
+    row copies that row's outputs through the corner map between the two:
+    alt2 as it is; alpha, phi and omega permuted; rho_t and rho_h also
+    swapped when the map is a reflection, since a reflection turns each
+    side's tail into its head.  When the first row has no pyramid, every
+    row of its class is listed as dead.  The copies equal what solving
+    each row on its own gives, and what the ``mpf`` oracle gives, bit for
+    bit; that is checked by test, not built in, since the 50-digit values
+    of one pyramid in two corner orders need not round alike.
     """
     ell = np.asarray(ell, dtype=float)
     rad = np.asarray(rad, dtype=float)
     raw = kernels.face_pyramids(ell, rad)
     ok = raw["ok"]
     refined = np.zeros(ell.shape[0], dtype=bool)
-    frames = {}
+    classes = {}  # congruence key -> (first face, its corner map), None if dead
+    frames = {}  # first face of each live class -> lengths, radii, frame
+    twins = []  # (face, first face of its class, their two corner maps)
     dead = []
     for f in np.flatnonzero(ok != 1):
-        lengths, radii = ell[f].tolist(), rad[f].tolist()
-        frame = None if ok[f] == -1 else _apex_frame(lengths, radii)
-        if frame is None:
+        if ok[f] == -1:
             dead.append(int(f))
-        else:
-            frames[f] = lengths, radii, frame
+            continue
+        lengths, radii = ell[f].tolist(), rad[f].tolist()
+        key, m = _congruence_key(lengths + radii)
+        if key not in classes:
+            frame = _apex_frame(lengths, radii)
+            if frame is not None:
+                frames[f] = lengths, radii, frame
+            classes[key] = None if frame is None else (f, m)
+        first = classes[key]
+        if first is None:
+            dead.append(int(f))
+        elif first[0] != f:
+            twins.append((f, *first, m))
     if dead:
         raise PyramidError(f"no apex pyramid over faces {dead}")
 
@@ -241,6 +288,20 @@ def solve_pyramids(ell, rad) -> PyramidBatch:
     for f, (lengths, radii, frame) in frames.items():
         _refine_row(raw, f, lengths, radii, frame, memo)
         refined[f] = True
+    if twins:
+        face, first, first_map, face_map = (np.array(x) for x in zip(*twins))
+        maps = np.array(_CORNER_MAPS)
+        # corner k of the twin is corner corner[k] of its first row
+        corner = np.take_along_axis(maps[first_map], np.argsort(maps[face_map], axis=1), axis=1)
+        reflect = ((first_map >= 3) != (face_map >= 3))[:, None]
+        src = first[:, None], corner
+        raw["alt2"][face] = raw["alt2"][first]
+        for name in ("alpha", "phi", "omega"):
+            raw[name][face] = raw[name][src]
+        rho_t, rho_h = raw["rho_t"][src], raw["rho_h"][src]
+        raw["rho_t"][face] = np.where(reflect, rho_h, rho_t)
+        raw["rho_h"][face] = np.where(reflect, rho_t, rho_h)
+        refined[face] = True
     return PyramidBatch(
         alt2=raw["alt2"],
         rho_t=raw["rho_t"],

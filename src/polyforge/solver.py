@@ -79,9 +79,11 @@ _REJECTABLE = (
 #    two-dimensional gauge it agrees with a truncated pseudo-inverse, and
 #    along it it only slides the apex within the plane of the body.
 #
-# Nondegenerate paths trip neither mechanism: they jump to kappa_stop
-# from t <= T_JUMP, while J is still far from failing RCOND_MIN, so only
-# flat limits, which never jump, reach the endgame.
+# Nondegenerate paths normally trip neither mechanism: they jump to
+# kappa_stop from t <= T_JUMP, while J is still far from failing
+# RCOND_MIN.  Flat limits never jump, so they reach the endgame; so does
+# a large hull whose jump is rejected and which halves on towards the
+# floor, like the random hull n = 2560 (see ``_at_floor``).
 FLOOR_C = 64.0
 _EPS = float(np.finfo(np.float64).eps)
 

@@ -1,14 +1,15 @@
 """The 50-digit refinement of ``polytope.solve_pyramids`` against the
 mpf-object oracle of ``tests/mp_refine.py``: every output bit for bit,
-the same exceptions, the two-phase order, the per-call triangle memo,
-and the triangle angles one at a time."""
+the same exceptions, the two-phase order, the per-call triangle and
+congruence-class memos, and the triangle angles one at a time."""
 
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from mp_refine import ANGLE_KEYS, _mp_angle_opp
+from mp_refine import ANGLE_KEYS, _mp_angle_opp, _refine_pyramid
 from mp_refine import solve_pyramids as oracle_solve
 from mpmath import libmp
 from oracles import mesh_of
@@ -100,6 +101,61 @@ def test_random_near_flat_pyramids():
     assert sum(isinstance(o, dict) for o in outcomes) >= 150
     live = [f for f, o in enumerate(outcomes) if isinstance(o, dict)]
     assert_matches_oracle(ell[live], rad[live])
+
+
+def _classes(ell, rad):
+    """The congruence classes of the rows: face lists keyed by the least of
+    each row's six corner orders, found by brute force."""
+    classes = {}
+    for f in range(len(ell)):
+        key = min(
+            tuple(ell[f, list(p)]) + tuple(rad[f, list(p)])
+            for p in itertools.permutations(range(3))
+        )
+        classes.setdefault(key, []).append(f)
+    return list(classes.values())
+
+
+def _six_orders(rng, ell, rad):
+    """Every row in all six corner orders, shuffled so that the first row
+    of a class in face order may be any of them; the side lengths follow
+    their opposite corners."""
+    perms = np.array(list(itertools.permutations(range(3))))
+    rows = np.repeat(np.arange(len(ell)), 6)
+    cols = np.tile(perms, (len(ell), 1))
+    order = rng.permutation(len(rows))
+    rows, cols = rows[order], cols[order]
+    return ell[rows[:, None], cols], rad[rows[:, None], cols], rows
+
+
+def test_congruent_rows_in_all_six_corner_orders():
+    # A later row of a congruence class copies the first row's outputs
+    # through the corner map; the oracle solves every row on its own.
+    rng = np.random.default_rng(37)
+    alt2_rel = 10.0 ** rng.uniform(-30.0, -9.0, 240)
+    ell, rad = _pyramids(rng, 240, alt2_rel)
+    with mpmath.workdps(50):
+        live = np.array([_refine_pyramid(ell[f], rad[f]) is not None for f in range(240)])
+    assert 150 <= live.sum() < 240
+
+    ell6, rad6, rows = _six_orders(rng, ell[live], rad[live])
+    assert np.all(kernels.face_pyramids(ell6, rad6)["ok"] == 0)
+    assert len(_classes(ell6, rad6)) == live.sum()
+    want = assert_matches_oracle(ell6, rad6)
+    assert np.all(want["refined"])
+    # the rows are near flat in earnest: both fold directions occur
+    outside = (want["alpha"] > math.pi / 2).any(axis=1)
+    assert outside.sum() >= 100 and (~outside).sum() >= 10
+
+    # Dead classes among live ones: every row of a class without a
+    # pyramid is listed, in face order, with the oracle's text.
+    few = np.flatnonzero(live)[:4]
+    dead = np.flatnonzero(~live)[:4]
+    ell6, rad6, rows = _six_orders(rng, ell[np.r_[few, dead]], rad[np.r_[few, dead]])
+    is_dead = rows >= len(few)
+    assert np.all(kernels.face_pyramids(ell6, rad6)["ok"][is_dead] == 0)
+    text = assert_matches_oracle(ell6, rad6)[1]
+    assert text == f"no apex pyramid over faces {np.flatnonzero(is_dead).tolist()}"
 
 
 def test_thin_bases_raise_the_same_triangle_error():
@@ -229,6 +285,42 @@ def test_each_distinct_angle_once_per_call(monkeypatch):
         assert 3 * len(ell) > len(keys) > 1
         for key in ANGLE_KEYS:
             assert np.array_equal(getattr(batch, key), getattr(P.pyramids, key))
+
+
+def test_each_congruence_class_once_per_call(monkeypatch):
+    # The doubly covered octagon: each face of the front copy has a mirrored
+    # twin on the back copy, the same pyramid in another corner order.  The
+    # first row of each class is placed and refined; its twin copies it.
+    mesh = mesh_of(catalog.doubly_covered_polygon(8))
+    radii = np.sqrt(1.0 + 1e-10 * (1.0 + 0.1 * np.arange(1.0, 9.0)))
+    ell, rad = mesh.ell, radii[mesh.vert]
+    classes = _classes(ell, rad)
+    assert sorted(len(c) for c in classes) == [2] * (len(ell) // 2)
+    alone = [polytope.solve_pyramids(ell[f : f + 1], rad[f : f + 1]) for f in range(len(ell))]
+    calls = []
+
+    def counted(name):
+        original = getattr(polytope, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("_apex_frame", "_dihedral"):
+        monkeypatch.setattr(polytope, name, counted(name))
+    for _ in range(2):  # the memo is per call: a second call evaluates again
+        calls.clear()
+        batch = polytope.solve_pyramids(ell, rad)
+        assert calls.count("_apex_frame") == len(classes)
+        assert calls.count("_dihedral") == 6 * len(classes)
+        assert np.all(batch.refined)
+        # every twin equals its row solved on its own
+        for key in ("alt2",) + ANGLE_KEYS:
+            got = getattr(batch, key)
+            want = np.concatenate([getattr(one, key) for one in alone])
+            assert np.array_equal(got, want), key
 
 
 def _angle_outcomes(sides):
