@@ -4,20 +4,27 @@ faces of a geodesic triangulation.
 Given radii r (apex distances per vertex), each face carries a pyramid
 whose existence is governed by the sign of its squared altitude.
 The fast kernels solve all pyramids in double precision and flag faces
-whose altitude is too small to trust; those rows are redone at 50 digits,
+whose altitude is too small to trust; those rows are redone exactly,
 which keeps the late, nearly flat stages of a deformation honest without
 slowing the generic case.
 
-The refinement calls mpmath's ``libmp`` layer on raw values.  It places
-the apex with the same operations, in the same order, as the plain ``mpf``
-form in ``tests/mp_refine.py``.  The angles and the dihedrals it computes
-differently: all three angles of a triangle from one Heron root, where the
-oracle takes each angle by its own half-angle formula, and the dihedrals
-from the squared edge lengths and the volume, where the oracle takes them
-from coordinates.  So they do not share the oracle's order of operations;
-that the doubles still agree bit for bit is a checked fact, not a
-property of the construction, and the tests check it.  On a flat limit
-almost every face is refined, so this path sets the pace of those solves.
+The refinement works in Python integers.  A flagged row's six inputs are
+integers on one common power-of-two scale, and every quantity the
+pyramid needs is an integer polynomial in their squares: Heron's product
+of the base, the Gram determinant of the three edges at corner 0, and
+both operands of every angle's atan2 up to a square root.  Each angle
+comes from a fixed-point atan2 and is rounded to the nearest double only
+when its error bound cannot straddle a rounding boundary; otherwise it
+is recomputed at twice the precision (Ziv, "Fast evaluation of
+elementary mathematical functions with correctly rounded last bit", ACM
+TOMS 17, 1991).  So each double is the correctly rounded value of the
+exact pyramid, except where the oracle, ``tests/mp_refine.py``, decides
+otherwise: it works at 50 digits (169 bits), and the sums in a lateral
+triangle's half-perimeter excesses are rounded to 169 bits here as
+there.  The oracle rounds every operation, so that the doubles agree
+with it bit for bit is a checked fact, not a property of the
+construction, and the tests check it.  On a flat limit almost every face
+is refined, so this path sets the pace of those solves.
 
 Congruent flagged rows are solved once per call.  Each face of a doubly
 covered surface has a mirrored twin with the same side lengths and apex
@@ -29,140 +36,266 @@ bit-for-bit agreement of the copies is checked by test, not built in.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
-from mpmath import libmp
-from mpmath.libmp import (
-    from_float,
-    fzero,
-    mpf_add,
-    mpf_atan2,
-    mpf_div,
-    mpf_le,
-    mpf_mul,
-    mpf_pi,
-    mpf_shift,
-    mpf_sqrt,
-    mpf_sub,
-    to_float,
-)
 
 from . import kernels
 from .errors import PyramidError, TriangleError
 from .triangulation import CornerMesh
 
-# The refinement works on mpmath's raw libmp values (sign, mantissa,
-# exponent, bit count) at the precision and rounding that
-# ``mp.workdps(50)`` sets, which skips the mpf objects and the context.
-# Halving and doubling are exponent shifts, exact like ``/ 2`` and ``2 *``.
-# ``to_float`` rounds down unless told otherwise; ``float(mpf)`` rounds to
-# nearest, so every conversion passes ``rnd=_RND``.
-_PREC = libmp.dps_to_prec(50)  # 169 bits
-_RND = libmp.round_nearest
+# The oracle's sums carry 169 bits, the precision of 50 digits.
+_SUM_BITS = 169
+# Fraction bits of the fixed-point atan2: the first attempt, and the most
+# that the doubling may reach.  The table holds a few more.
+_ATAN_BITS = 96
+_MAX_BITS = 4 * _ATAN_BITS
+_TABLE_BITS = _MAX_BITS + 16
+_UNDECIDED = f"atan2 rounding undecided at {_MAX_BITS} bits"
 
 
-def _add(x, y):
-    return mpf_add(x, y, _PREC, _RND)
+def _round_sum(n):
+    """The integer n rounded to 169 significant bits, to nearest with ties
+    to even, as the oracle's 50-digit sums are rounded."""
+    m = abs(n)
+    drop = m.bit_length() - _SUM_BITS
+    if drop <= 0:
+        return n
+    q, r = m >> drop, m & ((1 << drop) - 1)
+    half = 1 << (drop - 1)
+    q += r > half or (r == half and q & 1)
+    return q << drop if n > 0 else -(q << drop)
 
 
-def _sub(x, y):
-    return mpf_sub(x, y, _PREC, _RND)
+def _integers(values):
+    """(ints, den) with values[k] == ints[k] / den exactly, den a power of
+    two, for floats that are all finite; None otherwise."""
+    if not all(map(math.isfinite, values)):
+        return None
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den
 
 
-def _mul(x, y):
-    return mpf_mul(x, y, _PREC, _RND)
+def _atan_series(u, bits):
+    """atan(u / 2**bits) in units of 2**-bits by its Taylor series, for an
+    integer 0 <= u <= 2**bits / 256, each operation rounded down.  Returns
+    (value, err), the exact arctangent lying within err units of value:
+    each term is off by less than 2.02 units and the tail by less than 1."""
+    u2 = u * u >> bits
+    total, n = 0, 1
+    while u:
+        total += u // n
+        u = u * u2 >> bits
+        total -= u // (n + 2)
+        u = u * u2 >> bits
+        n += 4
+    return total, 2 * n
 
 
-def _div(x, y):
-    return mpf_div(x, y, _PREC, _RND)
+# atan(k / 256) for k = 0..256 in units of 2**-_TABLE_BITS, entry 256 being
+# pi / 4.  Each entry adds atan(256 / (65536 + k (k - 1))), which is
+# atan(k / 256) - atan((k - 1) / 256), to the one before; 24 guard bits
+# absorb the 256 rounding errors, so each entry is off by at most 0.51.
+_TABLE = tuple(
+    (a + (1 << 23)) >> 24
+    for a in itertools.accumulate(
+        (
+            _atan_series((256 << (_TABLE_BITS + 24)) // (65536 + k * (k - 1)), _TABLE_BITS + 24)[0]
+            for k in range(1, 257)
+        ),
+        initial=0,
+    )
+)
 
 
-def _sqrt(x):
-    return mpf_sqrt(x, _PREC, _RND)
+def _nearest(value, scale, err):
+    """The double nearest value / 2**scale, if every number within err of
+    value rounds to the same double; else None."""
+    unit = 1 << scale
+    lo = (value - err) / unit
+    return lo if lo == (value + err) / unit else None
 
 
-_HALF_PI = mpf_shift(mpf_pi(_PREC, _RND), -1)
+def _atan2_fixed(p, x, bits):
+    """atan2(sqrt(p), x) for integers p > 0 and x != 0 in fixed point, as
+    (value, scale, err): the angle lies within err of value / 2**scale.
+    The scale is ``bits``, or more where the angle is small, so that the
+    value keeps about ``bits`` significant bits.
+
+    With y = sqrt(p) and t = min(y, |x|) / max(y, |x|), the angle is
+    atan(t), pi - atan(t) or pi/2 -+ atan(t).  t is rounded to the nearest
+    c = k/256, and atan(t) = atan(c) + atan(u) with u = (t - c) / (1 + t c),
+    |u| <= 1/512, from the table and a short series."""
+    xx = x * x
+    small = p <= xx
+    num, den = (p, xx) if small else (xx, p)
+    scale = bits
+    if small and x > 0:  # the angle is atan(t) itself
+        scale += max(0, (den.bit_length() - num.bit_length()) >> 1)
+    t = math.isqrt((num << 2 * scale) // den)  # t 2**scale, low by under 2
+    k = (t + (1 << (scale - 9))) >> (scale - 8)
+    if k:
+        u = ((t - (k << (scale - 8))) << scale) // ((1 << scale) + (t * k >> 8))
+        angle, err = _atan_series(abs(u), scale)
+        angle = (_TABLE[k] >> (_TABLE_BITS - scale)) + (angle if u >= 0 else -angle)
+    else:
+        angle, err = _atan_series(t, scale)
+    # t and u are off by less than 6 units, the table and pi by less than 2
+    err += 10
+    if not small:
+        half_pi = _TABLE[256] >> (_TABLE_BITS - scale - 1)
+        angle = half_pi - angle if x > 0 else half_pi + angle
+    elif x < 0:
+        angle = (_TABLE[256] >> (_TABLE_BITS - scale - 2)) - angle
+    return angle, scale, err
 
 
-def _tri_angles(sides, raws):
+def _atan2(p, x, bits=_ATAN_BITS):
+    """atan2(sqrt(p), x) for integers p >= 0 and x, as the nearest double,
+    found by doubling ``bits`` until the rounding is decided."""
+    if not p:
+        return 0.0 if x >= 0 else math.pi
+    if not x:
+        return math.pi / 2
+    while bits <= _MAX_BITS:
+        angle = _nearest(*_atan2_fixed(p, x, bits))
+        if angle is not None:
+            return angle
+        bits *= 2
+    raise ArithmeticError(_UNDECIDED)
+
+
+def _tri_angles(sides, ints):
     """The three angles of the triangle with the given sides, as nearest
     floats, the k-th opposite sides[k]; ``sides`` are three floats and
-    ``raws`` the same three as raw values.
+    ``ints`` the same three as integers on one scale, or None to take them
+    from ``sides``.
 
     The half-angle formula of ``kernels._angle_opp``, tan(A/2) =
     sqrt(sb sc / (s sa)), is atan2(K, s sa) with Heron's root K =
-    sqrt(s sa sb sc), so one root serves all three angles.  The sums s, sa,
-    sb and sc are exact at this precision unless one side is more than
-    about 2^110 times another.  The angle opposite the longest side is at
-    least pi/3, so it is pi minus the other two without losing digits.
-    The oracle evaluates each angle by its own half-angle formula; that
-    the doubles agree is checked by test."""
-    a, b, c = raws
-    ab = _add(a, b)
+    sqrt(s sa sb sc), so one product serves all three angles.  The
+    excesses sa, sb and sc round their sums to 169 bits, as the oracle's
+    do, which decides whether a triangle whose sides differ by more than
+    about 2^116 is degenerate.  s is their sum, so the half-angles add up
+    to pi/2 exactly, and the angle opposite the longest side, which is at
+    least pi/3, is pi minus the other two.  Sides that are not all finite
+    follow IEEE rules, as the oracle's inf and nan do: an excess that is
+    not positive raises, and otherwise every angle is NaN."""
+    if ints is None:
+        scaled = _integers(sides)
+        if scaled is None:
+            a, b, c = sides
+            if any(e <= 0 for e in ((b + c) - a, (c + a) - b, (a + b) - c)):
+                raise TriangleError("degenerate triangle in high-precision pyramid solve")
+            return (math.nan,) * 3
+        ints = scaled[0]
+    a, b, c = ints
     excess = (
-        mpf_shift(_sub(_add(b, c), a), -1),
-        mpf_shift(_sub(_add(c, a), b), -1),
-        mpf_shift(_sub(ab, c), -1),
+        _round_sum(_round_sum(b + c) - a),
+        _round_sum(_round_sum(c + a) - b),
+        _round_sum(_round_sum(a + b) - c),
     )
-    if any(mpf_le(x, fzero) for x in excess):
+    if min(excess) <= 0:
         raise TriangleError("degenerate triangle in high-precision pyramid solve")
-    s = mpf_shift(_add(ab, c), -1)
-    area = _sqrt(_mul(_mul(s, excess[0]), _mul(excess[1], excess[2])))
+    s = sum(excess)
+    heron = s * excess[0] * excess[1] * excess[2]
     x, y, z = sides
     longest = 0 if x >= y and x >= z else 1 if y >= z else 2
     i, j = (longest + 1) % 3, (longest + 2) % 3
-    half = [None] * 3
-    half[i] = mpf_atan2(area, _mul(s, excess[i]), _PREC, _RND)
-    half[j] = mpf_atan2(area, _mul(s, excess[j]), _PREC, _RND)
-    half[longest] = _sub(_HALF_PI, _add(half[i], half[j]))
-    return tuple(to_float(mpf_shift(h, 1), rnd=_RND) for h in half)
+    bits = _ATAN_BITS
+    while bits <= _MAX_BITS:
+        hi, wi, ei = _atan2_fixed(heron, s * excess[i], bits)
+        hj, wj, ej = _atan2_fixed(heron, s * excess[j], bits)
+        # pi minus twice both half-angles, at the scale ``bits``
+        rest = (_TABLE[256] >> (_TABLE_BITS - bits - 2)) - 2 * (
+            (hi >> (wi - bits)) + (hj >> (wj - bits))
+        )
+        rest_err = 2 + 2 * ((ei >> (wi - bits)) + (ej >> (wj - bits)) + 4)
+        angles = [None] * 3
+        angles[i] = _nearest(2 * hi, wi, 2 * ei)
+        angles[j] = _nearest(2 * hj, wj, 2 * ej)
+        angles[longest] = _nearest(rest, bits, rest_err)
+        if None not in angles:
+            return tuple(angles)
+        bits *= 2
+    raise ArithmeticError(_UNDECIDED)
 
 
-def _dihedral(d2, p, q, w1, w2, sine):
+def _dihedral(d2, p, q, w1, w2, vol):
     """Dihedral angle of a tetrahedron along its edge p -> q, between the
     faces (p, q, w1) and (p, q, w2); returned as the nearest float.
 
-    ``d2[a][b]`` is the squared length of edge ab as a raw value, and
-    ``sine`` is |pq| * 6V, V the volume.  With e = q - p, a = w1 - p and
-    b = w2 - p, twice a dot product about p is a sum of three squared
+    ``d2[a][b]`` is the squared length of edge ab and ``vol`` is (24 V)^2,
+    V the volume, all integers on one scale.  With e = q - p, a = w1 - p
+    and b = w2 - p, twice a dot product about p is a sum of three squared
     lengths, 2 a.b = d2[p][w1] + d2[p][w2] - d2[w1][w2].  The projections
     of a and b off e have the dot product a.b - (a.e)(b.e)/|e|^2 and a
     cross product of length 6V/|e|; 4 |e|^2 times each is the atan2 pair
-    below, so the angle needs no frame, division or square root."""
+    below, the cross term 24 |e| V being the root of d2[p][q] vol."""
     dp = d2[p]
-    ww = _sub(_add(dp[w1], dp[w2]), d2[w1][w2])
-    qw1 = _sub(_add(dp[q], dp[w1]), d2[q][w1])
-    qw2 = _sub(_add(dp[q], dp[w2]), d2[q][w2])
-    x = _sub(mpf_shift(_mul(dp[q], ww), 1), _mul(qw1, qw2))
-    return to_float(mpf_atan2(mpf_shift(sine, 2), x, _PREC, _RND), rnd=_RND)
+    ww = dp[w1] + dp[w2] - d2[w1][w2]
+    qw1 = dp[q] + dp[w1] - d2[q][w1]
+    qw2 = dp[q] + dp[w2] - d2[q][w2]
+    return _atan2(dp[q] * vol, 2 * dp[q] * ww - qw1 * qw2)
 
 
 def _apex_frame(lengths, radii):
-    """Place one pyramid at 50 digits: base corners 0, 1, 2 in the plane
-    and the apex 3 above it, from the side lengths and apex distances (two
-    lists of three floats).  Returns (alt2, points, sides, squares) as raw
-    values, where ``sides`` holds the six inputs, lengths first, and
-    ``squares`` their squares; or None when the squared altitude is
-    non-positive (no pyramid)."""
-    sides = [from_float(x) for x in lengths + radii]
-    squares = [_mul(x, x) for x in sides]
-    l0, l1, l2 = sides[:3]
-    l0l0, l1l1, l2l2, q0, q1, q2 = squares
-    x2 = _div(_sub(_add(l1l1, l2l2), l0l0), mpf_shift(l2, 1))
-    y2sq = _mul(_sub(l1, x2), _add(l1, x2))
-    if mpf_le(y2sq, fzero):
+    """Decide one pyramid from its side lengths and apex distances (two
+    lists of three floats), with base corners 0, 1, 2 and the apex 3.
+    Returns (alt2, ints, d2, vol): the squared altitude as the nearest
+    double, the six inputs as integers on one scale (lengths first), the
+    table d2[a][b] of squared edge lengths and vol = (24 V)^2, V the
+    volume, both on that scale; or None when the squared altitude is not
+    positive (no pyramid).
+
+    With L the squared lengths, Heron's 16 area^2 = 4 L1 L2 - (L1 + L2 -
+    L0)^2 decides whether the base is a triangle, and the Gram determinant
+    of the three edges at corner 0, which gives 144 V^2, whether there is a
+    pyramid.  alt2 = 144 V^2 / (16 area^2) is rounded once, to inf when no
+    double can hold it.  The oracle places the apex by coordinates at 169
+    bits; its signs and doubles agree with these by test.
+
+    Inputs that are not all finite follow IEEE rules, as the oracle's inf
+    and nan do, through the oracle's frame in doubles: a base that comes
+    out degenerate raises, a squared altitude that is not positive means
+    no pyramid, and otherwise alt2 and every dihedral is NaN, as each
+    depends on all six inputs (ints, d2 and vol are None)."""
+    if not lengths[2]:
+        raise ZeroDivisionError  # the oracle's first division, by 2 l2
+    scaled = _integers(lengths + radii)
+    if scaled is None:
+        l0, l1, l2 = lengths
+        q0, q1, q2 = (r * r for r in radii)
+        x2 = (l1 * l1 + l2 * l2 - l0 * l0) / (2 * l2)
+        y2sq = (l1 - x2) * (l1 + x2)
+        if y2sq <= 0:
+            raise TriangleError("degenerate base triangle")
+        xa = (q0 - q1 + l2 * l2) / (2 * l2)
+        ya = (q0 - q2 + l1 * l1 - 2 * xa * x2) / (2 * math.sqrt(y2sq))
+        if q0 - xa * xa - ya * ya <= 0:
+            return None
+        return math.nan, None, None, None
+    ints, den = scaled
+    L0, L1, L2, Q0, Q1, Q2 = (v * v for v in ints)
+    d = L1 + L2 - L0  # 2 a.b, a and b the base edges at corner 0
+    heron = 4 * L1 * L2 - d * d
+    if heron <= 0:
         raise TriangleError("degenerate base triangle")
-    y2 = _sqrt(y2sq)
-    xa = _div(_add(_sub(q0, q1), l2l2), mpf_shift(l2, 1))
-    ya = _div(_sub(_add(_sub(q0, q2), l1l1), _mul(mpf_shift(xa, 1), x2)), mpf_shift(y2, 1))
-    alt2 = _sub(_sub(q0, _mul(xa, xa)), _mul(ya, ya))
-    if mpf_le(alt2, fzero):
+    e = L2 + Q0 - Q1  # 2 a.w, w the edge from corner 0 to the apex
+    f = L1 + Q0 - Q2  # 2 b.w
+    gram = Q0 * heron + d * e * f - L2 * f * f - L1 * e * e  # 144 V^2
+    if gram <= 0:
         return None
-    points = ((fzero, fzero, fzero), (l2, fzero, fzero), (x2, y2, fzero), (xa, ya, _sqrt(alt2)))
-    return alt2, points, sides, squares
+    try:
+        alt2 = gram / (heron * den * den)
+    except OverflowError:
+        alt2 = math.inf
+    d2 = ((0, L2, L1, Q0), (L2, 0, L0, Q1), (L1, L0, 0, Q2), (Q0, Q1, Q2, 0))
+    return alt2, ints, d2, 4 * gram
 
 
 @dataclass
@@ -175,28 +308,21 @@ class PyramidBatch:
     phi: np.ndarray
     alpha: np.ndarray
     omega: np.ndarray
-    refined: np.ndarray  # bool: rows recomputed at high precision
+    refined: np.ndarray  # bool: rows recomputed exactly
 
 
 def _refine_row(raw, f, ell, rad, frame, memo):
-    """Overwrite row f of the kernel output with the 50-digit pyramid with
+    """Overwrite row f of the kernel output with the exact pyramid with
     side lengths ell, apex distances rad (three floats each) and the given
     apex frame.  ``memo`` holds the angles of the lateral triangles met so
     far, keyed by (shorter radius, longer radius, base side).
 
     The base corners are 0, 1, 2 and the apex is 3.  The dihedrals come
-    from the squared edge lengths, which are exact at this precision, and
-    from six times the volume, base side l2 times base height y2 times apex
-    height, which all six share."""
-    alt2, pts, sides, squares = frame
-    lengths, radii = sides[:3], sides[3:]
-    six_v = _mul(_mul(pts[1][0], pts[2][1]), pts[3][2])
-    d2 = [[None] * 4 for _ in range(4)]
-    for s in range(3):
-        t, h = (s + 1) % 3, (s + 2) % 3
-        d2[t][h] = d2[h][t] = squares[s]
-        d2[s][3] = d2[3][s] = squares[3 + s]
-    raw["alt2"][f] = to_float(alt2, rnd=_RND)
+    from the frame's squared edge lengths and volume term, which all six
+    share; a frame without them, from inputs that are not all finite, has
+    NaN dihedrals."""
+    alt2, ints, d2, vol = frame
+    raw["alt2"][f] = alt2
     for s in range(3):
         t, h = (s + 1) % 3, (s + 2) % 3
         # The twin side of an edge swaps tail and head, so the key orders
@@ -205,15 +331,16 @@ def _refine_row(raw, f, ell, rad, frame, memo):
         key = (rad[lo], rad[hi], ell[s])
         angles = memo.get(key)
         if angles is None:
-            angles = memo[key] = _tri_angles(key, (radii[lo], radii[hi], lengths[s]))
+            sides = ints and (ints[3 + lo], ints[3 + hi], ints[s])
+            angles = memo[key] = _tri_angles(key, sides)
         at_lo, at_hi, phi = angles
         # rho_t lies opposite the head's radius, rho_h opposite the tail's
         raw["rho_t"][f, s], raw["rho_h"][f, s] = (at_hi, at_lo) if lo == t else (at_lo, at_hi)
         raw["phi"][f, s] = phi
-        raw["alpha"][f, s] = _dihedral(d2, t, h, s, 3, _mul(lengths[s], six_v))
+        raw["alpha"][f, s] = _dihedral(d2, t, h, s, 3, vol) if ints else math.nan
     for c in range(3):
         u, v = (c + 1) % 3, (c + 2) % 3
-        raw["omega"][f, c] = _dihedral(d2, 3, c, u, v, _mul(radii[c], six_v))
+        raw["omega"][f, c] = _dihedral(d2, 3, c, u, v, vol) if ints else math.nan
 
 
 # The six corner maps of a triangle, rotations first: read through map p,
@@ -234,8 +361,8 @@ def solve_pyramids(ell, rad) -> PyramidBatch:
     """Solve the pyramid over every face; raises PyramidError if any face
     admits none.
 
-    Rows the kernel flags are redone at 50 digits in two phases.  The
-    first places the apex of every flagged row in face order, so a face
+    Rows the kernel flags are redone exactly in two phases.  The first
+    decides the pyramid of every flagged row in face order, so a face
     without a pyramid is reported before any angle is evaluated.  The
     second evaluates the angles.  A Euclidean angle depends only on its
     three side lengths, and the twin sides of an edge repeat the same
@@ -252,9 +379,11 @@ def solve_pyramids(ell, rad) -> PyramidBatch:
     swapped when the map is a reflection, since a reflection turns each
     side's tail into its head.  When the first row has no pyramid, every
     row of its class is listed as dead.  The copies equal what solving
-    each row on its own gives, and what the ``mpf`` oracle gives, bit for
-    bit; that is checked by test, not built in, since the 50-digit values
-    of one pyramid in two corner orders need not round alike.
+    each row on its own gives, since every double is the rounding of a
+    value that does not depend on the corner order; that they equal what
+    the ``mpf`` oracle gives, bit for bit, is checked by test, since the
+    oracle's 50-digit values of one pyramid in two corner orders need not
+    round alike.
     """
     ell = np.asarray(ell, dtype=float)
     rad = np.asarray(rad, dtype=float)

@@ -3,11 +3,11 @@
 This is the straightforward form of ``polytope``'s high-precision path:
 every quantity an ``mpf`` under ``mp.workdps(50)``, every operator the
 overloaded one, every angle by its own half-angle formula, every
-dihedral from explicit coordinates.  ``polytope`` works on mpmath's raw
-``libmp`` layer, takes all three angles of a triangle from one Heron
-root and the dihedrals from squared edge lengths instead, so the two
-agree bit for bit by test, not by construction; the tests hold the
-package to that.
+dihedral from explicit coordinates.  ``polytope`` works in exact
+integers instead, takes all three angles of a triangle from one Heron
+product and the dihedrals from squared edge lengths, and rounds each
+angle once from a fixed-point atan2, so the two agree bit for bit by
+test, not by construction; the tests hold the package to that.
 
 This module is a test oracle: nothing in the package imports it.
 """

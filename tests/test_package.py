@@ -52,6 +52,20 @@ def test_cli_does_not_load_sparse_linalg():
     assert proc.stdout.split() == ["False"]
 
 
+def test_cli_does_not_load_mpmath():
+    # The refinement of nearly flat pyramids works in Python integers;
+    # mpmath serves only the test oracle.
+    probe = "import sys, polyforge.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=PACKAGE.parent,
+    )
+    assert proc.stdout.split() == ["False"]
+
+
 # Runs a small command-line corpus under sys.setprofile and prints the
 # (file, first line) of every package function that was entered.  The
 # corpus: the catalog's own command, which writes its solids, a solid with

@@ -1,7 +1,8 @@
-"""The 50-digit refinement of ``polytope.solve_pyramids`` against the
-mpf-object oracle of ``tests/mp_refine.py``: every output bit for bit,
-the same exceptions, the two-phase order, the per-call triangle and
-congruence-class memos, and the triangle angles one at a time."""
+"""The exact refinement of ``polytope.solve_pyramids`` against the
+50-digit mpf-object oracle of ``tests/mp_refine.py``: every output bit
+for bit, the same exceptions, the two-phase order, the per-call triangle
+and congruence-class memos, the triangle angles one at a time, and the
+fixed-point atan2 against mpmath's."""
 
 import itertools
 import math
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 from mp_refine import ANGLE_KEYS, _mp_angle_opp, _refine_pyramid
 from mp_refine import solve_pyramids as oracle_solve
-from mpmath import libmp
 from oracles import mesh_of
 
 from polyforge import build_metric, catalog, kernels, polytope, solver
@@ -330,7 +330,7 @@ def _angle_outcomes(sides):
     error raised, as (type, text)."""
 
     def package():
-        return polytope._tri_angles(sides, tuple(libmp.from_float(x) for x in sides))
+        return polytope._tri_angles(sides, None)
 
     def oracle():
         with mpmath.workdps(50):
@@ -428,3 +428,74 @@ def test_dihedrals_from_squared_lengths_match_the_frame_oracle(scale):
     # (alpha near 0) unless the apex lies beyond that side (alpha near pi)
     outside = (want["alpha"] > math.pi / 2).any(axis=1)
     assert outside.sum() >= len(live) // 2 and (~outside).sum() >= 10
+
+
+def _atan2_cases(rng):
+    """(y, x) float pairs: operands from 2^-60 to 2^60 in all four
+    quadrants' halves, x = 0, and angles within 1e-15 of 0 and of pi."""
+    n = 150
+    y = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-60, 61, n))
+    x = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-60, 61, n)) * rng.choice([-1.0, 1.0], n)
+    near = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-60, 61, n))
+    tiny = near * 10.0 ** rng.uniform(-25.0, -15.0, n)
+    pairs = list(zip(y, x)) + [(v, 0.0) for v in y[:20]]
+    pairs += list(zip(tiny, near)) + list(zip(tiny, -near))
+    pairs += [(1.0, 1.0), (1.0, -1.0), (3.0, 4.0), (2.0**-60, 2.0**60), (2.0**60, -(2.0**-60))]
+    return pairs
+
+
+def _fixed_atan2(y, x, bits=None):
+    """polytope._atan2 on the float pair (y, x), through its integer form
+    atan2(sqrt(Y^2), X) on one common scale."""
+    (yi, xi), _ = polytope._integers([y, x])
+    args = (yi * yi, xi) if bits is None else (yi * yi, xi, bits)
+    return polytope._atan2(*args)
+
+
+def _mp_atan2(y, x):
+    with mpmath.workdps(50):
+        return float(mpmath.atan2(mpmath.mpf(y), mpmath.mpf(x)))
+
+
+def test_fixed_point_atan2_matches_mpmath():
+    pairs = _atan2_cases(np.random.default_rng(41))
+    got = [_fixed_atan2(y, x) for y, x in pairs]
+    assert got == [_mp_atan2(y, x) for y, x in pairs]
+    got = np.array(got)
+    assert (got < 1e-15).sum() >= 100 and (got > math.pi - 1e-15).sum() >= 100
+    assert _fixed_atan2(1.0, 0.0) == math.pi / 2 and _fixed_atan2(0.0, -1.0) == math.pi
+
+
+def test_fixed_point_atan2_recomputes_undecided_roundings(monkeypatch):
+    # At 16 bits no rounding is decided, so each angle takes the Ziv
+    # fallback, doubling the bits until it is; the result is still the
+    # correctly rounded double.
+    tried = []
+    original = polytope._atan2_fixed
+
+    def recorded(p, x, bits):
+        tried.append(bits)
+        return original(p, x, bits)
+
+    monkeypatch.setattr(polytope, "_atan2_fixed", recorded)
+    for y, x in _atan2_cases(np.random.default_rng(43))[::7]:
+        if not x:  # pi/2 needs no fixed-point value
+            continue
+        tried.clear()
+        assert _fixed_atan2(y, x, bits=16) == _mp_atan2(y, x)
+        assert tried[:3] == [16, 32, 64]
+    assert polytope._nearest(*original(3, 1, 16)) is None  # pi/3 at 16 bits
+
+
+def test_triangle_angles_where_the_oracle_sums_round():
+    # Needles (b, b, c) with b / c from 2^100 to 2^130: the sum b + c fills
+    # more than the oracle's 169 bits from about 2^116 on, so the rounding
+    # of the excesses sets the needle's angles; each angle must still match.
+    rng = np.random.default_rng(47)
+    ratios = np.arange(100, 131)
+    longs = rng.uniform(0.5, 2.0, ratios.size)
+    shorts = np.ldexp(longs * rng.uniform(0.5, 2.0, ratios.size), -ratios)
+    for b, c in zip(longs.tolist(), shorts.tolist()):
+        for sides in set(itertools.permutations((b, b, c))):
+            got, want = _angle_outcomes(sides)
+            assert got == want, sides
