@@ -9,10 +9,21 @@ r^2) after every Newton update, so combinatorial surgery happens exactly
 where the deformation crosses a flat edge.  Failed steps roll back and
 halve the step size.
 
-Steps are capped at half of t, except near closure: the Hessian stays
-non-degenerate for every t > 0, so a path that has not rejected a step
-jumps from the first t <= T_JUMP straight to kappa_stop.  Paths into a
-flat limit reject steps long before T_JUMP and halve down to the end.
+The Hessian stays non-degenerate for every t > 0, so the path r(t) is
+smooth and its tangent dr/dt = J^{-1} kappa(1) is continuous, across
+flips too.  While the path is clean, the predictor is the cubic Hermite
+extrapolation through the last two accepted states and their tangents
+(Allgower & Georg, Introduction to Numerical Continuation Methods, ch.
+6); the tangent at the current state is the solve an Euler step makes,
+so the cubic costs no extra factor or solve.  A path is clean until it
+rejects a step other than its one jump attempt; from then on it predicts
+by Euler steps.
+
+Steps are capped at half of t, except once: a clean path tries to jump
+from the first t <= T_JUMP straight to kappa_stop.  A rejected attempt
+halves the step as any rejection does, but leaves the path clean; it is
+not tried again.  Paths into a flat limit make that attempt and have it
+rejected, then halve down to the end.
 """
 
 from __future__ import annotations
@@ -81,9 +92,9 @@ _REJECTABLE = (
 #
 # Nondegenerate paths normally trip neither mechanism: they jump to
 # kappa_stop from t <= T_JUMP, while J is still far from failing
-# RCOND_MIN.  Flat limits never jump, so they reach the endgame; so does
-# a large hull whose jump is rejected and which halves on towards the
-# floor, like the random hull n = 2560 (see ``_at_floor``).
+# RCOND_MIN.  A flat limit's jump attempt is rejected, so it reaches the
+# endgame; so does a large hull whose jump is rejected and which halves
+# on towards the floor, like the random hull n = 2560 (see ``_at_floor``).
 FLOOR_C = 64.0
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -96,8 +107,8 @@ DT_MIN = 1e-12
 GROWTH = 1.5  # step growth after an easy step (<= 3 Newton iterations)
 RADIUS_CAP = 2.0  # radii may grow to this times the initial radius
 SEED_DOUBLINGS = 60  # tries of the equal starting radius
-# A path without a rejected step jumps from t <= T_JUMP straight to
-# kappa_stop; any rejection returns it to halving for good.
+# A clean path tries once to jump from t <= T_JUMP straight to
+# kappa_stop; any other rejection returns it to halving for good.
 T_JUMP = 1e-3
 
 
@@ -198,6 +209,12 @@ class ContinuationState:
     # None once assembling or factoring it failed at acceptance.
     factor: JacobianFactor | None
     newton_tol: float
+    # The previous accepted state (t, r, dr/dt) while the path is clean:
+    # the predictor's second node.  A path is clean until it rejects a
+    # step other than its one jump attempt; then previous is dropped and
+    # the path predicts by Euler steps for good.
+    previous: tuple | None = None
+    clean: bool = True
     flips: int = 0
     steps_accepted: int = 0
     steps_rejected: int = 0
@@ -284,7 +301,11 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
             return _reject(state, "curvature Jacobian is numerically singular")
         endgame = 1.0 / factor.cond < RCOND_MIN
         scale = factor.norm_inf
-        r = r - dt * factor.solve(state.kappa1)
+        tangent = factor.solve(state.kappa1)  # dr/dt at state.t
+        if state.previous is None:
+            r = r - dt * tangent
+        else:
+            r = _hermite(*state.previous, state.t, r, tangent, t_new)
 
         iters = 0
         while True:
@@ -331,6 +352,8 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
         # step rejects, and the state is never at the floor.
         state.factor = None
 
+    if state.clean:
+        state.previous = (state.t, state.r, tangent)
     state.mesh = mesh
     state.r = r
     state.t = t_new
@@ -340,6 +363,16 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
     state.events.extend(buffer)
     _record(state, iters)
     return StepResult(accepted=True, newton_iters=iters)
+
+
+def _hermite(t0, r0, m0, t1, r1, m1, t):
+    """The cubic through (t0, r0) and (t1, r1) with slopes m0 and m1,
+    evaluated at t; in Newton form on the nodes t1, t1, t0, t0, so that
+    its first two terms are the Euler step from t1."""
+    h = t0 - t1
+    u = t - t1
+    d = (r0 - r1) / h  # the secant slope
+    return r1 + u * m1 + (u * u / h) * ((d - m1) + ((t - t0) / h) * (m0 + m1 - 2.0 * d))
 
 
 def _record(state, newton_iters):
@@ -422,6 +455,7 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
     t_stop = opts.kappa_stop
     dt = DT_INIT
     steps = 0
+    jumped = False
     while state.t > t_stop:
         steps += 1
         if steps > opts.max_steps:
@@ -431,7 +465,8 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
             )
         dt_eff = min(dt, 0.5 * state.t)
         t_new = state.t - dt_eff
-        jump = state.steps_rejected == 0 and state.t <= T_JUMP
+        jump = state.clean and not jumped and state.t <= T_JUMP
+        jumped = jumped or jump
         if jump or t_new < t_stop:
             t_new = t_stop  # exactly; state.t - dt_eff may miss it by an ulp
             dt_eff = state.t - t_stop
@@ -445,6 +480,9 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
             if result.newton_iters <= 3:
                 dt *= GROWTH
         else:
+            if not jump:
+                state.clean = False
+                state.previous = None
             dt = 0.5 * dt_eff
             if dt < DT_MIN:
                 if _at_floor(state):
@@ -462,7 +500,8 @@ def _at_floor(state):
     radii can express.  Flat limits reach it, where the row norms of the
     curvature Jacobian blow up, and so can a large hull whose jump to
     kappa_stop is rejected: the random hull n = 2560 (seed [1, 2560])
-    halves down to it and stops at t = 4.2e-9.  A state without a usable
+    halves down to it and stops at t = 7.4e-9, after 33 accepted steps
+    and 1 rejected.  A state without a usable
     Jacobian (``factor`` None) has no noise scale and is never at the
     floor."""
     if state.factor is None:

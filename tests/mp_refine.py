@@ -68,11 +68,16 @@ def _refine_pyramid(lengths, radii):
         l0, l1, l2 = (mp.mpf(x) for x in lengths)
         r0, r1, r2 = (mp.mpf(x) for x in radii)
         q0, q1, q2 = r0 * r0, r1 * r1, r2 * r2
-        x2 = (l1 * l1 + l2 * l2 - l0 * l0) / (2 * l2)
-        y2sq = (l1 - x2) * (l1 + x2)
-        if y2sq <= 0:
+        # The base is decided by the exact sign of Heron's product 16
+        # area^2 = 4 L1 L2 - (L1 + L2 - L0)^2 of the squared lengths: a
+        # thin base whose y2^2 rounds to 0 at 169 bits is still a triangle.
+        sq = [mp.fmul(x, x, exact=True) for x in (l0, l1, l2)]
+        d = mp.fsub(mp.fadd(sq[1], sq[2], exact=True), sq[0], exact=True)  # 2 a.b
+        x2 = d / (2 * l2)
+        heron = mp.fsub(4 * mp.fmul(sq[1], sq[2], exact=True), mp.fmul(d, d, exact=True), exact=True)
+        if heron <= 0:
             raise TriangleError("degenerate base triangle")
-        y2 = mp.sqrt(y2sq)
+        y2 = mp.sqrt(heron) / (2 * l2)
         xa = (q0 - q1 + l2 * l2) / (2 * l2)
         ya = (q0 - q2 + l1 * l1 - 2 * xa * x2) / (2 * y2)
         alt2 = q0 - xa * xa - ya * ya

@@ -7,6 +7,7 @@ fixed-point atan2 against mpmath's."""
 import itertools
 import math
 
+import mp_refine
 import mpmath
 import numpy as np
 import pytest
@@ -66,9 +67,9 @@ def _pyramids(rng, n, alt2_rel):
 
 
 @pytest.fixture(scope="module")
-def octagon_batches():
-    """Every solve_pyramids input with a flagged row along the solve of the
-    doubly covered 8-gon."""
+def flat_batches():
+    """Every solve_pyramids input with a flagged row along the solves of
+    the doubly covered 4-, 8- and 16-gons."""
     batches = []
     original = polytope.solve_pyramids
 
@@ -81,15 +82,16 @@ def octagon_batches():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polytope, "solve_pyramids", record)
         mp.setattr(solver, "solve_pyramids", record)
-        solve_path(build_metric(catalog.doubly_covered_polygon(8)), SolverOptions(max_steps=250))
+        for n in (4, 8, 16):
+            solve_path(build_metric(catalog.doubly_covered_polygon(n)), SolverOptions(max_steps=250))
     return batches
 
 
-def test_rows_along_doubly_covered_octagon(octagon_batches):
-    outcomes = [assert_matches_oracle(ell, rad) for ell, rad in octagon_batches]
+def test_rows_along_doubly_covered_polygons(flat_batches):
+    outcomes = [assert_matches_oracle(ell, rad) for ell, rad in flat_batches]
     refined = sum(int(o["refined"].sum()) for o in outcomes if isinstance(o, dict))
     dead = sum(isinstance(o, tuple) for o in outcomes)
-    assert len(octagon_batches) >= 50 and refined >= 500 and dead >= 1
+    assert len(flat_batches) >= 50 and refined >= 500 and dead >= 1
 
 
 def test_random_near_flat_pyramids():
@@ -176,6 +178,38 @@ def test_thin_bases_raise_the_same_triangle_error():
     ell3 = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 1.0, 1.0]])
     rad3 = np.array([[0.45] * 3, [1.5] * 3, [math.sqrt(circ**2 + 1e-10)] * 3])
     assert assert_matches_oracle(ell3, rad3) == (TriangleError, "degenerate base triangle")
+
+
+def test_thin_bases_far_below_their_sides(monkeypatch):
+    # ell (1, b, b): a base of width 1 and height about b.  Its y2^2 rounds
+    # to 0 at 169 bits, so only the exact sign of Heron's product, which
+    # both sides take, calls it a triangle.
+    rows = []
+    for k in (84, 100, 120):
+        b = math.ldexp(1.2345, k)
+        ell, rad = np.array([[1.0, b, b]]), np.array([[b, b, b]])
+        assert kernels.face_pyramids(ell, rad)["ok"][0] == 0
+        got = vars(polytope.solve_pyramids(ell, rad))
+        want = oracle_solve(ell, rad)
+        assert got["refined"][0] and want["refined"][0]
+        for key in KEYS:
+            if key != "omega":
+                assert np.array_equal(got[key], want[key]), key
+        assert got["omega"][0, 0] < 1e-20
+        rows.append((ell, rad))
+    # past 2^169 the lateral triangle (b, b, 1) is degenerate at 169 bits
+    # on both sides, with the same error
+    big = np.array([[1.0, 1e300, 1e300]])
+    assert assert_matches_oracle(big, np.full((1, 3), 1e300)) == (
+        TriangleError,
+        "degenerate triangle in high-precision pyramid solve",
+    )
+    # The apex dihedral omega[0], below 1e-20, comes from coordinates of
+    # size b, which 50 digits do not resolve; with 100 digits the oracle
+    # agrees with the package bit for bit, omega included.
+    monkeypatch.setattr(mp_refine, "_REFINE_DPS", 100)
+    for ell, rad in rows:
+        assert_matches_oracle(ell, rad)
 
 
 def test_dead_rows_give_the_same_face_list():

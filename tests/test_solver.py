@@ -363,12 +363,24 @@ def test_singular_jacobian_rejects_in_endgame(square_metric, monkeypatch):
     # LU solve would be inf or NaN
     state = _endgame_state(square_metric)
     t = state.t
-    monkeypatch.setattr(
-        jacobian, "assemble", lambda P, order: band_of(np.zeros((P.n_vertices,) * 2), order)
-    )
-    result = step(state, 0.9 * t)
+    # a step whose honest corrector takes a second iterate, so that the
+    # zeroed J below is assembled inside Newton (a 0.9 t step converges at
+    # its first iterate and assembles no J before acceptance)
+    t_new = 0.75 * t
+    assert step(copy.deepcopy(state), t_new).newton_iters >= 2
+    calls = []
+
+    def singular(P, order):
+        calls.append(None)
+        return band_of(np.zeros((P.n_vertices,) * 2), order)
+
+    monkeypatch.setattr(jacobian, "assemble", singular)
+    result = step(state, t_new)
     assert not result.accepted
     assert result.reason == "curvature Jacobian is numerically singular"
+    # one assembly, by the first corrector iterate: a rejected step never
+    # reaches the assembly at acceptance
+    assert len(calls) == 1
     # the predictor checks the accepted state's factor the same way
     state.factor = JacobianFactor.of(band_of(np.zeros((len(state.r),) * 2), state.order))
     result = step(state, 0.9 * t)
@@ -445,15 +457,76 @@ def test_rejected_jump_falls_back_to_halving(cube_metric, monkeypatch):
         assert 0.5 * t <= t_new < t
 
 
-def test_flat_limit_never_jumps(square_metric, square_path, monkeypatch):
-    # the doubled square rejects steps long before T_JUMP, so the jump
-    # rule must leave its path exactly as it is without the rule
-    assert square_path.result.state.steps_rejected > 0
-    monkeypatch.setattr(solver, "T_JUMP", 0.0)
-    result = solve_path(square_metric)
-    assert [rec["t"] for rec in result.state.records] == [
+def test_flat_limit_jumps_at_most_once(square_metric, square_path, monkeypatch):
+    # The doubled square reaches T_JUMP without a rejection, so it tries
+    # the jump to kappa_stop once; the attempt is rejected, but the path
+    # stays clean and keeps the Hermite predictor after it.
+    honest = solver.step
+    steps = []  # (t, t_new, Hermite predictor, clean after the step, accepted)
+
+    def traced(state, t_new):
+        t, hermite = state.t, state.previous is not None
+        result = honest(state, t_new)
+        steps.append((t, t_new, hermite, state.clean, result.accepted))
+        return result
+
+    monkeypatch.setattr(solver, "step", traced)
+    state = solve_path(square_metric).state
+    assert [rec["t"] for rec in state.records] == [
         rec["t"] for rec in square_path.result.state.records
     ]
+    # every step but a jump at most halves t
+    jumps = [k for k, (t, t_new, *_) in enumerate(steps) if t_new < 0.5 * t]
+    assert len(jumps) == 1
+    k = jumps[0]
+    t, t_new, hermite, clean, accepted = steps[k]
+    assert t_new == SolverOptions().kappa_stop and t <= solver.T_JUMP
+    assert hermite and clean and not accepted
+    assert all(accepted for *_, accepted in steps[:k])
+    assert steps[k + 1][2:] == (True, True, True)
+    # later rejections return the path to Euler steps for good
+    first = next(j for j in range(k + 1, len(steps)) if not steps[j][4])
+    assert not any(hermite or clean for _, _, hermite, clean, _ in steps[first + 1 :])
+    assert state.floor_stop
+    assert float(np.abs(state.P.kappa).max()) < 1e-4
+
+
+def test_hermite_predicts_closer_than_euler(cube_metric, monkeypatch):
+    # On every clean step of the cube's path, the cubic through the last
+    # two accepted states lands nearer the accepted radii than the Euler
+    # step from the same state.
+    honest = solver.step
+    gaps = []
+
+    def compare(state, t_new):
+        if state.previous is None:
+            return honest(state, t_new)
+        tangent = state.factor.solve(state.kappa1)
+        euler = state.r - (state.t - t_new) * tangent
+        hermite = solver._hermite(*state.previous, state.t, state.r, tangent, t_new)
+        result = honest(state, t_new)
+        assert result.accepted
+        gaps.append((np.abs(hermite - state.r).max(), np.abs(euler - state.r).max()))
+        return result
+
+    monkeypatch.setattr(solver, "step", compare)
+    state = solve_path(cube_metric).state
+    assert state.steps_rejected == 0
+    assert len(gaps) == state.steps_accepted - 1
+    assert all(h < e for h, e in gaps), gaps
+
+
+@pytest.mark.parametrize(
+    "name, bound", [("tetrahedron", 65), ("cube", 55), ("hull640", 45)]
+)
+def test_newton_iterates_per_path(name, bound, tetra_path, cube_path):
+    # Euler predictors took 108, 83 and 59 iterates on these paths
+    if name == "hull640":
+        dev, _, _ = hull.random_sphere_development(640, seed=[1, 640])
+        state = solve_path(build_metric(dev)).state
+    else:
+        state = {"tetrahedron": tetra_path, "cube": cube_path}[name].result.state
+    assert sum(rec["newton_iters"] for rec in state.records) <= bound
 
 
 @pytest.mark.parametrize("kappa_stop", [1e-4, 1e-5, 1e-6])
