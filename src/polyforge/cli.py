@@ -185,7 +185,7 @@ def cmd_solve(args):
 
     out = Path(args.out)
     if out.suffix == ".json":
-        out.write_text(pipe.embedded.as_json(indent=2) + "\n")
+        out.write_text(pipe.embedded.as_json() + "\n")
     else:
         out.write_text(embed.as_obj(pipe.embedded, merged=args.merge_coplanar))
     _dump_json(pipe.report, args.report)

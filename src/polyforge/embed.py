@@ -1,7 +1,7 @@
 """Reconstruction in R^3: develop the final triangulation face by face,
 folding along each edge by its dihedral angle.
 
-The seed face sits in the z = 0 plane, counterclockwise from +z, with
+Face 0 sits in the z = 0 plane, counterclockwise from +z, with
 the body's interior below; breadth-first traversal then places every
 other face by unfolding across shared edges.  Per-vertex positions are
 the means of their per-face placements (the spread is the closure
@@ -59,6 +59,7 @@ DEGENERATE_VOL_TOL = 1e-8  # * diameter^3
 MERGE_TOL = 1e-6  # |pi - theta| below this merges the faces
 APEX_TOL = 1e-9  # * total weight
 APEX_MAX_ITER = 10000
+POLISH_SWEEPS = 3  # at most; each ends early once the residual is at rounding level
 
 # The polish's damping is _MU2_C (kd + 1)^2 times the largest diagonal
 # entry of its band (derivation in _polish).
@@ -80,7 +81,7 @@ class EmbeddedPolytope:
     def n_vertices(self):
         return self.vertices.shape[0]
 
-    def as_json(self, indent=None):
+    def as_json(self):
         import json
 
         doc = {
@@ -94,14 +95,14 @@ class EmbeddedPolytope:
             "degenerate": bool(self.degenerate),
             "closure_residual": float(self.closure_residual),
         }
-        return json.dumps(doc, sort_keys=True, indent=indent)
+        return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def _unit(v):
     return v / np.linalg.norm(v)
 
 
-def place_faces(P, seed_face=0, merge_coplanar=False, polish_iters=3):
+def place_faces(P, merge_coplanar=False):
     """Develop the polytope's boundary into R^3.
 
     ``P`` is a solved generalized polytope whose curvatures are already
@@ -127,17 +128,16 @@ def place_faces(P, seed_face=0, merge_coplanar=False, polish_iters=3):
     placed = np.zeros(nf, dtype=bool)
 
     ell = mesh.ell
-    f0 = int(seed_face)
-    l0, l1, l2 = ell[f0]
+    l0, l1, l2 = ell[0]
     x2 = (l1 * l1 + l2 * l2 - l0 * l0) / (2.0 * l2)
     y2 = math.sqrt(max(l1 * l1 - x2 * x2, 0.0))
-    pos[f0, 0] = (0.0, 0.0, 0.0)
-    pos[f0, 1] = (l2, 0.0, 0.0)
-    pos[f0, 2] = (x2, y2, 0.0)
-    normal[f0] = (0.0, 0.0, 1.0)
-    placed[f0] = True
+    pos[0, 0] = (0.0, 0.0, 0.0)
+    pos[0, 1] = (l2, 0.0, 0.0)
+    pos[0, 2] = (x2, y2, 0.0)
+    normal[0] = (0.0, 0.0, 1.0)
+    placed[0] = True
 
-    queue = deque([f0])
+    queue = deque([0])
     while queue:
         f = queue.popleft()
         for s in range(3):
@@ -168,9 +168,6 @@ def place_faces(P, seed_face=0, merge_coplanar=False, polish_iters=3):
             placed[g] = True
             queue.append(g)
 
-    if not placed.all():
-        raise EmbedError("triangulation is not edge-connected")  # unreachable
-
     n = mesh.n_vertices
     sums = np.zeros((n, 3))
     counts = np.zeros(n)
@@ -185,7 +182,7 @@ def place_faces(P, seed_face=0, merge_coplanar=False, polish_iters=3):
             f"development does not close: spread {spread!r} vs diameter {diam!r}"
         )
 
-    verts = _polish(mesh, verts, diam, polish_iters)
+    verts = _polish(mesh, verts, diam)
 
     faces = tuple(tuple(int(v) for v in mesh.vert[f]) for f in range(nf))
     volume = _signed_volume(verts, faces)
@@ -254,9 +251,9 @@ def _diameter(verts):
     return math.sqrt(best)
 
 
-def _polish(mesh, verts, diam, iters):
-    """At most ``iters`` Gauss-Newton sweeps on the edge-length residuals,
-    stopping once max |res| < 1e-12 diam.
+def _polish(mesh, verts, diam):
+    """At most ``POLISH_SWEEPS`` Gauss-Newton sweeps on the edge-length
+    residuals, stopping once max |res| < 1e-12 diam.
 
     Each sweep solves (A + mu^2 I) delta = -J^T res, A = J^T J, by one
     banded Cholesky factor.  Edge (i, j) adds u u^T to the diagonal
@@ -317,7 +314,7 @@ def _polish(mesh, verts, diam, iters):
     xyz = np.arange(3)
     rhs_index = np.concatenate([3 * p + xyz, 3 * q + xyz], axis=1).ravel()
     v = verts.copy()
-    for _ in range(iters):
+    for _ in range(POLISH_SWEEPS):
         d = v[i] - v[j]
         dist = np.linalg.norm(d, axis=1)
         res = dist - length
@@ -419,8 +416,9 @@ def solve_apex(points, weights) -> ApexSolve:
     return ApexSolve(point=a, residual=res, iterations=it)
 
 
-def congruence_check(verts_a, verts_b, allow_reflection=True):
-    """RMS deviation after the best rigid alignment of matching vertices.
+def congruence_check(verts_a, verts_b):
+    """RMS deviation after the best alignment of matching vertices by a
+    rigid motion or a reflection.
 
     Accepts EmbeddedPolytope instances or raw (n, 3) arrays with the same
     vertex labelling.  Returns (rms, reflected).
@@ -440,13 +438,8 @@ def congruence_check(verts_a, verts_b, allow_reflection=True):
         rot = u @ np.diag([1.0, 1.0, d]) @ vt
         return float(np.sqrt(((Ac - Bx @ rot.T) ** 2).sum() / len(A)))
 
-    best = rms_for(False)
-    reflected = False
-    if allow_reflection:
-        alt = rms_for(True)
-        if alt < best:
-            best, reflected = alt, True
-    return best, reflected
+    best, alt = rms_for(False), rms_for(True)
+    return (alt, True) if alt < best else (best, False)
 
 
 def apex_boundary_distance(embedded: EmbeddedPolytope, apex):

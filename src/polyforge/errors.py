@@ -16,8 +16,6 @@ class DevelopmentError(PolyforgeError):
     """
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 

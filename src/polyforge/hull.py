@@ -60,8 +60,8 @@ def development_from_triangles(tris):
     return Development(sides=sides, gluings=tuple(gluings))
 
 
-def random_sphere_development(n_points, seed=None, radius=1.0):
-    """Development of the convex hull of random points on a sphere.
+def random_sphere_development(n_points, seed=None):
+    """Development of the convex hull of random points on the unit sphere.
 
     Returns (development, points, corner_point) where corner_point maps
     each triangle corner back to the sampled point it came from.  Points
@@ -72,7 +72,6 @@ def random_sphere_development(n_points, seed=None, radius=1.0):
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n_points, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts *= radius
 
     hull = ConvexHull(pts)
     tris = []

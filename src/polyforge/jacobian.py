@@ -53,14 +53,11 @@ import numpy as np
 
 from . import kernels
 from .errors import StepReductionError
+from .kernels import _NEXT, _NEXT2
 
 # Sines below this value make the cotangent weights meaningless in double
 # precision; the solver retries with a smaller deformation step.
 SIN_FLOOR = 1e-10
-
-# Tail and head corner of each face side.
-_NEXT = np.array([1, 2, 0])
-_NEXT2 = np.array([2, 0, 1])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ which keeps the late, nearly flat stages of a deformation honest without
 slowing the generic case.
 
 The refinement works in Python integers.  A flagged row's six inputs are
-integers on one common power-of-two scale, and every quantity the
+integers on one common power-of-two scale (an input that is not finite
+raises PyramidError), and every quantity the
 pyramid needs is an integer polynomial in their squares: Heron's product
 of the base, the Gram determinant of the three edges at corner 0, and
 both operands of every angle's atan2 up to a square root.  Each angle
@@ -72,9 +73,9 @@ def _round_sum(n):
 
 def _integers(values):
     """(ints, den) with values[k] == ints[k] / den exactly, den a power of
-    two, for floats that are all finite; None otherwise."""
+    two; raises PyramidError unless the floats are all finite."""
     if not all(map(math.isfinite, values)):
-        return None
+        raise PyramidError("non-finite input to the exact pyramid solve")
     ratios = [v.as_integer_ratio() for v in values]
     den = max(d for _, d in ratios)
     return [n * (den // d) for n, d in ratios], den
@@ -169,11 +170,9 @@ def _atan2(p, x, bits=_ATAN_BITS):
     raise ArithmeticError(_UNDECIDED)
 
 
-def _tri_angles(sides, ints):
-    """The three angles of the triangle with the given sides, as nearest
-    floats, the k-th opposite sides[k]; ``sides`` are three floats and
-    ``ints`` the same three as integers on one scale, or None to take them
-    from ``sides``.
+def _tri_angles(sides):
+    """The three angles of the triangle with the given sides, three
+    integers on one scale, as nearest floats, the k-th opposite sides[k].
 
     The half-angle formula of ``kernels._angle_opp``, tan(A/2) =
     sqrt(sb sc / (s sa)), is atan2(K, s sa) with Heron's root K =
@@ -182,18 +181,8 @@ def _tri_angles(sides, ints):
     do, which decides whether a triangle whose sides differ by more than
     about 2^116 is degenerate.  s is their sum, so the half-angles add up
     to pi/2 exactly, and the angle opposite the longest side, which is at
-    least pi/3, is pi minus the other two.  Sides that are not all finite
-    follow IEEE rules, as the oracle's inf and nan do: an excess that is
-    not positive raises, and otherwise every angle is NaN."""
-    if ints is None:
-        scaled = _integers(sides)
-        if scaled is None:
-            a, b, c = sides
-            if any(e <= 0 for e in ((b + c) - a, (c + a) - b, (a + b) - c)):
-                raise TriangleError("degenerate triangle in high-precision pyramid solve")
-            return (math.nan,) * 3
-        ints = scaled[0]
-    a, b, c = ints
+    least pi/3, is pi minus the other two."""
+    a, b, c = sides
     excess = (
         _round_sum(_round_sum(b + c) - a),
         _round_sum(_round_sum(c + a) - b),
@@ -203,8 +192,7 @@ def _tri_angles(sides, ints):
         raise TriangleError("degenerate triangle in high-precision pyramid solve")
     s = sum(excess)
     heron = s * excess[0] * excess[1] * excess[2]
-    x, y, z = sides
-    longest = 0 if x >= y and x >= z else 1 if y >= z else 2
+    longest = 0 if a >= b and a >= c else 1 if b >= c else 2
     i, j = (longest + 1) % 3, (longest + 2) % 3
     bits = _ATAN_BITS
     while bits <= _MAX_BITS:
@@ -257,29 +245,10 @@ def _apex_frame(lengths, radii):
     of the three edges at corner 0, which gives 144 V^2, whether there is a
     pyramid.  alt2 = 144 V^2 / (16 area^2) is rounded once, to inf when no
     double can hold it.  The oracle places the apex by coordinates at 169
-    bits; its signs and doubles agree with these by test.
-
-    Inputs that are not all finite follow IEEE rules, as the oracle's inf
-    and nan do, through the oracle's frame in doubles: a base that comes
-    out degenerate raises, a squared altitude that is not positive means
-    no pyramid, and otherwise alt2 and every dihedral is NaN, as each
-    depends on all six inputs (ints, d2 and vol are None)."""
+    bits; its signs and doubles agree with these by test."""
     if not lengths[2]:
         raise ZeroDivisionError  # the oracle's first division, by 2 l2
-    scaled = _integers(lengths + radii)
-    if scaled is None:
-        l0, l1, l2 = lengths
-        q0, q1, q2 = (r * r for r in radii)
-        x2 = (l1 * l1 + l2 * l2 - l0 * l0) / (2 * l2)
-        y2sq = (l1 - x2) * (l1 + x2)
-        if y2sq <= 0:
-            raise TriangleError("degenerate base triangle")
-        xa = (q0 - q1 + l2 * l2) / (2 * l2)
-        ya = (q0 - q2 + l1 * l1 - 2 * xa * x2) / (2 * math.sqrt(y2sq))
-        if q0 - xa * xa - ya * ya <= 0:
-            return None
-        return math.nan, None, None, None
-    ints, den = scaled
+    ints, den = _integers(lengths + radii)
     L0, L1, L2, Q0, Q1, Q2 = (v * v for v in ints)
     d = L1 + L2 - L0  # 2 a.b, a and b the base edges at corner 0
     heron = 4 * L1 * L2 - d * d
@@ -319,8 +288,7 @@ def _refine_row(raw, f, ell, rad, frame, memo):
 
     The base corners are 0, 1, 2 and the apex is 3.  The dihedrals come
     from the frame's squared edge lengths and volume term, which all six
-    share; a frame without them, from inputs that are not all finite, has
-    NaN dihedrals."""
+    share."""
     alt2, ints, d2, vol = frame
     raw["alt2"][f] = alt2
     for s in range(3):
@@ -331,16 +299,15 @@ def _refine_row(raw, f, ell, rad, frame, memo):
         key = (rad[lo], rad[hi], ell[s])
         angles = memo.get(key)
         if angles is None:
-            sides = ints and (ints[3 + lo], ints[3 + hi], ints[s])
-            angles = memo[key] = _tri_angles(key, sides)
+            angles = memo[key] = _tri_angles((ints[3 + lo], ints[3 + hi], ints[s]))
         at_lo, at_hi, phi = angles
         # rho_t lies opposite the head's radius, rho_h opposite the tail's
         raw["rho_t"][f, s], raw["rho_h"][f, s] = (at_hi, at_lo) if lo == t else (at_lo, at_hi)
         raw["phi"][f, s] = phi
-        raw["alpha"][f, s] = _dihedral(d2, t, h, s, 3, vol) if ints else math.nan
+        raw["alpha"][f, s] = _dihedral(d2, t, h, s, 3, vol)
     for c in range(3):
         u, v = (c + 1) % 3, (c + 2) % 3
-        raw["omega"][f, c] = _dihedral(d2, 3, c, u, v, vol) if ints else math.nan
+        raw["omega"][f, c] = _dihedral(d2, 3, c, u, v, vol)
 
 
 # The six corner maps of a triangle, rotations first: read through map p,
@@ -463,7 +430,7 @@ class GeneralizedPolytope:
         self.r = np.asarray(r, dtype=float)
         if self.r.shape != (mesh.n_vertices,):
             raise ValueError("radius vector does not match the vertex count")
-        if np.any(self.r <= 0.0):
+        if not np.all(self.r > 0.0):
             raise PyramidError("radii must be strictly positive")
         self.pyramids = solve_pyramids(mesh.ell, self.r[mesh.vert])
         self._report = None

@@ -111,15 +111,14 @@ class CornerMesh:
 
     # -- serialization (for solver state dumps) ---------------------------
 
-    def to_json(self, indent=None):
+    def to_json(self):
         return json.dumps(
             {
                 "vert": self.vert.tolist(),
                 "ell": self.ell.tolist(),
                 "adj_face": self.adj_face.tolist(),
                 "adj_side": self.adj_side.tolist(),
-            },
-            indent=indent,
+            }
         )
 
     # -- geometry -----------------------------------------------------

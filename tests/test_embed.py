@@ -9,6 +9,7 @@ from oracles import apex_inside, convexity_violation, mesh_of
 from polyforge import build_metric, catalog, embed, hull, solve_path
 from polyforge.errors import EmbedError
 from polyforge.polytope import GeneralizedPolytope
+from polyforge.solver import start_state
 
 
 @pytest.fixture
@@ -48,13 +49,6 @@ def test_tetra_apex_is_centroid(tetra_path, tetra_embedded):
     np.testing.assert_allclose(dists, math.sqrt(3.0 / 8.0), rtol=1e-5)
 
 
-def test_seed_face_immaterial(tetra_path):
-    a = embed.place_faces(tetra_path.result.polytope, seed_face=0)
-    b = embed.place_faces(tetra_path.result.polytope, seed_face=2)
-    rms, _ = embed.congruence_check(a, b)
-    assert rms <= 1e-7 * a.diameter
-
-
 def test_congruence_under_rigid_motion(tetra_embedded):
     rng = np.random.default_rng(12)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -73,8 +67,6 @@ def test_congruence_detects_reflection():
     rms, reflected = embed.congruence_check(pts, mirrored)
     assert rms <= 1e-12
     assert reflected
-    rms_rigid, _ = embed.congruence_check(pts, mirrored, allow_reflection=False)
-    assert rms_rigid > 0.1
 
 
 def test_cube_merges_to_six_squares(cube_path):
@@ -237,17 +229,25 @@ def _dense_polish(mesh, verts, diam, iters):
     return v
 
 
+def _unpolished(P):
+    """``place_faces`` with ``_polish`` returning its input: the averaged
+    placements."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embed, "_polish", lambda mesh, verts, diam: verts)
+        return embed.place_faces(P)
+
+
 def test_sparse_polish_matches_dense_lstsq():
     dev, _, _ = hull.random_sphere_development(40, seed=3)
     P = solve_path(build_metric(dev)).polytope
-    rough = embed.place_faces(P, polish_iters=0)
+    rough = _unpolished(P)
     diam = rough.diameter
     # push the averaged placements off so that every sweep has work to do
     rng = np.random.default_rng(0)
     start = rough.vertices + 1e-6 * diam * rng.standard_normal(rough.vertices.shape)
-    polished = embed._polish(P.mesh, start, diam, 3)
+    polished = embed._polish(P.mesh, start, diam)
     assert np.abs(polished - start).max() > 1e-7 * diam
-    reference = _dense_polish(P.mesh, start, diam, 3)
+    reference = _dense_polish(P.mesh, start, diam, embed.POLISH_SWEEPS)
     assert np.abs(polished - reference).max() <= 1e-12 * diam
 
 
@@ -265,7 +265,7 @@ _POLISH_CASES = {
 def _perturbed_start(dev):
     """A solved body's averaged placements, pushed off by 1e-6 diameter."""
     P = solve_path(build_metric(dev)).polytope
-    rough = embed.place_faces(P, polish_iters=0)
+    rough = _unpolished(P)
     rng = np.random.default_rng(0)
     noise = 1e-6 * rough.diameter * rng.standard_normal(rough.vertices.shape)
     return P.mesh, rough, noise
@@ -276,8 +276,9 @@ def test_band_polish_matches_dense_oracle(name):
     mesh, rough, noise = _perturbed_start(_POLISH_CASES[name]())
     diam = rough.diameter
     start = rough.vertices + noise
-    polished = embed._polish(mesh, start, diam, 3)
-    assert np.abs(polished - _dense_polish(mesh, start, diam, 3)).max() <= 1e-12 * diam
+    polished = embed._polish(mesh, start, diam)
+    reference = _dense_polish(mesh, start, diam, embed.POLISH_SWEEPS)
+    assert np.abs(polished - reference).max() <= 1e-12 * diam
     assert chord_error(mesh, polished) < 1e-12 * diam
 
 
@@ -302,7 +303,7 @@ def test_polish_steps_have_no_rigid_component(monkeypatch):
         return step
 
     monkeypatch.setattr(embed, "_drop_rigid", recorded)
-    embed._polish(mesh, rough.vertices + noise, rough.diameter, 3)
+    embed._polish(mesh, rough.vertices + noise, rough.diameter)
     assert steps
     eps = np.finfo(np.float64).eps
     for v, step in steps:
@@ -319,11 +320,18 @@ def test_polish_keeps_flat_body_flat():
     def out_of_plane(verts):
         return float(np.ptp(verts @ vt[2]))
 
-    polished = embed._polish(mesh, start, diam, 3)
+    polished = embed._polish(mesh, start, diam)
     assert np.abs(polished - start).max() > 1e-7 * diam
     assert chord_error(mesh, polished) < 1e-12 * diam
     assert abs(embed._signed_volume(polished, rough.faces)) <= embed.DEGENERATE_VOL_TOL * diam**3
     assert out_of_plane(polished) - out_of_plane(start) <= 1e-12 * diam
+
+
+def test_open_development_raises(cube_metric):
+    # the cube's t = 1 polytope is far from closed: its curvature is kappa(1)
+    P = start_state(cube_metric).P
+    with pytest.raises(EmbedError, match=r"^development does not close"):
+        embed.place_faces(P)
 
 
 def test_polish_factor_failure_raises(cube_path, monkeypatch):

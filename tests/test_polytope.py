@@ -9,6 +9,7 @@ from oracles import mesh_of, total_height, validate_polytope, weights
 from polyforge import catalog, kernels
 from polyforge.errors import PyramidError
 from polyforge.polytope import GeneralizedPolytope, solve_pyramids
+from polyforge.solver import start_state
 from polyforge.triangulation import CornerMesh
 
 TETRA_EDGE = 2.0 * math.sqrt(2.0)
@@ -171,6 +172,18 @@ def test_rejects_bad_radii():
         GeneralizedPolytope(mesh, np.ones(3))
     with pytest.raises(PyramidError):
         GeneralizedPolytope(mesh, np.array([1.0, 1.0, 1.0, -0.5]))
+
+
+def test_rejects_non_finite_radii(cube_metric):
+    # NaN fails the positivity check; inf passes it, and the exact solve
+    # of the rows it flags rejects it
+    state = start_state(cube_metric)
+    cases = ((math.nan, "^radii must be strictly positive"), (math.inf, "^non-finite"))
+    for value, message in cases:
+        r = state.r.copy()
+        r[3] = value
+        with pytest.raises(PyramidError, match=message):
+            GeneralizedPolytope(state.mesh, r)
 
 
 def test_weights_are_squared_radii():

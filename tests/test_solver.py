@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import subprocess
@@ -109,6 +110,69 @@ def test_step_rejection_rolls_back(cube_metric, monkeypatch):
     assert state.t == 1.0
     assert state.steps_rejected == 1
     np.testing.assert_array_equal(state.r, r_before)
+
+
+def _assert_rejected(state, t_new, reason):
+    """step(state, t_new) rejects for ``reason`` and changes nothing but
+    the rejection count."""
+    before = state.dump()
+    P, factor, records = state.P, state.factor, list(state.records)
+    result = step(state, t_new)
+    assert (result.accepted, result.reason) == (False, reason)
+    before["steps_rejected"] += 1
+    assert state.dump() == before
+    assert state.P is P and state.factor is factor and state.records == records
+
+
+def test_newton_budget_rejects(cube_metric, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_NEWTON", 1)
+    state = start_state(cube_metric)
+    _assert_rejected(state, 1.0 - solver.DT_INIT, "no convergence in 1 iterations")
+
+
+def test_band_rejects(cube_metric):
+    # every vertex's deficit halved, below kappa(1) = 1.14
+    state = start_state(cube_metric)
+    state.metric = dataclasses.replace(cube_metric, deficits=0.5 * cube_metric.deficits)
+    _assert_rejected(state, 1.0 - solver.DT_INIT, "curvature left the admissible band")
+
+
+def test_radius_cap_rejects(cube_metric, monkeypatch):
+    monkeypatch.setattr(solver, "RADIUS_CAP", 0.5)
+    state = start_state(cube_metric)
+    _assert_rejected(state, 1.0 - solver.DT_INIT, "radii escaped the initial bound")
+
+
+def test_dihedral_above_pi_rejects(cube_metric, monkeypatch):
+    class Folded(GeneralizedPolytope):
+        """Reports every edge dihedral pi above its value."""
+
+        def curvature_report(self):
+            rep = super().curvature_report()
+            return dataclasses.replace(rep, theta=rep.theta + math.pi)
+
+    state = start_state(cube_metric)
+    monkeypatch.setattr(solver, "GeneralizedPolytope", Folded)
+    _assert_rejected(state, 1.0 - solver.DT_INIT, "edge dihedral exceeded pi")
+
+
+def test_area_decrease_rejects(cube_metric):
+    # a step back up the path grows every curvature, so the spherical
+    # section loses area
+    state = start_state(cube_metric)
+    _assert_rejected(state, 1.0 + solver.DT_INIT, "spherical section area decreased")
+
+
+def test_step_size_underflow_aborts(cube_metric, monkeypatch):
+    monkeypatch.setattr(solver, "RADIUS_CAP", 0.5)  # every step rejects
+    with pytest.raises(SolverAbort, match=r"^step size underflow at t=1\.0: radii escaped") as err:
+        solve_path(cube_metric)
+    dump = err.value.state_dump
+    assert dump["reason"] == "radii escaped the initial bound"
+    assert dump["t"] == 1.0 and dump["steps_accepted"] == 0
+    # DT_INIT halved until it falls below DT_MIN
+    assert dump["steps_rejected"] == math.ceil(math.log2(solver.DT_INIT / solver.DT_MIN))
+    json.dumps(dump)
 
 
 def test_progress_callback_sees_every_record(tetra_metric):
