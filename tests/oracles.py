@@ -2,8 +2,9 @@
 not: corner-table invariants, cone angles, the validated construction of
 a generalized polytope, its total height, the dense curvature Jacobian,
 the scalar badness formula, the flip loop that rechecks every edge, the
-canonical form of the essential-edge tesselation, the convexity check of
-an embedding, the per-face apex distance and the apex-inside test.
+canonical form of the essential-edge tesselation, the face-by-face
+unfold, the convexity check of an embedding, the per-face apex distance
+and the apex-inside test.
 
 This module is a test oracle: nothing in the package imports it.
 """
@@ -270,6 +271,63 @@ def canonical_tesselation(mesh, q):
 
 
 # -- embeddings --------------------------------------------------------------
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def unfold_faces(mesh, theta):
+    """``embed._unfold`` as it was before it was batched: a FIFO of faces,
+    each unfolding its unplaced neighbours one at a time.  Returns the
+    corner positions (nf, 3, 3) and outward normals (nf, 3)."""
+    nf = mesh.n_faces
+    # Per-face corner positions and outward normal.
+    pos = np.full((nf, 3, 3), np.nan)
+    normal = np.full((nf, 3), np.nan)
+    placed = np.zeros(nf, dtype=bool)
+
+    ell = mesh.ell
+    l0, l1, l2 = ell[0]
+    x2 = (l1 * l1 + l2 * l2 - l0 * l0) / (2.0 * l2)
+    y2 = math.sqrt(max(l1 * l1 - x2 * x2, 0.0))
+    pos[0, 0] = (0.0, 0.0, 0.0)
+    pos[0, 1] = (l2, 0.0, 0.0)
+    pos[0, 2] = (x2, y2, 0.0)
+    normal[0] = (0.0, 0.0, 1.0)
+    placed[0] = True
+
+    queue = deque([0])
+    while queue:
+        f = queue.popleft()
+        for s in range(3):
+            g, s2 = mesh.neighbor(f, s)
+            if placed[g]:
+                continue
+            a = pos[f, (s + 1) % 3]  # tail of the shared edge in f
+            b = pos[f, (s + 2) % 3]
+            d = pos[f, s]
+            u = _unit(b - a)
+            w_in = d - a
+            w_in = _unit(w_in - (w_in @ u) * u)  # into f, perpendicular to the edge
+            n_f = normal[f]
+            psi = math.pi - theta[f, s]
+            w_out = -w_in * math.cos(psi) - n_f * math.sin(psi)
+            n_g = n_f * math.cos(psi) - w_in * math.sin(psi)
+
+            # g sees the edge reversed: its tail corner lies at b.
+            l_edge = ell[g, s2]
+            l_tail = ell[g, (s2 + 2) % 3]  # from g's tail corner to the new point
+            l_head = ell[g, (s2 + 1) % 3]
+            ap = (l_tail * l_tail + l_edge * l_edge - l_head * l_head) / (2.0 * l_edge)
+            bp = math.sqrt(max(l_tail * l_tail - ap * ap, 0.0))
+            pos[g, (s2 + 1) % 3] = b
+            pos[g, (s2 + 2) % 3] = a
+            pos[g, s2] = b + ap * (-u) + bp * w_out
+            normal[g] = n_g
+            placed[g] = True
+            queue.append(g)
+    return pos, normal
 
 
 def convexity_violation(embedded: EmbeddedPolytope):

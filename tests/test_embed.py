@@ -10,6 +10,7 @@ from polyforge import build_metric, catalog, embed, hull, solve_path
 from polyforge.errors import EmbedError
 from polyforge.polytope import GeneralizedPolytope
 from polyforge.solver import start_state
+from polyforge.triangulation import merge_regions
 
 
 @pytest.fixture
@@ -102,8 +103,14 @@ def test_cube_dihedrals_are_right_angles(cube_path):
 
 
 def test_flat_square_degenerates_cleanly(square_path):
-    e = embed.place_faces(square_path.result.polytope)
+    e = embed.place_faces(square_path.result.polytope, merge_coplanar=True)
     assert e.degenerate
+    # its folds are snapped to exactly 0 and pi: the layout closes and
+    # stays in the plane to rounding level, and the merge, which reads
+    # the snapped dihedrals, gives one square per sheet
+    assert e.closure_residual <= 1e-15 * e.diameter
+    assert np.abs(e.vertices[:, 2]).max() <= 1e-15 * e.diameter
+    assert sorted(map(len, e.merged_faces)) == [4, 4]
     assert abs(e.volume) <= 1e-8 * e.diameter**3
     assert convexity_violation(e) == 0.0
     apex = embed.solve_apex(e.vertices, square_path.result.kappa1)
@@ -340,6 +347,56 @@ def test_polish_factor_failure_raises(cube_path, monkeypatch):
     monkeypatch.setattr(embed, "_MU2_C", 0.0)
     with pytest.raises(EmbedError, match=r"^polish normal matrix is not positive definite"):
         embed.place_faces(cube_path.result.polytope)
+
+
+_UNFOLD_CASES = {
+    "hull20": lambda: hull.random_sphere_development(20, seed=[1, 20])[0],
+    "hull640": lambda: hull.random_sphere_development(640, seed=[1, 640])[0],
+    "tetrahedron": lambda: catalog.tetrahedron(1.0),
+    "cube": catalog.cube,
+    "twisted6": lambda: catalog.twisted_double_polygon(6),
+    "twisted24": lambda: catalog.twisted_double_polygon(24),
+    "doubled4": lambda: catalog.doubly_covered_polygon(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNFOLD_CASES))
+def test_unfold_matches_face_loop(name):
+    # every level of the batched unfold gives the face-by-face loop's
+    # bits, on the raw dihedrals and with every one snapped to 0 or pi
+    P = solve_path(build_metric(_UNFOLD_CASES[name]())).polytope
+    theta = P.curvature_report().theta
+    for th in (theta, np.where(theta < math.pi / 2.0, 0.0, math.pi)):
+        pos, normal = embed._unfold(P.mesh, th)
+        ref_pos, ref_normal = oracles.unfold_faces(P.mesh, th)
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(normal, ref_normal)
+
+
+def test_solids_and_hulls_are_not_snapped(all_paths):
+    # their dihedrals keep far from 0, so place_faces unfolds them raw
+    for run in all_paths:
+        P = run.result.polytope
+        assert P.curvature_report().theta.min() > 100.0 * embed.FOLD_TOL, run.name
+        e = embed.place_faces(P)
+        pos, _ = oracles.unfold_faces(P.mesh, P.curvature_report().theta)
+        assert e.closure_residual == embed._closure_spread(
+            pos.reshape(-1, 3), P.mesh.vert.ravel()
+        ), run.name
+
+
+def test_folded_sheet_raises(square_path):
+    # a face laid out mirrored within its sheet: the signed areas of one
+    # side of the rim no longer share a sign
+    P = square_path.result.polytope
+    theta = P.curvature_report().theta
+    fold = np.abs(theta) <= embed.FOLD_TOL
+    pos, _ = embed._unfold(P.mesh, np.where(fold, 0.0, math.pi))
+    embed._check_sheets(P.mesh, pos, fold)
+    sheet = next(r.faces for r in merge_regions(P.mesh, np.argwhere(~fold)) if len(r.faces) > 1)
+    pos[sheet[0]] = pos[sheet[0], [0, 2, 1]]
+    with pytest.raises(EmbedError, match=r"^flat layout folds the sheet"):
+        embed._check_sheets(P.mesh, pos, fold)
 
 
 def _loop_closure_spread(points, labels):
