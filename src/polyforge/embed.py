@@ -57,7 +57,7 @@ from scipy.linalg import lapack
 from . import jacobian, kernels
 from .errors import EmbedError
 from .kernels import _NEXT, _NEXT2
-from .triangulation import merge_regions
+from .triangulation import CornerMesh, merge_regions, twin_slots
 
 CLOSURE_TOL = 1e-6  # * diameter
 DEGENERATE_VOL_TOL = 1e-8  # * diameter^3
@@ -144,13 +144,13 @@ def place_faces(P, merge_coplanar=False):
     pos, _ = _unfold(mesh, theta)
 
     n = mesh.n_vertices
-    sums = np.zeros((n, 3))
-    counts = np.zeros(n)
-    np.add.at(sums, mesh.vert.ravel(), pos.reshape(-1, 3))
-    np.add.at(counts, mesh.vert.ravel(), 1.0)
-    verts = sums / counts[:, None]
+    corner = mesh.vert.ravel()
+    # Coordinate c of vertex v sums at 3 v + c.
+    sums = kernels.scatter_add(3 * n, (3 * corner[:, None] + np.arange(3)).ravel(), pos.ravel())
+    counts = kernels.scatter_add(n, corner, np.ones(corner.size))
+    verts = sums.reshape(n, 3) / counts[:, None]
 
-    spread = _closure_spread(pos.reshape(-1, 3), mesh.vert.ravel())
+    spread = _closure_spread(pos.reshape(-1, 3), corner)
     diam = _diameter(verts)
     if spread > CLOSURE_TOL * diam:
         raise EmbedError(
@@ -204,13 +204,14 @@ def _unfold(mesh, theta):
     """Corner positions (nf, 3, 3) and outward normals (nf, 3) of the
     faces unfolded across their dihedrals ``theta`` (nf, 3).
 
-    Face 0 sits in the z = 0 plane with normal +z.  Breadth-first levels
-    are placed at once: the frontier's sides are scanned in (frontier
-    order, side) order and the first claim on each unplaced face wins,
-    which is the tree a face-by-face FIFO builds.  A face g across side
-    s of f is hinged on the shared edge a -> b of f: w_in is the unit
-    vector in f's plane, perpendicular to the edge and into f, and with
-    psi = pi - theta[f, s] g's plane holds
+    Face 0 sits in the z = 0 plane with normal +z.  The breadth-first
+    tree is found first, in plain Python: the frontier's sides are
+    scanned in (frontier order, side) order and the first claim on each
+    unplaced face wins, which is the tree a face-by-face FIFO builds.
+    Then each level is placed at once.  A face g across side s of f is
+    hinged on the shared edge a -> b of f: w_in is the unit vector in
+    f's plane, perpendicular to the edge and into f, and with psi = pi -
+    theta[f, s] g's plane holds
 
         w_out = -w_in cos psi - n_f sin psi,   n_g = n_f cos psi - w_in sin psi.
 
@@ -218,7 +219,9 @@ def _unfold(mesh, theta):
     from g's own side lengths; both are taken for every slot at once.
     The cosines and sines are ``math``'s, one per face, and the dots are
     ``_rows_dot``'s, so every position is the one the face-by-face loop
-    computes."""
+    computes.  Everything that does not depend on an earlier level is
+    gathered for the whole tree before the first level is placed, since a
+    flat polygon's tree has about one level per vertex."""
     nf = mesh.n_faces
     ell = mesh.ell
     # Corner s2 of face g lies ap along side s2 from the side's tail
@@ -230,43 +233,64 @@ def _unfold(mesh, theta):
     h2 = l_tail * l_tail - ap * ap
     bp = np.sqrt(np.where(h2 < 0.0, 0.0, h2))  # max(h2, 0.0), -0.0 and all
 
-    pos = np.full((nf, 3, 3), np.nan)
-    normal = np.full((nf, 3), np.nan)
-    placed = np.zeros(nf, dtype=bool)
-    pos[0, 0] = (0.0, 0.0, 0.0)
-    pos[0, 1] = (ell[0, 2], 0.0, 0.0)
-    pos[0, 2] = (ap[0, 2], bp[0, 2], 0.0)
-    normal[0] = (0.0, 0.0, 1.0)
+    # Slot 3 f + s of each tree edge, f the placed face; ends[i] closes
+    # level i + 1.
+    adj = mesh.adj_face.tolist()
+    placed = [False] * nf
     placed[0] = True
+    slots, ends = [], []
+    frontier = [0]
+    while frontier:
+        claimed = []
+        for f in frontier:
+            for s, g in enumerate(adj[f]):
+                if not placed[g]:
+                    placed[g] = True
+                    slots.append(3 * f + s)
+                    claimed.append(g)
+        ends.append(len(slots))
+        frontier = claimed
 
-    frontier = np.zeros(1, dtype=np.intp)
-    while len(frontier):
-        across = mesh.adj_face[frontier].ravel()
-        claim = np.flatnonzero(~placed[across])
-        _, first = np.unique(across[claim], return_index=True)
-        claim = claim[np.sort(first)]
-        f, s = np.divmod(claim, 3)
-        f = frontier[f]
-        g, s2 = across[claim], mesh.adj_side[f, s]
+    # Corner c of face f is row 3 f + c; slot 3 f + s hinges on the
+    # corners tail[3 f + s] -> head[3 f + s] and faces corner 3 f + s.
+    corner = 3 * np.arange(nf)[:, None]
+    tail = (corner + _NEXT).ravel()
+    head = (corner + _NEXT2).ravel()
+    own = np.array(slots, dtype=np.intp)
+    twin = mesh.cached(twin_slots)[own]
+    face, across = own // 3, twin // 3
+    own_tail, own_head = tail[own], head[own]
+    twin_tail, twin_head = tail[twin], head[twin]
+    ap_twin, bp_twin = ap.ravel()[twin][:, None], bp.ravel()[twin][:, None]
+    psi = (math.pi - theta.ravel()[own]).tolist()
+    cos = np.array([math.cos(x) for x in psi])[:, None]
+    sin = np.array([math.sin(x) for x in psi])[:, None]
 
+    pos = np.full((3 * nf, 3), np.nan)
+    normal = np.full((nf, 3), np.nan)
+    pos[0] = (0.0, 0.0, 0.0)
+    pos[1] = (ell[0, 2], 0.0, 0.0)
+    pos[2] = (ap[0, 2], bp[0, 2], 0.0)
+    normal[0] = (0.0, 0.0, 1.0)
+
+    lo = 0
+    for hi in ends[:-1]:
+        level = slice(lo, hi)
+        lo = hi
         # g sees the edge a -> b reversed: its tail corner lies at b.
-        a = pos[f, _NEXT[s]]
-        b = pos[f, _NEXT2[s]]
+        a = pos[own_tail[level]]
+        b = pos[own_head[level]]
         u = _rows_unit(b - a)
-        w_in = pos[f, s] - a
+        w_in = pos[own[level]] - a
         w_in = _rows_unit(w_in - _rows_dot(w_in, u)[:, None] * u)
-        n_f = normal[f]
-        psi = (math.pi - theta[f, s]).tolist()
-        cos = np.array([math.cos(x) for x in psi])[:, None]
-        sin = np.array([math.sin(x) for x in psi])[:, None]
-        w_out = -w_in * cos - n_f * sin
-        pos[g, _NEXT[s2]] = b
-        pos[g, _NEXT2[s2]] = a
-        pos[g, s2] = b + ap[g, s2][:, None] * (-u) + bp[g, s2][:, None] * w_out
-        normal[g] = n_f * cos - w_in * sin
-        placed[g] = True
-        frontier = g
-    return pos, normal
+        n_f = normal[face[level]]
+        c, s = cos[level], sin[level]
+        w_out = -w_in * c - n_f * s
+        pos[twin_tail[level]] = b
+        pos[twin_head[level]] = a
+        pos[twin[level]] = b + ap_twin[level] * (-u) + bp_twin[level] * w_out
+        normal[across[level]] = n_f * c - w_in * s
+    return pos.reshape(nf, 3, 3), normal
 
 
 def _check_sheets(mesh, pos, fold):
@@ -352,13 +376,13 @@ def _polish(mesh, verts, diam):
     minimum-norm Gauss-Newton step, the one a dense least-squares solve
     of J delta = -res returns.  On a flat body A is singular also
     along the out-of-plane flexes, and there the damping bounds them."""
-    f, s = mesh.edges()
+    f, s = mesh.cached(CornerMesh.edges)
     i = mesh.vert[f, (s + 1) % 3]
     j = mesh.vert[f, (s + 2) % 3]
     length = mesh.ell[f, s]
     n = len(verts)
     pos = np.empty(n, dtype=np.intp)
-    pos[jacobian.band_order(mesh)] = np.arange(n)
+    pos[mesh.cached(jacobian.band_order)] = np.arange(n)
     # Unknown 3 pos[v] + a is coordinate a of vertex v.
     p, q = pos[i][:, None], pos[j][:, None]
     lo, hi = np.minimum(p, q), np.maximum(p, q)

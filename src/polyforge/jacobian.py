@@ -21,13 +21,18 @@ row, so it is stored by band, never as an n x n array.  ``band_order`` numbers
 the vertices once per solve in reverse Cuthill-McKee order (Cuthill and
 McKee, 1969; George, 1971), which keeps the two ends of every edge close
 in the order.  ``assemble`` scatters the contributions of J, permuted to
-that order, straight into LAPACK band storage (``BandJacobian``).  It
-reads the half-bandwidth k, the largest |pos(i) - pos(j)| over the
-edges, off the current triangulation on every call, because flips along
-the path may widen the band.  The solver factors it by banded LU with
-partial pivoting (``solver.JacobianFactor``: gbtrf, then gbcon for the
-condition estimate).  That is getrf on the permuted J, since no pivot
-can come from outside the band.  Per start-state J of a random hull
+that order, straight into LAPACK band storage (``BandJacobian``).  The
+scatter index and the half-bandwidth k, the largest |pos(i) - pos(j)|
+over the edges, depend on the triangulation and the order alone, so the
+mesh's cache keeps them per order, with the twin slot of every side
+(``triangulation.CornerMesh.cached``).  A flip drops them, and they are
+read off the new triangulation, because flips along the path may widen
+the band.  The cached index arrays own their memory and hold no
+reference to the mesh, for the reasons the triangulation module gives.
+The solver factors J by banded LU with partial pivoting
+(``solver.JacobianFactor``: gbtrf, then gbcon for the condition
+estimate).  That is getrf on the permuted J, since no pivot can come
+from outside the band.  Per start-state J of a random hull
 (seed [1, n]) and of the twisted 24-gon, a factor with its condition
 estimate and both norms takes, best of 5 on one BLAS thread of a 2-vCPU
 Xeon host:
@@ -48,12 +53,14 @@ full, as on the twisted polygons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .errors import StepReductionError
 from .kernels import _NEXT, _NEXT2
+from .triangulation import twin_slots
 
 # Sines below this value make the cotangent weights meaningless in double
 # precision; the solver retries with a smaller deformation step.
@@ -105,6 +112,31 @@ def band_order(mesh):
     return np.array(order[::-1], dtype=np.intp)
 
 
+class _BandIndex(NamedTuple):
+    """Where ``assemble`` scatters the contributions of one triangulation
+    in one vertex order: the flat index of each into the F-order band,
+    and the half-bandwidth k."""
+
+    index: np.ndarray
+    k: int
+
+
+def _band_index(mesh, order_key):
+    order = np.frombuffer(order_key, dtype=np.intp)
+    n = mesh.n_vertices
+    # Positions p of the tails and q of the heads.  Off-diagonal
+    # contributions come first, then the diagonal ones: every entry sums
+    # its duplicates in this order, which ``kernels.scatter_add`` keeps.
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    at = pos[mesh.vert]
+    p, q = at[:, _NEXT].ravel(), at[:, _NEXT2].ravel()
+    d = p - q
+    k = int(d.max())  # every side has a twin, so this is max |p - q|
+    ldab = 3 * k + 1
+    return _BandIndex(np.concatenate([d + ldab * q, ldab * p]) + 2 * k, k)
+
+
 def assemble(P, order) -> BandJacobian:
     """d(kappa)/d(r) of a generalized polytope, permuted to ``order``."""
     mesh, pyr = P.mesh, P.pyramids
@@ -112,7 +144,7 @@ def assemble(P, order) -> BandJacobian:
 
     # One entry per face side, in (face, side) order.
     a_own = pyr.alpha.ravel()
-    a_opp = pyr.alpha[mesh.adj_face, mesh.adj_side].ravel()
+    a_opp = a_own[mesh.cached(twin_slots)]
     sin_own, sin_opp = np.sin(a_own), np.sin(a_opp)
     sin_t, sin_h = np.sin(pyr.rho_t.ravel()), np.sin(pyr.rho_h.ravel())
     if min(sin_own.min(), sin_opp.min(), sin_t.min(), sin_h.min()) < SIN_FLOOR:
@@ -123,17 +155,8 @@ def assemble(P, order) -> BandJacobian:
     cot_sum = np.sin(a_own + a_opp) / (sin_own * sin_opp)
     w = cot_sum / (mesh.ell.ravel() * sin_t * sin_h)
 
-    # Positions p of the tails and q of the heads.  Off-diagonal
-    # contributions come first, then the diagonal ones: every entry sums
-    # its duplicates in this order, the order of np.add.at into a dense J.
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
-    at = pos[mesh.vert]
-    p, q = at[:, _NEXT].ravel(), at[:, _NEXT2].ravel()
-    d = p - q
-    k = int(d.max())  # every side has a twin, so this is max |p - q|
-    ldab = 3 * k + 1
-    index = np.concatenate([d + ldab * q, ldab * p]) + 2 * k
+    band = mesh.cached(_band_index, np.asarray(order, dtype=np.intp).tobytes())
+    ldab = 3 * band.k + 1
     vals = np.concatenate([w, -w * np.cos(pyr.phi.ravel())])
-    ab = kernels.scatter_add(ldab * n, index, vals).reshape(n, ldab).T
-    return BandJacobian(ab=ab, k=k, order=order)
+    ab = kernels.scatter_add(ldab * n, band.index, vals).reshape(n, ldab).T
+    return BandJacobian(ab=ab, k=band.k, order=order)

@@ -8,9 +8,19 @@ Conventions (shared with the rest of the package):
   ``s``; side ``s`` joins corners ``(s+1)%3`` (tail) and ``(s+2)%3``
   (head).
 * ``rad[f, c]`` is the distance from the apex to corner ``c``.
+
+The two kernels that run on every Newton iterate are split in two.
+``pyramid_base`` and ``quad_frame`` read the side lengths alone;
+``face_pyramids`` and ``edge_badness`` add the radii or weights.  A mesh
+keeps the length halves in its cache (``triangulation.CornerMesh.
+cached``) until a flip changes its lengths.  The split only keeps
+intermediates: each double comes from the same operations in the same
+order as in the one-shot kernels, which the tests keep as the reference.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,13 +78,44 @@ def tri_angles(ell):
     return _angle_opp(ell, ell[:, _NEXT], ell[:, _NEXT2])
 
 
-def face_pyramids(ell, rad):
+class PyramidBase(NamedTuple):
+    """The radius-independent half of ``face_pyramids``: each base
+    triangle laid out with corners P0 = (0, 0), P1 = (l2, 0) and
+    P2 = (x2, y2), and the intermediates the apex solve reads off it."""
+
+    x2: np.ndarray
+    y2sq: np.ndarray  # y2^2 as computed; thin bases are flagged by it
+    y2: np.ndarray
+    sq1: np.ndarray  # l1^2
+    sq2: np.ndarray  # l2^2
+    two_l2: np.ndarray
+    two_y2: np.ndarray
+    sq_max: np.ndarray  # the row max of ell^2
+
+
+def pyramid_base(ell):
+    """``PyramidBase`` of every face with side lengths ``ell`` (F, 3)."""
+    ell = np.asarray(ell, dtype=np.float64)
+    l0, l1, l2 = ell[:, 0], ell[:, 1], ell[:, 2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sq0, sq1, sq2 = l0 * l0, l1 * l1, l2 * l2
+        two_l2 = 2.0 * l2
+        x2 = (sq1 + sq2 - sq0) / two_l2
+        y2sq = sq1 - x2 * x2
+        y2 = np.sqrt(np.maximum(y2sq, 0.0))
+    sq_max = np.maximum(np.maximum(sq0, sq1), sq2)
+    return PyramidBase(x2, y2sq, y2, sq1, sq2, two_l2, 2.0 * y2, sq_max)
+
+
+def face_pyramids(ell, rad, base=None):
     """Solve every apex pyramid over the given faces.
 
     Parameters
     ----------
     ell : (F, 3) float array of base side lengths (side s opposite corner s).
     rad : (F, 3) float array of apex distances per corner.
+    base : ``pyramid_base(ell)``, which a caller may keep for as long as
+        ``ell`` does not change; computed here when not given.
 
     Returns
     -------
@@ -96,25 +137,23 @@ def face_pyramids(ell, rad):
     """
     ell = np.asarray(ell, dtype=np.float64)
     rad = np.asarray(rad, dtype=np.float64)
+    if base is None:
+        base = pyramid_base(ell)
     nf = ell.shape[0]
 
-    l0, l1, l2 = ell[:, 0], ell[:, 1], ell[:, 2]
     q0, q1, q2 = rad[:, 0] ** 2, rad[:, 1] ** 2, rad[:, 2] ** 2
-    scale = np.max(np.concatenate([ell * ell, rad * rad], axis=1), axis=1)
+    # The largest of the six squared inputs.  max is exact and NaN wins
+    # either way, so the order of the maxima does not matter.
+    scale = np.maximum(np.maximum(np.maximum(base.sq_max, q0), q1), q2)
 
-    # Base triangle in the plane: corners P0=(0,0), P1=(l2,0), P2=(x2,y2).
+    # Apex from the three squared distances.
     with np.errstate(invalid="ignore", divide="ignore"):
-        x2 = (l1 * l1 + l2 * l2 - l0 * l0) / (2.0 * l2)
-        y2sq = l1 * l1 - x2 * x2
-        y2 = np.sqrt(np.maximum(y2sq, 0.0))
-
-        # Apex from the three squared distances.
-        xa = (q0 - q1 + l2 * l2) / (2.0 * l2)
-        ya = (q0 - q2 + l1 * l1 - 2.0 * xa * x2) / (2.0 * y2)
+        xa = (q0 - q1 + base.sq2) / base.two_l2
+        ya = (q0 - q2 + base.sq1 - 2.0 * xa * base.x2) / base.two_y2
         alt2 = q0 - xa * xa - ya * ya
 
     ok = np.ones(nf, dtype=np.int8)
-    thin_base = y2sq <= REFINE_REL * scale
+    thin_base = base.y2sq <= REFINE_REL * scale
     low_apex = alt2 <= REFINE_REL * scale
     ok[np.isnan(alt2) | thin_base | low_apex] = 0
     # Clearly impossible in doubles (and the base is healthy enough that
@@ -137,9 +176,9 @@ def face_pyramids(ell, rad):
     # Dihedral angles need the spatial frame: pts[k, i, f] is coordinate
     # k of point i (base corners 0, 1, 2 and the apex 3) of face f.
     pts = np.zeros((3, 4, nf))
-    pts[0, 1] = l2
-    pts[0, 2] = x2
-    pts[1, 2] = y2
+    pts[0, 1] = ell[:, 2]
+    pts[0, 2] = base.x2
+    pts[1, 2] = base.y2
     pts[0, 3] = xa
     pts[1, 3] = ya
     pts[2, 3] = alt
@@ -165,37 +204,56 @@ def face_pyramids(ell, rad):
     }
 
 
-def edge_badness(l_ij, l_ik, l_jk, l_il, l_jl, q_i, q_j, q_k, q_l):
-    """Weighted-Delaunay margin per edge, batched.
+class QuadFrame(NamedTuple):
+    """The length-only half of ``edge_badness``: the quadrilateral around
+    each edge laid out with the shared diagonal i -> j on the x axis, k
+    at (xk, yk) above it and l at (xl, yl) below, and the intermediates
+    the badness reads off it."""
 
-    The quadrilateral around each edge is laid out with the shared
-    diagonal i->j on the x-axis, k above and l below.  The returned value
-    is ``q_l - ext(l)`` where ext is the quadratic that takes the values
-    q at i, j, k; positive means the edge is bad.  NaN marks edges whose
-    quad has a flat triangle (k or l on the line of i->j) or whose value
-    is not finite.
-    """
-    l_ij = np.asarray(l_ij, dtype=np.float64)
-    args = [
-        np.asarray(x, dtype=np.float64) for x in (l_ik, l_jk, l_il, l_jl, q_i, q_j, q_k, q_l)
+    sq_ij: np.ndarray  # l_ij^2
+    two_ij: np.ndarray  # 2 l_ij
+    sq_ik: np.ndarray  # l_ik^2
+    two_xk: np.ndarray
+    two_yk: np.ndarray
+    sq_il: np.ndarray  # l_il^2
+    xl: np.ndarray
+    yl: np.ndarray
+    flat: np.ndarray  # k or l on the line of i -> j: no badness
+
+
+def quad_frame(l_ij, l_ik, l_jk, l_il, l_jl):
+    """``QuadFrame`` of the edges with the given side lengths, batched."""
+    l_ij, l_ik, l_jk, l_il, l_jl = [
+        np.asarray(x, dtype=np.float64) for x in (l_ij, l_ik, l_jk, l_il, l_jl)
     ]
-    l_ik, l_jk, l_il, l_jl, q_i, q_j, q_k, q_l = args
-
     with np.errstate(invalid="ignore", divide="ignore"):
-        xk = (l_ik * l_ik + l_ij * l_ij - l_jk * l_jk) / (2.0 * l_ij)
-        yk2 = l_ik * l_ik - xk * xk
-        yk = np.sqrt(np.maximum(yk2, 0.0))
-        xl = (l_il * l_il + l_ij * l_ij - l_jl * l_jl) / (2.0 * l_ij)
-        yl2 = l_il * l_il - xl * xl
+        sq_ij, sq_ik, sq_il = l_ij * l_ij, l_ik * l_ik, l_il * l_il
+        two_ij = 2.0 * l_ij
+        xk = (sq_ik + sq_ij - l_jk * l_jk) / two_ij
+        yk2 = sq_ik - xk * xk
+        xl = (sq_il + sq_ij - l_jl * l_jl) / two_ij
+        yl2 = sq_il - xl * xl
+        two_yk = 2.0 * np.sqrt(np.maximum(yk2, 0.0))
         yl = -np.sqrt(np.maximum(yl2, 0.0))
+    flat = (yk2 <= 0.0) | (yl2 <= 0.0)
+    return QuadFrame(sq_ij, two_ij, sq_ik, 2.0 * xk, two_yk, sq_il, xl, yl, flat)
 
-        ax = (l_ij * l_ij - q_j + q_i) / (2.0 * l_ij)
-        ay = (l_ik * l_ik - q_k + q_i - 2.0 * xk * ax) / (2.0 * yk)
-        ext = q_i + l_il * l_il - 2.0 * (xl * ax + yl * ay)
+
+def edge_badness(frame, q_i, q_j, q_k, q_l):
+    """Weighted-Delaunay margin per edge of a ``quad_frame``, batched.
+
+    The returned value is ``q_l - ext(l)`` where ext is the quadratic
+    that takes the values q at i, j, k; positive means the edge is bad.
+    NaN marks edges whose quad has a flat triangle (k or l on the line
+    of i->j) or whose value is not finite.
+    """
+    q_i, q_j, q_k, q_l = [np.asarray(x, dtype=np.float64) for x in (q_i, q_j, q_k, q_l)]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ax = (frame.sq_ij - q_j + q_i) / frame.two_ij
+        ay = (frame.sq_ik - q_k + q_i - frame.two_xk * ax) / frame.two_yk
+        ext = q_i + frame.sq_il - 2.0 * (frame.xl * ax + frame.yl * ay)
         out = q_l - ext
-
-    bad_rows = (yk2 <= 0.0) | (yl2 <= 0.0) | ~np.isfinite(out)
-    return np.where(bad_rows, np.nan, out)
+    return np.where(frame.flat | ~np.isfinite(out), np.nan, out)
 
 
 def scatter_add(size, index, vals):

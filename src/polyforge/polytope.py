@@ -46,7 +46,7 @@ import numpy as np
 
 from . import kernels
 from .errors import PyramidError, TriangleError
-from .triangulation import CornerMesh
+from .triangulation import CornerMesh, twin_slots
 
 # The oracle's sums carry 169 bits, the precision of 50 digits.
 _SUM_BITS = 169
@@ -324,9 +324,10 @@ def _congruence_key(inputs):
     return min((get(inputs), m) for m, get in enumerate(_CORNER_GETTERS))
 
 
-def solve_pyramids(ell, rad) -> PyramidBatch:
+def solve_pyramids(ell, rad, base=None) -> PyramidBatch:
     """Solve the pyramid over every face; raises PyramidError if any face
-    admits none.
+    admits none.  ``base`` is ``kernels.pyramid_base(ell)``, if the caller
+    keeps it.
 
     Rows the kernel flags are redone exactly in two phases.  The first
     decides the pyramid of every flagged row in face order, so a face
@@ -354,7 +355,7 @@ def solve_pyramids(ell, rad) -> PyramidBatch:
     """
     ell = np.asarray(ell, dtype=float)
     rad = np.asarray(rad, dtype=float)
-    raw = kernels.face_pyramids(ell, rad)
+    raw = kernels.face_pyramids(ell, rad, base)
     ok = raw["ok"]
     refined = np.zeros(ell.shape[0], dtype=bool)
     classes = {}  # congruence key -> (first face, its corner map), None if dead
@@ -422,6 +423,10 @@ class CurvatureReport:
     theta: np.ndarray  # (F, 3) total dihedral along the edge of each side
 
 
+def _pyramid_base(mesh):
+    return kernels.pyramid_base(mesh.ell)
+
+
 class GeneralizedPolytope:
     """A triangulation plus apex radii, with all pyramids solved."""
 
@@ -432,7 +437,7 @@ class GeneralizedPolytope:
             raise ValueError("radius vector does not match the vertex count")
         if not np.all(self.r > 0.0):
             raise PyramidError("radii must be strictly positive")
-        self.pyramids = solve_pyramids(mesh.ell, self.r[mesh.vert])
+        self.pyramids = solve_pyramids(mesh.ell, self.r[mesh.vert], mesh.cached(_pyramid_base))
         self._report = None
 
     @property
@@ -443,11 +448,11 @@ class GeneralizedPolytope:
         if self._report is not None:
             return self._report
         mesh, pyr = self.mesh, self.pyramids
-        omega_sum = np.zeros(self.n_vertices)
-        np.add.at(omega_sum, mesh.vert.ravel(), pyr.omega.ravel())
+        omega_sum = kernels.scatter_add(self.n_vertices, mesh.vert.ravel(), pyr.omega.ravel())
         kappa = 2.0 * math.pi - omega_sum
 
-        theta = pyr.alpha + pyr.alpha[mesh.adj_face, mesh.adj_side]
+        twin = pyr.alpha.ravel()[mesh.cached(twin_slots)]
+        theta = pyr.alpha + twin.reshape(pyr.alpha.shape)
         self._report = CurvatureReport(kappa=kappa, theta=theta)
         return self._report
 

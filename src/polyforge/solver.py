@@ -422,7 +422,7 @@ def start_state(metric: PolyhedralMetric):
     starting radius; returns the t = 1 continuation state."""
     mesh = CornerMesh.from_metric(metric)
     initial_flips = weighted_delaunay(mesh, np.ones(mesh.n_vertices))
-    order = jacobian.band_order(mesh)
+    order = mesh.cached(jacobian.band_order)
     radius, P = choose_initial_radius(metric, mesh)
     kappa1 = P.kappa.copy()
     state = ContinuationState(

@@ -251,8 +251,7 @@ def build_metric(dev: Development) -> PolyhedralMetric:
     # A triangle that fails the triangle inequality (possible only in a
     # Development built without parse_development) has NaN angles, which
     # fail the deficit band below.
-    angles = np.zeros(n)
-    np.add.at(angles, corner_vertex.ravel(), kernels.tri_angles(dev.sides).ravel())
+    angles = kernels.scatter_add(n, corner_vertex.ravel(), kernels.tri_angles(dev.sides).ravel())
 
     deficits = 2.0 * math.pi - angles
     bad = [

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from mp_refine import _refine_pyramid
 from polyforge import kernels
 
@@ -83,25 +84,28 @@ def test_face_pyramids_match_high_precision_solve():
             np.testing.assert_allclose(out[key][f], row[key], rtol=0, atol=1e-12)
 
 
+_CIRC = 1.0 / math.sqrt(3.0)  # circumradius of the unit equilateral base
+_DEGENERATE_ELL = np.array(
+    [
+        [1.0, 1.0, 1.0],  # healthy
+        [1.0, 1.0, 1.0],  # apex grazing the base plane -> refine
+        [1.0, 1.0, 1.0],  # apex strictly below any pyramid -> dead
+        [1.0, 1.0, 2.0],  # collinear base -> refine
+    ]
+)
+_DEGENERATE_RAD = np.array(
+    [
+        [1.0, 1.0, 1.0],
+        [math.sqrt(_CIRC**2 + 1e-10)] * 3,
+        [0.45, 0.45, 0.45],
+        [1.5, 1.5, 1.5],
+    ]
+)
+
+
 def test_face_pyramid_flags_on_degenerate_rows():
-    circ = 1.0 / math.sqrt(3.0)  # circumradius of the unit equilateral base
-    ell = np.array(
-        [
-            [1.0, 1.0, 1.0],  # healthy
-            [1.0, 1.0, 1.0],  # apex grazing the base plane -> refine
-            [1.0, 1.0, 1.0],  # apex strictly below any pyramid -> dead
-            [1.0, 1.0, 2.0],  # collinear base -> refine
-        ]
-    )
-    rad = np.array(
-        [
-            [1.0, 1.0, 1.0],
-            [math.sqrt(circ**2 + 1e-10)] * 3,
-            [0.45, 0.45, 0.45],
-            [1.5, 1.5, 1.5],
-        ]
-    )
-    out = kernels.face_pyramids(ell, rad)
+    circ = _CIRC
+    out = kernels.face_pyramids(_DEGENERATE_ELL, _DEGENERATE_RAD)
     assert out["ok"].tolist() == [1, 0, -1, 0]
     assert out["alt2"][0] == pytest.approx(1.0 - circ**2, rel=1e-12)
 
@@ -129,9 +133,60 @@ def test_edge_badness_nan_on_unresolvable_rows():
     l_ik[dead] = 0.3
     l_jk[dead] = d[dead] + 5.0
     q = rng.uniform(0.0, 1.0, (4, n))
-    out = kernels.edge_badness(d, l_ik, l_jk, l_il, l_jl, *q)
+    out = kernels.edge_badness(kernels.quad_frame(d, l_ik, l_jk, l_il, l_jl), *q)
     assert np.isnan(out[dead]).all()
     assert (~np.isnan(out)).sum() == n - len(dead)
+
+
+def _same_bits(a, b):
+    """Equal, NaN for NaN, with equal signs of zero."""
+    if a.dtype.kind == "f" and not np.array_equal(np.signbit(a), np.signbit(b)):
+        return False
+    return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+
+def test_split_face_pyramids_match_the_one_shot_kernel():
+    rng = np.random.default_rng(29)
+    ell, rad, _ = _pyramid_batch(rng, 300)
+    nan, inf = math.nan, math.inf
+    odd_ell = np.array(
+        [[1.0, 1e-9, 1.0], [1.0, 1.0, 1e-300], [1.0, 1.0, 0.0], [nan, 1.0, 1.0],
+         [1.0, inf, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, inf]]
+    )
+    odd_rad = np.array(
+        [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+         [1.0, 1.0, 1.0], [nan, 1.0, 1.0], [1.0, inf, 1.0], [inf, inf, inf]]
+    )
+    ell = np.concatenate([ell, _DEGENERATE_ELL, odd_ell])
+    rad = np.concatenate([rad, _DEGENERATE_RAD, odd_rad])
+    with np.errstate(all="ignore"):
+        want = oracles.face_pyramids(ell, rad)
+        kept = kernels.face_pyramids(ell, rad, kernels.pyramid_base(ell))
+        alone = kernels.face_pyramids(ell, rad)
+    assert set(kept) == set(want) == set(alone)
+    for key in want:
+        assert _same_bits(kept[key], want[key]) and _same_bits(alone[key], want[key]), key
+    assert {-1, 0, 1} <= set(want["ok"].tolist())
+
+
+def test_split_edge_badness_matches_the_one_shot_kernel():
+    rng = np.random.default_rng(31)
+    n = 400
+    lengths = list(_quad_batch(rng, n))
+    q = rng.uniform(0.0, 1.0, (4, n))
+    d, l_ik, l_jk = lengths[:3]
+    # flat quads: k on the axis extension, and on the diagonal itself
+    l_ik[:6], l_jk[:6] = 0.3, d[:6] + 5.0
+    l_jk[6:9] = d[6:9] - l_ik[6:9]
+    nan, inf = math.nan, math.inf
+    d[9], d[10], d[11] = 0.0, nan, inf
+    lengths[3][12], lengths[4][13] = inf, nan
+    q[0, 14], q[1, 15], q[2, 16], q[3, 17], q[3, 18] = nan, inf, -inf, inf, nan
+    with np.errstate(all="ignore"):
+        want = oracles.edge_badness(*lengths, *q)
+        got = kernels.edge_badness(kernels.quad_frame(*lengths), *q)
+    assert _same_bits(got, want)
+    assert np.isnan(want[:19]).sum() >= 15 and not np.isnan(want[19:]).any()
 
 
 def test_scatter_add_matches_dense_loop():

@@ -73,11 +73,11 @@ def flat_batches():
     batches = []
     original = polytope.solve_pyramids
 
-    def record(ell, rad):
+    def record(ell, rad, base=None):
         ell, rad = np.array(ell, dtype=float), np.array(rad, dtype=float)
         if np.any(kernels.face_pyramids(ell, rad)["ok"] != 1):
             batches.append((ell, rad))
-        return original(ell, rad)
+        return original(ell, rad, base)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polytope, "solve_pyramids", record)

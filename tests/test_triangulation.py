@@ -6,8 +6,10 @@ import pytest
 
 import oracles
 from oracles import canonical_tesselation, cone_angles, ext_value, mesh_of, validate_mesh
-from polyforge import catalog, hull
+from polyforge import build_metric, catalog, hull, jacobian
 from polyforge.errors import FlipError, InadmissibleWeightsError, TriangleError
+from polyforge.polytope import GeneralizedPolytope
+from polyforge.solver import SolverOptions, _edge_theta, solve_path
 from polyforge.triangulation import (
     BAD_TOL,
     CornerMesh,
@@ -419,3 +421,114 @@ def test_merge_regions_boundary_cycles(cube_metric):
         assert len(reg.faces) == 2  # two triangles per square
         assert len(reg.cycles) == 1
         assert len(reg.cycles[0]) == 4  # square boundary
+
+
+# -- the radius-independent cache -------------------------------------------
+
+
+def _fresh(mesh):
+    """An uncached mesh built from copies of the four arrays."""
+    return CornerMesh(mesh.vert.copy(), mesh.ell.copy(), mesh.adj_face.copy(), mesh.adj_side.copy())
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype.kind == "f" and not np.array_equal(np.signbit(a), np.signbit(b)):
+        return False
+    return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+
+def _assert_cache_matches_fresh(mesh, r, order):
+    """badness_scan, the pyramids and the band Jacobian on ``mesh``, with
+    whatever its cache holds, equal those on an uncached copy, bit for
+    bit."""
+    fresh = _fresh(mesh)
+    q = r * r
+    (f, s), vals = badness_scan(mesh, q)
+    (f0, s0), vals0 = badness_scan(fresh, q)
+    assert _same_bits(f, f0) and _same_bits(s, s0) and _same_bits(vals, vals0)
+    P, P0 = GeneralizedPolytope(mesh, r), GeneralizedPolytope(fresh, r)
+    for name, value in vars(P.pyramids).items():
+        assert _same_bits(value, getattr(P0.pyramids, name)), name
+    rep, rep0 = P.curvature_report(), P0.curvature_report()
+    assert _same_bits(rep.kappa, rep0.kappa) and _same_bits(rep.theta, rep0.theta)
+    J, J0 = jacobian.assemble(P, order), jacobian.assemble(P0, order)
+    assert J.k == J0.k and _same_bits(J.ab, J0.ab)
+
+
+@pytest.mark.parametrize(
+    "dev",
+    [catalog.twisted_double_polygon(12), hull.random_sphere_development(20, seed=5)[0]],
+    ids=["twisted12", "hull20-seed5"],
+)
+def test_cached_results_match_an_uncached_mesh_along_the_path(dev):
+    # The twisted 12-gon flips in its initial Delaunay pass, the hull
+    # along the path; every accepted state is checked, the start too.
+    seen = []
+
+    def check(state):
+        _assert_cache_matches_fresh(state.mesh, state.r, state.order)
+        seen.append(state.flips)
+
+    result = solve_path(build_metric(dev), SolverOptions(progress=check))
+    assert seen[0] > 0 or result.events
+    assert len(seen) == result.state.steps_accepted + 1
+
+
+def test_flipping_a_copy_leaves_the_original_cache_alone(cube_metric):
+    mesh = CornerMesh.from_metric(cube_metric)
+    r = np.full(8, 4.0)  # tall enough for a pyramid over every flipped face
+    order = mesh.cached(jacobian.band_order)
+    _assert_cache_matches_fresh(mesh, r, order)  # fills the cache
+    work = mesh.copy()
+    flipped = 0
+    for f, s in zip(*mesh.edges()):
+        try:
+            work.flip(f, s)
+        except FlipError:
+            continue
+        flipped += 1
+        _assert_cache_matches_fresh(mesh, r, order)
+        _assert_cache_matches_fresh(work, r, order)
+    assert flipped >= 3
+
+
+def test_cached_arrays_are_read_only_and_own_their_memory():
+    mesh = mesh_of(catalog.twisted_double_polygon(6))
+    r = np.full(mesh.n_vertices, 4.0)
+    P = GeneralizedPolytope(mesh, r)
+    badness_scan(mesh, r * r)
+    P.curvature_report()
+    jacobian.assemble(P, mesh.cached(jacobian.band_order))
+    arrays = []
+
+    def collect(value):
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, tuple):
+            for item in value:
+                collect(item)
+
+    for value in mesh._cache.values():
+        collect(value)
+    assert len(arrays) >= 20
+    for a in arrays:
+        assert a.base is None
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_flip_loop_and_flip_hook_leave_the_cache_empty():
+    # The rechecks between flips and the solver's flip hook read the mesh
+    # directly: filling the cache there would rebuild it once per flip.
+    dev, _, _ = hull.random_sphere_development(20, seed=0)
+    mesh, _ = _scrambled(mesh_of(dev), 0)
+    r = np.full(mesh.n_vertices, 10.0 * float(mesh.ell.max()))
+    thetas = []
+
+    def hook(m, f, s):
+        thetas.append(_edge_theta(m, r, f, s))
+
+    flips = weighted_delaunay(mesh, r * r, on_flip=hook)
+    assert flips > 5 and len(thetas) == flips
+    assert mesh._cache == {}
