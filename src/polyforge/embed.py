@@ -206,7 +206,7 @@ def _unfold(mesh, theta):
 
     Face 0 sits in the z = 0 plane with normal +z.  The breadth-first
     tree is found first, in plain Python: the frontier's sides are
-    scanned in (frontier order, side) order and the first claim on each
+    visited in (frontier order, side) order and the first claim on each
     unplaced face wins, which is the tree a face-by-face FIFO builds.
     Then each level is placed at once.  A face g across side s of f is
     hinged on the shared edge a -> b of f: w_in is the unit vector in

@@ -269,11 +269,19 @@ def choose_initial_radius(metric: PolyhedralMetric, mesh: CornerMesh):
 
 
 def _edge_theta(mesh, r, f, s):
-    """Total dihedral along edge (f, s) for the current radii."""
-    g, s2 = mesh.neighbor(f, s)
-    faces = np.array([f, g])
-    batch = solve_pyramids(mesh.ell[faces], np.asarray(r)[mesh.vert[faces]])
-    return float(batch.alpha[0, s] + batch.alpha[1, s2])
+    """Total dihedral along each edge (f[e], s[e]) for the current radii.
+
+    The edges' faces go through one ``solve_pyramids`` call.  The edges
+    must share no face, as the flips of one round do.  Every row of the
+    batch is what a solve of the edge's two faces alone gives, bit for
+    bit, since the kernel works row by row and the exact refinement gives
+    each flagged row the value it has on its own.
+    """
+    g, s2 = mesh.adj_face[f, s], mesh.adj_side[f, s]
+    faces = np.concatenate([f, g])
+    alpha = solve_pyramids(mesh.ell[faces], np.asarray(r)[mesh.vert[faces]]).alpha
+    e = np.arange(len(f))
+    return alpha[e, s] + alpha[len(f) + e, s2]
 
 
 def step(state: ContinuationState, t_new: float) -> StepResult:
@@ -289,9 +297,9 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
     flips_here = 0
 
     def hook(m, f, s):
-        theta = _edge_theta(m, r, f, s)
-        i, j = m.edge_endpoints(f, s)
-        buffer.append(FlipEvent(t=t_new, edge=tuple(sorted((i, j))), theta=theta))
+        for fe, se, theta in zip(f.tolist(), s.tolist(), _edge_theta(m, r, f, s).tolist()):
+            edge = tuple(sorted(m.edge_endpoints(fe, se)))
+            buffer.append(FlipEvent(t=t_new, edge=edge, theta=theta))
 
     try:
         factor = state.factor

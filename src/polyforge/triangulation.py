@@ -9,10 +9,14 @@ edges are ordinary citizens here, they show up as soon as flips start
 rearranging a development.
 
 Badness of an edge is measured by developing its two adjacent faces into
-the plane (two copies, if they are the same face) and comparing the
-fourth corner's weight against the quadratic extension of the weights on
-the first three; the flip algorithm greedily removes bad edges and
-terminates because each flip strictly raises the piecewise extension.
+the plane (two copies, if they are the same face), as a
+``kernels.QuadFrame``, and comparing the fourth corner's weight against
+the quadratic extension of the weights on the first three.  The same
+frame decides whether the quad is strictly convex and gives the length
+of the diagonal a flip puts in.  The flip algorithm removes bad edges in
+rounds: each round rechecks its suspect edges in one batch and flips a
+set of bad edges that share no face.  It terminates because each flip
+strictly raises the piecewise extension.
 
 The cache.  Along a deformation only the radii move: a triangulation and
 its lengths change only when ``flip`` fires, and in one pass of each
@@ -30,17 +34,15 @@ reference to its mesh, so a dropped mesh is freed at once by reference
 counting rather than by the cycle collector, and no views: ``flip``
 writes ``vert``, ``ell`` and the adjacency in place, and a view cached
 through a shared copy would go stale in the mesh that a rejected step
-keeps.  Its arrays own their memory and are read-only.  The flip loop's
-single-edge rechecks and the solver's flip hook read the mesh directly:
-mid-flip the cache is empty, and filling it there would build it once
-per flip.
+keeps.  Its arrays own their memory and are read-only.  Only the flip
+loop's first round reads the cache.  Its later rounds and the solver's
+flip hook read the mesh directly: between rounds the cache is empty, and
+filling it there would build it once per round.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,25 +59,6 @@ BAD_TOL = 1e-10
 # Interior angles of the developed quadrilateral must clear pi by this
 # much before a flip is executed.
 CONVEXITY_TOL = 1e-10
-
-
-@dataclass
-class QuadLayout:
-    """The two faces adjacent to an edge, developed into the plane.
-
-    The shared edge i->j lies on the x axis, k (the far corner on the
-    edge's own face) above it, l (the far corner across) below.
-    """
-
-    labels: tuple  # (i, j, k, l) vertex labels
-    pi: np.ndarray
-    pj: np.ndarray
-    pk: np.ndarray
-    pl: np.ndarray
-
-    @property
-    def diagonal(self):
-        return float(np.linalg.norm(self.pk - self.pl))
 
 
 class CornerMesh:
@@ -165,43 +148,6 @@ class CornerMesh:
 
     # -- geometry -----------------------------------------------------
 
-    def develop_quad(self, f, s) -> QuadLayout:
-        """Lay out the two faces adjacent to side (f, s) in the plane.
-
-        Works when both sides belong to the same face (the face is
-        developed twice) and when some of the four corner labels agree.
-        """
-        f = int(f)
-        s = int(s)
-        g, s2 = self.neighbor(f, s)
-        i = int(self.vert[f, (s + 1) % 3])
-        j = int(self.vert[f, (s + 2) % 3])
-        k = int(self.vert[f, s])
-        l = int(self.vert[g, s2])
-
-        lij = float(self.ell[f, s])
-        lik = float(self.ell[f, (s + 2) % 3])
-        ljk = float(self.ell[f, (s + 1) % 3])
-        lil = float(self.ell[g, (s2 + 1) % 3])
-        ljl = float(self.ell[g, (s2 + 2) % 3])
-
-        def third_point(da, db, sign):
-            x = (da * da + lij * lij - db * db) / (2.0 * lij)
-            y2 = da * da - x * x
-            if y2 <= 0.0:
-                raise TriangleError(
-                    f"cannot develop quad at edge ({f}, {s}): flat triangle"
-                )
-            return np.array([x, sign * math.sqrt(y2)])
-
-        return QuadLayout(
-            labels=(i, j, k, l),
-            pi=np.zeros(2),
-            pj=np.array([lij, 0.0]),
-            pk=third_point(lik, ljk, +1.0),
-            pl=third_point(lil, ljl, -1.0),
-        )
-
     def flip(self, f, s):
         """Replace the diagonal of the quad around side (f, s).
 
@@ -216,12 +162,15 @@ class CornerMesh:
         if g == f:
             raise FlipError(f"edge ({f}, {s}) has the same face on both sides")
 
-        quad = self.develop_quad(f, s)
-        if not quad_is_strictly_convex(quad):
+        quad = _quads(self, f, s)
+        frame = quad.frame
+        if not _strictly_convex(frame):
             raise FlipError(f"quad around edge ({f}, {s}) is not strictly convex")
 
-        new_len = quad.diagonal
-        i, j, k, l = quad.labels
+        # The new diagonal joins the far corners k and l of the frame.
+        dx, dy = 0.5 * frame.two_xk - frame.xl, 0.5 * frame.two_yk - frame.yl
+        new_len = float(np.linalg.norm([dx, dy]))
+        i, j, k, l = quad.labels.tolist()
         l_jk = float(self.ell[f, (s + 1) % 3])
         l_ki = float(self.ell[f, (s + 2) % 3])
         l_il = float(self.ell[g, (s2 + 1) % 3])
@@ -232,7 +181,7 @@ class CornerMesh:
         n_lj = self.neighbor(g, (s2 + 2) % 3)
 
         # The quad's outer sides may be glued to each other (or to the
-        # faces being rewritten); route those references to their new
+        # two faces being rebuilt); route those references to their new
         # homes.
         relocate = {
             (f, (s + 1) % 3): (g, 2),
@@ -284,21 +233,6 @@ def twin_slots(mesh):
     return 3 * mesh.adj_face.ravel() + mesh.adj_side.ravel()
 
 
-def quad_is_strictly_convex(quad: QuadLayout) -> bool:
-    """Every interior angle of the developed quad clears pi by
-    CONVEXITY_TOL."""
-    ring = [quad.pi, quad.pl, quad.pj, quad.pk]
-    for idx in range(4):
-        e_in = ring[idx] - ring[idx - 1]
-        e_out = ring[(idx + 1) % 4] - ring[idx]
-        turn = math.atan2(
-            e_in[0] * e_out[1] - e_in[1] * e_out[0], float(np.dot(e_in, e_out))
-        )
-        if turn <= CONVEXITY_TOL:
-            return False
-    return True
-
-
 # -- power-style badness -----------------------------------------------
 
 
@@ -326,8 +260,23 @@ def _edge_quads(mesh):
     return _quads(mesh, *mesh.cached(CornerMesh.edges))
 
 
+def _strictly_convex(frame):
+    """Whether each quad i, l, j, k of a ``kernels.QuadFrame`` turns left
+    by more than CONVEXITY_TOL at every corner, so that every interior
+    angle clears pi by that much; False where a triangle is flat."""
+    x_ij, xk, yk = 0.5 * frame.two_ij, 0.5 * frame.two_xk, 0.5 * frame.two_yk
+    # The sides k -> i -> l -> j -> k -> i; each corner turns from the
+    # side before it to the side after it.
+    x = np.stack([-xk, frame.xl, x_ij - frame.xl, xk - x_ij, -xk])
+    y = np.stack([-yk, frame.yl, -frame.yl, yk, -yk])
+    x_in, y_in, x_out, y_out = x[:-1], y[:-1], x[1:], y[1:]
+    turn = np.arctan2(x_in * y_out - y_in * x_out, x_in * x_out + y_in * y_out)
+    return ~frame.flat & np.all(turn > CONVEXITY_TOL, axis=0)
+
+
 def _badness(quads, q):
-    """Badness of the quads' edges; raises TriangleError at the first
+    """Badness of the quads' edges: q_l minus the extension through i, j,
+    k, from ``kernels.edge_badness``.  Raises TriangleError at the first
     edge whose quad has a flat triangle, where the kernel returns NaN."""
     vals = kernels.edge_badness(quads.frame, *q[quads.labels])
     flat = np.flatnonzero(np.isnan(vals))
@@ -337,18 +286,6 @@ def _badness(quads, q):
             f"cannot develop quad at edge ({quads.f[e]}, {quads.s[e]}): flat triangle"
         )
     return vals
-
-
-def badness(mesh, q, f, s):
-    """Badness of the edges with handles (f[e], s[e]): q_l minus the
-    extension through i, j, k, from ``kernels.edge_badness``.
-
-    Reads the mesh as it is and leaves its cache alone, so the flip loop
-    may recheck single edges between flips.  Raises TriangleError at the
-    first edge whose quad has a flat triangle, where the kernel returns
-    NaN.
-    """
-    return _badness(_quads(mesh, f, s), q)
 
 
 def badness_scan(mesh, q):
@@ -363,70 +300,70 @@ def badness_scan(mesh, q):
 
 
 def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
-    """Flip bad edges (FIFO) until none are left; returns the flip count.
+    """Flip bad edges in rounds until none are left; returns the flip
+    count.
 
-    ``on_flip(mesh, f, s)`` is invoked just before each flip.  Raises
-    InadmissibleWeightsError when a bad edge cannot be flipped and no
-    other flip unblocks it, or when ``max_flips`` is exhausted — both
-    certify that the weights are not reachable by this triangulation
-    family.  Raises TriangleError, as ``badness`` does, on a flat quad.
+    A round rechecks its suspect edges in one batch.  Then it flips, in
+    handle order, each bad edge whose quad is strictly convex and shares
+    no face with an earlier flip of the round.  The first round's
+    suspects are all edges, with the quads of ``badness_scan``; the next
+    round's are the flipped quads' outer sides and the bad edges the
+    round left.  The badness of (f, s) reads only the rows of f and of
+    its neighbour across s, and a flip writes only the rows of its two
+    faces and points outer sides at them, so no other verdict changes.
 
-    The badness of (f, s) reads only the rows of f and of its neighbour
-    across s, and a flip writes only the rows of its two faces and points
-    outer sides at them.  So while neither face has been flipped, an
-    edge's verdict is the one the initial scan gave it.
+    ``on_flip(mesh, f, s)`` is called once per round, with the handle
+    arrays of the round's flips, before any of them fires.  Since those
+    flips share no face, the mesh it sees holds each of their quads as
+    it is just before that edge's flip.
+
+    Raises InadmissibleWeightsError when a round has bad edges but none
+    can flip, or when its flips would take the count past ``max_flips``:
+    both certify that the weights are not reachable by this triangulation
+    family.  Raises TriangleError, as ``badness_scan`` does, on a flat
+    quad.
     """
     q = np.asarray(q, dtype=float)
     if max_flips is None:
         max_flips = 100 * mesh.n_edges**2
-    scale = max(1.0, float(np.abs(q).max()))
-    tol = BAD_TOL * scale
+    tol = BAD_TOL * max(1.0, float(np.abs(q).max()))
 
-    (f, s), vals = badness_scan(mesh, q)
-    if np.all(vals <= tol):
-        return 0
-
-    edges = list(zip(f.tolist(), s.tolist()))
-    scanned = dict(zip(edges, (vals > tol).tolist()))
-    rewritten = set()
-    queue = deque(edges)
+    _, vals = badness_scan(mesh, q)
+    quads = mesh.cached(_edge_quads)
     flips = 0
-    stalled = 0
-    while queue:
-        f, s = queue.popleft()
-        g, s2 = mesh.neighbor(f, s)
-        if f in rewritten or g in rewritten:
-            bad = badness(mesh, q, np.array([f]), np.array([s]))[0] > tol
-        else:
-            bad = scanned[f, s]
-        if not bad:
-            continue
-        blocked = g == f or not quad_is_strictly_convex(mesh.develop_quad(f, s))
-        if blocked:
-            # Cannot flip now; some other flip may reshape this quad.
-            queue.append((f, s))
-            stalled += 1
-            if stalled > len(queue) + 1:
-                raise InadmissibleWeightsError(
-                    f"bad edge ({f}, {s}) cannot be flipped and no flip unblocks it"
-                )
-            continue
-
-        if on_flip is not None:
-            # The flip is now guaranteed to execute; hooks see the mesh
-            # in its pre-flip state.
-            on_flip(mesh, f, s)
-        mesh.flip(f, s)
-        rewritten.update((f, g))
-        flips += 1
-        stalled = 0
-        if flips > max_flips:
+    while True:
+        bad = np.flatnonzero(vals > tol)
+        if not bad.size:
+            return flips
+        f, s = quads.f[bad], quads.s[bad]
+        g = mesh.adj_face[f, s]
+        movable = (g != f) & _strictly_convex(kernels.QuadFrame(*(x[bad] for x in quads.frame)))
+        pick = np.zeros(bad.size, dtype=bool)
+        taken = set()
+        faces = list(zip(f.tolist(), g.tolist()))
+        for e in np.flatnonzero(movable).tolist():
+            if taken.isdisjoint(faces[e]):
+                taken.update(faces[e])
+                pick[e] = True
+        n = int(pick.sum())
+        if n == 0:
+            raise InadmissibleWeightsError(
+                f"bad edge ({f[0]}, {s[0]}) cannot be flipped and no flip unblocks it"
+            )
+        if flips + n > max_flips:
             raise InadmissibleWeightsError(f"flip budget {max_flips} exhausted")
-        # The new diagonal is side 0 of both rewritten faces; its four
-        # neighbors are the quad's outer sides.
-        for cand in ((f, 1), (f, 2), (g, 1), (g, 2)):
-            queue.append(cand)
-    return flips
+        if on_flip is not None:
+            on_flip(mesh, f[pick], s[pick])
+        for a, b in zip(f[pick].tolist(), s[pick].tolist()):
+            mesh.flip(a, b)
+        flips += n
+        # Each new diagonal is side 0 of its two faces; sides 1 and 2 are
+        # the quad's outer sides.
+        fg = np.concatenate([f[pick], g[pick]])
+        slots = np.concatenate([3 * fg + 1, 3 * fg + 2, 3 * f[~pick] + s[~pick]])
+        twins = 3 * mesh.adj_face.ravel()[slots] + mesh.adj_side.ravel()[slots]
+        quads = _quads(mesh, *np.divmod(np.unique(np.minimum(slots, twins)), 3))
+        vals = _badness(quads, q)
 
 
 # -- tesselation extraction ----------------------------------------------

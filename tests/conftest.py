@@ -21,6 +21,16 @@ UNIT_EDGE_SCALE = 1.0 / (2.0 * math.sqrt(2.0))
 HULL_CASES = [(n, 1) for n in range(6, 21)] + [(8, 2), (12, 3), (16, 4), (20, 5), (10, 6)]
 
 
+def thin_hull(n, axes, seed):
+    """``hull.random_sphere_development(n, seed)`` with the points scaled
+    by the semi-axes ``axes``, as (development, points, corner_point).  A
+    positive diagonal map keeps every hull face and its orientation, so
+    the sphere hull's triangles, scaled, are the ellipsoid hull's."""
+    _, points, corner_point = hull.random_sphere_development(n, seed=seed)
+    points = points * np.asarray(axes, dtype=float)
+    return hull.development_from_triangles(points[corner_point]), points, corner_point
+
+
 @pytest.fixture(scope="session")
 def tetra_metric():
     return build_metric(catalog.tetrahedron(UNIT_EDGE_SCALE))

@@ -3,7 +3,9 @@ not: corner-table invariants, cone angles, the validated construction of
 a generalized polytope, its total height, the dense curvature Jacobian,
 the scalar badness formula, the one-shot edge badness and pyramid
 kernels that the package splits into a cached half and a per-call half,
-the flip loop that rechecks every edge, the canonical form of the
+the scalar quad layout and convexity check, the flip loop that flips one
+edge at a time and rechecks every edge, the two-face dihedral of an
+edge, the canonical form of the
 essential-edge tesselation, the face-by-face unfold, the convexity check
 of an embedding, the per-face apex distance and the apex-inside test.
 
@@ -34,14 +36,16 @@ from polyforge.kernels import (
     _angle_opp,
     _dot3,
 )
+from polyforge.polytope import solve_pyramids
 from polyforge.surface import Development, build_metric
 from polyforge.triangulation import (
     BAD_TOL,
+    CONVEXITY_TOL,
     CornerMesh,
-    badness,
+    _badness,
+    _quads,
     badness_scan,
     merge_regions,
-    quad_is_strictly_convex,
 )
 
 # Glued sides of a valid mesh agree in length to this relative amount.
@@ -306,9 +310,99 @@ def dense_jacobian(P):
 # -- badness ---------------------------------------------------------------
 
 
+@dataclass
+class QuadLayout:
+    """The two faces adjacent to an edge, developed into the plane.
+
+    The shared edge i->j lies on the x axis, k (the far corner on the
+    edge's own face) above it, l (the far corner across) below.
+    """
+
+    labels: tuple  # (i, j, k, l) vertex labels
+    pi: np.ndarray
+    pj: np.ndarray
+    pk: np.ndarray
+    pl: np.ndarray
+
+    @property
+    def diagonal(self):
+        return float(np.linalg.norm(self.pk - self.pl))
+
+
+def develop_quad(mesh, f, s) -> QuadLayout:
+    """Lay out the two faces adjacent to side (f, s) in the plane, one
+    corner at a time: the scalar reference of ``kernels.quad_frame``.
+
+    Works when both sides belong to the same face (the face is developed
+    twice) and when some of the four corner labels agree.
+    """
+    f = int(f)
+    s = int(s)
+    g, s2 = mesh.neighbor(f, s)
+    i = int(mesh.vert[f, (s + 1) % 3])
+    j = int(mesh.vert[f, (s + 2) % 3])
+    k = int(mesh.vert[f, s])
+    l = int(mesh.vert[g, s2])
+
+    lij = float(mesh.ell[f, s])
+    lik = float(mesh.ell[f, (s + 2) % 3])
+    ljk = float(mesh.ell[f, (s + 1) % 3])
+    lil = float(mesh.ell[g, (s2 + 1) % 3])
+    ljl = float(mesh.ell[g, (s2 + 2) % 3])
+
+    def third_point(da, db, sign):
+        x = (da * da + lij * lij - db * db) / (2.0 * lij)
+        y2 = da * da - x * x
+        if y2 <= 0.0:
+            raise TriangleError(f"cannot develop quad at edge ({f}, {s}): flat triangle")
+        return np.array([x, sign * math.sqrt(y2)])
+
+    return QuadLayout(
+        labels=(i, j, k, l),
+        pi=np.zeros(2),
+        pj=np.array([lij, 0.0]),
+        pk=third_point(lik, ljk, +1.0),
+        pl=third_point(lil, ljl, -1.0),
+    )
+
+
+def quad_is_strictly_convex(quad: QuadLayout) -> bool:
+    """Every interior angle of the developed quad clears pi by
+    CONVEXITY_TOL."""
+    ring = [quad.pi, quad.pl, quad.pj, quad.pk]
+    for idx in range(4):
+        e_in = ring[idx] - ring[idx - 1]
+        e_out = ring[(idx + 1) % 4] - ring[idx]
+        turn = math.atan2(
+            e_in[0] * e_out[1] - e_in[1] * e_out[0], float(np.dot(e_in, e_out))
+        )
+        if turn <= CONVEXITY_TOL:
+            return False
+    return True
+
+
+def badness(mesh, q, f, s):
+    """Badness of the edges with handles (f[e], s[e]), read off the mesh
+    as it is, without its cache."""
+    return _badness(_quads(mesh, f, s), np.asarray(q, dtype=float))
+
+
+def edge_theta(mesh, r, f, s):
+    """Total dihedral along edge (f, s) from a solve of its two faces
+    alone, as the solver's flip hook made it once per flip."""
+    g, s2 = mesh.neighbor(f, s)
+    faces = np.array([f, g])
+    batch = solve_pyramids(mesh.ell[faces], np.asarray(r)[mesh.vert[faces]])
+    return float(batch.alpha[0, s] + batch.alpha[1, s2])
+
+
 def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
-    """``triangulation.weighted_delaunay`` as it was before it kept the
-    initial scan's verdicts: every popped edge is rechecked on its own."""
+    """A flip loop that flips one edge at a time, in FIFO order, and
+    rechecks every popped edge on its own with the scalar quad layout.
+    ``triangulation.weighted_delaunay`` flips in rounds instead; both
+    must end in the same outcome, and on generic weights in the same
+    triangulation.  Like the loop it replaced, it applies one flip past
+    ``max_flips`` before it raises."""
     q = np.asarray(q, dtype=float)
     if max_flips is None:
         max_flips = 100 * mesh.n_edges**2
@@ -327,7 +421,7 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
         g, s2 = mesh.neighbor(f, s)
         if badness(mesh, q, np.array([f]), np.array([s]))[0] <= tol:
             continue
-        blocked = g == f or not quad_is_strictly_convex(mesh.develop_quad(f, s))
+        blocked = g == f or not quad_is_strictly_convex(develop_quad(mesh, f, s))
         if blocked:
             queue.append((f, s))
             stalled += 1

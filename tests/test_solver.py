@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from conftest import HULL_CASES
+from conftest import HULL_CASES, thin_hull
 from oracles import band_of, dense_jacobian, unpack_band, validate_polytope
 from polyforge import catalog, embed, hull, jacobian, solver
 from polyforge.errors import SolverAbort, StepReductionError
@@ -197,8 +197,9 @@ def test_flips_fire_on_flat_edges(monkeypatch):
 
     def near_pi(mesh, r, f, s):
         theta = honest(mesh, r, f, s)
-        if abs(theta - math.pi) > 1e-5:
-            raise StepReductionError(f"flip executed at theta {theta!r}")
+        far = np.abs(theta - math.pi) > 1e-5
+        if far.any():
+            raise StepReductionError(f"flip executed at theta {theta[far][0]!r}")
         return theta
 
     monkeypatch.setattr(solver, "_edge_theta", near_pi)
@@ -210,6 +211,23 @@ def test_flips_fire_on_flat_edges(monkeypatch):
         assert abs(event.theta - math.pi) <= 1e-5
         assert 0.0 < event.t < 1.0
     json.dumps([e.as_dict() for e in result.events])
+
+
+@pytest.mark.parametrize(
+    "axes", [(1.0, 1.0, 20.0), (100.0, 100.0, 1.0)], ids=["cigar-1-1-20", "disc-100-1"]
+)
+def test_thin_hulls_flip_along_the_path_and_reconstruct(axes):
+    # Thin bodies cross hundreds of triangulation walls, so their paths
+    # run many flip rounds; the result is held to a04's congruence bound.
+    dev, points, corner_point = thin_hull(40, axes, seed=[3, 40])
+    metric = build_metric(dev)
+    result = solve_path(metric)
+    assert len(result.events) >= 150
+    e = embed.place_faces(result.polytope)
+    original = np.empty_like(e.vertices)
+    original[metric.corner_vertex.ravel()] = points[corner_point.ravel()]
+    rms, _ = embed.congruence_check(e.vertices, original)
+    assert rms <= 1e-4 * e.diameter
 
 
 def test_jacobian_continuous_across_cocircular_wall(cube_metric):

@@ -5,15 +5,22 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import canonical_tesselation, cone_angles, ext_value, mesh_of, validate_mesh
+from oracles import (
+    badness,
+    canonical_tesselation,
+    cone_angles,
+    develop_quad,
+    ext_value,
+    mesh_of,
+    validate_mesh,
+)
 from polyforge import build_metric, catalog, hull, jacobian
 from polyforge.errors import FlipError, InadmissibleWeightsError, TriangleError
-from polyforge.polytope import GeneralizedPolytope
+from polyforge.polytope import GeneralizedPolytope, solve_pyramids
 from polyforge.solver import SolverOptions, _edge_theta, solve_path
 from polyforge.triangulation import (
     BAD_TOL,
     CornerMesh,
-    badness,
     badness_scan,
     merge_regions,
     weighted_delaunay,
@@ -55,7 +62,7 @@ def test_rhombus_flip_diagonal():
     # two unit equilateral triangles: flipping the shared side of length 1
     # yields the long rhombus diagonal sqrt(3)
     mesh = mesh_of(catalog.doubly_covered_triangle(1.0, 1.0, 1.0))
-    quad = mesh.develop_quad(0, 0)
+    quad = develop_quad(mesh, 0, 0)
     assert quad.diagonal == pytest.approx(math.sqrt(3.0), rel=1e-14)
     new_len = mesh.flip(0, 0)
     assert new_len == pytest.approx(math.sqrt(3.0), rel=1e-14)
@@ -107,7 +114,7 @@ def test_flip_twice_restores_lengths():
 
 def test_doubly_covered_develops_as_kite():
     mesh = mesh_of(catalog.doubly_covered_triangle(1.0, 1.0, 1.9))
-    quad = mesh.develop_quad(0, 0)
+    quad = develop_quad(mesh, 0, 0)
     # the two copies mirror each other across the shared side
     np.testing.assert_allclose(quad.pk[1], -quad.pl[1], atol=1e-14)
     np.testing.assert_allclose(quad.pk[0], quad.pl[0], atol=1e-14)
@@ -123,7 +130,7 @@ def test_flip_obtuse_double_creates_loop():
     i, j = mesh.edge_endpoints(0, 0)
     assert i == j  # loop
     # the loop edge still develops (the face is laid out twice)
-    quad = mesh.develop_quad(0, 0)
+    quad = develop_quad(mesh, 0, 0)
     assert np.isfinite(quad.pl).all()
     # ... and flipping it back restores the original edge length
     assert mesh.flip(0, 0) == pytest.approx(1.9, rel=1e-12)
@@ -189,7 +196,7 @@ def test_badness_against_scalar_path():
         q = rng.uniform(0.5, 3.0, size=mesh.n_vertices)
         (fs, ss), vals = badness_scan(mesh, q)
         for f, s, v in zip(fs, ss, vals):
-            quad = mesh.develop_quad(f, s)
+            quad = develop_quad(mesh, f, s)
             i, j, k, l = quad.labels
             oracle = float(q[l]) - ext_value(
                 quad.pi, quad.pj, quad.pk, q[i], q[j], q[k], quad.pl
@@ -205,9 +212,9 @@ def test_rectangle_diagonal_weights():
     w, h = 2.0, 1.0
     d = math.hypot(w, h)
     mesh = mesh_of(catalog.doubly_covered_triangle(d, h, w))
-    quad = mesh.develop_quad(0, 0)
+    quad = develop_quad(mesh, 0, 0)
     assert quad.diagonal == pytest.approx(2.0 * w * h / d, rel=1e-12)
-    one = np.array([0])  # edge (0, 0) alone, as the flip loop rechecks it
+    one = np.array([0])  # edge (0, 0) alone
     q = np.zeros(mesh.n_vertices)
     assert badness(mesh, q, one, one)[0] <= BAD_TOL
     q[mesh.vert[0, 0]] = 1.0  # the right-angle corner (= both far corners)
@@ -271,7 +278,7 @@ def test_generic_weights_have_no_inessential_edges():
 
 def _quad_extension_probe(mesh, q, f, s):
     """Extension value at the centroid of the quad around side (f, s)."""
-    quad = mesh.develop_quad(f, s)
+    quad = develop_quad(mesh, f, s)
     i, j, k, l = quad.labels
     c = 0.25 * (quad.pi + quad.pj + quad.pk + quad.pl)
     # The centroid lies on the k side or the l side of the diagonal;
@@ -284,7 +291,9 @@ def _quad_extension_probe(mesh, q, f, s):
 def test_flips_never_lower_the_extension():
     # the termination argument of the flip algorithm: flipping a bad edge
     # raises the piecewise quadratic extension of the weights over its quad
-    # (the new diagonal is side 0 of the rewritten face f)
+    # (the new diagonal is side 0 of the rewritten face f).  A round's
+    # quads are probed when its hook runs, and checked when the next
+    # round's hook runs or the loop ends.
     flips = admissible = 0
     for n in (12, 20, 40):
         for seed in range(4):
@@ -296,21 +305,20 @@ def test_flips_never_lower_the_extension():
             pending = []
 
             def check_pending():
-                f, before = pending.pop()
-                after = _quad_extension_probe(mesh, q, f, 0)
-                assert after >= before - 1e-12 * scale
+                while pending:
+                    f, before = pending.pop()
+                    after = _quad_extension_probe(mesh, q, f, 0)
+                    assert after >= before - 1e-12 * scale
 
             def on_flip(m, f, s):
-                if pending:
-                    check_pending()
-                pending.append((f, _quad_extension_probe(m, q, f, s)))
+                check_pending()
+                pending.extend((fe, _quad_extension_probe(m, q, fe, se)) for fe, se in zip(f, s))
 
             try:
                 flips += weighted_delaunay(mesh, q, on_flip=on_flip)
             except InadmissibleWeightsError:
                 continue  # no weighted Delaunay triangulation for these weights
-            if pending:
-                check_pending()
+            check_pending()
             admissible += 1
     assert admissible >= 6 and flips >= 20
 
@@ -354,27 +362,23 @@ def _scrambled(mesh, seed):
     return work, done
 
 
-def _flip_trace(flip_loop, mesh, q, **kw):
-    """What a flip loop did: its flip count or InadmissibleWeightsError
-    message, every on_flip call with the mesh it saw, and the final mesh."""
-    hooks = []
-
-    def on_flip(m, f, s):
-        hooks.append((f, s, m.to_json()))
-
+def _outcome(flip_loop, mesh, q, budget):
+    """A flip loop's flip count, or the first word of its
+    InadmissibleWeightsError: "bad" (blocked for good) or "flip" (budget
+    exhausted)."""
     try:
-        out = flip_loop(mesh, q, on_flip=on_flip, **kw)
+        return flip_loop(mesh, q, max_flips=budget)
     except InadmissibleWeightsError as exc:
-        out = str(exc)
-    return out, hooks, mesh.to_json()
+        return str(exc).split()[0]
 
 
-def test_flip_loop_matches_the_recheck_every_edge_reference():
-    # The loop takes an edge's verdict from the initial scan until a flip
-    # rewrites one of its faces; the reference rechecks every popped edge.
+def test_flip_rounds_agree_with_the_one_flip_at_a_time_reference():
+    # The rounds and the reference flip in different orders, so their
+    # counts may differ; their outcome may not, and a converged pass must
+    # reach the reference's triangulation with no bad edge left.
     # Scrambled meshes need many flips; random weights on the hulls' own
     # meshes mostly block a bad edge for good; a small budget runs out.
-    flips, outcomes = 0, set()
+    converged, outcomes = 0, set()
     for n in (20, 40):
         for seed in range(3):
             dev, _, _ = hull.random_sphere_development(n, seed=seed)
@@ -388,14 +392,96 @@ def test_flip_loop_matches_the_recheck_every_edge_reference():
                 (base, 0.5, None),
             ):
                 q = rng.uniform(0.0, spread, base.n_vertices) * float(base.ell.max()) ** 2
-                want = _flip_trace(oracles.weighted_delaunay, mesh.copy(), q, max_flips=budget)
-                got = _flip_trace(weighted_delaunay, mesh.copy(), q, max_flips=budget)
-                assert got == want
-                flips += len(want[1])
-                outcomes.add(want[0] if isinstance(want[0], int) else want[0].split()[0])
-    assert flips >= 300
+                ref, work = mesh.copy(), mesh.copy()
+                want = _outcome(oracles.weighted_delaunay, ref, q, budget)
+                got = _outcome(weighted_delaunay, work, q, budget)
+                outcomes.add(want)
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                assert isinstance(got, int) and got > 0
+                validate_mesh(work)
+                assert badness_scan(work, q)[1].max() <= BAD_TOL * max(1.0, float(q.max()))
+                assert canonical_tesselation(work, q).digest == canonical_tesselation(ref, q).digest
+                converged += 1
+    assert converged >= 9
     assert {"bad", "flip"} <= outcomes  # blocked for good, budget exhausted
     assert any(isinstance(o, int) and o > 10 for o in outcomes)
+
+
+def test_flip_budget_caps_the_flips_applied():
+    # The budget is checked before a round fires: a pass that runs out
+    # has applied at most max_flips flips, and one that fits converges.
+    dev, _, _ = hull.random_sphere_development(20, seed=0)
+    mesh, _ = _scrambled(mesh_of(dev), 0)
+    q = np.ones(mesh.n_vertices)
+    total = weighted_delaunay(mesh.copy(), q)
+    assert total > 10
+    for budget in range(total + 1):
+        work = mesh.copy()
+        applied = []
+        flip = work.flip
+        work.flip = lambda f, s: applied.append(flip(f, s))
+        out = _outcome(weighted_delaunay, work, q, budget)
+        assert len(applied) <= budget
+        assert out == (total if budget == total else "flip")
+
+
+def test_flips_of_a_round_share_no_face_and_their_theta_is_the_two_face_solve():
+    dev, _, _ = hull.random_sphere_development(20, seed=0)
+    mesh, _ = _scrambled(mesh_of(dev), 0)
+    r = np.full(mesh.n_vertices, 10.0 * float(mesh.ell.max()))
+    rounds = []
+
+    def hook(m, f, s):
+        faces = np.concatenate([f, m.adj_face[f, s]]).tolist()
+        assert len(set(faces)) == len(faces)
+        want = [oracles.edge_theta(m, r, fe, se) for fe, se in zip(f, s)]
+        assert _edge_theta(m, r, f, s).tolist() == want
+        rounds.append(len(f))
+
+    flips = weighted_delaunay(mesh, r * r, on_flip=hook)
+    assert sum(rounds) == flips and max(rounds) > 1
+
+
+def test_batched_theta_is_the_two_face_solve_on_refined_rows(square_path):
+    # At the flat limit every pyramid is refined exactly, and the mirrored
+    # faces of the two sheets share congruence classes within one batch.
+    _, mesh, r = square_path.final
+    f, s = mesh.edges()
+    g = mesh.adj_face[f, s]
+    pick, taken = [], set()
+    for e, pair in enumerate(zip(f.tolist(), g.tolist())):
+        if pair[0] != pair[1] and taken.isdisjoint(pair):
+            taken.update(pair)
+            pick.append(e)
+    f, s = f[pick], s[pick]
+    faces = np.concatenate([f, g[pick]])
+    assert solve_pyramids(mesh.ell[faces], r[mesh.vert[faces]]).refined.all()
+    want = [oracles.edge_theta(mesh, r, fe, se) for fe, se in zip(f, s)]
+    assert len(want) == 2 and _edge_theta(mesh, r, f, s).tolist() == want
+
+
+def test_flip_reads_the_quad_frame_as_the_scalar_layout():
+    # flip's convexity test and new diagonal come from kernels.QuadFrame;
+    # the scalar layout is the reference, the diagonal bit for bit.
+    meshes = [mesh_of(make()) for make in catalog.NAMED.values()]
+    for n, seed in ((12, 0), (20, 1)):
+        meshes.append(_scrambled(mesh_of(hull.random_sphere_development(n, seed=seed)[0]), seed)[0])
+    flipped = refused = 0
+    for mesh in meshes:
+        for f, s in zip(*mesh.edges()):
+            quad = develop_quad(mesh, f, s)
+            movable = mesh.neighbor(f, s)[0] != f and oracles.quad_is_strictly_convex(quad)
+            try:
+                new_len = mesh.copy().flip(f, s)
+            except FlipError:
+                assert not movable
+                refused += 1
+                continue
+            assert movable and new_len == quad.diagonal
+            flipped += 1
+    assert flipped > 100 and refused > 10
 
 
 def test_canonical_tesselation_start_independent(cube_metric):
@@ -519,15 +605,16 @@ def test_cached_arrays_are_read_only_and_own_their_memory():
 
 
 def test_flip_loop_and_flip_hook_leave_the_cache_empty():
-    # The rechecks between flips and the solver's flip hook read the mesh
-    # directly: filling the cache there would rebuild it once per flip.
+    # The rechecks after the first round and the solver's flip hook read
+    # the mesh directly: filling the cache there would rebuild it once per
+    # round.
     dev, _, _ = hull.random_sphere_development(20, seed=0)
     mesh, _ = _scrambled(mesh_of(dev), 0)
     r = np.full(mesh.n_vertices, 10.0 * float(mesh.ell.max()))
     thetas = []
 
     def hook(m, f, s):
-        thetas.append(_edge_theta(m, r, f, s))
+        thetas.extend(_edge_theta(m, r, f, s))
 
     flips = weighted_delaunay(mesh, r * r, on_flip=hook)
     assert flips > 5 and len(thetas) == flips
