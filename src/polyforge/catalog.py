@@ -6,7 +6,6 @@ Run ``python -m polyforge.catalog OUTDIR`` to dump them as JSON files.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -17,18 +16,17 @@ from .hull import development_from_triangles
 from .surface import Development
 
 
+# Faces counterclockwise from outside, starting at their lowest-index
+# corner.
+_TETRA_FACES = ((0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2))
+
+
 def tetrahedron(scale=1.0):
     """Regular tetrahedron with edge length 2*sqrt(2)*scale."""
     verts = scale * np.array(
         [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
     )
-    tris = []
-    for i, j, k in itertools.combinations(range(4), 3):
-        n = np.cross(verts[j] - verts[i], verts[k] - verts[i])
-        if n @ (verts[i] + verts[j] + verts[k]) < 0:
-            j, k = k, j
-        tris.append(np.stack([verts[i], verts[j], verts[k]]))
-    return development_from_triangles(np.stack(tris))
+    return development_from_triangles(verts, _TETRA_FACES)
 
 
 # Vertex of a unit cube with index 4x + 2y + z; faces counterclockwise
@@ -48,11 +46,8 @@ def cube(scale=1.0):
     verts = scale * np.array(
         [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
     )
-    tris = []
-    for a, b, c, d in _CUBE_FACES:
-        tris.append(np.stack([verts[a], verts[b], verts[c]]))
-        tris.append(np.stack([verts[a], verts[c], verts[d]]))
-    return development_from_triangles(np.stack(tris))
+    corners = [tri for a, b, c, d in _CUBE_FACES for tri in ((a, b, c), (a, c, d))]
+    return development_from_triangles(verts, corners)
 
 
 def doubly_covered_triangle(a, b, c):

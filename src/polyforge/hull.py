@@ -1,9 +1,10 @@
 """Producing developments from actual polytopes.
 
 The roundtrip path: sample points, take their convex hull, read off the
-intrinsic metric of the boundary (triangle side lengths plus gluings),
-and hand that development to the reconstruction pipeline.  The output
-must match the hull up to congruence.
+intrinsic metric of the boundary (triangle side lengths from the points,
+gluings from the vertex labels), and hand that development to the
+reconstruction pipeline.  The output must match the hull up to
+congruence.
 """
 
 from __future__ import annotations
@@ -14,50 +15,39 @@ from scipy.spatial import ConvexHull
 from .surface import Development
 
 
-def development_from_triangles(tris):
-    """Build a Development from (m, 3, 3) triangle corner coordinates.
+def development_from_triangles(points, corners):
+    """Build a Development from (k, 3) points and (m, 3) vertex labels.
 
-    Triangles must form a closed surface: every directed edge appears
-    exactly once and matches its reverse in another triangle (or the
-    same one).  Corner order fixes the orientation; side lengths come
-    from the coordinates.
+    Triangle t has corners ``points[corners[t]]``; the label order fixes
+    its orientation.  Slot 3t + s, side s of triangle t, runs from label
+    ``corners[t, (s+1)%3]`` (tail) to ``corners[t, (s+2)%3]`` (head), and
+    it is glued to the slot that runs from head to tail: the gluing is
+    read off the labels exactly, and only the side lengths come from the
+    points.  The triangles must form a closed surface, in which every
+    directed edge appears exactly once and its reverse appears too.
+    Gluings are listed by their first slot, in (face, side) order.
     """
-    tris = np.asarray(tris, dtype=float)
-    if tris.ndim != 3 or tris.shape[1:] != (3, 3):
-        raise ValueError("expected an (m, 3, 3) array of triangle corners")
-    m = tris.shape[0]
+    corners = np.asarray(corners)
+    if corners.ndim != 2 or corners.shape[1] != 3:
+        raise ValueError("expected an (m, 3) array of corner labels")
+    points = np.asarray(points, dtype=float)
+    tri = points[corners]
+    sides = np.linalg.norm(tri[:, [2, 0, 1]] - tri[:, [1, 2, 0]], axis=2)
 
-    sides = np.empty((m, 3))
-    for s in range(3):
-        sides[:, s] = np.linalg.norm(
-            tris[:, (s + 2) % 3] - tris[:, (s + 1) % 3], axis=1
-        )
-
-    def key(p):
-        return tuple(np.round(p, 9))
-
-    directed = {}
-    for t in range(m):
-        for s in range(3):
-            tail = key(tris[t, (s + 1) % 3])
-            head = key(tris[t, (s + 2) % 3])
-            if (tail, head) in directed:
-                raise ValueError("directed edge appears twice; orientation broken")
-            directed[(tail, head)] = (t, s)
-
-    gluings = []
-    seen = set()
-    for (tail, head), (t, s) in directed.items():
-        if (t, s) in seen:
-            continue
-        try:
-            t2, s2 = directed[(head, tail)]
-        except KeyError:
-            raise ValueError("surface has a boundary edge") from None
-        gluings.append(((t, s), (t2, s2)))
-        seen.add((t, s))
-        seen.add((t2, s2))
-    return Development(sides=sides, gluings=tuple(gluings))
+    tail, head = corners[:, [1, 2, 0]].ravel(), corners[:, [2, 0, 1]].ravel()
+    edge, reverse = tail * len(points) + head, head * len(points) + tail
+    order = np.argsort(edge)
+    keys = edge[order]
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("directed edge appears twice; orientation broken")
+    at = np.minimum(np.searchsorted(keys, reverse), keys.size - 1)
+    if np.any(keys[at] != reverse):
+        raise ValueError("surface has a boundary edge")
+    twin = order[at]
+    first = np.flatnonzero(np.arange(twin.size) <= twin)
+    pairs = np.stack(np.divmod(first, 3) + np.divmod(twin[first], 3), axis=1)
+    gluings = tuple(((t, s), (t2, s2)) for t, s, t2, s2 in pairs.tolist())
+    return Development(sides=sides, gluings=gluings)
 
 
 def random_sphere_development(n_points, seed=None):
@@ -74,15 +64,10 @@ def random_sphere_development(n_points, seed=None):
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
 
     hull = ConvexHull(pts)
-    tris = []
-    corners = []
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        i, j, k = simplex
-        n = np.cross(pts[j] - pts[i], pts[k] - pts[i])
-        # Outward normal from the facet equation; flip to counterclockwise.
-        if n @ eq[:3] < 0:
-            i, j, k = i, k, j
-        tris.append(np.stack([pts[i], pts[j], pts[k]]))
-        corners.append((i, j, k))
-    dev = development_from_triangles(np.stack(tris))
-    return dev, pts, np.array(corners, dtype=np.int64)
+    corners = hull.simplices.astype(np.int64)
+    i, j, k = corners.T
+    n = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+    # Outward normal from the facet equation; flip to counterclockwise.
+    inward = np.einsum("fx,fx->f", n, hull.equations[:, :3]) < 0
+    corners[inward] = corners[inward][:, [0, 2, 1]]
+    return development_from_triangles(pts, corners), pts, corners

@@ -37,7 +37,6 @@ from scipy.linalg import blas, lapack
 
 from . import jacobian
 from .errors import (
-    FlipError,
     InadmissibleWeightsError,
     PyramidError,
     SolverAbort,
@@ -53,7 +52,6 @@ _REJECTABLE = (
     StepReductionError,
     InadmissibleWeightsError,
     TriangleError,
-    FlipError,
     np.linalg.LinAlgError,
 )
 
@@ -77,9 +75,9 @@ _REJECTABLE = (
 #    scale is ||J||_inf, the largest absolute row sum: for a symmetric J
 #    it bounds sigma_max(J) from above, at the cost of one pass over J.
 #    The Newton tolerance is floored at FLOOR_C times that level (always,
-#    not just in the endgame), and the path may terminate once the
-#    target itself drops below the floor -- the best representable
-#    approximation of the flat body.
+#    not just in the endgame), and the path terminates at the first
+#    accepted state whose curvature is below the floor -- the best
+#    representable approximation of the flat body.
 #  * kernel collapse: cond(J) grows like 1/t^2 along the path itself,
 #    not because a step was too large.  Exactly two singular values
 #    collapse: the in-plane translations of the apex, which leave the
@@ -493,9 +491,6 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
                 state.previous = None
             dt = 0.5 * dt_eff
             if dt < DT_MIN:
-                if _at_floor(state):
-                    state.floor_stop = True
-                    break
                 raise SolverAbort(
                     f"step size underflow at t={state.t!r}: {result.reason}",
                     state_dump=state.dump(result.reason),
@@ -505,13 +500,15 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
 
 def _at_floor(state):
     """True when the state's curvature is below what double-precision
-    radii can express.  Flat limits reach it, where the row norms of the
+    radii can express; ``solve_path`` asks at each accepted state and
+    stops there.  Flat limits reach it, where the row norms of the
     curvature Jacobian blow up, and so can a large hull whose jump to
     kappa_stop is rejected: the random hull n = 2560 (seed [1, 2560])
     halves down to it and stops at t = 7.4e-9, after 33 accepted steps
-    and 1 rejected.  A state without a usable
-    Jacobian (``factor`` None) has no noise scale and is never at the
-    floor."""
+    and 1 rejected.  A state without a usable Jacobian (``factor`` None)
+    has no noise scale and is never at the floor.  A rejected step leaves
+    the state as it was, so the answer there is the False given at its
+    acceptance, and a step-size underflow always aborts."""
     if state.factor is None:
         return False
     floor = _kappa_floor(state.factor.norm_inf, state.r)

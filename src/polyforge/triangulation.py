@@ -19,7 +19,7 @@ set of bad edges that share no face.  It terminates because each flip
 strictly raises the piecewise extension.
 
 The cache.  Along a deformation only the radii move: a triangulation and
-its lengths change only when ``flip`` fires, and in one pass of each
+its lengths change only when a flip fires, and in one pass of each
 benchmark workload (seed 1) 97 to 99 % of the lookups below find their
 arrays already built.  So ``CornerMesh.cached`` keeps the arrays that
 depend on the triangulation alone, each built on first use: the
@@ -27,11 +27,12 @@ canonical edges and their quads (``badness_scan``), the pyramid base
 terms (``polytope``), the twin slots (``polytope``, ``jacobian`` and
 ``embed``), the band scatter index of the solve's vertex order
 (``jacobian``) and the mesh's own reverse Cuthill-McKee order
-(``solver`` and ``embed``).  ``flip`` is the only code that writes a
-mesh, and it drops the cache; ``copy`` shares it, as the copy is the
+(``solver`` and ``embed``).  ``flip``, which each round of
+``weighted_delaunay`` calls once, is the only code that writes a mesh,
+and it drops the cache; ``copy`` shares it, as the copy is the
 same triangulation until one of the two flips.  The cache holds no
 reference to its mesh, so a dropped mesh is freed at once by reference
-counting rather than by the cycle collector, and no views: ``flip``
+counting rather than by the cycle collector, and no views: a flip
 writes ``vert``, ``ell`` and the adjacency in place, and a view cached
 through a shared copy would go stale in the mesh that a rejected step
 keeps.  Its arrays own their memory and are read-only.  Only the flip
@@ -149,72 +150,58 @@ class CornerMesh:
     # -- geometry -----------------------------------------------------
 
     def flip(self, f, s):
-        """Replace the diagonal of the quad around side (f, s).
+        """Replace the diagonals of the quads around sides (f, s): one
+        side, or index arrays of sides whose quads share no face.
 
-        Preconditions: the two adjacent face slots belong to distinct
-        faces and the developed quadrilateral is strictly convex (every
-        interior angle below pi - CONVEXITY_TOL).  Returns the new
-        diagonal's length.
+        Preconditions: the two adjacent face slots of each side belong to
+        distinct faces, and its developed quadrilateral is strictly convex
+        (every interior angle below pi - CONVEXITY_TOL).  Quad (f, s) with
+        corners i, j, k, l becomes the faces f := (i, l, k) and g := (j,
+        k, l), with the new diagonal l -> k / k -> l as side 0 of each.
+        Returns the new diagonals' lengths, a float for one side.
         """
-        f = int(f)
-        s = int(s)
-        g, s2 = self.neighbor(f, s)
-        if g == f:
-            raise FlipError(f"edge ({f}, {s}) has the same face on both sides")
+        shape = np.shape(f)
+        quads = _quads(self, np.ravel(f), np.ravel(s))
+        g, s2 = self.adj_face[quads.f, quads.s], self.adj_side[quads.f, quads.s]
+        same = np.flatnonzero(g == quads.f)
+        if same.size:
+            e = same[0]
+            raise FlipError(f"edge ({quads.f[e]}, {quads.s[e]}) has the same face on both sides")
+        reflex = np.flatnonzero(~_strictly_convex(quads.frame))
+        if reflex.size:
+            e = reflex[0]
+            raise FlipError(f"quad around edge ({quads.f[e]}, {quads.s[e]}) is not strictly convex")
 
-        quad = _quads(self, f, s)
-        frame = quad.frame
-        if not _strictly_convex(frame):
-            raise FlipError(f"quad around edge ({f}, {s}) is not strictly convex")
-
-        # The new diagonal joins the far corners k and l of the frame.
+        # The new diagonal joins the far corners k and l of the frame.  Its
+        # norm is taken edge by edge: a batched one differs in the last bit.
+        frame = quads.frame
         dx, dy = 0.5 * frame.two_xk - frame.xl, 0.5 * frame.two_yk - frame.yl
-        new_len = float(np.linalg.norm([dx, dy]))
-        i, j, k, l = quad.labels.tolist()
-        l_jk = float(self.ell[f, (s + 1) % 3])
-        l_ki = float(self.ell[f, (s + 2) % 3])
-        l_il = float(self.ell[g, (s2 + 1) % 3])
-        l_lj = float(self.ell[g, (s2 + 2) % 3])
-        n_jk = self.neighbor(f, (s + 1) % 3)
-        n_ki = self.neighbor(f, (s + 2) % 3)
-        n_il = self.neighbor(g, (s2 + 1) % 3)
-        n_lj = self.neighbor(g, (s2 + 2) % 3)
-
-        # The quad's outer sides may be glued to each other (or to the
-        # two faces being rebuilt); route those references to their new
-        # homes.
-        relocate = {
-            (f, (s + 1) % 3): (g, 2),
-            (f, (s + 2) % 3): (f, 1),
-            (g, (s2 + 1) % 3): (f, 2),
-            (g, (s2 + 2) % 3): (g, 1),
-        }
-
-        def place(face, side, target, length):
-            self.ell[face, side] = length
-            t = relocate.get(target, target)
-            self.adj_face[face, side], self.adj_side[face, side] = t
-            self.adj_face[t[0], t[1]] = face
-            self.adj_side[t[0], t[1]] = side
-
+        new_len = np.array([np.linalg.norm(v) for v in np.stack([dx, dy], axis=1)])
+        # Every side slot of the two faces moves, and its twin follows it.
+        # Outer sides may be glued to each other, within a quad or across
+        # two, so all twins are relabelled in one pass.
+        f, s = quads.f, quads.s
+        old = np.concatenate(
+            [3 * f + s, 3 * f + _NEXT[s], 3 * f + _NEXT2[s]]
+            + [3 * g + s2, 3 * g + _NEXT[s2], 3 * g + _NEXT2[s2]]
+        )
+        new = np.concatenate([3 * f, 3 * g + 2, 3 * f + 1, 3 * g, 3 * f + 2, 3 * g + 1])
+        slot = np.arange(3 * self.n_faces)
+        slot[old] = new
+        twin = twin_slots(self)
+        twin[slot] = slot[twin]
+        ell = np.empty(slot.size)
+        ell[slot] = self.ell.ravel()
         # The arrays are about to change: drop the cache (copies made
         # before keep theirs).
         self._cache = {}
-        # New faces: f := (i, l, k), g := (j, k, l); side 0 of each is the
-        # fresh diagonal l->k / k->l.  Wire the diagonal directly: the slot
-        # name (g, 0) may coincide with an *old* outer-side name and must
-        # not pass through the relocation table.
-        self.vert[f] = (i, l, k)
-        self.vert[g] = (j, k, l)
-        self.ell[f, 0] = new_len
-        self.ell[g, 0] = new_len
-        self.adj_face[f, 0], self.adj_side[f, 0] = g, 0
-        self.adj_face[g, 0], self.adj_side[g, 0] = f, 0
-        place(f, 1, n_ki, l_ki)
-        place(f, 2, n_il, l_il)
-        place(g, 1, n_lj, l_lj)
-        place(g, 2, n_jk, l_jk)
-        return new_len
+        self.adj_face[...], self.adj_side[...] = np.divmod(twin.reshape(-1, 3), 3)
+        self.ell[...] = ell.reshape(-1, 3)
+        self.ell[f, 0] = self.ell[g, 0] = new_len
+        i, j, k, l = quads.labels
+        self.vert[f] = np.stack([i, l, k], axis=1)
+        self.vert[g] = np.stack([j, k, l], axis=1)
+        return new_len.reshape(shape)[()]
 
 
 def _freeze(value):
@@ -304,8 +291,8 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
     count.
 
     A round rechecks its suspect edges in one batch.  Then it flips, in
-    handle order, each bad edge whose quad is strictly convex and shares
-    no face with an earlier flip of the round.  The first round's
+    one batch, each bad edge whose quad is strictly convex and shares no
+    face with a flip picked before it in handle order.  The first round's
     suspects are all edges, with the quads of ``badness_scan``; the next
     round's are the flipped quads' outer sides and the bad edges the
     round left.  The badness of (f, s) reads only the rows of f and of
@@ -354,8 +341,7 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
             raise InadmissibleWeightsError(f"flip budget {max_flips} exhausted")
         if on_flip is not None:
             on_flip(mesh, f[pick], s[pick])
-        for a, b in zip(f[pick].tolist(), s[pick].tolist()):
-            mesh.flip(a, b)
+        mesh.flip(f[pick], s[pick])
         flips += n
         # Each new diagonal is side 0 of its two faces; sides 1 and 2 are
         # the quad's outer sides.

@@ -28,7 +28,7 @@ def thin_hull(n, axes, seed):
     the sphere hull's triangles, scaled, are the ellipsoid hull's."""
     _, points, corner_point = hull.random_sphere_development(n, seed=seed)
     points = points * np.asarray(axes, dtype=float)
-    return hull.development_from_triangles(points[corner_point]), points, corner_point
+    return hull.development_from_triangles(points, corner_point), points, corner_point
 
 
 @pytest.fixture(scope="session")

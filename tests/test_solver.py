@@ -214,7 +214,9 @@ def test_flips_fire_on_flat_edges(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "axes", [(1.0, 1.0, 20.0), (100.0, 100.0, 1.0)], ids=["cigar-1-1-20", "disc-100-1"]
+    "axes",
+    [(1.0, 1.0, 20.0), (100.0, 100.0, 1.0), (1000.0, 1000.0, 1.0)],
+    ids=["cigar-1-1-20", "disc-100-1", "disc-1000-1"],
 )
 def test_thin_hulls_flip_along_the_path_and_reconstruct(axes):
     # Thin bodies cross hundreds of triangulation walls, so their paths
@@ -268,6 +270,24 @@ def test_twisted_polygon_converges():
     assert not result.state.floor_stop
     kappa = result.polytope.kappa
     assert float(np.abs(kappa).max()) <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "dev, flips",
+    [
+        pytest.param(catalog.twisted_double_polygon(n), f, id=f"twisted-{n}")
+        for n, f in ((6, 8), (12, 20), (24, 44))
+    ]
+    + [pytest.param(catalog.doubly_covered_triangle(3.0, 4.0, 5.0), 0, id="doubled-345")]
+    + [pytest.param(catalog.doubly_covered_polygon(n), 0, id=f"doubled-{n}") for n in range(4, 25)],
+)
+def test_regular_polygons_flip_no_cocircular_edge(dev, flips):
+    # Regular polygons are full of cocircular quads, whose badness is
+    # rounding noise around 0, so these counts pin BAD_TOL: at 1e-14 the
+    # twisted 6-, 12- and 24-gons make 11, 62 and 218 flips and the
+    # doubled 8-gon 25.  The twisted polygons flip only their fan start.
+    state = solve_path(build_metric(dev)).state
+    assert (state.flips, state.events) == (flips, [])
 
 
 @pytest.mark.parametrize("n", [10, 12, 16, 20, 24, 32])
