@@ -9,6 +9,7 @@ does not close).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -237,7 +238,9 @@ def cmd_roundtrip(args):
     return EXIT_OK
 
 
+@functools.cache
 def make_parser():
+    """The ``forge`` argument parser, built once per process."""
     defaults = solver.SolverOptions  # its class attributes are the defaults
     parser = argparse.ArgumentParser(
         prog="forge",

@@ -70,6 +70,8 @@ class CornerMesh:
         self.ell = np.asarray(ell, dtype=np.float64)
         self.adj_face = np.asarray(adj_face, dtype=np.int64)
         self.adj_side = np.asarray(adj_side, dtype=np.int64)
+        # Flips rewire faces but keep the set of vertex labels.
+        self.n_vertices = int(self.vert.max()) + 1
         self._cache = {}
 
     # -- construction -------------------------------------------------
@@ -113,10 +115,6 @@ class CornerMesh:
     @property
     def n_faces(self):
         return self.vert.shape[0]
-
-    @property
-    def n_vertices(self):
-        return int(self.vert.max()) + 1
 
     @property
     def n_edges(self):

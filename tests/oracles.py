@@ -34,7 +34,6 @@ from polyforge.kernels import (
     _NEXT2,
     REFINE_REL,
     _angle_opp,
-    _dot3,
 )
 from polyforge.polytope import solve_pyramids
 from polyforge.surface import Development, build_metric
@@ -110,6 +109,12 @@ def validate_mesh(mesh):
 # without the radius-independent halves (``kernels.pyramid_base`` and
 # ``kernels.quad_frame``) that a mesh keeps in its cache.  The split
 # kernels must match them bit for bit.
+
+
+def _dot3(u, v):
+    """Dot product over the leading axis of length 3, summed left to right
+    as ``np.sum`` reduces a row of three."""
+    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
 
 
 def face_pyramids(ell, rad):

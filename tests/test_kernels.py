@@ -2,13 +2,17 @@
 pyramid solve, on random batches and on crafted degenerate rows."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
 from mp_refine import _refine_pyramid
-from polyforge import kernels
+from polyforge import build_metric, catalog, hull, kernels
+from polyforge.errors import PyramidError
+from polyforge.polytope import GeneralizedPolytope
+from polyforge.solver import solve_path
 
 
 def _pyramid_batch(rng, n):
@@ -145,6 +149,31 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
 
 
+def _poisoned(rng, x, frac=0.15):
+    """``x`` with a share of its entries replaced by NaNs of both signs,
+    infinities, signed zeros, a negative value and extreme magnitudes."""
+    special = np.array(
+        [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-300, 1e300, 5e-324]
+    )
+    x = x.copy()
+    hit = rng.random(x.shape) < frac
+    x[hit] = rng.choice(special, hit.sum())
+    return x
+
+
+def _assert_same_pyramids(ell, rad):
+    """The kernel, with and without a kept base, against the one-shot
+    reference: every output bit for bit on every row."""
+    with np.errstate(all="ignore"):
+        want = oracles.face_pyramids(ell, rad)
+    kept = kernels.face_pyramids(ell, rad, kernels.pyramid_base(ell))
+    alone = kernels.face_pyramids(ell, rad)
+    assert set(kept) == set(want) == set(alone)
+    for key in want:
+        assert _same_bits(kept[key], want[key]) and _same_bits(alone[key], want[key]), key
+    return want
+
+
 def test_split_face_pyramids_match_the_one_shot_kernel():
     rng = np.random.default_rng(29)
     ell, rad, _ = _pyramid_batch(rng, 300)
@@ -159,14 +188,63 @@ def test_split_face_pyramids_match_the_one_shot_kernel():
     )
     ell = np.concatenate([ell, _DEGENERATE_ELL, odd_ell])
     rad = np.concatenate([rad, _DEGENERATE_RAD, odd_rad])
-    with np.errstate(all="ignore"):
-        want = oracles.face_pyramids(ell, rad)
-        kept = kernels.face_pyramids(ell, rad, kernels.pyramid_base(ell))
-        alone = kernels.face_pyramids(ell, rad)
-    assert set(kept) == set(want) == set(alone)
-    for key in want:
-        assert _same_bits(kept[key], want[key]) and _same_bits(alone[key], want[key]), key
+    want = _assert_same_pyramids(ell, rad)
     assert {-1, 0, 1} <= set(want["ok"].tolist())
+    # Batches of every size the pipeline meets, with poisoned entries.  The
+    # kernel shares each lateral triangle's sums between its three angles,
+    # which the reference forms in different operand orders; when both
+    # operands are NaNs of opposite sign, the result's sign can differ.
+    # Such rows are never solved (ok 0), so only that sign may differ.
+    for n in rng.integers(1, 100, 40):
+        ell, rad, _ = _pyramid_batch(rng, n)
+        ell, rad = _poisoned(rng, ell), _poisoned(rng, rad)
+        with np.errstate(all="ignore"):
+            want = oracles.face_pyramids(ell, rad)
+        got = kernels.face_pyramids(ell, rad)
+        solved = want["ok"] == 1
+        assert _same_bits(got["ok"], want["ok"])
+        for key in want:
+            nan = np.isnan(want[key])
+            assert np.array_equal(np.isnan(got[key]), nan), key
+            assert _same_bits(got[key][~nan], want[key][~nan]), key
+            assert _same_bits(got[key][solved], want[key][solved]), key
+
+
+def test_face_pyramids_match_the_one_shot_kernel_along_solve_paths(monkeypatch):
+    bodies = [
+        catalog.tetrahedron(),
+        catalog.cube(),
+        catalog.twisted_double_polygon(12),
+        catalog.doubly_covered_triangle(3.0, 4.0, 5.0),
+        catalog.doubly_covered_polygon(8),
+        catalog.doubly_covered_polygon(24),
+    ] + [hull.random_sphere_development(n, seed=1)[0] for n in (20, 40, 160)]
+    calls = []
+    solve = kernels.face_pyramids
+
+    def capture(ell, rad, base=None):
+        calls.append((ell.copy(), rad.copy()))
+        return solve(ell, rad, base)
+
+    monkeypatch.setattr(kernels, "face_pyramids", capture)
+    for dev in bodies:
+        solve_path(build_metric(dev))
+    monkeypatch.undo()
+    assert len(calls) > 500
+    flagged = 0
+    for ell, rad in calls:
+        flagged += np.count_nonzero(_assert_same_pyramids(ell, rad)["ok"] != 1)
+    assert flagged > 0
+
+
+def test_infinite_radii_flag_the_row_without_warnings():
+    inf = math.inf
+    mesh = oracles.mesh_of(catalog.tetrahedron())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels.face_pyramids([[1.0, 1.0, 1.0]], [[inf, inf, 1.0]])["ok"].tolist() == [0]
+        with pytest.raises(PyramidError, match="non-finite"):
+            GeneralizedPolytope(mesh, [inf, inf, 1.0, 1.0])
 
 
 def test_split_edge_badness_matches_the_one_shot_kernel():

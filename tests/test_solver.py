@@ -290,6 +290,16 @@ def test_regular_polygons_flip_no_cocircular_edge(dev, flips):
     assert (state.flips, state.events) == (flips, [])
 
 
+def test_vertex_count_survives_the_start_flips():
+    # A mesh stores its vertex count once; a flip rewires faces but keeps
+    # every vertex label.
+    metric = build_metric(catalog.twisted_double_polygon(12))
+    state = start_state(metric)
+    assert state.flips == 20
+    for mesh in (state.mesh, state.mesh.copy()):
+        assert mesh.n_vertices == int(mesh.vert.max()) + 1 == metric.n_vertices
+
+
 @pytest.mark.parametrize("n", [10, 12, 16, 20, 24, 32])
 def test_doubly_covered_polygon_reaches_flat_limit(n):
     # the dihedral check shares the Newton tolerance's noise floor, so
