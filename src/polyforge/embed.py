@@ -6,8 +6,9 @@ Face 0 sits in the z = 0 plane, counterclockwise from +z, with the
 body's interior below; each breadth-first level of faces is then placed
 at once, with array arithmetic, by unfolding across the edges it shares
 with the level before (``_unfold``).  A flat body, whose dihedrals all
-lie within ``FOLD_TOL`` of 0 or pi, is unfolded with them snapped to
-exactly 0 and pi, so a doubly covered polygon closes to rounding level.
+lie within ``polytope.FOLD_TOL`` of 0 or pi, is unfolded with them
+snapped to exactly 0 and pi, so a doubly covered polygon closes to
+rounding level.
 Per-vertex positions are the means of their per-face placements (the
 spread is the closure residual), tightened by a few Gauss-Newton sweeps
 on the edge lengths.  Once the curvatures are only kappa_stop away from
@@ -62,19 +63,6 @@ from .triangulation import CornerMesh, merge_regions, twin_slots
 CLOSURE_TOL = 1e-6  # * diameter
 DEGENERATE_VOL_TOL = 1e-8  # * diameter^3
 MERGE_TOL = 1e-6  # |pi - theta| below this merges the faces
-# A body whose every dihedral lies within FOLD_TOL of 0 (a fold on the
-# rim) or of pi (a flat edge), with at least one fold, is laid out with
-# its dihedrals exactly 0 and pi: a doubly covered convex polygon has
-# exactly those, so the snapped layout is its realization, and the
-# closure and per-sheet orientation checks still vet it.  Paths to a
-# flat body stop at t up to 3.5e-6 (the 64-gon's floor stop), where the
-# dihedrals lie within about 1.5 t of the two classes: about 5e-6 at
-# most, and 1e-4 leaves a factor of 20 above that.  Genuinely
-# 3-dimensional bodies keep their dihedrals two orders of magnitude
-# further from 0: the rim dihedrals of thin discs measure 1.6e-2 and
-# more (the 300:1 disc at n = 40), and catalog solids and hulls 1.2 and
-# more.
-FOLD_TOL = 1e-4
 APEX_TOL = 1e-9  # * total weight
 APEX_MAX_ITER = 10000
 POLISH_SWEEPS = 3  # at most; each ends early once the residual is at rounding level
@@ -121,12 +109,13 @@ def place_faces(P, merge_coplanar=False):
 
     ``P`` is a solved generalized polytope whose curvatures are already
     negligible.  Its dihedrals are snapped to exactly 0 or pi when the
-    body is flat (``FOLD_TOL``).  Raises EmbedError when the development
-    fails to close up to CLOSURE_TOL, when a snapped sheet is folded
-    over, or when the final mesh still carries a loop.
+    body is flat (``CurvatureReport.folds``).  Raises EmbedError when
+    the development fails to close up to CLOSURE_TOL, when a snapped
+    sheet is folded over, or when the final mesh still carries a loop.
     """
     mesh = P.mesh
-    theta = P.curvature_report().theta
+    rep = P.curvature_report()
+    theta = rep.theta
     # Side s runs from corner (s+1)%3 to corner (s+2)%3.  The first loop
     # slot in (f, s) order is its edge's canonical slot.
     tail = mesh.vert[:, [1, 2, 0]]
@@ -137,8 +126,11 @@ def place_faces(P, merge_coplanar=False):
             "curvature is not small enough"
         )
 
-    fold = np.abs(theta) <= FOLD_TOL
-    flat = fold.any() and (fold | (np.abs(math.pi - theta) <= FOLD_TOL)).all()
+    # A doubly covered convex polygon has dihedrals exactly 0 and pi, so
+    # the snapped layout of a flat body is its realization; the closure
+    # and per-sheet orientation checks still vet it.
+    fold = rep.folds()
+    flat = fold is not None
     if flat:
         theta = np.where(fold, 0.0, math.pi)
     pos, _ = _unfold(mesh, theta)

@@ -57,6 +57,21 @@ _MAX_BITS = 4 * _ATAN_BITS
 _TABLE_BITS = _MAX_BITS + 16
 _UNDECIDED = f"atan2 rounding undecided at {_MAX_BITS} bits"
 
+# A flat body's dihedrals classify once each lies within FOLD_TOL of 0 or
+# pi (CurvatureReport.folds): solver.solve_path stops there, and
+# embed.place_faces lays the body out with them snapped.  Along the paths
+# of the doubly covered 3-4-5 triangle and 3- to 64-gons, the dihedrals
+# lie within 0.8 t to 2.9 t of the two classes at every accepted
+# t <= 1e-3 (4.6 t once, on the 16-gon), so at 3e-5 they classify at
+# t = 7.5e-6 to 1.6e-5.  |kappa|_inf is then at most 4.8e-5 (the
+# triangle), and 2.2e-5 on the square, a factor 4.6 under a03's bound of
+# 1e-4; at 1e-4 the two stopped at 9.6e-5 and 8.6e-5.  Genuinely
+# 3-dimensional bodies keep their dihedrals far from 0: the rim
+# dihedrals of thin discs measure 1.6e-2 and more (the 300:1 disc at
+# n = 40), over 500 times FOLD_TOL, and catalog solids and hulls 1.2 and
+# more.
+FOLD_TOL = 3e-5
+
 
 def _round_sum(n):
     """The integer n rounded to 169 significant bits, to nearest with ties
@@ -421,6 +436,17 @@ class CurvatureReport:
 
     kappa: np.ndarray  # 2*pi minus total apex-edge dihedral, per vertex
     theta: np.ndarray  # (F, 3) total dihedral along the edge of each side
+
+    def folds(self):
+        """The side slots whose dihedral is a fold, when the body is flat;
+        None otherwise.  Flat means every theta lies within FOLD_TOL of 0
+        (a fold on the rim) or of pi (a flat edge), with at least one
+        fold.  ``embed.place_faces`` lays a flat body out with exactly
+        those dihedrals, and ``solver.solve_path`` stops there."""
+        fold = np.abs(self.theta) <= FOLD_TOL
+        if fold.any() and (fold | (np.abs(math.pi - self.theta) <= FOLD_TOL)).all():
+            return fold
+        return None
 
 
 def _pyramid_base(mesh):

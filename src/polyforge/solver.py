@@ -23,7 +23,14 @@ Steps are capped at half of t, except once: a clean path tries to jump
 from the first t <= T_JUMP straight to kappa_stop.  A rejected attempt
 halves the step as any rejection does, but leaves the path clean; it is
 not tried again.  Paths into a flat limit make that attempt and have it
-rejected, then halve down to the end.
+rejected, then halve until their dihedrals classify as folds and flat
+edges (``CurvatureReport.folds``), and stop there: the body is flat, and
+``embed.place_faces`` lays it out with its dihedrals snapped to exactly
+0 and pi.  The doubly covered 3-4-5 triangle and 3- to 64-gons stop at
+t = 7.5e-6 to 1.6e-5.  A path ends for one of three reasons, kept in
+``ContinuationState.stop``: it reached kappa_stop, its curvature fell to
+the precision floor (``_at_floor``), or its folds classified
+(``_folds_classify``).
 """
 
 from __future__ import annotations
@@ -88,11 +95,18 @@ _REJECTABLE = (
 #    two-dimensional gauge it agrees with a truncated pseudo-inverse, and
 #    along it it only slides the apex within the plane of the body.
 #
-# Nondegenerate paths normally trip neither mechanism: they jump to
+# Most nondegenerate paths trip neither mechanism: they jump to
 # kappa_stop from t <= T_JUMP, while J is still far from failing
-# RCOND_MIN.  A flat limit's jump attempt is rejected, so it reaches the
-# endgame; so does a large hull whose jump is rejected and which halves
-# on towards the floor, like the random hull n = 2560 (see ``_at_floor``).
+# RCOND_MIN.  The thin hulls of the tests (a 1:1:20 cigar and 100:1 and
+# 1000:1 discs at n = 40) do take steps from endgame states on their way
+# there.  A large hull whose jump is rejected halves on towards the
+# floor and stops there, like the random hull n = 2560 (see
+# ``_at_floor``).  A flat limit's jump attempt is rejected, and it halves
+# until its folds classify.  Of the doubly covered 3- to 64-gons, only
+# the 48-, 56- and 64-gons step from endgame states before that.  Run on
+# past that stop (the fold stop switched off), every one of them reaches
+# the floor, and all but the 7- and 10-gons step from endgame states on
+# the way.
 FLOOR_C = 64.0
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -218,7 +232,9 @@ class ContinuationState:
     steps_rejected: int = 0
     records: list = field(default_factory=list)
     events: list = field(default_factory=list)
-    floor_stop: bool = False  # terminated at the precision floor (flat limit)
+    # Why the path ended: "kappa_stop", "floor" (``_at_floor``) or "folds"
+    # (``_folds_classify``); empty while it runs.
+    stop: str = ""
 
     def dump(self, reason=""):
         """JSON-ready snapshot for post-mortem inspection."""
@@ -480,8 +496,11 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
         if result.accepted:
             if opts.progress is not None:
                 opts.progress(state)
+            if _folds_classify(state):
+                state.stop = "folds"
+                break
             if _at_floor(state):
-                state.floor_stop = True
+                state.stop = "floor"
                 break
             if result.newton_iters <= 3:
                 dt *= GROWTH
@@ -495,20 +514,35 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
                     f"step size underflow at t={state.t!r}: {result.reason}",
                     state_dump=state.dump(result.reason),
                 )
+    state.stop = state.stop or "kappa_stop"
     return SolveResult(polytope=state.P, state=state)
+
+
+def _folds_classify(state):
+    """True at an accepted state with t <= T_JUMP whose dihedrals
+    classify as folds and flat edges (``CurvatureReport.folds``): the
+    body is flat, and ``embed.place_faces`` lays it out with exactly 0
+    and pi, which depend only on the triangulation and on which edges
+    are folds.  The flat paths of the tests flip no edge, and running
+    them on to the floor gives the same layout bit for bit.  The report
+    is the one the dihedral check made at acceptance, so this solves no
+    pyramid."""
+    return state.t <= T_JUMP and state.P.curvature_report().folds() is not None
 
 
 def _at_floor(state):
     """True when the state's curvature is below what double-precision
     radii can express; ``solve_path`` asks at each accepted state and
-    stops there.  Flat limits reach it, where the row norms of the
-    curvature Jacobian blow up, and so can a large hull whose jump to
-    kappa_stop is rejected: the random hull n = 2560 (seed [1, 2560])
-    halves down to it and stops at t = 7.4e-9, after 33 accepted steps
-    and 1 rejected.  A state without a usable Jacobian (``factor`` None)
-    has no noise scale and is never at the floor.  A rejected step leaves
-    the state as it was, so the answer there is the False given at its
-    acceptance, and a step-size underflow always aborts."""
+    stops there.  A large hull whose jump to kappa_stop is rejected can
+    reach it: the random hull n = 2560 (seed [1, 2560]) halves down to it
+    and stops at t = 7.4e-9, after 33 accepted steps and 1 rejected.
+    Flat limits reach it too, where the row norms of the curvature
+    Jacobian blow up, but only when run on past the state where their
+    folds classify, at which ``solve_path`` stops first.  A state
+    without a usable Jacobian (``factor`` None) has no noise scale and is
+    never at the floor.  A rejected step leaves the state as it was, so
+    the answer there is the False given at its acceptance, and a
+    step-size underflow always aborts."""
     if state.factor is None:
         return False
     floor = _kappa_floor(state.factor.norm_inf, state.r)

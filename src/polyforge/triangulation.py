@@ -52,7 +52,7 @@ import numpy as np
 from . import kernels
 from .errors import FlipError, InadmissibleWeightsError, TriangleError
 from .kernels import _NEXT, _NEXT2
-from .surface import PolyhedralMetric, UnionFind
+from .surface import PolyhedralMetric
 
 # An edge is bad when its badness exceeds BAD_TOL * max(1, |q|_inf).
 BAD_TOL = 1e-10
@@ -357,6 +357,31 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
 class Region:
     faces: tuple  # sorted face indices
     cycles: tuple  # boundary cycles, each a tuple of directed slots (f, s)
+
+
+class UnionFind:
+    """Disjoint sets over 0..n-1 whose representative is the smallest
+    member."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[i] != root:
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            # Keep the smaller index as representative, so merged
+            # regions come out in first-appearance order.
+            if rj < ri:
+                ri, rj = rj, ri
+            self.parent[rj] = ri
 
 
 def merge_regions(mesh, flat_slots):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from polyforge import build_metric, catalog, hull
+from polyforge import build_metric, catalog, hull, solver
 from polyforge.solver import SolverOptions, solve_path
 
 # catalog.tetrahedron(scale) has edge 2*sqrt(2)*scale
@@ -44,6 +44,22 @@ def cube_metric():
 @pytest.fixture(scope="session")
 def square_metric():
     return build_metric(catalog.doubly_covered_polygon(4))
+
+
+@pytest.fixture(scope="session")
+def polygon64_metric():
+    # the doubly covered 64-gon: its path enters the flat-limit endgame
+    # before its folds classify
+    return build_metric(catalog.doubly_covered_polygon(64))
+
+
+@pytest.fixture
+def fold_stop_off(monkeypatch):
+    """Switch solve_path's fold stop off for the rest of the test, from
+    the point the fixture is set up: flat paths then run on to their
+    precision floor, as they did before the stop.  Request it through
+    ``request.getfixturevalue`` to compare a path with and without it."""
+    monkeypatch.setattr(solver, "_folds_classify", lambda state: False)
 
 
 @dataclass

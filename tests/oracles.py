@@ -1,5 +1,6 @@
 """Checks and reference formulas that the tests need and the pipeline does
-not: corner-table invariants, cone angles, the validated construction of
+not: the per-corner union-find gluing of a development, corner-table
+invariants, cone angles, the validated construction of
 a generalized polytope, its total height, the dense curvature Jacobian,
 the scalar badness formula, the one-shot edge badness and pyramid
 kernels that the package splits into a cached half and a per-call half,
@@ -41,6 +42,7 @@ from polyforge.triangulation import (
     BAD_TOL,
     CONVEXITY_TOL,
     CornerMesh,
+    UnionFind,
     _badness,
     _quads,
     badness_scan,
@@ -59,6 +61,21 @@ FLAT_TOL = 1e-9
 
 
 # -- meshes --------------------------------------------------------------
+
+
+def glued_corner_labels(dev: Development):
+    """(F, 3) vertex label per corner from a per-corner union-find over
+    the gluings, labels in order of each class's smallest corner 3 t + c:
+    the reference that the array passes of ``surface.build_metric`` must
+    match."""
+    nf = dev.n_faces
+    uf = UnionFind(3 * nf)
+    for (t, s), (t2, s2) in dev.gluings:
+        uf.union(t * 3 + (s + 1) % 3, t2 * 3 + (s2 + 2) % 3)
+        uf.union(t * 3 + (s + 2) % 3, t2 * 3 + (s2 + 1) % 3)
+    roots = [uf.find(i) for i in range(3 * nf)]
+    label_of_root = {r: i for i, r in enumerate(sorted(set(roots)))}
+    return np.array([label_of_root[r] for r in roots], dtype=np.int64).reshape(nf, 3)
 
 
 def mesh_of(dev: Development) -> CornerMesh:

@@ -94,7 +94,7 @@ def test_a02_cube_reconstruction(cube_path):
 
 
 def test_a03_doubly_covered_square_degenerates(square_path):
-    # The flat limit: the path runs into the precision floor, the embed
+    # The flat limit: the path stops once its folds classify, the embed
     # is flagged degenerate, and the apex sits in the relative interior.
     assert np.abs(square_path.result.polytope.kappa).max() < 1e-4
     e = embed.place_faces(square_path.result.polytope)

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from oracles import apex_inside, convexity_violation, mesh_of
-from polyforge import build_metric, catalog, embed, hull, solve_path
+from polyforge import build_metric, catalog, embed, hull, polytope, solve_path
 from polyforge.errors import EmbedError
 from polyforge.polytope import GeneralizedPolytope
 from polyforge.solver import start_state
@@ -377,7 +377,7 @@ def test_solids_and_hulls_are_not_snapped(all_paths):
     # their dihedrals keep far from 0, so place_faces unfolds them raw
     for run in all_paths:
         P = run.result.polytope
-        assert P.curvature_report().theta.min() > 100.0 * embed.FOLD_TOL, run.name
+        assert P.curvature_report().theta.min() > 1000.0 * polytope.FOLD_TOL, run.name
         e = embed.place_faces(P)
         pos, _ = oracles.unfold_faces(P.mesh, P.curvature_report().theta)
         assert e.closure_residual == embed._closure_spread(
@@ -389,8 +389,7 @@ def test_folded_sheet_raises(square_path):
     # a face laid out mirrored within its sheet: the signed areas of one
     # side of the rim no longer share a sign
     P = square_path.result.polytope
-    theta = P.curvature_report().theta
-    fold = np.abs(theta) <= embed.FOLD_TOL
+    fold = P.curvature_report().folds()
     pos, _ = embed._unfold(P.mesh, np.where(fold, 0.0, math.pi))
     embed._check_sheets(P.mesh, pos, fold)
     sheet = next(r.faces for r in merge_regions(P.mesh, np.argwhere(~fold)) if len(r.faces) > 1)

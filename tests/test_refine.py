@@ -69,7 +69,8 @@ def _pyramids(rng, n, alt2_rel):
 @pytest.fixture(scope="module")
 def flat_batches():
     """Every solve_pyramids input with a flagged row along the solves of
-    the doubly covered 4-, 8- and 16-gons."""
+    the doubly covered 3-4-5 triangle and 4-, 6-, 8-, 10-, 12-, 16- and
+    24-gons."""
     batches = []
     original = polytope.solve_pyramids
 
@@ -82,8 +83,10 @@ def flat_batches():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polytope, "solve_pyramids", record)
         mp.setattr(solver, "solve_pyramids", record)
-        for n in (4, 8, 16):
-            solve_path(build_metric(catalog.doubly_covered_polygon(n)), SolverOptions(max_steps=250))
+        devs = [catalog.doubly_covered_triangle(3.0, 4.0, 5.0)]
+        devs += [catalog.doubly_covered_polygon(n) for n in (4, 6, 8, 10, 12, 16, 24)]
+        for dev in devs:
+            solve_path(build_metric(dev), SolverOptions(max_steps=250))
     return batches
 
 

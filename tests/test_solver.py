@@ -11,7 +11,7 @@ from scipy.linalg import lapack
 
 from conftest import HULL_CASES, thin_hull
 from oracles import band_of, dense_jacobian, unpack_band, validate_polytope
-from polyforge import catalog, embed, hull, jacobian, solver
+from polyforge import catalog, cli, embed, hull, jacobian, solver
 from polyforge.errors import SolverAbort, StepReductionError
 from polyforge.jacobian import assemble
 from polyforge.polytope import GeneralizedPolytope
@@ -56,7 +56,7 @@ def test_start_state_begins_at_one(tetra_metric):
 def test_tetra_path_reaches_circumradius(tetra_path):
     result = tetra_path.result
     state = result.state
-    assert not state.floor_stop
+    assert state.stop == "kappa_stop"
     assert state.t == pytest.approx(1e-9)
     # the regular tetrahedron keeps its symmetry all the way down to the
     # circumradius of the unit-edge body
@@ -246,12 +246,84 @@ def test_jacobian_continuous_across_cocircular_wall(cube_metric):
     assert np.abs(J1 - J2).max() <= 1e-6 * np.abs(J1).max()
 
 
-def test_flat_limit_stops_at_precision_floor(square_path):
-    state = square_path.result.state
-    assert state.floor_stop
-    # the doubled square collapses onto its 2d body: every radius ends at
-    # the planar distance to the apex point, below any honest tolerance
+_FLAT_CASES = {
+    "doubled-345": lambda: catalog.doubly_covered_triangle(3.0, 4.0, 5.0),
+    "doubled-square": lambda: catalog.doubly_covered_polygon(4),
+    "doubled-8": lambda: catalog.doubly_covered_polygon(8),
+    "doubled-24": lambda: catalog.doubly_covered_polygon(24),
+}
+
+
+@pytest.mark.parametrize("name", list(_FLAT_CASES))
+def test_flat_paths_stop_once_folds_classify(name, request):
+    # A flat path stops at its first accepted state at or below T_JUMP
+    # whose dihedrals classify as folds and flat edges.  place_faces lays
+    # them out snapped to exactly 0 and pi, so the layout is the one the
+    # same path gives when it runs on to its precision floor, bit for bit.
+    metric = build_metric(_FLAT_CASES[name]())
+    stopped = solve_path(metric)
+    state = stopped.state
+    assert state.stop == "folds" and state.t <= solver.T_JUMP
     assert float(np.abs(state.P.kappa).max()) < 1e-4
+    e = embed.place_faces(stopped.polytope)
+    assert e.closure_residual <= 1e-12 * e.diameter
+    assert e.degenerate
+
+    request.getfixturevalue("fold_stop_off")
+    classified = []  # per accepted state: t <= T_JUMP and the folds classify
+
+    def watch(state):
+        folds = state.P.curvature_report().folds()
+        classified.append(state.t <= solver.T_JUMP and folds is not None)
+
+    floor = solve_path(metric, SolverOptions(progress=watch))
+    assert floor.state.stop == "floor" and floor.state.t < state.t
+    # the same path up to the stop, which is its first classifying state
+    assert floor.state.records[: len(state.records)] == state.records
+    assert classified.index(True) == len(state.records) - 1
+    e_floor = embed.place_faces(floor.polytope)
+    assert np.array_equal(e.vertices, e_floor.vertices)
+    assert e.faces == e_floor.faces
+    assert e.as_json() == e_floor.as_json()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(catalog.tetrahedron, id="tetrahedron"),
+        pytest.param(catalog.cube, id="cube"),
+    ]
+    + [
+        pytest.param(lambda n=n: catalog.twisted_double_polygon(n), id=f"twisted-{n}")
+        for n in (6, 12, 24)
+    ]
+    + [
+        pytest.param(lambda n=n: hull.random_sphere_development(n, seed=1)[0], id=f"hull-{n}")
+        for n in (20, 40, 160)
+    ]
+    + [
+        pytest.param(lambda axes=axes: thin_hull(40, axes, seed=[3, 40])[0], id=name)
+        for name, axes in (
+            ("cigar-1-1-20", (1.0, 1.0, 20.0)),
+            ("disc-100-1", (100.0, 100.0, 1.0)),
+            ("disc-1000-1", (1000.0, 1000.0, 1.0)),
+        )
+    ],
+)
+def test_nondegenerate_paths_never_stop_on_folds(make, request):
+    # 3-dimensional bodies keep their dihedrals far from 0, so their paths
+    # run to kappa_stop, and their reports and vertices are those of the
+    # same solve without the fold stop, byte for byte.
+    metric = build_metric(make())
+    runs = [cli.run_pipeline(metric)]
+    request.getfixturevalue("fold_stop_off")
+    runs.append(cli.run_pipeline(metric))
+    for run in runs:
+        assert run.solve.state.stop == "kappa_stop"
+        assert run.solve.state.t == SolverOptions().kappa_stop
+    with_stop, without = runs
+    assert json.dumps(with_stop.report) == json.dumps(without.report)
+    assert np.array_equal(with_stop.embedded.vertices, without.embedded.vertices)
 
 
 def test_abort_carries_state_dump(cube_metric):
@@ -267,7 +339,7 @@ def test_twisted_polygon_converges():
     metric = build_metric(catalog.twisted_double_polygon(4))
     result = solve_path(metric)
     assert result.state.flips > 0  # the fan start is not weighted-Delaunay
-    assert not result.state.floor_stop
+    assert result.state.stop == "kappa_stop"
     kappa = result.polytope.kappa
     assert float(np.abs(kappa).max()) <= 1e-7
 
@@ -416,8 +488,8 @@ def test_clean_path_jumps_to_kappa_stop(name, request):
     assert all(rec["cond"] <= 1.0 / solver.RCOND_MIN for rec in state.records)
 
 
-def test_flat_endgame_solves_with_lu(square_metric, monkeypatch):
-    # The doubled square's path enters the endgame; Newton keeps solving
+def test_flat_endgame_solves_with_lu(polygon64_metric, monkeypatch):
+    # The doubled 64-gon's path enters the endgame; Newton keeps solving
     # with the LU factor there, which off the two collapsing directions
     # (the in-plane apex translations) agrees with a truncated SVD solve.
     endgame = []  # (factor, J) of every accepted state failing RCOND_MIN
@@ -434,7 +506,7 @@ def test_flat_endgame_solves_with_lu(square_metric, monkeypatch):
         return honest_svd(*args, **kw)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    result = solve_path(square_metric, SolverOptions(progress=collect))
+    result = solve_path(polygon64_metric, SolverOptions(progress=collect))
     monkeypatch.undo()
     assert svd_calls == []
     assert any(rec["cond"] > 1.0 / solver.RCOND_MIN for rec in result.state.records)
@@ -469,10 +541,10 @@ def _endgame_state(metric):
     return caught.value.args[0]
 
 
-def test_singular_jacobian_rejects_in_endgame(square_metric, monkeypatch):
+def test_singular_jacobian_rejects_in_endgame(polygon64_metric, monkeypatch):
     # the endgame waives RCOND_MIN but not an exactly singular J, whose
     # LU solve would be inf or NaN
-    state = _endgame_state(square_metric)
+    state = _endgame_state(polygon64_metric)
     t = state.t
     # a step whose honest corrector takes a second iterate, so that the
     # zeroed J below is assembled inside Newton (a 0.9 t step converges at
@@ -568,10 +640,13 @@ def test_rejected_jump_falls_back_to_halving(cube_metric, monkeypatch):
         assert 0.5 * t <= t_new < t
 
 
-def test_flat_limit_jumps_at_most_once(square_metric, square_path, monkeypatch):
-    # The doubled square reaches T_JUMP without a rejection, so it tries
+def test_flat_limit_jumps_at_most_once(monkeypatch):
+    # The doubled 24-gon reaches T_JUMP without a rejection, so it tries
     # the jump to kappa_stop once; the attempt is rejected, but the path
-    # stays clean and keeps the Hermite predictor after it.
+    # stays clean and keeps the Hermite predictor after it.  It rejects
+    # once more before its folds classify.
+    metric = build_metric(catalog.doubly_covered_polygon(24))
+    untraced = solve_path(metric).state
     honest = solver.step
     steps = []  # (t, t_new, Hermite predictor, clean after the step, accepted)
 
@@ -582,10 +657,8 @@ def test_flat_limit_jumps_at_most_once(square_metric, square_path, monkeypatch):
         return result
 
     monkeypatch.setattr(solver, "step", traced)
-    state = solve_path(square_metric).state
-    assert [rec["t"] for rec in state.records] == [
-        rec["t"] for rec in square_path.result.state.records
-    ]
+    state = solve_path(metric).state
+    assert state.records == untraced.records
     # every step but a jump at most halves t
     jumps = [k for k, (t, t_new, *_) in enumerate(steps) if t_new < 0.5 * t]
     assert len(jumps) == 1
@@ -597,8 +670,9 @@ def test_flat_limit_jumps_at_most_once(square_metric, square_path, monkeypatch):
     assert steps[k + 1][2:] == (True, True, True)
     # later rejections return the path to Euler steps for good
     first = next(j for j in range(k + 1, len(steps)) if not steps[j][4])
+    assert steps[first + 1 :]
     assert not any(hermite or clean for _, _, hermite, clean, _ in steps[first + 1 :])
-    assert state.floor_stop
+    assert state.stop == "folds"
     assert float(np.abs(state.P.kappa).max()) < 1e-4
 
 
@@ -706,6 +780,7 @@ _PATH_CASES = {
     "twisted12": lambda: catalog.twisted_double_polygon(12),
     "twisted24": lambda: catalog.twisted_double_polygon(24),
     "doubled-square": lambda: catalog.doubly_covered_polygon(4),
+    "doubled-64": lambda: catalog.doubly_covered_polygon(64),
 }
 
 
@@ -720,7 +795,7 @@ def test_band_factor_matches_dense_oracle_along_paths(name):
     solve_path(build_metric(_PATH_CASES[name]()), SolverOptions(progress=collect))
     for P, order, kappa1, endgame in states:
         _check_band_factor(P, order, kappa1, endgame)
-    if name == "doubled-square":  # its path ends in the endgame
+    if name == "doubled-64":  # its path ends in the endgame
         assert states[-1][3]
 
 

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import glued_corner_labels
 
-from polyforge import catalog, surface
+from polyforge import catalog, hull, surface
 from polyforge.errors import DevelopmentError, MetricError, SchemaError
 from polyforge.surface import Development
 
@@ -40,6 +41,21 @@ def test_doubly_covered_triangle_metric():
         np.sort(2 * math.pi - 2 * np.array(ang)),
         atol=1e-12,
     )
+
+
+def test_corner_gluing_matches_union_find():
+    # the array passes label every corner as the per-corner union-find
+    # did, classes numbered by their smallest corner
+    devs = [catalog.tetrahedron(), catalog.cube(), catalog.doubly_covered_triangle(3.0, 4.0, 5.0)]
+    devs += [catalog.twisted_double_polygon(n) for n in (3, 4, 6, 12, 24)]
+    devs += [catalog.doubly_covered_polygon(n) for n in (3, 4, 8, 16, 24, 64)]
+    sizes = list(range(4, 41)) + [64, 160, 320, 640]
+    devs += [hull.random_sphere_development(n, seed=[1, n])[0] for n in sizes]
+    for dev in devs:
+        metric = surface.build_metric(dev)
+        want = glued_corner_labels(dev)
+        assert metric.corner_vertex.dtype == want.dtype
+        assert np.array_equal(metric.corner_vertex, want)
 
 
 def test_gauss_bonnet(tetra_metric, cube_metric, square_metric):
