@@ -16,21 +16,37 @@ extrapolation through the last two accepted states and their tangents
 (Allgower & Georg, Introduction to Numerical Continuation Methods, ch.
 6); the tangent at the current state is the solve an Euler step makes,
 so the cubic costs no extra factor or solve.  A path is clean until it
-rejects a step other than its one jump attempt; from then on it predicts
-by Euler steps.
+rejects a step other than its one jump attempt or a wide step (below);
+from then on it predicts by Euler steps.
 
-Steps are capped at half of t, except once: a clean path tries to jump
-from the first t <= T_JUMP straight to kappa_stop.  A rejected attempt
-halves the step as any rejection does, but leaves the path clean; it is
-not tried again.  Paths into a flat limit make that attempt and have it
-rejected, then halve until their dihedrals classify as folds and flat
-edges (``CurvatureReport.folds``), and stop there: the body is flat, and
-``embed.place_faces`` lays it out with its dihedrals snapped to exactly
-0 and pi.  The doubly covered 3-4-5 triangle and 3- to 64-gons stop at
-t = 7.5e-6 to 1.6e-5.  A path ends for one of three reasons, kept in
-``ContinuationState.stop``: it reached kappa_stop, its curvature fell to
-the precision floor (``_at_floor``), or its folds classified
-(``_folds_classify``).
+Each step's size follows the error its predictor made.  The first
+Newton iterate measures the residual at the predicted point, rho0 =
+|kappa(r_pred) - t_new kappa(1)|_inf in units of the Newton tolerance,
+at no extra cost.  After an accepted step on a clean path, the next step
+is the one whose residual would be RESIDUAL_TARGET: dt is scaled by
+(RESIDUAL_TARGET / rho0)^(1/p), kept within DT_RATIO, where p = 4 after
+a Hermite prediction (error O(dt^4)) and p = 2 after an Euler one
+(Deuflhard, Newton Methods for Nonlinear Problems, ch. 5).  A clean
+path's step may cut t by up to DT_CAP_CLEAN, so t falls by up to 4x per
+step; the paths of the catalog solids and random hulls follow this rule
+from t = 1 to the jump.  A rejected step wider than DT_CAP of t is
+treated like the jump attempt: the path stays clean and keeps its
+Hermite predictor, but its steps are capped at DT_CAP of t from then on.
+Any other rejection makes the path unclean, and an unclean path grows dt
+by GROWTH after a step of at most 3 Newton iterates and caps it at
+DT_CAP of t.
+
+A clean path tries once to jump from the first t <= T_JUMP straight to
+kappa_stop.  A rejected attempt halves the step as any rejection does,
+but leaves the path clean; it is not tried again.  Paths into a flat
+limit make that attempt and have it rejected, then step on until their
+dihedrals classify as folds and flat edges (``CurvatureReport.folds``),
+and stop there: the body is flat, and ``embed.place_faces`` lays it out
+with its dihedrals snapped to exactly 0 and pi.  The doubly covered
+3-4-5 triangle and 3- to 64-gons stop at t = 3.2e-6 to 1.7e-5.  A path
+ends for one of three reasons, kept in ``ContinuationState.stop``: it
+reached kappa_stop, its curvature fell to the precision floor
+(``_at_floor``), or its folds classified (``_folds_classify``).
 """
 
 from __future__ import annotations
@@ -99,14 +115,16 @@ _REJECTABLE = (
 # kappa_stop from t <= T_JUMP, while J is still far from failing
 # RCOND_MIN.  The thin hulls of the tests (a 1:1:20 cigar and 100:1 and
 # 1000:1 discs at n = 40) do take steps from endgame states on their way
-# there.  A large hull whose jump is rejected halves on towards the
-# floor and stops there, like the random hull n = 2560 (see
-# ``_at_floor``).  A flat limit's jump attempt is rejected, and it halves
-# until its folds classify.  Of the doubly covered 3- to 64-gons, only
-# the 48-, 56- and 64-gons step from endgame states before that.  Run on
-# past that stop (the fold stop switched off), every one of them reaches
-# the floor, and all but the 7- and 10-gons step from endgame states on
-# the way.
+# there.  The random hulls n = 2560 and 10240 (seed [1, n]) land their
+# jump at a state already below the floor, so they stop for "floor" at
+# t = kappa_stop (see ``_at_floor``).  A flat limit's jump attempt is
+# rejected, and it steps on until its folds classify.  Of the doubly
+# covered 3- to 64-gons, only the 56-gon steps from an endgame state
+# before that; the 64-gon's last state is its first in the endgame.  Run
+# on past that stop (the fold stop switched off), all but the 40-gon
+# reach the floor, most of them after a step from an endgame state; the
+# 40-gon's step size underflows at t = 1.1e-6 once a narrow rejection
+# turns it to Euler steps.
 FLOOR_C = 64.0
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -116,11 +134,31 @@ MAX_NEWTON = 8  # Newton iterations per step before it is rejected
 RCOND_MIN = 1e-12  # least reciprocal condition estimate Newton accepts
 DT_INIT = 1.0 / 64.0
 DT_MIN = 1e-12
-GROWTH = 1.5  # step growth after an easy step (<= 3 Newton iterations)
+# Clean paths size each step from its predictor's residual rho0, in units
+# of the Newton tolerance (module docstring).  A residual of 1e8
+# tolerances is 1e-2 of max(1, |kappa(1)|_inf), which quadratic
+# convergence removes in three Newton updates (1e-2, 1e-4, 1e-8, then
+# below the tolerance).  Measured with every other constant as here: a
+# target of 1e9 makes the twisted 12- and 24-gons take 34/2 and 37/1
+# accepted/rejected steps instead of 13/0 and 12/0, and one of 1e6 with
+# a DT_CAP cap makes the hulls n = 160, 320 and 640 (seed [1, n]) take 76
+# steps instead of 30.
+RESIDUAL_TARGET = 1e8
+# Bounds of dt_next / dt from the residual: shrink no more than a
+# rejection halves, grow no more than t may fall per step (4x).
+DT_RATIO = (0.5, 4.0)
+# dt <= DT_CAP_CLEAN * t on a clean path that has rejected no wide step,
+# so t falls by up to 4x per step; with 0.9 the seven doubly covered
+# bodies of the flat-limit benchmark take 178 steps, 14 of them
+# rejected, instead of 130 and 7.  Every other path keeps
+# dt <= DT_CAP * t.
+DT_CAP_CLEAN = 0.75
+DT_CAP = 0.5
+GROWTH = 1.5  # unclean paths: step growth after <= 3 Newton iterations
 RADIUS_CAP = 2.0  # radii may grow to this times the initial radius
 SEED_DOUBLINGS = 60  # tries of the equal starting radius
 # A clean path tries once to jump from t <= T_JUMP straight to
-# kappa_stop; any other rejection returns it to halving for good.
+# kappa_stop (module docstring).
 T_JUMP = 1e-3
 
 
@@ -203,6 +241,9 @@ class StepResult:
     accepted: bool
     reason: str = ""
     newton_iters: int = 0
+    # rho0 of an accepted step: |kappa - t_new kappa(1)|_inf at the
+    # predicted radii, in units of the first iterate's Newton tolerance
+    predictor_residual: float = math.nan
 
 
 @dataclass
@@ -223,8 +264,8 @@ class ContinuationState:
     newton_tol: float
     # The previous accepted state (t, r, dr/dt) while the path is clean:
     # the predictor's second node.  A path is clean until it rejects a
-    # step other than its one jump attempt; then previous is dropped and
-    # the path predicts by Euler steps for good.
+    # step other than its one jump attempt or a wide step; then previous
+    # is dropped and the path predicts by Euler steps for good.
     previous: tuple | None = None
     clean: bool = True
     flips: int = 0
@@ -339,7 +380,10 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
             # eps * ||J||_inf * |r|; asking Newton for better than that
             # livelocks near flat limits, where ||J|| blows up.
             tol = max(state.newton_tol, _kappa_floor(scale, r))
-            if float(np.abs(residual).max()) <= tol:
+            err = float(np.abs(residual).max())
+            if iters == 1:
+                rho0 = err / tol
+            if err <= tol:
                 break
             if iters >= MAX_NEWTON:
                 return _reject(state, f"no convergence in {MAX_NEWTON} iterations")
@@ -383,8 +427,8 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
     state.flips += flips_here
     state.steps_accepted += 1
     state.events.extend(buffer)
-    _record(state, iters)
-    return StepResult(accepted=True, newton_iters=iters)
+    _record(state, iters, rho0)
+    return StepResult(accepted=True, newton_iters=iters, predictor_residual=rho0)
 
 
 def _hermite(t0, r0, m0, t1, r1, m1, t):
@@ -397,12 +441,14 @@ def _hermite(t0, r0, m0, t1, r1, m1, t):
     return r1 + u * m1 + (u * u / h) * ((d - m1) + ((t - t0) / h) * (m0 + m1 - 2.0 * d))
 
 
-def _record(state, newton_iters):
+def _record(state, newton_iters, predictor_residual=None):
     """Append the progress record of the state just reached.
 
-    ``cond`` is rounded to 6 significant digits: LAPACK's estimate can
-    differ in its last bits between runs on the same input, and records
-    must reproduce.  Step control reads the unrounded ``factor.cond``.
+    ``predictor_residual`` is the step's rho0 (``StepResult``), which
+    sized the step after it on a clean path; None at t = 1.  ``cond`` is
+    rounded to 6 significant digits: LAPACK's estimate can differ in its
+    last bits between runs on the same input, and records must
+    reproduce.  Step control reads the unrounded ``factor.cond``.
     """
     cond = math.inf if state.factor is None else state.factor.cond
     state.records.append(
@@ -412,6 +458,7 @@ def _record(state, newton_iters):
             "flips_so_far": state.flips,
             "newton_iters": newton_iters,
             "cond": float(f"{cond:.6g}") if math.isfinite(cond) else None,
+            "predictor_residual": predictor_residual,
         }
     )
 
@@ -476,6 +523,7 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
         opts.progress(state)
     t_stop = opts.kappa_stop
     dt = DT_INIT
+    cap = DT_CAP_CLEAN
     steps = 0
     jumped = False
     while state.t > t_stop:
@@ -485,13 +533,14 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
                 f"step budget {opts.max_steps} exhausted at t={state.t!r}",
                 state_dump=state.dump("step budget exhausted"),
             )
-        dt_eff = min(dt, 0.5 * state.t)
+        dt_eff = min(dt, cap * state.t)
         t_new = state.t - dt_eff
         jump = state.clean and not jumped and state.t <= T_JUMP
         jumped = jumped or jump
         if jump or t_new < t_stop:
             t_new = t_stop  # exactly; state.t - dt_eff may miss it by an ulp
             dt_eff = state.t - t_stop
+        hermite = state.previous is not None
         result = step(state, t_new)
         if result.accepted:
             if opts.progress is not None:
@@ -502,12 +551,18 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
             if _at_floor(state):
                 state.stop = "floor"
                 break
-            if result.newton_iters <= 3:
+            if state.clean:
+                dt = dt_eff * _dt_ratio(result.predictor_residual, 4 if hermite else 2)
+            elif result.newton_iters <= 3:
                 dt *= GROWTH
         else:
             if not jump:
-                state.clean = False
-                state.previous = None
+                # A rejected wide step leaves the path clean, but no step
+                # is wide again; any other rejection ends the clean path.
+                if dt_eff <= DT_CAP * state.t:
+                    state.clean = False
+                    state.previous = None
+                cap = DT_CAP
             dt = 0.5 * dt_eff
             if dt < DT_MIN:
                 raise SolverAbort(
@@ -516,6 +571,16 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
                 )
     state.stop = state.stop or "kappa_stop"
     return SolveResult(polytope=state.P, state=state)
+
+
+def _dt_ratio(rho0, p):
+    """dt_next / dt after a clean step whose predictor, of order p, left
+    the residual rho0: the step that would leave RESIDUAL_TARGET, within
+    DT_RATIO (rho0 may be 0)."""
+    lo, hi = DT_RATIO
+    if rho0 * hi**p <= RESIDUAL_TARGET:
+        return hi
+    return max(lo, (RESIDUAL_TARGET / rho0) ** (1.0 / p))
 
 
 def _folds_classify(state):
@@ -533,10 +598,11 @@ def _folds_classify(state):
 def _at_floor(state):
     """True when the state's curvature is below what double-precision
     radii can express; ``solve_path`` asks at each accepted state and
-    stops there.  A large hull whose jump to kappa_stop is rejected can
-    reach it: the random hull n = 2560 (seed [1, 2560]) halves down to it
-    and stops at t = 7.4e-9, after 33 accepted steps and 1 rejected.
-    Flat limits reach it too, where the row norms of the curvature
+    stops there.  A large hull whose jump to kappa_stop were rejected
+    would step on down to it.  The random hull n = 2560 (seed [1, 2560])
+    lands its jump, from t = 8.2e-4 after 8 steps, at a state already
+    below the floor, so it stops for "floor" at t = kappa_stop.  Flat
+    limits reach the floor too, where the row norms of the curvature
     Jacobian blow up, but only when run on past the state where their
     folds classify, at which ``solve_path`` stops first.  A state
     without a usable Jacobian (``factor`` None) has no noise scale and is

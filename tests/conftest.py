@@ -48,8 +48,8 @@ def square_metric():
 
 @pytest.fixture(scope="session")
 def polygon64_metric():
-    # the doubly covered 64-gon: its path enters the flat-limit endgame
-    # before its folds classify
+    # the doubly covered 64-gon: its path ends in the flat-limit endgame,
+    # at the first state whose J fails RCOND_MIN
     return build_metric(catalog.doubly_covered_polygon(64))
 
 
@@ -60,6 +60,46 @@ def fold_stop_off(monkeypatch):
     precision floor, as they did before the stop.  Request it through
     ``request.getfixturevalue`` to compare a path with and without it."""
     monkeypatch.setattr(solver, "_folds_classify", lambda state: False)
+
+
+@dataclass(frozen=True)
+class LoggedStep:
+    """One ``solver.step`` call: the step from t to t_new, its outcome,
+    and the predictor it used.  ``hermite`` and ``clean`` are the state's
+    before the step, so the entry after a rejection shows whether the
+    path stayed clean."""
+
+    t: float
+    t_new: float
+    accepted: bool
+    iterates: int
+    reason: str
+    hermite: bool
+    clean: bool
+
+
+@pytest.fixture
+def step_log(monkeypatch):
+    """Log every ``solver.step`` call for the rest of the test, as
+    ``LoggedStep`` entries in the list the fixture returns.  It wraps the
+    ``solver.step`` bound when it is set up, so a test that replaces the
+    step first and then asks for the log through
+    ``request.getfixturevalue`` sees its own replacement's results."""
+    log = []
+    inner = solver.step
+
+    def logged(state, t_new):
+        t, hermite, clean = state.t, state.previous is not None, state.clean
+        result = inner(state, t_new)
+        log.append(
+            LoggedStep(
+                t, t_new, result.accepted, result.newton_iters, result.reason, hermite, clean
+            )
+        )
+        return result
+
+    monkeypatch.setattr(solver, "step", logged)
+    return log
 
 
 @dataclass

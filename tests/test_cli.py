@@ -161,7 +161,9 @@ def test_solve_progress_stream(tetra_file, tmp_path):
     records = [json.loads(l) for l in stream.read_text().splitlines()]
     assert records[0]["t"] == 1.0
     assert records[-1]["t"] == pytest.approx(1e-9)
-    assert all({"t", "kappa_inf", "flips_so_far"} <= set(r) for r in records)
+    assert all({"t", "kappa_inf", "flips_so_far", "predictor_residual"} <= set(r) for r in records)
+    assert records[0]["predictor_residual"] is None
+    assert all(r["predictor_residual"] >= 0.0 for r in records[1:])
 
 
 def test_solve_abort_writes_dump(cube_file, tmp_path, capsys):

@@ -218,6 +218,8 @@ def test_face_pyramids_match_the_one_shot_kernel_along_solve_paths(monkeypatch):
         catalog.doubly_covered_triangle(3.0, 4.0, 5.0),
         catalog.doubly_covered_polygon(8),
         catalog.doubly_covered_polygon(24),
+        catalog.doubly_covered_polygon(32),
+        catalog.doubly_covered_polygon(48),
     ] + [hull.random_sphere_development(n, seed=1)[0] for n in (20, 40, 160)]
     calls = []
     solve = kernels.face_pyramids

@@ -69,8 +69,8 @@ def _pyramids(rng, n, alt2_rel):
 @pytest.fixture(scope="module")
 def flat_batches():
     """Every solve_pyramids input with a flagged row along the solves of
-    the doubly covered 3-4-5 triangle and 4-, 6-, 8-, 10-, 12-, 16- and
-    24-gons."""
+    the doubly covered 3-4-5 triangle and 4-, 6-, 8-, 10-, 12-, 16-, 24-,
+    32- and 48-gons."""
     batches = []
     original = polytope.solve_pyramids
 
@@ -84,7 +84,7 @@ def flat_batches():
         mp.setattr(polytope, "solve_pyramids", record)
         mp.setattr(solver, "solve_pyramids", record)
         devs = [catalog.doubly_covered_triangle(3.0, 4.0, 5.0)]
-        devs += [catalog.doubly_covered_polygon(n) for n in (4, 6, 8, 10, 12, 16, 24)]
+        devs += [catalog.doubly_covered_polygon(n) for n in (4, 6, 8, 10, 12, 16, 24, 32, 48)]
         for dev in devs:
             solve_path(build_metric(dev), SolverOptions(max_steps=250))
     return batches

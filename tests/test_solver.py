@@ -24,7 +24,7 @@ from polyforge.solver import (
     step,
 )
 from polyforge.surface import build_metric
-from polyforge.triangulation import CornerMesh, badness_scan
+from polyforge.triangulation import CornerMesh, badness_scan, weighted_delaunay
 
 
 def test_options_validate_stopping_point():
@@ -176,9 +176,60 @@ def test_progress_callback_sees_every_record(tetra_metric):
         tetra_metric, SolverOptions(progress=lambda state: seen.append(state.records[-1]))
     )
     assert seen == result.state.records
-    assert {"t", "kappa_inf", "flips_so_far", "newton_iters", "cond"} <= set(
-        seen[0]
+    keys = {"t", "kappa_inf", "flips_so_far", "newton_iters", "cond", "predictor_residual"}
+    assert all(set(rec) == keys for rec in seen)
+
+
+def test_records_carry_the_predictor_residual(cube_metric):
+    # Each record after the first keeps its step's predictor residual in
+    # units of the Newton tolerance: the first iterate's |kappa - t kappa(1)|
+    # at the predicted radii, after their flips.
+    states = []
+    result = solve_path(
+        cube_metric, SolverOptions(progress=lambda state: states.append(copy.deepcopy(state)))
     )
+    recs = result.state.records
+    assert recs[0]["predictor_residual"] is None
+    assert len(states) == len(recs) >= 10
+    for before, rec in zip(states, recs[1:]):
+        tangent = before.factor.solve(before.kappa1)
+        if before.previous is None:
+            r = before.r - (before.t - rec["t"]) * tangent
+        else:
+            r = solver._hermite(*before.previous, before.t, before.r, tangent, rec["t"])
+        mesh = before.mesh.copy()
+        weighted_delaunay(mesh, r * r)
+        residual = GeneralizedPolytope(mesh, r).kappa - rec["t"] * before.kappa1
+        tol = max(before.newton_tol, solver._kappa_floor(before.factor.norm_inf, r))
+        assert rec["predictor_residual"] == float(np.abs(residual).max()) / tol
+        assert (rec["newton_iters"] == 1) == (rec["predictor_residual"] <= 1.0)
+
+
+def test_next_step_follows_from_the_predictor_residual(tetra_path, cube_path):
+    # On a clean path without rejections, each step is the last one scaled
+    # by (RESIDUAL_TARGET / rho0)^(1/p) within DT_RATIO, p = 2 after the
+    # first (Euler) step and 4 after Hermite ones, and capped at
+    # DT_CAP_CLEAN of t; the first state at or below T_JUMP jumps.
+    lo, hi = solver.DT_RATIO
+    for run in (tetra_path, cube_path):
+        state = run.result.state
+        assert state.steps_rejected == 0
+        recs = state.records
+        ts = [rec["t"] for rec in recs]
+        ratios = []
+        for k in range(1, len(recs) - 1):
+            rho0 = recs[k]["predictor_residual"]
+            p = 2 if k == 1 else 4
+            ratio = min(hi, max(lo, (solver.RESIDUAL_TARGET / rho0) ** (1.0 / p)))
+            dt = min((ts[k - 1] - ts[k]) * ratio, solver.DT_CAP_CLEAN * ts[k])
+            if ts[k] <= solver.T_JUMP:
+                assert ts[k + 1] == SolverOptions().kappa_stop
+                assert k == len(recs) - 2
+            else:
+                assert ts[k + 1] == pytest.approx(ts[k] - dt, rel=1e-12)
+            ratios.append(ratio)
+        # the residual both shrinks and stretches steps on these paths
+        assert min(ratios) < 1.0 and max(ratios) == hi
 
 
 def test_observer_sampling_matches_steps(tetra_path):
@@ -362,6 +413,35 @@ def test_regular_polygons_flip_no_cocircular_edge(dev, flips):
     assert (state.flips, state.events) == (flips, [])
 
 
+@pytest.mark.parametrize(
+    "make, steps",
+    [pytest.param(lambda: catalog.doubly_covered_triangle(3.0, 4.0, 5.0), (21, 1), id="doubled-345")]
+    + [
+        pytest.param(lambda n=n: catalog.doubly_covered_polygon(n), steps, id=f"doubled-{n}")
+        for n, steps in (
+            (4, (18, 1)), (6, (17, 1)), (8, (17, 1)), (10, (17, 1)), (12, (17, 1)),
+            (16, (16, 1)), (20, (16, 1)), (24, (16, 1)), (32, (22, 2)), (48, (21, 2)),
+            (64, (14, 1)),
+        )
+    ]
+    + [
+        pytest.param(lambda axes=axes: thin_hull(40, axes, seed=[3, 40])[0], steps, id=name)
+        for name, axes, steps in (
+            ("cigar-1-1-20", (1.0, 1.0, 20.0), (101, 9)),
+            ("disc-100-1", (100.0, 100.0, 1.0), (165, 12)),
+            ("disc-1000-1", (1000.0, 1000.0, 1.0), (291, 19)),
+        )
+    ],
+)
+def test_step_attempts_per_path(make, steps):
+    # (accepted, rejected) steps.  The flat paths stay clean, rejecting only
+    # their jump and, on the 32- and 48-gons, one wide step; the thin hulls
+    # reject their first step, so their unclean paths keep the steps grown
+    # by iterate counts.
+    state = solve_path(build_metric(make())).state
+    assert (state.steps_accepted, state.steps_rejected) == steps
+
+
 def test_vertex_count_survives_the_start_flips():
     # A mesh stores its vertex count once; a flip rewires faces but keeps
     # every vertex label.
@@ -489,9 +569,9 @@ def test_clean_path_jumps_to_kappa_stop(name, request):
 
 
 def test_flat_endgame_solves_with_lu(polygon64_metric, monkeypatch):
-    # The doubled 64-gon's path enters the endgame; Newton keeps solving
-    # with the LU factor there, which off the two collapsing directions
-    # (the in-plane apex translations) agrees with a truncated SVD solve.
+    # The doubled 64-gon's path ends in the endgame, where Newton would
+    # keep solving with the LU factor; off the two collapsing directions
+    # (the in-plane apex translations) it agrees with a truncated SVD solve.
     endgame = []  # (factor, J) of every accepted state failing RCOND_MIN
 
     def collect(state):
@@ -546,9 +626,12 @@ def test_singular_jacobian_rejects_in_endgame(polygon64_metric, monkeypatch):
     # LU solve would be inf or NaN
     state = _endgame_state(polygon64_metric)
     t = state.t
-    # a step whose honest corrector takes a second iterate, so that the
-    # zeroed J below is assembled inside Newton (a 0.9 t step converges at
-    # its first iterate and assembles no J before acceptance)
+    # A step whose honest corrector takes a second iterate, so that the
+    # zeroed J below is assembled inside Newton.  From this state every
+    # Hermite step that is accepted converges at its first iterate and
+    # assembles no J before acceptance, so the step predicts by Euler, as
+    # an unclean path would.
+    state.previous = None
     t_new = 0.75 * t
     assert step(copy.deepcopy(state), t_new).newton_iters >= 2
     calls = []
@@ -611,69 +694,112 @@ def test_unusable_jacobian_at_acceptance(cube_metric, monkeypatch):
     assert result.reason.endswith("no Jacobian available at the current state")
 
 
-def test_rejected_jump_falls_back_to_halving(cube_metric, monkeypatch):
+def test_rejected_jump_falls_back_to_halving(cube_metric, monkeypatch, request):
+    # A rejected jump halves its step, as any rejection does, but leaves
+    # the path clean: it keeps the Hermite predictor and its wide steps,
+    # and does not try kappa_stop again before a step would pass it.
     t_stop = SolverOptions().kappa_stop
     honest = solver.step
-    attempts = []  # (t, t_new, rejected so far)
 
     def reject_first_jump(state, t_new):
-        attempts.append((state.t, t_new, state.steps_rejected))
         if t_new == t_stop and state.steps_rejected == 0:
             return solver._reject(state, "forced rejection")
         return honest(state, t_new)
 
     monkeypatch.setattr(solver, "step", reject_first_jump)
+    log = request.getfixturevalue("step_log")
     state = solve_path(cube_metric).state
     assert state.steps_rejected == 1
     assert state.t == t_stop
-    jump = next(k for k, (_, _, rejected) in enumerate(attempts) if rejected)
-    t_jump, t_new, _ = attempts[jump - 1]
-    assert t_new == t_stop and t_jump <= solver.T_JUMP
-    after = attempts[jump:]
-    assert len(after) > 10
-    # kappa_stop is tried once more, when halving comes within a factor 2
-    # of it; every attempt before that at most halves t
-    assert [t_new for _, t_new, _ in after].count(t_stop) == 1
-    t_last, t_new_last, _ = after[-1]
-    assert t_new_last == t_stop and t_last < 2.0 * t_stop
-    for t, t_new, _ in after[:-1]:
-        assert 0.5 * t <= t_new < t
+    k = next(k for k, s in enumerate(log) if not s.accepted)
+    jump = log[k]
+    assert (jump.t_new, jump.reason) == (t_stop, "forced rejection")
+    assert jump.t <= solver.T_JUMP < log[k - 1].t
+    assert jump.hermite and jump.clean
+    assert all(s.accepted for s in log[:k])
+    after = log[k + 1 :]
+    assert len(after) >= 5
+    assert after[0].t == jump.t
+    assert after[0].t_new == jump.t - 0.5 * (jump.t - t_stop)
+    assert all(s.accepted and s.hermite and s.clean for s in after)
+    # t still falls by up to 4x per step: the jump leaves the cap alone
+    assert any(s.t_new < 0.5 * s.t for s in after)
+    assert all(s.t_new >= (1.0 - solver.DT_CAP_CLEAN) * s.t for s in after)
+    assert [s.t_new for s in after].count(t_stop) == 1
+    assert after[-1].t_new == t_stop
 
 
-def test_flat_limit_jumps_at_most_once(monkeypatch):
+def test_flat_limit_jumps_at_most_once(request):
     # The doubled 24-gon reaches T_JUMP without a rejection, so it tries
-    # the jump to kappa_stop once; the attempt is rejected, but the path
-    # stays clean and keeps the Hermite predictor after it.  It rejects
-    # once more before its folds classify.
+    # the jump to kappa_stop once; the attempt is rejected, and the path
+    # stays clean, with the Hermite predictor and steps that cut t by up
+    # to 4x, until its folds classify.
     metric = build_metric(catalog.doubly_covered_polygon(24))
     untraced = solve_path(metric).state
-    honest = solver.step
-    steps = []  # (t, t_new, Hermite predictor, clean after the step, accepted)
-
-    def traced(state, t_new):
-        t, hermite = state.t, state.previous is not None
-        result = honest(state, t_new)
-        steps.append((t, t_new, hermite, state.clean, result.accepted))
-        return result
-
-    monkeypatch.setattr(solver, "step", traced)
+    log = request.getfixturevalue("step_log")
     state = solve_path(metric).state
     assert state.records == untraced.records
-    # every step but a jump at most halves t
-    jumps = [k for k, (t, t_new, *_) in enumerate(steps) if t_new < 0.5 * t]
+    t_stop = SolverOptions().kappa_stop
+    jumps = [k for k, s in enumerate(log) if s.t_new == t_stop]
     assert len(jumps) == 1
     k = jumps[0]
-    t, t_new, hermite, clean, accepted = steps[k]
-    assert t_new == SolverOptions().kappa_stop and t <= solver.T_JUMP
-    assert hermite and clean and not accepted
-    assert all(accepted for *_, accepted in steps[:k])
-    assert steps[k + 1][2:] == (True, True, True)
-    # later rejections return the path to Euler steps for good
-    first = next(j for j in range(k + 1, len(steps)) if not steps[j][4])
-    assert steps[first + 1 :]
-    assert not any(hermite or clean for _, _, hermite, clean, _ in steps[first + 1 :])
+    jump = log[k]
+    assert jump.t <= solver.T_JUMP < log[k - 1].t
+    assert jump.hermite and jump.clean and not jump.accepted
+    assert all(s.accepted for s in log[:k])
+    after = log[k + 1 :]
+    assert after and all(s.accepted and s.hermite and s.clean for s in after)
+    assert any(s.t_new < 0.5 * s.t for s in after)
+    assert state.steps_rejected == 1
     assert state.stop == "folds"
     assert float(np.abs(state.P.kappa).max()) < 1e-4
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_rejected_wide_step_keeps_the_path_clean(n, step_log):
+    # These polygons reject one step that cuts t by more than half, before
+    # their jump.  Like the jump, it leaves the path clean, with its
+    # Hermite predictor; unlike the jump, it caps every later step at
+    # half of t.  The jump is still tried, and rejected.
+    state = solve_path(build_metric(catalog.doubly_covered_polygon(n))).state
+    t_stop = SolverOptions().kappa_stop
+    rejected = [k for k, s in enumerate(step_log) if not s.accepted]
+    assert len(rejected) == 2
+    k, j = rejected
+    wide, jump = step_log[k], step_log[j]
+    assert wide.t_new < 0.5 * wide.t and wide.t_new != t_stop
+    assert wide.hermite and wide.clean
+    assert jump.t_new == t_stop and jump.t <= solver.T_JUMP
+    later = step_log[k + 1 :]
+    assert all(s.hermite and s.clean for s in later)
+    assert all(s.t_new >= 0.5 * s.t for s in later if s is not jump)
+    assert state.stop == "folds"
+
+
+def test_narrow_rejection_ends_the_clean_path(step_log):
+    # The 1:1:20 cigar's first step, 1/64 below t = 1, finds no pyramid.
+    # A rejected step no wider than half of t ends the clean path: it
+    # predicts by Euler steps for good, never tries the jump, caps steps at
+    # half of t and grows dt by GROWTH after a step of at most 3 iterates.
+    dev, _, _ = thin_hull(40, (1.0, 1.0, 20.0), seed=[3, 40])
+    state = solve_path(build_metric(dev)).state
+    assert state.stop == "kappa_stop"
+    first = step_log[0]
+    assert (first.t, first.t_new, first.accepted) == (1.0, 1.0 - solver.DT_INIT, False)
+    assert first.reason.startswith("PyramidError: no apex pyramid")
+    assert first.hermite is False and first.clean is True
+    assert all(not s.hermite and not s.clean for s in step_log[1:])
+    # today's rule, replayed over the log
+    t_stop = SolverOptions().kappa_stop
+    dt = 0.5 * solver.DT_INIT
+    for s in step_log[1:]:
+        dt_eff = min(dt, solver.DT_CAP * s.t)
+        assert s.t_new == max(s.t - dt_eff, t_stop)
+        if not s.accepted:
+            dt = 0.5 * dt_eff
+        elif s.iterates <= 3:
+            dt *= solver.GROWTH
+    assert sum(not s.accepted for s in step_log) == state.steps_rejected
 
 
 def test_hermite_predicts_closer_than_euler(cube_metric, monkeypatch):
@@ -702,10 +828,14 @@ def test_hermite_predicts_closer_than_euler(cube_metric, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, bound", [("tetrahedron", 65), ("cube", 55), ("hull640", 45)]
+    "name, bound",
+    [("tetrahedron", 44), ("cube", 37), ("hull640", 28)],
+    ids=["tetrahedron", "cube", "hull640"],
 )
 def test_newton_iterates_per_path(name, bound, tetra_path, cube_path):
-    # Euler predictors took 108, 83 and 59 iterates on these paths
+    # 42, 35 and 26 iterates today.  Euler predictors with steps grown by
+    # iterate counts took 108, 83 and 59; the Hermite predictor with those
+    # steps 53, 45 and 38.
     if name == "hull640":
         dev, _, _ = hull.random_sphere_development(640, seed=[1, 640])
         state = solve_path(build_metric(dev)).state
