@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.spatial import ConvexHull
 
 from . import jacobian, kernels
 from .errors import EmbedError
@@ -159,9 +160,8 @@ def place_faces(P, merge_coplanar=False):
 
     merged = None
     if merge_coplanar:
-        coplanar = np.argwhere(np.abs(math.pi - theta) <= MERGE_TOL)
         merged = []
-        for region in merge_regions(mesh, coplanar):
+        for region in merge_regions(mesh, np.abs(math.pi - theta) <= MERGE_TOL):
             if len(region.cycles) != 1:
                 raise EmbedError("merged face is not a disk")
             cycle = region.cycles[0]
@@ -287,16 +287,21 @@ def _unfold(mesh, theta):
 
 def _check_sheets(mesh, pos, fold):
     """Raise EmbedError unless every sheet of a flat layout keeps one
-    orientation.  The sheets are the regions joined across the slots
-    not in ``fold``; face 0 lies in the z = 0 plane, so the z component
-    of a face's edge cross product is its signed area in that plane."""
+    orientation.  The sheets are the components of the faces joined
+    across the slots not in ``fold``; face 0 lies in the z = 0 plane, so
+    the z component of a face's edge cross product is its signed area in
+    that plane.  The message names the smallest face of the first sheet,
+    in order of smallest face, whose areas take both signs."""
     area = np.cross(pos[:, 1] - pos[:, 0], pos[:, 2] - pos[:, 0])[:, 2]
-    for region in merge_regions(mesh, np.argwhere(~fold)):
-        sheet = area[list(region.faces)]
-        if (sheet > 0.0).any() and (sheet < 0.0).any():
-            raise EmbedError(
-                f"flat layout folds the sheet of face {region.faces[0]} over"
-            )
+    slots = np.flatnonzero(~fold)
+    sheet = kernels.components(mesh.n_faces, slots // 3, mesh.cached(twin_slots)[slots] // 3)
+    n = int(sheet.max()) + 1
+    folded = (np.bincount(sheet[area > 0.0], minlength=n) > 0) & (
+        np.bincount(sheet[area < 0.0], minlength=n) > 0
+    )
+    if folded.any():
+        face = int(np.argmax(sheet == np.argmax(folded)))
+        raise EmbedError(f"flat layout folds the sheet of face {face} over")
 
 
 def _closure_spread(points, labels):
@@ -536,17 +541,19 @@ def apex_boundary_distance(embedded: EmbeddedPolytope, apex):
     skipping faces of zero area.  For flat ones: the in-plane distance to
     the polygon's boundary.
 
-    The face normals' norms and dot products are stacked (1, 3) @ (3, 1)
-    products, which give the bits of ``np.linalg.norm`` and ``@`` on single
-    3-vectors; an einsum or a row sum need not.
+    The face normals' norms and dot products are ``_rows_dot``'s, which
+    give the bits of ``np.linalg.norm`` and ``@`` on single 3-vectors; an
+    einsum or a row sum need not.  The polygon is the convex hull of the
+    vertices in the body's plane, from Qhull, whose 2-D hull vertices come
+    counterclockwise.
     """
     verts = embedded.vertices
     a = np.asarray(apex, dtype=float)
     if not embedded.degenerate:
         vi, vj, vk = np.moveaxis(verts[np.array(embedded.faces)], 1, 0)
         nv = np.cross(vj - vi, vk - vi)
-        norm = np.sqrt((nv[:, None, :] @ nv[:, :, None])[:, 0, 0])
-        height = np.abs(((a - vi)[:, None, :] @ nv[:, :, None])[:, 0, 0])
+        norm = np.sqrt(_rows_dot(nv, nv))
+        height = np.abs(_rows_dot(a - vi, nv))
         keep = norm != 0.0
         return float((height[keep] / norm[keep]).min(initial=np.inf))
     centered = verts - verts.mean(axis=0)
@@ -554,7 +561,7 @@ def apex_boundary_distance(embedded: EmbeddedPolytope, apex):
     plane = vt[:2]
     p2 = centered @ plane.T
     a2 = (a - verts.mean(axis=0)) @ plane.T
-    hull = _planar_hull(p2)
+    hull = ConvexHull(p2).vertices
     best = np.inf
     for idx in range(len(hull)):
         p, q = p2[hull[idx]], p2[hull[(idx + 1) % len(hull)]]
@@ -562,29 +569,6 @@ def apex_boundary_distance(embedded: EmbeddedPolytope, apex):
         t = float(np.clip((a2 - p) @ e / (e @ e), 0.0, 1.0))
         best = min(best, float(np.linalg.norm(a2 - (p + t * e))))
     return best
-
-
-def _planar_hull(p2):
-    """Indices of the convex hull, counterclockwise (monotone chain)."""
-    order = sorted(range(len(p2)), key=lambda i: (p2[i, 0], p2[i, 1]))
-
-    def build(seq):
-        out = []
-        for i in seq:
-            while len(out) >= 2:
-                o, b = p2[out[-2]], p2[out[-1]]
-                if (b[0] - o[0]) * (p2[i, 1] - o[1]) - (b[1] - o[1]) * (
-                    p2[i, 0] - o[0]
-                ) <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(i)
-        return out
-
-    lower = build(order)
-    upper = build(reversed(order))
-    return lower[:-1] + upper[:-1]
 
 
 def as_obj(embedded: EmbeddedPolytope, merged=False):

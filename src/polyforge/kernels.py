@@ -340,3 +340,33 @@ def scatter_add(size, index, vals):
     ``index[m]``; duplicates are summed in input order, as ``np.add.at``
     sums them."""
     return np.bincount(index, weights=vals, minlength=size)
+
+
+def components(n, a, b):
+    """Connected-component label of each node 0..n-1 of the graph with
+    the edges a[m] -- b[m], components numbered in order of their
+    smallest node.
+
+    Hooking and pointer jumping (Shiloach & Vishkin, An O(log n)
+    parallel connectivity algorithm, 1982).  Every node points at a
+    smaller or equal node of its component, at first itself.  A round
+    hooks the larger root of every edge whose roots differ onto the
+    smaller one, then points every node straight at its root.  A
+    component's smallest node points at itself throughout, so it is the
+    root of its component once no edge is split.  Each round hooks at
+    least one root away; the corner gluings of the random hulls n = 160
+    to 640 take 2 rounds."""
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            break
+        ra, rb = ra[split], rb[split]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    return np.unique(root, return_inverse=True)[1]

@@ -116,15 +116,15 @@ _REJECTABLE = (
 # RCOND_MIN.  The thin hulls of the tests (a 1:1:20 cigar and 100:1 and
 # 1000:1 discs at n = 40) do take steps from endgame states on their way
 # there.  The random hulls n = 2560 and 10240 (seed [1, n]) land their
-# jump at a state already below the floor, so they stop for "floor" at
-# t = kappa_stop (see ``_at_floor``).  A flat limit's jump attempt is
-# rejected, and it steps on until its folds classify.  Of the doubly
-# covered 3- to 64-gons, only the 56-gon steps from an endgame state
-# before that; the 64-gon's last state is its first in the endgame.  Run
-# on past that stop (the fold stop switched off), all but the 40-gon
-# reach the floor, most of them after a step from an endgame state; the
-# 40-gon's step size underflows at t = 1.1e-6 once a narrow rejection
-# turns it to Euler steps.
+# jump at a state already below the floor; the floor is asked only above
+# kappa_stop, so they stop for "kappa_stop" (see ``_at_floor``).  A flat
+# limit's jump attempt is rejected, and it steps on until its folds
+# classify.  Of the doubly covered 3- to 64-gons, only the 56-gon steps
+# from an endgame state before that; the 64-gon's last state is its
+# first in the endgame.  Run on past that stop (the fold stop switched
+# off), all but the 40-gon reach the floor, most of them after a step
+# from an endgame state; the 40-gon's step size underflows at t = 1.1e-6
+# once a narrow rejection turns it to Euler steps.
 FLOOR_C = 64.0
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -548,7 +548,7 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
             if _folds_classify(state):
                 state.stop = "folds"
                 break
-            if _at_floor(state):
+            if state.t > t_stop and _at_floor(state):
                 state.stop = "floor"
                 break
             if state.clean:
@@ -597,11 +597,12 @@ def _folds_classify(state):
 
 def _at_floor(state):
     """True when the state's curvature is below what double-precision
-    radii can express; ``solve_path`` asks at each accepted state and
-    stops there.  A large hull whose jump to kappa_stop were rejected
-    would step on down to it.  The random hull n = 2560 (seed [1, 2560])
-    lands its jump, from t = 8.2e-4 after 8 steps, at a state already
-    below the floor, so it stops for "floor" at t = kappa_stop.  Flat
+    radii can express; ``solve_path`` asks at each accepted state above
+    kappa_stop and stops there.  A large hull whose jump to kappa_stop
+    were rejected would step on down to it.  The random hull n = 2560
+    (seed [1, 2560]) lands its jump, from t = 8.2e-4 after 8 steps, at a
+    state already below the floor; it is not asked there, so the path
+    ends for "kappa_stop", the end it reached.  Flat
     limits reach the floor too, where the row norms of the curvature
     Jacobian blow up, but only when run on past the state where their
     folds classify, at which ``solve_path`` stops first.  A state

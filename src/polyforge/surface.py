@@ -196,40 +196,27 @@ def parse_development(text: str) -> Development:
     return Development(sides=sides, gluings=tuple(pairs))
 
 
+def gluing_arrays(gluings):
+    """The gluings ((t, s), (t2, s2)) as four int arrays t, s, t2, s2."""
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(gluings))
+    return np.fromiter(flat, dtype=np.int64, count=4 * len(gluings)).reshape(-1, 4).T
+
+
 def _glue_corners(nf, gluings):
     """Vertex label of each corner 3 t + c: the gluing classes of the
-    corners, numbered in order of their smallest member.
+    corners, numbered in order of their smallest member
+    (``kernels.components``).
 
     Each gluing joins two pairs of corners: side s runs corner (s+1) ->
     (s+2), and its glued partner runs the same segment backwards, so
-    heads match tails.  Every corner points at a smaller or equal corner
-    of its class, at first itself.  A round hooks the larger root of
-    every pair whose roots differ onto the smaller one, then points
-    every corner straight at its root.  A class's smallest corner points
-    at itself throughout, so it is the root of its class once no pair is
-    split.  Each round hooks at least one root away; the random hulls
-    n = 160 to 640 take 2 rounds.  The labels are those of a per-corner
-    union-find that keeps the smallest member as representative, which
-    took 0.58, 1.23 and 2.62 ms at n = 160, 320 and 640 against 0.21,
-    0.38 and 0.69 ms here (best of 150 on a 2-vCPU Xeon host)."""
-    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(gluings))
-    t, s, t2, s2 = np.fromiter(flat, dtype=np.int64, count=4 * len(gluings)).reshape(-1, 4).T
+    heads match tails.  A per-corner union-find that keeps the smallest
+    member as representative gives the same labels; it took 0.58, 1.23
+    and 2.62 ms at n = 160, 320 and 640 against 0.21, 0.38 and 0.69 ms
+    for the array passes (best of 150 on a 2-vCPU Xeon host)."""
+    t, s, t2, s2 = gluing_arrays(gluings)
     a = np.concatenate([3 * t + (s + 1) % 3, 3 * t + (s + 2) % 3])
     b = np.concatenate([3 * t2 + (s2 + 2) % 3, 3 * t2 + (s2 + 1) % 3])
-    root = np.arange(3 * nf)
-    while True:
-        ra, rb = root[a], root[b]
-        split = ra != rb
-        if not split.any():
-            break
-        ra, rb = ra[split], rb[split]
-        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
-    return np.unique(root, return_inverse=True)[1]
+    return kernels.components(3 * nf, a, b)
 
 
 def build_metric(dev: Development) -> PolyhedralMetric:

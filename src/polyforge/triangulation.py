@@ -52,7 +52,7 @@ import numpy as np
 from . import kernels
 from .errors import FlipError, InadmissibleWeightsError, TriangleError
 from .kernels import _NEXT, _NEXT2
-from .surface import PolyhedralMetric
+from .surface import PolyhedralMetric, gluing_arrays
 
 # An edge is bad when its badness exceeds BAD_TOL * max(1, |q|_inf).
 BAD_TOL = 1e-10
@@ -82,9 +82,9 @@ class CornerMesh:
         nf = dev.n_faces
         adj_face = np.full((nf, 3), -1, dtype=np.int64)
         adj_side = np.full((nf, 3), -1, dtype=np.int64)
-        for (t, s), (t2, s2) in dev.gluings:
-            adj_face[t, s], adj_side[t, s] = t2, s2
-            adj_face[t2, s2], adj_side[t2, s2] = t, s
+        t, s, t2, s2 = gluing_arrays(dev.gluings)
+        adj_face[t, s], adj_side[t, s] = t2, s2
+        adj_face[t2, s2], adj_side[t2, s2] = t, s
         return cls(metric.corner_vertex.copy(), dev.sides.copy(), adj_face, adj_side)
 
     def copy(self) -> "CornerMesh":
@@ -359,56 +359,26 @@ class Region:
     cycles: tuple  # boundary cycles, each a tuple of directed slots (f, s)
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 whose representative is the smallest
-    member."""
+def merge_regions(mesh, flat):
+    """Join faces across the edge slots set in the (F, 3) boolean mask
+    ``flat`` and walk the regions' boundaries.
 
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            # Keep the smaller index as representative, so merged
-            # regions come out in first-appearance order.
-            if rj < ri:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
-
-
-def merge_regions(mesh, flat_slots):
-    """Union faces across the given edge slots and walk region boundaries.
-
-    ``flat_slots`` may contain either or both slots of an edge.  Returns
-    a list of Region in deterministic order.  Boundary cycles keep the
-    region on their left.
+    The mask may set either or both slots of an edge.  Returns a list of
+    Region, one per component of ``kernels.components``, in order of
+    their smallest face.  Boundary cycles keep the region on their left.
     """
-    flat = np.zeros((mesh.n_faces, 3), dtype=bool)
-    for f, s in flat_slots:
-        flat[f, s] = True
-        g, s2 = mesh.neighbor(f, s)
-        flat[g, s2] = True
+    twin = mesh.cached(twin_slots)
+    flat = np.asarray(flat, dtype=bool).ravel()
+    flat = flat | flat[twin]
+    slots = np.flatnonzero(flat)
+    label = kernels.components(mesh.n_faces, slots // 3, twin[slots] // 3)
+    order = np.argsort(label, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(label)).tolist()
+    members = [order[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
-    uf = UnionFind(mesh.n_faces)
-    for f in range(mesh.n_faces):
-        for s in range(3):
-            if flat[f, s]:
-                uf.union(f, int(mesh.adj_face[f, s]))
-
-    members = {}
-    for f in range(mesh.n_faces):
-        members.setdefault(uf.find(f), []).append(f)
-
+    flat = flat.reshape(-1, 3)
     visited = np.zeros((mesh.n_faces, 3), dtype=bool)
-    cycles_of = {root: [] for root in members}
+    cycles_of = [[] for _ in members]
     for f0 in range(mesh.n_faces):
         for s0 in range(3):
             if flat[f0, s0] or visited[f0, s0]:
@@ -424,12 +394,10 @@ def merge_regions(mesh, flat_slots):
                 while flat[f, t]:
                     g, u = mesh.neighbor(f, t)
                     f, t = g, (u + 1) % 3
-                f, s = f, t
-            cycles_of[uf.find(f0)].append(tuple(cycle))
+                s = t
+            cycles_of[label[f0]].append(tuple(cycle))
 
-    out = []
-    for root in sorted(members):
-        out.append(
-            Region(faces=tuple(sorted(members[root])), cycles=tuple(cycles_of[root]))
-        )
-    return out
+    return [
+        Region(faces=tuple(faces), cycles=tuple(cycles))
+        for faces, cycles in zip(members, cycles_of)
+    ]

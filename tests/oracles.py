@@ -1,5 +1,6 @@
 """Checks and reference formulas that the tests need and the pipeline does
-not: the per-corner union-find gluing of a development, corner-table
+not: a union-find that labels connected components, the per-corner
+gluing of a development by it, corner-table
 invariants, cone angles, the validated construction of
 a generalized polytope, its total height, the dense curvature Jacobian,
 the scalar badness formula, the one-shot edge badness and pyramid
@@ -21,9 +22,10 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from polyforge import kernels
-from polyforge.embed import EmbeddedPolytope, _planar_hull
+from polyforge.embed import EmbeddedPolytope
 from polyforge.errors import InadmissibleWeightsError, PyramidError, TriangleError
 from polyforge.jacobian import BandJacobian, assemble
 from polyforge.kernels import (
@@ -42,7 +44,6 @@ from polyforge.triangulation import (
     BAD_TOL,
     CONVEXITY_TOL,
     CornerMesh,
-    UnionFind,
     _badness,
     _quads,
     badness_scan,
@@ -63,6 +64,36 @@ FLAT_TOL = 1e-9
 # -- meshes --------------------------------------------------------------
 
 
+class UnionFind:
+    """Disjoint sets over 0..n-1 whose representative is the smallest
+    member: the reference for ``kernels.components``."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[i] != root:
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            if rj < ri:
+                ri, rj = rj, ri
+            self.parent[rj] = ri
+
+    def labels(self):
+        """Label of each member, the sets numbered by their smallest
+        member."""
+        roots = [self.find(i) for i in range(len(self.parent))]
+        label_of_root = {r: k for k, r in enumerate(sorted(set(roots)))}
+        return np.array([label_of_root[r] for r in roots], dtype=np.int64)
+
+
 def glued_corner_labels(dev: Development):
     """(F, 3) vertex label per corner from a per-corner union-find over
     the gluings, labels in order of each class's smallest corner 3 t + c:
@@ -73,9 +104,7 @@ def glued_corner_labels(dev: Development):
     for (t, s), (t2, s2) in dev.gluings:
         uf.union(t * 3 + (s + 1) % 3, t2 * 3 + (s2 + 2) % 3)
         uf.union(t * 3 + (s + 2) % 3, t2 * 3 + (s2 + 1) % 3)
-    roots = [uf.find(i) for i in range(3 * nf)]
-    label_of_root = {r: i for i, r in enumerate(sorted(set(roots)))}
-    return np.array([label_of_root[r] for r in roots], dtype=np.int64).reshape(nf, 3)
+    return uf.labels().reshape(nf, 3)
 
 
 def mesh_of(dev: Development) -> CornerMesh:
@@ -519,7 +548,9 @@ def canonical_tesselation(mesh, q):
 
     flat = np.abs(vals) <= FLAT_TOL * scale
     flat_slots = list(zip(f[flat].tolist(), s[flat].tolist()))
-    regions = merge_regions(mesh, flat_slots)
+    mask = np.zeros((mesh.n_faces, 3), dtype=bool)
+    mask[f[flat], s[flat]] = True
+    regions = merge_regions(mesh, mask)
 
     def canonical_cycle(cycle):
         word = []
@@ -653,7 +684,7 @@ def apex_inside(embedded: EmbeddedPolytope, apex, tol=None):
     plane = vt[:2]
     p2 = centered @ plane.T
     a2 = (a - verts.mean(axis=0)) @ plane.T
-    hull = _planar_hull(p2)
+    hull = ConvexHull(p2).vertices
     for idx in range(len(hull)):
         p, q = p2[hull[idx]], p2[hull[(idx + 1) % len(hull)]]
         e = q - p

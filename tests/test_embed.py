@@ -392,7 +392,7 @@ def test_folded_sheet_raises(square_path):
     fold = P.curvature_report().folds()
     pos, _ = embed._unfold(P.mesh, np.where(fold, 0.0, math.pi))
     embed._check_sheets(P.mesh, pos, fold)
-    sheet = next(r.faces for r in merge_regions(P.mesh, np.argwhere(~fold)) if len(r.faces) > 1)
+    sheet = next(r.faces for r in merge_regions(P.mesh, ~fold) if len(r.faces) > 1)
     pos[sheet[0]] = pos[sheet[0], [0, 2, 1]]
     with pytest.raises(EmbedError, match=r"^flat layout folds the sheet"):
         embed._check_sheets(P.mesh, pos, fold)

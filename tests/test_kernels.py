@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from mp_refine import _refine_pyramid
@@ -279,3 +281,37 @@ def test_scatter_add_matches_dense_loop():
     for i, v in zip(index, vals):
         dense[i] += v
     np.testing.assert_allclose(out, dense, atol=1e-14)
+
+
+@st.composite
+def _graphs(draw):
+    """(n, a, b): n <= 60 nodes and up to 80 edges a[m] -- b[m], loops and
+    repeated edges included; nodes on no edge stay isolated."""
+    n = draw(st.integers(0, 60))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=80)) if n else []
+    a = np.array([i for i, _ in edges], dtype=np.int64)
+    b = np.array([j for _, j in edges], dtype=np.int64)
+    return n, a, b
+
+
+def _no_edges(n):
+    return n, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+@example(_no_edges(0))
+@example(_no_edges(7))  # each node its own component: arange(7)
+@example((4, np.array([2, 2, 0]), np.array([2, 2, 0])))  # loops only
+@example((6, np.array([5, 1, 5, 3]), np.array([1, 5, 1, 5])))  # repeated edges, 0, 2, 4 alone
+def test_components_match_union_find(graph):
+    # one label per node, components numbered by their smallest node, as
+    # the per-node union-find that keeps the smallest member labels them
+    n, a, b = graph
+    uf = oracles.UnionFind(n)
+    for i, j in zip(a.tolist(), b.tolist()):
+        uf.union(i, j)
+    got = kernels.components(n, a, b)
+    assert got.shape == (n,)
+    assert np.array_equal(got, uf.labels())

@@ -377,6 +377,23 @@ def test_nondegenerate_paths_never_stop_on_folds(make, request):
     assert np.array_equal(with_stop.embedded.vertices, without.embedded.vertices)
 
 
+def test_floor_is_asked_only_above_kappa_stop(cube_metric, monkeypatch):
+    # a jump that lands exactly at kappa_stop ends the path there, for
+    # "kappa_stop", even on a state already below the floor, as the
+    # random hull n = 2560 (seed [1, 2560]) lands its jump
+    t_stop = SolverOptions().kappa_stop
+    asked = []
+
+    def at_floor(state):
+        asked.append(state.t)
+        return state.t == t_stop
+
+    monkeypatch.setattr(solver, "_at_floor", at_floor)
+    state = solve_path(cube_metric).state
+    assert state.stop == "kappa_stop" and state.t == t_stop
+    assert asked and min(asked) > t_stop
+
+
 def test_abort_carries_state_dump(cube_metric):
     with pytest.raises(SolverAbort) as err:
         solve_path(cube_metric, SolverOptions(max_steps=1))

@@ -500,13 +500,43 @@ def test_merge_regions_boundary_cycles(cube_metric):
     mesh = CornerMesh.from_metric(cube_metric)
     q = np.ones(8)
     (f, s), vals = badness_scan(mesh, q)
-    flat = np.abs(vals) <= 1e-9
-    regions = merge_regions(mesh, zip(f[flat], s[flat]))
+    flat = np.zeros((mesh.n_faces, 3), dtype=bool)
+    flat[f, s] = np.abs(vals) <= 1e-9
+    regions = merge_regions(mesh, flat)
     assert len(regions) == 6
     for reg in regions:
         assert len(reg.faces) == 2  # two triangles per square
         assert len(reg.cycles) == 1
         assert len(reg.cycles[0]) == 4  # square boundary
+
+
+def test_merge_regions_reads_either_slot_of_an_edge():
+    # a random set of edges of a random hull's start mesh, marked by their
+    # canonical slots, by their twins or by both: the same regions, whose
+    # faces are the union-find's classes in order of their smallest face
+    mesh = CornerMesh.from_metric(build_metric(hull.random_sphere_development(40, seed=5)[0]))
+    f, s = mesh.edges()
+    g, s2 = mesh.adj_face[f, s], mesh.adj_side[f, s]
+    rng = np.random.default_rng(5)
+    for share in (0.0, 0.3, 0.6, 0.9, 1.0):
+        pick = rng.random(f.size) < share
+        one, twin = np.zeros((2, mesh.n_faces, 3), dtype=bool)
+        one[f[pick], s[pick]] = True
+        twin[g[pick], s2[pick]] = True
+        regions = merge_regions(mesh, one)
+        assert merge_regions(mesh, twin) == regions
+        assert merge_regions(mesh, one | twin) == regions
+        uf = oracles.UnionFind(mesh.n_faces)
+        for a, b in zip(f[pick].tolist(), g[pick].tolist()):
+            uf.union(a, b)
+        label = uf.labels()
+        assert [r.faces for r in regions] == [
+            tuple(np.flatnonzero(label == k).tolist()) for k in range(label.max() + 1)
+        ]
+        # each boundary slot lies in one cycle of its own face's region
+        walked = [slot for r in regions for c in r.cycles for slot in c]
+        assert sorted(walked) == sorted(zip(*np.nonzero(~(one | twin))))
+        assert all(slot[0] in r.faces for r in regions for c in r.cycles for slot in c)
 
 
 # -- the radius-independent cache -------------------------------------------
