@@ -25,11 +25,7 @@ half-perimeter excesses serve all three of its angles, the six frame
 dihedrals share (3, 6, F) arrays, and their dot products are
 ``np.add.reduce`` over the coordinate axis.  No temporary is larger
 than (3, 6, F).  The operations are those of the one-shot kernel, in its
-operand order, so every double is the one it gives.  The one exception
-is the sign of a NaN: the one-shot kernel forms a shared sum in a
-different operand order for each angle, and an x86 addition of two
-NaNs returns the first.  Such rows have non-finite inputs, so
-they are flagged 0 and never solved.
+operand order, so every double is the one it gives.
 """
 
 from __future__ import annotations
@@ -38,11 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-BACKEND = "numpy"
+from .errors import PyramidError, TriangleError
 
-# Faces whose squared altitude (or base height) falls below this fraction
-# of the squared data scale are flagged for high-precision recomputation.
-REFINE_REL = 1e-8
+BACKEND = "numpy"
 
 # Cyclic successors (k+1)%3 and (k+2)%3: the tail and head corner of side
 # k, and the factor rows of cross-product component k,
@@ -91,11 +85,10 @@ class PyramidBase(NamedTuple):
     triangle laid out with corners P0 = (0, 0), P1 = (l2, 0) and
     P2 = (x2, y2), and the intermediates the apex solve reads off it."""
 
-    y2sq: np.ndarray  # y2^2 as computed; thin bases are flagged by it
+    y2sq: np.ndarray  # y2^2 as computed; a base with y2^2 <= 0 raises
     sq21: np.ndarray  # (2, F): l2^2 and l1^2
     two_l2: np.ndarray
     two_y2: np.ndarray
-    sq_max: np.ndarray  # the row max of ell^2
     pts: np.ndarray  # (3, 4, F): coordinate k of corner i; the apex, i = 3, is 0
 
 
@@ -109,12 +102,11 @@ def pyramid_base(ell):
         x2 = (sq1 + sq2 - sq0) / two_l2
         y2sq = sq1 - x2 * x2
         y2 = np.sqrt(np.maximum(y2sq, 0.0))
-    sq_max = np.maximum(np.maximum(sq0, sq1), sq2)
     pts = np.zeros((3, 4, ell.shape[0]))
     pts[0, 1] = l2
     pts[0, 2] = x2
     pts[1, 2] = y2
-    return PyramidBase(y2sq, np.stack([sq2, sq1]), two_l2, 2.0 * y2, sq_max, pts)
+    return PyramidBase(y2sq, np.stack([sq2, sq1]), two_l2, 2.0 * y2, pts)
 
 
 # Rows of the lateral triangles' sides, stacked (6, F) as the radii
@@ -152,8 +144,8 @@ def face_pyramids(ell, rad, base=None):
     Returns
     -------
     dict of arrays:
-      ok      (F,) int8: 1 solved, 0 needs high-precision refinement,
-              -1 no such pyramid (negative squared altitude or bad base).
+      ok      (F,) bool: the squared altitude is positive, so the pyramid
+              exists; False means it has none.
       alt2    (F,) squared apex altitude over the base plane.
       rho_t   (F, 3) base-edge/apex angle at the tail corner of side s.
       rho_h   (F, 3) same at the head corner.
@@ -161,27 +153,31 @@ def face_pyramids(ell, rad, base=None):
       alpha   (F, 3) dihedral angle along base side s.
       omega   (F, 3) dihedral angle along the apex edge to corner c.
 
-    A face flagged 0 has all of its angle entries unreliable; callers
-    recompute those rows at extended precision.  A face flagged -1 is a
-    certificate that the pyramid does not exist in exact arithmetic *if*
-    the failure margin is resolvable in doubles; margins inside the
-    refinement band are flagged 0 instead.  Inputs that are not finite
-    give NaN rather than warnings.
+    Every row is decided by the sign of its alt2 in doubles.  The
+    construction needs no more: a pyramid's existence is that sign, and
+    near a flat body the dihedrals stay far enough inside
+    ``polytope.FOLD_TOL`` to classify its folds.  The angles of a row
+    without a pyramid are meaningless.  An input that is not finite
+    raises PyramidError, and then a base with y2^2 <= 0 (collinear, or
+    with a zero side) raises TriangleError, before any row is solved;
+    neither warns.  An input above about 1e154, whose square overflows,
+    makes its row dead or its base degenerate.
     """
     ell = np.asarray(ell, dtype=np.float64)
     rad = np.asarray(rad, dtype=np.float64)
     nf = ell.shape[0]
+    sides = np.concatenate((rad.T, ell.T))
+    if not np.isfinite(sides).all():
+        raise PyramidError("non-finite input to the pyramid solve")
     # out[b, s] holds the five angle outputs b (rho_t, rho_h, phi, alpha,
     # omega) of side or corner s, for every face.
     out = np.empty((5, 3, nf))
     with np.errstate(all="ignore"):
         if base is None:
             base = pyramid_base(ell)
-        sides = np.concatenate((rad.T, ell.T))
+        if not (base.y2sq > 0.0).all():
+            raise TriangleError("degenerate base triangle")
         q = sides[:3] * sides[:3]
-        # The largest of the six squared inputs.  max is exact and NaN wins
-        # either way, so the order of the maxima does not matter.
-        scale = np.maximum(base.sq_max, np.maximum.reduce(q))
 
         # Apex from the three squared distances, written into the frame.
         pts = base.pts.copy()
@@ -196,19 +192,7 @@ def face_pyramids(ell, rad, base=None):
         apex_sq = pts[:2, 3] * pts[:2, 3]
         alt2 = q[0] - apex_sq[0]
         alt2 -= apex_sq[1]
-
-        lim = REFINE_REL * scale
-        thin_base = base.y2sq <= lim
-        refine = (alt2 <= lim) | thin_base
-        refine |= np.isnan(alt2)
-        # Clearly impossible in doubles (and the base is healthy enough
-        # that the computed altitude is trustworthy): squared altitude far
-        # below 0.
-        dead = alt2 <= -lim
-        dead &= ~thin_base
-        ok = np.ones(nf, dtype=np.int8)
-        ok[refine] = 0
-        ok[dead] = -1
+        ok = alt2 > 0.0
 
         np.maximum(alt2, 0.0, out=alt)
         np.sqrt(alt, out=alt)

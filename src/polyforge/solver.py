@@ -113,18 +113,15 @@ _REJECTABLE = (
 #
 # Most nondegenerate paths trip neither mechanism: they jump to
 # kappa_stop from t <= T_JUMP, while J is still far from failing
-# RCOND_MIN.  The thin hulls of the tests (a 1:1:20 cigar and 100:1 and
-# 1000:1 discs at n = 40) do take steps from endgame states on their way
-# there.  The random hulls n = 2560 and 10240 (seed [1, n]) land their
-# jump at a state already below the floor; the floor is asked only above
-# kappa_stop, so they stop for "kappa_stop" (see ``_at_floor``).  A flat
-# limit's jump attempt is rejected, and it steps on until its folds
-# classify.  Of the doubly covered 3- to 64-gons, only the 56-gon steps
-# from an endgame state before that; the 64-gon's last state is its
-# first in the endgame.  Run on past that stop (the fold stop switched
-# off), all but the 40-gon reach the floor, most of them after a step
-# from an endgame state; the 40-gon's step size underflows at t = 1.1e-6
-# once a narrow rejection turns it to Euler steps.
+# RCOND_MIN.  Thin hulls may step from endgame states on their way there,
+# and a jump may land at a state already below the floor, which ends for
+# "kappa_stop" since the floor is asked only above it (see
+# ``_at_floor``).  A flat limit's jump attempt is rejected, and it steps
+# on until its folds classify, before the floor.  Run on past that stop
+# (the fold stop switched off), a flat path reaches the floor or aborts
+# with a step-size underflow, a state dump attached: its nearly flat
+# pyramids are solved in doubles, and below the fold stop their noise may
+# keep Newton from converging.
 FLOOR_C = 64.0
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -329,8 +326,7 @@ def _edge_theta(mesh, r, f, s):
     The edges' faces go through one ``solve_pyramids`` call.  The edges
     must share no face, as the flips of one round do.  Every row of the
     batch is what a solve of the edge's two faces alone gives, bit for
-    bit, since the kernel works row by row and the exact refinement gives
-    each flagged row the value it has on its own.
+    bit, since the kernel works row by row.
     """
     g, s2 = mesh.adj_face[f, s], mesh.adj_side[f, s]
     faces = np.concatenate([f, g])
@@ -588,28 +584,25 @@ def _folds_classify(state):
     classify as folds and flat edges (``CurvatureReport.folds``): the
     body is flat, and ``embed.place_faces`` lays it out with exactly 0
     and pi, which depend only on the triangulation and on which edges
-    are folds.  The flat paths of the tests flip no edge, and running
-    them on to the floor gives the same layout bit for bit.  The report
-    is the one the dihedral check made at acceptance, so this solves no
-    pyramid."""
+    are folds.  The flat paths of the tests flip no edge, and those that
+    reach the floor when run on give the same layout there bit for bit.
+    The report is the one the dihedral check made at acceptance, so this
+    solves no pyramid."""
     return state.t <= T_JUMP and state.P.curvature_report().folds() is not None
 
 
 def _at_floor(state):
     """True when the state's curvature is below what double-precision
     radii can express; ``solve_path`` asks at each accepted state above
-    kappa_stop and stops there.  A large hull whose jump to kappa_stop
-    were rejected would step on down to it.  The random hull n = 2560
-    (seed [1, 2560]) lands its jump, from t = 8.2e-4 after 8 steps, at a
-    state already below the floor; it is not asked there, so the path
-    ends for "kappa_stop", the end it reached.  Flat
-    limits reach the floor too, where the row norms of the curvature
-    Jacobian blow up, but only when run on past the state where their
-    folds classify, at which ``solve_path`` stops first.  A state
-    without a usable Jacobian (``factor`` None) has no noise scale and is
-    never at the floor.  A rejected step leaves the state as it was, so
-    the answer there is the False given at its acceptance, and a
-    step-size underflow always aborts."""
+    kappa_stop and stops there.  A path whose jump to kappa_stop were
+    rejected would step on down to it; a jump that lands below it is not
+    asked, so the path ends for "kappa_stop", the end it reached.  Flat
+    limits reach it only when run on past the state where their folds
+    classify, at which ``solve_path`` stops first, and some give out
+    before it.  A state without a usable Jacobian (``factor`` None) has
+    no noise scale and is never at the floor.  A rejected step leaves the
+    state as it was, so the answer there is the False given at its
+    acceptance, and a step-size underflow always aborts."""
     if state.factor is None:
         return False
     floor = _kappa_floor(state.factor.norm_inf, state.r)

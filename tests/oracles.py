@@ -5,6 +5,7 @@ invariants, cone angles, the validated construction of
 a generalized polytope, its total height, the dense curvature Jacobian,
 the scalar badness formula, the one-shot edge badness and pyramid
 kernels that the package splits into a cached half and a per-call half,
+one pyramid solved at 50 digits with mpmath,
 the scalar quad layout and convexity check, the flip loop that flips one
 edge at a time and rechecks every edge, the two-face dihedral of an
 edge, the canonical form of the
@@ -21,6 +22,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 from scipy.spatial import ConvexHull
 
@@ -35,7 +37,6 @@ from polyforge.kernels import (
     _DIH_W2,
     _NEXT,
     _NEXT2,
-    REFINE_REL,
     _angle_opp,
 )
 from polyforge.polytope import solve_pyramids
@@ -174,8 +175,7 @@ def face_pyramids(ell, rad):
     Returns
     -------
     dict of arrays:
-      ok      (F,) int8: 1 solved, 0 needs high-precision refinement,
-              -1 no such pyramid (negative squared altitude or bad base).
+      ok      (F,) bool: the squared altitude is positive (a pyramid).
       alt2    (F,) squared apex altitude over the base plane.
       rho_t   (F, 3) base-edge/apex angle at the tail corner of side s.
       rho_h   (F, 3) same at the head corner.
@@ -183,38 +183,31 @@ def face_pyramids(ell, rad):
       alpha   (F, 3) dihedral angle along base side s.
       omega   (F, 3) dihedral angle along the apex edge to corner c.
 
-    A face flagged 0 has all of its angle entries unreliable; callers
-    recompute those rows at extended precision.  A face flagged -1 is a
-    certificate that the pyramid does not exist in exact arithmetic *if*
-    the failure margin is resolvable in doubles; margins inside the
-    refinement band are flagged 0 instead.
+    An input that is not finite raises PyramidError, and then a base with
+    y2^2 <= 0 raises TriangleError.
     """
     ell = np.asarray(ell, dtype=np.float64)
     rad = np.asarray(rad, dtype=np.float64)
     nf = ell.shape[0]
+    if not (np.isfinite(ell).all() and np.isfinite(rad).all()):
+        raise PyramidError("non-finite input to the pyramid solve")
 
     l0, l1, l2 = ell[:, 0], ell[:, 1], ell[:, 2]
     q0, q1, q2 = rad[:, 0] ** 2, rad[:, 1] ** 2, rad[:, 2] ** 2
-    scale = np.max(np.concatenate([ell * ell, rad * rad], axis=1), axis=1)
 
     # Base triangle in the plane: corners P0=(0,0), P1=(l2,0), P2=(x2,y2).
     with np.errstate(invalid="ignore", divide="ignore"):
         x2 = (l1 * l1 + l2 * l2 - l0 * l0) / (2.0 * l2)
         y2sq = l1 * l1 - x2 * x2
-        y2 = np.sqrt(np.maximum(y2sq, 0.0))
+        if not (y2sq > 0.0).all():
+            raise TriangleError("degenerate base triangle")
+        y2 = np.sqrt(y2sq)
 
         # Apex from the three squared distances.
         xa = (q0 - q1 + l2 * l2) / (2.0 * l2)
         ya = (q0 - q2 + l1 * l1 - 2.0 * xa * x2) / (2.0 * y2)
         alt2 = q0 - xa * xa - ya * ya
-
-    ok = np.ones(nf, dtype=np.int8)
-    thin_base = y2sq <= REFINE_REL * scale
-    low_apex = alt2 <= REFINE_REL * scale
-    ok[np.isnan(alt2) | thin_base | low_apex] = 0
-    # Clearly impossible in doubles (and the base is healthy enough that
-    # the computed altitude is trustworthy): squared altitude far below 0.
-    ok[(alt2 <= -REFINE_REL * scale) & ~thin_base] = -1
+    ok = alt2 > 0.0
 
     alt = np.sqrt(np.maximum(alt2, 0.0))
 
@@ -291,6 +284,104 @@ def edge_badness(l_ij, l_ik, l_jk, l_il, l_jl, q_i, q_j, q_k, q_l):
 
     bad_rows = (yk2 <= 0.0) | (yl2 <= 0.0) | ~np.isfinite(out)
     return np.where(bad_rows, np.nan, out)
+
+
+# -- pyramids at 50 digits -------------------------------------------------
+#
+# The straightforward form of a pyramid solve: every quantity an ``mpf``
+# under ``mp.workdps(50)``, every angle by its own half-angle formula,
+# every dihedral from explicit coordinates.  The double kernel is held to
+# it within stated bounds.
+
+
+def _mp_angle_opp(a, b, c):
+    """The half-angle formula of ``kernels._angle_opp`` at mpmath
+    precision."""
+    sa = (b + c - a) / 2
+    sb = (c + a - b) / 2
+    sc = (a + b - c) / 2
+    s = (a + b + c) / 2
+    if sa <= 0 or sb <= 0 or sc <= 0:
+        raise TriangleError("degenerate triangle in high-precision pyramid solve")
+    return 2 * mp.atan2(mp.sqrt(sb * sc), mp.sqrt(s * sa))
+
+
+def _mp_dihedral(p, q, w1, w2):
+    """Angle between w1 - p and w2 - p after removing the q - p component."""
+
+    def sub(u, v):
+        return [u[0] - v[0], u[1] - v[1], u[2] - v[2]]
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    e = sub(q, p)
+    en = mp.sqrt(dot(e, e))
+    e = [x / en for x in e]
+    out = []
+    for w in (w1, w2):
+        a = sub(w, p)
+        d = dot(a, e)
+        out.append([a[0] - d * e[0], a[1] - d * e[1], a[2] - d * e[2]])
+    a, b = out
+    cx = a[1] * b[2] - a[2] * b[1]
+    cy = a[2] * b[0] - a[0] * b[2]
+    cz = a[0] * b[1] - a[1] * b[0]
+    return mp.atan2(mp.sqrt(cx * cx + cy * cy + cz * cz), dot(a, b))
+
+
+def mp_pyramid(lengths, radii):
+    """One pyramid at 50 digits, from its side lengths and apex distances
+    (three floats each).  Returns a dict of float rows, or None when the
+    squared altitude is non-positive (no pyramid)."""
+    with mp.workdps(50):
+        l0, l1, l2 = (mp.mpf(x) for x in lengths)
+        r0, r1, r2 = (mp.mpf(x) for x in radii)
+        q0, q1, q2 = r0 * r0, r1 * r1, r2 * r2
+        # The base is decided by the exact sign of Heron's product 16
+        # area^2 = 4 L1 L2 - (L1 + L2 - L0)^2 of the squared lengths: a
+        # thin base whose y2^2 rounds to 0 at 169 bits is still a triangle.
+        sq = [mp.fmul(x, x, exact=True) for x in (l0, l1, l2)]
+        d = mp.fsub(mp.fadd(sq[1], sq[2], exact=True), sq[0], exact=True)  # 2 a.b
+        x2 = d / (2 * l2)
+        heron = mp.fsub(4 * mp.fmul(sq[1], sq[2], exact=True), mp.fmul(d, d, exact=True), exact=True)
+        if heron <= 0:
+            raise TriangleError("degenerate base triangle")
+        y2 = mp.sqrt(heron) / (2 * l2)
+        xa = (q0 - q1 + l2 * l2) / (2 * l2)
+        ya = (q0 - q2 + l1 * l1 - 2 * xa * x2) / (2 * y2)
+        alt2 = q0 - xa * xa - ya * ya
+        if alt2 <= 0:
+            return None
+        za = mp.sqrt(alt2)
+
+        ell = [l0, l1, l2]
+        rad = [r0, r1, r2]
+        pts = [
+            [mp.mpf(0), mp.mpf(0), mp.mpf(0)],
+            [l2, mp.mpf(0), mp.mpf(0)],
+            [x2, y2, mp.mpf(0)],
+            [xa, ya, za],
+        ]
+        rho_t, rho_h, phi, alpha, omega = [], [], [], [], []
+        for s in range(3):
+            t, h = (s + 1) % 3, (s + 2) % 3
+            rho_t.append(_mp_angle_opp(rad[h], rad[t], ell[s]))
+            rho_h.append(_mp_angle_opp(rad[t], rad[h], ell[s]))
+            phi.append(_mp_angle_opp(ell[s], rad[t], rad[h]))
+            alpha.append(_mp_dihedral(pts[t], pts[h], pts[s], pts[3]))
+        for c in range(3):
+            u, v = (c + 1) % 3, (c + 2) % 3
+            omega.append(_mp_dihedral(pts[3], pts[c], pts[u], pts[v]))
+
+        return {
+            "alt2": float(alt2),
+            "rho_t": [float(x) for x in rho_t],
+            "rho_h": [float(x) for x in rho_h],
+            "phi": [float(x) for x in phi],
+            "alpha": [float(x) for x in alpha],
+            "omega": [float(x) for x in omega],
+        }
 
 
 # -- generalized polytopes -------------------------------------------------

@@ -1,5 +1,6 @@
 """The batched NumPy kernels against loops, closed forms and a 50-digit
-pyramid solve, on random batches and on crafted degenerate rows."""
+pyramid solve, on random batches, on crafted degenerate rows and on the
+nearly flat rows of flat limits."""
 
 import math
 import warnings
@@ -10,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mp_refine import _refine_pyramid
+from oracles import mp_pyramid
 from polyforge import build_metric, catalog, hull, kernels
-from polyforge.errors import PyramidError
-from polyforge.polytope import GeneralizedPolytope
+from polyforge.errors import PyramidError, TriangleError
+from polyforge.polytope import FOLD_TOL, GeneralizedPolytope
 from polyforge.solver import solve_path
 
 
@@ -75,7 +76,7 @@ def test_face_pyramids_solve_random_pyramids():
     rng = np.random.default_rng(11)
     ell, rad, alt = _pyramid_batch(rng, 400)
     out = kernels.face_pyramids(ell, rad)
-    assert np.all(out["ok"] == 1)
+    assert np.all(out["ok"])
     np.testing.assert_allclose(out["alt2"], alt * alt, rtol=1e-8)
 
 
@@ -84,36 +85,46 @@ def test_face_pyramids_match_high_precision_solve():
     ell, rad, _ = _pyramid_batch(rng, 60)
     out = kernels.face_pyramids(ell, rad)
     for f in range(len(ell)):
-        row = _refine_pyramid(ell[f], rad[f])
+        row = mp_pyramid(ell[f], rad[f])
         assert out["alt2"][f] == pytest.approx(row["alt2"], rel=1e-12)
         for key in ("rho_t", "rho_h", "phi", "alpha", "omega"):
             np.testing.assert_allclose(out[key][f], row[key], rtol=0, atol=1e-12)
 
 
 _CIRC = 1.0 / math.sqrt(3.0)  # circumradius of the unit equilateral base
-_DEGENERATE_ELL = np.array(
-    [
-        [1.0, 1.0, 1.0],  # healthy
-        [1.0, 1.0, 1.0],  # apex grazing the base plane -> refine
-        [1.0, 1.0, 1.0],  # apex strictly below any pyramid -> dead
-        [1.0, 1.0, 2.0],  # collinear base -> refine
-    ]
-)
+_DEGENERATE_ELL = np.ones((4, 3))
 _DEGENERATE_RAD = np.array(
     [
-        [1.0, 1.0, 1.0],
-        [math.sqrt(_CIRC**2 + 1e-10)] * 3,
-        [0.45, 0.45, 0.45],
-        [1.5, 1.5, 1.5],
+        [1.0, 1.0, 1.0],  # healthy
+        [math.sqrt(_CIRC**2 + 1e-10)] * 3,  # apex grazing the base plane
+        [0.45, 0.45, 0.45],  # apex strictly below any pyramid
+        [math.sqrt(_CIRC**2 - 1e-10)] * 3,  # just below the base plane
     ]
 )
 
 
 def test_face_pyramid_flags_on_degenerate_rows():
-    circ = _CIRC
+    # The sign of alt2 in doubles decides every row: alt2 = 1e-10 is a
+    # pyramid, -1e-10 is none.
     out = kernels.face_pyramids(_DEGENERATE_ELL, _DEGENERATE_RAD)
-    assert out["ok"].tolist() == [1, 0, -1, 0]
-    assert out["alt2"][0] == pytest.approx(1.0 - circ**2, rel=1e-12)
+    assert out["ok"].tolist() == [True, True, False, False]
+    assert out["alt2"][0] == pytest.approx(1.0 - _CIRC**2, rel=1e-12)
+    assert out["alt2"][1] == pytest.approx(1e-10, rel=1e-5)
+    assert out["alt2"][3] == pytest.approx(-1e-10, rel=1e-5)
+    # A base with y2^2 <= 0 raises, wherever it sits in the batch: a
+    # collinear base, either way round, and a zero side.
+    for base in ([1.0, 1.0, 2.0], [2.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]):
+        ell = np.concatenate([_DEGENERATE_ELL, [base], _DEGENERATE_ELL])
+        rad = np.concatenate([_DEGENERATE_RAD, [[1.5] * 3], _DEGENERATE_RAD])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TriangleError, match="^degenerate base triangle$"):
+                kernels.face_pyramids(ell, rad)
+    # Thin bases whose y2^2 stays positive in doubles are solved; their
+    # circumradii are of order 1e7, so the apex must stand further off.
+    thin = np.array([[1.0, 1.0, 2.0 - 2.0**-52], [1.0, 0.5, 0.5 + 2.0**-52]])
+    assert np.all(kernels.pyramid_base(thin).y2sq > 0.0)
+    assert np.all(kernels.face_pyramids(thin, np.full((2, 3), 1e10))["ok"])
 
 
 def _quad_batch(rng, n):
@@ -151,25 +162,42 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
 
 
-def _poisoned(rng, x, frac=0.15):
-    """``x`` with a share of its entries replaced by NaNs of both signs,
-    infinities, signed zeros, a negative value and extreme magnitudes."""
-    special = np.array(
-        [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-300, 1e300, 5e-324]
-    )
+_SPECIAL = np.array(
+    [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-300, 1e300, 5e-324]
+)
+
+
+def _poisoned(rng, x, frac=0.15, special=_SPECIAL):
+    """``x`` with a share of its entries replaced by ``special`` values:
+    by default NaNs of both signs, infinities, signed zeros, a negative
+    value and extreme magnitudes."""
     x = x.copy()
     hit = rng.random(x.shape) < frac
     x[hit] = rng.choice(special, hit.sum())
     return x
 
 
+def _outcome(solve, ell, rad):
+    """The arrays a kernel returns, or its exception as (type, text)."""
+    try:
+        return solve(ell, rad)
+    except (PyramidError, TriangleError) as exc:
+        return type(exc), str(exc)
+
+
 def _assert_same_pyramids(ell, rad):
     """The kernel, with and without a kept base, against the one-shot
-    reference: every output bit for bit on every row."""
+    reference: every output bit for bit on every row, or the same error.
+    Returns the reference's outcome."""
     with np.errstate(all="ignore"):
-        want = oracles.face_pyramids(ell, rad)
-    kept = kernels.face_pyramids(ell, rad, kernels.pyramid_base(ell))
-    alone = kernels.face_pyramids(ell, rad)
+        want = _outcome(oracles.face_pyramids, ell, rad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = _outcome(kernels.face_pyramids, ell, rad)
+        kept = _outcome(lambda e, r: kernels.face_pyramids(e, r, kernels.pyramid_base(e)), ell, rad)
+    if isinstance(want, tuple):
+        assert kept == alone == want
+        return want
     assert set(kept) == set(want) == set(alone)
     for key in want:
         assert _same_bits(kept[key], want[key]) and _same_bits(alone[key], want[key]), key
@@ -180,6 +208,9 @@ def test_split_face_pyramids_match_the_one_shot_kernel():
     rng = np.random.default_rng(29)
     ell, rad, _ = _pyramid_batch(rng, 300)
     nan, inf = math.nan, math.inf
+    # rows of thin, tiny and zero sides, and of lengths and radii that are
+    # not finite: each ends the batch in the same error, or in the same
+    # bits, as the reference gives
     odd_ell = np.array(
         [[1.0, 1e-9, 1.0], [1.0, 1.0, 1e-300], [1.0, 1.0, 0.0], [nan, 1.0, 1.0],
          [1.0, inf, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, inf]]
@@ -188,28 +219,27 @@ def test_split_face_pyramids_match_the_one_shot_kernel():
         [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
          [1.0, 1.0, 1.0], [nan, 1.0, 1.0], [1.0, inf, 1.0], [inf, inf, inf]]
     )
-    ell = np.concatenate([ell, _DEGENERATE_ELL, odd_ell])
-    rad = np.concatenate([rad, _DEGENERATE_RAD, odd_rad])
+    ell = np.concatenate([ell, _DEGENERATE_ELL])
+    rad = np.concatenate([rad, _DEGENERATE_RAD])
     want = _assert_same_pyramids(ell, rad)
-    assert {-1, 0, 1} <= set(want["ok"].tolist())
-    # Batches of every size the pipeline meets, with poisoned entries.  The
-    # kernel shares each lateral triangle's sums between its three angles,
-    # which the reference forms in different operand orders; when both
-    # operands are NaNs of opposite sign, the result's sign can differ.
-    # Such rows are never solved (ok 0), so only that sign may differ.
+    assert {False, True} == set(want["ok"].tolist())
+    errors = set()
+    for row in range(len(odd_ell)):
+        got = _assert_same_pyramids(np.vstack([ell, odd_ell[row]]), np.vstack([rad, odd_rad[row]]))
+        errors.add(got[0] if isinstance(got, tuple) else None)
+    assert errors == {None, PyramidError, TriangleError}
+    # Batches of every size the pipeline meets, with poisoned entries:
+    # NaNs of both signs, infinities, signed zeros, a negative value and
+    # extreme magnitudes in the lengths and radii, which mostly raise, and
+    # the finite ones in the radii alone, which never do.
+    finite = np.array([0.0, -0.0, -1.0, 1e-300, 1e300, 5e-324])
+    raised = 0
     for n in rng.integers(1, 100, 40):
         ell, rad, _ = _pyramid_batch(rng, n)
-        ell, rad = _poisoned(rng, ell), _poisoned(rng, rad)
-        with np.errstate(all="ignore"):
-            want = oracles.face_pyramids(ell, rad)
-        got = kernels.face_pyramids(ell, rad)
-        solved = want["ok"] == 1
-        assert _same_bits(got["ok"], want["ok"])
-        for key in want:
-            nan = np.isnan(want[key])
-            assert np.array_equal(np.isnan(got[key]), nan), key
-            assert _same_bits(got[key][~nan], want[key][~nan]), key
-            assert _same_bits(got[key][solved], want[key][solved]), key
+        got = _assert_same_pyramids(_poisoned(rng, ell), _poisoned(rng, rad))
+        raised += isinstance(got, tuple)
+        _assert_same_pyramids(ell, _poisoned(rng, rad, special=finite))
+    assert 0 < raised < 40
 
 
 def test_face_pyramids_match_the_one_shot_kernel_along_solve_paths(monkeypatch):
@@ -235,19 +265,72 @@ def test_face_pyramids_match_the_one_shot_kernel_along_solve_paths(monkeypatch):
         solve_path(build_metric(dev))
     monkeypatch.undo()
     assert len(calls) > 500
-    flagged = 0
+    near_flat = 0
     for ell, rad in calls:
-        flagged += np.count_nonzero(_assert_same_pyramids(ell, rad)["ok"] != 1)
-    assert flagged > 0
+        want = _assert_same_pyramids(ell, rad)
+        near_flat += np.count_nonzero(want["ok"] & (want["alt2"] <= 1e-8 * _scale(ell, rad)))
+    assert near_flat > 1000
+
+
+def _scale(ell, rad):
+    """The largest squared input of each row."""
+    return np.maximum((ell * ell).max(axis=1), (rad * rad).max(axis=1))
+
+
+def test_near_flat_dihedrals_stay_inside_the_fold_tolerance(monkeypatch):
+    # The rows that the flat paths meet with alt2 <= 1e-8 of their squared
+    # scale, where the doubles lose the most: their dihedrals must lie
+    # within ``bound`` of the 50-digit pyramid, a hundredth of FOLD_TOL, so
+    # that the noise cannot move a fold's classification.  They lie within
+    # 1.0e-7 (the 8-gon), 2.2e-8 (the square), 3.1e-9 (the 24-gon) and
+    # 5.2e-10 (the 3-4-5 triangle).
+    bound = FOLD_TOL / 100
+    rows = {}
+    solve = kernels.face_pyramids
+
+    def capture(ell, rad, base=None):
+        out = solve(ell, rad, base)
+        near = out["ok"] & (out["alt2"] <= 1e-8 * _scale(ell, rad))
+        for f in np.flatnonzero(near):
+            rows[tuple(ell[f]) + tuple(rad[f])] = (out["alpha"][f], out["omega"][f])
+        return out
+
+    monkeypatch.setattr(kernels, "face_pyramids", capture)
+    devs = [catalog.doubly_covered_triangle(3.0, 4.0, 5.0)]
+    devs += [catalog.doubly_covered_polygon(n) for n in (4, 8, 24)]
+    for dev in devs:
+        solve_path(build_metric(dev))
+    monkeypatch.undo()
+    assert len(rows) > 250
+    worst = 0.0
+    for key, (alpha, omega) in rows.items():
+        want = mp_pyramid(key[:3], key[3:])
+        worst = max(worst, np.abs(alpha - want["alpha"]).max(), np.abs(omega - want["omega"]).max())
+    assert 0.0 < worst <= bound
 
 
 def test_infinite_radii_flag_the_row_without_warnings():
-    inf = math.inf
+    # An input that is not finite raises before any row is solved, and
+    # without a warning.
+    inf, nan = math.inf, math.nan
+    ones = [1.0, 1.0, 1.0]
+    rows = [
+        (ones, [inf, inf, 1.0]),
+        (ones, [nan, 0.6, 0.6]),
+        ([nan, 1.0, 1.0], [0.6, 0.6, 0.6]),
+        ([nan] * 3, [nan] * 3),
+        (ones, [inf, 0.6, 0.6]),
+        ([inf, 1.0, 1.0], [0.6, 0.6, 0.6]),
+        ([1.0, 1.0, inf], [0.6, 0.6, 0.6]),
+        (ones, [1.0, 1.0, -inf]),
+    ]
     mesh = oracles.mesh_of(catalog.tetrahedron())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert kernels.face_pyramids([[1.0, 1.0, 1.0]], [[inf, inf, 1.0]])["ok"].tolist() == [0]
-        with pytest.raises(PyramidError, match="non-finite"):
+        for ell, rad in rows:
+            with pytest.raises(PyramidError, match="^non-finite input"):
+                kernels.face_pyramids(np.array([ones, ell]), np.array([[0.6] * 3, rad]))
+        with pytest.raises(PyramidError, match="^non-finite input"):
             GeneralizedPolytope(mesh, [inf, inf, 1.0, 1.0])
 
 

@@ -53,8 +53,8 @@ def test_cli_does_not_load_sparse_linalg():
 
 
 def test_cli_does_not_load_mpmath():
-    # The refinement of nearly flat pyramids works in Python integers;
-    # mpmath serves only the test oracle.
+    # Every pyramid is solved in doubles; mpmath serves only the test
+    # oracle.
     probe = "import sys, polyforge.cli; print('mpmath' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", probe],

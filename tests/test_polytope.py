@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mesh_of, total_height, validate_polytope, weights
+from oracles import mesh_of, mp_pyramid, total_height, validate_polytope, weights
 from polyforge import catalog, kernels
 from polyforge.errors import PyramidError
-from polyforge.polytope import GeneralizedPolytope, solve_pyramids
+from polyforge.polytope import FOLD_TOL, GeneralizedPolytope, solve_pyramids
 from polyforge.solver import start_state
 from polyforge.triangulation import CornerMesh
 
@@ -43,18 +43,34 @@ def test_no_pyramid_below_circumradius():
 
 
 def test_near_flat_pyramid_refined():
-    # squared altitude 1e-10 sits inside the double-precision refinement
-    # band; the row must come back solved at high precision
+    # squared altitude 1e-10 of a unit base: the row is solved in doubles,
+    # and its dihedrals stay within a hundredth of FOLD_TOL of the
+    # 50-digit pyramid
     r = math.sqrt(1.0 / 3.0 + 1e-10)
     batch = solve_pyramids(np.array([[1.0, 1.0, 1.0]]), np.full((1, 3), r))
-    assert batch.refined[0]
-    assert batch.alt2[0] == pytest.approx(1e-10, rel=1e-6)
+    assert not batch.refined.any()
+    assert batch.alt2[0] == pytest.approx(1e-10, rel=1e-5)
+    want = mp_pyramid([1.0] * 3, [r] * 3)
+    for key in ("alpha", "omega"):
+        assert np.abs(getattr(batch, key)[0] - want[key]).max() <= FOLD_TOL / 100
 
 
 def test_barely_missing_pyramid_refined_then_rejected():
     r = math.sqrt(1.0 / 3.0 - 1e-10)
     with pytest.raises(PyramidError):
         solve_pyramids(np.array([[1.0, 1.0, 1.0]]), np.full((1, 3), r))
+
+
+def test_dead_faces_listed_in_face_order():
+    # every face without a pyramid is named, whether its apex lies just
+    # below the base plane or far below it
+    circ = 1.0 / math.sqrt(3.0)
+    live = [math.sqrt(circ**2 + 1e-10)] * 3
+    below = [math.sqrt(circ**2 - 1e-10)] * 3
+    rad = np.array([live, below, [1.0] * 3, [0.45] * 3, live, below])
+    with pytest.raises(PyramidError) as exc:
+        solve_pyramids(np.ones_like(rad), rad)
+    assert str(exc.value) == "no apex pyramid over faces [1, 3, 5]"
 
 
 @st.composite

@@ -445,8 +445,9 @@ def test_flips_of_a_round_share_no_face_and_their_theta_is_the_two_face_solve():
 
 
 def test_batched_theta_is_the_two_face_solve_on_refined_rows(square_path):
-    # At the flat limit every pyramid is refined exactly, and the mirrored
-    # faces of the two sheets share congruence classes within one batch.
+    # At the flat limit every pyramid is nearly flat, its alt2 under 1e-8
+    # of its squared scale, and the mirrored faces of the two sheets are
+    # congruent rows of one batch.
     _, mesh, r = square_path.final
     f, s = mesh.edges()
     g = mesh.adj_face[f, s]
@@ -457,7 +458,9 @@ def test_batched_theta_is_the_two_face_solve_on_refined_rows(square_path):
             pick.append(e)
     f, s = f[pick], s[pick]
     faces = np.concatenate([f, g[pick]])
-    assert solve_pyramids(mesh.ell[faces], r[mesh.vert[faces]]).refined.all()
+    ell, rad = mesh.ell[faces], r[mesh.vert[faces]]
+    scale = np.maximum((ell * ell).max(axis=1), (rad * rad).max(axis=1))
+    assert np.all(solve_pyramids(ell, rad).alt2 <= 1e-8 * scale)
     want = [oracles.edge_theta(mesh, r, fe, se) for fe, se in zip(f, s)]
     assert len(want) == 2 and _edge_theta(mesh, r, f, s).tolist() == want
 
