@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import QhullError
 
 from . import embed, hull, solver, surface
 from .errors import (
@@ -200,6 +199,7 @@ def cmd_solve(args):
 
 
 def cmd_roundtrip(args):
+    from scipy.spatial import QhullError  # here, so that forge solve never loads Qhull
     if args.points < 4:
         print("forge: roundtrip needs at least 4 points", file=sys.stderr)
         return EXIT_INVALID

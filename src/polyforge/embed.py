@@ -8,7 +8,9 @@ at once, with array arithmetic, by unfolding across the edges it shares
 with the level before (``_unfold``).  A flat body, whose dihedrals all
 lie within ``polytope.FOLD_TOL`` of 0 or pi, is unfolded with them
 snapped to exactly 0 and pi, so a doubly covered polygon closes to
-rounding level.
+rounding level.  Its fold edges are the polygon's outline, and the
+result keeps them (``EmbeddedPolytope.rim``) for
+``apex_boundary_distance``, so no convex hull is taken.
 Per-vertex positions are the means of their per-face placements (the
 spread is the closure residual), tightened by a few Gauss-Newton sweeps
 on the edge lengths.  Once the curvatures are only kappa_stop away from
@@ -54,7 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.spatial import ConvexHull
 
 from . import jacobian, kernels
 from .errors import EmbedError
@@ -83,6 +84,9 @@ class EmbeddedPolytope:
     degenerate: bool
     merged_faces: tuple | None = None  # polygons after coplanar merging
     apex: np.ndarray | None = None  # set once solve_apex has run
+    # A flat body's outline: the (tail, head) labels of its fold slots,
+    # both slots of each fold edge.  None for a body that is not flat.
+    rim: tuple | None = None
 
     @property
     def n_vertices(self):
@@ -119,8 +123,8 @@ def place_faces(P, merge_coplanar=False):
     theta = rep.theta
     # Side s runs from corner (s+1)%3 to corner (s+2)%3.  The first loop
     # slot in (f, s) order is its edge's canonical slot.
-    tail = mesh.vert[:, [1, 2, 0]]
-    loop = tail == mesh.vert[:, [2, 0, 1]]
+    tail, head = mesh.vert[:, [1, 2, 0]], mesh.vert[:, [2, 0, 1]]
+    loop = tail == head
     if loop.any():
         raise EmbedError(
             f"final mesh has a geodesic loop at vertex {tail[loop][0]}; "
@@ -178,6 +182,7 @@ def place_faces(P, merge_coplanar=False):
         volume=volume,
         degenerate=degenerate,
         merged_faces=merged,
+        rim=(tail[fold], head[fold]) if flat else None,
     )
 
 
@@ -538,18 +543,18 @@ def apex_boundary_distance(embedded: EmbeddedPolytope, apex):
     """Distance from the apex to the boundary of the body.
 
     For full-dimensional bodies: the least distance to a face plane,
-    skipping faces of zero area.  For flat ones: the in-plane distance to
-    the polygon's boundary.
+    skipping faces of zero area.  For flat ones, those ``place_faces``
+    laid out with their folds snapped: the in-plane distance to the
+    polygon's boundary, whose edges are the fold edges (``rim``), in the
+    plane of the vertices' two leading singular vectors.
 
-    The face normals' norms and dot products are ``_rows_dot``'s, which
-    give the bits of ``np.linalg.norm`` and ``@`` on single 3-vectors; an
-    einsum or a row sum need not.  The polygon is the convex hull of the
-    vertices in the body's plane, from Qhull, whose 2-D hull vertices come
-    counterclockwise.
+    The norms and dot products are ``_rows_dot``'s, which give the bits
+    of ``np.linalg.norm`` and ``@`` on single vectors; an einsum or a
+    row sum need not.
     """
     verts = embedded.vertices
     a = np.asarray(apex, dtype=float)
-    if not embedded.degenerate:
+    if embedded.rim is None:
         vi, vj, vk = np.moveaxis(verts[np.array(embedded.faces)], 1, 0)
         nv = np.cross(vj - vi, vk - vi)
         norm = np.sqrt(_rows_dot(nv, nv))
@@ -561,14 +566,12 @@ def apex_boundary_distance(embedded: EmbeddedPolytope, apex):
     plane = vt[:2]
     p2 = centered @ plane.T
     a2 = (a - verts.mean(axis=0)) @ plane.T
-    hull = ConvexHull(p2).vertices
-    best = np.inf
-    for idx in range(len(hull)):
-        p, q = p2[hull[idx]], p2[hull[(idx + 1) % len(hull)]]
-        e = q - p
-        t = float(np.clip((a2 - p) @ e / (e @ e), 0.0, 1.0))
-        best = min(best, float(np.linalg.norm(a2 - (p + t * e))))
-    return best
+    tail, head = embedded.rim
+    p = p2[tail]
+    e = p2[head] - p
+    t = np.clip(_rows_dot(a2 - p, e) / _rows_dot(e, e), 0.0, 1.0)
+    d = a2 - (p + t[:, None] * e)
+    return float(np.sqrt(_rows_dot(d, d)).min())
 
 
 def as_obj(embedded: EmbeddedPolytope, merged=False):

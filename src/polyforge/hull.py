@@ -10,7 +10,6 @@ congruence.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .surface import Development
 
@@ -59,6 +58,7 @@ def random_sphere_development(n_points, seed=None):
     """
     if n_points < 4:
         raise ValueError("need at least 4 points")
+    from scipy.spatial import ConvexHull  # here, so that forge solve never loads Qhull
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n_points, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)

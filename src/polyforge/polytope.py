@@ -22,17 +22,12 @@ from .triangulation import CornerMesh, twin_slots
 
 # A flat body's dihedrals classify once each lies within FOLD_TOL of 0 or
 # pi (CurvatureReport.folds): solver.solve_path stops there, and
-# embed.place_faces lays the body out with them snapped.  Along the paths
-# of the doubly covered 3-4-5 triangle and 3- to 64-gons, the dihedrals
-# lie within 0.8 t to 2.9 t of the two classes at every accepted
-# t <= 1e-3 (4.6 t once, on the 16-gon), so at 3e-5 they classify at
-# t = 7.5e-6 to 1.6e-5.  |kappa|_inf is then at most 4.8e-5 (the
-# triangle), and 2.2e-5 on the square, a factor 4.6 under a03's bound of
-# 1e-4; at 1e-4 the two stopped at 9.6e-5 and 8.6e-5.  Genuinely
-# 3-dimensional bodies keep their dihedrals far from 0: the rim
-# dihedrals of thin discs measure 1.6e-2 and more (the 300:1 disc at
-# n = 40), over 500 times FOLD_TOL, and catalog solids and hulls 1.2 and
-# more.
+# embed.place_faces lays the body out with them snapped.  On a path into
+# a flat limit the dihedrals lie within a few t of their classes, so they
+# classify at a t somewhat below FOLD_TOL, where |kappa|_inf is still
+# well under a03's bound of 1e-4.
+# Genuinely 3-dimensional bodies keep their dihedrals over a hundred
+# times FOLD_TOL away from 0, thin discs included, so they never classify.
 FOLD_TOL = 3e-5
 
 

@@ -84,11 +84,10 @@ _REJECTABLE = (
 # about seven nonzeros per row.  start_state numbers the vertices once in
 # reverse Cuthill-McKee order (jacobian.band_order); every J is assembled
 # permuted to that order in LAPACK band storage and factored by gbtrf, so
-# no n x n array is made.  A factor with its condition estimate takes
-# 0.11 ms at n = 160, 1.0 ms at n = 640 and 25 ms at n = 2560, against
-# 0.36, 13.5 and 390 ms for dense getrf (table in the jacobian module).
-# The factor made at acceptance is kept on the state and serves the next
-# predictor; each Newton iterate factors its own J once.
+# no n x n array is made (timings against dense getrf in the jacobian
+# module).  The factor made at acceptance is kept on the state and serves
+# the next predictor; a state is accepted only with it.  Each Newton
+# iterate factors its own J once.
 #
 # Flat-limit endgame.  Degenerate (2-dimensional) limits break Newton in
 # two independent ways:
@@ -167,11 +166,9 @@ class JacobianFactor:
     scale ||J||_inf.  J comes permuted to the state's reverse
     Cuthill-McKee order, in the band storage of gbtrf, with
     half-bandwidth k; both norms are taken from the band entries, and
-    ``solve`` permutes the right-hand side in and the solution back.  At
-    n = 640 (k = 64) this takes 1.0 ms against 13.5 ms for dense getrf
-    (table in the jacobian module).  The solver's only linear algebra:
-    it serves every predictor and corrector, in the flat-limit endgame
-    too."""
+    ``solve`` permutes the right-hand side in and the solution back.
+    The solver's only linear algebra: it serves every predictor and
+    corrector, in the flat-limit endgame too."""
 
     lu: np.ndarray  # gbtrf's band LU
     piv: np.ndarray
@@ -256,8 +253,7 @@ class ContinuationState:
     order: np.ndarray
     # LU of the curvature Jacobian at r: serves the next predictor, and its
     # cond and norm_inf drive the endgame, the records and the floor stop.
-    # None once assembling or factoring it failed at acceptance.
-    factor: JacobianFactor | None
+    factor: JacobianFactor
     newton_tol: float
     # The previous accepted state (t, r, dr/dt) while the path is clean:
     # the predictor's second node.  A path is clean until it rejects a
@@ -354,8 +350,6 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
 
     try:
         factor = state.factor
-        if factor is None:
-            raise StepReductionError("no Jacobian available at the current state")
         if factor.cond == math.inf:  # a zero pivot: the solve is inf or NaN
             return _reject(state, "curvature Jacobian is numerically singular")
         endgame = 1.0 / factor.cond < RCOND_MIN
@@ -407,12 +401,11 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
     if float(kappa.sum()) > prev_total + 1e-12 + 2 * kappa.size * slack:
         return _reject(state, "spherical section area decreased")
 
+    # A state is accepted only with its Jacobian, which the next step needs.
     try:
-        state.factor = JacobianFactor.of(jacobian.assemble(P, state.order))
-    except _REJECTABLE:
-        # Keep the accepted state but mark the Jacobian unusable: the next
-        # step rejects, and the state is never at the floor.
-        state.factor = None
+        factor = JacobianFactor.of(jacobian.assemble(P, state.order))
+    except _REJECTABLE as exc:
+        return _reject(state, f"{type(exc).__name__}: {exc}")
 
     if state.clean:
         state.previous = (state.t, state.r, tangent)
@@ -420,6 +413,7 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
     state.r = r
     state.t = t_new
     state.P = P
+    state.factor = factor
     state.flips += flips_here
     state.steps_accepted += 1
     state.events.extend(buffer)
@@ -446,7 +440,7 @@ def _record(state, newton_iters, predictor_residual=None):
     last bits between runs on the same input, and records must
     reproduce.  Step control reads the unrounded ``factor.cond``.
     """
-    cond = math.inf if state.factor is None else state.factor.cond
+    cond = state.factor.cond  # inf after an exact zero pivot
     state.records.append(
         {
             "t": state.t,
@@ -599,11 +593,8 @@ def _at_floor(state):
     asked, so the path ends for "kappa_stop", the end it reached.  Flat
     limits reach it only when run on past the state where their folds
     classify, at which ``solve_path`` stops first, and some give out
-    before it.  A state without a usable Jacobian (``factor`` None) has
-    no noise scale and is never at the floor.  A rejected step leaves the
-    state as it was, so the answer there is the False given at its
-    acceptance, and a step-size underflow always aborts."""
-    if state.factor is None:
-        return False
+    before it.  A rejected step leaves the state as it was, so the answer
+    there is the False given at its acceptance, and a step-size underflow
+    always aborts."""
     floor = _kappa_floor(state.factor.norm_inf, state.r)
     return float(np.abs(state.P.kappa).max()) <= floor

@@ -10,7 +10,8 @@ the scalar quad layout and convexity check, the flip loop that flips one
 edge at a time and rechecks every edge, the two-face dihedral of an
 edge, the canonical form of the
 essential-edge tesselation, the face-by-face unfold, the convexity check
-of an embedding, the per-face apex distance and the apex-inside test.
+of an embedding, the per-face and per-hull-edge apex distance and the
+apex-inside test.
 
 This module is a test oracle: nothing in the package imports it.
 """
@@ -737,17 +738,33 @@ def convexity_violation(embedded: EmbeddedPolytope):
 
 
 def apex_boundary_distance(embedded: EmbeddedPolytope, apex):
-    """``embed.apex_boundary_distance`` of a full-dimensional body as it was
-    before it was vectorized: one face at a time, zero-area faces skipped."""
+    """``embed.apex_boundary_distance`` as it was before it was vectorized.
+    A full-dimensional body: one face at a time, zero-area faces skipped.
+    A degenerate one: one edge at a time of the convex hull of the
+    vertices in their plane, from Qhull, whose 2-D hull vertices come
+    counterclockwise."""
     verts = embedded.vertices
     a = np.asarray(apex, dtype=float)
     best = np.inf
-    for i, j, k in embedded.faces:
-        nvec = np.cross(verts[j] - verts[i], verts[k] - verts[i])
-        norm = float(np.linalg.norm(nvec))
-        if norm == 0.0:
-            continue
-        best = min(best, abs(float((a - verts[i]) @ nvec)) / norm)
+    if not embedded.degenerate:
+        for i, j, k in embedded.faces:
+            nvec = np.cross(verts[j] - verts[i], verts[k] - verts[i])
+            norm = float(np.linalg.norm(nvec))
+            if norm == 0.0:
+                continue
+            best = min(best, abs(float((a - verts[i]) @ nvec)) / norm)
+        return best
+    centered = verts - verts.mean(axis=0)
+    _, _, vt = np.linalg.svd(centered)
+    plane = vt[:2]
+    p2 = centered @ plane.T
+    a2 = (a - verts.mean(axis=0)) @ plane.T
+    hull = ConvexHull(p2).vertices
+    for idx in range(len(hull)):
+        p, q = p2[hull[idx]], p2[hull[(idx + 1) % len(hull)]]
+        e = q - p
+        t = float(np.clip((a2 - p) @ e / (e @ e), 0.0, 1.0))
+        best = min(best, float(np.linalg.norm(a2 - (p + t * e))))
     return best
 
 

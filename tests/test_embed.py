@@ -153,6 +153,32 @@ def test_apex_distance_matches_face_loop(all_paths):
     assert embed.apex_boundary_distance(_hull_body(points, flat), points[0]) == math.inf
 
 
+_FLAT_BODIES = {
+    **{
+        f"doubled-{n}": lambda n=n: catalog.doubly_covered_polygon(n)
+        for n in (3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 56, 64)
+    },
+    **{
+        f"doubled-{a:g}-{b:g}-{c:g}": lambda s=(a, b, c): catalog.doubly_covered_triangle(*s)
+        for a, b, c in ((3.0, 4.0, 5.0), (1.0, 1.0, 1.2), (2.0, 2.0, 3.0))
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_FLAT_BODIES))
+def test_flat_apex_distance_matches_hull(name):
+    # a flat body's outline is its fold cycle: the distance to its fold
+    # edges, both slots of each, is the distance to the edges of the
+    # Qhull hull of its vertices, bit for bit
+    result = solve_path(build_metric(_FLAT_BODIES[name]()))
+    e = embed.place_faces(result.polytope)
+    assert e.degenerate and e.rim is not None
+    tail, head = e.rim
+    assert len(tail) == 2 * len(set(map(frozenset, zip(tail.tolist(), head.tolist()))))
+    apex = embed.solve_apex(e.vertices, result.kappa1).point
+    assert embed.apex_boundary_distance(e, apex) == oracles.apex_boundary_distance(e, apex)
+
+
 def test_apex_outside_detected(tetra_embedded):
     assert not apex_inside(tetra_embedded, np.array([10.0, 0.0, 0.0]))
 

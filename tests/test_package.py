@@ -37,11 +37,14 @@ def test_cli_loads_every_module():
     assert loaded == modules - NOT_ON_THE_PIPELINE
 
 
-def test_cli_does_not_load_sparse_linalg():
-    # The polish factors its normal equations by banded Cholesky, so the
-    # package needs no iterative sparse solver.  scipy.spatial loads
-    # scipy.sparse itself, so only the linalg subpackage is checked.
-    probe = "import sys, polyforge.cli; print('scipy.sparse.linalg' in sys.modules)"
+def _loaded_unused(code):
+    """Run ``code`` in a fresh interpreter, then list, on the last line of
+    its output, the loaded modules of scipy.sparse and scipy.spatial,
+    which the pipeline does without."""
+    probe = code + (
+        "; import sys; print(' '.join(m for m in sys.modules "
+        "if m.startswith(('scipy.sparse', 'scipy.spatial'))))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -49,7 +52,25 @@ def test_cli_does_not_load_sparse_linalg():
         check=True,
         cwd=PACKAGE.parent,
     )
-    assert proc.stdout.split() == ["False"]
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_cli_does_not_load_sparse_linalg():
+    # The polish factors its normal equations by banded Cholesky, so the
+    # package needs no sparse matrices, and a flat body's outline is its
+    # fold edges, so it needs no Qhull: only random hulls and roundtrip
+    # load scipy.spatial, inside the functions that call it.
+    assert _loaded_unused("import polyforge.cli") == []
+
+
+def test_flat_solve_does_not_load_qhull(tmp_path):
+    src = tmp_path / "square.json"
+    src.write_text(catalog.doubly_covered_polygon(4).to_json())
+    argv = ["solve", str(src), "--out", str(tmp_path / "square.obj"),
+            "--report", str(tmp_path / "report.json")]
+    code = f"from polyforge import cli; assert cli.main({argv!r}) == 0"
+    assert _loaded_unused(code) == []
+    assert json.loads((tmp_path / "report.json").read_text())["degenerate"]
 
 
 def test_cli_does_not_load_mpmath():

@@ -686,12 +686,10 @@ def test_singular_jacobian_rejects_in_endgame(polygon64_metric, monkeypatch):
 
 
 def test_unusable_jacobian_at_acceptance(cube_metric, monkeypatch):
-    """A Jacobian that cannot be assembled at an accepted state keeps the
-    state, leaves it without a factor, and makes the next step reject.
-
-    Such a state is never at the floor.  Before the factor became the
-    state's one Jacobian field, the floor check kept using the previous
-    state's ||J||_inf here."""
+    """A Jacobian that cannot be assembled at the state a step would
+    accept rejects the step with the error's name and message, and leaves
+    the state as it was, factor included: every accepted state carries
+    its Jacobian.  The same step is accepted once assembly works again."""
     state = start_state(cube_metric)
     t_new = 1.0 - solver.DT_INIT
     honest = jacobian.assemble
@@ -712,17 +710,18 @@ def test_unusable_jacobian_at_acceptance(cube_metric, monkeypatch):
             raise StepReductionError("forced at acceptance")
         return honest(P, order)
 
+    t, r, records, factor = state.t, state.r.copy(), list(state.records), state.factor
     monkeypatch.setattr(jacobian, "assemble", fail_at_acceptance)
-    assert step(state, t_new).accepted
-    assert len(calls) == acceptance
-    assert state.t == t_new
-    assert state.factor is None
-    assert state.records[-1]["cond"] is None
-    assert not solver._at_floor(state)
-    monkeypatch.setattr(jacobian, "assemble", honest)
-    result = step(state, 0.5 * t_new)
+    result = step(state, t_new)
     assert not result.accepted
-    assert result.reason.endswith("no Jacobian available at the current state")
+    assert result.reason == "StepReductionError: forced at acceptance"
+    assert len(calls) == acceptance
+    assert state.t == t and np.array_equal(state.r, r)
+    assert state.records == records and state.factor is factor
+    assert (state.steps_accepted, state.steps_rejected) == (0, 1)
+    monkeypatch.setattr(jacobian, "assemble", honest)
+    assert step(state, t_new).accepted
+    assert state.t == t_new and state.factor is not factor
 
 
 def test_rejected_jump_falls_back_to_halving(cube_metric, monkeypatch, request):
