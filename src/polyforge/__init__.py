@@ -19,7 +19,7 @@ from .errors import (
     StepReductionError,
 )
 from .polytope import GeneralizedPolytope
-from .solver import SolverOptions, solve_path
+from .solver import solve_path
 from .surface import Development, PolyhedralMetric, build_metric, parse_development
 from .triangulation import CornerMesh, weighted_delaunay
 from .embed import congruence_check, place_faces, solve_apex
@@ -40,7 +40,6 @@ __all__ = [
     "PyramidError",
     "SchemaError",
     "SolverAbort",
-    "SolverOptions",
     "StepReductionError",
     "build_metric",
     "congruence_check",

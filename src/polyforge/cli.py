@@ -2,8 +2,8 @@
 reconstruction pipeline, export meshes and reports.
 
 Exit codes: 0 success; 1 malformed input (bad JSON or schema); 2 invalid
-metric or bad usage; 3 pipeline failure (solver abort or embedding that
-does not close).
+metric, bad usage or an output path that cannot be written; 3 pipeline
+failure (solver abort or embedding that does not close).
 """
 
 from __future__ import annotations
@@ -94,17 +94,10 @@ class PipelineResult:
 
 
 def run_pipeline(
-    metric,
-    kappa_stop=solver.SolverOptions.kappa_stop,
-    merge_coplanar=False,
-    max_steps=solver.SolverOptions.max_steps,
-    progress=None,
+    metric, merge_coplanar=False, max_steps=solver.MAX_STEPS, progress=None
 ) -> PipelineResult:
     """Solve the curvature path, embed the result and locate the apex."""
-    opts = solver.SolverOptions(
-        kappa_stop=kappa_stop, max_steps=max_steps, progress=progress
-    )
-    result = solver.solve_path(metric, opts)
+    result = solver.solve_path(metric, max_steps=max_steps, progress=progress)
     embedded = embed.place_faces(result.polytope, merge_coplanar=merge_coplanar)
     apex = embed.solve_apex(embedded.vertices, result.kappa1)
     embedded.apex = apex.point
@@ -138,8 +131,22 @@ def build_report(result, embedded, apex):
     }
 
 
+def _cannot_write(path, exc):
+    """An output path that cannot be written is a bad option, reported as
+    unreadable input is."""
+    print(f"forge: cannot write {path}: {exc}", file=sys.stderr)
+    raise SystemExit(EXIT_INVALID) from exc
+
+
+def _write(path, text):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _cannot_write(path, exc)
+
+
 def _dump_json(doc, path):
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_solve(args):
@@ -148,7 +155,10 @@ def cmd_solve(args):
     progress_file = None
     progress = None
     if args.progress:
-        progress_file = open(args.progress, "w")
+        try:
+            progress_file = open(args.progress, "w")
+        except OSError as exc:
+            _cannot_write(args.progress, exc)
 
         def progress(state):
             record = state.records[-1]
@@ -162,19 +172,15 @@ def cmd_solve(args):
     try:
         pipe = run_pipeline(
             metric,
-            kappa_stop=args.kappa_stop,
             merge_coplanar=args.merge_coplanar,
             max_steps=args.max_steps,
             progress=progress,
         )
-    except ValueError as exc:
-        print(f"forge: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except SolverAbort as exc:
         dump_path = Path(args.report).with_suffix(".dump.json")
+        print(f"forge: solver abort: {exc}; state dump at {dump_path}", file=sys.stderr)
         if exc.state_dump is not None:
             _dump_json(exc.state_dump, dump_path)
-        print(f"forge: solver abort: {exc}; state dump at {dump_path}", file=sys.stderr)
         return EXIT_PIPELINE
     except EmbedError as exc:
         print(f"forge: embedding failed: {exc}", file=sys.stderr)
@@ -185,9 +191,9 @@ def cmd_solve(args):
 
     out = Path(args.out)
     if out.suffix == ".json":
-        out.write_text(pipe.embedded.as_json() + "\n")
+        _write(out, pipe.embedded.as_json() + "\n")
     else:
-        out.write_text(embed.as_obj(pipe.embedded, merged=args.merge_coplanar))
+        _write(out, embed.as_obj(pipe.embedded, merged=args.merge_coplanar))
     _dump_json(pipe.report, args.report)
     log.info("wrote %s and %s", out, args.report)
     print(
@@ -219,10 +225,7 @@ def cmd_roundtrip(args):
         return EXIT_PIPELINE
 
     try:
-        pipe = run_pipeline(metric, kappa_stop=args.kappa_stop)
-    except ValueError as exc:
-        print(f"forge: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        pipe = run_pipeline(metric)
     except (SolverAbort, EmbedError) as exc:
         print(f"forge: roundtrip failed: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
@@ -241,7 +244,6 @@ def cmd_roundtrip(args):
 @functools.cache
 def make_parser():
     """The ``forge`` argument parser, built once per process."""
-    defaults = solver.SolverOptions  # its class attributes are the defaults
     parser = argparse.ArgumentParser(
         prog="forge",
         description="Reconstruct convex polytopes from developments "
@@ -259,15 +261,13 @@ def make_parser():
     p.add_argument("--out", default="mesh.obj", help="mesh output (.obj or .json)")
     p.add_argument("--report", default="report.json")
     p.add_argument("--progress", default=None, help="JSONL step stream")
-    p.add_argument("--kappa-stop", type=float, default=defaults.kappa_stop)
-    p.add_argument("--max-steps", type=int, default=defaults.max_steps)
+    p.add_argument("--max-steps", type=int, default=solver.MAX_STEPS)
     p.add_argument("--merge-coplanar", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("roundtrip", help="hull -> development -> solve -> compare")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points", type=int, default=8)
-    p.add_argument("--kappa-stop", type=float, default=defaults.kappa_stop)
     p.set_defaults(func=cmd_roundtrip)
     return parser
 

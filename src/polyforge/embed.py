@@ -13,10 +13,10 @@ result keeps them (``EmbeddedPolytope.rim``) for
 ``apex_boundary_distance``, so no convex hull is taken.
 Per-vertex positions are the means of their per-face placements (the
 spread is the closure residual), tightened by a few Gauss-Newton sweeps
-on the edge lengths.  Once the curvatures are only kappa_stop away from
-zero this reproduces the convex polytope to machine-level accuracy; the
-apex is recovered separately as the weighted Fermat point of the
-vertices.
+on the edge lengths.  Once the curvatures are only ``solver.KAPPA_STOP``
+away from zero this reproduces the convex polytope to machine-level
+accuracy; the apex is recovered separately as the weighted Fermat point
+of the vertices.
 
 The polish.  Edge e = (i, j) of length ell_e has the residual
 |v_i - v_j| - ell_e and the Jacobian row u_e (e_i - e_j), with u_e the

@@ -36,17 +36,20 @@ Any other rejection makes the path unclean, and an unclean path grows dt
 by GROWTH after a step of at most 3 Newton iterates and caps it at
 DT_CAP of t.
 
-A clean path tries once to jump from the first t <= T_JUMP straight to
-kappa_stop.  A rejected attempt halves the step as any rejection does,
-but leaves the path clean; it is not tried again.  Paths into a flat
-limit make that attempt and have it rejected, then step on until their
-dihedrals classify as folds and flat edges (``CurvatureReport.folds``),
-and stop there: the body is flat, and ``embed.place_faces`` lays it out
-with its dihedrals snapped to exactly 0 and pi.  The doubly covered
-3-4-5 triangle and 3- to 64-gons stop at t = 3.2e-6 to 1.7e-5.  A path
-ends for one of three reasons, kept in ``ContinuationState.stop``: it
-reached kappa_stop, its curvature fell to the precision floor
-(``_at_floor``), or its folds classified (``_folds_classify``).
+The paper's path ends at kappa = 0; the numerical one ends at t =
+KAPPA_STOP, a tolerance, not a choice of model: there the embedding
+closes far inside ``embed.CLOSURE_TOL``, and stopping later gains
+nothing measurable.  A clean path tries once to jump from the first
+t <= T_JUMP straight to KAPPA_STOP.  A rejected attempt halves the step
+as any rejection does, but leaves the path clean; it is not tried again.
+Paths into a flat limit make that attempt and have it rejected, then
+step on until their dihedrals classify as folds and flat edges
+(``CurvatureReport.folds``), and stop there: the body is flat, and
+``embed.place_faces`` lays it out with its dihedrals snapped to exactly
+0 and pi.  A path ends for one of three reasons, kept in
+``ContinuationState.stop``: it reached KAPPA_STOP ("kappa_stop"), its
+curvature fell to the precision floor (``_at_floor``), or its folds
+classified (``_folds_classify``).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from . import jacobian
 from .errors import (
@@ -94,12 +97,12 @@ _REJECTABLE = (
 #
 #  * curvature noise: a kappa evaluation carries error of order
 #    eps * |J| * |r|, and |J| blows up approaching a flat body.  The
-#    scale is ||J||_inf, the largest absolute row sum: for a symmetric J
-#    it bounds sigma_max(J) from above, at the cost of one pass over J.
-#    The Newton tolerance is floored at FLOOR_C times that level (always,
-#    not just in the endgame), and the path terminates at the first
-#    accepted state whose curvature is below the floor -- the best
-#    representable approximation of the flat body.
+#    scale is ||J||_1 (``JacobianFactor.norm``), which bounds
+#    sigma_max(J) from above for a symmetric J and is the norm gbcon
+#    needs anyway.  The Newton tolerance is floored at FLOOR_C times that
+#    level (always, not just in the endgame), and the path terminates at
+#    the first accepted state whose curvature is below the floor -- the
+#    best representable approximation of the flat body.
 #  * kernel collapse: cond(J) grows like 1/t^2 along the path itself,
 #    not because a step was too large.  Exactly two singular values
 #    collapse: the in-plane translations of the apex, which leave the
@@ -111,9 +114,9 @@ _REJECTABLE = (
 #    along it it only slides the apex within the plane of the body.
 #
 # Most nondegenerate paths trip neither mechanism: they jump to
-# kappa_stop from t <= T_JUMP, while J is still far from failing
-# RCOND_MIN.  Thin hulls may step from endgame states on their way there,
-# and a jump may land at a state already below the floor, which ends for
+# KAPPA_STOP from t <= T_JUMP, while J is still far from failing
+# RCOND_MIN.  Some step from endgame states on their way there, and a
+# jump may land at a state already below the floor, which ends for
 # "kappa_stop" since the floor is asked only above it (see
 # ``_at_floor``).  A flat limit's jump attempt is rejected, and it steps
 # on until its folds classify, before the floor.  Run on past that stop
@@ -154,48 +157,49 @@ GROWTH = 1.5  # unclean paths: step growth after <= 3 Newton iterations
 RADIUS_CAP = 2.0  # radii may grow to this times the initial radius
 SEED_DOUBLINGS = 60  # tries of the equal starting radius
 # A clean path tries once to jump from t <= T_JUMP straight to
-# kappa_stop (module docstring).
+# KAPPA_STOP, the end of the numerical path (module docstring).
 T_JUMP = 1e-3
+KAPPA_STOP = 1e-9
+MAX_STEPS = 100000  # step attempts per path before it aborts
 
 
 @dataclass(frozen=True)
 class JacobianFactor:
     """Banded LU factor of one curvature Jacobian and the two numbers the
     solver reads off it: LAPACK's 1-norm condition estimate (gbcon,
-    within a factor n of the 2-norm condition number) and the noise
-    scale ||J||_inf.  J comes permuted to the state's reverse
-    Cuthill-McKee order, in the band storage of gbtrf, with
-    half-bandwidth k; both norms are taken from the band entries, and
-    ``solve`` permutes the right-hand side in and the solution back.
-    The solver's only linear algebra: it serves every predictor and
-    corrector, in the flat-limit endgame too."""
+    within a factor n of the 2-norm condition number) and ||J||_1, the
+    largest absolute column sum.  J is symmetric up to rounding, so
+    ||J||_1 is also its largest row sum and bounds sigma_max(J) from
+    above; it is both the norm gbcon needs and the noise scale.  J
+    comes permuted to the state's reverse Cuthill-McKee order, in the
+    band storage of gbtrf, with half-bandwidth k; the norm is taken from
+    the band entries, and ``solve`` permutes the right-hand side in and
+    the solution back.  The solver's only linear algebra: it serves every
+    predictor and corrector, in the flat-limit endgame too."""
 
     lu: np.ndarray  # gbtrf's band LU
     piv: np.ndarray
     k: int  # half-bandwidth of J
     order: np.ndarray  # the vertex order J was assembled in
     cond: float  # inf for an exactly singular J
-    norm_inf: float
+    norm: float  # ||J||_1
 
     @classmethod
     def of(cls, J):
         """Factor a ``jacobian.BandJacobian`` in place: ``J.ab`` becomes
         the factor, which saves a copy as large as the band."""
-        n = J.ab.shape[1]
-        A = np.abs(J.ab[J.k :])  # J's diagonals, in gbmv's band storage
-        # |J| times ones.  gbmv's wrapper wants at least 2k + 1 rows; rows
-        # past n read band slots outside J, which stay zero.
-        rows = blas.dgbmv(max(n, 2 * J.k + 1), n, J.k, J.k, 1.0, A, np.ones(n))
-        norm_inf = float(rows.max())
-        if not math.isfinite(norm_inf):
+        # Band storage keeps column q of J in column q, so these are J's
+        # absolute column sums.
+        norm = float(np.abs(J.ab[J.k :]).sum(axis=0).max())
+        if not math.isfinite(norm):
             raise np.linalg.LinAlgError("curvature Jacobian is not finite")
         lu, piv, info = lapack.dgbtrf(J.ab, J.k, J.k, overwrite_ab=True)
         if info > 0:  # an exact zero pivot
             cond = math.inf
         else:
-            rcond, _ = lapack.dgbcon(J.k, J.k, lu, piv, float(A.sum(axis=0).max()))
+            rcond, _ = lapack.dgbcon(J.k, J.k, lu, piv, norm)
             cond = 1.0 / rcond if rcond > 0.0 else math.inf
-        return cls(lu=lu, piv=piv, k=J.k, order=J.order, cond=cond, norm_inf=norm_inf)
+        return cls(lu=lu, piv=piv, k=J.k, order=J.order, cond=cond, norm=norm)
 
     def solve(self, rhs):
         x, _ = lapack.dgbtrs(self.lu, self.k, self.k, rhs[self.order], self.piv, overwrite_b=True)
@@ -205,19 +209,8 @@ class JacobianFactor:
 
 
 def _kappa_floor(scale, r):
-    """Curvature noise level for a Jacobian of size ``scale`` (||J||_inf)."""
+    """Curvature noise level for a Jacobian of size ``scale`` (||J||_1)."""
     return FLOOR_C * _EPS * scale * max(1.0, float(np.abs(r).max()))
-
-
-@dataclass
-class SolverOptions:
-    kappa_stop: float = 1e-9  # stop at t where |kappa| = this * |kappa(1)|
-    max_steps: int = 100000
-    progress: object = None  # callable(state) at t=1 and after each accepted step
-
-    def __post_init__(self):
-        if not (0.0 < self.kappa_stop < 1e-3):
-            raise ValueError("kappa_stop must lie in (0, 1e-3)")
 
 
 @dataclass
@@ -252,7 +245,7 @@ class ContinuationState:
     # Vertex order of the banded Jacobian, fixed for the whole solve.
     order: np.ndarray
     # LU of the curvature Jacobian at r: serves the next predictor, and its
-    # cond and norm_inf drive the endgame, the records and the floor stop.
+    # cond and norm drive the endgame, the records and the floor stop.
     factor: JacobianFactor
     newton_tol: float
     # The previous accepted state (t, r, dr/dt) while the path is clean:
@@ -353,7 +346,7 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
         if factor.cond == math.inf:  # a zero pivot: the solve is inf or NaN
             return _reject(state, "curvature Jacobian is numerically singular")
         endgame = 1.0 / factor.cond < RCOND_MIN
-        scale = factor.norm_inf
+        scale = factor.norm
         tangent = factor.solve(state.kappa1)  # dr/dt at state.t
         if state.previous is None:
             r = r - dt * tangent
@@ -381,7 +374,7 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
             if factor.cond == math.inf or (not endgame and 1.0 / factor.cond < RCOND_MIN):
                 return _reject(state, "curvature Jacobian is numerically singular")
             if endgame:
-                scale = factor.norm_inf
+                scale = factor.norm
             r = r - factor.solve(residual)
     except _REJECTABLE as exc:
         return _reject(state, f"{type(exc).__name__}: {exc}")
@@ -501,26 +494,27 @@ def start_state(metric: PolyhedralMetric):
     return state
 
 
-def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> SolveResult:
-    """March t from 1 down to kappa_stop; returns the final polytope.
+def solve_path(metric: PolyhedralMetric, max_steps=MAX_STEPS, progress=None) -> SolveResult:
+    """March t from 1 down to KAPPA_STOP; returns the final polytope.
 
-    Raises SolverAbort (with a state dump attached) if the step size
-    underflows or the step budget runs out.
+    ``progress``, if given, is called with the state at t = 1 and after
+    each accepted step.  Raises SolverAbort (with a state dump attached)
+    if the step size underflows or the budget of ``max_steps`` step
+    attempts runs out.
     """
-    opts = opts or SolverOptions()
     state = start_state(metric)
-    if opts.progress is not None:
-        opts.progress(state)
-    t_stop = opts.kappa_stop
+    if progress is not None:
+        progress(state)
+    t_stop = KAPPA_STOP
     dt = DT_INIT
     cap = DT_CAP_CLEAN
     steps = 0
     jumped = False
     while state.t > t_stop:
         steps += 1
-        if steps > opts.max_steps:
+        if steps > max_steps:
             raise SolverAbort(
-                f"step budget {opts.max_steps} exhausted at t={state.t!r}",
+                f"step budget {max_steps} exhausted at t={state.t!r}",
                 state_dump=state.dump("step budget exhausted"),
             )
         dt_eff = min(dt, cap * state.t)
@@ -533,8 +527,8 @@ def solve_path(metric: PolyhedralMetric, opts: SolverOptions | None = None) -> S
         hermite = state.previous is not None
         result = step(state, t_new)
         if result.accepted:
-            if opts.progress is not None:
-                opts.progress(state)
+            if progress is not None:
+                progress(state)
             if _folds_classify(state):
                 state.stop = "folds"
                 break
@@ -588,7 +582,7 @@ def _folds_classify(state):
 def _at_floor(state):
     """True when the state's curvature is below what double-precision
     radii can express; ``solve_path`` asks at each accepted state above
-    kappa_stop and stops there.  A path whose jump to kappa_stop were
+    KAPPA_STOP and stops there.  A path whose jump to KAPPA_STOP were
     rejected would step on down to it; a jump that lands below it is not
     asked, so the path ends for "kappa_stop", the end it reached.  Flat
     limits reach it only when run on past the state where their folds
@@ -596,5 +590,5 @@ def _at_floor(state):
     before it.  A rejected step leaves the state as it was, so the answer
     there is the False given at its acceptance, and a step-size underflow
     always aborts."""
-    floor = _kappa_floor(state.factor.norm_inf, state.r)
+    floor = _kappa_floor(state.factor.norm, state.r)
     return float(np.abs(state.P.kappa).max()) <= floor

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from polyforge import build_metric, catalog, hull, solver
-from polyforge.solver import SolverOptions, solve_path
+from polyforge.solver import solve_path
 
 # catalog.tetrahedron(scale) has edge 2*sqrt(2)*scale
 UNIT_EDGE_SCALE = 1.0 / (2.0 * math.sqrt(2.0))
@@ -128,7 +128,7 @@ def run_path(metric, name="", points=None, corner_point=None, **kw):
         samples.append((state.t, state.mesh.copy(), state.r.copy()))
 
     t0 = time.perf_counter()
-    result = solve_path(metric, SolverOptions(progress=sample, **kw))
+    result = solve_path(metric, progress=sample, **kw)
     return PathRun(
         name=name,
         metric=metric,

@@ -1,12 +1,14 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from polyforge import catalog, hull, surface
+from polyforge import catalog, hull, solver, surface
 from polyforge.cli import main, make_parser
-from polyforge.solver import SolverOptions
 from polyforge.errors import MetricError
 
 
@@ -187,29 +189,58 @@ def test_solve_abort_writes_dump(cube_file, tmp_path, capsys):
     assert "mesh" in dump
 
 
-def test_solve_bad_kappa_stop(tetra_file, tmp_path, capsys):
-    code = main(
-        [
-            "solve",
-            str(tetra_file),
-            "--kappa-stop",
-            "0.5",
-            "--out",
-            str(tmp_path / "m.obj"),
-            "--report",
-            str(tmp_path / "r.json"),
-        ]
-    )
-    assert code == 2
-    assert "kappa_stop" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [["solve", "in.json"], ["roundtrip"]], ids=["solve", "roundtrip"])
+def test_kappa_stop_is_not_an_option(argv, capsys):
+    # the path always ends at solver.KAPPA_STOP; argparse rejects the flag
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--kappa-stop", "1e-6"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --kappa-stop" in capsys.readouterr().err
 
 
 def test_option_defaults_are_the_solver_defaults():
-    opts = SolverOptions()
     solve = make_parser().parse_args(["solve", "in.json"])
-    roundtrip = make_parser().parse_args(["roundtrip"])
-    assert (solve.kappa_stop, solve.max_steps) == (opts.kappa_stop, opts.max_steps)
-    assert roundtrip.kappa_stop == opts.kappa_stop
+    assert solve.max_steps == solver.MAX_STEPS
+
+
+def test_readme_lists_exactly_the_solve_options():
+    # README's "`forge solve` options" section names every flag of the
+    # parser and no other, so a flag cannot be added or removed silently
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("`forge solve` options:", 1)[1].split("\nExit codes:", 1)[0]
+    parser = make_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {o for a in sub.choices["solve"]._actions for o in a.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == flags - {"-h", "--help"}
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report", "--progress"])
+def test_unwritable_output_is_a_bad_option(flag, tetra_file, tmp_path, capsys):
+    paths = {
+        "--out": tmp_path / "m.obj",
+        "--report": tmp_path / "r.json",
+        "--progress": tmp_path / "p.jsonl",
+    }
+    bad = tmp_path / "missing" / paths[flag].name
+    paths[flag] = bad
+    argv = ["solve", str(tetra_file)]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"forge: cannot write {bad}: ")
+    assert "Traceback" not in err
+    if flag == "--progress":  # checked before the solve, so nothing is written
+        assert not any(p.exists() for p in paths.values())
+
+
+def test_unwritable_state_dump_is_a_bad_option(cube_file, tmp_path, capsys):
+    report = tmp_path / "missing" / "report.json"
+    argv = ["solve", str(cube_file), "--max-steps", "1", "--out", str(tmp_path / "m.obj")]
+    assert main(argv + ["--report", str(report)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("forge: solver abort: step budget 1 exhausted")
+    assert err[1].startswith(f"forge: cannot write {report.with_suffix('.dump.json')}: ")
 
 
 def test_roundtrip_smoke(capsys):

@@ -131,6 +131,7 @@ codes += [
     cli.main(["validate", str(work / "schema.json")]),
     cli.main(["validate", str(work / "unglued.json")]),
     solve("cube", "--out", str(work / "abort.obj"), "--max-steps", "1"),
+    solve("tetrahedron", "--out", str(work / "missing" / "tetra.obj")),
 ]
 sys.setprofile(None)
 entered = sorted(
@@ -171,8 +172,9 @@ def test_cli_runs_every_function(tmp_path):
         cwd=PACKAGE.parent,
     )
     result = json.loads(proc.stdout.splitlines()[-1])
-    # catalog, validate, 3 solves, roundtrip, bad schema, bad metric, abort
-    assert result["codes"] == [0, 0, 0, 0, 0, 0, 1, 2, 3]
+    # catalog, validate, 3 solves, roundtrip, bad schema, bad metric,
+    # abort, unwritable output
+    assert result["codes"] == [0, 0, 0, 0, 0, 0, 1, 2, 3, 2]
     assert (tmp_path / "cube.report.dump.json").exists()
 
     entered = {tuple(pair) for pair in result["entered"]}

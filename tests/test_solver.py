@@ -17,7 +17,6 @@ from polyforge.jacobian import assemble
 from polyforge.polytope import GeneralizedPolytope
 from polyforge.solver import (
     JacobianFactor,
-    SolverOptions,
     choose_initial_radius,
     solve_path,
     start_state,
@@ -25,13 +24,6 @@ from polyforge.solver import (
 )
 from polyforge.surface import build_metric
 from polyforge.triangulation import CornerMesh, badness_scan, weighted_delaunay
-
-
-def test_options_validate_stopping_point():
-    with pytest.raises(ValueError):
-        SolverOptions(kappa_stop=0.5)
-    with pytest.raises(ValueError):
-        SolverOptions(kappa_stop=0.0)
 
 
 def test_initial_radius_is_strictly_admissible(tetra_metric):
@@ -82,10 +74,7 @@ def test_records_round_cond_to_six_digits(tetra_metric):
     # LAPACK's estimate may change in its last bits from run to run; the
     # record keeps 6 significant digits, step control the full estimate
     conds = []
-    result = solve_path(
-        tetra_metric,
-        SolverOptions(progress=lambda state: conds.append(state.factor.cond)),
-    )
+    result = solve_path(tetra_metric, progress=lambda state: conds.append(state.factor.cond))
     recs = result.state.records
     assert len(recs) == len(conds) > 1
     for rec, cond in zip(recs, conds):
@@ -172,9 +161,7 @@ def test_step_size_underflow_aborts(cube_metric, monkeypatch):
 
 def test_progress_callback_sees_every_record(tetra_metric):
     seen = []
-    result = solve_path(
-        tetra_metric, SolverOptions(progress=lambda state: seen.append(state.records[-1]))
-    )
+    result = solve_path(tetra_metric, progress=lambda state: seen.append(state.records[-1]))
     assert seen == result.state.records
     keys = {"t", "kappa_inf", "flips_so_far", "newton_iters", "cond", "predictor_residual"}
     assert all(set(rec) == keys for rec in seen)
@@ -185,9 +172,7 @@ def test_records_carry_the_predictor_residual(cube_metric):
     # units of the Newton tolerance: the first iterate's |kappa - t kappa(1)|
     # at the predicted radii, after their flips.
     states = []
-    result = solve_path(
-        cube_metric, SolverOptions(progress=lambda state: states.append(copy.deepcopy(state)))
-    )
+    result = solve_path(cube_metric, progress=lambda state: states.append(copy.deepcopy(state)))
     recs = result.state.records
     assert recs[0]["predictor_residual"] is None
     assert len(states) == len(recs) >= 10
@@ -200,7 +185,7 @@ def test_records_carry_the_predictor_residual(cube_metric):
         mesh = before.mesh.copy()
         weighted_delaunay(mesh, r * r)
         residual = GeneralizedPolytope(mesh, r).kappa - rec["t"] * before.kappa1
-        tol = max(before.newton_tol, solver._kappa_floor(before.factor.norm_inf, r))
+        tol = max(before.newton_tol, solver._kappa_floor(before.factor.norm, r))
         assert rec["predictor_residual"] == float(np.abs(residual).max()) / tol
         assert (rec["newton_iters"] == 1) == (rec["predictor_residual"] <= 1.0)
 
@@ -223,7 +208,7 @@ def test_next_step_follows_from_the_predictor_residual(tetra_path, cube_path):
             ratio = min(hi, max(lo, (solver.RESIDUAL_TARGET / rho0) ** (1.0 / p)))
             dt = min((ts[k - 1] - ts[k]) * ratio, solver.DT_CAP_CLEAN * ts[k])
             if ts[k] <= solver.T_JUMP:
-                assert ts[k + 1] == SolverOptions().kappa_stop
+                assert ts[k + 1] == solver.KAPPA_STOP
                 assert k == len(recs) - 2
             else:
                 assert ts[k + 1] == pytest.approx(ts[k] - dt, rel=1e-12)
@@ -335,12 +320,12 @@ def test_flat_paths_stop_once_folds_classify(name, request):
 
     if name in _ABORT_PAST_THE_FOLD_STOP:
         with pytest.raises(SolverAbort, match="^step size underflow") as err:
-            solve_path(metric, SolverOptions(progress=watch))
+            solve_path(metric, progress=watch)
         dump = err.value.state_dump
         assert dump["t"] < state.t and dump["steps_accepted"] > state.steps_accepted
         json.dumps(dump)
     else:
-        floor = solve_path(metric, SolverOptions(progress=watch))
+        floor = solve_path(metric, progress=watch)
         assert floor.state.stop == "floor" and floor.state.t < state.t
         e_floor = embed.place_faces(floor.polytope)
         assert np.array_equal(e.vertices, e_floor.vertices)
@@ -384,7 +369,7 @@ def test_nondegenerate_paths_never_stop_on_folds(make, request):
     runs.append(cli.run_pipeline(metric))
     for run in runs:
         assert run.solve.state.stop == "kappa_stop"
-        assert run.solve.state.t == SolverOptions().kappa_stop
+        assert run.solve.state.t == solver.KAPPA_STOP
     with_stop, without = runs
     assert json.dumps(with_stop.report) == json.dumps(without.report)
     assert np.array_equal(with_stop.embedded.vertices, without.embedded.vertices)
@@ -394,7 +379,7 @@ def test_floor_is_asked_only_above_kappa_stop(cube_metric, monkeypatch):
     # a jump that lands exactly at kappa_stop ends the path there, for
     # "kappa_stop", even on a state already below the floor, as the
     # random hull n = 2560 (seed [1, 2560]) lands its jump
-    t_stop = SolverOptions().kappa_stop
+    t_stop = solver.KAPPA_STOP
     asked = []
 
     def at_floor(state):
@@ -409,7 +394,7 @@ def test_floor_is_asked_only_above_kappa_stop(cube_metric, monkeypatch):
 
 def test_abort_carries_state_dump(cube_metric):
     with pytest.raises(SolverAbort) as err:
-        solve_path(cube_metric, SolverOptions(max_steps=1))
+        solve_path(cube_metric, max_steps=1)
     dump = err.value.state_dump
     assert dump["reason"]
     assert {"t", "r", "mesh", "events", "flips"} <= set(dump)
@@ -450,8 +435,8 @@ def test_regular_polygons_flip_no_cocircular_edge(dev, flips):
         pytest.param(lambda n=n: catalog.doubly_covered_polygon(n), steps, id=f"doubled-{n}")
         for n, steps in (
             (4, (19, 2)), (6, (17, 1)), (8, (17, 1)), (10, (17, 2)), (12, (17, 2)),
-            (16, (16, 1)), (20, (16, 2)), (24, (16, 1)), (32, (22, 2)), (48, (21, 2)),
-            (64, (14, 1)),
+            (16, (16, 1)), (20, (16, 2)), (24, (16, 1)), (32, (22, 2)), (43, (25, 8)),
+            (48, (21, 2)), (64, (14, 1)),
         )
     ]
     + [
@@ -468,7 +453,10 @@ def test_step_attempts_per_path(make, steps):
     # their jump and, on the 4-, 10-, 12-, 20-, 32- and 48-gons, one wide
     # step (on the first four, the last step into the fold stop); the thin
     # hulls reject their first step, so their unclean paths keep the steps
-    # grown by iterate counts.
+    # grown by iterate counts.  The 43-gon turns unclean near its fold
+    # stop, after Newton iterates fail RCOND_MIN, and takes its last step
+    # from an endgame state: the one path here on which the endgame's
+    # waiver of RCOND_MIN decides an iterate.
     state = solve_path(build_metric(make())).state
     assert (state.steps_accepted, state.steps_rejected) == steps
 
@@ -490,7 +478,7 @@ def test_doubly_covered_polygon_reaches_flat_limit(n):
     # the folds are then laid out at exactly 0 and pi, so the development
     # closes to rounding level whatever t the path stopped at
     metric = build_metric(catalog.doubly_covered_polygon(n))
-    result = solve_path(metric, SolverOptions(max_steps=250))
+    result = solve_path(metric, max_steps=250)
     e = embed.place_faces(result.polytope)
     assert e.closure_residual <= 1e-12 * e.diameter
     assert e.degenerate
@@ -518,8 +506,8 @@ def _check_factor(band, rhs):
     assert np.linalg.norm(J @ (x_lu - x_svd)) <= 1e-10 * np.linalg.norm(rhs)
     if kappa2 <= 1e5:
         assert np.linalg.norm(x_lu - x_svd) <= 1e-10 * np.linalg.norm(x_svd)
-    # ||J||_inf bounds sigma_max from both sides for a symmetric J
-    assert sigma[0] <= factor.norm_inf <= math.sqrt(n) * sigma[0]
+    # ||J||_1 bounds sigma_max from both sides for a symmetric J
+    assert sigma[0] <= factor.norm <= math.sqrt(n) * sigma[0]
     assert kappa2 / n <= factor.cond <= n * kappa2
     return kappa2
 
@@ -532,7 +520,7 @@ def test_lu_matches_svd_on_hull():
     factor = JacobianFactor.of(assemble(state.P, state.order))
     np.testing.assert_array_equal(state.factor.lu, factor.lu)
     np.testing.assert_array_equal(state.factor.piv, factor.piv)
-    assert (state.factor.cond, state.factor.norm_inf) == (factor.cond, factor.norm_inf)
+    assert (state.factor.cond, state.factor.norm) == (factor.cond, factor.norm)
 
 
 def test_lu_matches_svd_along_cube_path(cube_path):
@@ -561,10 +549,11 @@ def test_singular_jacobian_rejects(cube_metric, monkeypatch):
     assert state.t == 1.0
 
 
-def test_factor_norms_are_row_and_column_sums():
-    # both norms come from the band entries; they must equal the row sums
-    # of |J| and of |J^T| on a matrix that is not symmetric, up to the
-    # rounding of a sum of 2k + 1 nonnegative terms in another order
+def test_factor_norm_is_the_column_sum():
+    # the norm comes from the band entries; it must equal the largest
+    # column sum of |J| on a matrix that is not symmetric, where the row
+    # sums differ, up to the rounding of a sum of 2k + 1 nonnegative terms
+    # in another order, and it is the norm the condition estimate used
     rng = np.random.default_rng(7)
     n, k = 50, 6
     B = rng.standard_normal((n, n)) * np.exp(rng.uniform(-10.0, 10.0, (n, n)))
@@ -576,8 +565,9 @@ def test_factor_norms_are_row_and_column_sums():
     assert band.k == k
     factor = JacobianFactor.of(band)
     rel = 2 * k * np.finfo(float).eps
-    assert factor.norm_inf == pytest.approx(float(np.abs(J).sum(axis=1).max()), rel=rel)
-    norm_1 = float(np.abs(J.T).sum(axis=1).max())
+    norm_1 = float(np.abs(J).sum(axis=0).max())
+    assert factor.norm == pytest.approx(norm_1, rel=rel)
+    assert factor.norm != pytest.approx(float(np.abs(J).sum(axis=1).max()), rel=1e-3)
     rcond, _ = lapack.dgbcon(k, k, factor.lu, factor.piv, norm_1)
     assert factor.cond == pytest.approx(1.0 / rcond, rel=rel)
 
@@ -592,7 +582,7 @@ def test_clean_path_jumps_to_kappa_stop(name, request):
     ts = [rec["t"] for rec in state.records]
     assert state.steps_rejected == 0
     # the first state at or below T_JUMP steps to kappa_stop exactly
-    assert ts[-1] == SolverOptions().kappa_stop
+    assert ts[-1] == solver.KAPPA_STOP
     assert ts[-2] <= solver.T_JUMP
     assert all(t > solver.T_JUMP for t in ts[:-2])
     # no accepted state fails RCOND_MIN, so the endgame is never entered
@@ -617,7 +607,7 @@ def test_flat_endgame_solves_with_lu(polygon64_metric, monkeypatch):
         return honest_svd(*args, **kw)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    result = solve_path(polygon64_metric, SolverOptions(progress=collect))
+    result = solve_path(polygon64_metric, progress=collect)
     monkeypatch.undo()
     assert svd_calls == []
     assert any(rec["cond"] > 1.0 / solver.RCOND_MIN for rec in result.state.records)
@@ -648,7 +638,7 @@ def _endgame_state(metric):
             raise _Endgame(state)
 
     with pytest.raises(_Endgame) as caught:
-        solve_path(metric, SolverOptions(progress=stop))
+        solve_path(metric, progress=stop)
     return caught.value.args[0]
 
 
@@ -728,7 +718,7 @@ def test_rejected_jump_falls_back_to_halving(cube_metric, monkeypatch, request):
     # A rejected jump halves its step, as any rejection does, but leaves
     # the path clean: it keeps the Hermite predictor and its wide steps,
     # and does not try kappa_stop again before a step would pass it.
-    t_stop = SolverOptions().kappa_stop
+    t_stop = solver.KAPPA_STOP
     honest = solver.step
 
     def reject_first_jump(state, t_new):
@@ -769,7 +759,7 @@ def test_flat_limit_jumps_at_most_once(request):
     log = request.getfixturevalue("step_log")
     state = solve_path(metric).state
     assert state.records == untraced.records
-    t_stop = SolverOptions().kappa_stop
+    t_stop = solver.KAPPA_STOP
     jumps = [k for k, s in enumerate(log) if s.t_new == t_stop]
     assert len(jumps) == 1
     k = jumps[0]
@@ -792,7 +782,7 @@ def test_rejected_wide_step_keeps_the_path_clean(n, step_log):
     # Hermite predictor; unlike the jump, it caps every later step at
     # half of t.  The jump is still tried, and rejected.
     state = solve_path(build_metric(catalog.doubly_covered_polygon(n))).state
-    t_stop = SolverOptions().kappa_stop
+    t_stop = solver.KAPPA_STOP
     rejected = [k for k, s in enumerate(step_log) if not s.accepted]
     assert len(rejected) == 2
     k, j = rejected
@@ -820,7 +810,7 @@ def test_narrow_rejection_ends_the_clean_path(step_log):
     assert first.hermite is False and first.clean is True
     assert all(not s.hermite and not s.clean for s in step_log[1:])
     # today's rule, replayed over the log
-    t_stop = SolverOptions().kappa_stop
+    t_stop = solver.KAPPA_STOP
     dt = 0.5 * solver.DT_INIT
     for s in step_log[1:]:
         dt_eff = min(dt, solver.DT_CAP * s.t)
@@ -875,16 +865,17 @@ def test_newton_iterates_per_path(name, bound, tetra_path, cube_path):
 
 
 @pytest.mark.parametrize("kappa_stop", [1e-4, 1e-5, 1e-6])
-def test_jacobian_nondegenerate_near_closure(kappa_stop, tetra_metric, cube_metric):
+def test_jacobian_nondegenerate_near_closure(kappa_stop, tetra_metric, cube_metric, monkeypatch):
     # a07 checks the states a path visits at t >= 1e-6; a clean path
-    # jumps from about 1e-3 to kappa_stop and visits none in between, so
+    # jumps from about 1e-3 to KAPPA_STOP and visits none in between, so
     # check the end states of paths stopped there
+    monkeypatch.setattr(solver, "KAPPA_STOP", kappa_stop)
     metrics = [tetra_metric, cube_metric]
     for n, seed in (HULL_CASES[6], HULL_CASES[-2]):
         dev, _, _ = hull.random_sphere_development(n, seed=seed)
         metrics.append(build_metric(dev))
     for metric in metrics:
-        result = solve_path(metric, SolverOptions(kappa_stop=kappa_stop))
+        result = solve_path(metric)
         assert result.state.t == kappa_stop
         sv = np.linalg.svd(dense_jacobian(result.polytope), compute_uv=False)
         assert sv[-1] > 1e-10 * sv[0], (metric.n_vertices, kappa_stop)
@@ -897,7 +888,7 @@ _EPS = np.finfo(float).eps
 
 def _check_band_factor(P, order, rhs, endgame=False):
     """The factor of the banded J in ``order`` against the dense oracle J:
-    the two norms to the rounding of their sums, the condition estimate
+    ||J||_1 to the rounding of its sums, the condition estimate
     within LAPACK's factor n of cond_1(J), and, off the endgame, the
     solve against a dense LU solve.  Returns the relative gap of the
     solves."""
@@ -908,11 +899,11 @@ def _check_band_factor(P, order, rhs, endgame=False):
     factor = JacobianFactor.of(band)
     # two orders of summing m nonnegative terms differ by at most (m-1) eps
     m = int(max((J != 0).sum(axis=0).max(), (J != 0).sum(axis=1).max()))
-    A = np.abs(J)
-    assert factor.norm_inf == pytest.approx(A.sum(axis=1).max(), rel=(m - 1) * _EPS)
+    norm_1 = float(np.abs(J).sum(axis=0).max())
+    assert factor.norm == pytest.approx(norm_1, rel=(m - 1) * _EPS)
     # ||J||_1 enters the estimate as a factor; gbcon with the oracle's
     # ||J||_1 gives the same estimate to two more roundings
-    rcond, _ = lapack.dgbcon(k, k, factor.lu, factor.piv, float(A.sum(axis=0).max()))
+    rcond, _ = lapack.dgbcon(k, k, factor.lu, factor.piv, norm_1)
     assert factor.cond == pytest.approx(1.0 / rcond, rel=(m + 1) * _EPS)
     cond_1 = np.linalg.cond(J, 1)
     assert cond_1 / n <= factor.cond <= n * cond_1
@@ -952,7 +943,7 @@ def test_band_factor_matches_dense_oracle_along_paths(name):
         endgame = 1.0 / state.factor.cond < solver.RCOND_MIN
         states.append((state.P, state.order, state.kappa1, endgame))
 
-    solve_path(build_metric(_PATH_CASES[name]()), SolverOptions(progress=collect))
+    solve_path(build_metric(_PATH_CASES[name]()), progress=collect)
     for P, order, kappa1, endgame in states:
         _check_band_factor(P, order, kappa1, endgame)
     if name == "doubled-64":  # its path ends in the endgame
@@ -979,8 +970,8 @@ def test_path_flip_widens_the_band(n, seed):
     def collect(state):
         states.append((state.factor, state.P, _half_bandwidth(state.mesh, state.order)))
 
-    opts = SolverOptions(progress=collect, max_steps=250)  # about 30 are needed
-    result = solve_path(build_metric(dev), opts)
+    # about 30 steps are needed
+    result = solve_path(build_metric(dev), max_steps=250, progress=collect)
     assert result.events
     k0 = states[0][2]
     widened = [(factor, P, k) for factor, P, k in states if k > k0]

@@ -17,7 +17,7 @@ from oracles import (
 from polyforge import build_metric, catalog, hull, jacobian
 from polyforge.errors import FlipError, InadmissibleWeightsError, TriangleError
 from polyforge.polytope import GeneralizedPolytope, solve_pyramids
-from polyforge.solver import SolverOptions, _edge_theta, solve_path
+from polyforge.solver import _edge_theta, solve_path
 from polyforge.triangulation import (
     BAD_TOL,
     CornerMesh,
@@ -589,7 +589,7 @@ def test_cached_results_match_an_uncached_mesh_along_the_path(dev):
         _assert_cache_matches_fresh(state.mesh, state.r, state.order)
         seen.append(state.flips)
 
-    result = solve_path(build_metric(dev), SolverOptions(progress=check))
+    result = solve_path(build_metric(dev), progress=check)
     assert seen[0] > 0 or result.events
     assert len(seen) == result.state.steps_accepted + 1
 
