@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .hull import development_from_triangles
-from .surface import Development
+from .surface import Development, twin_table
 
 
 # Faces counterclockwise from outside, starting at their lowest-index
@@ -58,7 +58,7 @@ def doubly_covered_triangle(a, b, c):
     """
     sides = np.array([[a, b, c], [a, c, b]], dtype=float)
     gluings = (((0, 0), (1, 0)), ((0, 1), (1, 2)), ((0, 2), (1, 1)))
-    return Development(sides=sides, gluings=gluings)
+    return Development(sides=sides, twin=twin_table(len(sides), gluings))
 
 
 def doubly_covered_polygon(n, radius=1.0):
@@ -86,7 +86,7 @@ def doubly_covered_polygon(n, radius=1.0):
         gluings.append(((i, 0), (m + i, 0)))  # rim edge v_{i+1}-v_{i+2}
     gluings.append(((0, 2), (m, 1)))  # rim edge v0-v1
     gluings.append(((m - 1, 1), (2 * m - 1, 2)))  # rim edge v0-v_{n-1}
-    return Development(sides=sides, gluings=tuple(gluings))
+    return Development(sides=sides, twin=twin_table(len(sides), gluings))
 
 
 def twisted_double_polygon(n, radius=1.0):
@@ -132,7 +132,7 @@ def twisted_double_polygon(n, radius=1.0):
         gluings.append(((k - 1, 0), (m + k, 0)))
     gluings.append(((m - 1, 0), (2 * m - 1, 2)))
     gluings.append(((m - 1, 1), (m, 1)))
-    return Development(sides=sides, gluings=tuple(gluings))
+    return Development(sides=sides, twin=twin_table(len(sides), gluings))
 
 
 NAMED = {

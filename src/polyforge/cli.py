@@ -9,6 +9,7 @@ failure (solver abort or embedding that does not close).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import logging
@@ -138,6 +139,18 @@ def _cannot_write(path, exc):
     raise SystemExit(EXIT_INVALID) from exc
 
 
+def _check_output(path):
+    """Report, before the solve, an output path that cannot be a file:
+    one whose parent is not an existing directory, or which is itself a
+    directory.  Nothing is opened, so a failed run leaves an earlier
+    output as it was."""
+    path = Path(path)
+    if path.is_dir():
+        _cannot_write(path, IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR)))
+    if not path.parent.is_dir():
+        _cannot_write(path, FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT)))
+
+
 def _write(path, text):
     try:
         Path(path).write_text(text)
@@ -151,6 +164,8 @@ def _dump_json(doc, path):
 
 def cmd_solve(args):
     metric = _load_metric(args.input)
+    _check_output(args.out)
+    _check_output(args.report)
 
     progress_file = None
     progress = None
@@ -193,7 +208,7 @@ def cmd_solve(args):
     if out.suffix == ".json":
         _write(out, pipe.embedded.as_json() + "\n")
     else:
-        _write(out, embed.as_obj(pipe.embedded, merged=args.merge_coplanar))
+        _write(out, embed.as_obj(pipe.embedded))
     _dump_json(pipe.report, args.report)
     log.info("wrote %s and %s", out, args.report)
     print(

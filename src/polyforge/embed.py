@@ -60,7 +60,7 @@ from scipy.linalg import lapack
 from . import jacobian, kernels
 from .errors import EmbedError
 from .kernels import _NEXT, _NEXT2
-from .triangulation import CornerMesh, merge_regions, twin_slots
+from .triangulation import CornerMesh, merge_regions
 
 CLOSURE_TOL = 1e-6  # * diameter
 DEGENERATE_VOL_TOL = 1e-8  # * diameter^3
@@ -222,17 +222,14 @@ def _unfold(mesh, theta):
     nf = mesh.n_faces
     ell = mesh.ell
     # Corner s2 of face g lies ap along side s2 from the side's tail
-    # corner (s2 + 1) % 3, toward its head, and bp off the side.
-    l_edge = ell
-    l_tail = ell[:, _NEXT2]  # from the tail corner to corner s2
-    l_head = ell[:, _NEXT]
-    ap = (l_tail * l_tail + l_edge * l_edge - l_head * l_head) / (2.0 * l_edge)
-    h2 = l_tail * l_tail - ap * ap
+    # corner (s2 + 1) % 3, toward its head, and bp off the side: side
+    # (s2 + 2) % 3 joins the tail corner to corner s2.
+    ap, h2 = kernels.corner_layout(ell, ell[:, _NEXT2], ell[:, _NEXT])
     bp = np.sqrt(np.where(h2 < 0.0, 0.0, h2))  # max(h2, 0.0), -0.0 and all
 
     # Slot 3 f + s of each tree edge, f the placed face; ends[i] closes
     # level i + 1.
-    adj = mesh.adj_face.tolist()
+    adj = (mesh.twin // 3).reshape(nf, 3).tolist()
     placed = [False] * nf
     placed[0] = True
     slots, ends = [], []
@@ -254,7 +251,7 @@ def _unfold(mesh, theta):
     tail = (corner + _NEXT).ravel()
     head = (corner + _NEXT2).ravel()
     own = np.array(slots, dtype=np.intp)
-    twin = mesh.cached(twin_slots)[own]
+    twin = mesh.twin[own]
     face, across = own // 3, twin // 3
     own_tail, own_head = tail[own], head[own]
     twin_tail, twin_head = tail[twin], head[twin]
@@ -299,7 +296,7 @@ def _check_sheets(mesh, pos, fold):
     in order of smallest face, whose areas take both signs."""
     area = np.cross(pos[:, 1] - pos[:, 0], pos[:, 2] - pos[:, 0])[:, 2]
     slots = np.flatnonzero(~fold)
-    sheet = kernels.components(mesh.n_faces, slots // 3, mesh.cached(twin_slots)[slots] // 3)
+    sheet = kernels.components(mesh.n_faces, slots // 3, mesh.twin[slots] // 3)
     n = int(sheet.max()) + 1
     folded = (np.bincount(sheet[area > 0.0], minlength=n) > 0) & (
         np.bincount(sheet[area < 0.0], minlength=n) > 0
@@ -574,9 +571,10 @@ def apex_boundary_distance(embedded: EmbeddedPolytope, apex):
     return float(np.sqrt(_rows_dot(d, d)).min())
 
 
-def as_obj(embedded: EmbeddedPolytope, merged=False):
-    """Wavefront OBJ text; faces counterclockwise seen from outside."""
-    faces = embedded.merged_faces if merged and embedded.merged_faces else embedded.faces
+def as_obj(embedded: EmbeddedPolytope):
+    """Wavefront OBJ text; faces counterclockwise seen from outside.  The
+    merged faces are written when ``place_faces`` merged them."""
+    faces = embedded.merged_faces if embedded.merged_faces is not None else embedded.faces
     flip = embedded.volume < 0 and not embedded.degenerate
     lines = ["# polyforge output", f"# faces: {len(faces)}"]
     for x, y, z in embedded.vertices:

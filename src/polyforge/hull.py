@@ -24,7 +24,8 @@ def development_from_triangles(points, corners):
     read off the labels exactly, and only the side lengths come from the
     points.  The triangles must form a closed surface, in which every
     directed edge appears exactly once and its reverse appears too.
-    Gluings are listed by their first slot, in (face, side) order.
+    The gluing is the development's slot table ``twin``, read off the
+    sorted directed edges.
     """
     corners = np.asarray(corners)
     if corners.ndim != 2 or corners.shape[1] != 3:
@@ -42,11 +43,7 @@ def development_from_triangles(points, corners):
     at = np.minimum(np.searchsorted(keys, reverse), keys.size - 1)
     if np.any(keys[at] != reverse):
         raise ValueError("surface has a boundary edge")
-    twin = order[at]
-    first = np.flatnonzero(np.arange(twin.size) <= twin)
-    pairs = np.stack(np.divmod(first, 3) + np.divmod(twin[first], 3), axis=1)
-    gluings = tuple(((t, s), (t2, s2)) for t, s, t2, s2 in pairs.tolist())
-    return Development(sides=sides, gluings=gluings)
+    return Development(sides=sides, twin=order[at])
 
 
 def random_sphere_development(n_points, seed=None):

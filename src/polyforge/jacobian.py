@@ -24,10 +24,9 @@ in the order.  ``assemble`` scatters the contributions of J, permuted to
 that order, straight into LAPACK band storage (``BandJacobian``).  The
 scatter index and the half-bandwidth k, the largest |pos(i) - pos(j)|
 over the edges, depend on the triangulation and the order alone, so the
-mesh's cache keeps them per order, with the twin slot of every side
-(``triangulation.CornerMesh.cached``).  A flip drops them, and they are
-read off the new triangulation, because flips along the path may widen
-the band.  The cached index arrays own their memory and hold no
+mesh's cache keeps them per order (``triangulation.CornerMesh.cached``).
+A flip drops them, and they are read off the new triangulation, because
+flips along the path may widen the band.  The cached index arrays own their memory and hold no
 reference to the mesh, for the reasons the triangulation module gives.
 The solver factors J by banded LU with partial pivoting
 (``solver.JacobianFactor``: gbtrf, then gbcon for the condition
@@ -60,7 +59,6 @@ import numpy as np
 from . import kernels
 from .errors import StepReductionError
 from .kernels import _NEXT, _NEXT2
-from .triangulation import twin_slots
 
 # Sines below this value make the cotangent weights meaningless in double
 # precision; the solver retries with a smaller deformation step.
@@ -144,7 +142,7 @@ def assemble(P, order) -> BandJacobian:
 
     # One entry per face side, in (face, side) order.
     a_own = pyr.alpha.ravel()
-    a_opp = a_own[mesh.cached(twin_slots)]
+    a_opp = a_own[mesh.twin]
     sin_own, sin_opp = np.sin(a_own), np.sin(a_opp)
     sin_t, sin_h = np.sin(pyr.rho_t.ravel()), np.sin(pyr.rho_h.ravel())
     if min(sin_own.min(), sin_opp.min(), sin_t.min(), sin_h.min()) < SIN_FLOOR:

@@ -80,6 +80,16 @@ def tri_angles(ell):
     return _angle_opp(ell, ell[:, _NEXT], ell[:, _NEXT2])
 
 
+def corner_layout(edge, near, far):
+    """The corner at distance ``near`` from the tail (0, 0) and ``far``
+    from the head (edge, 0) of an edge laid on the x axis: its x =
+    (near^2 + edge^2 - far^2) / (2 edge) and y^2 = near^2 - x^2, batched.
+    It warns as its arithmetic does, so callers run it inside their own
+    ``np.errstate``."""
+    x = (near * near + edge * edge - far * far) / (2.0 * edge)
+    return x, near * near - x * x
+
+
 class PyramidBase(NamedTuple):
     """The radius-independent half of ``face_pyramids``: each base
     triangle laid out with corners P0 = (0, 0), P1 = (l2, 0) and
@@ -97,11 +107,10 @@ def pyramid_base(ell):
     ell = np.asarray(ell, dtype=np.float64)
     l0, l1, l2 = ell[:, 0], ell[:, 1], ell[:, 2]
     with np.errstate(all="ignore"):
-        sq0, sq1, sq2 = l0 * l0, l1 * l1, l2 * l2
-        two_l2 = 2.0 * l2
-        x2 = (sq1 + sq2 - sq0) / two_l2
-        y2sq = sq1 - x2 * x2
+        x2, y2sq = corner_layout(l2, l1, l0)
         y2 = np.sqrt(np.maximum(y2sq, 0.0))
+        sq1, sq2 = l1 * l1, l2 * l2
+        two_l2 = 2.0 * l2
     pts = np.zeros((3, 4, ell.shape[0]))
     pts[0, 1] = l2
     pts[0, 2] = x2
@@ -292,10 +301,8 @@ def quad_frame(l_ij, l_ik, l_jk, l_il, l_jl):
     with np.errstate(invalid="ignore", divide="ignore"):
         sq_ij, sq_ik, sq_il = l_ij * l_ij, l_ik * l_ik, l_il * l_il
         two_ij = 2.0 * l_ij
-        xk = (sq_ik + sq_ij - l_jk * l_jk) / two_ij
-        yk2 = sq_ik - xk * xk
-        xl = (sq_il + sq_ij - l_jl * l_jl) / two_ij
-        yl2 = sq_il - xl * xl
+        xk, yk2 = corner_layout(l_ij, l_ik, l_jk)
+        xl, yl2 = corner_layout(l_ij, l_il, l_jl)
         two_yk = 2.0 * np.sqrt(np.maximum(yk2, 0.0))
         yl = -np.sqrt(np.maximum(yl2, 0.0))
     flat = (yk2 <= 0.0) | (yl2 <= 0.0)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .errors import PyramidError
-from .triangulation import CornerMesh, twin_slots
+from .triangulation import CornerMesh
 
 # A flat body's dihedrals classify once each lies within FOLD_TOL of 0 or
 # pi (CurvatureReport.folds): solver.solve_path stops there, and
@@ -119,7 +119,7 @@ class GeneralizedPolytope:
         omega_sum = kernels.scatter_add(self.n_vertices, mesh.vert.ravel(), pyr.omega.ravel())
         kappa = 2.0 * math.pi - omega_sum
 
-        twin = pyr.alpha.ravel()[mesh.cached(twin_slots)]
+        twin = pyr.alpha.ravel()[mesh.twin]
         theta = pyr.alpha + twin.reshape(pyr.alpha.shape)
         self._report = CurvatureReport(kappa=kappa, theta=theta)
         return self._report

@@ -317,7 +317,7 @@ def _edge_theta(mesh, r, f, s):
     batch is what a solve of the edge's two faces alone gives, bit for
     bit, since the kernel works row by row.
     """
-    g, s2 = mesh.adj_face[f, s], mesh.adj_side[f, s]
+    g, s2 = np.divmod(mesh.twin[3 * f + s], 3)
     faces = np.concatenate([f, g])
     alpha = solve_pyramids(mesh.ell[faces], np.asarray(r)[mesh.vert[faces]]).alpha
     e = np.arange(len(f))

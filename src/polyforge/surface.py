@@ -13,11 +13,16 @@ from corner ``(s+1)%3`` to corner ``(s+2)%3``.  A gluing identifies two
 sides with opposite traversal directions, so a consistently oriented
 closed surface always results.  Gluing a side to itself is rejected
 (it would pinch the edge's midpoint into a boundary cone).
+
+Inside the package the gluing is one slot table, ``twin``: slot
+``3 t + s`` is side ``s`` of triangle ``t``, and ``twin[3 t + s]`` is
+the slot glued to it.  The JSON pairs become the table in one place,
+``twin_table``, and the table is listed back as pairs in one other,
+``Development.to_json``.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +31,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DevelopmentError, MetricError, SchemaError
+from .kernels import _NEXT, _NEXT2
 
 # Glued sides may disagree on length by at most this relative amount;
 # below it they are snapped to the common mean.
@@ -42,16 +48,20 @@ class Development:
     """Validated triangle soup; lengths are already snapped across gluings."""
 
     sides: np.ndarray  # (F, 3) float, side s opposite corner s
-    gluings: tuple  # of ((t, s), (t2, s2)) pairs
+    twin: np.ndarray  # (3F,) int, the slot glued to each slot 3 t + s
 
     @property
     def n_faces(self):
         return self.sides.shape[0]
 
     def to_json(self, indent=None):
+        """The JSON form; each gluing is listed once, by its first slot, in
+        slot order."""
+        first = np.flatnonzero(np.arange(self.twin.size) < self.twin)
+        pairs = np.stack(np.divmod(first, 3) + np.divmod(self.twin[first], 3), axis=1)
         doc = {
             "triangles": [{"sides": [float(x) for x in row]} for row in self.sides],
-            "gluings": [[list(a), list(b)] for a, b in self.gluings],
+            "gluings": [[[t, s], [t2, s2]] for t, s, t2, s2 in pairs.tolist()],
         }
         return json.dumps(doc, indent=indent)
 
@@ -193,30 +203,37 @@ def parse_development(text: str) -> Development:
     if violations:
         raise DevelopmentError(violations)
 
-    return Development(sides=sides, gluings=tuple(pairs))
+    return Development(sides=sides, twin=twin_table(nf, pairs))
 
 
-def gluing_arrays(gluings):
-    """The gluings ((t, s), (t2, s2)) as four int arrays t, s, t2, s2."""
-    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(gluings))
-    return np.fromiter(flat, dtype=np.int64, count=4 * len(gluings)).reshape(-1, 4).T
+def twin_table(n_faces, pairs):
+    """The slot table of the gluings ``pairs`` ((t, s), (t2, s2)) of
+    ``n_faces`` triangles: ``twin[3 t + s] = 3 t2 + s2`` and back.  The
+    pairs must glue every side exactly once, to another side."""
+    slots = np.array(
+        [(3 * t + s, 3 * t2 + s2) for (t, s), (t2, s2) in pairs], dtype=np.int64
+    ).reshape(-1, 2)
+    twin = np.empty(3 * n_faces, dtype=np.int64)
+    twin[slots[:, 0]] = slots[:, 1]
+    twin[slots[:, 1]] = slots[:, 0]
+    return twin
 
 
-def _glue_corners(nf, gluings):
+def _glue_corners(nf, twin):
     """Vertex label of each corner 3 t + c: the gluing classes of the
     corners, numbered in order of their smallest member
     (``kernels.components``).
 
-    Each gluing joins two pairs of corners: side s runs corner (s+1) ->
-    (s+2), and its glued partner runs the same segment backwards, so
-    heads match tails.  A per-corner union-find that keeps the smallest
-    member as representative gives the same labels; it took 0.58, 1.23
-    and 2.62 ms at n = 160, 320 and 640 against 0.21, 0.38 and 0.69 ms
-    for the array passes (best of 150 on a 2-vCPU Xeon host)."""
-    t, s, t2, s2 = gluing_arrays(gluings)
-    a = np.concatenate([3 * t + (s + 1) % 3, 3 * t + (s + 2) % 3])
-    b = np.concatenate([3 * t2 + (s2 + 2) % 3, 3 * t2 + (s2 + 1) % 3])
-    return kernels.components(3 * nf, a, b)
+    Slot 3 t + s runs from corner 3 t + (s+1)%3 (its tail) to corner
+    3 t + (s+2)%3 (its head), and its twin runs the same segment
+    backwards, so each slot's tail is its twin's head.  A per-corner
+    union-find that keeps the smallest member as representative gives the
+    same labels; it took 0.58, 1.23 and 2.62 ms at n = 160, 320 and 640
+    against 0.21, 0.38 and 0.69 ms for the array passes (best of 150 on a
+    2-vCPU Xeon host)."""
+    corner = 3 * np.arange(nf)[:, None]
+    tail, head = (corner + _NEXT).ravel(), (corner + _NEXT2).ravel()
+    return kernels.components(3 * nf, tail, head[twin])
 
 
 def build_metric(dev: Development) -> PolyhedralMetric:
@@ -226,7 +243,7 @@ def build_metric(dev: Development) -> PolyhedralMetric:
     cone angle fails convexity (deficit must lie strictly in (0, 2*pi)).
     """
     nf = dev.n_faces
-    corner_vertex = _glue_corners(nf, dev.gluings).reshape(nf, 3)
+    corner_vertex = _glue_corners(nf, dev.twin).reshape(nf, 3)
     n = int(corner_vertex.max()) + 1
     n_edges = (3 * nf) // 2
     if n - n_edges + nf != 2:

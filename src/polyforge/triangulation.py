@@ -2,11 +2,13 @@
 
 The mesh is a corner table.  Face ``f`` has corners 0, 1, 2; side ``s``
 is opposite corner ``s`` and is traversed from corner ``(s+1)%3`` (tail)
-to corner ``(s+2)%3`` (head).  ``adj`` maps each side to the side it is
-glued to, with reversed traversal, making the whole thing an oriented
-closed surface.  Vertices may repeat around a face: loops and multiple
-edges are ordinary citizens here, they show up as soon as flips start
-rearranging a development.
+to corner ``(s+2)%3`` (head).  Slot ``3 f + s`` is side ``s`` of face
+``f``, and the one table ``twin`` maps each slot to the slot glued to
+it, with reversed traversal, making the whole thing an oriented closed
+surface; a mesh starts from its development's table
+(``surface.Development``).  Vertices may repeat around a face: loops
+and multiple edges are ordinary citizens here, they show up as soon as
+flips start rearranging a development.
 
 Badness of an edge is measured by developing its two adjacent faces into
 the plane (two copies, if they are the same face), as a
@@ -24,8 +26,7 @@ benchmark workload (seed 1) 97 to 99 % of the lookups below find their
 arrays already built.  So ``CornerMesh.cached`` keeps the arrays that
 depend on the triangulation alone, each built on first use: the
 canonical edges and their quads (``badness_scan``), the pyramid base
-terms (``polytope``), the twin slots (``polytope``, ``jacobian`` and
-``embed``), the band scatter index of the solve's vertex order
+terms (``polytope``), the band scatter index of the solve's vertex order
 (``jacobian``) and the mesh's own reverse Cuthill-McKee order
 (``solver`` and ``embed``).  ``flip``, which each round of
 ``weighted_delaunay`` calls once, is the only code that writes a mesh,
@@ -33,7 +34,7 @@ and it drops the cache; ``copy`` shares it, as the copy is the
 same triangulation until one of the two flips.  The cache holds no
 reference to its mesh, so a dropped mesh is freed at once by reference
 counting rather than by the cycle collector, and no views: a flip
-writes ``vert``, ``ell`` and the adjacency in place, and a view cached
+writes ``vert``, ``ell`` and ``twin`` in place, and a view cached
 through a shared copy would go stale in the mesh that a rejected step
 keeps.  Its arrays own their memory and are read-only.  Only the flip
 loop's first round reads the cache.  Its later rounds and the solver's
@@ -52,7 +53,7 @@ import numpy as np
 from . import kernels
 from .errors import FlipError, InadmissibleWeightsError, TriangleError
 from .kernels import _NEXT, _NEXT2
-from .surface import PolyhedralMetric, gluing_arrays
+from .surface import PolyhedralMetric
 
 # An edge is bad when its badness exceeds BAD_TOL * max(1, |q|_inf).
 BAD_TOL = 1e-10
@@ -65,11 +66,10 @@ CONVEXITY_TOL = 1e-10
 class CornerMesh:
     """Mutable triangulation with per-corner vertex labels and lengths."""
 
-    def __init__(self, vert, ell, adj_face, adj_side):
+    def __init__(self, vert, ell, twin):
         self.vert = np.asarray(vert, dtype=np.int64)
         self.ell = np.asarray(ell, dtype=np.float64)
-        self.adj_face = np.asarray(adj_face, dtype=np.int64)
-        self.adj_side = np.asarray(adj_side, dtype=np.int64)
+        self.twin = np.asarray(twin, dtype=np.int64)
         # Flips rewire faces but keep the set of vertex labels.
         self.n_vertices = int(self.vert.max()) + 1
         self._cache = {}
@@ -79,20 +79,13 @@ class CornerMesh:
     @classmethod
     def from_metric(cls, metric: PolyhedralMetric) -> "CornerMesh":
         dev = metric.development
-        nf = dev.n_faces
-        adj_face = np.full((nf, 3), -1, dtype=np.int64)
-        adj_side = np.full((nf, 3), -1, dtype=np.int64)
-        t, s, t2, s2 = gluing_arrays(dev.gluings)
-        adj_face[t, s], adj_side[t, s] = t2, s2
-        adj_face[t2, s2], adj_side[t2, s2] = t, s
-        return cls(metric.corner_vertex.copy(), dev.sides.copy(), adj_face, adj_side)
+        # Copies: flip writes the mesh's arrays in place.
+        return cls(metric.corner_vertex.copy(), dev.sides.copy(), dev.twin.copy())
 
     def copy(self) -> "CornerMesh":
-        """A mesh with copies of the four arrays, sharing this one's cache
+        """A mesh with copies of the three arrays, sharing this one's cache
         until either of them flips."""
-        out = CornerMesh(
-            self.vert.copy(), self.ell.copy(), self.adj_face.copy(), self.adj_side.copy()
-        )
+        out = CornerMesh(self.vert.copy(), self.ell.copy(), self.twin.copy())
         out._cache = self._cache
         return out
 
@@ -121,14 +114,13 @@ class CornerMesh:
         return (3 * self.n_faces) // 2
 
     def neighbor(self, f, s):
-        return int(self.adj_face[f, s]), int(self.adj_side[f, s])
+        return divmod(int(self.twin[3 * f + s]), 3)
 
     def edges(self):
         """Canonical handles of the undirected edges as two int arrays
         (f, s): per edge, the side that precedes its neighbor (g, s2) in
         (face, side) order, listed in that order."""
-        corner = 3 * np.arange(self.n_faces)[:, None] + np.arange(3)
-        return np.divmod(np.flatnonzero(corner <= 3 * self.adj_face + self.adj_side), 3)
+        return np.divmod(np.flatnonzero(np.arange(self.twin.size) <= self.twin), 3)
 
     def edge_endpoints(self, f, s):
         return int(self.vert[f, (s + 1) % 3]), int(self.vert[f, (s + 2) % 3])
@@ -140,8 +132,7 @@ class CornerMesh:
             {
                 "vert": self.vert.tolist(),
                 "ell": self.ell.tolist(),
-                "adj_face": self.adj_face.tolist(),
-                "adj_side": self.adj_side.tolist(),
+                "twin": self.twin.tolist(),
             }
         )
 
@@ -160,7 +151,7 @@ class CornerMesh:
         """
         shape = np.shape(f)
         quads = _quads(self, np.ravel(f), np.ravel(s))
-        g, s2 = self.adj_face[quads.f, quads.s], self.adj_side[quads.f, quads.s]
+        g, s2 = np.divmod(self.twin[3 * quads.f + quads.s], 3)
         same = np.flatnonzero(g == quads.f)
         if same.size:
             e = same[0]
@@ -186,14 +177,12 @@ class CornerMesh:
         new = np.concatenate([3 * f, 3 * g + 2, 3 * f + 1, 3 * g, 3 * f + 2, 3 * g + 1])
         slot = np.arange(3 * self.n_faces)
         slot[old] = new
-        twin = twin_slots(self)
-        twin[slot] = slot[twin]
         ell = np.empty(slot.size)
         ell[slot] = self.ell.ravel()
         # The arrays are about to change: drop the cache (copies made
         # before keep theirs).
         self._cache = {}
-        self.adj_face[...], self.adj_side[...] = np.divmod(twin.reshape(-1, 3), 3)
+        self.twin[slot] = slot[self.twin]
         self.ell[...] = ell.reshape(-1, 3)
         self.ell[f, 0] = self.ell[g, 0] = new_len
         i, j, k, l = quads.labels
@@ -211,13 +200,6 @@ def _freeze(value):
             _freeze(item)
 
 
-def twin_slots(mesh):
-    """Flat index 3 g + s2 of the slot glued to each side slot, in (face,
-    side) order: ``x.ravel()[twin_slots(mesh)]`` is ``x[mesh.adj_face,
-    mesh.adj_side].ravel()``."""
-    return 3 * mesh.adj_face.ravel() + mesh.adj_side.ravel()
-
-
 # -- power-style badness -----------------------------------------------
 
 
@@ -232,8 +214,7 @@ class EdgeQuads(NamedTuple):
 
 
 def _quads(mesh, f, s):
-    g = mesh.adj_face[f, s]
-    s2 = mesh.adj_side[f, s]
+    g, s2 = np.divmod(mesh.twin[3 * f + s], 3)
     t, h = _NEXT[s], _NEXT2[s]
     labels = mesh.vert[[f, f, f, g], [t, h, s, s2]]
     # l_ij, l_ik, l_jk, l_il, l_jl
@@ -321,7 +302,7 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
         if not bad.size:
             return flips
         f, s = quads.f[bad], quads.s[bad]
-        g = mesh.adj_face[f, s]
+        g = mesh.twin[3 * f + s] // 3
         movable = (g != f) & _strictly_convex(kernels.QuadFrame(*(x[bad] for x in quads.frame)))
         pick = np.zeros(bad.size, dtype=bool)
         taken = set()
@@ -345,8 +326,7 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
         # the quad's outer sides.
         fg = np.concatenate([f[pick], g[pick]])
         slots = np.concatenate([3 * fg + 1, 3 * fg + 2, 3 * f[~pick] + s[~pick]])
-        twins = 3 * mesh.adj_face.ravel()[slots] + mesh.adj_side.ravel()[slots]
-        quads = _quads(mesh, *np.divmod(np.unique(np.minimum(slots, twins)), 3))
+        quads = _quads(mesh, *np.divmod(np.unique(np.minimum(slots, mesh.twin[slots])), 3))
         vals = _badness(quads, q)
 
 
@@ -367,11 +347,10 @@ def merge_regions(mesh, flat):
     Region, one per component of ``kernels.components``, in order of
     their smallest face.  Boundary cycles keep the region on their left.
     """
-    twin = mesh.cached(twin_slots)
     flat = np.asarray(flat, dtype=bool).ravel()
-    flat = flat | flat[twin]
+    flat = flat | flat[mesh.twin]
     slots = np.flatnonzero(flat)
-    label = kernels.components(mesh.n_faces, slots // 3, twin[slots] // 3)
+    label = kernels.components(mesh.n_faces, slots // 3, mesh.twin[slots] // 3)
     order = np.argsort(label, kind="stable").tolist()
     ends = np.cumsum(np.bincount(label)).tolist()
     members = [order[lo:hi] for lo, hi in zip([0] + ends, ends)]

@@ -126,8 +126,7 @@ def decompose(dual: DualPolyhedron, check=True) -> DualDecomposition:
     h_perp = (h_rev[:, roll2] - h_fwd * cos_om[:, roll1]) / sin_om[:, roll1]
     h_perp_mirror = (h_fwd[:, roll1] - h_rev * cos_om[:, roll2]) / sin_om[:, roll2]
 
-    g, s2 = mesh.adj_face, mesh.adj_side
-    lstar = h_perp + h_perp[g, s2]
+    lstar = h_perp + h_perp.ravel()[mesh.twin].reshape(-1, 3)
 
     scale = max(1.0, float(np.abs(h_perp).max()))
     if check:
@@ -183,7 +182,7 @@ def mixed_area(dual: DualPolyhedron, i, x, y, omega=None) -> float:
     x_fwd, _, _ = _chain_for(dual, omega, x)
     _, _, y_perp = _chain_for(dual, omega, y)
     mesh = dual.mesh
-    y_lstar = y_perp + y_perp[mesh.adj_face, mesh.adj_side]
+    y_lstar = y_perp + y_perp.ravel()[mesh.twin].reshape(-1, 3)
     tail = mesh.vert[:, [1, 2, 0]]
     mask = tail == i
     return 0.5 * float(np.sum(x_fwd[mask] * y_lstar[mask]))
@@ -195,7 +194,7 @@ def mixed_volume(dual: DualPolyhedron, x, y, z) -> float:
     y_fwd, _, _ = _chain_for(dual, omega, y)
     _, _, z_perp = _chain_for(dual, omega, z)
     mesh = dual.mesh
-    z_lstar = z_perp + z_perp[mesh.adj_face, mesh.adj_side]
+    z_lstar = z_perp + z_perp.ravel()[mesh.twin].reshape(-1, 3)
     tail = mesh.vert[:, [1, 2, 0]]
     areas = np.zeros(dual.n_vertices)
     np.add.at(areas, tail.ravel(), 0.5 * (y_fwd * z_lstar).ravel())

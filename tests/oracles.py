@@ -103,7 +103,10 @@ def glued_corner_labels(dev: Development):
     match."""
     nf = dev.n_faces
     uf = UnionFind(3 * nf)
-    for (t, s), (t2, s2) in dev.gluings:
+    for a, b in enumerate(dev.twin.tolist()):
+        if a > b:
+            continue
+        (t, s), (t2, s2) = divmod(a, 3), divmod(b, 3)
         uf.union(t * 3 + (s + 1) % 3, t2 * 3 + (s2 + 2) % 3)
         uf.union(t * 3 + (s + 2) % 3, t2 * 3 + (s2 + 1) % 3)
     return uf.labels().reshape(nf, 3)
@@ -133,19 +136,18 @@ def validate_mesh(mesh):
     seen = np.zeros(mesh.n_vertices, dtype=bool)
     seen[mesh.vert.ravel()] = True
     assert seen.all(), "vertex labels are not contiguous"
-    for f in range(nf):
-        for s in range(3):
-            g, s2 = mesh.neighbor(f, s)
-            assert 0 <= g < nf and 0 <= s2 < 3, "dangling adjacency"
-            assert mesh.neighbor(g, s2) == (f, s), "adjacency not an involution"
-            assert (g, s2) != (f, s), "side glued to itself"
-            la, lb = mesh.ell[f, s], mesh.ell[g, s2]
-            assert abs(la - lb) <= LENGTH_AGREE_REL * max(la, lb), (
-                f"edge length mismatch at ({f}, {s})"
-            )
-            ta, ha = mesh.edge_endpoints(f, s)
-            tb, hb = mesh.edge_endpoints(g, s2)
-            assert (ta, ha) == (hb, tb), "edge direction not reversed across gluing"
+    slots = np.arange(3 * nf)
+    twin = mesh.twin
+    assert twin.shape == slots.shape, "twin table does not match the faces"
+    assert np.array_equal(np.sort(twin), slots), "twin is not a permutation of the slots"
+    assert np.array_equal(twin[twin], slots), "twin is not an involution"
+    assert not np.any(twin == slots), "side glued to itself"
+    ell = mesh.ell.ravel()
+    la, lb = ell, ell[twin]
+    bad = np.flatnonzero(np.abs(la - lb) > LENGTH_AGREE_REL * np.maximum(la, lb))
+    assert not bad.size, f"edge length mismatch at {divmod(int(bad[0]), 3)}"
+    tail, head = mesh.vert[:, [1, 2, 0]].ravel(), mesh.vert[:, [2, 0, 1]].ravel()
+    assert np.array_equal(tail[twin], head), "edge direction not reversed across gluing"
     euler = mesh.n_vertices - mesh.n_edges + nf
     assert euler == 2, f"not a sphere: V-E+F = {euler}"
     assert np.isfinite(kernels.tri_angles(mesh.ell)).all(), "degenerate face"

@@ -186,7 +186,11 @@ def test_solve_abort_writes_dump(cube_file, tmp_path, capsys):
     assert "solver abort" in capsys.readouterr().err
     dump = json.loads((tmp_path / "report.dump.json").read_text())
     assert dump["reason"]
-    assert "mesh" in dump
+    mesh = dump["mesh"]
+    assert set(mesh) == {"vert", "ell", "twin"}
+    twin = mesh["twin"]
+    assert sorted(twin) == list(range(len(twin)))
+    assert [twin[b] for b in twin] == list(range(len(twin)))
 
 
 @pytest.mark.parametrize("argv", [["solve", "in.json"], ["roundtrip"]], ids=["solve", "roundtrip"])
@@ -230,12 +234,26 @@ def test_unwritable_output_is_a_bad_option(flag, tetra_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"forge: cannot write {bad}: ")
     assert "Traceback" not in err
-    if flag == "--progress":  # checked before the solve, so nothing is written
-        assert not any(p.exists() for p in paths.values())
+    # every output path is checked before the solve, so nothing is written
+    assert not any(p.exists() for p in paths.values())
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_output_that_is_a_directory_is_a_bad_option(flag, tetra_file, tmp_path, capsys):
+    paths = {"--out": tmp_path / "m.obj", "--report": tmp_path / "r.json"}
+    paths[flag].mkdir()
+    argv = ["solve", str(tetra_file)]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"forge: cannot write {paths[flag]}: ")
+    assert not any(p.is_file() for p in paths.values())
 
 
 def test_unwritable_state_dump_is_a_bad_option(cube_file, tmp_path, capsys):
-    report = tmp_path / "missing" / "report.json"
+    # the report's directory is writable, but the dump's path is a directory
+    report = tmp_path / "report.json"
+    report.with_suffix(".dump.json").mkdir()
     argv = ["solve", str(cube_file), "--max-steps", "1", "--out", str(tmp_path / "m.obj")]
     assert main(argv + ["--report", str(report)]) == 2
     err = capsys.readouterr().err.splitlines()

@@ -225,7 +225,7 @@ def test_obj_export(tetra_embedded):
 
 def test_obj_export_merged(cube_path):
     e = embed.place_faces(cube_path.result.polytope, merge_coplanar=True)
-    text = embed.as_obj(e, merged=True)
+    text = embed.as_obj(e)
     f_lines = [l for l in text.splitlines() if l.startswith("f ")]
     assert len(f_lines) == 6
     assert all(len(l.split()) == 5 for l in f_lines)

@@ -226,7 +226,7 @@ def test_curvature_report_matches_edge_loop(sampled_polytopes):
 def test_twin_slots_share_theta(sampled_polytopes):
     for P in sampled_polytopes:
         theta, mesh = P.curvature_report().theta, P.mesh
-        np.testing.assert_array_equal(theta, theta[mesh.adj_face, mesh.adj_side])
+        np.testing.assert_array_equal(theta, theta.ravel()[mesh.twin].reshape(-1, 3))
 
 
 def test_report_is_cached():

@@ -52,6 +52,7 @@ def test_json_roundtrip():
     again = CornerMesh(**json.loads(mesh.to_json()))
     np.testing.assert_array_equal(again.vert, mesh.vert)
     np.testing.assert_allclose(again.ell, mesh.ell)
+    np.testing.assert_array_equal(again.twin, mesh.twin)
     validate_mesh(again)
 
 
@@ -434,7 +435,7 @@ def test_flips_of_a_round_share_no_face_and_their_theta_is_the_two_face_solve():
     rounds = []
 
     def hook(m, f, s):
-        faces = np.concatenate([f, m.adj_face[f, s]]).tolist()
+        faces = np.concatenate([f, m.twin[3 * f + s] // 3]).tolist()
         assert len(set(faces)) == len(faces)
         want = [oracles.edge_theta(m, r, fe, se) for fe, se in zip(f, s)]
         assert _edge_theta(m, r, f, s).tolist() == want
@@ -450,7 +451,7 @@ def test_batched_theta_is_the_two_face_solve_on_refined_rows(square_path):
     # congruent rows of one batch.
     _, mesh, r = square_path.final
     f, s = mesh.edges()
-    g = mesh.adj_face[f, s]
+    g = mesh.twin[3 * f + s] // 3
     pick, taken = [], set()
     for e, pair in enumerate(zip(f.tolist(), g.tolist())):
         if pair[0] != pair[1] and taken.isdisjoint(pair):
@@ -519,7 +520,7 @@ def test_merge_regions_reads_either_slot_of_an_edge():
     # faces are the union-find's classes in order of their smallest face
     mesh = CornerMesh.from_metric(build_metric(hull.random_sphere_development(40, seed=5)[0]))
     f, s = mesh.edges()
-    g, s2 = mesh.adj_face[f, s], mesh.adj_side[f, s]
+    g, s2 = np.divmod(mesh.twin[3 * f + s], 3)
     rng = np.random.default_rng(5)
     for share in (0.0, 0.3, 0.6, 0.9, 1.0):
         pick = rng.random(f.size) < share
@@ -546,8 +547,8 @@ def test_merge_regions_reads_either_slot_of_an_edge():
 
 
 def _fresh(mesh):
-    """An uncached mesh built from copies of the four arrays."""
-    return CornerMesh(mesh.vert.copy(), mesh.ell.copy(), mesh.adj_face.copy(), mesh.adj_side.copy())
+    """An uncached mesh built from copies of the three arrays."""
+    return CornerMesh(mesh.vert.copy(), mesh.ell.copy(), mesh.twin.copy())
 
 
 def _same_bits(a, b):
