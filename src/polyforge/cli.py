@@ -256,6 +256,19 @@ def cmd_roundtrip(args):
     return EXIT_OK
 
 
+def _at_least(least):
+    """An argparse type: an integer no smaller than ``least``, so that a
+    value out of range is a usage error before any work starts."""
+
+    def integer(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return integer
+
+
 @functools.cache
 def make_parser():
     """The ``forge`` argument parser, built once per process."""
@@ -276,12 +289,12 @@ def make_parser():
     p.add_argument("--out", default="mesh.obj", help="mesh output (.obj or .json)")
     p.add_argument("--report", default="report.json")
     p.add_argument("--progress", default=None, help="JSONL step stream")
-    p.add_argument("--max-steps", type=int, default=solver.MAX_STEPS)
+    p.add_argument("--max-steps", type=_at_least(1), default=solver.MAX_STEPS)
     p.add_argument("--merge-coplanar", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("roundtrip", help="hull -> development -> solve -> compare")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--points", type=int, default=8)
     p.set_defaults(func=cmd_roundtrip)
     return parser

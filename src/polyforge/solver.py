@@ -36,6 +36,26 @@ Any other rejection makes the path unclean, and an unclean path grows dt
 by GROWTH after a step of at most 3 Newton iterates and caps it at
 DT_CAP of t.
 
+Newton stops once further iterates buy nothing the path reads (Allgower
+& Georg, ch. 2: a corrector need only return to a neighbourhood of the
+path).  A step on a clean path to t_new > T_TIGHT = T_JUMP / (1 -
+DT_CAP_CLEAN) stops once its residual is within LOOSE_TOL =
+sqrt(RESIDUAL_TARGET) Newton tolerances; every other step converges to
+the Newton tolerance, and every check at acceptance keeps that
+tolerance as its slack.  Each part of the rule has its reason:
+
+* LOOSE_TOL: a clean path sizes its steps from rho0 alone, aimed at
+  RESIDUAL_TARGET tolerances, so a node LOOSE_TOL tolerances off the
+  path moves the next prediction by about 1e-4 of that target, while
+  Newton from rho0 ~ RESIDUAL_TARGET stops one iterate earlier;
+* clean paths only: an unclean path grows dt by counting Newton
+  iterates, which a looser stop would change;
+* t_new > T_TIGHT: the states that end a path lie at t <= T_JUMP, and
+  the two the jump predicts from at t <= T_TIGHT, since a clean step
+  cuts t by at most 1 / (1 - DT_CAP_CLEAN).  The jump lands only when its
+  Hermite prediction already meets the Newton tolerance, which a node
+  off the path by more than the tolerance would spoil.
+
 The paper's path ends at kappa = 0; the numerical one ends at t =
 KAPPA_STOP, a tolerance, not a choice of model: there the embedding
 closes far inside ``embed.CLOSURE_TOL``, and stopping later gains
@@ -136,12 +156,12 @@ DT_MIN = 1e-12
 # Clean paths size each step from its predictor's residual rho0, in units
 # of the Newton tolerance (module docstring).  A residual of 1e8
 # tolerances is 1e-2 of max(1, |kappa(1)|_inf), which quadratic
-# convergence removes in three Newton updates (1e-2, 1e-4, 1e-8, then
-# below the tolerance).  Measured with every other constant as here: a
-# target of 1e9 makes the twisted 12- and 24-gons take 34/2 and 37/1
-# accepted/rejected steps instead of 13/0 and 12/0, and one of 1e6 with
-# a DT_CAP cap makes the hulls n = 160, 320 and 640 (seed [1, n]) take 76
-# steps instead of 30.
+# convergence brings within LOOSE_TOL tolerances in two Newton updates
+# (1e-2, 1e-4, 1e-8) and below the tolerance in a third.  Measured with
+# every other constant as here: a target of 1e9 makes the twisted 12- and
+# 24-gons take 34/2 and 37/1 accepted/rejected steps instead of 13/0 and
+# 12/0, and one of 1e6 with a DT_CAP cap makes the hulls n = 160, 320 and
+# 640 (seed [1, n]) take 76 steps instead of 30.
 RESIDUAL_TARGET = 1e8
 # Bounds of dt_next / dt from the residual: shrink no more than a
 # rejection halves, grow no more than t may fall per step (4x).
@@ -161,6 +181,11 @@ SEED_DOUBLINGS = 60  # tries of the equal starting radius
 T_JUMP = 1e-3
 KAPPA_STOP = 1e-9
 MAX_STEPS = 100000  # step attempts per path before it aborts
+# Newton's stop (module docstring): a step on a clean path to t_new >
+# T_TIGHT stops within LOOSE_TOL Newton tolerances, every other step at
+# the tolerance itself.
+LOOSE_TOL = math.sqrt(RESIDUAL_TARGET)
+T_TIGHT = T_JUMP / (1.0 - DT_CAP_CLEAN)
 
 
 @dataclass(frozen=True)
@@ -175,7 +200,13 @@ class JacobianFactor:
     band storage of gbtrf, with half-bandwidth k; the norm is taken from
     the band entries, and ``solve`` permutes the right-hand side in and
     the solution back.  The solver's only linear algebra: it serves every
-    predictor and corrector, in the flat-limit endgame too."""
+    predictor and corrector, in the flat-limit endgame too.
+
+    ``sign`` is the sign of det J, read off the factor: U's diagonal is
+    row 2k of ``lu``, and each row swap flips the sign.  The paper's
+    theorem (one positive eigenvalue) predicts (-1)^(n-1) inside the
+    admissible region; a symmetric permutation keeps the determinant, so
+    the vertex order does not change it."""
 
     lu: np.ndarray  # gbtrf's band LU
     piv: np.ndarray
@@ -183,6 +214,7 @@ class JacobianFactor:
     order: np.ndarray  # the vertex order J was assembled in
     cond: float  # inf for an exactly singular J
     norm: float  # ||J||_1
+    sign: int  # of det J: 1 or -1, and 0 after an exact zero pivot
 
     @classmethod
     def of(cls, J):
@@ -195,11 +227,16 @@ class JacobianFactor:
             raise np.linalg.LinAlgError("curvature Jacobian is not finite")
         lu, piv, info = lapack.dgbtrf(J.ab, J.k, J.k, overwrite_ab=True)
         if info > 0:  # an exact zero pivot
-            cond = math.inf
+            cond, sign = math.inf, 0
         else:
             rcond, _ = lapack.dgbcon(J.k, J.k, lu, piv, norm)
             cond = 1.0 / rcond if rcond > 0.0 else math.inf
-        return cls(lu=lu, piv=piv, k=J.k, order=J.order, cond=cond, norm=norm)
+            # scipy's gbtrf returns 0-based pivots: row p was swapped with
+            # row piv[p], and piv[p] == p is no swap.
+            flips = np.count_nonzero(lu[2 * J.k] < 0.0)
+            flips += np.count_nonzero(piv != np.arange(piv.size))
+            sign = -1 if flips % 2 else 1
+        return cls(lu=lu, piv=piv, k=J.k, order=J.order, cond=cond, norm=norm, sign=sign)
 
     def solve(self, rhs):
         x, _ = lapack.dgbtrs(self.lu, self.k, self.k, rhs[self.order], self.piv, overwrite_b=True)
@@ -331,6 +368,7 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
     """
     target = t_new * state.kappa1
     dt = state.t - t_new
+    loose = state.clean and t_new > T_TIGHT  # Newton's stop (module docstring)
     mesh = state.mesh.copy()
     r = state.r.copy()
     buffer = []
@@ -366,7 +404,7 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
             err = float(np.abs(residual).max())
             if iters == 1:
                 rho0 = err / tol
-            if err <= tol:
+            if err <= (max(tol, LOOSE_TOL * state.newton_tol) if loose else tol):
                 break
             if iters >= MAX_NEWTON:
                 return _reject(state, f"no convergence in {MAX_NEWTON} iterations")

@@ -202,6 +202,29 @@ def test_kappa_stop_is_not_an_option(argv, capsys):
     assert "unrecognized arguments: --kappa-stop" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_max_steps_below_one_is_a_usage_error(value, cube_file, tmp_path, capsys):
+    # rejected before the start state is built: no solve, no state dump
+    argv = ["solve", str(cube_file), "--max-steps", value, "--out", str(tmp_path / "m.obj")]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--report", str(tmp_path / "report.json")])
+    assert err.value.code == 2
+    assert f"argument --max-steps: must be at least 1, got {value}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cube.json"]
+
+
+def test_negative_seed_is_a_usage_error(monkeypatch, capsys):
+    # a negative seed is not resampled into seed 0
+    def sampled(*args, **kwargs):
+        raise AssertionError("no hull is sampled")
+
+    monkeypatch.setattr(hull, "random_sphere_development", sampled)
+    with pytest.raises(SystemExit) as err:
+        main(["roundtrip", "--seed", "-3", "--points", "6"])
+    assert err.value.code == 2
+    assert "argument --seed: must be at least 0, got -3" in capsys.readouterr().err
+
+
 def test_option_defaults_are_the_solver_defaults():
     solve = make_parser().parse_args(["solve", "in.json"])
     assert solve.max_steps == solver.MAX_STEPS
