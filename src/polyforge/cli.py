@@ -232,8 +232,9 @@ def cmd_roundtrip(args):
             )
             metric = surface.build_metric(dev)
             break
-        except (ValueError, QhullError, PolyforgeError) as exc:
-            # What a degenerate sample raises; anything else is a bug.
+        except (QhullError, PolyforgeError) as exc:
+            # What a degenerate sample raises; anything else, a ValueError
+            # too, is a bug.
             log.warning("resampling after degenerate hull: %s", exc)
     else:
         print("forge: could not sample a usable hull", file=sys.stderr)

@@ -543,7 +543,11 @@ def apex_boundary_distance(embedded: EmbeddedPolytope, apex):
     skipping faces of zero area.  For flat ones, those ``place_faces``
     laid out with their folds snapped: the in-plane distance to the
     polygon's boundary, whose edges are the fold edges (``rim``), in the
-    plane of the vertices' two leading singular vectors.
+    plane of the vertices' two leading singular vectors.  ``rim`` holds
+    both slots of each fold edge, and the two directions round
+    differently; each edge is measured once, in the direction that runs
+    counterclockwise around the centroid in that plane, the order in
+    which Qhull lists a 2-D hull.
 
     The norms and dot products are ``_rows_dot``'s, which give the bits
     of ``np.linalg.norm`` and ``@`` on single vectors; an einsum or a
@@ -566,6 +570,8 @@ def apex_boundary_distance(embedded: EmbeddedPolytope, apex):
     tail, head = embedded.rim
     p = p2[tail]
     e = p2[head] - p
+    ccw = e[:, 1] * p[:, 0] - e[:, 0] * p[:, 1] > 0.0  # the centroid is 0
+    p, e = p[ccw], e[ccw]
     t = np.clip(_rows_dot(a2 - p, e) / _rows_dot(e, e), 0.0, 1.0)
     d = a2 - (p + t[:, None] * e)
     return float(np.sqrt(_rows_dot(d, d)).min())

@@ -2,12 +2,12 @@
 vertex curvatures vanish.
 
 The target path is kappa(t) = t * kappa(1).  Starting from equal radii
-large enough that the polytope is valid and strictly inside the good
-region, each step predicts with the curvature Jacobian, then corrects
-with Newton; the triangulation is re-flipped to weighted Delaunay (q =
-r^2) after every Newton update, so combinatorial surgery happens exactly
-where the deformation crosses a flat edge.  Failed steps roll back and
-halve the step size.
+at which the polytope is valid and strictly inside the good region
+(``choose_initial_radius``), each step predicts with the curvature
+Jacobian, then corrects with Newton; the triangulation is re-flipped to
+weighted Delaunay (q = r^2) after every Newton update, so combinatorial
+surgery happens exactly where the deformation crosses a flat edge.
+Failed steps roll back and halve the step size.
 
 The Hessian stays non-degenerate for every t > 0, so the path r(t) is
 smooth and its tangent dr/dt = J^{-1} kappa(1) is continuous, across
@@ -316,30 +316,48 @@ class ContinuationState:
         }
 
 
-def choose_initial_radius(metric: PolyhedralMetric, mesh: CornerMesh):
-    """Double an equal radius until the generalized polytope exists and
-    sits strictly inside the admissible cone:
+def _admissible_start(metric: PolyhedralMetric, mesh: CornerMesh, radius: float):
+    """The generalized polytope with every radius equal to ``radius`` if
+    it exists and sits strictly inside the admissible cone, else None:
 
       (a) every face carries a pyramid,
       (b) 0 < kappa_i < delta_i at every vertex,
       (c) every vertex sees total curvature > 2*pi at the others.
     """
+    try:
+        P = GeneralizedPolytope(mesh, np.full(mesh.n_vertices, radius))
+    except _REJECTABLE:
+        return None
+    kappa = P.kappa
+    if (
+        np.all(kappa > 0.0)
+        and np.all(kappa < metric.deficits)
+        and float(kappa.sum()) - float(kappa.max()) > 2.0 * math.pi
+    ):
+        return P
+    return None
+
+
+def choose_initial_radius(metric: PolyhedralMetric, mesh: CornerMesh):
+    """The equal starting radius and its polytope (``_admissible_start``).
+
+    The radius doubles from ell_max until it is admissible, at R.  The
+    radius below, R / 2, was tried and failed, or it is ell_max / 2, at
+    which no equal radius carries the lateral triangle (R, R, ell_max).
+    The geometric midpoint of that last interval, R / sqrt(2), is tried
+    once, and the path starts there if it is admissible: within sqrt(2)
+    of the least admissible radius the doubling brackets.  The reason is
+    the path's length: the radii fall from the start to the final apex
+    distances, and a start twice too tall pays for that distance in
+    steps.
+    """
     radius = float(mesh.ell.max())
-    n = mesh.n_vertices
     for _ in range(SEED_DOUBLINGS):
-        try:
-            P = GeneralizedPolytope(mesh, np.full(n, radius))
-        except _REJECTABLE:
-            radius *= 2.0
-            continue
-        kappa = P.kappa
-        total = float(kappa.sum())
-        if (
-            np.all(kappa > 0.0)
-            and np.all(kappa < metric.deficits)
-            and total - float(kappa.max()) > 2.0 * math.pi
-        ):
-            return radius, P
+        P = _admissible_start(metric, mesh, radius)
+        if P is not None:
+            mid = math.sqrt(0.5 * radius * radius)
+            Q = _admissible_start(metric, mesh, mid)
+            return (radius, P) if Q is None else (mid, Q)
         radius *= 2.0
     raise SolverAbort(
         f"no valid starting radius after {SEED_DOUBLINGS} doublings"

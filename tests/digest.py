@@ -15,7 +15,10 @@ pytest does not collect this file.
 For a change that moves outputs by design, ``--save FILE`` keeps each
 run's vertices, faces and report (a NumPy ``.npz`` archive), and
 ``--against FILE`` compares this tree's runs with a saved set, per
-workload: how many runs have equal faces and bit-identical vertices, the
+workload: how many runs have equal face arrays, how many have equal sets
+of oriented triangles (the same faces, perhaps listed in another order,
+each perhaps starting at another corner), which runs have only the
+latter, how many have bit-identical vertices, the
 largest vertex move over the saved body's diameter, the largest relative
 volume difference, the largest r_final difference over the saved
 max |r_final|, and the runs whose step counts changed.  Save on a
@@ -90,13 +93,18 @@ def compare(before, after):
     for key in runs:
         by_workload.setdefault(key.split("/", 1)[0], []).append(key)
     for name, keys in by_workload.items():
-        faces = bits = 0
+        faces = triangles = bits = 0
         dv = dvol = dr = 0.0
-        moved = []
+        moved, reordered = [], []
         for key in keys:
             old, new = ({p: d[f"{key}/{p}"] for p in PARTS} for d in (before, after))
             rep0, rep1 = json.loads(str(old["report"])), json.loads(str(new["report"]))
-            faces += np.array_equal(old["faces"], new["faces"])
+            same = np.array_equal(old["faces"], new["faces"])
+            oriented = same or np.array_equal(_oriented(old["faces"]), _oriented(new["faces"]))
+            faces += same
+            triangles += oriented
+            if oriented and not same:
+                reordered.append(key.split("/", 1)[1])
             v0, v1 = old["vertices"], new["vertices"]
             if v0.shape == v1.shape:
                 bits += v0.tobytes() == v1.tobytes()
@@ -116,11 +124,25 @@ def compare(before, after):
             if steps0 != steps1:
                 moved.append(f"{key.split('/', 1)[1]} {steps0} -> {steps1}")
         print(
-            f"{name}: faces equal {faces}/{len(keys)}, vertices bit-identical {bits}/{len(keys)}, "
+            f"{name}: faces equal {faces}/{len(keys)}, as oriented triangles "
+            f"{triangles}/{len(keys)}, vertices bit-identical {bits}/{len(keys)}, "
             f"max |dv|/diameter {dv:.2g}, max rel volume {dvol:.2g}, "
             f"max rel r_final {dr:.2g}"
         )
+        print("  faces reordered: " + (", ".join(reordered) if reordered else "none"))
         print("  step counts changed: " + (", ".join(moved) if moved else "none"))
+
+
+def _oriented(faces):
+    """An (F, 3) face array as a canonical array of oriented triangles:
+    each row rotated to start at its least label, the rows then sorted.
+    Two arrays that list the same oriented triangles map to one array."""
+    import numpy as np
+
+    faces = np.asarray(faces)
+    start = np.argmin(faces, axis=1)[:, None]
+    rotated = np.take_along_axis(faces, (start + np.arange(3)) % 3, axis=1)
+    return rotated[np.lexsort(rotated.T[::-1])]
 
 
 if __name__ == "__main__":

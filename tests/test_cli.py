@@ -306,6 +306,17 @@ def test_roundtrip_bug_is_not_resampled(monkeypatch):
         main(["roundtrip", "--points", "6"])
 
 
+def test_roundtrip_value_error_is_not_resampled(monkeypatch):
+    # No sample of 4 to 12 sphere points at seeds 0 to 200 raises a
+    # ValueError, so one from build_metric is a defect and propagates.
+    def broken(dev):
+        raise ValueError("a bug, not a degenerate hull")
+
+    monkeypatch.setattr(surface, "build_metric", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["roundtrip", "--points", "6"])
+
+
 def test_roundtrip_resamples_bad_metric(monkeypatch, capsys):
     real = surface.build_metric
     calls = []

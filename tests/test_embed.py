@@ -168,8 +168,8 @@ _FLAT_BODIES = {
 @pytest.mark.parametrize("name", list(_FLAT_BODIES))
 def test_flat_apex_distance_matches_hull(name):
     # a flat body's outline is its fold cycle: the distance to its fold
-    # edges, both slots of each, is the distance to the edges of the
-    # Qhull hull of its vertices, bit for bit
+    # edges, each measured once in the counterclockwise direction, is the
+    # distance to the edges of the Qhull hull of its vertices, bit for bit
     result = solve_path(build_metric(_FLAT_BODIES[name]()))
     e = embed.place_faces(result.polytope)
     assert e.degenerate and e.rim is not None

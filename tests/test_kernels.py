@@ -247,13 +247,11 @@ def test_face_pyramids_match_the_one_shot_kernel_along_solve_paths(monkeypatch):
         catalog.tetrahedron(),
         catalog.cube(),
         catalog.twisted_double_polygon(12),
+        catalog.twisted_double_polygon(24),
         catalog.doubly_covered_triangle(3.0, 4.0, 5.0),
-        catalog.doubly_covered_polygon(8),
-        catalog.doubly_covered_polygon(16),
-        catalog.doubly_covered_polygon(24),
-        catalog.doubly_covered_polygon(32),
-        catalog.doubly_covered_polygon(48),
-    ] + [hull.random_sphere_development(n, seed=1)[0] for n in (20, 40, 80, 160)]
+    ]
+    bodies += [catalog.doubly_covered_polygon(n) for n in (8, 12, 16, 24, 32, 48, 64)]
+    bodies += [hull.random_sphere_development(n, seed=1)[0] for n in (20, 40, 80, 160)]
     calls = []
     solve = kernels.face_pyramids
 
@@ -283,8 +281,9 @@ def test_near_flat_dihedrals_stay_inside_the_fold_tolerance(monkeypatch):
     # scale, where the doubles lose the most: their dihedrals must lie
     # within ``bound`` of the 50-digit pyramid, a hundredth of FOLD_TOL, so
     # that the noise cannot move a fold's classification.  They lie within
-    # 2.2e-7 (the 8-gon), 1.1e-7 (the square), 1.8e-8 (the 24-gon) and
-    # 7.7e-10 (the 3-4-5 triangle).
+    # 4.5e-8 (the 24-gon), 4.2e-8 (the 12-gon), 1.8e-9 (the square),
+    # 6.8e-10 (the 16-gon), 2.2e-10 (the 8-gon) and 1.1e-10 (the 3-4-5
+    # triangle).
     bound = FOLD_TOL / 100
     rows = {}
     solve = kernels.face_pyramids
@@ -298,7 +297,7 @@ def test_near_flat_dihedrals_stay_inside_the_fold_tolerance(monkeypatch):
 
     monkeypatch.setattr(kernels, "face_pyramids", capture)
     devs = [catalog.doubly_covered_triangle(3.0, 4.0, 5.0)]
-    devs += [catalog.doubly_covered_polygon(n) for n in (4, 8, 24)]
+    devs += [catalog.doubly_covered_polygon(n) for n in (4, 8, 12, 16, 24)]
     for dev in devs:
         solve_path(build_metric(dev))
     monkeypatch.undo()
