@@ -100,7 +100,7 @@ def run_pipeline(
     """Solve the curvature path, embed the result and locate the apex."""
     result = solver.solve_path(metric, max_steps=max_steps, progress=progress)
     embedded = embed.place_faces(result.polytope, merge_coplanar=merge_coplanar)
-    apex = embed.solve_apex(embedded.vertices, result.kappa1)
+    apex = embed.solve_apex(embedded, result.r, result.kappa1)
     embedded.apex = apex.point
     return PipelineResult(
         solve=result, embedded=embedded, apex=apex, report=build_report(result, embedded, apex)
@@ -221,9 +221,6 @@ def cmd_solve(args):
 
 def cmd_roundtrip(args):
     from scipy.spatial import QhullError  # here, so that forge solve never loads Qhull
-    if args.points < 4:
-        print("forge: roundtrip needs at least 4 points", file=sys.stderr)
-        return EXIT_INVALID
     seed = args.seed
     for attempt in range(10):
         try:
@@ -296,7 +293,7 @@ def make_parser():
 
     p = sub.add_parser("roundtrip", help="hull -> development -> solve -> compare")
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--points", type=int, default=8)
+    p.add_argument("--points", type=_at_least(4), default=8)
     p.set_defaults(func=cmd_roundtrip)
     return parser
 

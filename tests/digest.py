@@ -21,8 +21,10 @@ each perhaps starting at another corner), which runs have only the
 latter, how many have bit-identical vertices, the
 largest vertex move over the saved body's diameter, the largest relative
 volume difference, the largest r_final difference over the saved
-max |r_final|, and the runs whose step counts changed.  Save on a
-parent checkout with the script copied in, then compare on the change.
+max |r_final|, the largest apex move over the saved body's diameter,
+the largest ``apex_residual`` of this tree, the report keys that differ
+in any run, and the runs whose step counts changed.  Save on a parent
+checkout with the script copied in, then compare on the change.
 """
 
 import argparse
@@ -94,11 +96,12 @@ def compare(before, after):
         by_workload.setdefault(key.split("/", 1)[0], []).append(key)
     for name, keys in by_workload.items():
         faces = triangles = bits = 0
-        dv = dvol = dr = 0.0
-        moved, reordered = [], []
+        dv = dvol = dr = dapex = residual = 0.0
+        moved, reordered, keys_differ = [], [], set()
         for key in keys:
             old, new = ({p: d[f"{key}/{p}"] for p in PARTS} for d in (before, after))
             rep0, rep1 = json.loads(str(old["report"])), json.loads(str(new["report"]))
+            keys_differ.update(k for k in rep0.keys() | rep1.keys() if rep0.get(k) != rep1.get(k))
             same = np.array_equal(old["faces"], new["faces"])
             oriented = same or np.array_equal(_oriented(old["faces"]), _oriented(new["faces"]))
             faces += same
@@ -106,12 +109,14 @@ def compare(before, after):
             if oriented and not same:
                 reordered.append(key.split("/", 1)[1])
             v0, v1 = old["vertices"], new["vertices"]
+            diam = max(float(np.linalg.norm(v0[:, None] - v0[None], axis=-1).max()), 1e-300)
             if v0.shape == v1.shape:
                 bits += v0.tobytes() == v1.tobytes()
-                diam = max(float(np.linalg.norm(v0[:, None] - v0[None], axis=-1).max()), 1e-300)
                 dv = max(dv, float(np.linalg.norm(v1 - v0, axis=1).max()) / diam)
             else:
                 dv = np.inf
+            dapex = max(dapex, float(np.linalg.norm(np.subtract(rep1["apex"], rep0["apex"]))) / diam)
+            residual = max(residual, rep1["apex_residual"])
             vol0, vol1 = rep0["volume"], rep1["volume"]
             if vol0 != vol1:
                 dvol = max(dvol, abs(vol1 - vol0) / max(abs(vol0), abs(vol1)))
@@ -127,8 +132,10 @@ def compare(before, after):
             f"{name}: faces equal {faces}/{len(keys)}, as oriented triangles "
             f"{triangles}/{len(keys)}, vertices bit-identical {bits}/{len(keys)}, "
             f"max |dv|/diameter {dv:.2g}, max rel volume {dvol:.2g}, "
-            f"max rel r_final {dr:.2g}"
+            f"max rel r_final {dr:.2g}, max |d apex|/diameter {dapex:.2g}, "
+            f"max apex_residual {residual:.2g}"
         )
+        print("  report keys changed: " + (", ".join(sorted(keys_differ)) or "none"))
         print("  faces reordered: " + (", ".join(reordered) if reordered else "none"))
         print("  step counts changed: " + (", ".join(moved) if moved else "none"))
 

@@ -67,7 +67,7 @@ def test_a01_tetrahedron_reconstruction(tetra_path):
     for i, j in itertools.combinations(range(4), 2):
         d = np.linalg.norm(e.vertices[i] - e.vertices[j])
         assert d == pytest.approx(1.0, abs=1e-6)
-    apex = embed.solve_apex(e.vertices, tetra_path.result.kappa1)
+    apex = embed.solve_apex(e, tetra_path.result.r, tetra_path.result.kappa1)
     np.testing.assert_allclose(apex.point, e.vertices.mean(axis=0), atol=1e-6)
     np.testing.assert_allclose(
         tetra_path.result.r, math.sqrt(3.0 / 8.0), atol=1e-5
@@ -100,7 +100,7 @@ def test_a03_doubly_covered_square_degenerates(square_path):
     e = embed.place_faces(square_path.result.polytope)
     assert e.degenerate
     assert abs(e.volume) <= 1e-8
-    apex = embed.solve_apex(e.vertices, square_path.result.kappa1)
+    apex = embed.solve_apex(e, square_path.result.r, square_path.result.kappa1)
     assert apex_inside(e, apex.point)
     assert embed.apex_boundary_distance(e, apex.point) > 0.0
 
@@ -172,7 +172,7 @@ def test_a08_rigidity_kernel_at_closure(all_paths):
         rp = rank_profile(dense_jacobian(run.result.polytope))
         assert rp.corank == 3, run.name
         e = embed.place_faces(run.result.polytope)
-        apex = embed.solve_apex(e.vertices, run.result.kappa1)
+        apex = embed.solve_apex(e, run.result.r, run.result.kappa1)
         units = e.vertices - apex.point
         units /= np.linalg.norm(units, axis=1, keepdims=True)
         K = rp.kernel

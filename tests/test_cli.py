@@ -293,8 +293,11 @@ def test_roundtrip_smoke(capsys):
 
 
 def test_roundtrip_too_few_points(capsys):
-    assert main(["roundtrip", "--points", "3"]) == 2
-    assert "at least 4" in capsys.readouterr().err
+    # a usage error from argparse, as a bad --seed is
+    with pytest.raises(SystemExit) as err:
+        main(["roundtrip", "--points", "3"])
+    assert err.value.code == 2
+    assert "argument --points: must be at least 4, got 3" in capsys.readouterr().err
 
 
 def test_roundtrip_bug_is_not_resampled(monkeypatch):

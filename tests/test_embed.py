@@ -42,7 +42,7 @@ def test_tetra_volume_and_convexity(tetra_embedded):
 
 
 def test_tetra_apex_is_centroid(tetra_path, tetra_embedded):
-    apex = embed.solve_apex(tetra_embedded.vertices, tetra_path.result.kappa1)
+    apex = embed.solve_apex(tetra_embedded, tetra_path.result.r, tetra_path.result.kappa1)
     centroid = tetra_embedded.vertices.mean(axis=0)
     np.testing.assert_allclose(apex.point, centroid, atol=1e-6)
     dists = np.linalg.norm(tetra_embedded.vertices - apex.point, axis=1)
@@ -113,7 +113,7 @@ def test_flat_square_degenerates_cleanly(square_path):
     assert sorted(map(len, e.merged_faces)) == [4, 4]
     assert abs(e.volume) <= 1e-8 * e.diameter**3
     assert convexity_violation(e) == 0.0
-    apex = embed.solve_apex(e.vertices, square_path.result.kappa1)
+    apex = embed.solve_apex(e, square_path.result.r, square_path.result.kappa1)
     assert apex_inside(e, apex.point)
     # unit-circumradius square: the center sits one apothem from the rim
     assert embed.apex_boundary_distance(e, apex.point) == pytest.approx(
@@ -131,17 +131,19 @@ def _hull_body(points, faces):
 def test_apex_distance_matches_face_loop(all_paths):
     # the stacked products reproduce the per-face loop's bits; an einsum
     # or a row sum differs in the last digit on some of these hulls
+    rng = np.random.default_rng(15)
     for n in (5, 8, 20, 40, 160, 320, 640):
         for seed in (1, 2, 3):
             _, points, faces = hull.random_sphere_development(n, seed=[seed, n])
             body = _hull_body(points, faces)
-            for apex in (points.mean(axis=0), embed.solve_apex(points, np.ones(n)).point):
+            w = rng.uniform(0.5, 2.0, size=n)
+            for apex in (points.mean(axis=0), w @ points / w.sum()):
                 assert embed.apex_boundary_distance(body, apex) == oracles.apex_boundary_distance(
                     body, apex
                 ), (n, seed)
     for run in all_paths:
         e = embed.place_faces(run.result.polytope)
-        apex = embed.solve_apex(e.vertices, run.result.kappa1).point
+        apex = embed.solve_apex(e, run.result.r, run.result.kappa1).point
         assert embed.apex_boundary_distance(e, apex) == oracles.apex_boundary_distance(e, apex)
     # zero-area faces are skipped; with nothing left the distance is inf
     _, points, faces = hull.random_sphere_development(8, seed=1)
@@ -175,7 +177,7 @@ def test_flat_apex_distance_matches_hull(name):
     assert e.degenerate and e.rim is not None
     tail, head = e.rim
     assert len(tail) == 2 * len(set(map(frozenset, zip(tail.tolist(), head.tolist()))))
-    apex = embed.solve_apex(e.vertices, result.kappa1).point
+    apex = embed.solve_apex(e, result.r, result.kappa1).point
     assert embed.apex_boundary_distance(e, apex) == oracles.apex_boundary_distance(e, apex)
 
 
@@ -194,21 +196,49 @@ def test_loop_mesh_cannot_embed():
         embed.place_faces(P)
 
 
-def test_solve_apex_asymmetric_cloud():
+def _antipodal_cloud(rng, directions, center):
+    """Points center + s_k e_k and center - t_k e_k for unit directions
+    e_k, with unequal s_k and t_k and the weight w_k on both points of
+    pair k.  The two unit vectors of a pair cancel at ``center``, so it
+    is the weighted Fermat point."""
+    e = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    s, t = rng.uniform(0.5, 2.0, size=(2, len(e), 1))
+    w = rng.uniform(0.5, 2.0, size=len(e))
+    return np.concatenate([center + s * e, center - t * e]), np.concatenate([w, w])
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_solve_apex_finds_the_known_fermat_point(flat):
+    # from radii 1e-6 off the true distances, the fit and two Newton
+    # steps land on the Fermat point to rounding level, in 3-D and, for
+    # a body with a rim, in its plane
     rng = np.random.default_rng(14)
-    pts = rng.normal(size=(6, 3)) * np.array([2.0, 1.0, 0.5])
-    w = rng.uniform(0.5, 2.0, size=6)
-    sol = embed.solve_apex(pts, w)
-    assert sol.residual <= 1e-9
-    # first-order optimality: weighted unit directions cancel
-    d = np.linalg.norm(pts - sol.point, axis=1)
-    u = (pts - sol.point) / d[:, None]
-    assert np.linalg.norm((w[:, None] * u).sum(axis=0)) <= 1e-8 * w.sum()
+    center = np.array([0.3, -1.1, 0.7])
+    directions = rng.normal(size=(5, 3))
+    if flat:
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        directions = directions[:, :2] @ q[:2]
+    points, w = _antipodal_cloud(rng, directions, center)
+    body = _hull_body(points, ())
+    body.diameter = float(np.linalg.norm(points[:, None] - points[None], axis=-1).max())
+    if flat:
+        body.rim = (np.array([0]), np.array([1]))  # only its presence is read
+    r = np.linalg.norm(points - center, axis=1) * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, len(w)))
+    sol = embed.solve_apex(body, r, w)
+    assert np.linalg.norm(sol.point - center) <= 1e-12 * body.diameter
+    assert sol.residual <= 1e-15
+    assert sol.iterations == 2
 
 
-def test_solve_apex_rejects_bad_weights():
+def test_apex_residual_is_at_rounding_level(all_paths, square_path):
+    for run in all_paths + [square_path]:
+        e = embed.place_faces(run.result.polytope)
+        assert embed.solve_apex(e, run.result.r, run.result.kappa1).residual <= 1e-15, run.name
+
+
+def test_solve_apex_rejects_bad_weights(tetra_embedded):
     with pytest.raises(ValueError):
-        embed.solve_apex(np.eye(3), [1.0, 0.0, 1.0])
+        embed.solve_apex(tetra_embedded, np.ones(4), [1.0, 0.0, 1.0, 1.0])
 
 
 def test_obj_export(tetra_embedded):
