@@ -299,8 +299,8 @@ def make_parser():
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         _setup_logging(args.log)
         return args.func(args)
     except SystemExit as exc:

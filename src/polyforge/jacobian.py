@@ -10,9 +10,27 @@ j, apex angle phi_e and length ell:
 
 Loops contribute both of their directed copies to the diagonal.  The
 cotangent sum is evaluated as sin(a_e + a_-e)/(sin a_e sin a_-e), which
-survives the two wings cancelling near a flat edge.  Symmetry of the
-result is *not* imposed; it emerges from the analytic form, so the tests
-can use it as a cross-check.
+survives the two wings cancelling near a flat edge.  The other factors
+belong to the lateral triangle (apex, i, j), whose sides are r_i, r_j
+and ell, and are algebraic in them, so no angle of it is solved.  With
+its half-perimeter s and its excesses over the sides, the area A has
+A^2 = s (s - r_i) (s - r_j) (s - ell) (Heron), and
+
+    ell sin rho_e sin rho_-e = 4 A^2 / (r_i r_j ell)
+    cos phi_e = 1 - 2 sin^2(phi_e / 2) = 1 - 2 (s - r_i)(s - r_j) / (r_i r_j)
+
+Each excess is taken as a difference of sides, with the sides sorted
+a >= b >= c and parenthesized as Kahan does: 16 A^2 = (a + (b + c))
+(a + (b - c)) (c - (a - b)) (c + (a - b)), and 2 (s - r_j) = ell + d,
+2 (s - r_i) = ell - d with d = r_i - r_j (Kahan, Miscalculating Area
+and Angles of a Needle-like Triangle, 2014).  Every factor then carries
+at most a few roundings relative to itself, so both stay accurate on the
+needle-like lateral triangles of a flat limit, where the apex nears an
+edge and s - ell is tiny; the unsorted ((r_i + r_j) - ell) / 2 loses
+there up to half the digits (1.4e-6 relative on the rows of the doubled
+square's path).  Each side slot is evaluated on its own, its twin with r_i and r_j
+swapped: symmetry of the result is *not* imposed; it emerges from the
+analytic form, so the tests can use it as a cross-check.
 
 The matrix is the Hessian of the dual volume: symmetric, with one
 positive eigenvalue and n - 1 negative ones away from the flat limits.
@@ -63,6 +81,7 @@ from .kernels import _NEXT, _NEXT2
 # Sines below this value make the cotangent weights meaningless in double
 # precision; the solver retries with a smaller deformation step.
 SIN_FLOOR = 1e-10
+_FLAT_MESSAGE = "a dihedral or slant angle is too close to 0 or pi to differentiate"
 
 
 @dataclass(frozen=True)
@@ -75,6 +94,11 @@ class BandJacobian:
     ab: np.ndarray  # (3k + 1, n), Fortran order
     k: int  # half-bandwidth; the pattern is symmetric, so kl = ku = k
     order: np.ndarray  # order[p] is the vertex at position p
+    # The band cells a contribution can fill, each once and ascending, as
+    # flat indices into ab in F order, and the column of each: every
+    # other cell is zero.
+    cells: np.ndarray
+    cols: np.ndarray
 
 
 def band_order(mesh):
@@ -113,10 +137,13 @@ def band_order(mesh):
 class _BandIndex(NamedTuple):
     """Where ``assemble`` scatters the contributions of one triangulation
     in one vertex order: the flat index of each into the F-order band,
-    and the half-bandwidth k."""
+    the half-bandwidth k, and the distinct cells of ``index`` with their
+    columns (``BandJacobian.cells`` and ``cols``)."""
 
     index: np.ndarray
     k: int
+    cells: np.ndarray
+    cols: np.ndarray
 
 
 def _band_index(mesh, order_key):
@@ -132,29 +159,57 @@ def _band_index(mesh, order_key):
     d = p - q
     k = int(d.max())  # every side has a twin, so this is max |p - q|
     ldab = 3 * k + 1
-    return _BandIndex(np.concatenate([d + ldab * q, ldab * p]) + 2 * k, k)
+    index = np.concatenate([d + ldab * q, ldab * p]) + 2 * k
+    cells = np.unique(index)
+    return _BandIndex(index, k, cells, cells // ldab)
+
+
+def _side_ends(mesh):
+    """Vertex labels of the tail and head of every side slot, (2, 3F)."""
+    return np.stack([mesh.vert[:, _NEXT].ravel(), mesh.vert[:, _NEXT2].ravel()])
+
+
+def _lateral_factors(r_t, r_h, ell):
+    """ell sin rho_t sin rho_h = 4 A^2 / (r_t r_h ell) and cos phi of the
+    lateral triangles with sides r_t, r_h and ell, batched (module
+    docstring).  Raises StepReductionError where a slant sine, 2 A /
+    (r_t ell) or 2 A / (r_h ell), is below SIN_FLOOR."""
+    # The sides sorted, a >= b >= c.
+    hi, lo = np.maximum(r_t, r_h), np.minimum(r_t, r_h)
+    a, b, c = np.maximum(hi, ell), np.maximum(lo, np.minimum(hi, ell)), np.minimum(lo, ell)
+    a_b = a - b
+    area16 = (a + (b + c)) * ((a + (b - c)) * ((c - a_b) * (c + a_b)))
+    # The smaller slant sine is the one at the longer radius; a degenerate
+    # triangle has sine 0.
+    sin_slant = 0.5 * np.sqrt(np.maximum(area16, 0.0)) / (hi * ell)
+    if sin_slant.min() < SIN_FLOOR:
+        raise StepReductionError(_FLAT_MESSAGE)
+    d = r_t - r_h
+    # 2 (s - r_t) / r_t and 2 (s - r_h) / r_h, whose product is 4 sin^2(phi / 2)
+    ex_t, ex_h = (ell - d) / r_t, (ell + d) / r_h
+    return area16 / (4.0 * (r_t * r_h) * ell), 1.0 - 0.5 * ex_t * ex_h
 
 
 def assemble(P, order) -> BandJacobian:
     """d(kappa)/d(r) of a generalized polytope, permuted to ``order``."""
-    mesh, pyr = P.mesh, P.pyramids
+    mesh = P.mesh
     n = P.n_vertices
 
-    # One entry per face side, in (face, side) order.
-    a_own = pyr.alpha.ravel()
+    # One entry per face side, in (face, side) order.  The twin's sine is
+    # a gather of the same doubles.
+    a_own = P.pyramids.alpha.ravel()
     a_opp = a_own[mesh.twin]
-    sin_own, sin_opp = np.sin(a_own), np.sin(a_opp)
-    sin_t, sin_h = np.sin(pyr.rho_t.ravel()), np.sin(pyr.rho_h.ravel())
-    if min(sin_own.min(), sin_opp.min(), sin_t.min(), sin_h.min()) < SIN_FLOOR:
-        raise StepReductionError(
-            "a dihedral or slant angle is too close to 0 or pi to differentiate"
-        )
-
+    sin_own = np.sin(a_own)
+    if sin_own.min() < SIN_FLOOR:
+        raise StepReductionError(_FLAT_MESSAGE)
+    sin_opp = sin_own[mesh.twin]
+    r_t, r_h = P.r[mesh.cached(_side_ends)]
+    lateral, cos_phi = _lateral_factors(r_t, r_h, mesh.ell.ravel())
     cot_sum = np.sin(a_own + a_opp) / (sin_own * sin_opp)
-    w = cot_sum / (mesh.ell.ravel() * sin_t * sin_h)
+    w = cot_sum / lateral
 
     band = mesh.cached(_band_index, np.asarray(order, dtype=np.intp).tobytes())
     ldab = 3 * band.k + 1
-    vals = np.concatenate([w, -w * np.cos(pyr.phi.ravel())])
+    vals = np.concatenate([w, -w * cos_phi])
     ab = kernels.scatter_add(ldab * n, band.index, vals).reshape(n, ldab).T
-    return BandJacobian(ab=ab, k=band.k, order=order)
+    return BandJacobian(ab=ab, k=band.k, order=order, cells=band.cells, cols=band.cols)

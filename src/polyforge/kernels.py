@@ -20,12 +20,13 @@ order as in the one-shot kernels, which the tests keep as the reference.
 At the sizes of most solves (tens of faces) a kernel's cost is its
 number of NumPy calls, not its arithmetic, so ``face_pyramids`` lays its
 work out as stacked rows, one row per quantity and side over all faces,
-and treats many rows in each call: each lateral triangle's
-half-perimeter excesses serve all three of its angles, the six frame
-dihedrals share (3, 6, F) arrays, and their dot products are
-``np.add.reduce`` over the coordinate axis.  No temporary is larger
-than (3, 6, F).  The operations are those of the one-shot kernel, in its
-operand order, so every double is the one it gives.
+and treats many rows in each call: the six frame dihedrals share
+(3, 6, F) arrays, and their dot products are ``np.add.reduce`` over the
+coordinate axis.  No temporary is larger than (3, 6, F).  The operations
+are those of the one-shot kernel, in its operand order, so every double
+is the one it gives.  No angle of the lateral triangles (apex, tail,
+head) is solved: the Jacobian, their only reader, takes its factors in
+closed form from the triangles' sides (``jacobian.assemble``).
 """
 
 from __future__ import annotations
@@ -118,28 +119,6 @@ def pyramid_base(ell):
     return PyramidBase(y2sq, np.stack([sq2, sq1]), two_l2, 2.0 * y2, pts)
 
 
-# Rows of the lateral triangles' sides, stacked (6, F) as the radii
-# r0, r1, r2 and the lengths l0, l1, l2: side s has the radii r_t = rad
-# of its tail corner (s+1)%3 and r_h of its head corner (s+2)%3.
-_R_T = [1, 2, 0]
-_R_H = [2, 0, 1]
-_L = [3, 4, 5]
-# The three pairwise sums of a lateral triangle, u = r_t + l, w = l + r_h
-# and p = r_h + r_t, as left + right operand rows; the half-perimeter
-# excesses e_t, e_h, e_l (opposite r_h, r_t and l) subtract these rows from
-# u, w and p; and the half-perimeters s = p + l and s_phi = (l + r_t) + r_h
-# of the slant angles and of phi add these rows to p and u.
-_SUM_ROWS = np.array(_R_T + _L + _R_H + _L + _R_H + _R_T)
-_EXCESS_ROWS = np.array(_R_H + _R_T + _L + _L + _R_H)
-_PERIM_SUMS = np.array([6, 7, 8, 0, 1, 2])
-# Each angle is 2 atan2(sqrt(num), sqrt(den)) of two products of rows of
-# [e_t, e_h, e_l, s, s_phi], taken in the operand order of ``_angle_opp``:
-# rho_t (opposite r_h) has num e_h e_l and den s e_t; rho_h has e_t e_l and
-# s e_h; phi has e_h e_t and s_phi e_l.
-_PROD_LEFT = np.array([3, 4, 5, 0, 1, 2, 3, 4, 5, 9, 10, 11, 9, 10, 11, 12, 13, 14])
-_PROD_RIGHT = np.array([6, 7, 8, 6, 7, 8, 0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8])
-
-
 def face_pyramids(ell, rad, base=None):
     """Solve every apex pyramid over the given faces.
 
@@ -156,16 +135,13 @@ def face_pyramids(ell, rad, base=None):
       ok      (F,) bool: the squared altitude is positive, so the pyramid
               exists; False means it has none.
       alt2    (F,) squared apex altitude over the base plane.
-      rho_t   (F, 3) base-edge/apex angle at the tail corner of side s.
-      rho_h   (F, 3) same at the head corner.
-      phi     (F, 3) apex angle subtended by side s.
       alpha   (F, 3) dihedral angle along base side s.
       omega   (F, 3) dihedral angle along the apex edge to corner c.
 
     Every row is decided by the sign of its alt2 in doubles.  The
     construction needs no more: a pyramid's existence is that sign, and
     near a flat body the dihedrals stay far enough inside
-    ``polytope.FOLD_TOL`` to classify its folds.  The angles of a row
+    ``polytope.FOLD_TOL`` to classify its folds.  The dihedrals of a row
     without a pyramid are meaningless.  An input that is not finite
     raises PyramidError, and then a base with y2^2 <= 0 (collinear, or
     with a zero side) raises TriangleError, before any row is solved;
@@ -175,18 +151,17 @@ def face_pyramids(ell, rad, base=None):
     ell = np.asarray(ell, dtype=np.float64)
     rad = np.asarray(rad, dtype=np.float64)
     nf = ell.shape[0]
-    sides = np.concatenate((rad.T, ell.T))
-    if not np.isfinite(sides).all():
+    if not (np.isfinite(ell).all() and np.isfinite(rad).all()):
         raise PyramidError("non-finite input to the pyramid solve")
-    # out[b, s] holds the five angle outputs b (rho_t, rho_h, phi, alpha,
-    # omega) of side or corner s, for every face.
-    out = np.empty((5, 3, nf))
+    # dih[b, s] holds the dihedrals b (alpha, omega) of side or corner s,
+    # for every face.
+    dih = np.empty((2, 3, nf))
     with np.errstate(all="ignore"):
         if base is None:
             base = pyramid_base(ell)
         if not (base.y2sq > 0.0).all():
             raise TriangleError("degenerate base triangle")
-        q = sides[:3] * sides[:3]
+        q = np.multiply(rad.T, rad.T, order="C")
 
         # Apex from the three squared distances, written into the frame.
         pts = base.pts.copy()
@@ -205,31 +180,6 @@ def face_pyramids(ell, rad, base=None):
 
         np.maximum(alt2, 0.0, out=alt)
         np.sqrt(alt, out=alt)
-
-        # The nine Euclidean angles: the intrinsic slant angles per side
-        # from the side's flat triangle (r_t, r_h, l).  Computing them from
-        # lengths keeps the two faces sharing an edge bit-for-bit
-        # consistent.  Each triangle's excesses serve all three of its
-        # angles; IEEE addition commutes, so they are the doubles that
-        # ``_angle_opp`` computes for each angle apart (up to a NaN's sign).
-        pair = sides.take(_SUM_ROWS, axis=0)
-        sums = pair[:9] + pair[9:]
-        del pair
-        other = sides.take(_EXCESS_ROWS, axis=0)
-        half = np.empty((15, nf))
-        np.subtract(sums, other[:9], out=half[:9])
-        np.add(sums.take(_PERIM_SUMS, axis=0), other[9:], out=half[9:])
-        half *= 0.5
-        prod = half.take(_PROD_LEFT, axis=0)
-        prod *= half.take(_PROD_RIGHT, axis=0)
-        np.maximum(prod, 0.0, out=prod)
-        np.sqrt(prod, out=prod)
-        ang = out[:3].reshape(9, nf)
-        np.arctan2(prod[:9], prod[9:], out=ang)
-        ang *= 2.0
-        bad = np.logical_or.reduce(half[:9].reshape(3, 3, nf) <= 0.0)
-        np.copyto(out[:3], np.nan, where=bad)
-        del sums, other, half, prod
 
         # Dihedral angles in the frame pts[k, i, f], coordinate k of point
         # i (base corners 0, 1, 2 and the apex 3) of face f.  Dot products
@@ -262,18 +212,10 @@ def face_pyramids(ell, rad, base=None):
         np.add.reduce(tmp, out=dot)
         np.sqrt(dot, out=dot)
         np.multiply(wing1, wing2, out=tmp)
-        np.arctan2(dot, np.add.reduce(tmp), out=out[3:].reshape(6, nf))
+        np.arctan2(dot, np.add.reduce(tmp), out=dih.reshape(6, nf))
 
-    rho_t, rho_h, phi, alpha, omega = out.transpose(0, 2, 1).copy()
-    return {
-        "ok": ok,
-        "alt2": alt2,
-        "rho_t": rho_t,
-        "rho_h": rho_h,
-        "phi": phi,
-        "alpha": alpha,
-        "omega": omega,
-    }
+    alpha, omega = dih.transpose(0, 2, 1).copy()
+    return {"ok": ok, "alt2": alt2, "alpha": alpha, "omega": omega}
 
 
 class QuadFrame(NamedTuple):

@@ -33,12 +33,13 @@ FOLD_TOL = 3e-5
 
 @dataclass
 class PyramidBatch:
-    """Per-face pyramid data; arrays indexed like the mesh faces."""
+    """Per-face pyramid data; arrays indexed like the mesh faces: the
+    squared apex altitude, the dihedral ``alpha[f, s]`` along base side s
+    and ``omega[f, c]`` along the apex edge to corner c.  The lateral
+    triangles' angles are not kept; ``jacobian.assemble`` reads its
+    factors off their sides."""
 
     alt2: np.ndarray
-    rho_t: np.ndarray
-    rho_h: np.ndarray
-    phi: np.ndarray
     alpha: np.ndarray
     omega: np.ndarray
     # All False: every row is solved in doubles.  The benchmark's tracer
@@ -58,9 +59,6 @@ def solve_pyramids(ell, rad, base=None) -> PyramidBatch:
         raise PyramidError(f"no apex pyramid over faces {np.flatnonzero(~ok).tolist()}")
     return PyramidBatch(
         alt2=raw["alt2"],
-        rho_t=raw["rho_t"],
-        rho_h=raw["rho_h"],
-        phi=raw["phi"],
         alpha=raw["alpha"],
         omega=raw["omega"],
         refined=np.zeros_like(ok),

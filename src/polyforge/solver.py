@@ -74,6 +74,7 @@ classified (``_folds_classify``).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -198,15 +199,11 @@ class JacobianFactor:
     above; it is both the norm gbcon needs and the noise scale.  J
     comes permuted to the state's reverse Cuthill-McKee order, in the
     band storage of gbtrf, with half-bandwidth k; the norm is taken from
-    the band entries, and ``solve`` permutes the right-hand side in and
-    the solution back.  The solver's only linear algebra: it serves every
+    the band cells J fills, and ``solve`` permutes the right-hand side in
+    and the solution back.  The solver's only linear algebra: it serves every
     predictor and corrector, in the flat-limit endgame too.
 
-    ``sign`` is the sign of det J, read off the factor: U's diagonal is
-    row 2k of ``lu``, and each row swap flips the sign.  The paper's
-    theorem (one positive eigenvalue) predicts (-1)^(n-1) inside the
-    admissible region; a symmetric permutation keeps the determinant, so
-    the vertex order does not change it."""
+    ``sign`` is the sign of det J, read off the factor on first use."""
 
     lu: np.ndarray  # gbtrf's band LU
     piv: np.ndarray
@@ -214,29 +211,42 @@ class JacobianFactor:
     order: np.ndarray  # the vertex order J was assembled in
     cond: float  # inf for an exactly singular J
     norm: float  # ||J||_1
-    sign: int  # of det J: 1 or -1, and 0 after an exact zero pivot
 
     @classmethod
     def of(cls, J):
         """Factor a ``jacobian.BandJacobian`` in place: ``J.ab`` becomes
         the factor, which saves a copy as large as the band."""
         # Band storage keeps column q of J in column q, so these are J's
-        # absolute column sums.
-        norm = float(np.abs(J.ab[J.k :]).sum(axis=0).max())
+        # absolute column sums, over the cells J fills.
+        filled = np.abs(J.ab.ravel(order="F")[J.cells])
+        norm = float(np.bincount(J.cols, weights=filled, minlength=J.ab.shape[1]).max())
         if not math.isfinite(norm):
             raise np.linalg.LinAlgError("curvature Jacobian is not finite")
         lu, piv, info = lapack.dgbtrf(J.ab, J.k, J.k, overwrite_ab=True)
         if info > 0:  # an exact zero pivot
-            cond, sign = math.inf, 0
+            cond = math.inf
         else:
             rcond, _ = lapack.dgbcon(J.k, J.k, lu, piv, norm)
             cond = 1.0 / rcond if rcond > 0.0 else math.inf
-            # scipy's gbtrf returns 0-based pivots: row p was swapped with
-            # row piv[p], and piv[p] == p is no swap.
-            flips = np.count_nonzero(lu[2 * J.k] < 0.0)
-            flips += np.count_nonzero(piv != np.arange(piv.size))
-            sign = -1 if flips % 2 else 1
-        return cls(lu=lu, piv=piv, k=J.k, order=J.order, cond=cond, norm=norm, sign=sign)
+        return cls(lu=lu, piv=piv, k=J.k, order=J.order, cond=cond, norm=norm)
+
+    @functools.cached_property
+    def sign(self):
+        """The sign of det J: 1 or -1, and 0 after an exact zero pivot.
+
+        U's diagonal is row 2k of ``lu``; gbtrf leaves an exact zero
+        there at a zero pivot, and each row swap flips the sign.  The
+        paper's theorem (one positive eigenvalue) predicts (-1)^(n-1)
+        inside the admissible region; a symmetric permutation keeps the
+        determinant, so the vertex order does not change it."""
+        diag = self.lu[2 * self.k]
+        if not diag.all():
+            return 0
+        # scipy's gbtrf returns 0-based pivots: row p was swapped with
+        # row piv[p], and piv[p] == p is no swap.
+        flips = np.count_nonzero(diag < 0.0)
+        flips += np.count_nonzero(self.piv != np.arange(self.piv.size))
+        return -1 if flips % 2 else 1
 
     def solve(self, rhs):
         x, _ = lapack.dgbtrs(self.lu, self.k, self.k, rhs[self.order], self.piv, overwrite_b=True)
@@ -301,11 +311,14 @@ class ContinuationState:
     stop: str = ""
 
     def dump(self, reason=""):
-        """JSON-ready snapshot for post-mortem inspection."""
+        """JSON-ready snapshot for post-mortem inspection.  The sign of
+        det J at r, which the paper predicts to be (-1)^(n-1), is read
+        off the factor only here."""
         return {
             "reason": reason,
             "t": self.t,
             "r": self.r.tolist(),
+            "jacobian_sign": self.factor.sign,
             "kappa1": self.kappa1.tolist(),
             "r_init": self.r_init,
             "flips": self.flips,

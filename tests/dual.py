@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from polyforge.errors import StepReductionError, TriangleError
+from polyforge.kernels import _NEXT, _NEXT2, _angle_opp
 
 SIN_FLOOR = 1e-12
 
@@ -49,7 +50,17 @@ class DualPolyhedron:
 
 def dualize(P) -> DualPolyhedron:
     """Polar dual of a generalized polytope: same fan, h = 1/r."""
-    return DualPolyhedron(mesh=P.mesh, phi=P.pyramids.phi.copy(), h=1.0 / P.r)
+    return DualPolyhedron(mesh=P.mesh, phi=lateral_angles(P)[2], h=1.0 / P.r)
+
+
+def lateral_angles(P):
+    """The angles of the lateral triangle (apex, tail, head) over each side
+    slot of P, from its sides r_tail, r_head and ell: the slant angles
+    rho_t at the tail and rho_h at the head, and the apex angle phi the
+    side subtends, each (F, 3)."""
+    rad = P.r[P.mesh.vert]
+    r_t, r_h, ell = rad[:, _NEXT], rad[:, _NEXT2], P.mesh.ell
+    return _angle_opp(r_h, r_t, ell), _angle_opp(r_t, r_h, ell), _angle_opp(ell, r_t, r_h)
 
 
 def _sph_angle_opp(a, b, c):
@@ -241,8 +252,9 @@ def face_positivity(P, deficits=None):
     dec = decompose(dualize(P))
     kappa = P.kappa
 
-    rho_to_next = pyr.rho_t[:, [2, 0, 1]]  # at corner c toward corner c+1
-    rho_to_prev = pyr.rho_h[:, [1, 2, 0]]  # at corner c toward corner c+2
+    rho_t, rho_h, _ = lateral_angles(P)
+    rho_to_next = rho_t[:, [2, 0, 1]]  # at corner c toward corner c+1
+    rho_to_prev = rho_h[:, [1, 2, 0]]  # at corner c toward corner c+2
     cos_gamma = np.cos(rho_to_next) * np.cos(rho_to_prev) + np.sin(
         rho_to_next
     ) * np.sin(rho_to_prev) * np.cos(pyr.omega)

@@ -38,7 +38,6 @@ from polyforge.kernels import (
     _DIH_W2,
     _NEXT,
     _NEXT2,
-    _angle_opp,
 )
 from polyforge.polytope import solve_pyramids
 from polyforge.surface import Development, build_metric
@@ -180,9 +179,6 @@ def face_pyramids(ell, rad):
     dict of arrays:
       ok      (F,) bool: the squared altitude is positive (a pyramid).
       alt2    (F,) squared apex altitude over the base plane.
-      rho_t   (F, 3) base-edge/apex angle at the tail corner of side s.
-      rho_h   (F, 3) same at the head corner.
-      phi     (F, 3) apex angle subtended by side s.
       alpha   (F, 3) dihedral angle along base side s.
       omega   (F, 3) dihedral angle along the apex edge to corner c.
 
@@ -214,17 +210,6 @@ def face_pyramids(ell, rad):
 
     alt = np.sqrt(np.maximum(alt2, 0.0))
 
-    # All nine Euclidean angles in one call: the intrinsic slant angles per
-    # side from the side's flat triangle (r_tail, r_head, ell).  Computing
-    # them from lengths keeps the two faces sharing an edge bit-for-bit
-    # consistent.
-    r_t, r_h = rad[:, _NEXT], rad[:, _NEXT2]
-    ang = _angle_opp(
-        np.concatenate([r_h, r_t, ell], axis=1),
-        np.concatenate([r_t, r_h, r_t], axis=1),
-        np.concatenate([ell, ell, r_h], axis=1),
-    )
-
     # Dihedral angles need the spatial frame: pts[k, i, f] is coordinate
     # k of point i (base corners 0, 1, 2 and the apex 3) of face f.
     pts = np.zeros((3, 4, nf))
@@ -248,9 +233,6 @@ def face_pyramids(ell, rad):
     return {
         "ok": ok,
         "alt2": alt2,
-        "rho_t": ang[:, 0:3].copy(),
-        "rho_h": ang[:, 3:6].copy(),
-        "phi": ang[:, 6:9].copy(),
         "alpha": dih[0:3].T.copy(),
         "omega": dih[3:6].T.copy(),
     }
@@ -435,14 +417,16 @@ def unpack_band(J):
 
 def band_of(J, order):
     """A dense J, in vertex labels, as a ``BandJacobian`` in ``order``,
-    with the half-bandwidth of its nonzeros."""
+    with the half-bandwidth of its nonzeros, which are its filled cells."""
     n = len(order)
     Jp = J[np.ix_(order, order)]
-    p, q = np.nonzero(Jp)
+    q, p = np.nonzero(Jp.T)  # column by column, so the cells ascend
     k = int(np.abs(p - q).max()) if p.size else 0
     ab = np.zeros((3 * k + 1, n), order="F")
-    ab[2 * k + p - q, q] = Jp[p, q]
-    return BandJacobian(ab=ab, k=k, order=np.asarray(order))
+    row = 2 * k + p - q
+    ab[row, q] = Jp[p, q]
+    cells = row + (3 * k + 1) * q
+    return BandJacobian(ab=ab, k=k, order=np.asarray(order), cells=cells, cols=q)
 
 
 def dense_jacobian(P):

@@ -196,9 +196,7 @@ def test_solve_abort_writes_dump(cube_file, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["solve", "in.json"], ["roundtrip"]], ids=["solve", "roundtrip"])
 def test_kappa_stop_is_not_an_option(argv, capsys):
     # the path always ends at solver.KAPPA_STOP; argparse rejects the flag
-    with pytest.raises(SystemExit) as err:
-        main(argv + ["--kappa-stop", "1e-6"])
-    assert err.value.code == 2
+    assert main(argv + ["--kappa-stop", "1e-6"]) == 2
     assert "unrecognized arguments: --kappa-stop" in capsys.readouterr().err
 
 
@@ -206,9 +204,7 @@ def test_kappa_stop_is_not_an_option(argv, capsys):
 def test_max_steps_below_one_is_a_usage_error(value, cube_file, tmp_path, capsys):
     # rejected before the start state is built: no solve, no state dump
     argv = ["solve", str(cube_file), "--max-steps", value, "--out", str(tmp_path / "m.obj")]
-    with pytest.raises(SystemExit) as err:
-        main(argv + ["--report", str(tmp_path / "report.json")])
-    assert err.value.code == 2
+    assert main(argv + ["--report", str(tmp_path / "report.json")]) == 2
     assert f"argument --max-steps: must be at least 1, got {value}" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cube.json"]
 
@@ -219,10 +215,16 @@ def test_negative_seed_is_a_usage_error(monkeypatch, capsys):
         raise AssertionError("no hull is sampled")
 
     monkeypatch.setattr(hull, "random_sphere_development", sampled)
-    with pytest.raises(SystemExit) as err:
-        main(["roundtrip", "--seed", "-3", "--points", "6"])
-    assert err.value.code == 2
+    assert main(["roundtrip", "--seed", "-3", "--points", "6"]) == 2
     assert "argument --seed: must be at least 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=["forge", "solve"])
+def test_help_returns_zero(argv, capsys):
+    # argparse ends --help by SystemExit(0), which main returns
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: ") and out.err == ""
 
 
 def test_option_defaults_are_the_solver_defaults():
@@ -294,9 +296,7 @@ def test_roundtrip_smoke(capsys):
 
 def test_roundtrip_too_few_points(capsys):
     # a usage error from argparse, as a bad --seed is
-    with pytest.raises(SystemExit) as err:
-        main(["roundtrip", "--points", "3"])
-    assert err.value.code == 2
+    assert main(["roundtrip", "--points", "3"]) == 2
     assert "argument --points: must be at least 4, got 3" in capsys.readouterr().err
 
 

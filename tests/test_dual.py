@@ -17,7 +17,7 @@ from dual import (
     mixed_volume,
     volume_hessian,
 )
-from oracles import dense_jacobian, mesh_of, validate_polytope
+from oracles import dense_jacobian, mesh_of, mp_pyramid, validate_polytope
 from polyforge import catalog
 from polyforge.errors import TriangleError
 from polyforge.polytope import GeneralizedPolytope
@@ -35,7 +35,11 @@ def tetra_dual():
 def test_dualize_inverts_radii(tetra_dual):
     P, dual = tetra_dual
     np.testing.assert_allclose(dual.h, 1.0 / P.r)
-    np.testing.assert_array_equal(dual.phi, P.pyramids.phi)
+    # the fan's arcs are the apex angles of the 50-digit pyramids
+    rad = P.r[P.mesh.vert]
+    for f in range(P.mesh.ell.shape[0]):
+        want = mp_pyramid(P.mesh.ell[f], rad[f])["phi"]
+        np.testing.assert_allclose(dual.phi[f], want, rtol=0, atol=1e-12)
 
 
 def test_fan_angles_spherical_octant():

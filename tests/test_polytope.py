@@ -24,17 +24,8 @@ def test_unit_regular_pyramid_angles():
     geom = solve_pyramids(np.ones((1, 3)), np.ones((1, 3)))
     assert math.sqrt(geom.alt2[0]) ** 2 == pytest.approx(2.0 / 3.0, rel=1e-12)
     np.testing.assert_allclose(kernels.tri_angles(np.ones((1, 3))), math.pi / 3.0, atol=1e-12)
-    np.testing.assert_allclose(geom.phi, math.pi / 3.0, atol=1e-12)
-    np.testing.assert_allclose(geom.rho_t, math.pi / 3.0, atol=1e-12)
-    np.testing.assert_allclose(geom.rho_h, math.pi / 3.0, atol=1e-12)
     np.testing.assert_allclose(geom.alpha, TETRA_DIHEDRAL, atol=1e-12)
     np.testing.assert_allclose(geom.omega, TETRA_DIHEDRAL, atol=1e-12)
-
-
-def test_apex_triangle_angle_sums():
-    geom = solve_pyramids(np.array([[1.3, 0.9, 1.1]]), np.array([[1.2, 1.0, 1.4]]))
-    sums = geom.phi + geom.rho_t + geom.rho_h
-    np.testing.assert_allclose(sums, math.pi, atol=1e-12)
 
 
 def test_no_pyramid_below_circumradius():

@@ -194,6 +194,7 @@ def test_step_size_underflow_aborts(cube_metric, monkeypatch):
     dump = err.value.state_dump
     assert dump["reason"] == "radii escaped the initial bound"
     assert dump["t"] == 1.0 and dump["steps_accepted"] == 0
+    assert dump["jacobian_sign"] == (-1) ** (cube_metric.n_vertices - 1)
     # DT_INIT halved until it falls below DT_MIN
     assert dump["steps_rejected"] == math.ceil(math.log2(solver.DT_INIT / solver.DT_MIN))
     json.dumps(dump)
@@ -480,9 +481,9 @@ def test_regular_polygons_flip_no_cocircular_edge(dev, flips):
     + [
         pytest.param(lambda n=n: catalog.doubly_covered_polygon(n), steps, id=f"doubled-{n}")
         for n, steps in (
-            (4, (15, 1)), (6, (14, 1)), (8, (14, 1)), (10, (14, 1)), (12, (14, 2)),
-            (16, (13, 1)), (20, (13, 1)), (24, (13, 1)), (32, (13, 1)), (43, (13, 1)),
-            (48, (13, 1)), (64, (13, 2)),
+            (4, (15, 1)), (6, (14, 1)), (8, (14, 1)), (10, (14, 1)), (12, (14, 1)),
+            (16, (13, 1)), (20, (13, 1)), (24, (13, 1)), (32, (13, 2)), (43, (13, 1)),
+            (48, (13, 1)), (64, (13, 1)),
         )
     ]
     + [
@@ -496,12 +497,11 @@ def test_regular_polygons_flip_no_cocircular_edge(dev, flips):
 )
 def test_step_attempts_per_path(make, steps):
     # (accepted, rejected) steps.  The flat paths stay clean, rejecting only
-    # their jump and, on the 12- and 64-gons, one wide step after it; the
-    # thin hulls reject their first step, so their unclean paths keep the
-    # steps grown by iterate counts.  The 64-gon's wide step starts from an
-    # endgame state, and its first Newton iterate's J fails RCOND_MIN: the
-    # one path here on which the endgame's waiver of RCOND_MIN decides an
-    # iterate.
+    # their jump and, on the 32-gon, one wide step after it; the thin hulls
+    # reject their first step, so their unclean paths keep the steps grown
+    # by iterate counts.  The 64-gon's last step starts from an endgame
+    # state, and one of its Newton iterates' J fails RCOND_MIN: the one path
+    # here on which the endgame's waiver of RCOND_MIN decides an iterate.
     state = solve_path(build_metric(make())).state
     assert (state.steps_accepted, state.steps_rejected) == steps
 

@@ -574,6 +574,7 @@ def _assert_cache_matches_fresh(mesh, r, order):
     assert _same_bits(rep.kappa, rep0.kappa) and _same_bits(rep.theta, rep0.theta)
     J, J0 = jacobian.assemble(P, order), jacobian.assemble(P0, order)
     assert J.k == J0.k and _same_bits(J.ab, J0.ab)
+    assert _same_bits(J.cells, J0.cells) and _same_bits(J.cols, J0.cols)
 
 
 @pytest.mark.parametrize(
