@@ -17,16 +17,37 @@ cached``) until a flip changes its lengths.  The split only keeps
 intermediates: each double comes from the same operations in the same
 order as in the one-shot kernels, which the tests keep as the reference.
 
+A pyramid's dihedrals come in closed form from its apex foot.  In the
+base frame P0 = (0, 0), P1 = (l2, 0), P2 = (x2, y2), side s runs from
+its tail t = P_{s+1} along e = P_{s+2} - P_{s+1}.  With the foot
+F = (xa, ya) and the height h = sqrt(alt2), let D_s = e_x (ya - t_y) -
+e_y (xa - t_x), twice the signed area of the foot with side s.  The
+lateral face over side s spans e and A - t, A = (xa, ya, h), so its
+outward normal is their cross product n_s = (h e_y, -h e_x, D_s), and
+the base's is (0, 0, -1).  A dihedral is pi minus the angle between the
+outward normals of its faces; each ``arctan2`` below takes its sine and
+cosine up to a common positive factor.  Hence
+
+* alpha_s = atan2(h, D_s / l_s), from n_s and the base's normal;
+* omega_c = atan2(r_c h 2A, -(D_{c+2} D_{c+1} + h^2 E_c)), between the
+  normals of the two sides at corner c.  The cosine's numerator is
+  minus their dot product, since E_c = (P_{c+1} - P_c).(P_c - P_{c+2})
+  = e_{c+2}.e_{c+1} = -((l_{c+1}^2 + l_{c+2}^2) - l_c^2) / 2.  The
+  sine's numerator is the length of their cross product: with
+  a = P_c - P_{c+2}, b = P_{c+1} - P_c and u = A - P_c, the normals are
+  a x u and b x u, whose cross product is det(a, b, u) u, and
+  |det(a, b, u)| = h 2A for the base's doubled area 2A = l2 y2.
+
+Every term but D and h depends on the lengths alone (``PyramidBase``).
 At the sizes of most solves (tens of faces) a kernel's cost is its
-number of NumPy calls, not its arithmetic, so ``face_pyramids`` lays its
-work out as stacked rows, one row per quantity and side over all faces,
-and treats many rows in each call: the six frame dihedrals share
-(3, 6, F) arrays, and their dot products are ``np.add.reduce`` over the
-coordinate axis.  No temporary is larger than (3, 6, F).  The operations
-are those of the one-shot kernel, in its operand order, so every double
-is the one it gives.  No angle of the lateral triangles (apex, tail,
-head) is solved: the Jacobian, their only reader, takes its factors in
-closed form from the triangles' sides (``jacobian.assemble``).
+number of NumPy calls, not its arithmetic, so ``face_pyramids`` works
+on (3, F) rows, one per side or corner over all faces, and takes all
+six dihedrals in one ``arctan2`` over (2, 3, F).  The operations are
+those of the one-shot kernel, in its operand order, so every double is
+the one it gives.  No angle of the lateral triangles
+(apex, tail, head) is solved: the Jacobian, their only reader, takes
+its factors in closed form from the triangles' sides
+(``jacobian.assemble``).
 """
 
 from __future__ import annotations
@@ -40,21 +61,9 @@ from .errors import PyramidError, TriangleError
 BACKEND = "numpy"
 
 # Cyclic successors (k+1)%3 and (k+2)%3: the tail and head corner of side
-# k, and the factor rows of cross-product component k,
-# (a x b)[k] = a[k+1] b[k+2] - a[k+2] b[k+1].
+# k, and the sides k+1 and k+2 that meet at corner k.
 _NEXT = np.array([1, 2, 0])
 _NEXT2 = np.array([2, 0, 1])
-
-# The six frame dihedrals of a pyramid, each the angle between w1 - p and
-# w2 - p after removing the component along q - p, with points numbered
-# base corner 0, 1, 2 and apex 3.  Columns 0-2 are alpha along base side s
-# (p, q = its tail and head, w1 = apex, w2 = corner s); columns 3-5 are
-# omega along the apex edge to corner c (p = apex, q = corner c, w1, w2 =
-# the next two corners).
-_DIH_P = np.array([1, 2, 0, 3, 3, 3])
-_DIH_Q = np.array([2, 0, 1, 0, 1, 2])
-_DIH_W1 = np.array([3, 3, 3, 1, 2, 0])
-_DIH_W2 = np.array([0, 1, 2, 2, 0, 1])
 
 
 def _angle_opp(a, b, c):
@@ -94,29 +103,42 @@ def corner_layout(edge, near, far):
 class PyramidBase(NamedTuple):
     """The radius-independent half of ``face_pyramids``: each base
     triangle laid out with corners P0 = (0, 0), P1 = (l2, 0) and
-    P2 = (x2, y2), and the intermediates the apex solve reads off it."""
+    P2 = (x2, y2), and the intermediates that the apex solve and the
+    dihedrals read off it.  Side s runs from its tail P_{s+1} along
+    P_{s+2} - P_{s+1}."""
 
     y2sq: np.ndarray  # y2^2 as computed; a base with y2^2 <= 0 raises
     sq21: np.ndarray  # (2, F): l2^2 and l1^2
     two_l2: np.ndarray
     two_y2: np.ndarray
-    pts: np.ndarray  # (3, 4, F): coordinate k of corner i; the apex, i = 3, is 0
+    tail: np.ndarray  # (2, 3, F): x and y of the tail of side s; tail[0, 1] is x2
+    edge: np.ndarray  # (2, 3, F): x and y of the direction of side s
+    ell_t: np.ndarray  # (3, F): ell transposed
+    dot: np.ndarray  # (3, F): E_c = -((l_{c+1}^2 + l_{c+2}^2) - l_c^2) / 2
+    two_area: np.ndarray  # l2 y2
 
 
 def pyramid_base(ell):
     """``PyramidBase`` of every face with side lengths ``ell`` (F, 3)."""
     ell = np.asarray(ell, dtype=np.float64)
-    l0, l1, l2 = ell[:, 0], ell[:, 1], ell[:, 2]
+    ell_t = ell.T.copy()
+    l0, l1, l2 = ell_t
     with np.errstate(all="ignore"):
         x2, y2sq = corner_layout(l2, l1, l0)
         y2 = np.sqrt(np.maximum(y2sq, 0.0))
-        sq1, sq2 = l1 * l1, l2 * l2
+        sq = ell_t * ell_t
+        dot = sq.take(_NEXT, axis=0)
+        dot += sq.take(_NEXT2, axis=0)
+        dot -= sq
+        dot *= -0.5
+        tail = np.zeros((2, 3, ell.shape[0]))
+        tail[0, 0] = l2
+        tail[0, 1] = x2
+        tail[1, 1] = y2
+        edge = np.stack([[x2 - l2, -x2, l2], [y2, -y2, np.zeros_like(y2)]])
+        two_area = l2 * y2
         two_l2 = 2.0 * l2
-    pts = np.zeros((3, 4, ell.shape[0]))
-    pts[0, 1] = l2
-    pts[0, 2] = x2
-    pts[1, 2] = y2
-    return PyramidBase(y2sq, np.stack([sq2, sq1]), two_l2, 2.0 * y2, pts)
+    return PyramidBase(y2sq, sq[[2, 1]], two_l2, 2.0 * y2, tail, edge, ell_t, dot, two_area)
 
 
 def face_pyramids(ell, rad, base=None):
@@ -153,66 +175,45 @@ def face_pyramids(ell, rad, base=None):
     nf = ell.shape[0]
     if not (np.isfinite(ell).all() and np.isfinite(rad).all()):
         raise PyramidError("non-finite input to the pyramid solve")
-    # dih[b, s] holds the dihedrals b (alpha, omega) of side or corner s,
-    # for every face.
-    dih = np.empty((2, 3, nf))
+    # sine[b, s] and cosine[b, s] are multiples of the sine and cosine of
+    # the dihedrals b (alpha, omega) of side or corner s, for every face.
+    sine = np.empty((2, 3, nf))
+    cosine = np.empty((2, 3, nf))
     with np.errstate(all="ignore"):
         if base is None:
             base = pyramid_base(ell)
         if not (base.y2sq > 0.0).all():
             raise TriangleError("degenerate base triangle")
-        q = np.multiply(rad.T, rad.T, order="C")
+        rad_t = rad.T
+        q = np.multiply(rad_t, rad_t, order="C")
 
-        # Apex from the three squared distances, written into the frame.
-        pts = base.pts.copy()
-        xa, ya, alt = pts[:, 3]
+        # Foot (xa, ya) of the apex from the three squared distances.
         d = q[0] - q[1:]
         d += base.sq21
-        np.divide(d[0], base.two_l2, out=xa)
+        xa = d[0] / base.two_l2
         two_xa_x2 = 2.0 * xa
-        two_xa_x2 *= base.pts[0, 2]
-        np.subtract(d[1], two_xa_x2, out=ya)
+        two_xa_x2 *= base.tail[0, 1]
+        ya = d[1] - two_xa_x2
         ya /= base.two_y2
-        apex_sq = pts[:2, 3] * pts[:2, 3]
-        alt2 = q[0] - apex_sq[0]
-        alt2 -= apex_sq[1]
+        alt2 = q[0] - xa * xa
+        alt2 -= ya * ya
         ok = alt2 > 0.0
+        alt = np.sqrt(np.maximum(alt2, 0.0))
 
-        np.maximum(alt2, 0.0, out=alt)
-        np.sqrt(alt, out=alt)
+        # Twice the signed area of the foot with each side, from its tail.
+        area = ya - base.tail[1]
+        area *= base.edge[0]
+        across = xa - base.tail[0]
+        across *= base.edge[1]
+        area -= across
 
-        # Dihedral angles in the frame pts[k, i, f], coordinate k of point
-        # i (base corners 0, 1, 2 and the apex 3) of face f.  Dot products
-        # over the coordinate axis sum left to right.
-        p = pts.take(_DIH_P, axis=1)
-        edge = pts.take(_DIH_Q, axis=1)
-        edge -= p
-        tmp = edge * edge
-        dot = np.add.reduce(tmp)
-        np.sqrt(dot, out=dot)
-        edge /= dot
-        wing1 = pts.take(_DIH_W1, axis=1)
-        wing1 -= p
-        wing2 = pts.take(_DIH_W2, axis=1)
-        wing2 -= p
-        del p
-        for wing in (wing1, wing2):
-            np.multiply(wing, edge, out=tmp)
-            np.add.reduce(tmp, out=dot)
-            np.multiply(dot, edge, out=tmp)
-            wing -= tmp
-        del edge
-        cross = wing1.take(_NEXT, axis=0)
-        cross *= wing2.take(_NEXT2, axis=0)
-        other = wing1.take(_NEXT2, axis=0)
-        other *= wing2.take(_NEXT, axis=0)
-        cross -= other
-        del other
-        np.multiply(cross, cross, out=tmp)
-        np.add.reduce(tmp, out=dot)
-        np.sqrt(dot, out=dot)
-        np.multiply(wing1, wing2, out=tmp)
-        np.arctan2(dot, np.add.reduce(tmp), out=dih.reshape(6, nf))
+        sine[0] = alt
+        np.divide(area, base.ell_t, out=cosine[0])
+        np.multiply(rad_t, alt * base.two_area, out=sine[1])
+        np.multiply(area.take(_NEXT2, axis=0), area.take(_NEXT, axis=0), out=cosine[1])
+        cosine[1] += (alt * alt) * base.dot
+        np.negative(cosine[1], out=cosine[1])
+        dih = np.arctan2(sine, cosine, out=sine)
 
     alpha, omega = dih.transpose(0, 2, 1).copy()
     return {"ok": ok, "alt2": alt2, "alpha": alpha, "omega": omega}

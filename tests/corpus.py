@@ -23,11 +23,20 @@ attempts and prints pass or fail, the accepted/rejected step counts
 the failure's reason.  A summary per
 family ends the output.  BLAS is pinned to one thread.  Not a test
 module: pytest does not collect this file.
+
+``--save FILE`` keeps each case's outcome (a JSON object by case name),
+and ``--against FILE`` compares this tree's census with a saved one: it
+lists every case whose outcome, steps or reason (but for the t it
+names) changed, with both lines, and the per-family totals of both.
+Save on a parent checkout with the script copied in, then compare on
+the change, with the same ``--seeds`` and ``--max-steps``.
 """
 
 import argparse
+import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -135,18 +144,57 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
     parser.add_argument("--max-steps", type=int, default=3000)
+    parser.add_argument("--save", metavar="FILE", help="keep every case's outcome in FILE")
+    parser.add_argument("--against", metavar="FILE", help="compare with outcomes saved in FILE")
     args = parser.parse_args(argv)
 
     os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
     sys.path.insert(0, str(ROOT / "src"))
 
-    tally = {}
+    census = {}
     for family, name, dev in cases(args.seeds):
         passed, steps, reason, seconds = run_case(dev, args.max_steps)
-        tally.setdefault(family, [0, 0])[0 if passed else 1] += 1
+        census[name] = {"family": family, "passed": passed, "steps": steps, "reason": reason}
         print(f"{name:24s} {'pass' if passed else 'FAIL'} {steps:>9s} {seconds:6.2f}s  {reason}", flush=True)
-    for family, (passed, failed) in tally.items():
+    for family, (passed, failed) in tally(census).items():
         print(f"{family}: {passed} passed, {failed} failed")
+    if args.save:
+        with open(args.save, "w") as f:
+            json.dump(census, f, indent=1)
+    if args.against:
+        with open(args.against) as f:
+            compare(json.load(f), census)
+
+
+def tally(census):
+    """{family: [passed, failed]} of a census, families in case order."""
+    out = {}
+    for case in census.values():
+        out.setdefault(case["family"], [0, 0])[0 if case["passed"] else 1] += 1
+    return out
+
+
+def _line(case):
+    return f"{'pass' if case['passed'] else 'FAIL'} {case['steps']}  {case['reason']}"
+
+
+def _outcome(case):
+    """A case's pass or fail, steps and reason without the t it names."""
+    return case["passed"], case["steps"], re.sub(r" at t=[^:]*", "", case["reason"])
+
+
+def compare(before, after):
+    """Print every case whose outcome moved from ``before`` to ``after``,
+    then the per-family totals of both."""
+    if set(before) != set(after):
+        raise SystemExit("the saved census does not have this census's cases")
+    changed = [name for name in after if _outcome(before[name]) != _outcome(after[name])]
+    print(f"cases changed: {len(changed)} of {len(after)}")
+    for name in changed:
+        print(f"  {name}: {_line(before[name])} -> {_line(after[name])}")
+    old, new = tally(before), tally(after)
+    for family in new:
+        print(f"{family}: {old[family][0]}/{old[family][1]} -> {new[family][0]}/{new[family][1]} passed/failed")
 
 
 if __name__ == "__main__":

@@ -31,14 +31,7 @@ from polyforge import kernels
 from polyforge.embed import EmbeddedPolytope
 from polyforge.errors import InadmissibleWeightsError, PyramidError, TriangleError
 from polyforge.jacobian import BandJacobian, assemble
-from polyforge.kernels import (
-    _DIH_P,
-    _DIH_Q,
-    _DIH_W1,
-    _DIH_W2,
-    _NEXT,
-    _NEXT2,
-)
+from polyforge.kernels import _NEXT, _NEXT2
 from polyforge.polytope import solve_pyramids
 from polyforge.surface import Development, build_metric
 from polyforge.triangulation import (
@@ -160,34 +153,11 @@ def validate_mesh(mesh):
 # kernels must match them bit for bit.
 
 
-def _dot3(u, v):
-    """Dot product over the leading axis of length 3, summed left to right
-    as ``np.sum`` reduces a row of three."""
-    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
-
-
-def face_pyramids(ell, rad):
-    """Solve every apex pyramid over the given faces.
-
-    Parameters
-    ----------
-    ell : (F, 3) float array of base side lengths (side s opposite corner s).
-    rad : (F, 3) float array of apex distances per corner.
-
-    Returns
-    -------
-    dict of arrays:
-      ok      (F,) bool: the squared altitude is positive (a pyramid).
-      alt2    (F,) squared apex altitude over the base plane.
-      alpha   (F, 3) dihedral angle along base side s.
-      omega   (F, 3) dihedral angle along the apex edge to corner c.
-
-    An input that is not finite raises PyramidError, and then a base with
-    y2^2 <= 0 raises TriangleError.
-    """
+def _base_and_apex(ell, rad):
+    """x2, y2, the apex foot (xa, ya) and alt2 of every pyramid, as
+    ``kernels.face_pyramids`` solves them; raises as it does."""
     ell = np.asarray(ell, dtype=np.float64)
     rad = np.asarray(rad, dtype=np.float64)
-    nf = ell.shape[0]
     if not (np.isfinite(ell).all() and np.isfinite(rad).all()):
         raise PyramidError("non-finite input to the pyramid solve")
 
@@ -206,19 +176,88 @@ def face_pyramids(ell, rad):
         xa = (q0 - q1 + l2 * l2) / (2.0 * l2)
         ya = (q0 - q2 + l1 * l1 - 2.0 * xa * x2) / (2.0 * y2)
         alt2 = q0 - xa * xa - ya * ya
-    ok = alt2 > 0.0
+    return x2, y2, xa, ya, alt2
 
-    alt = np.sqrt(np.maximum(alt2, 0.0))
 
-    # Dihedral angles need the spatial frame: pts[k, i, f] is coordinate
-    # k of point i (base corners 0, 1, 2 and the apex 3) of face f.
-    pts = np.zeros((3, 4, nf))
+def face_pyramids(ell, rad):
+    """Solve every apex pyramid over the given faces.
+
+    Parameters
+    ----------
+    ell : (F, 3) float array of base side lengths (side s opposite corner s).
+    rad : (F, 3) float array of apex distances per corner.
+
+    Returns
+    -------
+    dict of arrays:
+      ok      (F,) bool: the squared altitude is positive (a pyramid).
+      alt2    (F,) squared apex altitude over the base plane.
+      alpha   (F, 3) dihedral angle along base side s.
+      omega   (F, 3) dihedral angle along the apex edge to corner c.
+
+    The dihedrals come from the outward normals (h e_y, -h e_x, D) of the
+    lateral faces, where side s runs from its tail t along e and D is
+    twice the signed area of the apex foot with it.  An input that is not
+    finite raises PyramidError, and then a base with y2^2 <= 0 raises
+    TriangleError.
+    """
+    x2, y2, xa, ya, alt2 = _base_and_apex(ell, rad)
+    ell = np.asarray(ell, dtype=np.float64)
+    rad = np.asarray(rad, dtype=np.float64)
+    l2 = ell[:, 2]
+    zero = np.zeros_like(l2)
+    with np.errstate(all="ignore"):
+        h = np.sqrt(np.maximum(alt2, 0.0))
+        # side s: tail P_{s+1}, direction P_{s+2} - P_{s+1}
+        tails = [(l2, zero), (x2, y2), (zero, zero)]
+        dirs = [(x2 - l2, y2), (-x2, -y2), (l2, zero)]
+        area = [ex * (ya - ty) - ey * (xa - tx) for (tx, ty), (ex, ey) in zip(tails, dirs)]
+        sq = [ell[:, s] * ell[:, s] for s in range(3)]
+        dot = [-((sq[(c + 1) % 3] + sq[(c + 2) % 3]) - sq[c]) / 2.0 for c in range(3)]
+        two_area = l2 * y2
+        sine = [[h] * 3, [rad[:, c] * (h * two_area) for c in range(3)]]
+        cosine = [
+            [area[s] / ell[:, s] for s in range(3)],
+            [-(area[(c + 2) % 3] * area[(c + 1) % 3] + (h * h) * dot[c]) for c in range(3)],
+        ]
+        dih = np.arctan2(np.array(sine), np.array(cosine))
+    return {"ok": alt2 > 0.0, "alt2": alt2, "alpha": dih[0].T.copy(), "omega": dih[1].T.copy()}
+
+
+# The six frame dihedrals of a pyramid, each the angle between w1 - p and
+# w2 - p after removing the component along q - p, with points numbered
+# base corner 0, 1, 2 and apex 3.  Columns 0-2 are alpha along base side s
+# (p, q = its tail and head, w1 = apex, w2 = corner s); columns 3-5 are
+# omega along the apex edge to corner c (p = apex, q = corner c, w1, w2 =
+# the next two corners).
+_DIH_P = np.array([1, 2, 0, 3, 3, 3])
+_DIH_Q = np.array([2, 0, 1, 0, 1, 2])
+_DIH_W1 = np.array([3, 3, 3, 1, 2, 0])
+_DIH_W2 = np.array([0, 1, 2, 2, 0, 1])
+
+
+def _dot3(u, v):
+    """Dot product over the leading axis of length 3, summed left to right
+    as ``np.sum`` reduces a row of three."""
+    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
+
+
+def frame_face_pyramids(ell, rad):
+    """``face_pyramids`` with the dihedrals taken from the pyramid laid
+    out in a 3-D frame, each between two wings projected off its edge:
+    the package's former formula, against which the closed form's
+    accuracy is compared."""
+    x2, y2, xa, ya, alt2 = _base_and_apex(ell, rad)
+    l2 = np.asarray(ell, dtype=np.float64)[:, 2]
+    # pts[k, i, f] is coordinate k of point i (base corners 0, 1, 2 and
+    # the apex 3) of face f.
+    pts = np.zeros((3, 4, len(l2)))
     pts[0, 1] = l2
     pts[0, 2] = x2
     pts[1, 2] = y2
     pts[0, 3] = xa
     pts[1, 3] = ya
-    pts[2, 3] = alt
+    pts[2, 3] = np.sqrt(np.maximum(alt2, 0.0))
     p = pts[:, _DIH_P]
     with np.errstate(invalid="ignore", divide="ignore"):
         edge = pts[:, _DIH_Q] - p
@@ -229,13 +268,7 @@ def face_pyramids(ell, rad):
         wing2 -= _dot3(wing2, edge) * edge
         cross = wing1[_NEXT] * wing2[_NEXT2] - wing1[_NEXT2] * wing2[_NEXT]
         dih = np.arctan2(np.sqrt(_dot3(cross, cross)), _dot3(wing1, wing2))
-
-    return {
-        "ok": ok,
-        "alt2": alt2,
-        "alpha": dih[0:3].T.copy(),
-        "omega": dih[3:6].T.copy(),
-    }
+    return {"ok": alt2 > 0.0, "alt2": alt2, "alpha": dih[0:3].T.copy(), "omega": dih[3:6].T.copy()}
 
 
 def edge_badness(l_ij, l_ik, l_jk, l_il, l_jl, q_i, q_j, q_k, q_l):

@@ -91,6 +91,34 @@ def test_face_pyramids_match_high_precision_solve():
             np.testing.assert_allclose(out[key][f], row[key], rtol=0, atol=1e-12)
 
 
+def test_tall_pyramids_match_high_precision_solve():
+    # Apex distances from about 1 to 1e3 times the longest side, as on
+    # the 1000:1 disc: the lateral faces stand nearly upright, and the
+    # dihedrals stay within the bound of the pyramids above.
+    rng = np.random.default_rng(37)
+    n = 120
+    base = np.zeros((n, 3, 2))
+    base[:, 1, 0] = rng.uniform(0.7, 2.5, n)
+    base[:, 2] = rng.uniform([-1.0, 0.4], [3.0, 2.5], (n, 2))
+    foot = rng.uniform(-1.0, 3.0, (n, 2))
+    ell = np.empty((n, 3))
+    for s in range(3):
+        ell[:, s] = np.linalg.norm(base[:, (s + 1) % 3] - base[:, (s + 2) % 3], axis=1)
+    height = 10.0 ** rng.uniform(0.0, 3.0, n) * ell.max(axis=1)
+    rad = np.empty((n, 3))
+    for c in range(3):
+        rad[:, c] = np.hypot(np.linalg.norm(foot - base[:, c], axis=1), height)
+    ratio = rad.max(axis=1) / ell.max(axis=1)
+    assert ratio.min() < 3.0 and ratio.max() > 500.0
+    out = kernels.face_pyramids(ell, rad)
+    assert np.all(out["ok"])
+    for f in range(n):
+        row = mp_pyramid(ell[f], rad[f])
+        assert out["alt2"][f] == pytest.approx(row["alt2"], rel=1e-12)
+        for key in ("alpha", "omega"):
+            np.testing.assert_allclose(out[key][f], row[key], rtol=0, atol=1e-12)
+
+
 _CIRC = 1.0 / math.sqrt(3.0)  # circumradius of the unit equilateral base
 _DEGENERATE_ELL = np.ones((4, 3))
 _DEGENERATE_RAD = np.array(
@@ -286,9 +314,10 @@ def test_near_flat_dihedrals_stay_inside_the_fold_tolerance(monkeypatch):
     # scale, where the doubles lose the most: their dihedrals must lie
     # within ``bound`` of the 50-digit pyramid, a hundredth of FOLD_TOL, so
     # that the noise cannot move a fold's classification.  They lie within
-    # 4.5e-8 (the 24-gon), 4.2e-8 (the 12-gon), 1.8e-9 (the square),
-    # 6.8e-10 (the 16-gon), 2.2e-10 (the 8-gon) and 1.1e-10 (the 3-4-5
-    # triangle).
+    # 1.8e-7 (the 24-gon), 2.2e-8 (the 12-gon), 1.6e-9 (the 8-gon), 1.1e-9
+    # (the 16-gon), 2.7e-10 (the square) and 1.9e-10 (the 3-4-5 triangle):
+    # on these rows the error is that of the altitude, and the frame
+    # formula (``oracles.frame_face_pyramids``) errs as much.
     bound = FOLD_TOL / 100
     rows = {}
     solve = kernels.face_pyramids

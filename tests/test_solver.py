@@ -333,11 +333,15 @@ _FLAT_CASES = {
     "doubled-345": lambda: catalog.doubly_covered_triangle(3.0, 4.0, 5.0),
     "doubled-square": lambda: catalog.doubly_covered_polygon(4),
     "doubled-8": lambda: catalog.doubly_covered_polygon(8),
+    "doubled-10": lambda: catalog.doubly_covered_polygon(10),
     "doubled-24": lambda: catalog.doubly_covered_polygon(24),
 }
 # The flat paths that give out below their fold stop when it is switched
-# off: in doubles their Newton steps stop converging there.
-_ABORT_PAST_THE_FOLD_STOP = {"doubled-square", "doubled-8", "doubled-24"}
+# off: in doubles their Newton steps stop converging there, until the
+# step size underflows on a rejection for want of a pyramid (the square),
+# a numerically singular J (the 8-gon) or an edge dihedral past pi (the
+# 10-gon).  The 24-gon runs on to its floor.
+_ABORT_PAST_THE_FOLD_STOP = {"doubled-square", "doubled-8", "doubled-10"}
 
 
 @pytest.mark.parametrize("name", list(_FLAT_CASES))
@@ -481,8 +485,8 @@ def test_regular_polygons_flip_no_cocircular_edge(dev, flips):
     + [
         pytest.param(lambda n=n: catalog.doubly_covered_polygon(n), steps, id=f"doubled-{n}")
         for n, steps in (
-            (4, (15, 1)), (6, (14, 1)), (8, (14, 1)), (10, (14, 1)), (12, (14, 1)),
-            (16, (13, 1)), (20, (13, 1)), (24, (13, 1)), (32, (13, 2)), (43, (13, 1)),
+            (4, (15, 1)), (6, (14, 1)), (8, (14, 1)), (10, (14, 1)), (12, (14, 2)),
+            (16, (13, 1)), (20, (13, 1)), (24, (13, 1)), (32, (13, 1)), (43, (13, 1)),
             (48, (13, 1)), (64, (13, 1)),
         )
     ]
@@ -497,7 +501,7 @@ def test_regular_polygons_flip_no_cocircular_edge(dev, flips):
 )
 def test_step_attempts_per_path(make, steps):
     # (accepted, rejected) steps.  The flat paths stay clean, rejecting only
-    # their jump and, on the 32-gon, one wide step after it; the thin hulls
+    # their jump and, on the 12-gon, one wide step after it; the thin hulls
     # reject their first step, so their unclean paths keep the steps grown
     # by iterate counts.  The 64-gon's last step starts from an endgame
     # state, and one of its Newton iterates' J fails RCOND_MIN: the one path
