@@ -5,7 +5,8 @@ invariants, cone angles, the validated construction of
 a generalized polytope, its total height, the dense curvature Jacobian,
 the scalar badness formula, the one-shot edge badness and pyramid
 kernels that the package splits into a cached half and a per-call half,
-one pyramid solved at 50 digits with mpmath,
+the pyramid dihedrals by the former 3-D frame formula, one pyramid
+solved at 50 digits with mpmath,
 the scalar quad layout and convexity check, the flip loop that flips one
 edge at a time and rechecks every edge, the two-face dihedral of an
 edge, the canonical form of the

@@ -316,8 +316,9 @@ def test_near_flat_dihedrals_stay_inside_the_fold_tolerance(monkeypatch):
     # that the noise cannot move a fold's classification.  They lie within
     # 1.8e-7 (the 24-gon), 2.2e-8 (the 12-gon), 1.6e-9 (the 8-gon), 1.1e-9
     # (the 16-gon), 2.7e-10 (the square) and 1.9e-10 (the 3-4-5 triangle):
-    # on these rows the error is that of the altitude, and the frame
-    # formula (``oracles.frame_face_pyramids``) errs as much.
+    # on these rows the error is that of the altitude, and the former
+    # frame formula (``oracles.frame_face_pyramids``) errs as much, which
+    # the closed form may not exceed by more than a factor of 2.
     bound = FOLD_TOL / 100
     rows = {}
     solve = kernels.face_pyramids
@@ -336,11 +337,19 @@ def test_near_flat_dihedrals_stay_inside_the_fold_tolerance(monkeypatch):
         solve_path(build_metric(dev))
     monkeypatch.undo()
     assert len(rows) > 250
-    worst = 0.0
-    for key, (alpha, omega) in rows.items():
+    keys = np.array(list(rows))
+    frame = oracles.frame_face_pyramids(keys[:, :3], keys[:, 3:])
+    worst = worst_frame = 0.0
+    for f, (key, (alpha, omega)) in enumerate(rows.items()):
         want = mp_pyramid(key[:3], key[3:])
         worst = max(worst, np.abs(alpha - want["alpha"]).max(), np.abs(omega - want["omega"]).max())
+        worst_frame = max(
+            worst_frame,
+            np.abs(frame["alpha"][f] - want["alpha"]).max(),
+            np.abs(frame["omega"][f] - want["omega"]).max(),
+        )
     assert 0.0 < worst <= bound
+    assert worst <= 2.0 * worst_frame
 
 
 def test_infinite_radii_flag_the_row_without_warnings():
