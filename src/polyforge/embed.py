@@ -12,44 +12,13 @@ rounding level.  Its fold edges are the polygon's outline, and the
 result keeps them (``EmbeddedPolytope.rim``) for
 ``apex_boundary_distance``, so no convex hull is taken.
 Per-vertex positions are the means of their per-face placements (the
-spread is the closure residual), tightened by a few Gauss-Newton sweeps
-on the edge lengths.  Once the curvatures are only ``solver.KAPPA_STOP``
-away from zero this reproduces the convex polytope to machine-level
-accuracy.  The apex is the kappa(1)-weighted Fermat point of the
-vertices (``solve_apex``): the least-squares fit of |v_i - a| = r_i to
-the solve's final radii, in the vertices' plane on a flat body, then two
-Newton steps, which leave its residual ``apex_residual`` at rounding
-level, about 1e-16.
-
-The polish.  Edge e = (i, j) of length ell_e has the residual
-|v_i - v_j| - ell_e and the Jacobian row u_e (e_i - e_j), with u_e the
-unit vector from v_j to v_i.  Each sweep is a Levenberg-Marquardt step
-(Marquardt, 1963) with a damping at rounding level: it solves the
-normal equations
-
-    (J^T J + mu^2 I) delta = -J^T res,   mu^2 = 2 (kd + 1)^2 eps max diag,
-
-and removes the step's component along the six rigid motions, which
-leaves the minimum-norm Gauss-Newton step (derivations in ``_polish``).
-J^T J couples only the vertices that share an edge, the pattern of the
-curvature Jacobian, so it is assembled with the vertices in the same
-reverse Cuthill-McKee order (``jacobian.band_order``), the three
-coordinates of a vertex adjacent, straight into LAPACK's symmetric band
-storage, and factored by banded Cholesky (pbtrf, then pbtrs).  Its
-half-bandwidth is kd = 3k + 2, where k is the largest |pos(i) - pos(j)|
-over the edges; the band takes (kd + 1) x 3n doubles, 2.86 MiB at
-n = 640.  One polish on the final state of a random hull (seed [1, n]),
-best of 5 on one BLAS thread of a 2-vCPU Xeon host, against the LSQR
-sweep it replaced (scipy's, with atol = btol = 0):
-
-    n      k     LSQR        band Cholesky
-    160    33    12.8 ms     0.94 ms
-    320    45    21.5 ms     2.0 ms
-    640    64    47 ms       4.9 ms
-    1280   96    110 ms      13.3 ms
-    2560   136   268 ms      38.7 ms
-
-Each of these takes one sweep and ends at max |res| about 1e-16 diam.
+spread is the closure residual).  The path lands at kappa = 0
+(``solver``), so those means already reproduce the convex polytope to
+rounding level; nothing is fitted afterwards.  The apex is the
+kappa(1)-weighted Fermat point of the vertices (``solve_apex``): the
+least-squares fit of |v_i - a| = r_i to the solve's final radii, in the
+vertices' plane on a flat body, then two Newton steps, which leave its
+residual ``apex_residual`` at rounding level, about 1e-16.
 """
 
 from __future__ import annotations
@@ -58,27 +27,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
-from . import jacobian, kernels
+from . import kernels
 from .errors import EmbedError
 from .kernels import _NEXT, _NEXT2
-from .triangulation import CornerMesh, merge_regions
+from .triangulation import merge_regions
 
 CLOSURE_TOL = 1e-6  # * diameter
 DEGENERATE_VOL_TOL = 1e-8  # * diameter^3
 MERGE_TOL = 1e-6  # |pi - theta| below this merges the faces
 APEX_NEWTON_STEPS = 2  # after the radii fit (solve_apex)
-POLISH_SWEEPS = 3  # at most; each ends early once the residual is at rounding level
-
-# The polish's damping is _MU2_C (kd + 1)^2 times the largest diagonal
-# entry of its band (derivation in _polish).
-_MU2_C = 2.0 * float(np.finfo(np.float64).eps)
 
 
 @dataclass
 class EmbeddedPolytope:
-    vertices: np.ndarray  # (n, 3) averaged and polished positions
+    vertices: np.ndarray  # (n, 3) averaged positions
     faces: tuple  # triangles, outward counterclockwise
     closure_residual: float
     diameter: float
@@ -157,8 +120,6 @@ def place_faces(P, merge_coplanar=False):
         )
     if flat:
         _check_sheets(mesh, pos, fold)
-
-    verts = _polish(mesh, verts, diam)
 
     faces = tuple(map(tuple, mesh.vert.tolist()))
     volume = _signed_volume(verts, faces)
@@ -347,108 +308,6 @@ def _diameter(verts):
     return math.sqrt(best)
 
 
-def _polish(mesh, verts, diam):
-    """At most ``POLISH_SWEEPS`` Gauss-Newton sweeps on the edge-length
-    residuals, stopping once max |res| < 1e-12 diam.
-
-    Each sweep solves (A + mu^2 I) delta = -J^T res, A = J^T J, by one
-    banded Cholesky factor.  Edge (i, j) adds u u^T to the diagonal
-    blocks of i and j and -u u^T to the blocks between them; one
-    ``kernels.scatter_add`` puts the upper triangles of those straight
-    into the band, which pbtrf then factors in place.
-
-    The damping.  A is positive semidefinite, so |a_rc| <= max_k a_kk,
-    and a row of the band holds at most 2 kd + 1 entries: ||A|| <=
-    (2 kd + 1) max_k a_kk.  In floating point, band Cholesky returns the
-    exact factor of a matrix within about (kd + 1) eps ||A|| of its input
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10), so
-    it cannot break down on A + mu^2 I once mu^2 >= (kd + 1)(2 kd + 1)
-    eps max_k a_kk.  The shift used, mu^2 = 2 (kd + 1)^2 eps max_k a_kk,
-    is that bound rounded up, since 2 kd + 1 < 2 (kd + 1): no larger than
-    a factor that cannot fail needs.  Along a singular vector of J with
-    singular value sigma it scales the step by sigma^2 / (sigma^2 + mu^2),
-    a change at rounding level unless sigma^2 is itself near mu^2.  If
-    pbtrf still fails, EmbedError is raised; there is no other path.
-
-    The gauge.  A is singular along the six infinitesimal rigid motions,
-    where the damped matrix has eigenvalue mu^2, so rounding in the
-    right-hand side comes back along them amplified by 1 / mu^2.  Every
-    step is projected off them (``_drop_rigid``); what is left is the
-    minimum-norm Gauss-Newton step, the one a dense least-squares solve
-    of J delta = -res returns.  On a flat body A is singular also
-    along the out-of-plane flexes, and there the damping bounds them."""
-    f, s = mesh.cached(CornerMesh.edges)
-    i = mesh.vert[f, (s + 1) % 3]
-    j = mesh.vert[f, (s + 2) % 3]
-    length = mesh.ell[f, s]
-    n = len(verts)
-    pos = np.empty(n, dtype=np.intp)
-    pos[mesh.cached(jacobian.band_order)] = np.arange(n)
-    # Unknown 3 pos[v] + a is coordinate a of vertex v.
-    p, q = pos[i][:, None], pos[j][:, None]
-    lo, hi = np.minimum(p, q), np.maximum(p, q)
-    kd = 3 * int((hi - lo).max()) + 2
-    ldab = kd + 1
-
-    def at(r, c):
-        """Flat index of entry (r, c), r <= c, in the F-order (ldab, 3n)
-        upper band: row kd + r - c of column c."""
-        return r + kd * (c + 1)
-
-    # Per edge: the upper triangles of the two diagonal blocks, then the
-    # off-diagonal block row by row.
-    a, b = np.triu_indices(3)
-    row, col = np.divmod(np.arange(9), 3)
-    index = np.concatenate(
-        [
-            at(3 * p + a, 3 * p + b),
-            at(3 * q + a, 3 * q + b),
-            at(3 * lo + row, 3 * hi + col),
-        ],
-        axis=1,
-    ).ravel()
-    xyz = np.arange(3)
-    rhs_index = np.concatenate([3 * p + xyz, 3 * q + xyz], axis=1).ravel()
-    v = verts.copy()
-    for _ in range(POLISH_SWEEPS):
-        d = v[i] - v[j]
-        dist = np.linalg.norm(d, axis=1)
-        res = dist - length
-        if float(np.abs(res).max()) < 1e-12 * diam:
-            break
-        u = d / dist[:, None]
-        uu = u[:, :, None] * u[:, None, :]
-        upper = uu[:, a, b]
-        vals = np.concatenate([upper, upper, -uu.reshape(-1, 9)], axis=1)
-        ab = kernels.scatter_add(ldab * 3 * n, index, vals.ravel()).reshape(3 * n, ldab).T
-        diag = ab[kd]
-        diag += _MU2_C * (kd + 1) ** 2 * float(diag.max())
-        ab, info = lapack.dpbtrf(ab, overwrite_ab=1)
-        if info > 0:
-            raise EmbedError(
-                f"polish normal matrix is not positive definite (pbtrf info {info})"
-            )
-        ur = u * res[:, None]
-        rhs = kernels.scatter_add(3 * n, rhs_index, np.concatenate([-ur, ur], axis=1).ravel())
-        x, _ = lapack.dpbtrs(ab, rhs, overwrite_b=1)
-        del ab  # before the next sweep scatters its own band
-        v += _drop_rigid(v, x.reshape(n, 3)[pos])
-    return v
-
-
-def _drop_rigid(v, delta):
-    """``delta`` (n, 3) less its component along the six infinitesimal
-    rigid motions of the points ``v``: the three translations and the
-    rotations e_a x (v_i - centroid), made orthonormal by QR."""
-    n = len(v)
-    basis = np.zeros((n, 3, 6))
-    basis[:, :, :3] = np.eye(3)
-    basis[:, :, 3:] = np.cross(np.eye(3), (v - v.mean(axis=0))[:, None, :]).transpose(0, 2, 1)
-    q, _ = np.linalg.qr(basis.reshape(3 * n, 6))
-    flat = delta.ravel()
-    return (flat - q @ (q.T @ flat)).reshape(n, 3)
-
-
 def _signed_volume(verts, faces):
     """Six times the volume is the sum of one determinant per face, taken
     about the centroid.  The determinants are summed in face order, as
@@ -476,11 +335,13 @@ def solve_apex(embedded: EmbeddedPolytope, r, weights) -> ApexSolve:
         2 c_i . b = |c_i|^2 - mean |c|^2 - (r_i^2 - mean r^2).
 
     On a flat body (``rim`` set) b is taken in the vertices' plane
-    (``_plane``), and the differencing cancels the apex height.  The fit
-    misses by up to 5.3e-7 of the diameter on thin bodies; two Newton
-    steps on f, with the Hessian sum_i (w_i / d_i) (I - u_i u_i^T) and
-    u_i = (v_i - a) / d_i, take that to 2e-13 and then to rounding.  The
-    residual is |sum_i w_i u_i| / sum_i w_i, about 1e-16.
+    (``_plane``), and the differencing cancels the apex height.  The
+    radii of a landed path are one of the family of apex positions that
+    closes the body (``solver``), so the fit misses the Fermat point,
+    most on thin bodies; two Newton steps on f, with the Hessian
+    sum_i (w_i / d_i) (I - u_i u_i^T) and u_i = (v_i - a) / d_i, converge
+    quadratically from there to rounding.  The residual is
+    |sum_i w_i u_i| / sum_i w_i, about 1e-16.
     """
     verts = embedded.vertices
     w = np.asarray(weights, dtype=float)

@@ -16,8 +16,8 @@ extrapolation through the last two accepted states and their tangents
 (Allgower & Georg, Introduction to Numerical Continuation Methods, ch.
 6); the tangent at the current state is the solve an Euler step makes,
 so the cubic costs no extra factor or solve.  A path is clean until it
-rejects a step other than its one jump attempt or a wide step (below);
-from then on it predicts by Euler steps.
+rejects a step other than a landing attempt or a wide step (below); from
+then on it predicts by Euler steps.
 
 Each step's size follows the error its predictor made.  The first
 Newton iterate measures the residual at the predicted point, rho0 =
@@ -29,8 +29,8 @@ a Hermite prediction (error O(dt^4)) and p = 2 after an Euler one
 (Deuflhard, Newton Methods for Nonlinear Problems, ch. 5).  A clean
 path's step may cut t by up to DT_CAP_CLEAN, so t falls by up to 4x per
 step; the paths of the catalog solids and random hulls follow this rule
-from t = 1 to the jump.  A rejected step wider than DT_CAP of t is
-treated like the jump attempt: the path stays clean and keeps its
+from t = 1 to the landing.  A rejected step wider than DT_CAP of t is
+treated like a landing attempt: the path stays clean and keeps its
 Hermite predictor, but its steps are capped at DT_CAP of t from then on.
 Any other rejection makes the path unclean, and an unclean path grows dt
 by GROWTH after a step of at most 3 Newton iterates and caps it at
@@ -40,9 +40,9 @@ Newton stops once further iterates buy nothing the path reads (Allgower
 & Georg, ch. 2: a corrector need only return to a neighbourhood of the
 path).  A step on a clean path to t_new > T_TIGHT = T_JUMP / (1 -
 DT_CAP_CLEAN) stops once its residual is within LOOSE_TOL =
-sqrt(RESIDUAL_TARGET) Newton tolerances; every other step converges to
-the Newton tolerance, and every check at acceptance keeps that
-tolerance as its slack.  Each part of the rule has its reason:
+sqrt(RESIDUAL_TARGET) Newton tolerances; every other step but the
+landing converges to the Newton tolerance, and every check at acceptance
+keeps that tolerance as its slack.  Each part of the rule has its reason:
 
 * LOOSE_TOL: a clean path sizes its steps from rho0 alone, aimed at
   RESIDUAL_TARGET tolerances, so a node LOOSE_TOL tolerances off the
@@ -50,26 +50,38 @@ tolerance as its slack.  Each part of the rule has its reason:
   Newton from rho0 ~ RESIDUAL_TARGET stops one iterate earlier;
 * clean paths only: an unclean path grows dt by counting Newton
   iterates, which a looser stop would change;
-* t_new > T_TIGHT: the states that end a path lie at t <= T_JUMP, and
-  the two the jump predicts from at t <= T_TIGHT, since a clean step
-  cuts t by at most 1 / (1 - DT_CAP_CLEAN).  The jump lands only when its
-  Hermite prediction already meets the Newton tolerance, which a node
-  off the path by more than the tolerance would spoil.
+* t_new > T_TIGHT: a clean path lands from its first state at t <=
+  T_JUMP, and the Hermite prediction of the landing uses that state and
+  the one before, at t <= T_TIGHT, since a clean step cuts t by at most
+  1 / (1 - DT_CAP_CLEAN).  Both are on the path to the tolerance.
 
-The paper's path ends at kappa = 0; the numerical one ends at t =
-KAPPA_STOP, a tolerance, not a choice of model: there the embedding
-closes far inside ``embed.CLOSURE_TOL``, and stopping later gains
-nothing measurable.  A clean path tries once to jump from the first
-t <= T_JUMP straight to KAPPA_STOP.  A rejected attempt halves the step
-as any rejection does, but leaves the path clean; it is not tried again.
-Paths into a flat limit make that attempt and have it rejected, then
-step on until their dihedrals classify as folds and flat edges
-(``CurvatureReport.folds``), and stop there: the body is flat, and
-``embed.place_faces`` lays it out with its dihedrals snapped to exactly
-0 and pi.  A path ends for one of three reasons, kept in
-``ContinuationState.stop``: it reached KAPPA_STOP ("kappa_stop"), its
-curvature fell to the precision floor (``_at_floor``), or its folds
-classified (``_folds_classify``).
+The paper's path ends at kappa = 0, where the generalized polytope is
+the convex polytope, and so does the numerical one: its last step, the
+landing, goes to t = 0.  There J is singular along the three apex
+translations (the apex may sit anywhere inside the body), so the
+landing's corrector holds three radii fixed (``_pins``): it factors J
+with their rows and columns replaced by the identity's
+(``_pin_jacobian``), through JacobianFactor like every other corrector,
+and RCOND_MIN applies to it unchanged.  Its Newton stops once an update
+moves r by at most sqrt(eps) |r|_inf, after at least one update; a
+prediction can meet the Newton tolerance while its radii are still far
+from closing the embedding.  A landing whose residual fails to fall, or
+ends above the Newton tolerance, is rejected.
+
+A clean path tries the landing once, from its first accepted state at t
+<= T_JUMP.  An unclean path tries it there and again each time t has
+halved since its last attempt.  A rejected attempt halves the step to
+KAPPA_STOP as any rejection does, but leaves the path clean.  Paths into
+a flat limit have their landing rejected, then step on until their
+dihedrals classify as folds and flat edges (``CurvatureReport.folds``),
+and stop there: the body is flat, and ``embed.place_faces`` lays it out
+with its dihedrals snapped to exactly 0 and pi.  A path that cannot land
+and is not flat steps on to t = KAPPA_STOP, a tolerance at which the
+embedding still closes far inside ``embed.CLOSURE_TOL``.  A path ends
+for one of four reasons, kept in ``ContinuationState.stop``: it landed
+("landed"), it reached KAPPA_STOP ("kappa_stop"), its curvature fell to
+the precision floor (``_at_floor``), or its folds classified
+(``_folds_classify``).
 """
 
 from __future__ import annotations
@@ -111,40 +123,25 @@ _REJECTABLE = (
 # no n x n array is made (timings against dense getrf in the jacobian
 # module).  The factor made at acceptance is kept on the state and serves
 # the next predictor; a state is accepted only with it.  Each Newton
-# iterate factors its own J once.
+# iterate factors its own J once, and a factor that fails RCOND_MIN
+# rejects the step.  The predictor's factor is rejected only after an
+# exact zero pivot: cond(J) grows without bound along a path into a flat
+# limit, whose states near the fold stop fail RCOND_MIN themselves, so
+# rejecting the steps from them could not help.
 #
-# Flat-limit endgame.  Degenerate (2-dimensional) limits break Newton in
-# two independent ways:
-#
-#  * curvature noise: a kappa evaluation carries error of order
-#    eps * |J| * |r|, and |J| blows up approaching a flat body.  The
-#    scale is ||J||_1 (``JacobianFactor.norm``), which bounds
-#    sigma_max(J) from above for a symmetric J and is the norm gbcon
-#    needs anyway.  The Newton tolerance is floored at FLOOR_C times that
-#    level (always, not just in the endgame), and the path terminates at
-#    the first accepted state whose curvature is below the floor -- the
-#    best representable approximation of the flat body.
-#  * kernel collapse: cond(J) grows like 1/t^2 along the path itself,
-#    not because a step was too large.  Exactly two singular values
-#    collapse: the in-plane translations of the apex, which leave the
-#    flat body where it is.  Once the accepted state's own J fails
-#    RCOND_MIN, rejecting cannot help, so that endgame waives the bound
-#    and rejects only an exactly singular J; it also reads the noise
-#    scale off each iterate's J.  The LU solve is kept: off the
-#    two-dimensional gauge it agrees with a truncated pseudo-inverse, and
-#    along it it only slides the apex within the plane of the body.
-#
-# Most nondegenerate paths trip neither mechanism: they jump to
-# KAPPA_STOP from t <= T_JUMP, while J is still far from failing
-# RCOND_MIN.  Some step from endgame states on their way there, and a
-# jump may land at a state already below the floor, which ends for
-# "kappa_stop" since the floor is asked only above it (see
-# ``_at_floor``).  A flat limit's jump attempt is rejected, and it steps
-# on until its folds classify, before the floor.  Run on past that stop
-# (the fold stop switched off), a flat path reaches the floor or aborts
-# with a step-size underflow, a state dump attached: its nearly flat
-# pyramids are solved in doubles, and below the fold stop their noise may
-# keep Newton from converging.
+# Noise floor.  A kappa evaluation carries error of order eps * |J| * |r|,
+# and |J| blows up approaching a flat body.  The scale is ||J||_1 of the
+# factor a step starts from (``JacobianFactor.norm``), which bounds
+# sigma_max(J) from above for a symmetric J and is the norm gbcon needs
+# anyway.  The Newton tolerance is floored at FLOOR_C times that level,
+# and a path that does not land ends at the first accepted state whose
+# curvature is below the floor (``_at_floor``): the best representable
+# approximation of its body.  A flat limit's landing is rejected, and it
+# steps on until its folds classify, before the floor.  Run on past that
+# stop (the fold stop switched off), a flat path reaches the floor or
+# aborts with a step-size underflow, a state dump attached: its nearly
+# flat pyramids are solved in doubles, and below the fold stop their
+# noise may keep Newton from converging.
 FLOOR_C = 64.0
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -177,10 +174,14 @@ DT_CAP = 0.5
 GROWTH = 1.5  # unclean paths: step growth after <= 3 Newton iterations
 RADIUS_CAP = 2.0  # radii may grow to this times the initial radius
 SEED_DOUBLINGS = 60  # tries of the equal starting radius
-# A clean path tries once to jump from t <= T_JUMP straight to
-# KAPPA_STOP, the end of the numerical path (module docstring).
+# Paths land from t <= T_JUMP; one that cannot land ends at KAPPA_STOP
+# (module docstring).
 T_JUMP = 1e-3
 KAPPA_STOP = 1e-9
+# The landing's Newton stops once an update moves r by at most this
+# times |r|_inf: converging quadratically, the next update would be at
+# rounding level.
+LAND_STEP = math.sqrt(_EPS)
 MAX_STEPS = 100000  # step attempts per path before it aborts
 # Newton's stop (module docstring): a step on a clean path to t_new >
 # T_TIGHT stops within LOOSE_TOL Newton tolerances, every other step at
@@ -201,7 +202,7 @@ class JacobianFactor:
     band storage of gbtrf, with half-bandwidth k; the norm is taken from
     the band cells J fills, and ``solve`` permutes the right-hand side in
     and the solution back.  The solver's only linear algebra: it serves every
-    predictor and corrector, in the flat-limit endgame too.
+    predictor and corrector, the landing's too.
 
     ``sign`` is the sign of det J, read off the factor on first use."""
 
@@ -292,12 +293,13 @@ class ContinuationState:
     # Vertex order of the banded Jacobian, fixed for the whole solve.
     order: np.ndarray
     # LU of the curvature Jacobian at r: serves the next predictor, and its
-    # cond and norm drive the endgame, the records and the floor stop.
+    # cond and norm drive the records and the floor stop.  At a landed
+    # state it is the landing's last pinned factor.
     factor: JacobianFactor
     newton_tol: float
     # The previous accepted state (t, r, dr/dt) while the path is clean:
     # the predictor's second node.  A path is clean until it rejects a
-    # step other than its one jump attempt or a wide step; then previous
+    # step other than a landing attempt or a wide step; then previous
     # is dropped and the path predicts by Euler steps for good.
     previous: tuple | None = None
     clean: bool = True
@@ -306,8 +308,8 @@ class ContinuationState:
     steps_rejected: int = 0
     records: list = field(default_factory=list)
     events: list = field(default_factory=list)
-    # Why the path ended: "kappa_stop", "floor" (``_at_floor``) or "folds"
-    # (``_folds_classify``); empty while it runs.
+    # Why the path ended: "landed", "kappa_stop", "floor" (``_at_floor``)
+    # or "folds" (``_folds_classify``); empty while it runs.
     stop: str = ""
 
     def dump(self, reason=""):
@@ -393,12 +395,14 @@ def _edge_theta(mesh, r, f, s):
 
 
 def step(state: ContinuationState, t_new: float) -> StepResult:
-    """One predictor/corrector step from state.t down to t_new.
+    """One predictor/corrector step from state.t down to t_new; a step to
+    t_new = 0 is the landing (module docstring).
 
     Mutates the state only on acceptance.
     """
     target = t_new * state.kappa1
     dt = state.t - t_new
+    land = t_new == 0.0
     loose = state.clean and t_new > T_TIGHT  # Newton's stop (module docstring)
     mesh = state.mesh.copy()
     r = state.r.copy()
@@ -414,7 +418,6 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
         factor = state.factor
         if factor.cond == math.inf:  # a zero pivot: the solve is inf or NaN
             return _reject(state, "curvature Jacobian is numerically singular")
-        endgame = 1.0 / factor.cond < RCOND_MIN
         scale = factor.norm
         tangent = factor.solve(state.kappa1)  # dr/dt at state.t
         if state.previous is None:
@@ -423,10 +426,13 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
             r = _hermite(*state.previous, state.t, r, tangent, t_new)
 
         iters = 0
+        pins = None
         while True:
             iters += 1
             flips_here += weighted_delaunay(mesh, r * r, on_flip=hook)
             P = GeneralizedPolytope(mesh, r)
+            if land and pins is None:
+                pins = _pins(state.factor)
             residual = P.kappa - target
             # Curvature evaluations carry noise of order
             # eps * ||J||_inf * |r|; asking Newton for better than that
@@ -435,16 +441,27 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
             err = float(np.abs(residual).max())
             if iters == 1:
                 rho0 = err / tol
-            if err <= (max(tol, LOOSE_TOL * state.newton_tol) if loose else tol):
-                break
+            if not land:
+                if err <= (max(tol, LOOSE_TOL * state.newton_tol) if loose else tol):
+                    break
+            elif iters > 1:  # the landing stops on the size of its last update
+                if settled and err <= tol:
+                    break
+                if settled or err >= last_err:
+                    return _reject(state, f"no convergence in the landing: |kappa| {err:.3g}")
             if iters >= MAX_NEWTON:
                 return _reject(state, f"no convergence in {MAX_NEWTON} iterations")
-            factor = JacobianFactor.of(jacobian.assemble(P, state.order))
-            if factor.cond == math.inf or (not endgame and 1.0 / factor.cond < RCOND_MIN):
+            J = jacobian.assemble(P, state.order)
+            if land:
+                _pin_jacobian(J, pins)
+                residual[pins] = 0.0
+            factor = JacobianFactor.of(J)
+            if 1.0 / factor.cond < RCOND_MIN:  # an exact zero pivot too
                 return _reject(state, "curvature Jacobian is numerically singular")
-            if endgame:
-                scale = factor.norm
-            r = r - factor.solve(residual)
+            update = factor.solve(residual)
+            r = r - update
+            last_err = err
+            settled = float(np.abs(update).max()) <= LAND_STEP * float(np.abs(r).max())
     except _REJECTABLE as exc:
         return _reject(state, f"{type(exc).__name__}: {exc}")
 
@@ -463,11 +480,13 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
     if float(kappa.sum()) > prev_total + 1e-12 + 2 * kappa.size * slack:
         return _reject(state, "spherical section area decreased")
 
-    # A state is accepted only with its Jacobian, which the next step needs.
-    try:
-        factor = JacobianFactor.of(jacobian.assemble(P, state.order))
-    except _REJECTABLE as exc:
-        return _reject(state, f"{type(exc).__name__}: {exc}")
+    # A state is accepted only with its Jacobian, which the next step
+    # needs; the landed state ends the path and keeps its pinned factor.
+    if not land:
+        try:
+            factor = JacobianFactor.of(jacobian.assemble(P, state.order))
+        except _REJECTABLE as exc:
+            return _reject(state, f"{type(exc).__name__}: {exc}")
 
     if state.clean:
         state.previous = (state.t, state.r, tangent)
@@ -481,6 +500,40 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
     state.events.extend(buffer)
     _record(state, iters, rho0)
     return StepResult(accepted=True, newton_iters=iters, predictor_residual=rho0)
+
+
+def _pins(factor):
+    """The three vertices whose radii the landing holds fixed.
+
+    The apex translations span the near-null space of J at the state the
+    path lands from, so two steps of block inverse iteration with its LU
+    ``factor``, from a fixed start block and orthonormalized by QR, give
+    a basis Z of them.  The rows of Z picked by greedy row pivoting
+    (QR with column pivoting on Z^T) span it best, so pinning those radii
+    leaves J nonsingular at t = 0."""
+    z = np.random.default_rng(0).standard_normal((factor.piv.size, 3))
+    for _ in range(2):
+        z, _ = np.linalg.qr(factor.solve(z))
+    pins = []
+    for _ in range(3):
+        i = int(np.argmax((z * z).sum(axis=1)))
+        pins.append(i)
+        q = z[i] / np.linalg.norm(z[i])
+        z = z - np.outer(z @ q, q)
+    return np.array(pins)
+
+
+def _pin_jacobian(J, pins):
+    """Replace, in place, the rows and columns of the vertices ``pins`` in
+    the banded J (``jacobian.BandJacobian``) by those of the identity."""
+    n, k = J.ab.shape[1], J.k
+    pos = np.empty(n, dtype=np.intp)
+    pos[J.order] = np.arange(n)
+    for p in pos[pins].tolist():
+        J.ab[k:, p] = 0.0  # column p
+        q = np.arange(max(0, p - k), min(n, p + k + 1))
+        J.ab[2 * k + p - q, q] = 0.0  # row p
+        J.ab[2 * k, p] = 1.0
 
 
 def _hermite(t0, r0, m0, t1, r1, m1, t):
@@ -564,7 +617,8 @@ def start_state(metric: PolyhedralMetric):
 
 
 def solve_path(metric: PolyhedralMetric, max_steps=MAX_STEPS, progress=None) -> SolveResult:
-    """March t from 1 down to KAPPA_STOP; returns the final polytope.
+    """March t from 1 down to 0, or to where the path stops (module
+    docstring); returns the final polytope.
 
     ``progress``, if given, is called with the state at t = 1 and after
     each accepted step.  Raises SolverAbort (with a state dump attached)
@@ -578,7 +632,7 @@ def solve_path(metric: PolyhedralMetric, max_steps=MAX_STEPS, progress=None) -> 
     dt = DT_INIT
     cap = DT_CAP_CLEAN
     steps = 0
-    jumped = False
+    tried = math.inf  # t of the last landing attempt
     while state.t > t_stop:
         steps += 1
         if steps > max_steps:
@@ -588,9 +642,13 @@ def solve_path(metric: PolyhedralMetric, max_steps=MAX_STEPS, progress=None) -> 
             )
         dt_eff = min(dt, cap * state.t)
         t_new = state.t - dt_eff
-        jump = state.clean and not jumped and state.t <= T_JUMP
-        jumped = jumped or jump
-        if jump or t_new < t_stop:
+        land = state.t <= T_JUMP and (
+            tried == math.inf or (not state.clean and state.t <= 0.5 * tried)
+        )
+        if land:
+            tried = state.t
+            t_new, dt_eff = 0.0, state.t - t_stop
+        elif t_new < t_stop:
             t_new = t_stop  # exactly; state.t - dt_eff may miss it by an ulp
             dt_eff = state.t - t_stop
         hermite = state.previous is not None
@@ -598,6 +656,9 @@ def solve_path(metric: PolyhedralMetric, max_steps=MAX_STEPS, progress=None) -> 
         if result.accepted:
             if progress is not None:
                 progress(state)
+            if land:
+                state.stop = "landed"
+                break
             if _folds_classify(state):
                 state.stop = "folds"
                 break
@@ -609,7 +670,7 @@ def solve_path(metric: PolyhedralMetric, max_steps=MAX_STEPS, progress=None) -> 
             elif result.newton_iters <= 3:
                 dt *= GROWTH
         else:
-            if not jump:
+            if not land:
                 # A rejected wide step leaves the path clean, but no step
                 # is wide again; any other rejection ends the clean path.
                 if dt_eff <= DT_CAP * state.t:
@@ -651,13 +712,10 @@ def _folds_classify(state):
 def _at_floor(state):
     """True when the state's curvature is below what double-precision
     radii can express; ``solve_path`` asks at each accepted state above
-    KAPPA_STOP and stops there.  A path whose jump to KAPPA_STOP were
-    rejected would step on down to it; a jump that lands below it is not
-    asked, so the path ends for "kappa_stop", the end it reached.  Flat
-    limits reach it only when run on past the state where their folds
-    classify, at which ``solve_path`` stops first, and some give out
-    before it.  A rejected step leaves the state as it was, so the answer
-    there is the False given at its acceptance, and a step-size underflow
-    always aborts."""
+    KAPPA_STOP but the landed one, and stops there.  Flat limits reach it
+    only when run on past the state where their folds classify, at which
+    ``solve_path`` stops first, and some give out before it.  A rejected
+    step leaves the state as it was, so the answer there is the False
+    given at its acceptance, and a step-size underflow always aborts."""
     floor = _kappa_floor(state.factor.norm, state.r)
     return float(np.abs(state.P.kappa).max()) <= floor

@@ -48,8 +48,8 @@ def square_metric():
 
 @pytest.fixture(scope="session")
 def polygon64_metric():
-    # the doubly covered 64-gon: its path ends in the flat-limit endgame,
-    # at the first state whose J fails RCOND_MIN
+    # the doubly covered 64-gon: its path ends, once its folds classify,
+    # at a state whose J fails RCOND_MIN
     return build_metric(catalog.doubly_covered_polygon(64))
 
 

@@ -19,8 +19,9 @@ Three thin hulls follow: the n = 40 sphere hull of seed [3, 40] scaled to
 the 1:1:20 cigar and to the 100:100:1 and 1000:1000:1 discs.  Each case
 runs through ``cli.run_pipeline`` with a step budget of ``--max-steps``
 attempts and prints pass or fail, the accepted/rejected step counts
-(up to the abort, for a failure), the wall time, and the path's stop or
-the failure's reason.  A summary per
+(up to the abort, for a failure), the wall time, the path's stop or
+the failure's reason, and for a passed 3-D case the largest edge-length
+residual over the diameter (``digest.chord_error``).  A summary per
 family ends the output.  BLAS is pinned to one thread.  Not a test
 module: pytest does not collect this file.
 
@@ -117,7 +118,10 @@ def cases(seeds):
 
 
 def run_case(dev, max_steps):
-    """(passed, accepted/rejected steps, reason, seconds) of one case."""
+    """(passed, accepted/rejected steps, reason, seconds, edge-length
+    residual over the diameter or None) of one case; the residual only
+    for a passed case that is not degenerate."""
+    from digest import chord_error
     from polyforge import cli
     from polyforge.errors import PolyforgeError
     from polyforge.surface import build_metric
@@ -134,10 +138,12 @@ def run_case(dev, max_steps):
         # progress saw the path's one state, which steps update in place
         state = seen[0] if seen else None
         steps = f"{state.steps_accepted}/{state.steps_rejected}" if state else "-"
-        return False, steps, str(exc).splitlines()[0], time.perf_counter() - start
+        return False, steps, str(exc).splitlines()[0], time.perf_counter() - start, None
+    seconds = time.perf_counter() - start
     rep = out.report
     steps = f"{rep['steps_accepted']}/{rep['steps_rejected']}"
-    return True, steps, out.solve.state.stop, time.perf_counter() - start
+    chord = None if rep["degenerate"] else chord_error(out)
+    return True, steps, out.solve.state.stop, seconds, chord
 
 
 def main(argv=None):
@@ -153,9 +159,10 @@ def main(argv=None):
 
     census = {}
     for family, name, dev in cases(args.seeds):
-        passed, steps, reason, seconds = run_case(dev, args.max_steps)
+        passed, steps, reason, seconds, chord = run_case(dev, args.max_steps)
         census[name] = {"family": family, "passed": passed, "steps": steps, "reason": reason}
-        print(f"{name:24s} {'pass' if passed else 'FAIL'} {steps:>9s} {seconds:6.2f}s  {reason}", flush=True)
+        tail = "" if chord is None else f"  chord/diameter {chord:.2g}"
+        print(f"{name:24s} {'pass' if passed else 'FAIL'} {steps:>9s} {seconds:6.2f}s  {reason}{tail}", flush=True)
     for family, (passed, failed) in tally(census).items():
         print(f"{family}: {passed} passed, {failed} failed")
     if args.save:

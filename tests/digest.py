@@ -8,8 +8,10 @@ Every case of ``perfbench.workloads.WORKLOADS`` runs once at seeds 1
 and 2, in order, through its own ``run`` and ``collect``.  The digest
 covers each case's report text, vertex bytes and face bytes, so two
 trees whose digests agree gave byte-identical outputs on all of them.
-Prints the case count and the digest per workload and overall.  BLAS is
-pinned to one thread, as the benchmark pins it.  Not a test module:
+Prints the case count and the digest per workload and overall, and per
+workload the largest edge-length residual over the diameter: how far
+the embedded vertices miss the final triangulation's side lengths.
+BLAS is pinned to one thread, as the benchmark pins it.  Not a test module:
 pytest does not collect this file.
 
 For a change that moves outputs by design, ``--save FILE`` keeps each
@@ -54,17 +56,29 @@ def main(argv=None):
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import numpy as np
     import workloads
+    from polyforge import cli
+
+    # Every case goes through cli.run_pipeline, looked up at call time;
+    # keep its result for the edge-length residual.
+    pipeline, last = cli.run_pipeline, []
+
+    def kept(*args, **kw):
+        last[:] = [pipeline(*args, **kw)]
+        return last[0]
+
+    cli.run_pipeline = kept
 
     saved = {}  # "workload/seed/index:case/part" -> array
     total, count = hashlib.sha256(), 0
     for name, make in workloads.WORKLOADS.items():
-        digest, cases = hashlib.sha256(), 0
+        digest, cases, chord = hashlib.sha256(), 0, 0.0
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as workdir:
                 for k, case in enumerate(make(seed, workdir)):
                     with contextlib.redirect_stdout(io.StringIO()):  # forge solve's summary
                         raw = case.run()
                     out = case.collect(raw)
+                    chord = max(chord, chord_error(last[0]))
                     for part in (out.report.encode(), out.vertices.tobytes(), out.faces.tobytes()):
                         digest.update(part)
                         total.update(part)
@@ -74,7 +88,8 @@ def main(argv=None):
                     saved[f"{key}/faces"] = np.asarray(out.faces)
                     cases += 1
         count += cases
-        print(f"{name}: {cases} cases, sha256 {digest.hexdigest()}")
+        print(f"{name}: {cases} cases, sha256 {digest.hexdigest()}, "
+              f"max edge-length residual/diameter {chord:.2g}")
     print(f"all: {count} cases, sha256 {total.hexdigest()}")
     if args.save:
         with open(args.save, "wb") as f:
@@ -82,6 +97,17 @@ def main(argv=None):
     if args.against:
         with np.load(args.against, allow_pickle=False) as before:
             compare({key: before[key] for key in before.files}, saved)
+
+
+def chord_error(pipe):
+    """The largest | |v_i - v_j| - ell | over the sides of a pipeline
+    result's final triangulation, over the body's diameter."""
+    import numpy as np
+
+    mesh, verts = pipe.solve.state.mesh, pipe.embedded.vertices
+    # Side s runs from corner (s + 1) % 3 to corner (s + 2) % 3.
+    chords = np.linalg.norm(verts[mesh.vert[:, [1, 2, 0]]] - verts[mesh.vert[:, [2, 0, 1]]], axis=-1)
+    return float(np.abs(chords - mesh.ell).max()) / pipe.embedded.diameter
 
 
 def compare(before, after):

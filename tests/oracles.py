@@ -435,6 +435,18 @@ def total_height(P):
     return float(np.dot(P.r, rep.kappa) + np.dot(P.mesh.ell[f, s], math.pi - rep.theta[f, s]))
 
 
+def chord_error(mesh, verts):
+    """The largest | |v_i - v_j| - ell | over the mesh's side slots: how
+    far the vertices miss the side lengths of the triangulation."""
+    worst = 0.0
+    for f in range(mesh.n_faces):
+        for s in range(3):
+            i, j = mesh.edge_endpoints(f, s)
+            chord = float(np.linalg.norm(verts[i] - verts[j]))
+            worst = max(worst, abs(chord - float(mesh.ell[f, s])))
+    return worst
+
+
 # -- the curvature Jacobian ------------------------------------------------
 
 

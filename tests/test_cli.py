@@ -162,7 +162,7 @@ def test_solve_progress_stream(tetra_file, tmp_path):
     assert code == 0
     records = [json.loads(l) for l in stream.read_text().splitlines()]
     assert records[0]["t"] == 1.0
-    assert records[-1]["t"] == pytest.approx(1e-9)
+    assert records[-1]["t"] == 0.0  # the landing
     assert all({"t", "kappa_inf", "flips_so_far", "predictor_residual"} <= set(r) for r in records)
     assert records[0]["predictor_residual"] is None
     assert all(r["predictor_residual"] >= 0.0 for r in records[1:])
@@ -195,7 +195,8 @@ def test_solve_abort_writes_dump(cube_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["solve", "in.json"], ["roundtrip"]], ids=["solve", "roundtrip"])
 def test_kappa_stop_is_not_an_option(argv, capsys):
-    # the path always ends at solver.KAPPA_STOP; argparse rejects the flag
+    # the path ends by its own rules (landed at t = 0, or at
+    # solver.KAPPA_STOP); argparse rejects the flag
     assert main(argv + ["--kappa-stop", "1e-6"]) == 2
     assert "unrecognized arguments: --kappa-stop" in capsys.readouterr().err
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import apex_inside, convexity_violation, mesh_of
+from conftest import thin_hull
+from oracles import apex_inside, chord_error, convexity_violation, mesh_of
 from polyforge import build_metric, catalog, embed, hull, polytope, solve_path
 from polyforge.errors import EmbedError
 from polyforge.polytope import GeneralizedPolytope
@@ -16,16 +17,6 @@ from polyforge.triangulation import merge_regions
 @pytest.fixture
 def tetra_embedded(tetra_path):
     return embed.place_faces(tetra_path.result.polytope)
-
-
-def chord_error(mesh, verts):
-    worst = 0.0
-    for f in range(mesh.n_faces):
-        for s in range(3):
-            i, j = mesh.edge_endpoints(f, s)
-            chord = float(np.linalg.norm(verts[i] - verts[j]))
-            worst = max(worst, abs(chord - float(mesh.ell[f, s])))
-    return worst
 
 
 def test_tetra_chords_match_metric(tetra_path, tetra_embedded):
@@ -269,125 +260,49 @@ def test_json_export(tetra_embedded):
     assert doc["volume"] == pytest.approx(math.sqrt(2.0) / 12.0, rel=1e-6)
 
 
-def _dense_polish(mesh, verts, diam, iters):
-    """Reference Gauss-Newton polish: dense Jacobian, LAPACK lstsq."""
-    edges = [
-        (*mesh.edge_endpoints(f, s), float(mesh.ell[f, s])) for f, s in zip(*mesh.edges())
-    ]
-    n = len(verts)
-    v = verts.copy()
-    for _ in range(iters):
-        res = np.empty(len(edges))
-        jac = np.zeros((len(edges), 3 * n))
-        for row, (i, j, length) in enumerate(edges):
-            d = v[i] - v[j]
-            dist = float(np.linalg.norm(d))
-            res[row] = dist - length
-            jac[row, 3 * i : 3 * i + 3] = d / dist
-            jac[row, 3 * j : 3 * j + 3] = -d / dist
-        if float(np.abs(res).max()) < 1e-12 * diam:
-            break
-        delta, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        v += delta.reshape(n, 3)
-    return v
+def test_every_path_lands_and_closes_to_rounding(all_paths):
+    # Every path of the session corpus lands at kappa = 0, where the
+    # averaged placements meet every side length of the final
+    # triangulation to rounding level: nothing is fitted afterwards.
+    for run in all_paths:
+        state = run.result.state
+        assert (state.stop, state.t) == ("landed", 0.0), run.name
+        e = embed.place_faces(run.result.polytope)
+        assert chord_error(state.mesh, e.vertices) <= 1e-12 * e.diameter, run.name
 
 
-def _unpolished(P):
-    """``place_faces`` with ``_polish`` returning its input: the averaged
-    placements."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(embed, "_polish", lambda mesh, verts, diam: verts)
-        return embed.place_faces(P)
-
-
-def test_sparse_polish_matches_dense_lstsq():
-    dev, _, _ = hull.random_sphere_development(40, seed=3)
-    P = solve_path(build_metric(dev)).polytope
-    rough = _unpolished(P)
-    diam = rough.diameter
-    # push the averaged placements off so that every sweep has work to do
-    rng = np.random.default_rng(0)
-    start = rough.vertices + 1e-6 * diam * rng.standard_normal(rough.vertices.shape)
-    polished = embed._polish(P.mesh, start, diam)
-    assert np.abs(polished - start).max() > 1e-7 * diam
-    reference = _dense_polish(P.mesh, start, diam, embed.POLISH_SWEEPS)
-    assert np.abs(polished - reference).max() <= 1e-12 * diam
-
-
-_POLISH_CASES = {
-    "hull160-seed1": lambda: hull.random_sphere_development(160, seed=1)[0],
-    "hull160-seed2": lambda: hull.random_sphere_development(160, seed=2)[0],
-    "hull160-seed3": lambda: hull.random_sphere_development(160, seed=3)[0],
-    "cube": catalog.cube,
+_LANDING_CASES = {
+    "twisted6": lambda: catalog.twisted_double_polygon(6),
+    "twisted12": lambda: catalog.twisted_double_polygon(12),
     "twisted24": lambda: catalog.twisted_double_polygon(24),
-    "doubled12": lambda: catalog.doubly_covered_polygon(12),
-    "doubled345": lambda: catalog.doubly_covered_triangle(3.0, 4.0, 5.0),
+    "hull160": lambda: hull.random_sphere_development(160, seed=[1, 160])[0],
+    "hull640": lambda: hull.random_sphere_development(640, seed=[1, 640])[0],
+    "hull2560": lambda: hull.random_sphere_development(2560, seed=[1, 2560])[0],
+    **{
+        name: lambda axes=axes: thin_hull(40, axes, seed=[3, 40])[0]
+        for name, axes in (
+            ("cigar-1-1-20", (1.0, 1.0, 20.0)),
+            ("disc-100-1", (100.0, 100.0, 1.0)),
+            ("disc-1000-1", (1000.0, 1000.0, 1.0)),
+        )
+    },
 }
 
 
-def _perturbed_start(dev):
-    """A solved body's averaged placements, pushed off by 1e-6 diameter."""
-    P = solve_path(build_metric(dev)).polytope
-    rough = _unpolished(P)
-    rng = np.random.default_rng(0)
-    noise = 1e-6 * rough.diameter * rng.standard_normal(rough.vertices.shape)
-    return P.mesh, rough, noise
-
-
-@pytest.mark.parametrize("name", sorted(_POLISH_CASES))
-def test_band_polish_matches_dense_oracle(name):
-    mesh, rough, noise = _perturbed_start(_POLISH_CASES[name]())
-    diam = rough.diameter
-    start = rough.vertices + noise
-    polished = embed._polish(mesh, start, diam)
-    reference = _dense_polish(mesh, start, diam, embed.POLISH_SWEEPS)
-    assert np.abs(polished - reference).max() <= 1e-12 * diam
-    assert chord_error(mesh, polished) < 1e-12 * diam
-
-
-def _rigid_motions(v):
-    """Orthonormal columns spanning the translations and the rotations
-    about the centroid of the points v, flattened as v.ravel()."""
-    w = v - v.mean(axis=0)
-    cols = [np.tile(e, (len(v), 1)) for e in np.eye(3)]
-    cols += [np.cross(e, w) for e in np.eye(3)]
-    q, _ = np.linalg.qr(np.stack([c.ravel() for c in cols], axis=1))
-    return q
-
-
-def test_polish_steps_have_no_rigid_component(monkeypatch):
-    mesh, rough, noise = _perturbed_start(hull.random_sphere_development(160, seed=[1, 160])[0])
-    steps = []
-    drop_rigid = embed._drop_rigid
-
-    def recorded(v, delta):
-        step = drop_rigid(v, delta)
-        steps.append((v.copy(), step))
-        return step
-
-    monkeypatch.setattr(embed, "_drop_rigid", recorded)
-    embed._polish(mesh, rough.vertices + noise, rough.diameter)
-    assert steps
-    eps = np.finfo(np.float64).eps
-    for v, step in steps:
-        rigid = np.linalg.norm(_rigid_motions(v).T @ step.ravel())
-        assert rigid <= 10.0 * eps * np.linalg.norm(step)
-
-
-def test_polish_keeps_flat_body_flat():
-    mesh, rough, noise = _perturbed_start(catalog.doubly_covered_polygon(12))
-    diam = rough.diameter
-    _, _, vt = np.linalg.svd(rough.vertices - rough.vertices.mean(axis=0))
-    start = rough.vertices + (noise @ vt.T)[:, :2] @ vt[:2]  # in-plane only
-
-    def out_of_plane(verts):
-        return float(np.ptp(verts @ vt[2]))
-
-    polished = embed._polish(mesh, start, diam)
-    assert np.abs(polished - start).max() > 1e-7 * diam
-    assert chord_error(mesh, polished) < 1e-12 * diam
-    assert abs(embed._signed_volume(polished, rough.faces)) <= embed.DEGENERATE_VOL_TOL * diam**3
-    assert out_of_plane(polished) - out_of_plane(start) <= 1e-12 * diam
+@pytest.mark.parametrize("name", list(_LANDING_CASES))
+def test_3d_bodies_land_and_close_to_rounding(name):
+    # the same for the other 3-D bodies of the tests and the workloads:
+    # twisted polygons, the large hulls and the thin hulls, whose paths
+    # flip hundreds of edges and are unclean.  The landed radii fix the
+    # apex less well on thin bodies, and the apex's two Newton steps still
+    # end at rounding level.
+    result = solve_path(build_metric(_LANDING_CASES[name]()))
+    state = result.state
+    assert (state.stop, state.t) == ("landed", 0.0)
+    e = embed.place_faces(result.polytope)
+    assert not e.degenerate
+    assert chord_error(state.mesh, e.vertices) <= 1e-12 * e.diameter
+    assert embed.solve_apex(e, result.r, result.kappa1).residual <= 1e-15
 
 
 def test_open_development_raises(cube_metric):
@@ -395,14 +310,6 @@ def test_open_development_raises(cube_metric):
     P = start_state(cube_metric).P
     with pytest.raises(EmbedError, match=r"^development does not close"):
         embed.place_faces(P)
-
-
-def test_polish_factor_failure_raises(cube_path, monkeypatch):
-    # J^T J is singular along the rigid motions: without the damping the
-    # band Cholesky breaks down, and that is an error, not a fallback
-    monkeypatch.setattr(embed, "_MU2_C", 0.0)
-    with pytest.raises(EmbedError, match=r"^polish normal matrix is not positive definite"):
-        embed.place_faces(cube_path.result.polytope)
 
 
 _UNFOLD_CASES = {

@@ -56,10 +56,10 @@ def _loaded_unused(code):
 
 
 def test_cli_does_not_load_sparse_linalg():
-    # The polish factors its normal equations by banded Cholesky, so the
-    # package needs no sparse matrices, and a flat body's outline is its
-    # fold edges, so it needs no Qhull: only random hulls and roundtrip
-    # load scipy.spatial, inside the functions that call it.
+    # The package's only factors are the solver's banded LUs, so it needs
+    # no sparse matrices, and a flat body's outline is its fold edges, so
+    # it needs no Qhull: only random hulls and roundtrip load
+    # scipy.spatial, inside the functions that call it.
     assert _loaded_unused("import polyforge.cli") == []
 
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from scipy.linalg import lapack
 
 from conftest import HULL_CASES, thin_hull
-from oracles import band_of, dense_jacobian, unpack_band, validate_polytope
+from oracles import band_of, chord_error, dense_jacobian, unpack_band, validate_polytope
 from polyforge import catalog, cli, embed, hull, jacobian, kernels, solver
 from polyforge.errors import PolyforgeError, SolverAbort, StepReductionError
 from polyforge.jacobian import assemble
@@ -88,15 +89,14 @@ def test_start_state_begins_at_one(tetra_metric):
 def test_tetra_path_reaches_circumradius(tetra_path):
     result = tetra_path.result
     state = result.state
-    assert state.stop == "kappa_stop"
-    assert state.t == pytest.approx(1e-9)
+    assert state.stop == "landed"
+    assert state.t == 0.0
     # the regular tetrahedron keeps its symmetry all the way down to the
     # circumradius of the unit-edge body
     assert np.ptp(result.r) <= 1e-6
     np.testing.assert_allclose(result.r, math.sqrt(3.0 / 8.0), atol=1e-6)
-    # final curvature matches the target t * kappa(1)
-    target = state.t * result.kappa1
-    np.testing.assert_allclose(result.polytope.kappa, target, atol=1e-8)
+    # the final curvature vanishes, to rounding level
+    np.testing.assert_allclose(result.polytope.kappa, 0.0, atol=1e-14)
 
 
 def test_records_march_downward(cube_path):
@@ -214,6 +214,7 @@ def test_records_carry_the_predictor_residual(cube_metric):
     # at the predicted radii, after their flips.  The step took one iterate
     # exactly when that residual met its own stop: LOOSE_TOL Newton
     # tolerances on a clean path above T_TIGHT, the tolerance itself below.
+    # The landing, which stops on the size of an update, takes two.
     states = []
     result = solve_path(cube_metric, progress=lambda state: states.append(copy.deepcopy(state)))
     recs = result.state.records
@@ -233,14 +234,18 @@ def test_records_carry_the_predictor_residual(cube_metric):
         stop = tol
         if before.clean and rec["t"] > solver.T_TIGHT:
             stop = max(tol, solver.LOOSE_TOL * before.newton_tol)
-        assert (rec["newton_iters"] == 1) == (rec["predictor_residual"] <= stop / tol)
+        if rec["t"] == 0.0:
+            assert rec["newton_iters"] == 2
+        else:
+            assert (rec["newton_iters"] == 1) == (rec["predictor_residual"] <= stop / tol)
+    assert recs[-1]["t"] == 0.0
 
 
 def test_next_step_follows_from_the_predictor_residual(tetra_path, cube_path):
     # On a clean path without rejections, each step is the last one scaled
     # by (RESIDUAL_TARGET / rho0)^(1/p) within DT_RATIO, p = 2 after the
     # first (Euler) step and 4 after Hermite ones, and capped at
-    # DT_CAP_CLEAN of t; the first state at or below T_JUMP jumps.
+    # DT_CAP_CLEAN of t; the first state at or below T_JUMP lands.
     lo, hi = solver.DT_RATIO
     for run in (tetra_path, cube_path):
         state = run.result.state
@@ -254,7 +259,7 @@ def test_next_step_follows_from_the_predictor_residual(tetra_path, cube_path):
             ratio = min(hi, max(lo, (solver.RESIDUAL_TARGET / rho0) ** (1.0 / p)))
             dt = min((ts[k - 1] - ts[k]) * ratio, solver.DT_CAP_CLEAN * ts[k])
             if ts[k] <= solver.T_JUMP:
-                assert ts[k + 1] == solver.KAPPA_STOP
+                assert ts[k + 1] == 0.0
                 assert k == len(recs) - 2
             else:
                 assert ts[k + 1] == pytest.approx(ts[k] - dt, rel=1e-12)
@@ -335,13 +340,15 @@ _FLAT_CASES = {
     "doubled-8": lambda: catalog.doubly_covered_polygon(8),
     "doubled-10": lambda: catalog.doubly_covered_polygon(10),
     "doubled-24": lambda: catalog.doubly_covered_polygon(24),
+    "doubled-43": lambda: catalog.doubly_covered_polygon(43),
 }
 # The flat paths that give out below their fold stop when it is switched
 # off: in doubles their Newton steps stop converging there, until the
 # step size underflows on a rejection for want of a pyramid (the square),
-# a numerically singular J (the 8-gon) or an edge dihedral past pi (the
-# 10-gon).  The 24-gon runs on to its floor.
-_ABORT_PAST_THE_FOLD_STOP = {"doubled-square", "doubled-8", "doubled-10"}
+# a numerically singular J (the 8-gon and the 24-gon) or an edge dihedral
+# past pi (the 10-gon).  The triangle and the 43-gon run on to their
+# floor.
+_ABORT_PAST_THE_FOLD_STOP = {"doubled-square", "doubled-8", "doubled-10", "doubled-24"}
 
 
 @pytest.mark.parametrize("name", list(_FLAT_CASES))
@@ -412,32 +419,38 @@ def test_flat_paths_stop_once_folds_classify(name, request):
 )
 def test_nondegenerate_paths_never_stop_on_folds(make, request):
     # 3-dimensional bodies keep their dihedrals far from 0, so their paths
-    # run to kappa_stop, and their reports and vertices are those of the
-    # same solve without the fold stop, byte for byte.
+    # land, and their reports and vertices are those of the same solve
+    # without the fold stop, byte for byte.
     metric = build_metric(make())
     runs = [cli.run_pipeline(metric)]
     request.getfixturevalue("fold_stop_off")
     runs.append(cli.run_pipeline(metric))
     for run in runs:
-        assert run.solve.state.stop == "kappa_stop"
-        assert run.solve.state.t == solver.KAPPA_STOP
+        assert run.solve.state.stop == "landed"
+        assert run.solve.state.t == 0.0
     with_stop, without = runs
     assert json.dumps(with_stop.report) == json.dumps(without.report)
     assert np.array_equal(with_stop.embedded.vertices, without.embedded.vertices)
 
 
 def test_floor_is_asked_only_above_kappa_stop(cube_metric, monkeypatch):
-    # a jump that lands exactly at kappa_stop ends the path there, for
-    # "kappa_stop", even on a state already below the floor, as the
-    # random hull n = 2560 (seed [1, 2560]) lands its jump
+    # The floor is asked at every accepted state above KAPPA_STOP but the
+    # landed one: a landing ends the path for "landed", and a path that
+    # does not land (here T_JUMP = 0) ends for "kappa_stop" once it steps
+    # to KAPPA_STOP, even on a state already below the floor.
     t_stop = solver.KAPPA_STOP
     asked = []
 
     def at_floor(state):
         asked.append(state.t)
-        return state.t == t_stop
+        return state.t in (0.0, t_stop)
 
     monkeypatch.setattr(solver, "_at_floor", at_floor)
+    state = solve_path(cube_metric).state
+    assert state.stop == "landed" and state.t == 0.0
+    assert asked and min(asked) > t_stop
+    asked.clear()
+    monkeypatch.setattr(solver, "T_JUMP", 0.0)
     state = solve_path(cube_metric).state
     assert state.stop == "kappa_stop" and state.t == t_stop
     assert asked and min(asked) > t_stop
@@ -456,7 +469,7 @@ def test_twisted_polygon_converges():
     metric = build_metric(catalog.twisted_double_polygon(4))
     result = solve_path(metric)
     assert result.state.flips > 0  # the fan start is not weighted-Delaunay
-    assert result.state.stop == "kappa_stop"
+    assert result.state.stop == "landed"
     kappa = result.polytope.kappa
     assert float(np.abs(kappa).max()) <= 1e-7
 
@@ -493,19 +506,18 @@ def test_regular_polygons_flip_no_cocircular_edge(dev, flips):
     + [
         pytest.param(lambda axes=axes: thin_hull(40, axes, seed=[3, 40])[0], steps, id=name)
         for name, axes, steps in (
-            ("cigar-1-1-20", (1.0, 1.0, 20.0), (95, 8)),
-            ("disc-100-1", (100.0, 100.0, 1.0), (147, 11)),
-            ("disc-1000-1", (1000.0, 1000.0, 1.0), (279, 18)),
+            ("cigar-1-1-20", (1.0, 1.0, 20.0), (76, 8)),
+            ("disc-100-1", (100.0, 100.0, 1.0), (128, 11)),
+            ("disc-1000-1", (1000.0, 1000.0, 1.0), (262, 19)),
         )
     ],
 )
 def test_step_attempts_per_path(make, steps):
     # (accepted, rejected) steps.  The flat paths stay clean, rejecting only
-    # their jump and, on the 12-gon, one wide step after it; the thin hulls
-    # reject their first step, so their unclean paths keep the steps grown
-    # by iterate counts.  The 64-gon's last step starts from an endgame
-    # state, and one of its Newton iterates' J fails RCOND_MIN: the one path
-    # here on which the endgame's waiver of RCOND_MIN decides an iterate.
+    # their landing and, on the 12-gon, one wide step after it; the thin
+    # hulls reject their first step, so their unclean paths keep the steps
+    # grown by iterate counts, and try the landing again each time t
+    # halves.
     state = solve_path(build_metric(make())).state
     assert (state.steps_accepted, state.steps_rejected) == steps
 
@@ -596,6 +608,13 @@ def test_singular_jacobian_rejects(cube_metric, monkeypatch):
     assert not result.accepted
     assert result.reason.startswith("curvature Jacobian is numerically singular")
     assert state.t == 1.0
+    # the predictor checks the accepted state's factor for an exact zero
+    # pivot, whose solve would be inf or NaN
+    monkeypatch.undo()
+    state.factor = JacobianFactor.of(band_of(np.zeros((len(state.r),) * 2), state.order))
+    result = step(state, 1.0 - solver.DT_INIT)
+    assert result.reason == "curvature Jacobian is numerically singular"
+    assert state.t == 1.0
 
 
 def test_factor_norm_is_the_column_sum():
@@ -652,27 +671,38 @@ def test_factor_sign_follows_the_theorem_along_paths(cube_metric):
     # state, those that Newton left short of the Newton tolerance too: the
     # loose stop keeps the path on the theorem's branch.
     hull160 = build_metric(hull.random_sphere_development(160, seed=[1, 160])[0])
+    # At t = 0 J has corank 3 (a08), so the landed state keeps the
+    # landing's pinned factor instead, and that one is well conditioned.
     for metric in (cube_metric, hull160):
-        signs = []
-        state = solve_path(metric, progress=lambda s: signs.append(s.factor.sign)).state
-        assert len(signs) == state.steps_accepted + 1 >= 10
+        seen = []  # (t, sign)
+        state = solve_path(metric, progress=lambda s: seen.append((s.t, s.factor.sign))).state
+        signs = [sign for t, sign in seen if t > 0.0]
+        assert len(signs) == state.steps_accepted >= 9
         assert signs == [(-1) ** (metric.n_vertices - 1)] * len(signs)
+        assert (state.stop, seen[-1][0]) == ("landed", 0.0)
+        assert state.factor.cond < 1.0 / solver.RCOND_MIN
 
 
 @pytest.mark.parametrize("name", ["tetra_metric", "cube_metric", "hull40"])
-def test_clean_path_jumps_to_kappa_stop(name, request):
+def test_clean_path_lands_once(name, request):
     if name == "hull40":
         metric = build_metric(hull.random_sphere_development(40, seed=3)[0])
     else:
         metric = request.getfixturevalue(name)
+    log = request.getfixturevalue("step_log")
     state = solve_path(metric).state
     ts = [rec["t"] for rec in state.records]
     assert state.steps_rejected == 0
-    # the first state at or below T_JUMP steps to kappa_stop exactly
-    assert ts[-1] == solver.KAPPA_STOP
+    # the first state at or below T_JUMP lands at t = 0 exactly, in one
+    # attempt, and the path ends there
+    assert (state.stop, ts[-1]) == ("landed", 0.0)
     assert ts[-2] <= solver.T_JUMP
     assert all(t > solver.T_JUMP for t in ts[:-2])
-    # no accepted state fails RCOND_MIN, so the endgame is never entered
+    assert [s.t_new for s in log] == ts[1:]
+    # the landing takes two iterates: the prediction and one update
+    assert state.records[-1]["newton_iters"] == 2
+    # every accepted state's factor passes RCOND_MIN, and so does the
+    # landing's pinned one, which the landed state keeps
     assert all(rec["cond"] <= 1.0 / solver.RCOND_MIN for rec in state.records)
 
 
@@ -687,9 +717,10 @@ def test_clean_path_jumps_to_kappa_stop(name, request):
 )
 def test_states_the_path_reads_exactly_meet_the_newton_tolerance(make, step_log):
     # Newton stops LOOSE_TOL tolerances short on a clean path above
-    # T_TIGHT.  The state that ends the path and the two the jump predicts
-    # from lie below T_TIGHT, and each meets the Newton tolerance of the
-    # step that reached it, whose noise scale is the factor it started from.
+    # T_TIGHT.  The state that ends the path and the two the landing
+    # predicts from lie below T_TIGHT, and each meets the Newton tolerance
+    # of the step that reached it, whose noise scale is the factor it
+    # started from.
     norms, ratios = [], {}  # ratios: t -> residual / tol
 
     def seen(state):
@@ -699,9 +730,8 @@ def test_states_the_path_reads_exactly_meet_the_newton_tolerance(make, step_log)
         norms.append(state.factor.norm)
 
     state = solve_path(build_metric(make()), progress=seen).state
-    # no endgame, whose iterates would refresh the noise scale
     assert all(rec["cond"] <= 1.0 / solver.RCOND_MIN for rec in state.records)
-    k = next(k for k, s in enumerate(step_log) if s.t_new == solver.KAPPA_STOP)
+    k = next(k for k, s in enumerate(step_log) if s.t_new == 0.0)
     ts = [rec["t"] for rec in state.records]
     nodes = ts[ts.index(step_log[k].t) - 1 :][:2] + [state.t]
     assert max(nodes) <= solver.T_TIGHT
@@ -711,9 +741,10 @@ def test_states_the_path_reads_exactly_meet_the_newton_tolerance(make, step_log)
 
 
 def test_flat_endgame_solves_with_lu(polygon64_metric, monkeypatch):
-    # The doubled 64-gon's path ends in the endgame, where Newton would
-    # keep solving with the LU factor; off the two collapsing directions
-    # (the in-plane apex translations) it agrees with a truncated SVD solve.
+    # The doubled 64-gon's path ends at states whose J fails RCOND_MIN,
+    # and a predictor from one of them would solve with its LU factor; off
+    # the two collapsing directions (the in-plane apex translations) that
+    # agrees with a truncated SVD solve.
     endgame = []  # (factor, J) of every accepted state failing RCOND_MIN
 
     def collect(state):
@@ -747,53 +778,94 @@ def test_flat_endgame_solves_with_lu(polygon64_metric, monkeypatch):
     assert sv[-2] / sv[0] < 1e-9 < 1e-3 < sv[-3] / sv[0]
 
 
-class _Endgame(Exception):
+class _Landing(Exception):
     pass
 
 
-def _endgame_state(metric):
-    """The first accepted state of the path whose own J fails RCOND_MIN."""
+def _landing_origin(metric):
+    """A copy of the state the path lands from, taken before the landing."""
+    honest = solver.step
 
-    def stop(state):
-        if 1.0 / state.factor.cond < solver.RCOND_MIN:
-            raise _Endgame(state)
+    def stop(state, t_new):
+        if t_new == 0.0:
+            raise _Landing(copy.deepcopy(state))
+        return honest(state, t_new)
 
-    with pytest.raises(_Endgame) as caught:
-        solve_path(metric, progress=stop)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "step", stop)
+        with pytest.raises(_Landing) as caught:
+            solve_path(metric)
     return caught.value.args[0]
 
 
-def test_singular_jacobian_rejects_in_endgame(polygon64_metric, monkeypatch):
-    # the endgame waives RCOND_MIN but not an exactly singular J, whose
-    # LU solve would be inf or NaN
-    state = _endgame_state(polygon64_metric)
-    t = state.t
-    # A step whose honest corrector takes a second iterate, so that the
-    # zeroed J below is assembled inside Newton.  From this state every
-    # Hermite step that is accepted converges at its first iterate and
-    # assembles no J before acceptance, so the step predicts by Euler, as
-    # an unclean path would.
-    state.previous = None
-    t_new = 0.75 * t
-    assert step(copy.deepcopy(state), t_new).newton_iters >= 2
-    calls = []
+def test_pinned_band_is_the_dense_pinning(cube_metric):
+    # the rows and columns of the pinned vertices become the identity's;
+    # every other entry is J's
+    state = start_state(cube_metric)
+    J = assemble(state.P, state.order)
+    dense = unpack_band(J)
+    pins = np.array([5, 0, 3])
+    solver._pin_jacobian(J, pins)
+    dense[pins] = 0.0
+    dense[:, pins] = 0.0
+    dense[pins, pins] = 1.0
+    np.testing.assert_array_equal(unpack_band(J), dense)
 
-    def singular(P, order):
-        calls.append(None)
-        return band_of(np.zeros((P.n_vertices,) * 2), order)
 
-    monkeypatch.setattr(jacobian, "assemble", singular)
-    result = step(state, t_new)
-    assert not result.accepted
-    assert result.reason == "curvature Jacobian is numerically singular"
-    # one assembly, by the first corrector iterate: a rejected step never
-    # reaches the assembly at acceptance
-    assert len(calls) == 1
-    # the predictor checks the accepted state's factor the same way
-    state.factor = JacobianFactor.of(band_of(np.zeros((len(state.r),) * 2), state.order))
-    result = step(state, 0.9 * t)
-    assert result.reason == "curvature Jacobian is numerically singular"
-    assert state.t == t
+def test_landing_pins_span_the_gauge(cube_metric):
+    # The pins are three rows of the apex-translation gauge that span it:
+    # Z, the three smallest right singular vectors of the dense J at the
+    # landing's origin, has a well-conditioned 3 x 3 block on them, and
+    # the landed factor is well conditioned.
+    state = _landing_origin(cube_metric)
+    pins = solver._pins(state.factor)
+    assert sorted(set(pins.tolist())) == sorted(pins.tolist())
+    _, sigma, vt = np.linalg.svd(dense_jacobian(state.P))
+    assert sigma[-3] < 1e-2 * sigma[-4]
+    block = np.linalg.svd(vt[-3:, pins], compute_uv=False)
+    assert block[-1] > 0.3 * block[0]
+    assert step(state, 0.0).accepted
+    assert state.factor.cond < 1.0 / solver.RCOND_MIN
+
+
+def test_pinned_jacobian_singular_outside_the_gauge_rejects(cube_metric, monkeypatch):
+    # Pins whose gauge rows are dependent leave the pinned J singular at
+    # t = 0 along an apex translation that moves none of them.  On the
+    # cube, seen from its centre, two antipodal vertices have opposite
+    # unit vectors, so with a third vertex they span only a plane of the
+    # three translations.  The factor then fails RCOND_MIN, as any
+    # corrector's would, and the landing is rejected.
+    state = _landing_origin(cube_metric)
+    _, _, vt = np.linalg.svd(dense_jacobian(state.P))
+    z = vt[-3:].T
+    triples = [np.array(c) for c in itertools.combinations(range(len(z)), 3)]
+    dependent = min(triples, key=lambda c: abs(np.linalg.det(z[c])))
+    assert abs(np.linalg.det(z[dependent])) < 1e-6
+    monkeypatch.setattr(solver, "_pins", lambda factor: dependent)
+    result = step(state, 0.0)
+    assert (result.accepted, result.reason) == (False, "curvature Jacobian is numerically singular")
+    assert state.t > 0.0 and state.steps_rejected == 1
+
+
+def test_landing_stops_on_the_update_not_the_floor():
+    # On the random hull n = 2560 (seed [1, 2560]) the landing's prediction
+    # already meets the Newton tolerance, yet its radii leave the
+    # embedding's sides off by over 1e-10 of the diameter.  The landing
+    # takes one update anyway, and stops once that update is small: the
+    # landed sides are exact to rounding level.
+    origin = _landing_origin(build_metric(hull.random_sphere_development(2560, seed=[1, 2560])[0]))
+    tangent = origin.factor.solve(origin.kappa1)
+    r = solver._hermite(*origin.previous, origin.t, origin.r, tangent, 0.0)
+    mesh = origin.mesh.copy()
+    weighted_delaunay(mesh, r * r)
+    predicted = embed.place_faces(GeneralizedPolytope(mesh, r))
+    assert chord_error(mesh, predicted.vertices) > 1e-10 * predicted.diameter
+
+    result = step(origin, 0.0)
+    assert result.accepted and result.predictor_residual <= 1.0
+    assert result.newton_iters == 2
+    landed = embed.place_faces(origin.P)
+    assert chord_error(origin.mesh, landed.vertices) <= 1e-12 * landed.diameter
 
 
 def test_unusable_jacobian_at_acceptance(cube_metric, monkeypatch):
@@ -836,14 +908,15 @@ def test_unusable_jacobian_at_acceptance(cube_metric, monkeypatch):
 
 
 def test_rejected_jump_falls_back_to_halving(cube_metric, monkeypatch, request):
-    # A rejected jump halves its step, as any rejection does, but leaves
-    # the path clean: it keeps the Hermite predictor and its wide steps,
-    # and does not try kappa_stop again before a step would pass it.
+    # A rejected landing halves its step to KAPPA_STOP, as any rejection
+    # does, but leaves the path clean: it keeps the Hermite predictor and
+    # its wide steps, does not try the landing again, and ends at
+    # KAPPA_STOP, the end of a path that cannot land.
     t_stop = solver.KAPPA_STOP
     honest = solver.step
 
     def reject_first_jump(state, t_new):
-        if t_new == t_stop and state.steps_rejected == 0:
+        if t_new == 0.0 and state.steps_rejected == 0:
             return solver._reject(state, "forced rejection")
         return honest(state, t_new)
 
@@ -851,10 +924,10 @@ def test_rejected_jump_falls_back_to_halving(cube_metric, monkeypatch, request):
     log = request.getfixturevalue("step_log")
     state = solve_path(cube_metric).state
     assert state.steps_rejected == 1
-    assert state.t == t_stop
+    assert (state.stop, state.t) == ("kappa_stop", t_stop)
     k = next(k for k, s in enumerate(log) if not s.accepted)
     jump = log[k]
-    assert (jump.t_new, jump.reason) == (t_stop, "forced rejection")
+    assert (jump.t_new, jump.reason) == (0.0, "forced rejection")
     assert jump.t <= solver.T_JUMP < log[k - 1].t
     assert jump.hermite and jump.clean
     assert all(s.accepted for s in log[:k])
@@ -863,7 +936,7 @@ def test_rejected_jump_falls_back_to_halving(cube_metric, monkeypatch, request):
     assert after[0].t == jump.t
     assert after[0].t_new == jump.t - 0.5 * (jump.t - t_stop)
     assert all(s.accepted and s.hermite and s.clean for s in after)
-    # t still falls by up to 4x per step: the jump leaves the cap alone
+    # t still falls by up to 4x per step: the landing leaves the cap alone
     assert any(s.t_new < 0.5 * s.t for s in after)
     assert all(s.t_new >= (1.0 - solver.DT_CAP_CLEAN) * s.t for s in after)
     assert [s.t_new for s in after].count(t_stop) == 1
@@ -872,7 +945,7 @@ def test_rejected_jump_falls_back_to_halving(cube_metric, monkeypatch, request):
 
 def test_flat_limit_jumps_at_most_once(request):
     # The doubled 24-gon reaches T_JUMP without a rejection, so it tries
-    # the jump to kappa_stop once; the attempt is rejected, and the path
+    # the landing once; the attempt is rejected, and the path
     # stays clean, with the Hermite predictor and steps that cut t by up
     # to 4x, until its folds classify.
     metric = build_metric(catalog.doubly_covered_polygon(24))
@@ -880,8 +953,7 @@ def test_flat_limit_jumps_at_most_once(request):
     log = request.getfixturevalue("step_log")
     state = solve_path(metric).state
     assert state.records == untraced.records
-    t_stop = solver.KAPPA_STOP
-    jumps = [k for k, s in enumerate(log) if s.t_new == t_stop]
+    jumps = [k for k, s in enumerate(log) if s.t_new == 0.0]
     assert len(jumps) == 1
     k = jumps[0]
     jump = log[k]
@@ -899,18 +971,17 @@ def test_flat_limit_jumps_at_most_once(request):
 @pytest.mark.parametrize("n", [98, 105])
 def test_rejected_wide_step_keeps_the_path_clean(n, step_log):
     # These polygons reject one step that cuts t by more than half, before
-    # their jump.  Like the jump, it leaves the path clean, with its
-    # Hermite predictor; unlike the jump, it caps every later step at
-    # half of t.  The jump is still tried, and rejected.
+    # their landing.  Like the landing, it leaves the path clean, with its
+    # Hermite predictor; unlike the landing, it caps every later step at
+    # half of t.  The landing is still tried, and rejected.
     state = solve_path(build_metric(catalog.doubly_covered_polygon(n))).state
-    t_stop = solver.KAPPA_STOP
     rejected = [k for k, s in enumerate(step_log) if not s.accepted]
     assert len(rejected) == 2
     k, j = rejected
     wide, jump = step_log[k], step_log[j]
-    assert wide.t_new < 0.5 * wide.t and wide.t_new != t_stop
+    assert wide.t_new < 0.5 * wide.t and wide.t_new != 0.0
     assert wide.hermite and wide.clean
-    assert jump.t_new == t_stop and jump.t <= solver.T_JUMP
+    assert jump.t_new == 0.0 and jump.t <= solver.T_JUMP
     later = step_log[k + 1 :]
     assert all(s.hermite and s.clean for s in later)
     assert all(s.t_new >= 0.5 * s.t for s in later if s is not jump)
@@ -920,11 +991,13 @@ def test_rejected_wide_step_keeps_the_path_clean(n, step_log):
 def test_narrow_rejection_ends_the_clean_path(step_log):
     # The 1:1:20 cigar's first step, 1/64 below t = 1, finds no pyramid.
     # A rejected step no wider than half of t ends the clean path: it
-    # predicts by Euler steps for good, never tries the jump, caps steps at
-    # half of t and grows dt by GROWTH after a step of at most 3 iterates.
+    # predicts by Euler steps for good, caps steps at half of t and grows
+    # dt by GROWTH after a step of at most 3 iterates.  It tries the
+    # landing at its first state at or below T_JUMP, and again each time t
+    # has halved since its last attempt.
     dev, _, _ = thin_hull(40, (1.0, 1.0, 20.0), seed=[3, 40])
     state = solve_path(build_metric(dev)).state
-    assert state.stop == "kappa_stop"
+    assert state.stop == "landed"
     first = step_log[0]
     assert (first.t, first.t_new, first.accepted) == (1.0, 1.0 - solver.DT_INIT, False)
     assert first.reason.startswith("PyramidError: no apex pyramid")
@@ -933,14 +1006,42 @@ def test_narrow_rejection_ends_the_clean_path(step_log):
     # today's rule, replayed over the log
     t_stop = solver.KAPPA_STOP
     dt = 0.5 * solver.DT_INIT
+    tried = math.inf
     for s in step_log[1:]:
         dt_eff = min(dt, solver.DT_CAP * s.t)
-        assert s.t_new == max(s.t - dt_eff, t_stop)
+        if s.t <= solver.T_JUMP and s.t <= 0.5 * tried:
+            tried = s.t
+            dt_eff = s.t - t_stop
+            assert s.t_new == 0.0
+        else:
+            assert s.t_new == max(s.t - dt_eff, t_stop)
         if not s.accepted:
             dt = 0.5 * dt_eff
         elif s.iterates <= 3:
             dt *= solver.GROWTH
     assert sum(not s.accepted for s in step_log) == state.steps_rejected
+    landings = [s for s in step_log if s.t_new == 0.0]
+    assert landings == [step_log[-1]] and landings[0].accepted
+
+
+def test_unclean_path_retries_the_landing_once_t_halves(step_log):
+    # The 1000:1 disc's path is unclean from its first step.  Its first
+    # landing, from the first state at or below T_JUMP, is rejected: the
+    # residual fails to fall.  The rejection halves the step to
+    # KAPPA_STOP, and the next attempt comes once t has halved since.
+    dev, _, _ = thin_hull(40, (1000.0, 1000.0, 1.0), seed=[3, 40])
+    state = solve_path(build_metric(dev)).state
+    assert state.stop == "landed"
+    k = [k for k, s in enumerate(step_log) if s.t_new == 0.0]
+    assert len(k) == 2
+    first, second = step_log[k[0]], step_log[k[1]]
+    assert not first.accepted and first.reason.startswith("no convergence in")
+    assert first.t <= solver.T_JUMP < step_log[k[0] - 1].t
+    after = step_log[k[0] + 1]
+    assert (after.t, after.t_new) == (first.t, first.t - 0.5 * (first.t - solver.KAPPA_STOP))
+    assert second.accepted and second is step_log[-1]
+    assert second.t <= 0.5 * first.t < step_log[k[1] - 1].t
+    assert not first.clean and not second.clean
 
 
 def test_hermite_predicts_closer_than_euler(cube_metric, monkeypatch):
@@ -989,16 +1090,17 @@ def test_newton_iterates_per_path(name, bound, tetra_path, cube_path):
 @pytest.mark.parametrize("kappa_stop", [1e-4, 1e-5, 1e-6])
 def test_jacobian_nondegenerate_near_closure(kappa_stop, tetra_metric, cube_metric, monkeypatch):
     # a07 checks the states a path visits at t >= 1e-6; a clean path
-    # jumps from about 1e-3 to KAPPA_STOP and visits none in between, so
-    # check the end states of paths stopped there
+    # lands from about 1e-3 and visits none in between, so check the end
+    # states of paths that do not land (T_JUMP = 0) and stop there
     monkeypatch.setattr(solver, "KAPPA_STOP", kappa_stop)
+    monkeypatch.setattr(solver, "T_JUMP", 0.0)
     metrics = [tetra_metric, cube_metric]
     for n, seed in (HULL_CASES[6], HULL_CASES[-2]):
         dev, _, _ = hull.random_sphere_development(n, seed=seed)
         metrics.append(build_metric(dev))
     for metric in metrics:
         result = solve_path(metric)
-        assert result.state.t == kappa_stop
+        assert (result.state.stop, result.state.t) == ("kappa_stop", kappa_stop)
         sv = np.linalg.svd(dense_jacobian(result.polytope), compute_uv=False)
         assert sv[-1] > 1e-10 * sv[0], (metric.n_vertices, kappa_stop)
 
@@ -1008,12 +1110,12 @@ def test_jacobian_nondegenerate_near_closure(kappa_stop, tetra_metric, cube_metr
 _EPS = np.finfo(float).eps
 
 
-def _check_band_factor(P, order, rhs, endgame=False):
+def _check_band_factor(P, order, rhs, ill=False):
     """The factor of the banded J in ``order`` against the dense oracle J:
     ||J||_1 to the rounding of its sums, the condition estimate
-    within LAPACK's factor n of cond_1(J), and, off the endgame, the
-    solve against a dense LU solve.  Returns the relative gap of the
-    solves."""
+    within LAPACK's factor n of cond_1(J), and, unless ``ill`` (J fails
+    RCOND_MIN), the solve against a dense LU solve.  Returns the
+    relative gap of the solves."""
     J = dense_jacobian(P)
     n = len(rhs)
     band = assemble(P, order)
@@ -1029,7 +1131,7 @@ def _check_band_factor(P, order, rhs, endgame=False):
     assert factor.cond == pytest.approx(1.0 / rcond, rel=(m + 1) * _EPS)
     cond_1 = np.linalg.cond(J, 1)
     assert cond_1 / n <= factor.cond <= n * cond_1
-    if endgame:
+    if ill:
         return None
     x, x_dense = factor.solve(rhs), np.linalg.solve(J, rhs)
     gap = np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense)
@@ -1059,17 +1161,24 @@ _PATH_CASES = {
 
 @pytest.mark.parametrize("name", list(_PATH_CASES))
 def test_band_factor_matches_dense_oracle_along_paths(name):
-    states = []  # (P, order, kappa1, in the endgame)
+    # The states at t > 0; the landed state of a 3-D path has a J of
+    # corank 3 (a08) and keeps the landing's pinned factor instead.
+    states = []  # (P, order, kappa1, J fails RCOND_MIN)
 
     def collect(state):
-        endgame = 1.0 / state.factor.cond < solver.RCOND_MIN
-        states.append((state.P, state.order, state.kappa1, endgame))
+        if state.t > 0.0:
+            ill = 1.0 / state.factor.cond < solver.RCOND_MIN
+            states.append((state.P, state.order, state.kappa1, ill))
 
-    solve_path(build_metric(_PATH_CASES[name]()), progress=collect)
-    for P, order, kappa1, endgame in states:
-        _check_band_factor(P, order, kappa1, endgame)
-    if name == "doubled-64":  # its path ends in the endgame
+    end = solve_path(build_metric(_PATH_CASES[name]()), progress=collect).state
+    for P, order, kappa1, ill in states:
+        _check_band_factor(P, order, kappa1, ill)
+    if name == "doubled-64":  # its path ends at a state whose J fails RCOND_MIN
         assert states[-1][3]
+    if end.stop == "landed":
+        assert end.factor.cond < 1.0 / solver.RCOND_MIN
+    else:
+        assert end.stop == "folds" and name.startswith("doubled")
 
 
 def _half_bandwidth(mesh, order):
@@ -1090,10 +1199,13 @@ def test_path_flip_widens_the_band(n, seed):
     states = []  # (factor, P, half-bandwidth of the state's mesh)
 
     def collect(state):
-        states.append((state.factor, state.P, _half_bandwidth(state.mesh, state.order)))
+        if state.t > 0.0:  # the landed state keeps a pinned factor
+            states.append((state.factor, state.P, _half_bandwidth(state.mesh, state.order)))
 
     # about 30 steps are needed
     result = solve_path(build_metric(dev), max_steps=250, progress=collect)
+    assert result.state.stop == "landed"
+    assert result.state.factor.cond < 1.0 / solver.RCOND_MIN
     assert result.events
     k0 = states[0][2]
     widened = [(factor, P, k) for factor, P, k in states if k > k0]
