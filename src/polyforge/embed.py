@@ -149,15 +149,8 @@ def place_faces(P, merge_coplanar=False):
     )
 
 
-def _rows_dot(x, y):
-    """Row-wise dot products of two (k, 3) arrays, as stacked (1, 3) @
-    (3, 1) products: each is the dot that ``@`` and ``np.linalg.norm``
-    take on single 3-vectors, bit for bit."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
 def _rows_unit(v):
-    return v / np.sqrt(_rows_dot(v, v))[:, None]
+    return v / np.sqrt(kernels.rows_dot(v, v))[:, None]
 
 
 def _unfold(mesh, theta):
@@ -178,8 +171,8 @@ def _unfold(mesh, theta):
     Its third corner lies ap along the edge from b and bp along w_out,
     from g's own side lengths; both are taken for every slot at once.
     The cosines and sines are ``math``'s, one per face, and the dots are
-    ``_rows_dot``'s, so every position is the one the face-by-face loop
-    computes.  Everything that does not depend on an earlier level is
+    ``kernels.rows_dot``'s, so every position is the one the face-by-face
+    loop computes.  Everything that does not depend on an earlier level is
     gathered for the whole tree before the first level is placed, since a
     flat polygon's tree has about one level per vertex."""
     nf = mesh.n_faces
@@ -239,7 +232,7 @@ def _unfold(mesh, theta):
         b = pos[own_head[level]]
         u = _rows_unit(b - a)
         w_in = pos[own[level]] - a
-        w_in = _rows_unit(w_in - _rows_dot(w_in, u)[:, None] * u)
+        w_in = _rows_unit(w_in - kernels.rows_dot(w_in, u)[:, None] * u)
         n_f = normal[face[level]]
         c, s = cos[level], sin[level]
         w_out = -w_in * c - n_f * s
@@ -353,13 +346,13 @@ def solve_apex(embedded: EmbeddedPolytope, r, weights) -> ApexSolve:
     else:
         center, plane = _plane(verts)
     c = (verts - center) @ plane.T
-    c2 = _rows_dot(c, c)
+    c2 = kernels.rows_dot(c, c)
     rhs = (c2 - c2.mean()) - (r2 - r2.mean())
     a = center + np.linalg.solve(2.0 * (c.T @ c), c.T @ rhs) @ plane
 
     def directions(a):
         d = verts - a
-        dist = np.sqrt(_rows_dot(d, d))
+        dist = np.sqrt(kernels.rows_dot(d, d))
         return d / dist[:, None], w / dist
 
     for _ in range(APEX_NEWTON_STEPS):
@@ -410,17 +403,17 @@ def apex_boundary_distance(embedded: EmbeddedPolytope, apex):
     counterclockwise around the centroid in that plane, the order in
     which Qhull lists a 2-D hull.
 
-    The norms and dot products are ``_rows_dot``'s, which give the bits
-    of ``np.linalg.norm`` and ``@`` on single vectors; an einsum or a
-    row sum need not.
+    The norms and dot products are ``kernels.rows_dot``'s, which give
+    the bits of ``np.linalg.norm`` and ``@`` on single vectors; an einsum
+    or a row sum need not.
     """
     verts = embedded.vertices
     a = np.asarray(apex, dtype=float)
     if embedded.rim is None:
         vi, vj, vk = np.moveaxis(verts[np.array(embedded.faces)], 1, 0)
         nv = np.cross(vj - vi, vk - vi)
-        norm = np.sqrt(_rows_dot(nv, nv))
-        height = np.abs(_rows_dot(a - vi, nv))
+        norm = np.sqrt(kernels.rows_dot(nv, nv))
+        height = np.abs(kernels.rows_dot(a - vi, nv))
         keep = norm != 0.0
         return float((height[keep] / norm[keep]).min(initial=np.inf))
     center, plane = _plane(verts)
@@ -431,9 +424,9 @@ def apex_boundary_distance(embedded: EmbeddedPolytope, apex):
     e = p2[head] - p
     ccw = e[:, 1] * p[:, 0] - e[:, 0] * p[:, 1] > 0.0  # the centroid is 0
     p, e = p[ccw], e[ccw]
-    t = np.clip(_rows_dot(a2 - p, e) / _rows_dot(e, e), 0.0, 1.0)
+    t = np.clip(kernels.rows_dot(a2 - p, e) / kernels.rows_dot(e, e), 0.0, 1.0)
     d = a2 - (p + t[:, None] * e)
-    return float(np.sqrt(_rows_dot(d, d)).min())
+    return float(np.sqrt(kernels.rows_dot(d, d)).min())
 
 
 def _plane(verts):

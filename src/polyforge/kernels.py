@@ -269,6 +269,14 @@ def edge_badness(frame, q_i, q_j, q_k, q_l):
     return np.where(frame.flat | ~np.isfinite(out), np.nan, out)
 
 
+def rows_dot(x, y):
+    """Row-wise dot products of two (k, m) arrays, as stacked (1, m) @
+    (m, 1) products: each is the dot that ``@`` and ``np.linalg.norm``
+    take on single vectors, bit for bit, which a sum over an axis is
+    not."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 def scatter_add(size, index, vals):
     """Flat buffer of ``size`` zeros with each ``vals[m]`` added at
     ``index[m]``; duplicates are summed in input order, as ``np.add.at``

@@ -78,10 +78,10 @@ and stop there: the body is flat, and ``embed.place_faces`` lays it out
 with its dihedrals snapped to exactly 0 and pi.  A path that cannot land
 and is not flat steps on to t = KAPPA_STOP, a tolerance at which the
 embedding still closes far inside ``embed.CLOSURE_TOL``.  A path ends
-for one of four reasons, kept in ``ContinuationState.stop``: it landed
-("landed"), it reached KAPPA_STOP ("kappa_stop"), its curvature fell to
-the precision floor (``_at_floor``), or its folds classified
-(``_folds_classify``).
+for one of three reasons, kept in ``ContinuationState.stop``: it landed
+("landed"), its folds classified ("folds", ``_folds_classify``), or it
+reached KAPPA_STOP ("kappa_stop").  Any other path aborts with a state
+dump, once its step size underflows or its step budget runs out.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ from .errors import (
     StepReductionError,
     TriangleError,
 )
+from .kernels import _NEXT, _NEXT2
 from .polytope import GeneralizedPolytope, solve_pyramids
 from .surface import PolyhedralMetric
 from .triangulation import CornerMesh, weighted_delaunay
@@ -133,15 +134,12 @@ _REJECTABLE = (
 # and |J| blows up approaching a flat body.  The scale is ||J||_1 of the
 # factor a step starts from (``JacobianFactor.norm``), which bounds
 # sigma_max(J) from above for a symmetric J and is the norm gbcon needs
-# anyway.  The Newton tolerance is floored at FLOOR_C times that level,
-# and a path that does not land ends at the first accepted state whose
-# curvature is below the floor (``_at_floor``): the best representable
-# approximation of its body.  A flat limit's landing is rejected, and it
-# steps on until its folds classify, before the floor.  Run on past that
-# stop (the fold stop switched off), a flat path reaches the floor or
-# aborts with a step-size underflow, a state dump attached: its nearly
-# flat pyramids are solved in doubles, and below the fold stop their
-# noise may keep Newton from converging.
+# anyway.  The Newton tolerance is floored at FLOOR_C times that level:
+# asking Newton for better than the noise livelocks it near a flat limit.
+# Run on past its fold stop (the stop switched off), a flat path lands,
+# steps on to KAPPA_STOP, or aborts with a step-size underflow, a state
+# dump attached: its nearly flat pyramids are solved in doubles, and below
+# the fold stop their noise may keep Newton from converging.
 FLOOR_C = 64.0
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -284,8 +282,6 @@ class StepResult:
 @dataclass
 class ContinuationState:
     metric: PolyhedralMetric
-    mesh: CornerMesh
-    r: np.ndarray
     t: float
     kappa1: np.ndarray
     r_init: float
@@ -293,8 +289,8 @@ class ContinuationState:
     # Vertex order of the banded Jacobian, fixed for the whole solve.
     order: np.ndarray
     # LU of the curvature Jacobian at r: serves the next predictor, and its
-    # cond and norm drive the records and the floor stop.  At a landed
-    # state it is the landing's last pinned factor.
+    # cond and norm drive the records and the Newton tolerance's floor.  At
+    # a landed state it is the landing's last pinned factor.
     factor: JacobianFactor
     newton_tol: float
     # The previous accepted state (t, r, dr/dt) while the path is clean:
@@ -308,9 +304,18 @@ class ContinuationState:
     steps_rejected: int = 0
     records: list = field(default_factory=list)
     events: list = field(default_factory=list)
-    # Why the path ended: "landed", "kappa_stop", "floor" (``_at_floor``)
-    # or "folds" (``_folds_classify``); empty while it runs.
+    # Why the path ended: "landed", "folds" (``_folds_classify``) or
+    # "kappa_stop"; empty while it runs.
     stop: str = ""
+
+    # The layout is the polytope's: its triangulation and radii.
+    @property
+    def mesh(self) -> CornerMesh:
+        return self.P.mesh
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.P.r
 
     def dump(self, reason=""):
         """JSON-ready snapshot for post-mortem inspection.  The sign of
@@ -410,9 +415,10 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
     flips_here = 0
 
     def hook(m, f, s):
-        for fe, se, theta in zip(f.tolist(), s.tolist(), _edge_theta(m, r, f, s).tolist()):
-            edge = tuple(sorted(m.edge_endpoints(fe, se)))
-            buffer.append(FlipEvent(t=t_new, edge=edge, theta=theta))
+        # each flipped side's tail and head labels, sorted
+        ends = np.sort(m.vert[f[:, None], np.stack([_NEXT[s], _NEXT2[s]], axis=1)], axis=1)
+        for edge, theta in zip(ends.tolist(), _edge_theta(m, r, f, s).tolist()):
+            buffer.append(FlipEvent(t=t_new, edge=tuple(edge), theta=theta))
 
     try:
         factor = state.factor
@@ -490,8 +496,6 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
 
     if state.clean:
         state.previous = (state.t, state.r, tangent)
-    state.mesh = mesh
-    state.r = r
     state.t = t_new
     state.P = P
     state.factor = factor
@@ -601,8 +605,6 @@ def start_state(metric: PolyhedralMetric):
     kappa1 = P.kappa.copy()
     state = ContinuationState(
         metric=metric,
-        mesh=mesh,
-        r=np.full(mesh.n_vertices, radius),
         t=1.0,
         kappa1=kappa1,
         r_init=radius,
@@ -662,9 +664,6 @@ def solve_path(metric: PolyhedralMetric, max_steps=MAX_STEPS, progress=None) -> 
             if _folds_classify(state):
                 state.stop = "folds"
                 break
-            if state.t > t_stop and _at_floor(state):
-                state.stop = "floor"
-                break
             if state.clean:
                 dt = dt_eff * _dt_ratio(result.predictor_residual, 4 if hermite else 2)
             elif result.newton_iters <= 3:
@@ -703,19 +702,8 @@ def _folds_classify(state):
     body is flat, and ``embed.place_faces`` lays it out with exactly 0
     and pi, which depend only on the triangulation and on which edges
     are folds.  The flat paths of the tests flip no edge, and those that
-    reach the floor when run on give the same layout there bit for bit.
-    The report is the one the dihedral check made at acceptance, so this
-    solves no pyramid."""
+    land or reach KAPPA_STOP when run on give the same layout there bit
+    for bit.  The report is the one the dihedral check made at
+    acceptance, so this solves no pyramid."""
     return state.t <= T_JUMP and state.P.curvature_report().folds() is not None
 
-
-def _at_floor(state):
-    """True when the state's curvature is below what double-precision
-    radii can express; ``solve_path`` asks at each accepted state above
-    KAPPA_STOP but the landed one, and stops there.  Flat limits reach it
-    only when run on past the state where their folds classify, at which
-    ``solve_path`` stops first, and some give out before it.  A rejected
-    step leaves the state as it was, so the answer there is the False
-    given at its acceptance, and a step-size underflow always aborts."""
-    floor = _kappa_floor(state.factor.norm, state.r)
-    return float(np.abs(state.P.kappa).max()) <= floor

@@ -122,9 +122,6 @@ class CornerMesh:
         (face, side) order, listed in that order."""
         return np.divmod(np.flatnonzero(np.arange(self.twin.size) <= self.twin), 3)
 
-    def edge_endpoints(self, f, s):
-        return int(self.vert[f, (s + 1) % 3]), int(self.vert[f, (s + 2) % 3])
-
     # -- serialization (for solver state dumps) ---------------------------
 
     def to_json(self):
@@ -161,11 +158,10 @@ class CornerMesh:
             e = reflex[0]
             raise FlipError(f"quad around edge ({quads.f[e]}, {quads.s[e]}) is not strictly convex")
 
-        # The new diagonal joins the far corners k and l of the frame.  Its
-        # norm is taken edge by edge: a batched one differs in the last bit.
+        # The new diagonal joins the far corners k and l of the frame.
         frame = quads.frame
-        dx, dy = 0.5 * frame.two_xk - frame.xl, 0.5 * frame.two_yk - frame.yl
-        new_len = np.array([np.linalg.norm(v) for v in np.stack([dx, dy], axis=1)])
+        d = np.stack([0.5 * frame.two_xk - frame.xl, 0.5 * frame.two_yk - frame.yl], axis=1)
+        new_len = np.sqrt(kernels.rows_dot(d, d))
         # Every side slot of the two faces moves, and its twin follows it.
         # Outer sides may be glued to each other, within a quad or across
         # two, so all twins are relabelled in one pass.

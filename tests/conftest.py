@@ -56,9 +56,10 @@ def polygon64_metric():
 @pytest.fixture
 def fold_stop_off(monkeypatch):
     """Switch solve_path's fold stop off for the rest of the test, from
-    the point the fixture is set up: flat paths then run on to their
-    precision floor, as they did before the stop.  Request it through
-    ``request.getfixturevalue`` to compare a path with and without it."""
+    the point the fixture is set up: flat paths then run on past it, to
+    land, to step on to KAPPA_STOP, or to abort with a step-size
+    underflow.  Request it through ``request.getfixturevalue`` to compare
+    a path with and without it."""
     monkeypatch.setattr(solver, "_folds_classify", lambda state: False)
 
 

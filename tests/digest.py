@@ -9,8 +9,10 @@ and 2, in order, through its own ``run`` and ``collect``.  The digest
 covers each case's report text, vertex bytes and face bytes, so two
 trees whose digests agree gave byte-identical outputs on all of them.
 Prints the case count and the digest per workload and overall, and per
-workload the largest edge-length residual over the diameter: how far
-the embedded vertices miss the final triangulation's side lengths.
+workload the largest edge-length residual over the diameter (how far
+the embedded vertices miss the final triangulation's side lengths) and
+a tally of why the paths ended (``ContinuationState.stop``), so that a
+stop that moves shows without a probe.
 BLAS is pinned to one thread, as the benchmark pins it.  Not a test module:
 pytest does not collect this file.
 
@@ -30,6 +32,7 @@ checkout with the script copied in, then compare on the change.
 """
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -72,6 +75,7 @@ def main(argv=None):
     total, count = hashlib.sha256(), 0
     for name, make in workloads.WORKLOADS.items():
         digest, cases, chord = hashlib.sha256(), 0, 0.0
+        stops = collections.Counter()
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as workdir:
                 for k, case in enumerate(make(seed, workdir)):
@@ -79,6 +83,7 @@ def main(argv=None):
                         raw = case.run()
                     out = case.collect(raw)
                     chord = max(chord, chord_error(last[0]))
+                    stops[last[0].solve.state.stop] += 1
                     for part in (out.report.encode(), out.vertices.tobytes(), out.faces.tobytes()):
                         digest.update(part)
                         total.update(part)
@@ -90,6 +95,7 @@ def main(argv=None):
         count += cases
         print(f"{name}: {cases} cases, sha256 {digest.hexdigest()}, "
               f"max edge-length residual/diameter {chord:.2g}")
+        print("  stops: " + ", ".join(f"{stop} {n}" for stop, n in sorted(stops.items())))
     print(f"all: {count} cases, sha256 {total.hexdigest()}")
     if args.save:
         with open(args.save, "wb") as f:

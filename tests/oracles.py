@@ -441,7 +441,7 @@ def chord_error(mesh, verts):
     worst = 0.0
     for f in range(mesh.n_faces):
         for s in range(3):
-            i, j = mesh.edge_endpoints(f, s)
+            i, j = mesh.vert[f, (s + 1) % 3], mesh.vert[f, (s + 2) % 3]
             chord = float(np.linalg.norm(verts[i] - verts[j]))
             worst = max(worst, abs(chord - float(mesh.ell[f, s])))
     return worst

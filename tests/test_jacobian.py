@@ -170,7 +170,7 @@ def test_slant_sine_under_the_floor_rejects(case):
     r = TETRA_CIRCUM * np.array([1.5, 1.62, 1.44, 1.55])
     P = validate_polytope(GeneralizedPolytope(mesh, r))
     assert np.sin(P.pyramids.alpha).min() > 0.1
-    tail, head = mesh.edge_endpoints(0, 0)
+    tail, head = mesh.vert[0, 1:]  # side 0 runs from corner 1 to corner 2
     r = P.r.copy()
     if case == "apex-on-the-side":  # r_t + r_h == ell exactly: sine 0
         r[tail] = r[head] = 0.5 * mesh.ell[0, 0]

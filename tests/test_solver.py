@@ -346,9 +346,10 @@ _FLAT_CASES = {
 # off: in doubles their Newton steps stop converging there, until the
 # step size underflows on a rejection for want of a pyramid (the square),
 # a numerically singular J (the 8-gon and the 24-gon) or an edge dihedral
-# past pi (the 10-gon).  The triangle and the 43-gon run on to their
-# floor.
+# past pi (the 10-gon).  The others run on to an end of the path: the
+# triangle lands at t = 0, and the 43-gon steps on to KAPPA_STOP.
 _ABORT_PAST_THE_FOLD_STOP = {"doubled-square", "doubled-8", "doubled-10", "doubled-24"}
+_RUN_ON_STOP = {"doubled-345": "landed", "doubled-43": "kappa_stop"}
 
 
 @pytest.mark.parametrize("name", list(_FLAT_CASES))
@@ -356,7 +357,7 @@ def test_flat_paths_stop_once_folds_classify(name, request):
     # A flat path stops at its first accepted state at or below T_JUMP
     # whose dihedrals classify as folds and flat edges.  place_faces lays
     # them out snapped to exactly 0 and pi, so the layout is the one the
-    # same path gives when it runs on to its precision floor, bit for bit.
+    # same path gives when it runs on to the end of the path, bit for bit.
     # Paths that cannot run on abort below the stop, with a state dump.
     metric = build_metric(_FLAT_CASES[name]())
     stopped = solve_path(metric)
@@ -383,12 +384,12 @@ def test_flat_paths_stop_once_folds_classify(name, request):
         assert dump["t"] < state.t and dump["steps_accepted"] > state.steps_accepted
         json.dumps(dump)
     else:
-        floor = solve_path(metric, progress=watch)
-        assert floor.state.stop == "floor" and floor.state.t < state.t
-        e_floor = embed.place_faces(floor.polytope)
-        assert np.array_equal(e.vertices, e_floor.vertices)
-        assert e.faces == e_floor.faces
-        assert e.as_json() == e_floor.as_json()
+        run_on = solve_path(metric, progress=watch)
+        assert run_on.state.stop == _RUN_ON_STOP[name] and run_on.state.t < state.t
+        e_run_on = embed.place_faces(run_on.polytope)
+        assert np.array_equal(e.vertices, e_run_on.vertices)
+        assert e.faces == e_run_on.faces
+        assert e.as_json() == e_run_on.as_json()
     # the same path up to the stop, which is its first classifying state
     assert records[: len(state.records)] == state.records
     assert classified.index(True) == len(state.records) - 1
@@ -431,29 +432,6 @@ def test_nondegenerate_paths_never_stop_on_folds(make, request):
     with_stop, without = runs
     assert json.dumps(with_stop.report) == json.dumps(without.report)
     assert np.array_equal(with_stop.embedded.vertices, without.embedded.vertices)
-
-
-def test_floor_is_asked_only_above_kappa_stop(cube_metric, monkeypatch):
-    # The floor is asked at every accepted state above KAPPA_STOP but the
-    # landed one: a landing ends the path for "landed", and a path that
-    # does not land (here T_JUMP = 0) ends for "kappa_stop" once it steps
-    # to KAPPA_STOP, even on a state already below the floor.
-    t_stop = solver.KAPPA_STOP
-    asked = []
-
-    def at_floor(state):
-        asked.append(state.t)
-        return state.t in (0.0, t_stop)
-
-    monkeypatch.setattr(solver, "_at_floor", at_floor)
-    state = solve_path(cube_metric).state
-    assert state.stop == "landed" and state.t == 0.0
-    assert asked and min(asked) > t_stop
-    asked.clear()
-    monkeypatch.setattr(solver, "T_JUMP", 0.0)
-    state = solve_path(cube_metric).state
-    assert state.stop == "kappa_stop" and state.t == t_stop
-    assert asked and min(asked) > t_stop
 
 
 def test_abort_carries_state_dump(cube_metric):

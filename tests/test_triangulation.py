@@ -128,7 +128,7 @@ def test_flip_obtuse_double_creates_loop():
     assert mesh.ell[0, 0] == pytest.approx(1.9)
     mesh.flip(0, 0)
     validate_mesh(mesh)
-    i, j = mesh.edge_endpoints(0, 0)
+    i, j = mesh.vert[0, 1:]  # side 0 runs from corner 1 to corner 2
     assert i == j  # loop
     # the loop edge still develops (the face is laid out twice)
     quad = develop_quad(mesh, 0, 0)
