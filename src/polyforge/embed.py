@@ -30,7 +30,6 @@ import numpy as np
 
 from . import kernels
 from .errors import EmbedError
-from .kernels import _NEXT, _NEXT2
 from .triangulation import merge_regions
 
 CLOSURE_TOL = 1e-6  # * diameter
@@ -86,9 +85,8 @@ def place_faces(P, merge_coplanar=False):
     mesh = P.mesh
     rep = P.curvature_report()
     theta = rep.theta
-    # Side s runs from corner (s+1)%3 to corner (s+2)%3.  The first loop
-    # slot in (f, s) order is its edge's canonical slot.
-    tail, head = mesh.vert[:, [1, 2, 0]], mesh.vert[:, [2, 0, 1]]
+    # The first loop slot is its edge's canonical slot.
+    tail, head = mesh.side_ends()
     loop = tail == head
     if loop.any():
         raise EmbedError(
@@ -132,9 +130,7 @@ def place_faces(P, merge_coplanar=False):
             if len(region.cycles) != 1:
                 raise EmbedError("merged face is not a disk")
             cycle = region.cycles[0]
-            merged.append(
-                tuple(int(mesh.vert[f, (s + 1) % 3]) for f, s in cycle)
-            )
+            merged.append(tuple(int(tail[e]) for e in cycle))
         merged = tuple(merged)
 
     return EmbeddedPolytope(
@@ -145,7 +141,7 @@ def place_faces(P, merge_coplanar=False):
         volume=volume,
         degenerate=degenerate,
         merged_faces=merged,
-        rim=(tail[fold], head[fold]) if flat else None,
+        rim=(tail[fold.ravel()], head[fold.ravel()]) if flat else None,
     )
 
 
@@ -158,8 +154,8 @@ def _unfold(mesh, theta):
     faces unfolded across their dihedrals ``theta`` (nf, 3).
 
     Face 0 sits in the z = 0 plane with normal +z.  The breadth-first
-    tree is found first, in plain Python: the frontier's sides are
-    visited in (frontier order, side) order and the first claim on each
+    tree is found first, in plain Python: the frontier's slots are
+    visited in (frontier order, slot) order and the first claim on each
     unplaced face wins, which is the tree a face-by-face FIFO builds.
     Then each level is placed at once.  A face g across side s of f is
     hinged on the shared edge a -> b of f: w_in is the unit vector in
@@ -176,16 +172,18 @@ def _unfold(mesh, theta):
     gathered for the whole tree before the first level is placed, since a
     flat polygon's tree has about one level per vertex."""
     nf = mesh.n_faces
-    ell = mesh.ell
-    # Corner s2 of face g lies ap along side s2 from the side's tail
-    # corner (s2 + 1) % 3, toward its head, and bp off the side: side
-    # (s2 + 2) % 3 joins the tail corner to corner s2.
-    ap, h2 = kernels.corner_layout(ell, ell[:, _NEXT2], ell[:, _NEXT])
+    ell = mesh.ell.ravel()
+    # Corner c of face f is row 3 f + c; slot e hinges on the corners
+    # tail[e] -> head[e] and faces corner e.  Corner e lies ap along slot
+    # e from its tail, toward its head, and bp off it: the side that
+    # faces the head, of length ell[head], joins the tail to corner e.
+    tail, head = kernels.side_ends(np.arange(3 * nf))
+    ap, h2 = kernels.corner_layout(ell, ell[head], ell[tail])
     bp = np.sqrt(np.where(h2 < 0.0, 0.0, h2))  # max(h2, 0.0), -0.0 and all
 
-    # Slot 3 f + s of each tree edge, f the placed face; ends[i] closes
-    # level i + 1.
-    adj = (mesh.twin // 3).reshape(nf, 3).tolist()
+    # The slot of each tree edge on its placed face; ends[i] closes level
+    # i + 1.
+    across_of = (mesh.twin // 3).tolist()
     placed = [False] * nf
     placed[0] = True
     slots, ends = [], []
@@ -193,25 +191,21 @@ def _unfold(mesh, theta):
     while frontier:
         claimed = []
         for f in frontier:
-            for s, g in enumerate(adj[f]):
+            for e in range(3 * f, 3 * f + 3):
+                g = across_of[e]
                 if not placed[g]:
                     placed[g] = True
-                    slots.append(3 * f + s)
+                    slots.append(e)
                     claimed.append(g)
         ends.append(len(slots))
         frontier = claimed
 
-    # Corner c of face f is row 3 f + c; slot 3 f + s hinges on the
-    # corners tail[3 f + s] -> head[3 f + s] and faces corner 3 f + s.
-    corner = 3 * np.arange(nf)[:, None]
-    tail = (corner + _NEXT).ravel()
-    head = (corner + _NEXT2).ravel()
     own = np.array(slots, dtype=np.intp)
     twin = mesh.twin[own]
     face, across = own // 3, twin // 3
     own_tail, own_head = tail[own], head[own]
     twin_tail, twin_head = tail[twin], head[twin]
-    ap_twin, bp_twin = ap.ravel()[twin][:, None], bp.ravel()[twin][:, None]
+    ap_twin, bp_twin = ap[twin][:, None], bp[twin][:, None]
     psi = (math.pi - theta.ravel()[own]).tolist()
     cos = np.array([math.cos(x) for x in psi])[:, None]
     sin = np.array([math.sin(x) for x in psi])[:, None]
@@ -219,8 +213,8 @@ def _unfold(mesh, theta):
     pos = np.full((3 * nf, 3), np.nan)
     normal = np.full((nf, 3), np.nan)
     pos[0] = (0.0, 0.0, 0.0)
-    pos[1] = (ell[0, 2], 0.0, 0.0)
-    pos[2] = (ap[0, 2], bp[0, 2], 0.0)
+    pos[1] = (ell[2], 0.0, 0.0)
+    pos[2] = (ap[2], bp[2], 0.0)
     normal[0] = (0.0, 0.0, 1.0)
 
     lo = 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .surface import Development
 
 
@@ -18,23 +19,22 @@ def development_from_triangles(points, corners):
     """Build a Development from (k, 3) points and (m, 3) vertex labels.
 
     Triangle t has corners ``points[corners[t]]``; the label order fixes
-    its orientation.  Slot 3t + s, side s of triangle t, runs from label
-    ``corners[t, (s+1)%3]`` (tail) to ``corners[t, (s+2)%3]`` (head), and
-    it is glued to the slot that runs from head to tail: the gluing is
-    read off the labels exactly, and only the side lengths come from the
-    points.  The triangles must form a closed surface, in which every
-    directed edge appears exactly once and its reverse appears too.
-    The gluing is the development's slot table ``twin``, read off the
-    sorted directed edges.
+    its orientation.  Slot 3t + s, side s of triangle t, runs from the
+    label of its tail corner to that of its head corner
+    (``kernels.side_ends``), and it is glued to the slot that runs from
+    head to tail: the gluing is read off the labels exactly, and only the
+    side lengths come from the points.  The triangles must form a closed
+    surface, in which every directed edge appears exactly once and its
+    reverse appears too.  The gluing is the development's slot table
+    ``twin``, read off the sorted directed edges.
     """
     corners = np.asarray(corners)
     if corners.ndim != 2 or corners.shape[1] != 3:
         raise ValueError("expected an (m, 3) array of corner labels")
     points = np.asarray(points, dtype=float)
-    tri = points[corners]
-    sides = np.linalg.norm(tri[:, [2, 0, 1]] - tri[:, [1, 2, 0]], axis=2)
+    tail, head = corners.ravel()[kernels.side_ends(np.arange(corners.size))]
+    sides = np.linalg.norm(points[head] - points[tail], axis=1).reshape(-1, 3)
 
-    tail, head = corners[:, [1, 2, 0]].ravel(), corners[:, [2, 0, 1]].ravel()
     edge, reverse = tail * len(points) + head, head * len(points) + tail
     order = np.argsort(edge)
     keys = edge[order]

@@ -76,7 +76,6 @@ import numpy as np
 
 from . import kernels
 from .errors import StepReductionError
-from .kernels import _NEXT, _NEXT2
 
 # Sines below this value make the cotangent weights meaningless in double
 # precision; the solver retries with a smaller deformation step.
@@ -109,7 +108,8 @@ def band_order(mesh):
     by label), then reversed.  Deterministic; any permutation gives the
     same solves, the order only sets the band width of J."""
     n = mesh.n_vertices
-    key = np.unique(mesh.vert[:, _NEXT] * n + mesh.vert[:, _NEXT2])
+    tail, head = mesh.side_ends()
+    key = np.unique(tail * n + head)
     a, b = np.divmod(key, n)
     keep = a != b  # a loop couples a vertex only to itself
     a, b = a[keep], b[keep]
@@ -154,19 +154,13 @@ def _band_index(mesh, order_key):
     # its duplicates in this order, which ``kernels.scatter_add`` keeps.
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
-    at = pos[mesh.vert]
-    p, q = at[:, _NEXT].ravel(), at[:, _NEXT2].ravel()
+    p, q = pos[mesh.side_ends()]
     d = p - q
     k = int(d.max())  # every side has a twin, so this is max |p - q|
     ldab = 3 * k + 1
     index = np.concatenate([d + ldab * q, ldab * p]) + 2 * k
     cells = np.unique(index)
     return _BandIndex(index, k, cells, cells // ldab)
-
-
-def _side_ends(mesh):
-    """Vertex labels of the tail and head of every side slot, (2, 3F)."""
-    return np.stack([mesh.vert[:, _NEXT].ravel(), mesh.vert[:, _NEXT2].ravel()])
 
 
 def _lateral_factors(r_t, r_h, ell):
@@ -203,7 +197,7 @@ def assemble(P, order) -> BandJacobian:
     if sin_own.min() < SIN_FLOOR:
         raise StepReductionError(_FLAT_MESSAGE)
     sin_opp = sin_own[mesh.twin]
-    r_t, r_h = P.r[mesh.cached(_side_ends)]
+    r_t, r_h = P.r[mesh.side_ends()]
     lateral, cos_phi = _lateral_factors(r_t, r_h, mesh.ell.ravel())
     cot_sum = np.sin(a_own + a_opp) / (sin_own * sin_opp)
     w = cot_sum / lateral

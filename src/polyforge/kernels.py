@@ -6,7 +6,8 @@ Conventions (shared with the rest of the package):
 
 * ``ell[f, s]`` is the length of the side of face ``f`` opposite corner
   ``s``; side ``s`` joins corners ``(s+1)%3`` (tail) and ``(s+2)%3``
-  (head).
+  (head).  ``side_ends`` is the one statement of this rule: every other
+  module reads it there, or through ``CornerMesh.side_ends``.
 * ``rad[f, c]`` is the distance from the apex to corner ``c``.
 
 The two kernels that run on every Newton iterate are split in two.
@@ -64,6 +65,16 @@ BACKEND = "numpy"
 # k, and the sides k+1 and k+2 that meet at corner k.
 _NEXT = np.array([1, 2, 0])
 _NEXT2 = np.array([2, 0, 1])
+
+
+def side_ends(slot):
+    """Tail and head corners of each slot 3 f + s, stacked (2, ...): side
+    s runs from corner 3 f + (s+1)%3 to corner 3 f + (s+2)%3.  Corner
+    3 f + c faces side c, so the tail corner's index is also the slot of
+    the side after s around its face."""
+    slot = np.asarray(slot)
+    s = slot % 3
+    return (slot - s) + np.stack([_NEXT[s], _NEXT2[s]])
 
 
 def _angle_opp(a, b, c):

@@ -34,12 +34,10 @@ FOLD_TOL = 3e-5
 @dataclass
 class PyramidBatch:
     """Per-face pyramid data; arrays indexed like the mesh faces: the
-    squared apex altitude, the dihedral ``alpha[f, s]`` along base side s
-    and ``omega[f, c]`` along the apex edge to corner c.  The lateral
-    triangles' angles are not kept; ``jacobian.assemble`` reads its
-    factors off their sides."""
+    dihedral ``alpha[f, s]`` along base side s and ``omega[f, c]`` along
+    the apex edge to corner c.  The lateral triangles' angles are not
+    kept; ``jacobian.assemble`` reads its factors off their sides."""
 
-    alt2: np.ndarray
     alpha: np.ndarray
     omega: np.ndarray
     # All False: every row is solved in doubles.  The benchmark's tracer
@@ -57,12 +55,7 @@ def solve_pyramids(ell, rad, base=None) -> PyramidBatch:
     ok = raw["ok"]
     if not ok.all():
         raise PyramidError(f"no apex pyramid over faces {np.flatnonzero(~ok).tolist()}")
-    return PyramidBatch(
-        alt2=raw["alt2"],
-        alpha=raw["alpha"],
-        omega=raw["omega"],
-        refined=np.zeros_like(ok),
-    )
+    return PyramidBatch(alpha=raw["alpha"], omega=raw["omega"], refined=np.zeros_like(ok))
 
 
 @dataclass
@@ -70,7 +63,7 @@ class CurvatureReport:
     """Curvatures and dihedrals of a generalized polytope.
 
     ``theta`` is indexed like the mesh's side slots: ``theta[f, s]`` is the
-    total dihedral along the edge of side (f, s), the sum of the two
+    total dihedral along the edge of slot 3 f + s, the sum of the two
     pyramids' base dihedrals there.  IEEE addition commutes, so both slots
     of an edge hold the same double."""
 

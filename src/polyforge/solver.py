@@ -94,7 +94,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from . import jacobian
+from . import jacobian, kernels
 from .errors import (
     InadmissibleWeightsError,
     PyramidError,
@@ -102,7 +102,6 @@ from .errors import (
     StepReductionError,
     TriangleError,
 )
-from .kernels import _NEXT, _NEXT2
 from .polytope import GeneralizedPolytope, solve_pyramids
 from .surface import PolyhedralMetric
 from .triangulation import CornerMesh, weighted_delaunay
@@ -384,19 +383,19 @@ def choose_initial_radius(metric: PolyhedralMetric, mesh: CornerMesh):
     )
 
 
-def _edge_theta(mesh, r, f, s):
-    """Total dihedral along each edge (f[e], s[e]) for the current radii.
+def _edge_theta(mesh, r, e):
+    """Total dihedral along the edge of each slot e for the current radii.
 
     The edges' faces go through one ``solve_pyramids`` call.  The edges
     must share no face, as the flips of one round do.  Every row of the
     batch is what a solve of the edge's two faces alone gives, bit for
     bit, since the kernel works row by row.
     """
-    g, s2 = np.divmod(mesh.twin[3 * f + s], 3)
-    faces = np.concatenate([f, g])
+    both = np.concatenate([e, mesh.twin[e]])
+    faces = both // 3
     alpha = solve_pyramids(mesh.ell[faces], np.asarray(r)[mesh.vert[faces]]).alpha
-    e = np.arange(len(f))
-    return alpha[e, s] + alpha[len(f) + e, s2]
+    own = alpha[np.arange(both.size), both % 3]
+    return own[: len(e)] + own[len(e) :]
 
 
 def step(state: ContinuationState, t_new: float) -> StepResult:
@@ -414,10 +413,10 @@ def step(state: ContinuationState, t_new: float) -> StepResult:
     buffer = []
     flips_here = 0
 
-    def hook(m, f, s):
-        # each flipped side's tail and head labels, sorted
-        ends = np.sort(m.vert[f[:, None], np.stack([_NEXT[s], _NEXT2[s]], axis=1)], axis=1)
-        for edge, theta in zip(ends.tolist(), _edge_theta(m, r, f, s).tolist()):
+    def hook(m, e):
+        # each flipped slot's tail and head labels, sorted
+        ends = np.sort(m.vert.ravel()[kernels.side_ends(e)], axis=0).T
+        for edge, theta in zip(ends.tolist(), _edge_theta(m, r, e).tolist()):
             buffer.append(FlipEvent(t=t_new, edge=tuple(edge), theta=theta))
 
     try:

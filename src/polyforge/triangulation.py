@@ -1,14 +1,17 @@
 """Geodesic triangulations of a cone surface, with diagonal flips.
 
 The mesh is a corner table.  Face ``f`` has corners 0, 1, 2; side ``s``
-is opposite corner ``s`` and is traversed from corner ``(s+1)%3`` (tail)
-to corner ``(s+2)%3`` (head).  Slot ``3 f + s`` is side ``s`` of face
-``f``, and the one table ``twin`` maps each slot to the slot glued to
-it, with reversed traversal, making the whole thing an oriented closed
-surface; a mesh starts from its development's table
-(``surface.Development``).  Vertices may repeat around a face: loops
-and multiple edges are ordinary citizens here, they show up as soon as
-flips start rearranging a development.
+is opposite corner ``s`` and is traversed from its tail corner to its
+head corner (``kernels.side_ends``).  Slot ``3 f + s`` is side ``s`` of
+face ``f``, and also corner ``s`` of it.  The slot is the one handle of
+a side: ``edges``, ``flip``, ``badness_scan``, ``weighted_delaunay``'s
+hook and ``merge_regions``' cycles all take or give slots.  The one
+table ``twin`` maps each slot to the slot glued to it, with reversed
+traversal, making the whole thing an oriented closed surface; a mesh
+starts from its development's table (``surface.Development``).
+Vertices may repeat around a face: loops and multiple edges are
+ordinary citizens here, they show up as soon as flips start
+rearranging a development.
 
 Badness of an edge is measured by developing its two adjacent faces into
 the plane (two copies, if they are the same face), as a
@@ -25,13 +28,13 @@ its lengths change only when a flip fires, and in one pass of each
 benchmark workload (seed 1) 97 to 99 % of the lookups below find their
 arrays already built.  So ``CornerMesh.cached`` keeps the arrays that
 depend on the triangulation alone, each built on first use: the
-canonical edges and their quads (``badness_scan``), the pyramid base
-terms (``polytope``), the band scatter index of the solve's vertex order
-(``jacobian``) and the mesh's own reverse Cuthill-McKee order
-(``solver`` and ``embed``).  ``flip``, which each round of
-``weighted_delaunay`` calls once, is the only code that writes a mesh,
-and it drops the cache; ``copy`` shares it, as the copy is the
-same triangulation until one of the two flips.  The cache holds no
+side ends' labels (``side_ends``), the canonical edges and their quads
+(``badness_scan``), the pyramid base terms (``polytope``), the band
+scatter index of the solve's vertex order (``jacobian``) and the mesh's
+own reverse Cuthill-McKee order (``solver`` and ``embed``).  ``flip``,
+which each round of ``weighted_delaunay`` calls once, is the only code
+that writes a mesh, and it drops the cache; ``copy`` shares it, as the
+copy is the same triangulation until one of the two flips.  The cache holds no
 reference to its mesh, so a dropped mesh is freed at once by reference
 counting rather than by the cycle collector, and no views: a flip
 writes ``vert``, ``ell`` and ``twin`` in place, and a view cached
@@ -52,7 +55,6 @@ import numpy as np
 
 from . import kernels
 from .errors import FlipError, InadmissibleWeightsError, TriangleError
-from .kernels import _NEXT, _NEXT2
 from .surface import PolyhedralMetric
 
 # An edge is bad when its badness exceeds BAD_TOL * max(1, |q|_inf).
@@ -113,14 +115,16 @@ class CornerMesh:
     def n_edges(self):
         return (3 * self.n_faces) // 2
 
-    def neighbor(self, f, s):
-        return divmod(int(self.twin[3 * f + s]), 3)
-
     def edges(self):
-        """Canonical handles of the undirected edges as two int arrays
-        (f, s): per edge, the side that precedes its neighbor (g, s2) in
-        (face, side) order, listed in that order."""
-        return np.divmod(np.flatnonzero(np.arange(self.twin.size) <= self.twin), 3)
+        """Canonical slots of the undirected edges: per edge, the smaller
+        of its two slots, listed in ascending order."""
+        slot = np.arange(self.twin.size)
+        return slot[slot <= self.twin]
+
+    def side_ends(self):
+        """Vertex labels of the tail and head of every slot, (2, 3F), kept
+        in the cache."""
+        return self.cached(_side_ends)
 
     # -- serialization (for solver state dumps) ---------------------------
 
@@ -135,28 +139,28 @@ class CornerMesh:
 
     # -- geometry -----------------------------------------------------
 
-    def flip(self, f, s):
-        """Replace the diagonals of the quads around sides (f, s): one
-        side, or index arrays of sides whose quads share no face.
+    def flip(self, e):
+        """Replace the diagonals of the quads around slots ``e``: one
+        slot, or an array of slots whose quads share no face.
 
-        Preconditions: the two adjacent face slots of each side belong to
-        distinct faces, and its developed quadrilateral is strictly convex
-        (every interior angle below pi - CONVEXITY_TOL).  Quad (f, s) with
-        corners i, j, k, l becomes the faces f := (i, l, k) and g := (j,
-        k, l), with the new diagonal l -> k / k -> l as side 0 of each.
-        Returns the new diagonals' lengths, a float for one side.
+        Preconditions: the two slots of each edge belong to distinct
+        faces, and its developed quadrilateral is strictly convex (every
+        interior angle below pi - CONVEXITY_TOL).  The quad around slot
+        3 f + s, glued to a slot of face g, with corners i, j, k, l
+        becomes the faces f := (i, l, k) and g := (j, k, l), with the new
+        diagonal l -> k / k -> l as side 0 of each.  Returns the new
+        diagonals' lengths, a float for one slot.
         """
-        shape = np.shape(f)
-        quads = _quads(self, np.ravel(f), np.ravel(s))
-        g, s2 = np.divmod(self.twin[3 * quads.f + quads.s], 3)
-        same = np.flatnonzero(g == quads.f)
+        shape = np.shape(e)
+        quads = _quads(self, np.ravel(e))
+        e, o = quads.slot, self.twin[quads.slot]
+        f, g = e // 3, o // 3
+        same = np.flatnonzero(g == f)
         if same.size:
-            e = same[0]
-            raise FlipError(f"edge ({quads.f[e]}, {quads.s[e]}) has the same face on both sides")
+            raise FlipError(f"edge {divmod(int(e[same[0]]), 3)} has the same face on both sides")
         reflex = np.flatnonzero(~_strictly_convex(quads.frame))
         if reflex.size:
-            e = reflex[0]
-            raise FlipError(f"quad around edge ({quads.f[e]}, {quads.s[e]}) is not strictly convex")
+            raise FlipError(f"quad around edge {divmod(int(e[reflex[0]]), 3)} is not strictly convex")
 
         # The new diagonal joins the far corners k and l of the frame.
         frame = quads.frame
@@ -165,11 +169,7 @@ class CornerMesh:
         # Every side slot of the two faces moves, and its twin follows it.
         # Outer sides may be glued to each other, within a quad or across
         # two, so all twins are relabelled in one pass.
-        f, s = quads.f, quads.s
-        old = np.concatenate(
-            [3 * f + s, 3 * f + _NEXT[s], 3 * f + _NEXT2[s]]
-            + [3 * g + s2, 3 * g + _NEXT[s2], 3 * g + _NEXT2[s2]]
-        )
+        old = np.concatenate([e, *kernels.side_ends(e), o, *kernels.side_ends(o)])
         new = np.concatenate([3 * f, 3 * g + 2, 3 * f + 1, 3 * g, 3 * f + 2, 3 * g + 1])
         slot = np.arange(3 * self.n_faces)
         slot[old] = new
@@ -187,6 +187,10 @@ class CornerMesh:
         return new_len.reshape(shape)[()]
 
 
+def _side_ends(mesh):
+    return mesh.vert.ravel()[kernels.side_ends(np.arange(mesh.vert.size))]
+
+
 def _freeze(value):
     """Make every array in ``value``, a tuple tree of them, read-only."""
     if isinstance(value, np.ndarray):
@@ -200,26 +204,27 @@ def _freeze(value):
 
 
 class EdgeQuads(NamedTuple):
-    """The quads around the edges with handles (f[e], s[e]): the labels
-    i, j, k, l of their corners, stacked (4, E), and their ``QuadFrame``."""
+    """The quads around the edges of the slots ``slot``: the labels i, j,
+    k, l of their corners, stacked (4, E), and their ``QuadFrame``.  Slot
+    e runs i -> j and faces corner k; its twin o runs j -> i and faces
+    corner l."""
 
-    f: np.ndarray
-    s: np.ndarray
+    slot: np.ndarray
     labels: np.ndarray
     frame: kernels.QuadFrame
 
 
-def _quads(mesh, f, s):
-    g, s2 = np.divmod(mesh.twin[3 * f + s], 3)
-    t, h = _NEXT[s], _NEXT2[s]
-    labels = mesh.vert[[f, f, f, g], [t, h, s, s2]]
+def _quads(mesh, e):
+    o = mesh.twin[e]
+    (t, h), (to, ho) = kernels.side_ends(e), kernels.side_ends(o)
+    labels = mesh.vert.ravel()[np.stack([t, h, e, o])]
     # l_ij, l_ik, l_jk, l_il, l_jl
-    lengths = mesh.ell[[f, f, f, g, g], [s, h, t, _NEXT[s2], _NEXT2[s2]]]
-    return EdgeQuads(f, s, labels, kernels.quad_frame(*lengths))
+    lengths = mesh.ell.ravel()[np.stack([e, h, t, to, ho])]
+    return EdgeQuads(e, labels, kernels.quad_frame(*lengths))
 
 
 def _edge_quads(mesh):
-    return _quads(mesh, *mesh.cached(CornerMesh.edges))
+    return _quads(mesh, mesh.cached(CornerMesh.edges))
 
 
 def _strictly_convex(frame):
@@ -243,19 +248,18 @@ def _badness(quads, q):
     vals = kernels.edge_badness(quads.frame, *q[quads.labels])
     flat = np.flatnonzero(np.isnan(vals))
     if flat.size:
-        e = flat[0]
         raise TriangleError(
-            f"cannot develop quad at edge ({quads.f[e]}, {quads.s[e]}): flat triangle"
+            f"cannot develop quad at edge {divmod(int(quads.slot[flat[0]]), 3)}: flat triangle"
         )
     return vals
 
 
 def badness_scan(mesh, q):
-    """Badness for every canonical edge, batched; returns ((f, s), values)
-    with (f, s) the index arrays of ``mesh.edges()``.  The edges and their
-    quads come from the mesh's cache; only the weights are new."""
+    """Badness for every canonical edge, batched; returns (slots, values)
+    with slots those of ``mesh.edges()``.  The edges and their quads come
+    from the mesh's cache; only the weights are new."""
     quads = mesh.cached(_edge_quads)
-    return (quads.f, quads.s), _badness(quads, np.asarray(q, dtype=float))
+    return quads.slot, _badness(quads, np.asarray(q, dtype=float))
 
 
 # -- the flip algorithm --------------------------------------------------
@@ -267,15 +271,15 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
 
     A round rechecks its suspect edges in one batch.  Then it flips, in
     one batch, each bad edge whose quad is strictly convex and shares no
-    face with a flip picked before it in handle order.  The first round's
+    face with a flip picked before it in slot order.  The first round's
     suspects are all edges, with the quads of ``badness_scan``; the next
     round's are the flipped quads' outer sides and the bad edges the
-    round left.  The badness of (f, s) reads only the rows of f and of
-    its neighbour across s, and a flip writes only the rows of its two
-    faces and points outer sides at them, so no other verdict changes.
+    round left.  The badness of slot e reads only the rows of its face
+    and of its twin's, and a flip writes only the rows of its two faces
+    and points outer sides at them, so no other verdict changes.
 
-    ``on_flip(mesh, f, s)`` is called once per round, with the handle
-    arrays of the round's flips, before any of them fires.  Since those
+    ``on_flip(mesh, e)`` is called once per round, with the slots of the
+    round's flips, before any of them fires.  Since those
     flips share no face, the mesh it sees holds each of their quads as
     it is just before that edge's flip.
 
@@ -297,32 +301,32 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
         bad = np.flatnonzero(vals > tol)
         if not bad.size:
             return flips
-        f, s = quads.f[bad], quads.s[bad]
-        g = mesh.twin[3 * f + s] // 3
+        e = quads.slot[bad]
+        f, g = e // 3, mesh.twin[e] // 3
         movable = (g != f) & _strictly_convex(kernels.QuadFrame(*(x[bad] for x in quads.frame)))
         pick = np.zeros(bad.size, dtype=bool)
         taken = set()
         faces = list(zip(f.tolist(), g.tolist()))
-        for e in np.flatnonzero(movable).tolist():
-            if taken.isdisjoint(faces[e]):
-                taken.update(faces[e])
-                pick[e] = True
+        for i in np.flatnonzero(movable).tolist():
+            if taken.isdisjoint(faces[i]):
+                taken.update(faces[i])
+                pick[i] = True
         n = int(pick.sum())
         if n == 0:
             raise InadmissibleWeightsError(
-                f"bad edge ({f[0]}, {s[0]}) cannot be flipped and no flip unblocks it"
+                f"bad edge {divmod(int(e[0]), 3)} cannot be flipped and no flip unblocks it"
             )
         if flips + n > max_flips:
             raise InadmissibleWeightsError(f"flip budget {max_flips} exhausted")
         if on_flip is not None:
-            on_flip(mesh, f[pick], s[pick])
-        mesh.flip(f[pick], s[pick])
+            on_flip(mesh, e[pick])
+        mesh.flip(e[pick])
         flips += n
         # Each new diagonal is side 0 of its two faces; sides 1 and 2 are
         # the quad's outer sides.
         fg = np.concatenate([f[pick], g[pick]])
-        slots = np.concatenate([3 * fg + 1, 3 * fg + 2, 3 * f[~pick] + s[~pick]])
-        quads = _quads(mesh, *np.divmod(np.unique(np.minimum(slots, mesh.twin[slots])), 3))
+        slots = np.concatenate([3 * fg + 1, 3 * fg + 2, e[~pick]])
+        quads = _quads(mesh, np.unique(np.minimum(slots, mesh.twin[slots])))
         vals = _badness(quads, q)
 
 
@@ -332,7 +336,7 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
 @dataclass(frozen=True)
 class Region:
     faces: tuple  # sorted face indices
-    cycles: tuple  # boundary cycles, each a tuple of directed slots (f, s)
+    cycles: tuple  # boundary cycles, each a tuple of slots
 
 
 def merge_regions(mesh, flat):
@@ -351,26 +355,25 @@ def merge_regions(mesh, flat):
     ends = np.cumsum(np.bincount(label)).tolist()
     members = [order[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
-    flat = flat.reshape(-1, 3)
-    visited = np.zeros((mesh.n_faces, 3), dtype=bool)
+    flat, twin = flat.tolist(), mesh.twin.tolist()
+    # The side after each slot around its face (``kernels.side_ends``).
+    after = kernels.side_ends(np.arange(len(twin)))[0].tolist()
+    visited = [False] * len(twin)
     cycles_of = [[] for _ in members]
-    for f0 in range(mesh.n_faces):
-        for s0 in range(3):
-            if flat[f0, s0] or visited[f0, s0]:
-                continue
-            cycle = []
-            f, s = f0, s0
-            while not visited[f, s]:
-                visited[f, s] = True
-                cycle.append((f, s))
-                # Rotate around the head vertex until the next
-                # non-merged side going out of it.
-                t = (s + 1) % 3
-                while flat[f, t]:
-                    g, u = mesh.neighbor(f, t)
-                    f, t = g, (u + 1) % 3
-                s = t
-            cycles_of[label[f0]].append(tuple(cycle))
+    for e0 in range(len(twin)):
+        if flat[e0] or visited[e0]:
+            continue
+        cycle = []
+        e = e0
+        while not visited[e]:
+            visited[e] = True
+            cycle.append(e)
+            # Rotate around the head vertex until the next non-merged
+            # side going out of it.
+            e = after[e]
+            while flat[e]:
+                e = after[twin[e]]
+        cycles_of[label[e0 // 3]].append(tuple(cycle))
 
     return [
         Region(faces=tuple(faces), cycles=tuple(cycles))

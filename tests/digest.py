@@ -111,9 +111,9 @@ def chord_error(pipe):
     import numpy as np
 
     mesh, verts = pipe.solve.state.mesh, pipe.embedded.vertices
-    # Side s runs from corner (s + 1) % 3 to corner (s + 2) % 3.
-    chords = np.linalg.norm(verts[mesh.vert[:, [1, 2, 0]]] - verts[mesh.vert[:, [2, 0, 1]]], axis=-1)
-    return float(np.abs(chords - mesh.ell).max()) / pipe.embedded.diameter
+    tail, head = mesh.side_ends()
+    chords = np.linalg.norm(verts[tail] - verts[head], axis=-1)
+    return float(np.abs(chords - mesh.ell.ravel()).max()) / pipe.embedded.diameter
 
 
 def compare(before, after):

@@ -303,7 +303,7 @@ def link_ring(mesh, i) -> LinkRing:
     while True:
         corners.append((f, c))
         sides.append((f, (c + 1) % 3))
-        g, u = mesh.neighbor(f, (c + 1) % 3)
+        g, u = divmod(int(mesh.twin[3 * f + (c + 1) % 3]), 3)
         f, c = g, (u + 1) % 3
         if (f, c) == start:
             break

@@ -431,8 +431,8 @@ def validate_polytope(P):
 def total_height(P):
     """sum r*kappa + sum ell*(pi - theta); its gradient in r is kappa."""
     rep = P.curvature_report()
-    f, s = P.mesh.edges()
-    return float(np.dot(P.r, rep.kappa) + np.dot(P.mesh.ell[f, s], math.pi - rep.theta[f, s]))
+    e = P.mesh.edges()
+    return float(np.dot(P.r, rep.kappa) + np.dot(P.mesh.ell.ravel()[e], math.pi - rep.theta.ravel()[e]))
 
 
 def chord_error(mesh, verts):
@@ -513,7 +513,7 @@ def develop_quad(mesh, f, s) -> QuadLayout:
     """
     f = int(f)
     s = int(s)
-    g, s2 = mesh.neighbor(f, s)
+    g, s2 = divmod(int(mesh.twin[3 * f + s]), 3)
     i = int(mesh.vert[f, (s + 1) % 3])
     j = int(mesh.vert[f, (s + 2) % 3])
     k = int(mesh.vert[f, s])
@@ -556,16 +556,16 @@ def quad_is_strictly_convex(quad: QuadLayout) -> bool:
     return True
 
 
-def badness(mesh, q, f, s):
-    """Badness of the edges with handles (f[e], s[e]), read off the mesh
-    as it is, without its cache."""
-    return _badness(_quads(mesh, f, s), np.asarray(q, dtype=float))
+def badness(mesh, q, e):
+    """Badness of the edges of the slots ``e``, read off the mesh as it
+    is, without its cache."""
+    return _badness(_quads(mesh, np.asarray(e)), np.asarray(q, dtype=float))
 
 
 def edge_theta(mesh, r, f, s):
     """Total dihedral along edge (f, s) from a solve of its two faces
     alone, as the solver's flip hook made it once per flip."""
-    g, s2 = mesh.neighbor(f, s)
+    g, s2 = divmod(int(mesh.twin[3 * f + s]), 3)
     faces = np.array([f, g])
     batch = solve_pyramids(mesh.ell[faces], np.asarray(r)[mesh.vert[faces]])
     return float(batch.alpha[0, s] + batch.alpha[1, s2])
@@ -584,17 +584,17 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
     scale = max(1.0, float(np.abs(q).max()))
     tol = BAD_TOL * scale
 
-    (f, s), vals = badness_scan(mesh, q)
+    e, vals = badness_scan(mesh, q)
     if np.all(vals <= tol):
         return 0
 
-    queue = deque(zip(f.tolist(), s.tolist()))
+    queue = deque(divmod(x, 3) for x in e.tolist())
     flips = 0
     stalled = 0
     while queue:
         f, s = queue.popleft()
-        g, s2 = mesh.neighbor(f, s)
-        if badness(mesh, q, np.array([f]), np.array([s]))[0] <= tol:
+        g, s2 = divmod(int(mesh.twin[3 * f + s]), 3)
+        if badness(mesh, q, np.array([3 * f + s]))[0] <= tol:
             continue
         blocked = g == f or not quad_is_strictly_convex(develop_quad(mesh, f, s))
         if blocked:
@@ -607,8 +607,8 @@ def weighted_delaunay(mesh, q, max_flips=None, on_flip=None):
             continue
 
         if on_flip is not None:
-            on_flip(mesh, f, s)
-        mesh.flip(f, s)
+            on_flip(mesh, np.array([3 * f + s]))
+        mesh.flip(3 * f + s)
         flips += 1
         stalled = 0
         if flips > max_flips:
@@ -667,18 +667,18 @@ def canonical_tesselation(mesh, q):
     """
     q = np.asarray(q, dtype=float)
     scale = max(1.0, float(np.abs(q).max()))
-    (f, s), vals = badness_scan(mesh, q)
+    e, vals = badness_scan(mesh, q)
     assert np.all(vals <= BAD_TOL * scale), "mesh is not weighted-Delaunay"
 
     flat = np.abs(vals) <= FLAT_TOL * scale
-    flat_slots = list(zip(f[flat].tolist(), s[flat].tolist()))
-    mask = np.zeros((mesh.n_faces, 3), dtype=bool)
-    mask[f[flat], s[flat]] = True
-    regions = merge_regions(mesh, mask)
+    flat_slots = e[flat].tolist()
+    mask = np.zeros(3 * mesh.n_faces, dtype=bool)
+    mask[e[flat]] = True
+    regions = merge_regions(mesh, mask.reshape(-1, 3))
 
     def canonical_cycle(cycle):
         word = []
-        for f, s in cycle:
+        for f, s in (divmod(x, 3) for x in cycle):
             tail = int(mesh.vert[f, (s + 1) % 3])
             word.append((tail, int(round(mesh.ell[f, s] * 1e9))))
         rotations = [tuple(word[r:] + word[:r]) for r in range(len(word))]
@@ -722,7 +722,7 @@ def unfold_faces(mesh, theta):
     while queue:
         f = queue.popleft()
         for s in range(3):
-            g, s2 = mesh.neighbor(f, s)
+            g, s2 = divmod(int(mesh.twin[3 * f + s]), 3)
             if placed[g]:
                 continue
             a = pos[f, (s + 1) % 3]  # tail of the shared edge in f

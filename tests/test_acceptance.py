@@ -187,7 +187,7 @@ def _scrambled(mesh, seed):
     done = 0
     for _ in range(60):
         try:
-            work.flip(int(rng.integers(work.n_faces)), int(rng.integers(3)))
+            work.flip(3 * int(rng.integers(work.n_faces)) + int(rng.integers(3)))
             done += 1
         except FlipError:
             continue

@@ -158,7 +158,7 @@ def test_flat_diagonals_have_zero_dual_length(cube_metric):
 
 def test_non_delaunay_fan_rejected(cube_metric):
     mesh = CornerMesh.from_metric(cube_metric)
-    mesh.flip(0, 0)
+    mesh.flip(0)
     P = GeneralizedPolytope(mesh, np.full(8, 4.0))
     with pytest.raises(TriangleError, match="negative dual edge"):
         decompose(dualize(P))

@@ -178,7 +178,7 @@ def test_apex_outside_detected(tetra_embedded):
 
 def test_loop_mesh_cannot_embed():
     mesh = mesh_of(catalog.doubly_covered_triangle(1.9, 1.0, 1.0))
-    mesh.flip(0, 0)
+    mesh.flip(0)
     P = GeneralizedPolytope(mesh, np.array([1.3, 1.25, 1.35]))
     with pytest.raises(
         EmbedError,

@@ -45,7 +45,7 @@ def test_matches_finite_differences_with_loop_edge():
     # flipping the long side of a doubled obtuse triangle leaves a loop;
     # both directed copies of the loop feed the diagonal entry
     mesh = mesh_of(catalog.doubly_covered_triangle(1.9, 1.0, 1.0))
-    mesh.flip(0, 0)
+    mesh.flip(0)
     r = np.array([1.3, 1.25, 1.35])
     J = dense_jacobian(GeneralizedPolytope(mesh, r))
     for j in range(3):

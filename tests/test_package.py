@@ -186,6 +186,41 @@ def test_cli_runs_every_function(tmp_path):
     assert never == []
 
 
+def _side_rule_uses(path):
+    """Where a module names ``_NEXT`` or ``_NEXT2`` or indexes with a
+    [1, 2, 0] or [2, 0, 1] literal: the side rule written out again."""
+    rolls = ([1, 2, 0], [2, 0, 1])
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        named = (
+            (isinstance(node, ast.Name) and node.id)
+            or (isinstance(node, ast.Attribute) and node.attr)
+            or (isinstance(node, ast.alias) and node.name)
+        )
+        if named in ("_NEXT", "_NEXT2"):
+            uses.append((path.stem, node.lineno, named))
+        elif isinstance(node, ast.Subscript):
+            index = node.slice
+            for part in index.elts if isinstance(index, ast.Tuple) else [index]:
+                if isinstance(part, ast.List) and ast.unparse(part) in map(str, rolls):
+                    uses.append((path.stem, node.lineno, ast.unparse(part)))
+    return uses
+
+
+def test_only_kernels_states_the_side_rule():
+    # Side s runs from corner (s+1)%3 to corner (s+2)%3: kernels.side_ends
+    # states it, and every other module reads it there or through
+    # CornerMesh.side_ends.
+    uses = [
+        use
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "kernels"
+        for use in _side_rule_uses(path)
+    ]
+    assert uses == []
+    assert _side_rule_uses(PACKAGE / "kernels.py")  # the check sees the names
+
+
 def _load_tracing():
     """``perfbench/tracing.py``, loaded from its file without installing it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

@@ -22,7 +22,8 @@ TETRA_DIHEDRAL = math.acos(1.0 / 3.0)
 
 def test_unit_regular_pyramid_angles():
     geom = solve_pyramids(np.ones((1, 3)), np.ones((1, 3)))
-    assert math.sqrt(geom.alt2[0]) ** 2 == pytest.approx(2.0 / 3.0, rel=1e-12)
+    alt2 = kernels.face_pyramids(np.ones((1, 3)), np.ones((1, 3)))["alt2"]
+    assert math.sqrt(alt2[0]) ** 2 == pytest.approx(2.0 / 3.0, rel=1e-12)
     np.testing.assert_allclose(kernels.tri_angles(np.ones((1, 3))), math.pi / 3.0, atol=1e-12)
     np.testing.assert_allclose(geom.alpha, TETRA_DIHEDRAL, atol=1e-12)
     np.testing.assert_allclose(geom.omega, TETRA_DIHEDRAL, atol=1e-12)
@@ -40,7 +41,8 @@ def test_near_flat_pyramid_refined():
     r = math.sqrt(1.0 / 3.0 + 1e-10)
     batch = solve_pyramids(np.array([[1.0, 1.0, 1.0]]), np.full((1, 3), r))
     assert not batch.refined.any()
-    assert batch.alt2[0] == pytest.approx(1e-10, rel=1e-5)
+    alt2 = kernels.face_pyramids(np.array([[1.0, 1.0, 1.0]]), np.full((1, 3), r))["alt2"]
+    assert alt2[0] == pytest.approx(1e-10, rel=1e-5)
     want = mp_pyramid([1.0] * 3, [r] * 3)
     for key in ("alpha", "omega"):
         assert np.abs(getattr(batch, key)[0] - want[key]).max() <= FOLD_TOL / 100
@@ -98,7 +100,8 @@ def test_pyramid_matches_explicit_coordinates(data):
     ]
     radii = np.linalg.norm(base - apex, axis=1)
     geom = solve_pyramids(np.array([lengths]), radii[None, :])
-    assert math.sqrt(geom.alt2[0]) == pytest.approx(apex[2], rel=1e-8, abs=1e-10)
+    alt2 = kernels.face_pyramids(np.array([lengths]), radii[None, :])["alt2"]
+    assert math.sqrt(alt2[0]) == pytest.approx(apex[2], rel=1e-8, abs=1e-10)
     for s in range(3):
         t, h = (s + 1) % 3, (s + 2) % 3
         want = _dihedral(base[t], base[h], base[s], apex)
@@ -136,7 +139,7 @@ def test_cube_at_circumradius_closes_up(cube_metric):
     mesh = CornerMesh.from_metric(cube_metric)
     P = validate_polytope(GeneralizedPolytope(mesh, np.full(8, math.sqrt(3.0) / 2.0)))
     np.testing.assert_allclose(P.kappa, 0.0, atol=1e-9)
-    theta = P.curvature_report().theta[mesh.edges()]
+    theta = P.curvature_report().theta.ravel()[mesh.edges()]
     # 12 cube edges at pi/2, 6 face diagonals exactly flat
     sharp = np.isclose(theta, math.pi / 2.0, atol=1e-9).sum()
     flat = np.isclose(theta, math.pi, atol=1e-9).sum()
@@ -168,7 +171,7 @@ def test_total_height_gradient_is_kappa():
 
 def test_rejects_non_delaunay_triangulation(cube_metric):
     mesh = CornerMesh.from_metric(cube_metric)
-    mesh.flip(0, 0)  # flipping a strictly good edge leaves a bad diagonal
+    mesh.flip(0)  # flipping a strictly good edge leaves a bad diagonal
     with pytest.raises(PyramidError, match="weighted-Delaunay"):
         validate_polytope(GeneralizedPolytope(mesh, np.full(8, 4.0)))
 
@@ -205,8 +208,8 @@ def test_curvature_report_matches_edge_loop(sampled_polytopes):
         mesh, alpha = P.mesh, P.pyramids.alpha
         theta = np.full((mesh.n_faces, 3), np.nan)
         height = float(np.dot(P.r, rep.kappa))
-        for f, s in zip(*mesh.edges()):
-            g, s2 = mesh.neighbor(f, s)
+        for f, s in (divmod(e, 3) for e in mesh.edges().tolist()):
+            g, s2 = divmod(int(mesh.twin[3 * f + s]), 3)
             theta[f, s] = theta[g, s2] = alpha[f, s] + alpha[g, s2]
             height += float(mesh.ell[f, s]) * (math.pi - theta[f, s])
         assert rep.theta.shape == (mesh.n_faces, 3)

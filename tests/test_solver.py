@@ -282,8 +282,8 @@ def test_flips_fire_on_flat_edges(monkeypatch):
     # fire more than 1e-5 from pi are rejected and retried smaller.
     honest = solver._edge_theta
 
-    def near_pi(mesh, r, f, s):
-        theta = honest(mesh, r, f, s)
+    def near_pi(mesh, r, e):
+        theta = honest(mesh, r, e)
         far = np.abs(theta - math.pi) > 1e-5
         if far.any():
             raise StepReductionError(f"flip executed at theta {theta[far][0]!r}")
@@ -324,12 +324,12 @@ def test_jacobian_continuous_across_cocircular_wall(cube_metric):
     # two triangulations of the same slightly inflated cube, differing by
     # one flat diagonal, give the same curvature Jacobian
     mesh1 = CornerMesh.from_metric(cube_metric)
-    (f, s), vals = badness_scan(mesh1, np.ones(8))
-    diag = next((fe, se) for fe, se, v in zip(f, s, vals) if abs(v) <= 1e-9)
+    e, vals = badness_scan(mesh1, np.ones(8))
+    diag = next(x for x, v in zip(e, vals) if abs(v) <= 1e-9)
     r = np.full(8, 1.02 * math.sqrt(3.0) / 2.0)
     J1 = dense_jacobian(validate_polytope(GeneralizedPolytope(mesh1, r)))
     mesh2 = mesh1.copy()
-    mesh2.flip(*diag)
+    mesh2.flip(diag)
     J2 = dense_jacobian(GeneralizedPolytope(mesh2, r))
     assert np.abs(J1 - J2).max() <= 1e-6 * np.abs(J1).max()
 
@@ -1162,7 +1162,7 @@ def test_band_factor_matches_dense_oracle_along_paths(name):
 def _half_bandwidth(mesh, order):
     """max |pos(i) - pos(j)| over the mesh's edges, from its corner table."""
     pos = np.argsort(order)
-    f, s = mesh.edges()
+    f, s = np.divmod(mesh.edges(), 3)
     tail = mesh.vert[f, (s + 1) % 3]
     head = mesh.vert[f, (s + 2) % 3]
     return int(np.abs(pos[tail] - pos[head]).max())

@@ -210,3 +210,40 @@ def test_nonpositive_deficit_rejected():
     with pytest.raises(MetricError) as err:
         surface.build_metric(dev)
     assert "deficit" in str(err.value).lower() or "cone" in str(err.value).lower()
+
+
+# Two flat triangles (1, 1, 2) whose gluing pairs a side of length 1 with
+# one of length 2.
+_TWO_FLAT_TRIANGLES = {
+    "triangles": [{"sides": [1, 1, 2]}, {"sides": [1, 1, 2]}],
+    "gluings": [[[0, 0], [1, 0]], [[0, 1], [1, 2]], [[0, 2], [1, 1]]],
+}
+
+
+@pytest.mark.parametrize(
+    "make, error, want",
+    [
+        (
+            lambda: surface.parse_development(json.dumps(_TWO_FLAT_TRIANGLES)),
+            DevelopmentError,
+            "glued sides (0,1) and (1,2) have lengths 1.0 vs 2.0",
+        ),
+        (
+            lambda: surface.parse_development(json.dumps(_TWO_FLAT_TRIANGLES)),
+            DevelopmentError,
+            "triangle 0: sides (1.0, 1.0, 2.0) degenerate",
+        ),
+        (
+            lambda: surface.build_metric(surface.parse_development(_flat_apex_bipyramid())),
+            MetricError,
+            "cone angle",
+        ),
+    ],
+    ids=["length-mismatch", "degenerate-triangle", "cone-angle"],
+)
+def test_messages_print_python_floats(make, error, want):
+    # NumPy 2 reprs a float64 as np.float64(...); messages print the number
+    with pytest.raises(error) as err:
+        make()
+    assert want in str(err.value)
+    assert "np." not in str(err.value)

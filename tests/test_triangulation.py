@@ -14,9 +14,9 @@ from oracles import (
     mesh_of,
     validate_mesh,
 )
-from polyforge import build_metric, catalog, hull, jacobian
+from polyforge import build_metric, catalog, hull, jacobian, kernels
 from polyforge.errors import FlipError, InadmissibleWeightsError, TriangleError
-from polyforge.polytope import GeneralizedPolytope, solve_pyramids
+from polyforge.polytope import GeneralizedPolytope
 from polyforge.solver import _edge_theta, solve_path
 from polyforge.triangulation import (
     BAD_TOL,
@@ -65,13 +65,13 @@ def test_rhombus_flip_diagonal():
     mesh = mesh_of(catalog.doubly_covered_triangle(1.0, 1.0, 1.0))
     quad = develop_quad(mesh, 0, 0)
     assert quad.diagonal == pytest.approx(math.sqrt(3.0), rel=1e-14)
-    new_len = mesh.flip(0, 0)
+    new_len = mesh.flip(0)
     assert new_len == pytest.approx(math.sqrt(3.0), rel=1e-14)
     validate_mesh(mesh)
 
 
 def test_edges_match_corner_walk():
-    # reference: one handle per edge, the side that precedes its twin
+    # reference: one slot per edge, the side that precedes its twin
     meshes = [mesh_of(make()) for make in catalog.NAMED.values()]
     twisted = mesh_of(catalog.twisted_double_polygon(6))
     weighted_delaunay(twisted, np.ones(twisted.n_vertices))
@@ -80,22 +80,55 @@ def test_edges_match_corner_walk():
             (f, s)
             for f in range(mesh.n_faces)
             for s in range(3)
-            if (f, s) <= mesh.neighbor(f, s)
+            if (f, s) <= divmod(int(mesh.twin[3 * f + s]), 3)
         ]
-        f, s = mesh.edges()
-        assert list(zip(f.tolist(), s.tolist())) == walk
-        assert len(f) == len(s) == mesh.n_edges
-        assert f.dtype.kind == s.dtype.kind == "i"
+        e = mesh.edges()
+        assert [divmod(x, 3) for x in e.tolist()] == walk
+        assert len(e) == mesh.n_edges
+        assert e.dtype.kind == "i"
+
+
+@pytest.mark.parametrize(
+    "dev",
+    [catalog.cube(), hull.random_sphere_development(40, seed=3)[0]],
+    ids=["cube", "hull40"],
+)
+def test_side_ends_follow_the_corner_rule_before_and_after_a_flip(dev):
+    # side s of face f runs from corner (s+1)%3 to corner (s+2)%3; the
+    # flip drops the cache, so the second pass reads a rebuilt table
+    mesh = mesh_of(dev)
+    slot = np.arange(3 * mesh.n_faces)
+    f, s = np.divmod(slot, 3)
+    tail, head = 3 * f + (s + 1) % 3, 3 * f + (s + 2) % 3
+    np.testing.assert_array_equal(kernels.side_ends(slot), [tail, head])
+    for x in slot.tolist():
+        assert kernels.side_ends(x).tolist() == [tail[x], head[x]]
+    flippable = next(e for e in mesh.edges().tolist() if _can_flip(mesh, e))
+    for _ in range(2):
+        ends = mesh.side_ends()
+        assert ends.shape == (2, slot.size)
+        np.testing.assert_array_equal(ends, [mesh.vert[f, (s + 1) % 3], mesh.vert[f, (s + 2) % 3]])
+        assert mesh.side_ends() is ends  # kept in the cache
+        mesh.flip(flippable)
+        assert mesh.side_ends() is not ends
+
+
+def _can_flip(mesh, e):
+    try:
+        mesh.copy().flip(e)
+    except FlipError:
+        return False
+    return True
 
 
 def test_flip_preserves_cone_angles():
     mesh = mesh_of(catalog.cube())
     before = cone_angles(mesh)
     flipped = 0
-    for f, s in zip(*mesh.edges()):
+    for e in mesh.edges():
         work = mesh.copy()
         try:
-            work.flip(f, s)
+            work.flip(e)
         except FlipError:
             continue
         validate_mesh(work)
@@ -107,8 +140,8 @@ def test_flip_preserves_cone_angles():
 def test_flip_twice_restores_lengths():
     mesh = mesh_of(catalog.cube())
     orig = np.sort(mesh.ell.ravel())
-    mesh.flip(0, 0)
-    mesh.flip(0, 0)  # the new diagonal is side 0 of the rewritten face
+    mesh.flip(0)
+    mesh.flip(0)  # the new diagonal is side 0 of the rewritten face
     validate_mesh(mesh)
     np.testing.assert_allclose(np.sort(mesh.ell.ravel()), orig, atol=1e-12)
 
@@ -126,7 +159,7 @@ def test_flip_obtuse_double_creates_loop():
     # geodesic loop based at the opposite vertex
     mesh = mesh_of(catalog.doubly_covered_triangle(1.9, 1.0, 1.0))
     assert mesh.ell[0, 0] == pytest.approx(1.9)
-    mesh.flip(0, 0)
+    mesh.flip(0)
     validate_mesh(mesh)
     i, j = mesh.vert[0, 1:]  # side 0 runs from corner 1 to corner 2
     assert i == j  # loop
@@ -134,22 +167,17 @@ def test_flip_obtuse_double_creates_loop():
     quad = develop_quad(mesh, 0, 0)
     assert np.isfinite(quad.pl).all()
     # ... and flipping it back restores the original edge length
-    assert mesh.flip(0, 0) == pytest.approx(1.9, rel=1e-12)
+    assert mesh.flip(0) == pytest.approx(1.9, rel=1e-12)
 
 
 def test_flip_refuses_same_face():
     mesh = mesh_of(catalog.doubly_covered_triangle(1.9, 1.0, 1.0))
-    mesh.flip(0, 0)
+    mesh.flip(0)
     # the two short sides of each new face are glued to each other
-    same_face = [
-        (f, s)
-        for f in range(2)
-        for s in range(3)
-        if mesh.neighbor(f, s)[0] == f
-    ]
+    same_face = [e for e in range(6) if mesh.twin[e] // 3 == e // 3]
     assert same_face
     with pytest.raises(FlipError):
-        mesh.flip(*same_face[0])
+        mesh.flip(same_face[0])
 
 
 def test_flip_refuses_nonconvex_quad():
@@ -157,7 +185,7 @@ def test_flip_refuses_nonconvex_quad():
     # a nonconvex kite (reflex angle at the obtuse corner)
     mesh = mesh_of(catalog.doubly_covered_triangle(1.9, 1.0, 1.0))
     with pytest.raises(FlipError):
-        mesh.flip(0, 1)
+        mesh.flip(1)  # side 1 of face 0
 
 
 def test_randomized_flips_keep_metric():
@@ -168,7 +196,7 @@ def test_randomized_flips_keep_metric():
         f = int(rng.integers(mesh.n_faces))
         s = int(rng.integers(3))
         try:
-            mesh.flip(f, s)
+            mesh.flip(3 * f + s)
         except FlipError:
             continue
     validate_mesh(mesh)
@@ -195,9 +223,9 @@ def test_badness_against_scalar_path():
     mesh = mesh_of(catalog.cube())
     for _ in range(20):
         q = rng.uniform(0.5, 3.0, size=mesh.n_vertices)
-        (fs, ss), vals = badness_scan(mesh, q)
-        for f, s, v in zip(fs, ss, vals):
-            quad = develop_quad(mesh, f, s)
+        e, vals = badness_scan(mesh, q)
+        for x, v in zip(e.tolist(), vals):
+            quad = develop_quad(mesh, *divmod(x, 3))
             i, j, k, l = quad.labels
             oracle = float(q[l]) - ext_value(
                 quad.pi, quad.pj, quad.pk, q[i], q[j], q[k], quad.pl
@@ -215,11 +243,11 @@ def test_rectangle_diagonal_weights():
     mesh = mesh_of(catalog.doubly_covered_triangle(d, h, w))
     quad = develop_quad(mesh, 0, 0)
     assert quad.diagonal == pytest.approx(2.0 * w * h / d, rel=1e-12)
-    one = np.array([0])  # edge (0, 0) alone
+    one = np.array([0])  # the edge of slot 0 alone
     q = np.zeros(mesh.n_vertices)
-    assert badness(mesh, q, one, one)[0] <= BAD_TOL
+    assert badness(mesh, q, one)[0] <= BAD_TOL
     q[mesh.vert[0, 0]] = 1.0  # the right-angle corner (= both far corners)
-    assert badness(mesh, q, one, one)[0] > BAD_TOL
+    assert badness(mesh, q, one)[0] > BAD_TOL
 
 
 def test_flat_quad_raises():
@@ -311,9 +339,11 @@ def test_flips_never_lower_the_extension():
                     after = _quad_extension_probe(mesh, q, f, 0)
                     assert after >= before - 1e-12 * scale
 
-            def on_flip(m, f, s):
+            def on_flip(m, e):
                 check_pending()
-                pending.extend((fe, _quad_extension_probe(m, q, fe, se)) for fe, se in zip(f, s))
+                pending.extend(
+                    (x // 3, _quad_extension_probe(m, q, *divmod(x, 3))) for x in e.tolist()
+                )
 
             try:
                 flips += weighted_delaunay(mesh, q, on_flip=on_flip)
@@ -330,10 +360,10 @@ def test_flip_undone_by_delaunay(cube_metric):
     q = np.ones(8)
     mesh = CornerMesh.from_metric(cube_metric)
     want = canonical_tesselation(mesh, q).digest
-    for f, s in zip(*mesh.edges()):
+    for e in mesh.edges():
         work = mesh.copy()
         try:
-            work.flip(f, s)
+            work.flip(e)
         except FlipError:
             continue
         if badness_scan(work, q)[1].max() <= 1e-10:
@@ -355,7 +385,7 @@ def _scrambled(mesh, seed):
         f = int(rng.integers(work.n_faces))
         s = int(rng.integers(3))
         try:
-            work.flip(f, s)
+            work.flip(3 * f + s)
             done += 1
         except FlipError:
             continue
@@ -422,7 +452,7 @@ def test_flip_budget_caps_the_flips_applied():
         work = mesh.copy()
         applied = []
         flip = work.flip
-        work.flip = lambda f, s: applied.append(flip(f, s))
+        work.flip = lambda e: applied.append(flip(e))
         out = _outcome(weighted_delaunay, work, q, budget)
         assert len(applied) <= budget
         assert out == (total if budget == total else "flip")
@@ -434,12 +464,12 @@ def test_flips_of_a_round_share_no_face_and_their_theta_is_the_two_face_solve():
     r = np.full(mesh.n_vertices, 10.0 * float(mesh.ell.max()))
     rounds = []
 
-    def hook(m, f, s):
-        faces = np.concatenate([f, m.twin[3 * f + s] // 3]).tolist()
+    def hook(m, e):
+        faces = np.concatenate([e // 3, m.twin[e] // 3]).tolist()
         assert len(set(faces)) == len(faces)
-        want = [oracles.edge_theta(m, r, fe, se) for fe, se in zip(f, s)]
-        assert _edge_theta(m, r, f, s).tolist() == want
-        rounds.append(len(f))
+        want = [oracles.edge_theta(m, r, *divmod(x, 3)) for x in e.tolist()]
+        assert _edge_theta(m, r, e).tolist() == want
+        rounds.append(len(e))
 
     flips = weighted_delaunay(mesh, r * r, on_flip=hook)
     assert sum(rounds) == flips and max(rounds) > 1
@@ -450,20 +480,20 @@ def test_batched_theta_is_the_two_face_solve_on_refined_rows(square_path):
     # of its squared scale, and the mirrored faces of the two sheets are
     # congruent rows of one batch.
     _, mesh, r = square_path.final
-    f, s = mesh.edges()
-    g = mesh.twin[3 * f + s] // 3
+    e = mesh.edges()
+    f, g = e // 3, mesh.twin[e] // 3
     pick, taken = [], set()
-    for e, pair in enumerate(zip(f.tolist(), g.tolist())):
+    for i, pair in enumerate(zip(f.tolist(), g.tolist())):
         if pair[0] != pair[1] and taken.isdisjoint(pair):
             taken.update(pair)
-            pick.append(e)
-    f, s = f[pick], s[pick]
-    faces = np.concatenate([f, g[pick]])
+            pick.append(i)
+    e = e[pick]
+    faces = np.concatenate([f[pick], g[pick]])
     ell, rad = mesh.ell[faces], r[mesh.vert[faces]]
     scale = np.maximum((ell * ell).max(axis=1), (rad * rad).max(axis=1))
-    assert np.all(solve_pyramids(ell, rad).alt2 <= 1e-8 * scale)
-    want = [oracles.edge_theta(mesh, r, fe, se) for fe, se in zip(f, s)]
-    assert len(want) == 2 and _edge_theta(mesh, r, f, s).tolist() == want
+    assert np.all(kernels.face_pyramids(ell, rad)["alt2"] <= 1e-8 * scale)
+    want = [oracles.edge_theta(mesh, r, *divmod(x, 3)) for x in e.tolist()]
+    assert len(want) == 2 and _edge_theta(mesh, r, e).tolist() == want
 
 
 def test_flip_reads_the_quad_frame_as_the_scalar_layout():
@@ -474,11 +504,12 @@ def test_flip_reads_the_quad_frame_as_the_scalar_layout():
         meshes.append(_scrambled(mesh_of(hull.random_sphere_development(n, seed=seed)[0]), seed)[0])
     flipped = refused = 0
     for mesh in meshes:
-        for f, s in zip(*mesh.edges()):
+        for e in mesh.edges().tolist():
+            f, s = divmod(e, 3)
             quad = develop_quad(mesh, f, s)
-            movable = mesh.neighbor(f, s)[0] != f and oracles.quad_is_strictly_convex(quad)
+            movable = mesh.twin[e] // 3 != f and oracles.quad_is_strictly_convex(quad)
             try:
-                new_len = mesh.copy().flip(f, s)
+                new_len = mesh.copy().flip(e)
             except FlipError:
                 assert not movable
                 refused += 1
@@ -503,10 +534,10 @@ def test_canonical_tesselation_start_independent(cube_metric):
 def test_merge_regions_boundary_cycles(cube_metric):
     mesh = CornerMesh.from_metric(cube_metric)
     q = np.ones(8)
-    (f, s), vals = badness_scan(mesh, q)
-    flat = np.zeros((mesh.n_faces, 3), dtype=bool)
-    flat[f, s] = np.abs(vals) <= 1e-9
-    regions = merge_regions(mesh, flat)
+    e, vals = badness_scan(mesh, q)
+    flat = np.zeros(3 * mesh.n_faces, dtype=bool)
+    flat[e] = np.abs(vals) <= 1e-9
+    regions = merge_regions(mesh, flat.reshape(-1, 3))
     assert len(regions) == 6
     for reg in regions:
         assert len(reg.faces) == 2  # two triangles per square
@@ -519,14 +550,15 @@ def test_merge_regions_reads_either_slot_of_an_edge():
     # canonical slots, by their twins or by both: the same regions, whose
     # faces are the union-find's classes in order of their smallest face
     mesh = CornerMesh.from_metric(build_metric(hull.random_sphere_development(40, seed=5)[0]))
-    f, s = mesh.edges()
-    g, s2 = np.divmod(mesh.twin[3 * f + s], 3)
+    e = mesh.edges()
+    o = mesh.twin[e]
+    f, g = e // 3, o // 3
     rng = np.random.default_rng(5)
     for share in (0.0, 0.3, 0.6, 0.9, 1.0):
-        pick = rng.random(f.size) < share
+        pick = rng.random(e.size) < share
         one, twin = np.zeros((2, mesh.n_faces, 3), dtype=bool)
-        one[f[pick], s[pick]] = True
-        twin[g[pick], s2[pick]] = True
+        one.ravel()[e[pick]] = True
+        twin.ravel()[o[pick]] = True
         regions = merge_regions(mesh, one)
         assert merge_regions(mesh, twin) == regions
         assert merge_regions(mesh, one | twin) == regions
@@ -539,8 +571,8 @@ def test_merge_regions_reads_either_slot_of_an_edge():
         ]
         # each boundary slot lies in one cycle of its own face's region
         walked = [slot for r in regions for c in r.cycles for slot in c]
-        assert sorted(walked) == sorted(zip(*np.nonzero(~(one | twin))))
-        assert all(slot[0] in r.faces for r in regions for c in r.cycles for slot in c)
+        assert sorted(walked) == np.flatnonzero(~(one | twin)).tolist()
+        assert all(slot // 3 in r.faces for r in regions for c in r.cycles for slot in c)
 
 
 # -- the radius-independent cache -------------------------------------------
@@ -564,9 +596,9 @@ def _assert_cache_matches_fresh(mesh, r, order):
     bit."""
     fresh = _fresh(mesh)
     q = r * r
-    (f, s), vals = badness_scan(mesh, q)
-    (f0, s0), vals0 = badness_scan(fresh, q)
-    assert _same_bits(f, f0) and _same_bits(s, s0) and _same_bits(vals, vals0)
+    e, vals = badness_scan(mesh, q)
+    e0, vals0 = badness_scan(fresh, q)
+    assert _same_bits(e, e0) and _same_bits(vals, vals0)
     P, P0 = GeneralizedPolytope(mesh, r), GeneralizedPolytope(fresh, r)
     for name, value in vars(P.pyramids).items():
         assert _same_bits(value, getattr(P0.pyramids, name)), name
@@ -603,9 +635,9 @@ def test_flipping_a_copy_leaves_the_original_cache_alone(cube_metric):
     _assert_cache_matches_fresh(mesh, r, order)  # fills the cache
     work = mesh.copy()
     flipped = 0
-    for f, s in zip(*mesh.edges()):
+    for e in mesh.edges():
         try:
-            work.flip(f, s)
+            work.flip(e)
         except FlipError:
             continue
         flipped += 1
@@ -648,8 +680,8 @@ def test_flip_loop_and_flip_hook_leave_the_cache_empty():
     r = np.full(mesh.n_vertices, 10.0 * float(mesh.ell.max()))
     thetas = []
 
-    def hook(m, f, s):
-        thetas.extend(_edge_theta(m, r, f, s))
+    def hook(m, e):
+        thetas.extend(_edge_theta(m, r, e))
 
     flips = weighted_delaunay(mesh, r * r, on_flip=hook)
     assert flips > 5 and len(thetas) == flips
